@@ -91,6 +91,7 @@ smoke:
 
 fuzz:
 	$(GO) test ./internal/dsp -fuzz FuzzFFTRoundTrip -fuzztime 30s
+	$(GO) test ./internal/dsp -fuzz FuzzUpsamplePlan -fuzztime 30s
 	$(GO) test ./internal/core -fuzz FuzzDetect -fuzztime 30s
 
 clean:

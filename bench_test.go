@@ -260,8 +260,8 @@ func BenchmarkDetectorSearchAndSubtract(b *testing.B) {
 	}
 }
 
-// BenchmarkMatchedFilterBank1016 is the cached counterpart of
-// BenchmarkMatchedFilter1016: one shared forward FFT of the signal plus a
+// BenchmarkMatchedFilterBank1016 times one 3-template matched filtering
+// of a 1016-tap CIR: one shared forward FFT of the signal plus a
 // precomputed template spectrum per filter, the shape Detect uses per
 // search-and-subtract iteration.
 func BenchmarkMatchedFilterBank1016(b *testing.B) {
@@ -302,37 +302,6 @@ func BenchmarkUpsamplePlan4x(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		plan.Execute(dst, taps)
-	}
-}
-
-func BenchmarkMatchedFilter1016(b *testing.B) {
-	bank, err := pulse.DefaultBank(dw1000.SampleInterval, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	taps := benchCIR(b)
-	tmpl := bank.Template(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dsp.MatchedFilter(taps, tmpl)
-	}
-}
-
-func BenchmarkFFT1016(b *testing.B) {
-	taps := benchCIR(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dsp.FFT(taps)
-	}
-}
-
-func BenchmarkUpsample4x(b *testing.B) {
-	taps := benchCIR(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dsp.UpsampleFFT(taps, 4); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -226,9 +226,6 @@ func TestEnergyModel(t *testing.T) {
 	if p.RxEnergy(1) <= p.TxEnergy(1) {
 		t.Fatal("receive must cost more than transmit on the DW1000")
 	}
-	if p.IdleEnergy(1) >= p.TxEnergy(1) {
-		t.Fatal("idle must be far cheaper than active modes")
-	}
 }
 
 func TestDataRateString(t *testing.T) {

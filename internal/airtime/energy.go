@@ -33,9 +33,6 @@ func (p PowerModel) TxEnergy(d float64) float64 { return p.TxCurrent * p.Voltage
 // RxEnergy returns the energy in joules for receiving for d seconds.
 func (p PowerModel) RxEnergy(d float64) float64 { return p.RxCurrent * p.Voltage * d }
 
-// IdleEnergy returns the energy in joules for idling for d seconds.
-func (p PowerModel) IdleEnergy(d float64) float64 { return p.IdleCurrent * p.Voltage * d }
-
 // RangingCost summarizes the network-wide cost of estimating all pairwise
 // distances from one initiator's point of view.
 type RangingCost struct {

@@ -218,8 +218,9 @@ func (b *BatchDetector) Close() {
 // result per input, in input order. The returned slice and the response
 // slices inside it are engine-owned and valid only until the next
 // DetectBatch or Close. Per-item failures (empty CIR, bad noise RMS, a
-// length the dsp layer rejects, a panicking item) are reported in that
-// item's Err; the batch itself never fails.
+// non-finite tap or noise RMS, a length the dsp layer rejects, a
+// panicking item) are reported in that item's Err; the batch itself never
+// fails.
 func (b *BatchDetector) DetectBatch(inputs []BatchInput) []BatchResult {
 	if cap(b.results) < len(inputs) {
 		b.results = make([]BatchResult, len(inputs))

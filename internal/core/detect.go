@@ -8,6 +8,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -61,6 +62,11 @@ const (
 	// the subtractions the spectral path performs without any transform.
 	MetricBankShiftSubtracts = "dsp.bank_shift_subtracts"
 )
+
+// ErrNonFinite reports a NaN or infinite detector input: a CIR tap, or
+// the noise RMS of a thresholded detection. Detect and DetectBatch wrap
+// it; match it with errors.Is.
+var ErrNonFinite = errors.New("core: non-finite detector input")
 
 // DetectorMode selects the detector's search implementation.
 type DetectorMode int
@@ -406,8 +412,9 @@ func (d *Detector) Config() DetectorConfig { return d.cfg }
 // Detect runs search and subtract on the CIR taps (sampled at the bank's
 // interval) and returns the detected responses sorted by ascending delay
 // (Sect. IV step 7). noiseRMS is the per-tap complex noise RMS used for
-// the detection threshold; it must be positive unless the threshold is
-// disabled.
+// the detection threshold; it must be positive and finite unless the
+// threshold is disabled. A NaN or infinite tap, or such a noiseRMS when
+// thresholded, returns an error wrapping ErrNonFinite.
 //
 // Each round matched-filters the residual with every template, picks the
 // globally strongest peak (its template identifies the responder's pulse
@@ -431,8 +438,18 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 		return dst, fmt.Errorf("core: empty CIR")
 	}
 	useThreshold := !d.cfg.DisableThreshold
-	if useThreshold && noiseRMS <= 0 {
-		return dst, fmt.Errorf("core: noise RMS %g must be positive for thresholded detection", noiseRMS)
+	if useThreshold {
+		if math.IsNaN(noiseRMS) || math.IsInf(noiseRMS, 0) {
+			return dst, fmt.Errorf("%w: noise RMS %g", ErrNonFinite, noiseRMS)
+		}
+		if noiseRMS <= 0 {
+			return dst, fmt.Errorf("core: noise RMS %g must be positive for thresholded detection", noiseRMS)
+		}
+	}
+	for i, c := range taps {
+		if cmplx.IsNaN(c) || cmplx.IsInf(c) {
+			return dst, fmt.Errorf("%w: tap %d is %v", ErrNonFinite, i, c)
+		}
 	}
 	threshold := d.cfg.ThresholdFactor * noiseRMS
 	if err := d.ensureState(len(taps)); err != nil {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/dw1000"
@@ -272,6 +274,99 @@ func TestDetectErrors(t *testing.T) {
 	}
 	if _, err := d.Detect(make([]complex128, 64), 0); err == nil {
 		t.Error("zero noise RMS accepted for thresholded detection")
+	}
+}
+
+// TestDetectRejectsNonFiniteInput: a NaN or infinite tap (in every
+// mode) or noise RMS (when thresholded) fails with ErrNonFinite on both
+// search paths rather than yielding phantom or missing responses; in a
+// batch only the bad items fail.
+func TestDetectRejectsNonFiniteInput(t *testing.T) {
+	const noise = 1e-4
+	nan, inf := math.NaN(), math.Inf(1)
+	s1, s2, s3 := shapeFor(t, pulse.RegisterS1), shapeFor(t, pulse.RegisterS2), shapeFor(t, pulse.RegisterS3)
+	clean := makeCIR(t, []pulseAt{
+		{s1, 300 * ts, 0.01},
+		{s2, 420 * ts, 0.008i},
+		{s3, 560 * ts, -0.006},
+	}, noise, 12)
+	withTap := func(i int, c complex128) []complex128 {
+		taps := slices.Clone(clean)
+		taps[i] = c
+		return taps
+	}
+	cases := []struct {
+		name        string
+		taps        []complex128
+		noiseRMS    float64
+		noThreshold bool
+	}{
+		{"NaN noise", clean, nan, false},
+		{"+Inf noise", clean, inf, false},
+		{"-Inf noise", clean, -inf, false},
+		{"NaN tap", withTap(300, complex(nan, 0)), noise, false},
+		{"+Inf tap", withTap(0, complex(0, inf)), noise, false},
+		{"-Inf tap", withTap(dw1000.CIRLength-1, complex(-inf, 0)), noise, false},
+		{"NaN tap, threshold off", withTap(420, complex(nan, nan)), noise, true},
+	}
+	bank, err := pulse.DefaultBank(ts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []DetectorMode{ModeReference, ModeSpectral} {
+		for _, c := range cases {
+			cfg := DetectorConfig{Mode: mode}
+			if c.noThreshold {
+				cfg.DisableThreshold, cfg.MaxResponses = true, 3
+			}
+			det, err := NewDetector(bank, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := det.Detect(c.taps, c.noiseRMS)
+			if !errors.Is(err, ErrNonFinite) || got != nil {
+				t.Errorf("mode %d, %s: got %d responses, err %v; want ErrNonFinite", mode, c.name, len(got), err)
+			}
+		}
+		// The noise RMS is unused with the threshold off, so a NaN one
+		// is no error there.
+		det, err := NewDetector(bank, DetectorConfig{Mode: mode, DisableThreshold: true, MaxResponses: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := det.Detect(clean, nan); err != nil || len(got) != 3 {
+			t.Errorf("mode %d, threshold off: NaN noise gave %d responses, err %v", mode, len(got), err)
+		}
+	}
+
+	eng, err := NewBatchDetector(bank, DetectorConfig{Mode: ModeSpectral}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ref, err := NewDetector(bank, DetectorConfig{Mode: ModeSpectral})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Detect(clean, noise)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []BatchInput{{Taps: clean, NoiseRMS: noise}}
+	for _, c := range cases[:6] {
+		inputs = append(inputs, BatchInput{Taps: c.taps, NoiseRMS: c.noiseRMS}, BatchInput{Taps: clean, NoiseRMS: noise})
+	}
+	for i, r := range eng.DetectBatch(inputs) {
+		if i%2 == 1 {
+			if !errors.Is(r.Err, ErrNonFinite) || len(r.Responses) != 0 {
+				t.Errorf("batch item %d (%s): %d responses, err %v; want ErrNonFinite", i, cases[i/2].name, len(r.Responses), r.Err)
+			}
+			continue
+		}
+		if r.Err != nil {
+			t.Fatalf("batch item %d: %v", i, r.Err)
+		}
+		requireSameResponses(t, "clean neighbor", r.Responses, want)
 	}
 }
 

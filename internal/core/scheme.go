@@ -169,18 +169,3 @@ func (r *Resolver) findAnchor(responses []Response, anchorShape int) (int, error
 	}
 	return 0, fmt.Errorf("core: no response within %g s of the reference position", tol)
 }
-
-// StrongestMeasurement returns the measurement with the largest response
-// amplitude (useful for diagnostics), or false when empty.
-func StrongestMeasurement(ms []Measurement) (Measurement, bool) {
-	if len(ms) == 0 {
-		return Measurement{}, false
-	}
-	best := 0
-	for i := 1; i < len(ms); i++ {
-		if cmplx.Abs(ms[i].Amplitude) > cmplx.Abs(ms[best].Amplitude) {
-			best = i
-		}
-	}
-	return ms[best], true
-}

@@ -417,18 +417,3 @@ func TestResolverErrors(t *testing.T) {
 		t.Error("invalid plan accepted")
 	}
 }
-
-func TestStrongestMeasurement(t *testing.T) {
-	if _, ok := StrongestMeasurement(nil); ok {
-		t.Fatal("empty slice must report false")
-	}
-	ms := []Measurement{
-		{ID: 1, Amplitude: 0.5},
-		{ID: 2, Amplitude: 2i},
-		{ID: 3, Amplitude: -1},
-	}
-	got, ok := StrongestMeasurement(ms)
-	if !ok || got.ID != 2 {
-		t.Fatalf("got %+v", got)
-	}
-}

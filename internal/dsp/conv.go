@@ -1,26 +1,8 @@
 package dsp
 
-import (
-	"math"
-	"math/cmplx"
-)
-
-// convFFTThreshold is the product of operand lengths above which Convolve
-// switches from the direct O(n·m) algorithm to the FFT-based one.
+// convFFTThreshold is the product of operand lengths above which the
+// matched-filter bank convolves via FFT instead of the direct O(n·m) sum.
 const convFFTThreshold = 1 << 14
-
-// Convolve returns the full linear convolution of a and b with output
-// length len(a)+len(b)-1. Small inputs are convolved directly; larger ones
-// via FFT. Either input being empty yields an empty output.
-func Convolve(a, b []complex128) []complex128 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	if convolveUseDirect(len(a), len(b)) {
-		return convolveDirect(a, b)
-	}
-	return convolveFFT(a, b)
-}
 
 // convolveUseDirect decides the direct-vs-FFT routing for operand lengths
 // la, lb ≥ 1. The comparison is la·lb ≤ convFFTThreshold, phrased as a
@@ -29,91 +11,10 @@ func convolveUseDirect(la, lb int) bool {
 	return la <= convFFTThreshold/lb
 }
 
-func convolveDirect(a, b []complex128) []complex128 {
-	out := make([]complex128, len(a)+len(b)-1)
-	for i, av := range a {
-		if av == 0 {
-			continue
-		}
-		for j, bv := range b {
-			out[i+j] += av * bv
-		}
-	}
-	return out
-}
-
-func convolveFFT(a, b []complex128) []complex128 {
-	outLen := len(a) + len(b) - 1
-	m := NextPow2(outLen)
-	fa := make([]complex128, m)
-	fb := make([]complex128, m)
-	copy(fa, a)
-	copy(fb, b)
-	radix2(fa, false)
-	radix2(fb, false)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	radix2(fa, true)
-	Scale(fa, complex(1/float64(m), 0))
-	return fa[:outLen]
-}
-
 // MatchedFilterTaps builds the impulse response of the matched filter for
 // the pulse template s, i.e. the conjugated time-reversed template
 // h_MF = [s*(Np-1), s*(Np-2), ..., s*(0)] as in Sect. IV step 2 of the
 // paper (the conjugation is the complex-baseband generalization).
 func MatchedFilterTaps(template []complex128) []complex128 {
 	return Reverse(Conj(template))
-}
-
-// MatchedFilter convolves the received signal r with the matched filter for
-// template s and returns the output aligned so that index i of the result
-// corresponds to a pulse starting at sample i of r: a template located at
-// delay index d in r produces its correlation peak at output index d.
-// The output has the same length as r.
-func MatchedFilter(r, template []complex128) []complex128 {
-	if len(r) == 0 || len(template) == 0 {
-		return nil
-	}
-	full := Convolve(MatchedFilterTaps(template), r)
-	// The full convolution peaks at d + len(template) - 1; drop the leading
-	// transient so the peak lands on d, and trim the trailing transient.
-	start := len(template) - 1
-	out := make([]complex128, len(r))
-	copy(out, full[start:])
-	return out
-}
-
-// CrossCorrelate returns the cross-correlation of a against b at
-// non-negative lags 0..len(a)-1: out[k] = Σ_n a[n+k]·conj(b[n]).
-func CrossCorrelate(a, b []complex128) []complex128 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]complex128, len(a))
-	for k := range out {
-		var acc complex128
-		for n := 0; n+k < len(a) && n < len(b); n++ {
-			acc += a[n+k] * cmplx.Conj(b[n])
-		}
-		out[k] = acc
-	}
-	return out
-}
-
-// NormalizedCorrelation returns the normalized inner product of a and b
-// (cosine similarity of the two vectors), a value in [0, 1] for
-// equal-length unit-energy templates. Zero-energy inputs yield 0.
-func NormalizedCorrelation(a, b []complex128) float64 {
-	ea, eb := Energy(a), Energy(b)
-	if ea == 0 || eb == 0 {
-		return 0
-	}
-	var acc complex128
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		acc += a[i] * cmplx.Conj(b[i])
-	}
-	return cmplx.Abs(acc) / math.Sqrt(ea*eb)
 }

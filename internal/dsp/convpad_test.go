@@ -6,12 +6,12 @@ import (
 )
 
 // bluesteinConvolve computes the linear convolution of a and b by running
-// an exact-length circular convolution on a Bluestein DFTPlan — the
-// alternative ConvolveWith rejected in favor of padding to the next power
-// of two (see its doc and BenchmarkConvolvePaddedVsBluestein).
+// an exact-length circular convolution on a Bluestein dftPlan — the
+// alternative MatchedFilterBank.planFor rejects in favor of padding to
+// the next power of two (see BenchmarkConvolvePaddedVsBluestein).
 func bluesteinConvolve(tb testing.TB, a, b []complex128) []complex128 {
 	outLen := len(a) + len(b) - 1
-	p, err := NewDFTPlan(outLen)
+	p, err := newDFTPlan(outLen)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -28,92 +28,81 @@ func bluesteinConvolve(tb testing.TB, a, b []complex128) []complex128 {
 	return fa
 }
 
-// TestConvolveWithPaddedPlan: for a non-power-of-two convolution length,
-// ConvolveWith on plans padded beyond the minimum must agree with the
-// minimal-plan result (which is bit-identical to Convolve) and with the
-// exact-length Bluestein convolution, to rounding.
-func TestConvolveWithPaddedPlan(t *testing.T) {
-	cases := []struct{ la, lb int }{
+// TestMatchedFilterBankPaddedMatchesBluestein: for a non-power-of-two
+// convolution length, the bank's FFT padded to the next power of two
+// must agree with the exact-length Bluestein convolution to rounding.
+func TestMatchedFilterBankPaddedMatchesBluestein(t *testing.T) {
+	cases := []struct{ lt, ls int }{
 		{61, 4064}, // detector shape: template × up-sampled CIR, outLen 4124
-		{37, 1016}, // non-pow2 outLen 1052, minimal plan 2048
+		{37, 1016}, // non-pow2 outLen 1052, padded to 2048
 	}
 	for _, c := range cases {
-		a := randComplex(c.la, uint64(c.la))
-		b := randComplex(c.lb, uint64(c.lb)+1)
-		outLen := c.la + c.lb - 1
-		want := Convolve(a, b)
-		blue := bluesteinConvolve(t, a, b)
+		tmpl := randComplex(c.lt, uint64(c.lt))
+		sig := randComplex(c.ls, uint64(c.ls)+1)
+		got := bankFilter(t, sig, tmpl)
+		full := bluesteinConvolve(t, MatchedFilterTaps(tmpl), sig)
+		want := full[c.lt-1 : c.lt-1+c.ls]
 		var scale float64
 		for _, v := range want {
 			scale = math.Max(scale, math.Hypot(real(v), imag(v)))
 		}
-		for _, planLen := range []int{NextPow2(outLen), 4 * NextPow2(outLen)} {
-			p, err := NewFFTPlan(planLen)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ConvolveWith(make([]complex128, outLen), a, b, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if d := cAbs(got[i] - want[i]); d > 1e-9*scale {
-					t.Fatalf("la=%d lb=%d plan=%d: out[%d] = %v, Convolve %v (Δ=%g)",
-						c.la, c.lb, planLen, i, got[i], want[i], d)
-				}
-				if d := cAbs(got[i] - blue[i]); d > 1e-9*scale {
-					t.Fatalf("la=%d lb=%d plan=%d: out[%d] = %v, Bluestein %v (Δ=%g)",
-						c.la, c.lb, planLen, i, got[i], blue[i], d)
-				}
+		for i := range want {
+			if d := cAbs(got[i] - want[i]); d > 1e-9*scale {
+				t.Fatalf("lt=%d ls=%d: out[%d] = %v, Bluestein %v (Δ=%g)",
+					c.lt, c.ls, i, got[i], want[i], d)
 			}
 		}
 	}
 }
 
 // BenchmarkConvolvePaddedVsBluestein backs the padding decision in
-// ConvolveWith and MatchedFilterBank.planFor: a non-power-of-two
-// convolution padded to the next power of two against the same
-// convolution on an exact-length Bluestein DFTPlan (whose every
-// transform runs three power-of-two FFTs of roughly twice the size).
+// MatchedFilterBank.planFor: one matched filtering of a non-power-of-two
+// convolution on the bank, which pads to the next power of two, against
+// the same filtering on an exact-length Bluestein dftPlan (whose every
+// transform runs three power-of-two FFTs of roughly twice the size). Both
+// sides precompute the template spectrum and pay one forward and one
+// inverse transform per op.
 func BenchmarkConvolvePaddedVsBluestein(bm *testing.B) {
-	const la, lb = 61, 4064 // outLen 4124: pad to 8192, Bluestein inner 16384
-	a := randComplex(la, 1)
-	b := randComplex(lb, 2)
-	outLen := la + lb - 1
+	const lt, ls = 61, 4064 // outLen 4124: pad to 8192, Bluestein inner 16384
+	tmpl := randComplex(lt, 1)
+	sig := randComplex(ls, 2)
+	outLen := lt + ls - 1
 
 	bm.Run("padded-pow2", func(bm *testing.B) {
-		p, err := NewFFTPlan(NextPow2(outLen))
+		bank, err := NewMatchedFilterBank([][]complex128{tmpl}, ls)
 		if err != nil {
 			bm.Fatal(err)
 		}
-		dst := make([]complex128, outLen)
+		dst := make([]complex128, ls)
 		bm.ResetTimer()
 		for i := 0; i < bm.N; i++ {
-			if _, err := ConvolveWith(dst, a, b, p); err != nil {
+			if err := bank.Transform(sig); err != nil {
+				bm.Fatal(err)
+			}
+			if _, err := bank.FilterInto(dst, 0); err != nil {
 				bm.Fatal(err)
 			}
 		}
 	})
 
 	bm.Run("bluestein-exact", func(bm *testing.B) {
-		p, err := NewDFTPlan(outLen)
+		p, err := newDFTPlan(outLen)
 		if err != nil {
 			bm.Fatal(err)
 		}
-		fa := make([]complex128, outLen)
-		fb := make([]complex128, outLen)
+		spec := make([]complex128, outLen)
+		copy(spec, MatchedFilterTaps(tmpl))
+		p.Execute(spec)
+		buf := make([]complex128, outLen)
 		bm.ResetTimer()
 		for i := 0; i < bm.N; i++ {
-			clear(fa)
-			clear(fb)
-			copy(fa, a)
-			copy(fb, b)
-			p.Execute(fa)
-			p.Execute(fb)
-			for i := range fa {
-				fa[i] *= fb[i]
+			clear(buf)
+			copy(buf, sig)
+			p.Execute(buf)
+			for i := range buf {
+				buf[i] *= spec[i]
 			}
-			p.ExecuteInverse(fa)
+			p.ExecuteInverse(buf)
 		}
 	})
 }

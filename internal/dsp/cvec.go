@@ -14,16 +14,6 @@ func Abs(v []complex128) []float64 {
 	return out
 }
 
-// AbsSq returns the element-wise squared magnitude of v as a new slice.
-// It avoids the square root of Abs and is preferred for energy comparisons.
-func AbsSq(v []complex128) []float64 {
-	out := make([]float64, len(v))
-	for i, c := range v {
-		out[i] = real(c)*real(c) + imag(c)*imag(c)
-	}
-	return out
-}
-
 // Scale multiplies every element of v by s in place and returns v.
 func Scale(v []complex128, s complex128) []complex128 {
 	for i := range v {
@@ -39,24 +29,6 @@ func ScaleReal(v []float64, s float64) []float64 {
 		v[i] *= s
 	}
 	return v
-}
-
-// AddInto adds src into dst element-wise (dst[i] += src[i]). The slices may
-// have different lengths; only the overlapping prefix is touched.
-func AddInto(dst, src []complex128) {
-	n := min(len(dst), len(src))
-	for i := 0; i < n; i++ {
-		dst[i] += src[i]
-	}
-}
-
-// SubInto subtracts src from dst element-wise (dst[i] -= src[i]). Only the
-// overlapping prefix is touched.
-func SubInto(dst, src []complex128) {
-	n := min(len(dst), len(src))
-	for i := 0; i < n; i++ {
-		dst[i] -= src[i]
-	}
 }
 
 // Energy returns the total energy of v, i.e. the sum of squared magnitudes.
@@ -97,43 +69,6 @@ func NormalizeEnergyReal(v []float64) []float64 {
 	return ScaleReal(v, 1/math.Sqrt(e))
 }
 
-// NormalizePeak scales v in place so that its maximum magnitude is 1 and
-// returns v. A zero vector is returned unchanged.
-func NormalizePeak(v []complex128) []complex128 {
-	m := MaxAbs(v)
-	if m == 0 {
-		return v
-	}
-	return Scale(v, complex(1/m, 0))
-}
-
-// MaxAbs returns the maximum element magnitude of v (0 for an empty slice).
-func MaxAbs(v []complex128) float64 {
-	var m float64
-	for _, c := range v {
-		if a := cmplx.Abs(c); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// MaxAbsIndex returns the index and magnitude of the largest-magnitude
-// element of v. It returns (-1, 0) for an empty slice.
-func MaxAbsIndex(v []complex128) (int, float64) {
-	idx, best := -1, 0.0
-	for i, c := range v {
-		a := real(c)*real(c) + imag(c)*imag(c)
-		if a > best || idx < 0 {
-			idx, best = i, a
-		}
-	}
-	if idx < 0 {
-		return -1, 0
-	}
-	return idx, math.Sqrt(best)
-}
-
 // Conj returns the element-wise complex conjugate of v as a new slice.
 func Conj(v []complex128) []complex128 {
 	out := make([]complex128, len(v))
@@ -152,34 +87,9 @@ func Reverse(v []complex128) []complex128 {
 	return out
 }
 
-// ToComplex widens a real signal to a complex one with zero imaginary parts.
-func ToComplex(v []float64) []complex128 {
-	out := make([]complex128, len(v))
-	for i, x := range v {
-		out[i] = complex(x, 0)
-	}
-	return out
-}
-
-// RealPart extracts the real parts of v as a new slice.
-func RealPart(v []complex128) []float64 {
-	out := make([]float64, len(v))
-	for i, c := range v {
-		out[i] = real(c)
-	}
-	return out
-}
-
 // Clone returns an independent copy of v.
 func Clone(v []complex128) []complex128 {
 	out := make([]complex128, len(v))
-	copy(out, v)
-	return out
-}
-
-// CloneReal returns an independent copy of v.
-func CloneReal(v []float64) []float64 {
-	out := make([]float64, len(v))
 	copy(out, v)
 	return out
 }

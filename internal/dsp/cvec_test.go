@@ -8,32 +8,18 @@ import (
 	"testing/quick"
 )
 
-func TestAbsAndAbsSq(t *testing.T) {
-	v := []complex128{3 + 4i, 0, -1}
-	abs := Abs(v)
+func TestAbs(t *testing.T) {
+	abs := Abs([]complex128{3 + 4i, 0, -1})
 	if !closeTo(abs[0], 5, 1e-12) || abs[1] != 0 || !closeTo(abs[2], 1, 1e-12) {
 		t.Fatalf("Abs = %v", abs)
 	}
-	sq := AbsSq(v)
-	if !closeTo(sq[0], 25, 1e-12) || sq[1] != 0 || !closeTo(sq[2], 1, 1e-12) {
-		t.Fatalf("AbsSq = %v", sq)
-	}
 }
 
-func TestScaleAndAddSub(t *testing.T) {
+func TestScale(t *testing.T) {
 	v := []complex128{1, 2}
 	Scale(v, 2i)
 	if v[0] != 2i || v[1] != 4i {
 		t.Fatalf("Scale = %v", v)
-	}
-	dst := []complex128{1, 1, 1}
-	AddInto(dst, []complex128{1, 2})
-	if dst[0] != 2 || dst[1] != 3 || dst[2] != 1 {
-		t.Fatalf("AddInto = %v", dst)
-	}
-	SubInto(dst, []complex128{2, 3, 0, 99})
-	if dst[0] != 0 || dst[1] != 0 || dst[2] != 1 {
-		t.Fatalf("SubInto = %v", dst)
 	}
 }
 
@@ -49,7 +35,6 @@ func TestEnergyAndNormalization(t *testing.T) {
 	// Zero vectors must survive normalization unchanged.
 	z := []complex128{0, 0}
 	NormalizeEnergy(z)
-	NormalizePeak(z)
 	if z[0] != 0 || z[1] != 0 {
 		t.Fatal("zero vector mutated")
 	}
@@ -57,28 +42,6 @@ func TestEnergyAndNormalization(t *testing.T) {
 	NormalizeEnergyReal(r)
 	if r[0] != 0 {
 		t.Fatal("zero real vector mutated")
-	}
-}
-
-func TestNormalizePeak(t *testing.T) {
-	v := []complex128{1, -2, 0.5i}
-	NormalizePeak(v)
-	if got := MaxAbs(v); !closeTo(got, 1, 1e-12) {
-		t.Fatalf("peak after normalization = %g", got)
-	}
-}
-
-func TestMaxAbsIndex(t *testing.T) {
-	idx, v := MaxAbsIndex([]complex128{1, 3i, -2})
-	if idx != 1 || !closeTo(v, 3, 1e-12) {
-		t.Fatalf("got (%d, %g)", idx, v)
-	}
-	if idx, v := MaxAbsIndex(nil); idx != -1 || v != 0 {
-		t.Fatalf("empty: got (%d, %g)", idx, v)
-	}
-	// All zeros: first index wins.
-	if idx, _ := MaxAbsIndex([]complex128{0, 0}); idx != 0 {
-		t.Fatalf("all-zero: got %d", idx)
 	}
 }
 
@@ -96,28 +59,6 @@ func TestConjReverseClone(t *testing.T) {
 	cl[0] = 99
 	if v[0] == 99 {
 		t.Fatal("Clone aliases input")
-	}
-}
-
-func TestToComplexRealPartRoundTrip(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rand.New(rand.NewPCG(seed, 11))
-		n := r.IntN(64)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = r.NormFloat64()
-		}
-		back := RealPart(ToComplex(v))
-		for i := range v {
-			if back[i] != v[i] {
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 30, Rand: mrand.New(mrand.NewSource(47))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package dsp provides the signal-processing primitives used throughout the
-// concurrent-ranging simulator: complex vector arithmetic, fast Fourier
-// transforms (radix-2 and Bluestein for arbitrary lengths), FFT-based
-// up-sampling, convolution and matched filtering, window functions, and the
-// statistics helpers used by the Monte-Carlo experiment harness.
+// concurrent-ranging simulator: complex vector arithmetic, one plan-cached
+// transform engine (a radix-2 FFT, Bluestein's algorithm for other
+// lengths, FFT up-sampling, the matched-filter bank and its spectral
+// search variant), peak picking, and the statistics helpers used by the
+// Monte-Carlo experiment harness.
 //
 // All routines operate on plain []complex128 or []float64 slices and never
 // retain references to their arguments unless documented otherwise, so

@@ -21,7 +21,35 @@ func randSignal(rng *rand.Rand, n int) []complex128 {
 	return v
 }
 
-// dftNaive is the O(n^2) reference implementation the FFT is tested against.
+// planDFT returns the forward (or inverse) DFT of v computed on a
+// production dftPlan of v's length: radix-2 for powers of two, Bluestein
+// otherwise.
+func planDFT(tb testing.TB, v []complex128, inverse bool) []complex128 {
+	tb.Helper()
+	p, err := newDFTPlan(len(v))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := Clone(v)
+	if inverse {
+		p.ExecuteInverse(out)
+	} else {
+		p.Execute(out)
+	}
+	return out
+}
+
+// planUpsample up-samples v by factor on a production UpsamplePlan.
+func planUpsample(tb testing.TB, v []complex128, factor int) []complex128 {
+	tb.Helper()
+	p, err := NewUpsamplePlan(len(v), factor)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p.Execute(make([]complex128, p.OutputLen()), v)
+}
+
+// dftNaive is the O(n^2) oracle the transforms are tested against.
 func dftNaive(v []complex128) []complex128 {
 	n := len(v)
 	out := make([]complex128, n)
@@ -40,7 +68,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 31, 32, 33, 64, 100, 127, 128} {
 		v := randSignal(rng, n)
-		got := FFT(v)
+		got := planDFT(t, v, false)
 		want := dftNaive(v)
 		for i := range want {
 			if !complexClose(got[i], want[i], 1e-7*float64(n)) {
@@ -54,7 +82,7 @@ func TestFFTRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	for _, n := range []int{1, 2, 5, 8, 13, 64, 100, 255, 256, 1000, 1016, 1024} {
 		v := randSignal(rng, n)
-		back := IFFT(FFT(v))
+		back := planDFT(t, planDFT(t, v, false), true)
 		for i := range v {
 			if !complexClose(back[i], v[i], 1e-8*float64(n)) {
 				t.Fatalf("n=%d sample %d: got %v want %v", n, i, back[i], v[i])
@@ -64,11 +92,26 @@ func TestFFTRoundTrip(t *testing.T) {
 }
 
 func TestFFTDoesNotMutateInput(t *testing.T) {
+	// The plans that take an input slice transform a copy of it: the
+	// caller's residual must survive every call unchanged.
 	rng := rand.New(rand.NewPCG(5, 6))
 	v := randSignal(rng, 50)
 	orig := Clone(v)
-	FFT(v)
-	IFFT(v)
+	planUpsample(t, v, 4)
+	fb, err := NewMatchedFilterBank([][]complex128{randSignal(rng, 9), randSignal(rng, 3)}, len(v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.Transform(v); err != nil {
+		t.Fatal(err)
+	}
+	sb, err := NewSpectralBank([][]complex128{randSignal(rng, 9)}, len(v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sb.Ingest(v); err != nil {
+		t.Fatal(err)
+	}
 	for i := range v {
 		if v[i] != orig[i] {
 			t.Fatalf("input mutated at %d", i)
@@ -87,8 +130,8 @@ func TestFFTLinearityProperty(t *testing.T) {
 		for i := range sum {
 			sum[i] = alpha*a[i] + b[i]
 		}
-		lhs := FFT(sum)
-		fa, fb := FFT(a), FFT(b)
+		lhs := planDFT(t, sum, false)
+		fa, fb := planDFT(t, a, false), planDFT(t, b, false)
 		for i := range lhs {
 			if !complexClose(lhs[i], alpha*fa[i]+fb[i], 1e-7*float64(n)) {
 				return false
@@ -108,7 +151,7 @@ func TestParsevalProperty(t *testing.T) {
 		n := 1 + r.IntN(300)
 		v := randSignal(r, n)
 		timeE := Energy(v)
-		freqE := Energy(FFT(v)) / float64(n)
+		freqE := Energy(planDFT(t, v, false)) / float64(n)
 		return math.Abs(timeE-freqE) <= 1e-7*(1+timeE)
 	}
 	cfg := &quick.Config{MaxCount: 30, Rand: mrand.New(mrand.NewSource(43))}
@@ -122,10 +165,7 @@ func TestUpsampleFFTPreservesSamples(t *testing.T) {
 	for _, n := range []int{4, 7, 16, 33, 100} {
 		for _, factor := range []int{1, 2, 4, 8} {
 			v := randSignal(rng, n)
-			up, err := UpsampleFFT(v, factor)
-			if err != nil {
-				t.Fatal(err)
-			}
+			up := planUpsample(t, v, factor)
 			if len(up) != n*factor {
 				t.Fatalf("n=%d factor=%d: got len %d", n, factor, len(up))
 			}
@@ -146,10 +186,7 @@ func TestUpsampleFFTKeepsRealSignalsReal(t *testing.T) {
 		for i := range v {
 			v[i] = complex(rng.NormFloat64(), 0)
 		}
-		up, err := UpsampleFFT(v, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		up := planUpsample(t, v, 4)
 		for i, c := range up {
 			if math.Abs(imag(c)) > 1e-8 {
 				t.Fatalf("n=%d: imaginary leakage %g at %d", n, imag(c), i)
@@ -166,10 +203,7 @@ func TestUpsampleFFTInterpolatesSinusoid(t *testing.T) {
 		ph := 2 * math.Pi * 3 * float64(i) / float64(n)
 		v[i] = cmplx.Exp(complex(0, ph))
 	}
-	up, err := UpsampleFFT(v, factor)
-	if err != nil {
-		t.Fatal(err)
-	}
+	up := planUpsample(t, v, factor)
 	for i := range up {
 		ph := 2 * math.Pi * 3 * float64(i) / float64(n*factor)
 		want := cmplx.Exp(complex(0, ph))
@@ -180,11 +214,10 @@ func TestUpsampleFFTInterpolatesSinusoid(t *testing.T) {
 }
 
 func TestUpsampleFFTRejectsBadFactor(t *testing.T) {
-	if _, err := UpsampleFFT([]complex128{1}, 0); err == nil {
-		t.Fatal("expected error for factor 0")
-	}
-	if _, err := UpsampleFFT([]complex128{1}, -3); err == nil {
-		t.Fatal("expected error for negative factor")
+	for _, factor := range []int{0, -3} {
+		if _, err := NewUpsamplePlan(1, factor); err == nil {
+			t.Errorf("factor %d accepted", factor)
+		}
 	}
 }
 

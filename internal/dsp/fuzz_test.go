@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -28,19 +29,26 @@ func bytesToSignal(data []byte, maxLen int) []complex128 {
 	return out
 }
 
+// fuzzSample encodes the complex sample ≈ 1 − 2i, the repeat unit of
+// the seeds that need non-power-of-two lengths or the FFT convolution path.
+var fuzzSample = []byte{1, 2, 3, 4, 5, 6, 0xf0, 0x3f, 7, 8, 9, 10, 11, 12, 0x00, 0xc0}
+
+// FuzzFFTRoundTrip round-trips a signal of the fuzzed length through a
+// dftPlan: radix-2 for powers of two, Bluestein otherwise.
 func FuzzFFTRoundTrip(f *testing.F) {
 	f.Add(make([]byte, 16*8))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Add(bytes.Repeat(fuzzSample, 15))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v := bytesToSignal(data, 512)
 		if v == nil {
 			t.Skip()
 		}
-		back := IFFT(FFT(v))
+		back := planDFT(t, planDFT(t, v, false), true)
 		if len(back) != len(v) {
 			t.Fatalf("length changed: %d -> %d", len(v), len(back))
 		}
-		scale := MaxAbs(v) + 1
+		scale := maxAbs(v) + 1
 		for i := range v {
 			if d := back[i] - v[i]; math.Hypot(real(d), imag(d)) > 1e-6*scale*float64(len(v)) {
 				t.Fatalf("round trip diverged at %d: %v vs %v", i, back[i], v[i])
@@ -49,46 +57,60 @@ func FuzzFFTRoundTrip(f *testing.F) {
 	})
 }
 
-func FuzzUpsampleFFT(f *testing.F) {
+// FuzzUpsamplePlan checks factor validation and that every valid plan is
+// bit-identical to the reference up-sampler.
+func FuzzUpsamplePlan(f *testing.F) {
 	f.Add(make([]byte, 16*4), 4)
+	f.Add(bytes.Repeat(fuzzSample, 15), 3)
 	f.Fuzz(func(t *testing.T, data []byte, factor int) {
 		v := bytesToSignal(data, 256)
-		if v == nil {
+		if v == nil || factor > 16 {
 			t.Skip()
 		}
-		up, err := UpsampleFFT(v, factor)
+		p, err := NewUpsamplePlan(len(v), factor)
 		if factor < 1 {
 			if err == nil {
 				t.Fatal("invalid factor accepted")
 			}
 			return
 		}
-		if factor > 16 {
-			t.Skip()
+		if err != nil {
+			t.Fatal(err)
+		}
+		up := p.Execute(make([]complex128, p.OutputLen()), v)
+		if len(up) != len(v)*factor {
+			t.Fatalf("length %d, want %d", len(up), len(v)*factor)
+		}
+		equalExact(t, up, refUpsample(v, factor), "upsample")
+	})
+}
+
+// FuzzConvolve checks MatchedFilterBank.FilterInto bit for bit against
+// the reference matched filter on both the direct path and (for signals
+// long enough) the FFT path.
+func FuzzConvolve(f *testing.F) {
+	f.Add(make([]byte, 32), make([]byte, 48))
+	f.Add(bytes.Repeat(fuzzSample, 100), bytes.Repeat(fuzzSample, 200))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		tmpl := bytesToSignal(a, 128)
+		sig := bytesToSignal(b, 256)
+		bank, err := NewMatchedFilterBank([][]complex128{tmpl}, len(sig))
+		if len(tmpl) == 0 || len(sig) == 0 {
+			if err == nil {
+				t.Fatal("empty template or signal accepted")
+			}
+			return
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(up) != len(v)*factor {
-			t.Fatalf("length %d, want %d", len(up), len(v)*factor)
+		if err := bank.Transform(sig); err != nil {
+			t.Fatal(err)
 		}
-	})
-}
-
-func FuzzConvolve(f *testing.F) {
-	f.Add(make([]byte, 32), make([]byte, 48))
-	f.Fuzz(func(t *testing.T, a, b []byte) {
-		va := bytesToSignal(a, 128)
-		vb := bytesToSignal(b, 128)
-		out := Convolve(va, vb)
-		if len(va) == 0 || len(vb) == 0 {
-			if out != nil {
-				t.Fatal("empty convolution must be nil")
-			}
-			return
+		got, err := bank.FilterInto(make([]complex128, len(sig)), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(out) != len(va)+len(vb)-1 {
-			t.Fatalf("length %d, want %d", len(out), len(va)+len(vb)-1)
-		}
+		equalExact(t, got, refMatchedFilter(sig, tmpl), "matched filter")
 	})
 }

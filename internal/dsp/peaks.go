@@ -67,17 +67,6 @@ func ArgMax(mag []float64) int {
 	return idx
 }
 
-// FirstAbove returns the index of the first element of mag that is
-// >= threshold, or -1 when no element crosses it.
-func FirstAbove(mag []float64, threshold float64) int {
-	for i, v := range mag {
-		if v >= threshold {
-			return i
-		}
-	}
-	return -1
-}
-
 // InterpolatePeak refines the location of a peak at integer index i using a
 // three-point parabolic fit over mag[i-1..i+1]. It returns the fractional
 // sample offset in (-0.5, 0.5) to add to i; boundary indices return 0.

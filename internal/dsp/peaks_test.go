@@ -88,16 +88,6 @@ func TestMaxWithin(t *testing.T) {
 	}
 }
 
-func TestFirstAbove(t *testing.T) {
-	mag := []float64{0.1, 0.2, 0.9, 0.3}
-	if got := FirstAbove(mag, 0.5); got != 2 {
-		t.Fatalf("got %d, want 2", got)
-	}
-	if got := FirstAbove(mag, 2); got != -1 {
-		t.Fatalf("got %d, want -1", got)
-	}
-}
-
 func TestInterpolatePeakRecoversFraction(t *testing.T) {
 	// Sample a parabola with vertex between two samples; the interpolator
 	// must recover the fractional offset exactly.
@@ -121,48 +111,5 @@ func TestInterpolatePeakBoundaries(t *testing.T) {
 	}
 	if InterpolatePeak([]float64{1, 1, 1}, 1) != 0 {
 		t.Fatal("flat region must return 0")
-	}
-}
-
-func TestWindows(t *testing.T) {
-	for name, fn := range map[string]func(int) []float64{
-		"hann": Hann, "hamming": Hamming, "blackman": Blackman,
-	} {
-		if fn(0) != nil {
-			t.Errorf("%s(0) must be nil", name)
-		}
-		if w := fn(1); len(w) != 1 || w[0] != 1 {
-			t.Errorf("%s(1) = %v, want [1]", name, w)
-		}
-		w := fn(65)
-		if len(w) != 65 {
-			t.Fatalf("%s length %d", name, len(w))
-		}
-		// Symmetry and peak at center.
-		for i := range w {
-			if math.Abs(w[i]-w[len(w)-1-i]) > 1e-12 {
-				t.Fatalf("%s not symmetric at %d", name, i)
-			}
-		}
-		if ArgMax(w) != 32 {
-			t.Fatalf("%s peak not centered", name)
-		}
-	}
-	// Hann endpoints are zero.
-	w := Hann(33)
-	if w[0] != 0 || math.Abs(w[32]) > 1e-15 {
-		t.Fatalf("Hann endpoints %g %g", w[0], w[32])
-	}
-}
-
-func TestApplyWindow(t *testing.T) {
-	v := []complex128{1, 1, 1, 1}
-	w := []float64{0.5, 2}
-	ApplyWindow(v, w)
-	want := []complex128{0.5, 2, 1, 1}
-	for i := range want {
-		if v[i] != want[i] {
-			t.Fatalf("got %v, want %v", v, want)
-		}
 	}
 }

@@ -7,38 +7,38 @@ import (
 	"sync/atomic"
 )
 
-// This file implements plan-cached transforms for the detector hot path.
-// FFT, IFFT, UpsampleFFT and Convolve recompute bit-reversal permutations,
-// twiddle factors and (for non-power-of-two lengths) Bluestein chirp
-// spectra on every call; the plans below precompute all of it once for a
-// fixed length, FFTW-style, and reuse scratch buffers across executions.
-// Every planned transform produces bit-identical results to its plan-free
-// counterpart: the twiddle and chirp tables hold exactly the values the
-// on-the-fly recurrences generate, and the butterfly order is unchanged.
+// This file implements the package's one transform engine, the plans the
+// detector runs: fftPlan (radix-2 Cooley–Tukey), dftPlan (Bluestein's
+// algorithm on an fftPlan for other lengths), and on top of them
+// UpsamplePlan and MatchedFilterBank (SpectralBank lives in spectral.go).
+// Each plan precomputes the bit-reversal permutation, twiddle factors and
+// Bluestein chirp spectra once for a fixed length, FFTW-style, and reuses
+// scratch buffers across executions. The tables hold exactly the values
+// the textbook on-the-fly recurrences generate and the butterfly order is
+// the textbook one, so every plan is bit-identical to the unplanned
+// transforms kept as the test reference (reference_test.go).
 //
 // Plans hold scratch state and are therefore NOT safe for concurrent use;
 // give each goroutine its own plan.
 
-// FFTPlan is a precomputed radix-2 Cooley–Tukey plan for one fixed
-// power-of-two length: the bit-reversal permutation, the per-stage twiddle
-// factors of both directions, and scratch buffers for the convolution
-// helpers.
-type FFTPlan struct {
-	n      int
-	swaps  [][2]int32
-	rev    []int32      // full bit-reversal index table (rev[i] = reverse of i)
-	fwd    []complex128 // forward twiddles, one block of size/2 per stage
-	inv    []complex128 // inverse twiddles, same layout
-	fa, fb []complex128 // lazily sized scratch for ConvolveWith
+// fftPlan is a precomputed radix-2 Cooley–Tukey plan for one fixed
+// power-of-two length: the bit-reversal permutation and the per-stage
+// twiddle factors of both directions.
+type fftPlan struct {
+	n     int
+	swaps [][2]int32
+	rev   []int32      // full bit-reversal index table (rev[i] = reverse of i)
+	fwd   []complex128 // forward twiddles, one block of size/2 per stage
+	inv   []complex128 // inverse twiddles, same layout
 }
 
-// NewFFTPlan builds a plan for transforms of length n, which must be a
+// newFFTPlan builds a plan for transforms of length n, which must be a
 // power of two (and at least 1).
-func NewFFTPlan(n int) (*FFTPlan, error) {
+func newFFTPlan(n int) (*fftPlan, error) {
 	if n < 1 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("dsp: FFT plan length %d is not a power of two", n)
 	}
-	p := &FFTPlan{n: n}
+	p := &fftPlan{n: n}
 	if n == 1 {
 		return p, nil
 	}
@@ -56,8 +56,9 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 	return p, nil
 }
 
-// twiddles generates the per-stage twiddle factors with the same recurrence
-// radix2 uses, so planned butterflies are bit-identical to unplanned ones.
+// twiddles generates the per-stage twiddle factors with the textbook
+// recurrence w ← w·e^{±2πi/size}, so planned butterflies are bit-identical
+// to an unplanned radix-2 transform that recomputes them per call.
 func twiddles(n int, inverse bool) []complex128 {
 	sign := -1.0
 	if inverse {
@@ -77,25 +78,15 @@ func twiddles(n int, inverse bool) []complex128 {
 	return out
 }
 
-// Len returns the transform length the plan was built for.
-func (p *FFTPlan) Len() int { return p.n }
-
-// Execute computes the in-place forward DFT of v, which must have the
-// plan's length.
-func (p *FFTPlan) Execute(v []complex128) {
-	p.mustLen(v)
-	p.transform(v, p.fwd)
+// NextPow2 returns the smallest power of two ≥ n (and ≥ 1).
+func NextPow2(n int) int {
+	if n <= 1 {
+		return 1
+	}
+	return 1 << uint(bits.Len(uint(n-1)))
 }
 
-// ExecuteInverse computes the in-place inverse DFT of v (including the 1/N
-// normalization), which must have the plan's length.
-func (p *FFTPlan) ExecuteInverse(v []complex128) {
-	p.mustLen(v)
-	p.transform(v, p.inv)
-	Scale(v, complex(1/float64(p.n), 0))
-}
-
-func (p *FFTPlan) mustLen(v []complex128) {
+func (p *fftPlan) mustLen(v []complex128) {
 	if len(v) != p.n {
 		panic(fmt.Sprintf("dsp: plan of length %d executed on %d samples", p.n, len(v)))
 	}
@@ -103,7 +94,7 @@ func (p *FFTPlan) mustLen(v []complex128) {
 
 // transform runs the butterfly passes with a precomputed twiddle table; no
 // normalization is applied (the Bluestein driver needs the raw inverse).
-func (p *FFTPlan) transform(v []complex128, tw []complex128) {
+func (p *fftPlan) transform(v []complex128, tw []complex128) {
 	if p.n <= 1 {
 		return
 	}
@@ -119,7 +110,7 @@ func (p *FFTPlan) transform(v []complex128, tw []complex128) {
 // bit-reversal permutation is applied while the products are written, so
 // the separate swap pass disappears. Each product is computed from the
 // same two operands either way, so results are bit-identical.
-func (p *FFTPlan) productTransform(v, a, b []complex128, tw []complex128) {
+func (p *fftPlan) productTransform(v, a, b []complex128, tw []complex128) {
 	p.mustLen(v)
 	p.mustLen(a)
 	p.mustLen(b)
@@ -163,7 +154,7 @@ func (p *FFTPlan) productTransform(v, a, b []complex128, tw []complex128) {
 // stored pre-permuted let productTransformPermuted run with purely
 // sequential loads — the gather through the reversal table disappears
 // from the hot loop.
-func (p *FFTPlan) permuteInto(dst, src []complex128) {
+func (p *fftPlan) permuteInto(dst, src []complex128) {
 	p.mustLen(dst)
 	p.mustLen(src)
 	if p.n <= 1 {
@@ -180,7 +171,7 @@ func (p *FFTPlan) permuteInto(dst, src []complex128) {
 // stream sequentially through memory with no gathers. Each product pairs
 // the same two values as the natural-order form, so results are
 // bit-identical.
-func (p *FFTPlan) productTransformPermuted(v, ar, br []complex128, tw []complex128) {
+func (p *fftPlan) productTransformPermuted(v, ar, br []complex128, tw []complex128) {
 	p.mustLen(v)
 	p.mustLen(ar)
 	p.mustLen(br)
@@ -213,7 +204,7 @@ func (p *FFTPlan) productTransformPermuted(v, ar, br []complex128, tw []complex1
 }
 
 // passes runs the butterfly stages over already-permuted data.
-func (p *FFTPlan) passes(v []complex128, tw []complex128) {
+func (p *fftPlan) passes(v []complex128, tw []complex128) {
 	n := p.n
 	if n == 2 {
 		a, b := v[0], v[1]
@@ -247,7 +238,7 @@ func (p *FFTPlan) passes(v []complex128, tw []complex128) {
 // block, so each stage pair runs in a single traversal of the data. A
 // butterfly's operands and operation order are unchanged, so results
 // stay bit-identical to running the stages separately.
-func (p *FFTPlan) tailPasses(v []complex128, tw []complex128) {
+func (p *fftPlan) tailPasses(v []complex128, tw []complex128) {
 	n := p.n
 	off := 3 // past the twiddle blocks of the size-2 and size-4 stages
 	size := 8
@@ -308,39 +299,39 @@ func (p *FFTPlan) tailPasses(v []complex128, tw []complex128) {
 	}
 }
 
-// DFTPlan is a precomputed plan for one fixed, arbitrary transform length.
-// Powers of two run on an FFTPlan directly; other lengths run Bluestein's
+// dftPlan is a precomputed plan for one fixed, arbitrary transform length.
+// Powers of two run on an fftPlan directly; other lengths run Bluestein's
 // algorithm with cached chirp factors, cached chirp-filter spectra and a
-// reusable scratch buffer. Like FFTPlan it is not safe for concurrent use.
-type DFTPlan struct {
+// reusable scratch buffer. Like fftPlan it is not safe for concurrent use.
+type dftPlan struct {
 	n     int
-	radix *FFTPlan // power-of-two fast path (nil otherwise)
+	radix *fftPlan // power-of-two fast path (nil otherwise)
 
 	// Bluestein state for non-power-of-two lengths.
-	inner      *FFTPlan
+	inner      *fftPlan
 	wFwd, wInv []complex128 // chirp factors per direction
 	bFwd, bInv []complex128 // spectrum of the chirp filter per direction
 	scratch    []complex128
 }
 
-// NewDFTPlan builds a plan for transforms of length n ≥ 0.
-func NewDFTPlan(n int) (*DFTPlan, error) {
+// newDFTPlan builds a plan for transforms of length n ≥ 0.
+func newDFTPlan(n int) (*dftPlan, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("dsp: negative DFT plan length %d", n)
 	}
-	p := &DFTPlan{n: n}
+	p := &dftPlan{n: n}
 	if n <= 1 {
 		return p, nil
 	}
 	if n&(n-1) == 0 {
-		p.radix, _ = NewFFTPlan(n)
+		p.radix, _ = newFFTPlan(n)
 		return p, nil
 	}
 	m := 1
 	for m < 2*n-1 {
 		m <<= 1
 	}
-	p.inner, _ = NewFFTPlan(m)
+	p.inner, _ = newFFTPlan(m)
 	p.scratch = make([]complex128, m)
 	p.wFwd, p.bFwd = chirp(n, m, false)
 	p.wInv, p.bInv = chirp(n, m, true)
@@ -350,8 +341,9 @@ func NewDFTPlan(n int) (*DFTPlan, error) {
 	return p, nil
 }
 
-// chirp returns the Bluestein chirp factors w and the (time-domain) chirp
-// filter b of length m, exactly as bluestein computes them per call.
+// chirp returns the Bluestein chirp factors w[k] = e^{∓iπk²/n} and the
+// (time-domain) chirp filter b of length m. The exponent uses k² mod 2n to
+// keep the argument small and the cosine/sine accurate for large k.
 func chirp(n, m int, inverse bool) (w, b []complex128) {
 	sign := -1.0
 	if inverse {
@@ -372,18 +364,15 @@ func chirp(n, m int, inverse bool) (w, b []complex128) {
 	return w, b
 }
 
-// Len returns the transform length the plan was built for.
-func (p *DFTPlan) Len() int { return p.n }
-
 // Execute computes the in-place forward DFT of v, which must have the
 // plan's length.
-func (p *DFTPlan) Execute(v []complex128) { p.transformDFT(v, false) }
+func (p *dftPlan) Execute(v []complex128) { p.transformDFT(v, false) }
 
 // ExecuteInverse computes the in-place inverse DFT of v (including the 1/N
 // normalization), which must have the plan's length.
-func (p *DFTPlan) ExecuteInverse(v []complex128) { p.transformDFT(v, true) }
+func (p *dftPlan) ExecuteInverse(v []complex128) { p.transformDFT(v, true) }
 
-func (p *DFTPlan) transformDFT(v []complex128, inverse bool) {
+func (p *dftPlan) transformDFT(v []complex128, inverse bool) {
 	if len(v) != p.n {
 		panic(fmt.Sprintf("dsp: plan of length %d executed on %d samples", p.n, len(v)))
 	}
@@ -422,14 +411,18 @@ func (p *DFTPlan) transformDFT(v []complex128, inverse bool) {
 	}
 }
 
-// UpsamplePlan is the plan-aware counterpart of UpsampleFFT for one fixed
-// input length and factor: the forward plan of the input length, the
-// inverse plan of the output length, and a spectrum scratch buffer. It is
-// not safe for concurrent use.
+// UpsamplePlan increases the sampling rate of signals of one fixed length
+// by an integer factor by zero-padding their spectrum — the FFT
+// interpolation Sect. IV step 1 of the paper uses to smooth the CIR before
+// matched filtering. The output has factor times as many samples and
+// preserves the amplitude of the underlying continuous signal. The plan
+// holds the forward plan of the input length, the inverse plan of the
+// output length, and a spectrum scratch buffer. It is not safe for
+// concurrent use.
 type UpsamplePlan struct {
 	n, factor int
-	spec      *DFTPlan
-	up        *DFTPlan
+	spec      *dftPlan
+	up        *dftPlan
 	specBuf   []complex128
 	execs     int64
 }
@@ -448,10 +441,10 @@ func NewUpsamplePlan(n, factor int) (*UpsamplePlan, error) {
 		return p, nil
 	}
 	var err error
-	if p.spec, err = NewDFTPlan(n); err != nil {
+	if p.spec, err = newDFTPlan(n); err != nil {
 		return nil, err
 	}
-	if p.up, err = NewDFTPlan(n * factor); err != nil {
+	if p.up, err = newDFTPlan(n * factor); err != nil {
 		return nil, err
 	}
 	p.specBuf = make([]complex128, n)
@@ -468,8 +461,7 @@ func (p *UpsamplePlan) OutputLen() int { return p.n * p.factor }
 func (p *UpsamplePlan) Execs() int64 { return p.execs }
 
 // Execute upsamples v (of the planned input length) into dst (of the
-// planned output length) and returns dst. The result is bit-identical to
-// UpsampleFFT(v, factor).
+// planned output length) and returns dst. v is not modified.
 func (p *UpsamplePlan) Execute(dst, v []complex128) []complex128 {
 	if len(v) != p.n || len(dst) != p.n*p.factor {
 		panic(fmt.Sprintf("dsp: upsample plan (%d → %d) executed on %d → %d samples",
@@ -504,91 +496,15 @@ func (p *UpsamplePlan) Execute(dst, v []complex128) []complex128 {
 	return dst
 }
 
-// ConvolveWith is the plan-aware counterpart of Convolve: it writes the
-// full linear convolution of a and b into dst (which must have length
-// len(a)+len(b)-1) and returns dst. The plan must be a power-of-two plan
-// of length ≥ len(dst): a non-power-of-two convolution length is padded up
-// to the plan size rather than transformed at its exact length, because an
-// exact-length Bluestein DFTPlan costs ~3 power-of-two FFTs of twice the
-// size per transform (see BenchmarkConvolvePaddedVsBluestein). With the
-// minimal plan, NextPow2(len(dst)), results are bit-identical to Convolve;
-// a larger plan computes the same linear convolution with only rounding-
-// level differences (the extra bins are zero-padding). Small inputs take
-// the same direct path Convolve takes. Either input being empty leaves dst
-// untouched and returns nil.
-func ConvolveWith(dst, a, b []complex128, p *FFTPlan) ([]complex128, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return nil, nil
-	}
-	outLen := len(a) + len(b) - 1
-	if len(dst) != outLen {
-		return nil, fmt.Errorf("dsp: convolution needs %d output samples, got %d", outLen, len(dst))
-	}
-	if convolveUseDirect(len(a), len(b)) {
-		clear(dst)
-		for i, av := range a {
-			if av == 0 {
-				continue
-			}
-			for j, bv := range b {
-				dst[i+j] += av * bv
-			}
-		}
-		return dst, nil
-	}
-	if p == nil || p.n < outLen {
-		return nil, fmt.Errorf("dsp: convolution of %d+%d samples needs a plan of length ≥ %d", len(a), len(b), outLen)
-	}
-	m := p.n
-	if cap(p.fa) < m {
-		p.fa = make([]complex128, m)
-		p.fb = make([]complex128, m)
-	}
-	fa, fb := p.fa[:m], p.fb[:m]
-	clear(fa)
-	clear(fb)
-	copy(fa, a)
-	copy(fb, b)
-	p.transform(fa, p.fwd)
-	p.transform(fb, p.fwd)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	p.transform(fa, p.inv)
-	Scale(fa, complex(1/float64(m), 0))
-	copy(dst, fa[:outLen])
-	return dst, nil
-}
-
-// MatchedFilterWith is the plan-aware counterpart of MatchedFilter: it
-// writes the matched-filter output (same alignment and length as r) into
-// dst and returns dst. The plan must cover the convolution length, i.e.
-// NextPow2(len(r)+2·(len(template)-1)). Results are bit-identical to
-// MatchedFilter(r, template).
-func MatchedFilterWith(dst, r, template []complex128, p *FFTPlan) ([]complex128, error) {
-	if len(r) == 0 || len(template) == 0 {
-		return nil, nil
-	}
-	if len(dst) != len(r) {
-		return nil, fmt.Errorf("dsp: matched filter needs %d output samples, got %d", len(r), len(dst))
-	}
-	taps := MatchedFilterTaps(template)
-	full := make([]complex128, len(taps)+len(r)-1)
-	if _, err := ConvolveWith(full, taps, r, p); err != nil {
-		return nil, err
-	}
-	start := len(template) - 1
-	clear(dst)
-	copy(dst, full[start:])
-	return dst, nil
-}
-
 // MatchedFilterBank precomputes the matched-filter spectra of a set of
 // templates for signals of one fixed length, so that filtering a signal
 // against every template costs one forward FFT per distinct convolution
 // size (usually exactly one), T complex multiplies and T inverse FFTs —
-// instead of 2T forward FFTs. Outputs are bit-identical to
-// MatchedFilter(sig, template[t]).
+// instead of 2T forward FFTs. The output for template s is the signal
+// convolved with the matched filter MatchedFilterTaps(s) (Sect. IV step
+// 2), aligned so that index i corresponds to a pulse starting at sample i
+// of the signal: a template located at delay d peaks at output index d.
+// The output has the signal's length.
 //
 // Transform/FilterInto share internal scratch buffers; those two methods
 // are not safe for concurrent use. FilterPeak, however, takes caller-owned
@@ -600,7 +516,7 @@ type MatchedFilterBank struct {
 	sigLen int
 	tmpls  []bankTemplate
 	sizes  []int          // distinct FFT convolution sizes
-	plans  []*FFTPlan     // parallel to sizes
+	plans  []*fftPlan     // parallel to sizes
 	specs  [][]complex128 // parallel to sizes: spectrum of the current signal
 	sig    []complex128   // copy of the current signal (direct-path convolution)
 	full   []complex128   // scratch for the full convolution
@@ -667,16 +583,16 @@ func NewMatchedFilterBank(templates [][]complex128, sigLen int) (*MatchedFilterB
 // along with a signal-spectrum buffer of the same size. Callers always
 // pass NextPow2 of the convolution length: padding a non-power-of-two
 // length up to the next power of two costs at most a 2× longer radix-2
-// transform, while an exact-length Bluestein DFTPlan runs three
+// transform, while an exact-length Bluestein dftPlan runs three
 // power-of-two FFTs of length ≥ 2n−1 per transform — about 3× slower
 // (measured by BenchmarkConvolvePaddedVsBluestein).
-func (b *MatchedFilterBank) planFor(m int) (*FFTPlan, error) {
+func (b *MatchedFilterBank) planFor(m int) (*fftPlan, error) {
 	for i, s := range b.sizes {
 		if s == m {
 			return b.plans[i], nil
 		}
 	}
-	p, err := NewFFTPlan(m)
+	p, err := newFFTPlan(m)
 	if err != nil {
 		return nil, err
 	}
@@ -719,8 +635,7 @@ func (b *MatchedFilterBank) Transform(sig []complex128) error {
 
 // FilterInto writes the matched-filter output of template t against the
 // last Transform-ed signal into dst (length ≥ the bank's signal length)
-// and returns dst[:SignalLen()]. The output is bit-identical to
-// MatchedFilter(sig, template[t]).
+// and returns dst[:SignalLen()].
 func (b *MatchedFilterBank) FilterInto(dst []complex128, t int) ([]complex128, error) {
 	if !b.ready {
 		return nil, fmt.Errorf("dsp: FilterInto before Transform")
@@ -737,7 +652,7 @@ func (b *MatchedFilterBank) FilterInto(dst []complex128, t int) ([]complex128, e
 	start := len(bt.taps) - 1
 	outLen := len(bt.taps) + b.sigLen - 1
 	if bt.spec == nil {
-		// Direct path, mirroring Convolve's small-input routing.
+		// Direct path for small operands (see convolveUseDirect).
 		full := b.full[:outLen]
 		clear(full)
 		for i, av := range bt.taps {
@@ -751,7 +666,7 @@ func (b *MatchedFilterBank) FilterInto(dst []complex128, t int) ([]complex128, e
 		copy(dst, full[start:])
 		return dst, nil
 	}
-	var plan *FFTPlan
+	var plan *fftPlan
 	var sigSpec []complex128
 	for i, s := range b.sizes {
 		if s == bt.m {
@@ -779,11 +694,10 @@ func (b *MatchedFilterBank) NewScratch() []complex128 {
 // signal copy, the full-convolution scratch) and zeroed execution
 // counters. The clone starts unready: Transform it before filtering.
 //
-// The shared plans are safe because every bank method drives them through
-// plan.transform, which only reads the precomputed swap and twiddle
-// tables; the plan-owned ConvolveWith scratch is never touched by bank
-// code. Any number of clones may therefore run concurrently, one
-// goroutine each — the sharing that lets a batch engine pay the
+// The shared plans are safe because an fftPlan holds no scratch: every
+// bank method drives it through transform or productTransform, which only
+// read the precomputed swap, reversal and twiddle tables. Any number of
+// clones may therefore run concurrently, one goroutine each — the sharing that lets a batch engine pay the
 // per-template spectrum setup once per CIR length instead of once per
 // worker.
 func (b *MatchedFilterBank) Clone() *MatchedFilterBank {
@@ -834,7 +748,7 @@ func (b *MatchedFilterBank) FilterPeak(scratch []complex128, t int, skip []SkipI
 	var out []complex128
 	scale := complex(1, 0)
 	if bt.spec == nil {
-		// Direct path, mirroring Convolve's small-input routing; the
+		// Direct path for small operands (see convolveUseDirect); the
 		// outputs carry no FFT normalization, so scale stays 1.
 		outLen := len(bt.taps) + b.sigLen - 1
 		full := scratch[:outLen]
@@ -849,7 +763,7 @@ func (b *MatchedFilterBank) FilterPeak(scratch []complex128, t int, skip []SkipI
 		}
 		out = full
 	} else {
-		var plan *FFTPlan
+		var plan *fftPlan
 		var sigSpec []complex128
 		for i, s := range b.sizes {
 			if s == bt.m {

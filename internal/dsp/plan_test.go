@@ -30,7 +30,7 @@ func equalExact(t *testing.T, got, want []complex128, what string) {
 
 func TestNewFFTPlanRejectsNonPowerOfTwo(t *testing.T) {
 	for _, n := range []int{0, -1, 3, 12, 1016} {
-		if _, err := NewFFTPlan(n); err == nil {
+		if _, err := newFFTPlan(n); err == nil {
 			t.Errorf("length %d accepted", n)
 		}
 	}
@@ -38,27 +38,25 @@ func TestNewFFTPlanRejectsNonPowerOfTwo(t *testing.T) {
 
 func TestFFTPlanMatchesFFT(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 64, 1024, 4096} {
-		p, err := NewFFTPlan(n)
+		p, err := newFFTPlan(n)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if p.Len() != n {
-			t.Fatalf("Len = %d", p.Len())
 		}
 		v := randComplex(n, uint64(n))
 
 		got := Clone(v)
-		p.Execute(got)
-		equalExact(t, got, FFT(v), "forward")
+		p.transform(got, p.fwd)
+		equalExact(t, got, refFFT(v), "forward")
 
 		got = Clone(v)
-		p.ExecuteInverse(got)
-		equalExact(t, got, IFFT(v), "inverse")
+		p.transform(got, p.inv)
+		Scale(got, complex(1/float64(n), 0))
+		equalExact(t, got, refIFFT(v), "inverse")
 
 		// Plans are reusable: a second pass must give the same answer.
 		got2 := Clone(v)
-		p.Execute(got2)
-		equalExact(t, got2, FFT(v), "forward reuse")
+		p.transform(got2, p.fwd)
+		equalExact(t, got2, refFFT(v), "forward reuse")
 	}
 }
 
@@ -67,7 +65,7 @@ func TestProductTransformMatchesSeparateSteps(t *testing.T) {
 	// filling the product in index order and transforming it, in both
 	// directions — it is the ScanBest hot path.
 	for _, n := range []int{1, 2, 8, 1024} {
-		p, err := NewFFTPlan(n)
+		p, err := newFFTPlan(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +90,7 @@ func TestProductTransformPermutedMatchesNaturalOrder(t *testing.T) {
 	// natural-order fused form — the ScanBest hot path stores spectra
 	// bit-reversed and relies on this.
 	for _, n := range []int{1, 2, 8, 1024} {
-		p, err := NewFFTPlan(n)
+		p, err := newFFTPlan(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +112,7 @@ func TestProductTransformPermutedMatchesNaturalOrder(t *testing.T) {
 
 func TestDFTPlanMatchesFFTAllLengths(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 12, 100, 127, 256, 1016} {
-		p, err := NewDFTPlan(n)
+		p, err := newDFTPlan(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,15 +120,15 @@ func TestDFTPlanMatchesFFTAllLengths(t *testing.T) {
 
 		got := Clone(v)
 		p.Execute(got)
-		equalExact(t, got, FFT(v), "forward")
+		equalExact(t, got, refFFT(v), "forward")
 
 		got = Clone(v)
 		p.ExecuteInverse(got)
-		equalExact(t, got, IFFT(v), "inverse")
+		equalExact(t, got, refIFFT(v), "inverse")
 
 		got2 := Clone(v)
 		p.Execute(got2)
-		equalExact(t, got2, FFT(v), "forward reuse")
+		equalExact(t, got2, refFFT(v), "forward reuse")
 	}
 }
 
@@ -147,10 +145,7 @@ func TestUpsamplePlanMatchesUpsampleFFT(t *testing.T) {
 			t.Fatalf("plan lengths %d → %d", p.InputLen(), p.OutputLen())
 		}
 		v := randComplex(c.n, uint64(c.n*c.factor))
-		want, err := UpsampleFFT(v, c.factor)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := refUpsample(v, c.factor)
 		dst := make([]complex128, c.n*c.factor)
 		// Dirty the buffer: Execute must not depend on prior contents.
 		for i := range dst {
@@ -168,67 +163,6 @@ func TestNewUpsamplePlanRejectsBadFactor(t *testing.T) {
 	if _, err := NewUpsamplePlan(-1, 2); err == nil {
 		t.Error("negative length accepted")
 	}
-}
-
-func TestConvolveWithMatchesConvolve(t *testing.T) {
-	cases := []struct{ la, lb int }{
-		{4, 5},     // direct path
-		{100, 100}, // direct path (10000 < threshold)
-		{64, 4000}, // FFT path
-		{37, 4064}, // the detector's template × up-sampled CIR shape
-	}
-	for _, c := range cases {
-		a := randComplex(c.la, uint64(c.la))
-		b := randComplex(c.lb, uint64(c.lb)+1)
-		want := Convolve(a, b)
-		var p *FFTPlan
-		if !convolveUseDirect(c.la, c.lb) {
-			var err error
-			if p, err = NewFFTPlan(NextPow2(c.la + c.lb - 1)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		dst := make([]complex128, c.la+c.lb-1)
-		got, err := ConvolveWith(dst, a, b, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalExact(t, got, want, "convolution")
-	}
-}
-
-func TestConvolveWithErrors(t *testing.T) {
-	a := randComplex(64, 1)
-	b := randComplex(4000, 2)
-	if _, err := ConvolveWith(make([]complex128, 10), a, b, nil); err == nil {
-		t.Error("wrong destination length accepted")
-	}
-	if _, err := ConvolveWith(make([]complex128, 4063), a, b, nil); err == nil {
-		t.Error("missing plan accepted")
-	}
-	wrong, _ := NewFFTPlan(16)
-	if _, err := ConvolveWith(make([]complex128, 4063), a, b, wrong); err == nil {
-		t.Error("wrong plan length accepted")
-	}
-	if out, err := ConvolveWith(nil, nil, b, nil); out != nil || err != nil {
-		t.Error("empty input should yield nil, nil")
-	}
-}
-
-func TestMatchedFilterWithMatchesMatchedFilter(t *testing.T) {
-	r := randComplex(4064, 3)
-	tmpl := randComplex(37, 4)
-	want := MatchedFilter(r, tmpl)
-	p, err := NewFFTPlan(NextPow2(len(tmpl) + len(r) - 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]complex128, len(r))
-	got, err := MatchedFilterWith(dst, r, tmpl, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalExact(t, got, want, "matched filter")
 }
 
 func TestMatchedFilterBankMatchesMatchedFilter(t *testing.T) {
@@ -253,7 +187,7 @@ func TestMatchedFilterBankMatchesMatchedFilter(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ti, tmpl := range templates {
-			want := MatchedFilter(sig, tmpl)
+			want := refMatchedFilter(sig, tmpl)
 			got, err := bank.FilterInto(dst, ti)
 			if err != nil {
 				t.Fatal(err)

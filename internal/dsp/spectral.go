@@ -45,7 +45,7 @@ import (
 type SpectralBank struct {
 	sigLen  int
 	m       int
-	plan    *FFTPlan
+	plan    *fftPlan
 	spec    []complex128 // maintained spectrum of the current signal
 	specRev []complex128 // spec in bit-reversed order, kept in step
 	prefix  []complex128 // maintained signal[0:maxTail] for tail correction
@@ -74,7 +74,7 @@ func NewSpectralBank(templates [][]complex128, sigLen int) (*SpectralBank, error
 		return nil, fmt.Errorf("dsp: spectral bank needs at least one template")
 	}
 	m := NextPow2(sigLen)
-	plan, err := NewFFTPlan(m)
+	plan, err := newFFTPlan(m)
 	if err != nil {
 		return nil, err
 	}

@@ -48,7 +48,7 @@ func TestSpectralBankScanMatchesMatchedFilter(t *testing.T) {
 	}
 	scratch := b.NewScratch()
 	for ti, tmpl := range tmpls {
-		want := MatchedFilter(sig, tmpl)
+		want := refMatchedFilter(sig, tmpl)
 		idx, sq, y3, err := b.ScanBest(scratch, ti, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -179,7 +179,7 @@ func TestSpectralBankScanSkipsIntervals(t *testing.T) {
 	if idx >= skip[0].Lo && idx <= skip[0].Hi {
 		t.Fatalf("scan returned suppressed index %d", idx)
 	}
-	want := MatchedFilter(sig, tmpls[0])
+	want := refMatchedFilter(sig, tmpls[0])
 	wantIdx, wantSq := -1, 0.0
 	for i, v := range want {
 		if i >= skip[0].Lo && i <= skip[0].Hi {

@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of v (0 for an empty slice).
 func Mean(v []float64) float64 {
@@ -35,39 +32,6 @@ func Variance(v []float64) float64 {
 // StdDev returns the unbiased sample standard deviation of v.
 func StdDev(v []float64) float64 {
 	return math.Sqrt(Variance(v))
-}
-
-// RMS returns the root-mean-square of v (0 for an empty slice).
-func RMS(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return math.Sqrt(EnergyReal(v) / float64(len(v)))
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) of v using linear
-// interpolation between closest ranks. It returns 0 for an empty slice and
-// clamps p into [0, 100].
-func Percentile(v []float64, p float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := CloneReal(v)
-	sort.Float64s(s)
-	p = math.Max(0, math.Min(100, p))
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Median returns the 50th percentile of v.
-func Median(v []float64) float64 {
-	return Percentile(v, 50)
 }
 
 // Running accumulates streaming statistics with Welford's algorithm so the

@@ -25,27 +25,6 @@ func TestStatsEdgeCases(t *testing.T) {
 	if Mean(nil) != 0 || Variance(nil) != 0 || StdDev([]float64{1}) != 0 {
 		t.Fatal("empty/single-sample statistics must be 0")
 	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty percentile must be 0")
-	}
-	if RMS(nil) != 0 {
-		t.Fatal("empty RMS must be 0")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	v := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5}, {-10, 1}, {110, 5}, {12.5, 1.5},
-	}
-	for _, c := range cases {
-		if got := Percentile(v, c.p); !closeTo(got, c.want, 1e-12) {
-			t.Errorf("Percentile(%g) = %g, want %g", c.p, got, c.want)
-		}
-	}
-	if got := Median([]float64{3, 1, 2}); !closeTo(got, 2, 1e-12) {
-		t.Errorf("Median = %g, want 2", got)
-	}
 }
 
 func TestRunningMatchesBatchProperty(t *testing.T) {

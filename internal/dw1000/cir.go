@@ -52,12 +52,6 @@ func (c *CIR) Clone() *CIR {
 	}
 }
 
-// TimeAt returns the absolute simulation time of tap index i (which may be
-// fractional).
-func (c *CIR) TimeAt(i float64) float64 {
-	return c.Origin + i*c.SampleInterval
-}
-
 // EstimateNoiseRMS returns the per-tap noise RMS. The recorded injected
 // figure is used when available (wide pulse shapes leak energy into the
 // short pre-reference region, so estimating from it would be biased);

@@ -156,12 +156,6 @@ func (r *Radio) ScheduleDelayedTX(nowSim float64, requested DeviceTime) (DeviceT
 	return actual, simTX, nil
 }
 
-// TXTimestamp returns the device timestamp the radio reports for a frame
-// it transmitted at the given simulation time (antenna-delay corrected).
-func (r *Radio) TXTimestamp(simTX float64) DeviceTime {
-	return r.cfg.Clock.Timestamp(simTX + r.cfg.AntennaDelay)
-}
-
 // RXTimestamp returns the device timestamp for a frame whose first path
 // arrived at the given simulation time, carried by a pulse of the given
 // bandwidth: truth + antenna delay + leading-edge jitter, quantized to

@@ -280,9 +280,6 @@ func TestCIRCloneIndependent(t *testing.T) {
 	if c.Taps[0] == 99 {
 		t.Fatal("Clone aliases taps")
 	}
-	if got := c.TimeAt(1); got != SampleInterval {
-		t.Fatalf("TimeAt = %g", got)
-	}
 }
 
 func TestEstimateClockRatioStatistics(t *testing.T) {

@@ -8,14 +8,13 @@ import (
 )
 
 // Bufalias enforces the buffer-ownership contract at dsp plan call sites.
-// The plan-execution entry points — dsp.ConvolveWith, dsp.MatchedFilterWith,
-// (*dsp.UpsamplePlan).Execute, and (*dsp.MatchedFilterBank).FilterInto —
-// write into a caller-supplied destination slice and return it. When that
-// destination is a struct field (detector-owned scratch reused on every
-// Detect round), any alias that escapes the function — stored into a
-// struct field, returned, appended to a slice, or embedded in a composite
-// literal — is silently overwritten by the next round, corrupting whatever
-// the caller kept.
+// The plan-execution entry points — (*dsp.UpsamplePlan).Execute and
+// (*dsp.MatchedFilterBank).FilterInto — write into a caller-supplied
+// destination slice and return it. When that destination is a struct
+// field (detector-owned scratch reused on every Detect round), any alias
+// that escapes the function — stored into a struct field, returned,
+// appended to a slice, or embedded in a composite literal — is silently
+// overwritten by the next round, corrupting whatever the caller kept.
 //
 // The analysis is per function and conservative: a value is tainted when
 // it is the field-backed destination argument of a plan call or a local
@@ -31,23 +30,17 @@ var Bufalias = &lint.Analyzer{
 // planCallDst returns the destination-slice argument of a dsp plan
 // execution call, or nil if the call is not one.
 func planCallDst(info *types.Info, call *ast.CallExpr) ast.Expr {
-	if pkgPath, name, ok := pkgFunc(info, call); ok {
-		if pkgPath == dspPath && (name == "ConvolveWith" || name == "MatchedFilterWith") && len(call.Args) > 0 {
-			return call.Args[0]
-		}
+	_, recvType, name, ok := methodCall(info, call)
+	if !ok || len(call.Args) != 2 {
 		return nil
 	}
-	if _, recvType, name, ok := methodCall(info, call); ok {
-		pkgPath, typeName, isNamed := namedType(recvType)
-		if !isNamed || pkgPath != dspPath {
-			return nil
-		}
-		switch {
-		case typeName == "UpsamplePlan" && name == "Execute" && len(call.Args) == 2:
-			return call.Args[0]
-		case typeName == "MatchedFilterBank" && name == "FilterInto" && len(call.Args) == 2:
-			return call.Args[0]
-		}
+	pkgPath, typeName, isNamed := namedType(recvType)
+	if !isNamed || pkgPath != dspPath {
+		return nil
+	}
+	if typeName == "UpsamplePlan" && name == "Execute" ||
+		typeName == "MatchedFilterBank" && name == "FilterInto" {
+		return call.Args[0]
 	}
 	return nil
 }
@@ -146,7 +139,7 @@ func (w *aliasWalker) collect(body *ast.BlockStmt) {
 					}
 				}
 			case *ast.AssignStmt:
-				// `x := <tainted>` and `x, err := dsp.ConvolveWith(d.buf, ...)`
+				// `x := <tainted>` and `x, err := d.bank.FilterInto(d.buf, t)`
 				// bind locals to the reused buffer.
 				if len(n.Rhs) == 1 && len(n.Lhs) > 0 {
 					if w.isTainted(n.Rhs[0]) {

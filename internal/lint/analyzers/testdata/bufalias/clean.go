@@ -1,11 +1,9 @@
 package fixture
 
-import "github.com/uwb-sim/concurrent-ranging/internal/dsp"
-
 // localDst hands the plan a locally allocated destination: the caller
 // owns it, so returning it is fine.
-func (d *detector) localDst(a, b []complex128) ([]complex128, error) {
-	return dsp.ConvolveWith(make([]complex128, len(a)), a, b, d.plan)
+func (d *detector) localDst(t int) ([]complex128, error) {
+	return d.bank.FilterInto(make([]complex128, d.bank.SignalLen()), t)
 }
 
 // callerDst writes into the caller's own slice: theirs to keep.
@@ -23,8 +21,8 @@ func (d *detector) reslice(v []complex128, t int) error {
 
 // copyOut snapshots the reused buffer into a caller-owned slice — the
 // sanctioned way to hand results out.
-func (d *detector) copyOut(a, b []complex128) ([]complex128, error) {
-	out, err := dsp.ConvolveWith(d.scratch, a, b, d.plan)
+func (d *detector) copyOut(t int) ([]complex128, error) {
+	out, err := d.bank.FilterInto(d.scratch, t)
 	if err != nil {
 		return nil, err
 	}

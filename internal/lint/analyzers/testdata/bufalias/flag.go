@@ -11,7 +11,6 @@ type detector struct {
 	scratch []complex128
 	keep    []complex128
 	history [][]complex128
-	plan    *dsp.FFTPlan
 	up      *dsp.UpsamplePlan
 	bank    *dsp.MatchedFilterBank
 }
@@ -22,17 +21,14 @@ type result struct {
 }
 
 // returnAlias returns the reused scratch buffer to the caller.
-func (d *detector) returnAlias(a, b []complex128) ([]complex128, error) {
-	out, err := dsp.ConvolveWith(d.scratch, a, b, d.plan)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil // want `returning out aliases a reused dsp plan buffer`
+func (d *detector) returnAlias(v []complex128) []complex128 {
+	out := d.up.Execute(d.scratch, v)
+	return out // want `returning out aliases a reused dsp plan buffer`
 }
 
 // storeAlias parks the alias in another struct field.
-func (d *detector) storeAlias(a, b []complex128) error {
-	out, err := dsp.MatchedFilterWith(d.scratch, a, b, d.plan)
+func (d *detector) storeAlias(t int) error {
+	out, err := d.bank.FilterInto(d.scratch, t)
 	if err != nil {
 		return err
 	}

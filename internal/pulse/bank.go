@@ -1,10 +1,6 @@
 package pulse
 
-import (
-	"fmt"
-
-	"github.com/uwb-sim/concurrent-ranging/internal/dsp"
-)
+import "fmt"
 
 // Bank holds the set of pulse templates an initiator matches against the
 // received CIR (one per supported responder pulse shape, Sect. V). All
@@ -97,9 +93,6 @@ func (b *Bank) Shape(i int) Shape { return b.shapes[i] }
 // modify the returned slice.
 func (b *Bank) Template(i int) []complex128 { return b.templates[i] }
 
-// TemplateCopy returns an independent copy of the i-th template.
-func (b *Bank) TemplateCopy(i int) []complex128 { return dsp.Clone(b.templates[i]) }
-
 // IndexOfRegister returns the bank index using the given register value, or
 // -1 when the register is not in the bank.
 func (b *Bank) IndexOfRegister(reg byte) int {
@@ -109,28 +102,4 @@ func (b *Bank) IndexOfRegister(reg byte) int {
 		}
 	}
 	return -1
-}
-
-// CrossCorrelation returns the matrix of normalized correlations between
-// all template pairs; entry [i][j] is the matched-filter response of
-// template j to a unit-amplitude pulse of shape i. The diagonal is 1.
-func (b *Bank) CrossCorrelation() [][]float64 {
-	n := len(b.templates)
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = make([]float64, n)
-		for j := range out[i] {
-			out[i][j] = peakCorrelation(b.templates[i], b.templates[j])
-		}
-	}
-	return out
-}
-
-// peakCorrelation returns the maximum matched-filter magnitude of template
-// b against a signal containing template a, i.e. the worst-case confusion
-// between the two shapes (alignment chosen by the detector).
-func peakCorrelation(a, tmpl []complex128) float64 {
-	y := dsp.MatchedFilter(a, tmpl)
-	_, v := dsp.MaxAbsIndex(y)
-	return v
 }

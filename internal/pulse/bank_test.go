@@ -2,6 +2,7 @@ package pulse
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand/v2"
 	"testing"
 
@@ -37,8 +38,7 @@ func TestBankCommonGeometry(t *testing.T) {
 		if e := dsp.Energy(tmpl); math.Abs(e-1) > 1e-9 {
 			t.Fatalf("template %d energy %g", i, e)
 		}
-		idx, _ := dsp.MaxAbsIndex(tmpl)
-		if idx != b.Center() {
+		if idx := dsp.ArgMax(dsp.Abs(tmpl)); idx != b.Center() {
 			t.Fatalf("template %d peak at %d, want shared center %d", i, idx, b.Center())
 		}
 	}
@@ -98,6 +98,39 @@ func TestIndexOfRegister(t *testing.T) {
 	}
 }
 
+// crossCorrelation returns the matrix of peak matched-filter magnitudes
+// between all template pairs: entry [i][j] is the strongest response of
+// template j to a unit-amplitude pulse of shape i (alignment chosen by the
+// detector), computed on the detector's MatchedFilterBank.
+func crossCorrelation(t *testing.T, b *Bank) [][]float64 {
+	t.Helper()
+	templates := make([][]complex128, b.Len())
+	for i := range templates {
+		templates[i] = b.Template(i)
+	}
+	n := len(templates[0])
+	fb, err := dsp.NewMatchedFilterBank(templates, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := make([]complex128, n)
+	out := make([][]float64, len(templates))
+	for i, tmpl := range templates {
+		if err := fb.Transform(tmpl); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = make([]float64, len(templates))
+		for j := range templates {
+			if _, err := fb.FilterInto(y, j); err != nil {
+				t.Fatal(err)
+			}
+			mag := dsp.Abs(y)
+			out[i][j] = mag[dsp.ArgMax(mag)]
+		}
+	}
+	return out
+}
+
 func TestCrossCorrelationDiagonalDominance(t *testing.T) {
 	// The matched template must always respond strongest to its own pulse —
 	// the property pulse-shape identification (Sect. V) relies on.
@@ -105,7 +138,7 @@ func TestCrossCorrelationDiagonalDominance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := b.CrossCorrelation()
+	cc := crossCorrelation(t, b)
 	for i := range cc {
 		if math.Abs(cc[i][i]-1) > 1e-6 {
 			t.Fatalf("diagonal [%d][%d] = %g, want 1", i, i, cc[i][i])
@@ -129,7 +162,7 @@ func TestCrossCorrelationSeparationMargin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := b.CrossCorrelation()
+	cc := crossCorrelation(t, b)
 	for i := range cc {
 		for j := range cc[i] {
 			if i != j && cc[i][j] > 0.95 {
@@ -139,16 +172,18 @@ func TestCrossCorrelationSeparationMargin(t *testing.T) {
 	}
 }
 
-func TestTemplateCopyDoesNotAlias(t *testing.T) {
-	b, err := DefaultBank(ts, 2)
-	if err != nil {
-		t.Fatal(err)
+// normalizedCorrelation returns |⟨a, b⟩| / (‖a‖·‖b‖), the cosine
+// similarity of two templates (0 when either has zero energy).
+func normalizedCorrelation(a, b []complex128) float64 {
+	ea, eb := dsp.Energy(a), dsp.Energy(b)
+	if ea == 0 || eb == 0 {
+		return 0
 	}
-	cp := b.TemplateCopy(0)
-	cp[0] += 42
-	if b.Template(0)[0] == cp[0] {
-		t.Fatal("TemplateCopy aliases internal storage")
+	var acc complex128
+	for i := 0; i < min(len(a), len(b)); i++ {
+		acc += a[i] * cmplx.Conj(b[i])
 	}
+	return cmplx.Abs(acc) / math.Sqrt(ea*eb)
 }
 
 func TestMeasureTemplateConvergesToTruth(t *testing.T) {
@@ -161,7 +196,7 @@ func TestMeasureTemplateConvergesToTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dsp.NormalizedCorrelation(meas, truth); got < 0.999 {
+	if got := normalizedCorrelation(meas, truth); got < 0.999 {
 		t.Fatalf("measured template correlation %g with truth, want > 0.999", got)
 	}
 	// A single noisy trial is visibly worse than the 1000-trial average.
@@ -169,7 +204,7 @@ func TestMeasureTemplateConvergesToTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dsp.NormalizedCorrelation(one, truth) >= dsp.NormalizedCorrelation(meas, truth) {
+	if normalizedCorrelation(one, truth) >= normalizedCorrelation(meas, truth) {
 		t.Fatal("averaging over trials did not improve the template estimate")
 	}
 }

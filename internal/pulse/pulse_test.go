@@ -111,8 +111,7 @@ func TestTemplateUnitEnergyAndCentering(t *testing.T) {
 		if e := dsp.Energy(tmpl); math.Abs(e-1) > 1e-9 {
 			t.Fatalf("0x%02X: template energy %g", reg, e)
 		}
-		idx, _ := dsp.MaxAbsIndex(tmpl)
-		if idx != (len(tmpl)-1)/2 {
+		if idx := dsp.ArgMax(dsp.Abs(tmpl)); idx != (len(tmpl)-1)/2 {
 			t.Fatalf("0x%02X: peak at %d, want center %d", reg, idx, (len(tmpl)-1)/2)
 		}
 	}
@@ -122,8 +121,7 @@ func TestRenderIntoPlacesPeakAtDelay(t *testing.T) {
 	s, _ := ForRegister(DefaultRegister)
 	dst := make([]complex128, 256)
 	s.RenderInto(dst, 1, 100, ts)
-	idx, _ := dsp.MaxAbsIndex(dst)
-	if idx != 100 {
+	if idx := dsp.ArgMax(dsp.Abs(dst)); idx != 100 {
 		t.Fatalf("peak at %d, want 100", idx)
 	}
 	// Fractional delay: peak magnitude at the two straddling samples.

@@ -112,11 +112,6 @@ func (e *Engine) Schedule(at float64, fn func()) error {
 	return nil
 }
 
-// After schedules fn delay seconds from now.
-func (e *Engine) After(delay float64, fn func()) error {
-	return e.Schedule(e.now+delay, fn)
-}
-
 // Run executes events in time order until the queue drains, advancing the
 // virtual clock. Events may schedule further events. It returns the number
 // of events executed.

@@ -50,7 +50,7 @@ func TestEngineEventsScheduleEvents(t *testing.T) {
 	var got []float64
 	if err := e.Schedule(1, func() {
 		got = append(got, e.Now())
-		if err := e.After(0.5, func() { got = append(got, e.Now()) }); err != nil {
+		if err := e.Schedule(e.Now()+0.5, func() { got = append(got, e.Now()) }); err != nil {
 			t.Error(err)
 		}
 	}); err != nil {
@@ -167,14 +167,14 @@ func TestEngineScheduleSteadyStateAllocs(t *testing.T) {
 	fn := func() {}
 	// Warm the backing slice to the high-water mark.
 	for i := 0; i < 64; i++ {
-		if err := e.After(1, fn); err != nil {
+		if err := e.Schedule(e.Now()+1, fn); err != nil {
 			t.Fatal(err)
 		}
 	}
 	e.Run()
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
-			if err := e.After(float64(1+i%7), fn); err != nil {
+			if err := e.Schedule(e.Now()+float64(1+i%7), fn); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -191,14 +191,14 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	var e Engine
 	fn := func() {}
 	for i := 0; i < 1024; i++ {
-		if err := e.After(float64(1+i%31), fn); err != nil {
+		if err := e.Schedule(e.Now()+float64(1+i%31), fn); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.After(1, fn); err != nil {
+		if err := e.Schedule(e.Now()+1, fn); err != nil {
 			b.Fatal(err)
 		}
 		e.RunUntil(e.Now() + 1) // one push, one pop: a warm steady state

@@ -69,7 +69,6 @@ type Network struct {
 	phy         airtime.Config
 	rng         *rand.Rand
 	seed        uint64
-	nodes       []*Node
 	nodeNames   map[string]bool
 	randomPhase bool
 	trace       func(TraceEvent)
@@ -121,10 +120,6 @@ func (n *Network) PHY() airtime.Config { return n.phy }
 // RNG returns the network's deterministic random source.
 func (n *Network) RNG() *rand.Rand { return n.rng }
 
-// Nodes returns the registered nodes in creation order. The caller must
-// not modify the returned slice.
-func (n *Network) Nodes() []*Node { return n.nodes }
-
 // AddNode creates a node with its own radio and clock. Each node gets an
 // independent RNG stream split off the network seed, so adding nodes in a
 // different order changes nothing else.
@@ -157,7 +152,6 @@ func (n *Network) AddNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	node := &Node{ID: cfg.ID, Name: name, Pos: cfg.Pos, Radio: radio}
-	n.nodes = append(n.nodes, node)
 	return node, nil
 }
 

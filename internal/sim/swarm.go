@@ -801,18 +801,10 @@ func compareSwarmEvents(a, b SwarmEvent) int {
 	return int(a.Other - b.Other)
 }
 
-// RunSequential runs the swarm on the single-goroutine reference engine.
-func (s *Swarm) RunSequential() (*SwarmResult, error) {
-	r, err := NewSequentialRunner(s.part.Shards())
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(r)
-}
-
 // RunSharded runs the swarm on the parallel engine with the given worker
-// count (0 selects GOMAXPROCS). The result is bit-identical to
-// RunSequential at any worker count.
+// count (0 selects GOMAXPROCS). The result is bit-identical at any worker
+// count to Run on the single-goroutine reference engine
+// (NewSequentialRunner(Shards())).
 func (s *Swarm) RunSharded(workers int) (*SwarmResult, error) {
 	return s.RunShardedProfiled(workers, nil)
 }

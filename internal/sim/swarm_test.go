@@ -25,7 +25,11 @@ func runSwarmSequential(t *testing.T, cfg SwarmConfig) *SwarmResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sw.RunSequential()
+	r, err := NewSequentialRunner(sw.Shards())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sw.Run(r)
 	if err != nil {
 		t.Fatal(err)
 	}
