@@ -76,7 +76,7 @@ func BenchmarkFig4ResponseDetection(b *testing.B) {
 	var worst float64
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4(experiments.Fig4Config{
+		r, err := experiments.Fig4(nil, experiments.Fig4Config{
 			Trials: 10, Seed: uint64(i + 1), IdealTransceiver: true,
 		})
 		if err != nil {
@@ -111,7 +111,7 @@ func BenchmarkFig5PulseShapes(b *testing.B) {
 func BenchmarkSec5RangingPrecision(b *testing.B) {
 	var s1, s2, s3 float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Sec5(experiments.Sec5Config{Trials: 300, Seed: uint64(i + 1)})
+		r, err := experiments.Sec5(nil, experiments.Sec5Config{Trials: 300, Seed: uint64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func BenchmarkSec5RangingPrecision(b *testing.B) {
 func BenchmarkFig6PulseShapeID(b *testing.B) {
 	ok := 0
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6(uint64(i + 1))
+		r, err := experiments.Fig6(nil, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func BenchmarkFig6PulseShapeID(b *testing.B) {
 func BenchmarkTable1IdentificationRate(b *testing.B) {
 	var minRate float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table1(experiments.Table1Config{Trials: 20, Seed: uint64(i + 1)})
+		r, err := experiments.Table1(nil, experiments.Table1Config{Trials: 20, Seed: uint64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func BenchmarkTable1IdentificationRate(b *testing.B) {
 func BenchmarkSec6OverlapDetection(b *testing.B) {
 	var ss, th float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Sec6(experiments.Sec6Config{Trials: 100, Seed: uint64(i + 1)})
+		r, err := experiments.Sec6(nil, experiments.Sec6Config{Trials: 100, Seed: uint64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func BenchmarkSec7ResponseModulation(b *testing.B) {
 func BenchmarkFig8CombinedScheme(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8(experiments.Fig8Config{
+		r, err := experiments.Fig8(nil, experiments.Fig8Config{
 			Trials: 5, Seed: uint64(i + 1), IdealTransceiver: true,
 		})
 		if err != nil {
@@ -205,7 +205,7 @@ func BenchmarkSec8Scalability(b *testing.B) {
 func BenchmarkAblationUpsampling(b *testing.B) {
 	var r1, r16 float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationUpsample(40, uint64(i+1))
+		r, err := experiments.AblationUpsample(nil, 40, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func BenchmarkAblationUpsampling(b *testing.B) {
 func BenchmarkAblationTXQuantization(b *testing.B) {
 	var with, ideal float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationQuantization(15, uint64(i+1))
+		r, err := experiments.AblationQuantization(nil, 15, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func BenchmarkAblationTXQuantization(b *testing.B) {
 func BenchmarkAblationThreshold(b *testing.B) {
 	var missAtDefault float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationThreshold(10, uint64(i+1))
+		r, err := experiments.AblationThreshold(nil, 10, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -387,7 +387,7 @@ func absf(x float64) float64 {
 func BenchmarkAblationRefinement(b *testing.B) {
 	var gridRMSE, refinedRMSE float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationRefinement(40, uint64(i+1))
+		r, err := experiments.AblationRefinement(nil, 40, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -400,7 +400,7 @@ func BenchmarkAblationRefinement(b *testing.B) {
 func BenchmarkAblationSlotPlan(b *testing.B) {
 	var paperWide, safeWide float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationSlotPlan(6, uint64(i+1))
+		r, err := experiments.AblationSlotPlan(nil, 6, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -414,7 +414,7 @@ func BenchmarkAblationSlotPlan(b *testing.B) {
 func BenchmarkMeasuredCampaign(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Campaign([]int{8}, uint64(i+1))
+		r, err := experiments.Campaign(nil, []int{8}, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -426,7 +426,7 @@ func BenchmarkMeasuredCampaign(b *testing.B) {
 func BenchmarkCaptureLimits(b *testing.B) {
 	var equalAt9 float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Capture(10, uint64(i+1))
+		r, err := experiments.Capture(nil, 10, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}

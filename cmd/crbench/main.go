@@ -51,162 +51,153 @@ import (
 	"github.com/uwb-sim/concurrent-ranging/internal/obs/trace"
 )
 
-type runner func(trials int, seed uint64) (string, error)
-
-var runners = map[string]runner{
-	"fig1": func(int, uint64) (string, error) {
-		r, err := experiments.Fig1()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"fig2": func(_ int, seed uint64) (string, error) {
-		r, err := experiments.Fig2(seed)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"sec3": func(int, uint64) (string, error) {
-		d, err := experiments.Sec3Delay()
-		if err != nil {
-			return "", err
-		}
-		m, err := experiments.Sec3Messages(nil)
-		if err != nil {
-			return "", err
-		}
-		return d.Render() + m.Render(), nil
-	},
-	"fig4": func(trials int, seed uint64) (string, error) {
-		real, err := experiments.Fig4(experiments.Fig4Config{Trials: trials, Seed: seed})
-		if err != nil {
-			return "", err
-		}
-		ideal, err := experiments.Fig4(experiments.Fig4Config{
-			Trials: trials, Seed: seed, IdealTransceiver: true,
-		})
-		if err != nil {
-			return "", err
-		}
-		return "--- DW1000 delayed-TX quantization ---\n" + real.Render() +
-			"--- ideal transceiver ---\n" + ideal.Render(), nil
-	},
-	"fig5": func(int, uint64) (string, error) {
-		r, err := experiments.Fig5()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"sec5": func(trials int, seed uint64) (string, error) {
-		r, err := experiments.Sec5(experiments.Sec5Config{Trials: trials, Seed: seed})
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"fig6": func(_ int, seed uint64) (string, error) {
-		r, err := experiments.Fig6(seed)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"table1": func(trials int, seed uint64) (string, error) {
-		r, err := experiments.Table1(experiments.Table1Config{Trials: trials, Seed: seed})
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"sec6": func(trials int, seed uint64) (string, error) {
-		r, err := experiments.Sec6(experiments.Sec6Config{Trials: trials, Seed: seed})
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"sec7": func(int, uint64) (string, error) {
-		r, err := experiments.Sec7(nil)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"fig8": func(trials int, seed uint64) (string, error) {
-		r, err := experiments.Fig8(experiments.Fig8Config{Trials: trials, Seed: seed})
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"sec8": func(int, uint64) (string, error) {
-		r, err := experiments.Sec8()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"campaign": func(_ int, seed uint64) (string, error) {
-		r, err := experiments.Campaign(nil, seed)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"capture": func(trials int, seed uint64) (string, error) {
-		r, err := experiments.Capture(trials, seed)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"fullbank": func(trials int, seed uint64) (string, error) {
-		r, err := experiments.FullBank(experiments.FullBankConfig{Trials: trials, Seed: seed})
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"swarm": func(trials int, seed uint64) (string, error) {
-		r, err := experiments.SwarmScale(experiments.SwarmScaleConfig{Trials: trials, Seed: seed})
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"ablation": func(trials int, seed uint64) (string, error) {
-		up, err := experiments.AblationUpsample(trials, seed)
-		if err != nil {
-			return "", err
-		}
-		q, err := experiments.AblationQuantization(trials, seed)
-		if err != nil {
-			return "", err
-		}
-		th, err := experiments.AblationThreshold(trials, seed)
-		if err != nil {
-			return "", err
-		}
-		ref, err := experiments.AblationRefinement(trials, seed)
-		if err != nil {
-			return "", err
-		}
-		sp, err := experiments.AblationSlotPlan(trials, seed)
-		if err != nil {
-			return "", err
-		}
-		return up.Render() + q.Render() + th.Render() + ref.Render() + sp.Render(), nil
-	},
+// experiment is one crbench entry. run renders the experiment's result
+// and copies any throughput it measured into er.
+type experiment struct {
+	name string
+	run  func(env *experiments.Env, trials int, seed uint64, er *obs.ExperimentReport) (string, error)
 }
 
-// order lists the experiments in paper order for the run-everything mode.
-var order = []string{
-	"fig1", "fig2", "sec3", "fig4", "fig5", "sec5", "fig6",
-	"table1", "sec6", "sec7", "fig8", "sec8", "campaign", "capture",
-	"fullbank", "swarm", "ablation",
+// registry lists the experiments in paper order, the run-everything order.
+var registry = []experiment{
+	{"fig1", func(*experiments.Env, int, uint64, *obs.ExperimentReport) (string, error) {
+		return render(experiments.Fig1())
+	}},
+	{"fig2", func(_ *experiments.Env, _ int, seed uint64, _ *obs.ExperimentReport) (string, error) {
+		return render(experiments.Fig2(seed))
+	}},
+	{"sec3", func(*experiments.Env, int, uint64, *obs.ExperimentReport) (string, error) {
+		d, err := render(experiments.Sec3Delay())
+		if err != nil {
+			return "", err
+		}
+		m, err := render(experiments.Sec3Messages(nil))
+		if err != nil {
+			return "", err
+		}
+		return d + m, nil
+	}},
+	{"fig4", func(env *experiments.Env, trials int, seed uint64, _ *obs.ExperimentReport) (string, error) {
+		real, err := render(experiments.Fig4(env, experiments.Fig4Config{Trials: trials, Seed: seed}))
+		if err != nil {
+			return "", err
+		}
+		ideal, err := render(experiments.Fig4(env, experiments.Fig4Config{
+			Trials: trials, Seed: seed, IdealTransceiver: true,
+		}))
+		if err != nil {
+			return "", err
+		}
+		return "--- DW1000 delayed-TX quantization ---\n" + real +
+			"--- ideal transceiver ---\n" + ideal, nil
+	}},
+	{"fig5", func(*experiments.Env, int, uint64, *obs.ExperimentReport) (string, error) {
+		return render(experiments.Fig5())
+	}},
+	{"sec5", func(env *experiments.Env, trials int, seed uint64, _ *obs.ExperimentReport) (string, error) {
+		return render(experiments.Sec5(env, experiments.Sec5Config{Trials: trials, Seed: seed}))
+	}},
+	{"fig6", func(env *experiments.Env, _ int, seed uint64, _ *obs.ExperimentReport) (string, error) {
+		return render(experiments.Fig6(env, seed))
+	}},
+	{"table1", func(env *experiments.Env, trials int, seed uint64, _ *obs.ExperimentReport) (string, error) {
+		return render(experiments.Table1(env, experiments.Table1Config{Trials: trials, Seed: seed}))
+	}},
+	{"sec6", func(env *experiments.Env, trials int, seed uint64, _ *obs.ExperimentReport) (string, error) {
+		return render(experiments.Sec6(env, experiments.Sec6Config{Trials: trials, Seed: seed}))
+	}},
+	{"sec7", func(*experiments.Env, int, uint64, *obs.ExperimentReport) (string, error) {
+		return render(experiments.Sec7(nil))
+	}},
+	{"fig8", func(env *experiments.Env, trials int, seed uint64, _ *obs.ExperimentReport) (string, error) {
+		return render(experiments.Fig8(env, experiments.Fig8Config{Trials: trials, Seed: seed}))
+	}},
+	{"sec8", func(*experiments.Env, int, uint64, *obs.ExperimentReport) (string, error) {
+		return render(experiments.Sec8())
+	}},
+	{"campaign", func(env *experiments.Env, _ int, seed uint64, _ *obs.ExperimentReport) (string, error) {
+		return render(experiments.Campaign(env, nil, seed))
+	}},
+	{"capture", func(env *experiments.Env, trials int, seed uint64, _ *obs.ExperimentReport) (string, error) {
+		return render(experiments.Capture(env, trials, seed))
+	}},
+	{"fullbank", func(env *experiments.Env, trials int, seed uint64, er *obs.ExperimentReport) (string, error) {
+		r, err := experiments.FullBank(env, experiments.FullBankConfig{Trials: trials, Seed: seed})
+		if err != nil {
+			return "", err
+		}
+		er.CIRsPerSecond = r.BatchPerSec
+		return r.Render(), nil
+	}},
+	{"swarm", func(env *experiments.Env, trials int, seed uint64, er *obs.ExperimentReport) (string, error) {
+		r, err := experiments.SwarmScale(env, experiments.SwarmScaleConfig{Trials: trials, Seed: seed})
+		if err != nil {
+			return "", err
+		}
+		var events, rounds int
+		var secs float64
+		for _, p := range r.Points {
+			events += p.Events
+			rounds += int(p.Stats.RoundsCompleted)
+			secs += p.WallSecondsW
+		}
+		if events > 0 && secs > 0 {
+			er.EventsPerSecond = float64(events) / secs
+			er.RoundsPerSecond = float64(rounds) / secs
+		}
+		if prof := r.Engine; prof != nil {
+			er.EngineParallelEfficiency = prof.ParallelEfficiency
+			er.EngineBarrierStallPct = prof.BarrierStallPct
+			er.EngineDrainPct = prof.DrainPct
+			er.EngineCriticalShard = prof.CriticalShard
+			er.EngineCriticalShardPct = 100 * prof.CriticalShardShare
+		}
+		return r.Render(), nil
+	}},
+	{"ablation", func(env *experiments.Env, trials int, seed uint64, _ *obs.ExperimentReport) (string, error) {
+		var out strings.Builder
+		for _, ablate := range []func() (string, error){
+			func() (string, error) { return render(experiments.AblationUpsample(env, trials, seed)) },
+			func() (string, error) { return render(experiments.AblationQuantization(env, trials, seed)) },
+			func() (string, error) { return render(experiments.AblationThreshold(env, trials, seed)) },
+			func() (string, error) { return render(experiments.AblationRefinement(env, trials, seed)) },
+			func() (string, error) { return render(experiments.AblationSlotPlan(env, trials, seed)) },
+		} {
+			s, err := ablate()
+			if err != nil {
+				return "", err
+			}
+			out.WriteString(s)
+		}
+		return out.String(), nil
+	}},
+}
+
+// render returns r's rendering, or err.
+func render[R interface{ Render() string }](r R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return r.Render(), nil
+}
+
+// lookup finds the named experiment, case-insensitively.
+func lookup(name string) (experiment, bool) {
+	for _, e := range registry {
+		if strings.EqualFold(e.name, name) {
+			return e, true
+		}
+	}
+	return experiment{}, false
+}
+
+// experimentNames lists the registry's names in order.
+func experimentNames() []string {
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	return names
 }
 
 func main() {
@@ -219,13 +210,13 @@ func main() {
 	traceSample := flag.Int("trace-sample", 1, "record every Nth root span in the flight recorder")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: crbench [-trials N] [-seed S] [-json path] [-progress] [-pprof addr] [-tracefile path] [experiment ...]\n")
-		fmt.Fprintf(os.Stderr, "experiments: %s (default: all)\n", strings.Join(order, " "))
+		fmt.Fprintf(os.Stderr, "experiments: %s (default: all)\n", strings.Join(experimentNames(), " "))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 	names := flag.Args()
 	if len(names) == 0 {
-		names = order
+		names = experimentNames()
 	}
 	cfg := runConfig{
 		Trials:      *trials,
@@ -260,15 +251,19 @@ type runConfig struct {
 
 // run executes the named experiments under full instrumentation and
 // returns the populated run report (also written to cfg.JSONPath when
-// set). Unknown names fail before any experiment does work.
+// set). Unknown names and a negative trial count fail before any
+// experiment does work.
 func run(names []string, cfg runConfig) (report *obs.RunReport, err error) {
-	selected := make([]runner, len(names))
+	if cfg.Trials < 0 {
+		return nil, fmt.Errorf("-trials %d is negative (0 selects the paper-faithful defaults)", cfg.Trials)
+	}
+	selected := make([]experiment, len(names))
 	for i, name := range names {
-		r, ok := runners[strings.ToLower(name)]
+		e, ok := lookup(name)
 		if !ok {
-			return nil, fmt.Errorf("unknown experiment %q (have: %s)", name, strings.Join(order, " "))
+			return nil, fmt.Errorf("unknown experiment %q (have: %s)", name, strings.Join(experimentNames(), " "))
 		}
-		selected[i] = r
+		selected[i] = e
 	}
 
 	reg := obs.NewRegistry()
@@ -313,12 +308,6 @@ func run(names []string, cfg runConfig) (report *obs.RunReport, err error) {
 		}()
 	}
 	printer := newProgressPrinter(cfg.Stderr, cfg.Progress)
-	experiments.SetInstrumentation(&experiments.Instrumentation{
-		Recorder: reg,
-		Progress: printer.update,
-		Flight:   flight,
-	})
-	defer experiments.SetInstrumentation(nil)
 
 	// -json - dedicates stdout to the report alone; the rendered tables
 	// move to stderr so piped consumers parse exactly one JSON document.
@@ -328,39 +317,24 @@ func run(names []string, cfg runConfig) (report *obs.RunReport, err error) {
 	}
 
 	report = obs.NewRunReport("crbench", cfg.Seed, cfg.Trials)
-	experiments.TakeBatchThroughput() // discard any stale tally
-	experiments.TakeSwarmThroughput()
-	experiments.TakeEngineProfile()
 	start := time.Now()
-	for i, name := range names {
-		printer.setLabel(name)
-		experiments.SetActiveExperiment(strings.ToLower(name))
+	for _, e := range selected {
+		printer.setLabel(e.name)
+		env := &experiments.Env{
+			Recorder:   reg,
+			Flight:     flight,
+			Progress:   printer.update,
+			Experiment: e.name,
+		}
+		er := obs.ExperimentReport{Name: e.name}
 		t0 := time.Now()
-		out, err := selected[i](cfg.Trials, cfg.Seed)
-		experiments.SetActiveExperiment("")
+		out, err := e.run(env, cfg.Trials, cfg.Seed, &er)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+			return nil, fmt.Errorf("%s: %w", e.name, err)
 		}
 		printer.clear()
-		er := obs.ExperimentReport{
-			Name:        strings.ToLower(name),
-			WallSeconds: time.Since(t0).Seconds(),
-			OutputBytes: len(out),
-		}
-		if cirs, secs := experiments.TakeBatchThroughput(); cirs > 0 && secs > 0 {
-			er.CIRsPerSecond = float64(cirs) / secs
-		}
-		if events, rounds, secs := experiments.TakeSwarmThroughput(); events > 0 && secs > 0 {
-			er.EventsPerSecond = float64(events) / secs
-			er.RoundsPerSecond = float64(rounds) / secs
-		}
-		if prof := experiments.TakeEngineProfile(); prof != nil {
-			er.EngineParallelEfficiency = prof.ParallelEfficiency
-			er.EngineBarrierStallPct = prof.BarrierStallPct
-			er.EngineDrainPct = prof.DrainPct
-			er.EngineCriticalShard = prof.CriticalShard
-			er.EngineCriticalShardPct = 100 * prof.CriticalShardShare
-		}
+		er.WallSeconds = time.Since(t0).Seconds()
+		er.OutputBytes = len(out)
 		report.Experiments = append(report.Experiments, er)
 		fmt.Fprint(tableW, out)
 		fmt.Fprintln(tableW)

@@ -23,19 +23,17 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 	}
 }
 
-func TestEveryListedExperimentHasARunner(t *testing.T) {
-	for _, name := range order {
-		if _, ok := runners[name]; !ok {
-			t.Errorf("experiment %q listed but has no runner", name)
-		}
-	}
-	if len(order) != len(runners) {
-		t.Errorf("%d listed vs %d registered", len(order), len(runners))
+func TestRunRejectsNegativeTrials(t *testing.T) {
+	// A negative count used to panic inside fig4 (and table1, sec6, fig8,
+	// fullbank); it must fail before any experiment starts.
+	_, err := run([]string{"fig4", "fullbank"}, testConfig(-1, 1))
+	if err == nil || !strings.Contains(err.Error(), "-trials -1") {
+		t.Fatalf("got %v", err)
 	}
 }
 
 func TestPackageDocListsEveryExperiment(t *testing.T) {
-	// The doc comment's experiment list must track the order slice
+	// The doc comment's experiment list must track the registry
 	// ("capture" was once missing from it).
 	data, err := os.ReadFile("main.go")
 	if err != nil {
@@ -45,7 +43,7 @@ func TestPackageDocListsEveryExperiment(t *testing.T) {
 	if !found {
 		t.Fatal("no package clause in main.go")
 	}
-	for _, name := range order {
+	for _, name := range experimentNames() {
 		if !strings.Contains(doc, name) {
 			t.Errorf("package doc does not mention experiment %q", name)
 		}
@@ -155,5 +153,25 @@ func TestProgressPrinterWritesToSink(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "sec5") || !strings.Contains(out, "/12 trials") {
 		t.Fatalf("progress stream missing expected content: %q", out)
+	}
+}
+
+func TestReportCarriesThroughput(t *testing.T) {
+	// fullbank and swarm surface their measured throughput, and the swarm
+	// its engine diagnosis, as wall-time-class report fields.
+	report, err := run([]string{"fullbank", "swarm"}, testConfig(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, sw := report.Experiments[0], report.Experiments[1]
+	if fb.CIRsPerSecond <= 0 {
+		t.Errorf("fullbank cirs_per_second = %g, want > 0", fb.CIRsPerSecond)
+	}
+	if sw.EventsPerSecond <= 0 || sw.RoundsPerSecond <= 0 {
+		t.Errorf("swarm events_per_second = %g, rounds_per_second = %g, want > 0",
+			sw.EventsPerSecond, sw.RoundsPerSecond)
+	}
+	if sw.EngineParallelEfficiency <= 0 {
+		t.Errorf("swarm engine_parallel_efficiency = %g, want > 0", sw.EngineParallelEfficiency)
 	}
 }

@@ -11,8 +11,6 @@ type PowerModel struct {
 	RxCurrent float64
 	// TxCurrent is the transmit-mode current draw in amperes.
 	TxCurrent float64
-	// IdleCurrent is the idle/turnaround current draw in amperes.
-	IdleCurrent float64
 	// Voltage is the supply voltage in volts.
 	Voltage float64
 }
@@ -20,10 +18,9 @@ type PowerModel struct {
 // DefaultPowerModel returns the DW1000 datasheet values the paper cites.
 func DefaultPowerModel() PowerModel {
 	return PowerModel{
-		RxCurrent:   0.155,
-		TxCurrent:   0.090,
-		IdleCurrent: 0.000018,
-		Voltage:     3.3,
+		RxCurrent: 0.155,
+		TxCurrent: 0.090,
+		Voltage:   3.3,
 	}
 }
 

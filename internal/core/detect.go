@@ -63,9 +63,10 @@ const (
 	MetricBankShiftSubtracts = "dsp.bank_shift_subtracts"
 )
 
-// ErrNonFinite reports a NaN or infinite detector input: a CIR tap, or
-// the noise RMS of a thresholded detection. Detect and DetectBatch wrap
-// it; match it with errors.Is.
+// ErrNonFinite reports a NaN or infinite detector input: a CIR tap, the
+// noise RMS of a thresholded detection, or the configured threshold
+// factor. NewDetector, Detect and DetectBatch wrap it; match it with
+// errors.Is.
 var ErrNonFinite = errors.New("core: non-finite detector input")
 
 // DetectorMode selects the detector's search implementation.
@@ -280,6 +281,9 @@ func NewDetector(bank *pulse.Bank, cfg DetectorConfig) (*Detector, error) {
 	}
 	if cfg.Upsample < 1 {
 		return nil, fmt.Errorf("core: upsample factor %d < 1", cfg.Upsample)
+	}
+	if math.IsNaN(cfg.ThresholdFactor) || math.IsInf(cfg.ThresholdFactor, 0) {
+		return nil, fmt.Errorf("%w: threshold factor %g", ErrNonFinite, cfg.ThresholdFactor)
 	}
 	if cfg.ThresholdFactor == 0 {
 		cfg.ThresholdFactor = DefaultThresholdFactor

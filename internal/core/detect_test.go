@@ -72,6 +72,12 @@ func TestNewDetectorValidation(t *testing.T) {
 	if _, err := NewDetector(bank, DetectorConfig{ThresholdFactor: -2}); err == nil {
 		t.Error("negative threshold accepted")
 	}
+	// NaN never stops extraction and +Inf silently detects nothing.
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewDetector(bank, DetectorConfig{ThresholdFactor: f}); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("threshold factor %g: err = %v, want ErrNonFinite", f, err)
+		}
+	}
 	if _, err := NewDetector(bank, DetectorConfig{MaxResponses: -1}); err == nil {
 		t.Error("negative MaxResponses accepted")
 	}

@@ -1,5 +1,7 @@
 package dsp
 
+import "math/cmplx"
+
 // convFFTThreshold is the product of operand lengths above which the
 // matched-filter bank convolves via FFT instead of the direct O(n·m) sum.
 const convFFTThreshold = 1 << 14
@@ -16,5 +18,10 @@ func convolveUseDirect(la, lb int) bool {
 // h_MF = [s*(Np-1), s*(Np-2), ..., s*(0)] as in Sect. IV step 2 of the
 // paper (the conjugation is the complex-baseband generalization).
 func MatchedFilterTaps(template []complex128) []complex128 {
-	return Reverse(Conj(template))
+	n := len(template)
+	taps := make([]complex128, n)
+	for i, c := range template {
+		taps[n-1-i] = cmplx.Conj(c)
+	}
+	return taps
 }

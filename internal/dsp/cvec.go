@@ -69,24 +69,6 @@ func NormalizeEnergyReal(v []float64) []float64 {
 	return ScaleReal(v, 1/math.Sqrt(e))
 }
 
-// Conj returns the element-wise complex conjugate of v as a new slice.
-func Conj(v []complex128) []complex128 {
-	out := make([]complex128, len(v))
-	for i, c := range v {
-		out[i] = cmplx.Conj(c)
-	}
-	return out
-}
-
-// Reverse returns a new slice with the elements of v in reverse order.
-func Reverse(v []complex128) []complex128 {
-	out := make([]complex128, len(v))
-	for i, c := range v {
-		out[len(v)-1-i] = c
-	}
-	return out
-}
-
 // Clone returns an independent copy of v.
 func Clone(v []complex128) []complex128 {
 	out := make([]complex128, len(v))

@@ -2,8 +2,10 @@ package dsp
 
 import (
 	"math"
+	"math/cmplx"
 	mrand "math/rand"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -45,15 +47,18 @@ func TestEnergyAndNormalization(t *testing.T) {
 	}
 }
 
+// TestConjReverseClone checks MatchedFilterTaps directly — the
+// conjugated, time-reversed template of Sect. IV step 2 — on known values,
+// and that Clone returns an independent copy.
 func TestConjReverseClone(t *testing.T) {
-	v := []complex128{1 + 1i, 2 - 2i}
-	c := Conj(v)
-	if c[0] != 1-1i || c[1] != 2+2i {
-		t.Fatalf("Conj = %v", c)
+	v := []complex128{1 + 1i, 2 - 2i, -3i}
+	taps := MatchedFilterTaps(v)
+	if want := []complex128{3i, 2 + 2i, 1 - 1i}; !slices.Equal(taps, want) {
+		t.Fatalf("MatchedFilterTaps = %v, want %v", taps, want)
 	}
-	r := Reverse(v)
-	if r[0] != v[1] || r[1] != v[0] {
-		t.Fatalf("Reverse = %v", r)
+	taps[0] = 99
+	if v[2] == 99 {
+		t.Fatal("MatchedFilterTaps aliases its input")
 	}
 	cl := Clone(v)
 	cl[0] = 99
@@ -62,17 +67,20 @@ func TestConjReverseClone(t *testing.T) {
 	}
 }
 
+// TestReverseIsInvolutionProperty checks on random signals that
+// MatchedFilterTaps is the conjugate of v in reverse order, and that
+// applying it twice restores the input bit for bit.
 func TestReverseIsInvolutionProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rand.New(rand.NewPCG(seed, 13))
 		v := randSignal(r, r.IntN(100))
-		rr := Reverse(Reverse(v))
-		for i := range v {
-			if rr[i] != v[i] {
+		taps := MatchedFilterTaps(v)
+		for i, c := range v {
+			if taps[len(v)-1-i] != cmplx.Conj(c) {
 				return false
 			}
 		}
-		return true
+		return slices.Equal(MatchedFilterTaps(taps), v)
 	}
 	cfg := &quick.Config{MaxCount: 30, Rand: mrand.New(mrand.NewSource(48))}
 	if err := quick.Check(f, cfg); err != nil {

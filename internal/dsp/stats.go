@@ -2,38 +2,6 @@ package dsp
 
 import "math"
 
-// Mean returns the arithmetic mean of v (0 for an empty slice).
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
-}
-
-// Variance returns the unbiased sample variance of v (0 for fewer than two
-// samples).
-func Variance(v []float64) float64 {
-	if len(v) < 2 {
-		return 0
-	}
-	m := Mean(v)
-	var s float64
-	for _, x := range v {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(v)-1)
-}
-
-// StdDev returns the unbiased sample standard deviation of v.
-func StdDev(v []float64) float64 {
-	return math.Sqrt(Variance(v))
-}
-
 // Running accumulates streaming statistics with Welford's algorithm so the
 // Monte-Carlo harness never stores per-trial samples it does not need.
 // The zero value is ready to use.

@@ -8,21 +8,56 @@ import (
 	"testing/quick"
 )
 
+// mean, variance and stdDev are the two-pass batch statistics the
+// streaming Running accumulator is checked against.
+
+// mean returns the arithmetic mean of v (0 for an empty slice).
+func mean(v []float64) float64 {
+	if len(v) == 0 {
+		return 0
+	}
+	var s float64
+	for _, x := range v {
+		s += x
+	}
+	return s / float64(len(v))
+}
+
+// variance returns the unbiased sample variance of v (0 for fewer than
+// two samples).
+func variance(v []float64) float64 {
+	if len(v) < 2 {
+		return 0
+	}
+	m := mean(v)
+	var s float64
+	for _, x := range v {
+		d := x - m
+		s += d * d
+	}
+	return s / float64(len(v)-1)
+}
+
+// stdDev returns the unbiased sample standard deviation of v.
+func stdDev(v []float64) float64 {
+	return math.Sqrt(variance(v))
+}
+
 func TestMeanVarianceStdDev(t *testing.T) {
 	v := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(v); !closeTo(got, 5, 1e-12) {
-		t.Errorf("Mean = %g, want 5", got)
+	if got := mean(v); !closeTo(got, 5, 1e-12) {
+		t.Errorf("mean = %g, want 5", got)
 	}
-	if got := Variance(v); !closeTo(got, 32.0/7.0, 1e-12) {
-		t.Errorf("Variance = %g, want %g", got, 32.0/7.0)
+	if got := variance(v); !closeTo(got, 32.0/7.0, 1e-12) {
+		t.Errorf("variance = %g, want %g", got, 32.0/7.0)
 	}
-	if got := StdDev(v); !closeTo(got, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Errorf("StdDev = %g", got)
+	if got := stdDev(v); !closeTo(got, math.Sqrt(32.0/7.0), 1e-12) {
+		t.Errorf("stdDev = %g", got)
 	}
 }
 
 func TestStatsEdgeCases(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 || StdDev([]float64{1}) != 0 {
+	if mean(nil) != 0 || variance(nil) != 0 || stdDev([]float64{1}) != 0 {
 		t.Fatal("empty/single-sample statistics must be 0")
 	}
 }
@@ -37,10 +72,10 @@ func TestRunningMatchesBatchProperty(t *testing.T) {
 			v[i] = r.NormFloat64() * 10
 			run.Add(v[i])
 		}
-		scale := 1 + math.Abs(Mean(v))
+		scale := 1 + math.Abs(mean(v))
 		return run.N() == n &&
-			closeTo(run.Mean(), Mean(v), 1e-9*scale) &&
-			closeTo(run.Variance(), Variance(v), 1e-7*(1+Variance(v))) &&
+			closeTo(run.Mean(), mean(v), 1e-9*scale) &&
+			closeTo(run.Variance(), variance(v), 1e-7*(1+variance(v))) &&
 			run.Min() == minOf(v) && run.Max() == maxOf(v)
 	}
 	cfg := &quick.Config{MaxCount: 50, Rand: mrand.New(mrand.NewSource(46))}

@@ -26,7 +26,7 @@ type AblationUpsampleResult struct {
 
 // AblationUpsample reruns the Sect. VI overlap scenario at several
 // up-sampling factors.
-func AblationUpsample(trials int, seed uint64) (*AblationUpsampleResult, error) {
+func AblationUpsample(env *Env, trials int, seed uint64) (*AblationUpsampleResult, error) {
 	if trials == 0 {
 		trials = 300
 	}
@@ -37,18 +37,18 @@ func AblationUpsample(trials int, seed uint64) (*AblationUpsampleResult, error) 
 		return nil, err
 	}
 	shape := bank.Shape(0)
-	m := newMeter(len(factors) * trials)
+	m := newMeter(env, len(factors)*trials)
 	defer m.finish()
 	for _, factor := range factors {
 		det, err := core.NewDetector(bank, core.DetectorConfig{Upsample: factor})
 		if err != nil {
 			return nil, err
 		}
-		instrumentDetector(det)
+		env.instrumentDetector(det)
 		var counter dsp.Counter
 		for trial := 0; trial < trials; trial++ {
 			err := m.timeTrial(func() error {
-				round, err := overlapRound(4, seed+uint64(trial)*6151)
+				round, err := overlapRound(env, 4, seed+uint64(trial)*6151)
 				if err != nil {
 					return err
 				}
@@ -75,7 +75,7 @@ func AblationUpsample(trials int, seed uint64) (*AblationUpsampleResult, error) 
 }
 
 // overlapRound builds the two-equal-distance-responders round of Sect. VI.
-func overlapRound(distance float64, seed uint64) (*sim.RoundResult, error) {
+func overlapRound(env *Env, distance float64, seed uint64) (*sim.RoundResult, error) {
 	net, err := sim.NewNetwork(sim.NetworkConfig{
 		Environment:      channel.Hallway(),
 		Seed:             seed,
@@ -84,7 +84,7 @@ func overlapRound(distance float64, seed uint64) (*sim.RoundResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	instrumentNetwork(net)
+	env.instrumentNetwork(net)
 	init, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "initiator", Pos: geom.Point{X: 0.5, Y: 0.9}})
 	if err != nil {
 		return nil, err
@@ -130,13 +130,13 @@ type AblationQuantizationResult struct {
 
 // AblationQuantization compares the two transceiver models on the Fig. 4
 // scenario.
-func AblationQuantization(trials int, seed uint64) (*AblationQuantizationResult, error) {
+func AblationQuantization(env *Env, trials int, seed uint64) (*AblationQuantizationResult, error) {
 	if trials == 0 {
 		trials = 100
 	}
 	res := &AblationQuantizationResult{Trials: trials}
 	for _, ideal := range []bool{false, true} {
-		f4, err := Fig4(Fig4Config{Trials: trials, Seed: seed, IdealTransceiver: ideal})
+		f4, err := Fig4(env, Fig4Config{Trials: trials, Seed: seed, IdealTransceiver: ideal})
 		if err != nil {
 			return nil, err
 		}
@@ -186,7 +186,7 @@ type AblationThresholdResult struct {
 }
 
 // AblationThreshold runs the sweep.
-func AblationThreshold(trials int, seed uint64) (*AblationThresholdResult, error) {
+func AblationThreshold(env *Env, trials int, seed uint64) (*AblationThresholdResult, error) {
 	if trials == 0 {
 		trials = 60
 	}
@@ -202,7 +202,7 @@ func AblationThreshold(trials int, seed uint64) (*AblationThresholdResult, error
 		if err != nil {
 			return nil, err
 		}
-		instrumentDetector(det)
+		env.instrumentDetector(det)
 		var miss dsp.Counter
 		var extra dsp.Running
 		for trial := 0; trial < trials; trial++ {
@@ -214,7 +214,7 @@ func AblationThreshold(trials int, seed uint64) (*AblationThresholdResult, error
 			if err != nil {
 				return nil, err
 			}
-			instrumentNetwork(net)
+			env.instrumentNetwork(net)
 			init, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "initiator", Pos: geom.Point{X: 2, Y: 0.9}})
 			if err != nil {
 				return nil, err

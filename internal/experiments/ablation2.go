@@ -31,7 +31,7 @@ type AblationRefinementResult struct {
 // index, so only the second response exposes sub-sample behavior: the
 // DW1000's 8 ns TX quantization places it at a uniformly distributed
 // fractional position.
-func AblationRefinement(trials int, seed uint64) (*AblationRefinementResult, error) {
+func AblationRefinement(env *Env, trials int, seed uint64) (*AblationRefinementResult, error) {
 	if trials == 0 {
 		trials = 150
 	}
@@ -45,7 +45,7 @@ func AblationRefinement(trials int, seed uint64) (*AblationRefinementResult, err
 		if err != nil {
 			return nil, err
 		}
-		instrumentDetector(det)
+		env.instrumentDetector(det)
 		var phantoms dsp.Running
 		var delayErr dsp.Running
 		for trial := 0; trial < trials; trial++ {
@@ -57,7 +57,7 @@ func AblationRefinement(trials int, seed uint64) (*AblationRefinementResult, err
 			if err != nil {
 				return nil, err
 			}
-			instrumentNetwork(net)
+			env.instrumentNetwork(net)
 			init, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "init", Pos: geom.Point{X: 0, Y: 0}})
 			if err != nil {
 				return nil, err
@@ -137,7 +137,7 @@ type AblationSlotPlanResult struct {
 // responders are placed from 2 m out to 2 m + spread; with the paper plan
 // (δ·c/2 ≈ 38 m of tolerated spread at r_max = 75 m) wide deployments
 // start leaking across slot boundaries earlier than with the safe plan.
-func AblationSlotPlan(trials int, seed uint64) (*AblationSlotPlanResult, error) {
+func AblationSlotPlan(env *Env, trials int, seed uint64) (*AblationSlotPlanResult, error) {
 	if trials == 0 {
 		trials = 30
 	}
@@ -153,11 +153,11 @@ func AblationSlotPlan(trials int, seed uint64) (*AblationSlotPlanResult, error) 
 		return nil, err
 	}
 	for _, spread := range spreads {
-		pr, err := slotPlanTrial(paperPlan, spread, trials, seed)
+		pr, err := slotPlanTrial(env, paperPlan, spread, trials, seed)
 		if err != nil {
 			return nil, err
 		}
-		sr, err := slotPlanTrial(safePlan, spread, trials, seed+1)
+		sr, err := slotPlanTrial(env, safePlan, spread, trials, seed+1)
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +167,7 @@ func AblationSlotPlan(trials int, seed uint64) (*AblationSlotPlanResult, error) 
 	return res, nil
 }
 
-func slotPlanTrial(plan core.SlotPlan, spread float64, trials int, seed uint64) (float64, error) {
+func slotPlanTrial(env *Env, plan core.SlotPlan, spread float64, trials int, seed uint64) (float64, error) {
 	bank, err := pulse.DefaultBank(dw1000.SampleInterval, plan.NumShapes)
 	if err != nil {
 		return 0, err
@@ -176,7 +176,7 @@ func slotPlanTrial(plan core.SlotPlan, spread float64, trials int, seed uint64) 
 	if err != nil {
 		return 0, err
 	}
-	instrumentDetector(det)
+	env.instrumentDetector(det)
 	resolver := &core.Resolver{Plan: plan}
 	const responders = 6
 	var counter dsp.Counter
@@ -189,7 +189,7 @@ func slotPlanTrial(plan core.SlotPlan, spread float64, trials int, seed uint64) 
 		if err != nil {
 			return 0, err
 		}
-		instrumentNetwork(net)
+		env.instrumentNetwork(net)
 		init, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "init", Pos: geom.Point{X: 0.5, Y: 0.9}})
 		if err != nil {
 			return 0, err

@@ -30,14 +30,14 @@ type CampaignResult struct {
 // scheduled baseline measures *all pairs* (the paper's N·(N−1) framing)
 // while the concurrent round measures the initiator's N−1 distances; for
 // the initiator-centric cost the comparison is conservative.
-func Campaign(sizes []int, seed uint64) (*CampaignResult, error) {
+func Campaign(env *Env, sizes []int, seed uint64) (*CampaignResult, error) {
 	if len(sizes) == 0 {
 		sizes = []int{3, 5, 8, 12}
 	}
 	res := &CampaignResult{N: sizes}
 	// Each network size runs two full campaigns (scheduled + concurrent);
 	// meter them as campaign units so progress still moves.
-	m := newMeter(2 * len(sizes))
+	m := newMeter(env, 2*len(sizes))
 	defer m.finish()
 	for _, n := range sizes {
 		build := func(s uint64) (*sim.Network, []*sim.Node, error) {
@@ -48,7 +48,7 @@ func Campaign(sizes []int, seed uint64) (*CampaignResult, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			instrumentNetwork(net)
+			env.instrumentNetwork(net)
 			var nodes []*sim.Node
 			for i := 0; i < n; i++ {
 				id := i - 1 // node 0 is the initiator (ID -1)

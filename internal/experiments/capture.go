@@ -36,14 +36,14 @@ type CaptureResult struct {
 }
 
 // Capture sweeps the responder count for both geometries.
-func Capture(trials int, seed uint64) (*CaptureResult, error) {
+func Capture(env *Env, trials int, seed uint64) (*CaptureResult, error) {
 	if trials == 0 {
 		trials = 40
 	}
 	counts := []int{1, 2, 3, 5, 9}
 	res := &CaptureResult{Responders: counts, Trials: trials}
 	model := sim.DefaultCaptureModel()
-	m := newMeter(len(counts) * 2 * trials)
+	m := newMeter(env, len(counts)*2*trials)
 	defer m.finish()
 	for _, n := range counts {
 		for _, equal := range []bool{false, true} {
@@ -51,7 +51,7 @@ func Capture(trials int, seed uint64) (*CaptureResult, error) {
 			var sir dsp.Running
 			for trial := 0; trial < trials; trial++ {
 				err := m.timeTrial(func() error {
-					round, err := captureRound(n, equal, model, seed+uint64(trial)*193+uint64(n))
+					round, err := captureRound(env, n, equal, model, seed+uint64(trial)*193+uint64(n))
 					if err != nil {
 						return err
 					}
@@ -77,7 +77,7 @@ func Capture(trials int, seed uint64) (*CaptureResult, error) {
 	return res, nil
 }
 
-func captureRound(n int, equal bool, model *sim.CaptureModel, seed uint64) (*sim.RoundResult, error) {
+func captureRound(env *Env, n int, equal bool, model *sim.CaptureModel, seed uint64) (*sim.RoundResult, error) {
 	net, err := sim.NewNetwork(sim.NetworkConfig{
 		Environment:      channel.FreeSpace(),
 		Seed:             seed,
@@ -86,7 +86,7 @@ func captureRound(n int, equal bool, model *sim.CaptureModel, seed uint64) (*sim
 	if err != nil {
 		return nil, err
 	}
-	instrumentNetwork(net)
+	env.instrumentNetwork(net)
 	init, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "init", Pos: geom.Point{X: 0, Y: 0}})
 	if err != nil {
 		return nil, err

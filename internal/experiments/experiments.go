@@ -2,7 +2,10 @@
 // evaluation. Each experiment is a pure function of its parameters and a
 // seed, returning a typed result with the same rows/series the paper
 // reports plus a formatted rendering for the crbench tool and the
-// benchmark harness. EXPERIMENTS.md records paper-vs-measured for each.
+// benchmark harness. Experiments that record metrics, trace spans or
+// progress take an *Env as their first argument; it observes the run and
+// never changes its results. EXPERIMENTS.md records paper-vs-measured for
+// each.
 package experiments
 
 import (

@@ -115,7 +115,7 @@ func TestFig4RecoversDistances(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo experiment skipped in -short mode")
 	}
-	r, err := Fig4(Fig4Config{Trials: 12, Seed: 3, IdealTransceiver: true})
+	r, err := Fig4(nil, Fig4Config{Trials: 12, Seed: 3, IdealTransceiver: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSec5PrecisionBallpark(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo experiment skipped in -short mode")
 	}
-	r, err := Sec5(Sec5Config{Trials: 600, Seed: 6})
+	r, err := Sec5(nil, Sec5Config{Trials: 600, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSec5PrecisionBallpark(t *testing.T) {
 }
 
 func TestFig6Identification(t *testing.T) {
-	r, err := Fig6(4)
+	r, err := Fig6(nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestTable1HighIdentificationRates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo experiment skipped in -short mode")
 	}
-	r, err := Table1(Table1Config{Trials: 40, Seed: 5})
+	r, err := Table1(nil, Table1Config{Trials: 40, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestSec6OverlapComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo experiment skipped in -short mode")
 	}
-	r, err := Sec6(Sec6Config{Trials: 150, Seed: 9})
+	r, err := Sec6(nil, Sec6Config{Trials: 150, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestFig8CombinedScheme(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo experiment skipped in -short mode")
 	}
-	r, err := Fig8(Fig8Config{Trials: 8, Seed: 10, IdealTransceiver: true})
+	r, err := Fig8(nil, Fig8Config{Trials: 8, Seed: 10, IdealTransceiver: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestAblationQuantizationPenalty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo experiment skipped in -short mode")
 	}
-	r, err := AblationQuantization(25, 12)
+	r, err := AblationQuantization(nil, 25, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestAblationUpsampleMonotoneOrFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo experiment skipped in -short mode")
 	}
-	r, err := AblationUpsample(60, 11)
+	r, err := AblationUpsample(nil, 60, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestAblationThresholdTradeOff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo experiment skipped in -short mode")
 	}
-	r, err := AblationThreshold(20, 13)
+	r, err := AblationThreshold(nil, 20, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestAblationRefinementDoesNotRegress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo experiment skipped in -short mode")
 	}
-	r, err := AblationRefinement(40, 31)
+	r, err := AblationRefinement(nil, 40, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestAblationSlotPlanLeakage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo experiment skipped in -short mode")
 	}
-	r, err := AblationSlotPlan(8, 32)
+	r, err := AblationSlotPlan(nil, 8, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestCampaignMeasuredAdvantage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo experiment skipped in -short mode")
 	}
-	r, err := Campaign([]int{4, 8}, 77)
+	r, err := Campaign(nil, []int{4, 8}, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestCaptureSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo experiment skipped in -short mode")
 	}
-	r, err := Capture(15, 81)
+	r, err := Capture(nil, 15, 81)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ type Fig4Result struct {
 }
 
 // Fig4 runs the hallway response-detection experiment.
-func Fig4(cfg Fig4Config) (*Fig4Result, error) {
+func Fig4(env *Env, cfg Fig4Config) (*Fig4Result, error) {
 	if len(cfg.Distances) == 0 {
 		cfg.Distances = []float64{3, 6, 10}
 	}
@@ -68,7 +68,7 @@ func Fig4(cfg Fig4Config) (*Fig4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	instrumentDetector(det)
+	env.instrumentDetector(det)
 	res := &Fig4Result{
 		TrueDistances:    cfg.Distances,
 		MeanDistance:     make([]float64, len(cfg.Distances)),
@@ -79,7 +79,7 @@ func Fig4(cfg Fig4Config) (*Fig4Result, error) {
 	stats := make([]dsp.Running, len(cfg.Distances))
 	found := make([]dsp.Counter, len(cfg.Distances))
 
-	m := newMeter(cfg.Trials)
+	m := newMeter(env, cfg.Trials)
 	defer m.finish()
 	for trial := 0; trial < cfg.Trials; trial++ {
 		t0 := wallNow()
@@ -91,7 +91,7 @@ func Fig4(cfg Fig4Config) (*Fig4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		instrumentNetwork(net)
+		env.instrumentNetwork(net)
 		init, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "initiator", Pos: geom.Point{X: 2, Y: 0.9}})
 		if err != nil {
 			return nil, err

@@ -22,12 +22,12 @@ type twoResponderOutcome struct {
 	responses []core.Response
 }
 
-func twoResponderRound(d1, d2 float64, shape1, shape2, nps, maxResponses int, seed uint64, env *channel.Environment) (*twoResponderOutcome, error) {
-	net, err := sim.NewNetwork(sim.NetworkConfig{Environment: env, Seed: seed})
+func twoResponderRound(env *Env, d1, d2 float64, shape1, shape2, nps, maxResponses int, seed uint64, environment *channel.Environment) (*twoResponderOutcome, error) {
+	net, err := sim.NewNetwork(sim.NetworkConfig{Environment: environment, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	instrumentNetwork(net)
+	env.instrumentNetwork(net)
 	init, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "initiator", Pos: geom.Point{X: 0.5, Y: 0.9}})
 	if err != nil {
 		return nil, err
@@ -56,7 +56,7 @@ func twoResponderRound(d1, d2 float64, shape1, shape2, nps, maxResponses int, se
 	if err != nil {
 		return nil, err
 	}
-	instrumentDetector(det)
+	env.instrumentDetector(det)
 	responses, err := det.Detect(round.Reception.CIR.Taps, round.Reception.CIR.NoiseRMS)
 	if err != nil {
 		return nil, err
@@ -80,8 +80,8 @@ type Fig6Result struct {
 }
 
 // Fig6 runs the pulse-shape identification illustration.
-func Fig6(seed uint64) (*Fig6Result, error) {
-	out, err := twoResponderRound(4, 10, 0, 2, 3, 0, seed, channel.Hallway())
+func Fig6(env *Env, seed uint64) (*Fig6Result, error) {
+	out, err := twoResponderRound(env, 4, 10, 0, 2, 3, 0, seed, channel.Hallway())
 	if err != nil {
 		return nil, err
 	}

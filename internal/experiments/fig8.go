@@ -53,7 +53,7 @@ type Fig8Result struct {
 }
 
 // Fig8 runs the combined RPM × pulse-shaping experiment.
-func Fig8(cfg Fig8Config) (*Fig8Result, error) {
+func Fig8(env *Env, cfg Fig8Config) (*Fig8Result, error) {
 	if cfg.Responders == 0 {
 		cfg.Responders = 9
 	}
@@ -99,9 +99,9 @@ func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return instrumentDetector(det), nil
+		return env.instrumentDetector(det), nil
 	}
-	outcomes, err := parallelMapWith(cfg.Trials, newWorker, func(det *core.Detector, trial int) (trialOutcome, error) {
+	outcomes, err := parallelMapWith(env, cfg.Trials, newWorker, func(det *core.Detector, trial int) (trialOutcome, error) {
 		net, err := sim.NewNetwork(sim.NetworkConfig{
 			Environment:      channel.Hallway(),
 			Seed:             cfg.Seed + uint64(trial)*2741,
@@ -110,7 +110,7 @@ func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 		if err != nil {
 			return trialOutcome{}, err
 		}
-		instrumentNetwork(net)
+		env.instrumentNetwork(net)
 		init, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "initiator", Pos: geom.Point{X: 1, Y: 0.9}})
 		if err != nil {
 			return trialOutcome{}, err

@@ -31,8 +31,8 @@ type FullBankConfig struct {
 // responses. A second phase measures campaign throughput on a
 // single-responder identification stream (the Sect. V workload) through
 // three execution disciplines: a call-at-a-time loop that builds a
-// detector per call (the unshared pre-engine shape the future crservd
-// daemon must avoid), a warm loop reusing one detector, and the batch
+// detector per call (the unshared cost profile of serving detections with
+// no shared state), a warm loop reusing one detector, and the batch
 // engine. The batch results are verified bit-identical to the warm loop's
 // before any number is reported.
 type FullBankResult struct {
@@ -68,7 +68,8 @@ type FullBankResult struct {
 	// throughputs in CIRs/second: the call-at-a-time loop pays
 	// NewDetector (plans + 108 template spectra) on every call, the warm
 	// loop reuses one detector, and the batch engine shares per-length
-	// setup across its worker pool.
+	// setup across its worker pool. BatchPerSec is the run report's
+	// cirs_per_second.
 	CallPerSec, WarmPerSec, BatchPerSec float64
 	// BatchSpeedup is BatchPerSec / CallPerSec.
 	BatchSpeedup float64
@@ -111,7 +112,7 @@ func fullBankBatch(eng *core.BatchDetector, label string, inputs []core.BatchInp
 }
 
 // FullBank runs the comparison.
-func FullBank(cfg FullBankConfig) (*FullBankResult, error) {
+func FullBank(env *Env, cfg FullBankConfig) (*FullBankResult, error) {
 	if cfg.Trials == 0 {
 		cfg.Trials = 40
 	}
@@ -126,7 +127,7 @@ func FullBank(cfg FullBankConfig) (*FullBankResult, error) {
 	// stable rate, and a small sample of the (much slower) call-at-a-time
 	// loop — its per-call cost has no per-item variance worth averaging.
 	idCIRs := 2 * cfg.Trials
-	callCIRs := max(3, cfg.Trials/5)
+	callCIRs := min(idCIRs, max(3, cfg.Trials/5))
 	const warmup = 2
 
 	dcfg := core.DetectorConfig{MaxResponses: cfg.Responders}
@@ -149,11 +150,11 @@ func FullBank(cfg FullBankConfig) (*FullBankResult, error) {
 	}
 	defer idEng.Close()
 
-	m := newMeter(2*cfg.Trials + callCIRs + 2*idCIRs + warmup)
+	m := newMeter(env, 2*cfg.Trials+callCIRs+2*idCIRs+warmup)
 	defer m.finish()
-	instrumentBatch(refEng, m)
-	instrumentBatch(fastEng, m)
-	instrumentBatch(idEng, m)
+	env.instrumentBatch(refEng, m)
+	env.instrumentBatch(fastEng, m)
+	env.instrumentBatch(idEng, m)
 
 	res := &FullBankResult{
 		Trials:    cfg.Trials,
@@ -219,7 +220,7 @@ func FullBank(cfg FullBankConfig) (*FullBankResult, error) {
 			if err != nil {
 				return err
 			}
-			instrumentDetector(det)
+			env.instrumentDetector(det)
 			_, err = det.Detect(idInputs[i].Taps, idInputs[i].NoiseRMS)
 			return err
 		})
@@ -235,7 +236,7 @@ func FullBank(cfg FullBankConfig) (*FullBankResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	instrumentDetector(warmDet)
+	env.instrumentDetector(warmDet)
 	warmResults := make([][]core.Response, idCIRs)
 	warmStart := wallNow()
 	for i := range idInputs {
@@ -285,7 +286,6 @@ func FullBank(cfg FullBankConfig) (*FullBankResult, error) {
 	if res.CallPerSec > 0 {
 		res.BatchSpeedup = res.BatchPerSec / res.CallPerSec
 	}
-	addBatchThroughput(idCIRs, batchSecs)
 	return res, nil
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,9 +18,9 @@ const (
 	// MetricTrials counts completed Monte-Carlo trials.
 	MetricTrials = "experiments.trials"
 	// MetricTrialsByExperiment is the labeled companion of MetricTrials:
-	// trials counted per active experiment (see SetActiveExperiment).
-	// Recorded only when the installed Recorder supports labeled series
-	// (obs.VecSource; the Registry does).
+	// trials counted per experiment (Env.Experiment). Recorded only when
+	// the Env's Recorder supports labeled series (obs.VecSource; the
+	// Registry does).
 	MetricTrialsByExperiment = "experiments.experiment_trials"
 	// MetricCampaignDoneLive and MetricCampaignTotalLive are live
 	// campaign-progress gauges for dashboards (crtop's progress bar).
@@ -30,26 +29,6 @@ const (
 	MetricCampaignDoneLive  = "experiments.campaign_done" + obs.LiveMetricSuffix
 	MetricCampaignTotalLive = "experiments.campaign_total" + obs.LiveMetricSuffix
 )
-
-// activeExperiment names the experiment currently running, for labeling
-// ambient metrics. Like the Instrumentation itself it is deliberately
-// ambient: harnesses (crbench) bracket each runner with
-// SetActiveExperiment(name) / SetActiveExperiment("") and the meter picks
-// the name up when a campaign starts.
-var activeExperiment atomic.Value // string
-
-// SetActiveExperiment declares which experiment subsequent campaigns
-// belong to, so per-experiment labeled metrics attribute trials
-// correctly. The empty string clears it.
-func SetActiveExperiment(name string) { activeExperiment.Store(name) }
-
-// ActiveExperiment returns the declared experiment name, or "".
-func ActiveExperiment() string {
-	if v := activeExperiment.Load(); v != nil {
-		return v.(string)
-	}
-	return ""
-}
 
 // Progress is one campaign progress update.
 type Progress struct {
@@ -69,176 +48,84 @@ type Progress struct {
 // per second).
 type ProgressFunc func(Progress)
 
-// Instrumentation is the package-wide observability configuration:
-// a progress sink and a metrics recorder. Both are optional; the zero
-// value (or a nil *Instrumentation) disables everything.
-type Instrumentation struct {
-	// Progress, when non-nil, receives per-trial campaign progress.
-	Progress ProgressFunc
+// Env is the run context of one experiment: where its metrics, flight
+// spans and progress go, and the name its labeled series carry. Every
+// field is optional and a nil *Env runs the experiment uninstrumented.
+// Experiments read their Env and never store it, so two runs with their
+// own Envs can share a process.
+type Env struct {
 	// Recorder, when non-nil, receives per-trial timing and is attached
-	// to every detector and network the experiments build. It must be
+	// to every detector and network the experiment builds. It must be
 	// safe for concurrent use (obs.Registry is).
 	Recorder obs.Recorder
 	// Flight, when non-nil, is the detection flight recorder attached to
-	// every detector and network the experiments build: campaigns and
+	// every detector and network the experiment builds: campaigns and
 	// detector runs open trace spans on it (a *trace.Tracer is safe for
 	// concurrent use).
 	Flight *trace.Tracer
+	// Progress, when non-nil, receives per-trial campaign progress.
+	Progress ProgressFunc
+	// Experiment labels the MetricTrialsByExperiment series; "" records
+	// none.
+	Experiment string
 }
 
-// instr holds the installed instrumentation. Experiments are pure
-// functions of their configs; instrumentation is deliberately ambient so
-// the dozens of experiment entry points keep their signatures. Swaps are
-// atomic, so installing/clearing races at worst misses a few updates.
-var instr atomic.Pointer[Instrumentation]
-
-// SetInstrumentation installs the package instrumentation (nil disables).
-// Install before starting experiments; crbench does this once at startup.
-func SetInstrumentation(in *Instrumentation) { instr.Store(in) }
-
-// recorder returns the installed Recorder or nil.
-func recorder() obs.Recorder {
-	if in := instr.Load(); in != nil {
-		return in.Recorder
+// recorder returns the Env's Recorder, or nil for a nil Env.
+func (e *Env) recorder() obs.Recorder {
+	if e == nil {
+		return nil
 	}
-	return nil
+	return e.Recorder
 }
 
-// flight returns the installed flight recorder or nil.
-func flight() *trace.Tracer {
-	if in := instr.Load(); in != nil {
-		return in.Flight
+// flight returns the Env's flight recorder, or nil for a nil Env.
+func (e *Env) flight() *trace.Tracer {
+	if e == nil {
+		return nil
 	}
-	return nil
+	return e.Flight
 }
 
-// instrumentDetector attaches the installed recorder and flight recorder
-// (if any) to a freshly built detector and returns it, so experiment code
-// can wrap core.NewDetector results in one call.
-func instrumentDetector(det *core.Detector) *core.Detector {
-	if rec := recorder(); rec != nil {
+// instrumentDetector attaches the Env's recorder and flight recorder (if
+// any) to a freshly built detector and returns it, so experiment code can
+// wrap core.NewDetector results in one call.
+func (e *Env) instrumentDetector(det *core.Detector) *core.Detector {
+	if rec := e.recorder(); rec != nil {
 		det.SetRecorder(rec)
 	}
-	if tr := flight(); tr != nil {
+	if tr := e.flight(); tr != nil {
 		det.SetFlightRecorder(tr)
 	}
 	return det
 }
 
-// instrumentNetwork attaches the installed recorder and flight recorder
-// (if any) to a freshly built network and returns it.
-func instrumentNetwork(net *sim.Network) *sim.Network {
-	if rec := recorder(); rec != nil {
+// instrumentNetwork attaches the Env's recorder and flight recorder (if
+// any) to a freshly built network and returns it.
+func (e *Env) instrumentNetwork(net *sim.Network) *sim.Network {
+	if rec := e.recorder(); rec != nil {
 		net.SetRecorder(rec)
 	}
-	if tr := flight(); tr != nil {
+	if tr := e.flight(); tr != nil {
 		net.SetFlightRecorder(tr)
 	}
 	return net
 }
 
-// instrumentBatch attaches the installed recorder and flight recorder (if
+// instrumentBatch attaches the Env's recorder and flight recorder (if
 // any) to a freshly built batch engine and wires its per-item progress
 // into the campaign meter, so batch-path experiments report the same
 // metrics/progress stream as loop-path ones.
-func instrumentBatch(bd *core.BatchDetector, m *meter) *core.BatchDetector {
-	if rec := recorder(); rec != nil {
+func (e *Env) instrumentBatch(bd *core.BatchDetector, m *meter) *core.BatchDetector {
+	if rec := e.recorder(); rec != nil {
 		bd.SetRecorder(rec)
 	}
-	if tr := flight(); tr != nil {
+	if tr := e.flight(); tr != nil {
 		bd.SetFlightRecorder(tr)
 	}
 	if m != nil {
 		bd.SetProgress(func(int) { m.trialDone(0) })
 	}
 	return bd
-}
-
-// batchTally accumulates the batch-path throughput measured by the most
-// recent experiment, for crbench to surface as the per-experiment
-// cirs_per_second report field. The numbers are wall-derived, so the
-// resulting field is a wall-time-class field StripWallTime zeroes.
-var batchTally struct {
-	mu      sync.Mutex
-	cirs    int
-	seconds float64
-}
-
-// addBatchThroughput adds one timed batch run to the tally.
-func addBatchThroughput(cirs int, seconds float64) {
-	batchTally.mu.Lock()
-	batchTally.cirs += cirs
-	batchTally.seconds += seconds
-	batchTally.mu.Unlock()
-}
-
-// TakeBatchThroughput returns the accumulated batch throughput sample
-// (CIRs processed and wall seconds spent) and resets the tally, so a
-// harness can attribute it to the experiment that just ran.
-func TakeBatchThroughput() (cirs int, seconds float64) {
-	batchTally.mu.Lock()
-	cirs, seconds = batchTally.cirs, batchTally.seconds
-	batchTally.cirs, batchTally.seconds = 0, 0
-	batchTally.mu.Unlock()
-	return cirs, seconds
-}
-
-// swarmTally accumulates the sharded-engine throughput measured by the
-// most recent swarm experiment, for crbench to surface as the
-// per-experiment events_per_second / rounds_per_second report fields.
-// Wall-derived, so those fields are wall-time-class and StripWallTime
-// zeroes them.
-var swarmTally struct {
-	mu      sync.Mutex
-	events  int
-	rounds  int
-	seconds float64
-}
-
-// addSwarmThroughput adds one timed swarm run to the tally.
-func addSwarmThroughput(events, rounds int, seconds float64) {
-	swarmTally.mu.Lock()
-	swarmTally.events += events
-	swarmTally.rounds += rounds
-	swarmTally.seconds += seconds
-	swarmTally.mu.Unlock()
-}
-
-// TakeSwarmThroughput returns the accumulated swarm throughput sample
-// (events executed, rounds completed, wall seconds) and resets the tally.
-func TakeSwarmThroughput() (events, rounds int, seconds float64) {
-	swarmTally.mu.Lock()
-	events, rounds, seconds = swarmTally.events, swarmTally.rounds, swarmTally.seconds
-	swarmTally.events, swarmTally.rounds, swarmTally.seconds = 0, 0, 0
-	swarmTally.mu.Unlock()
-	return events, rounds, seconds
-}
-
-// engineTally holds the sharded-engine scaling diagnosis measured by the
-// most recent profiled run, for crbench to surface as the experiment's
-// engine_* report fields. Wall-derived, so those fields are
-// wall-time-class and StripWallTime zeroes them.
-var engineTally struct {
-	mu   sync.Mutex
-	prof *sim.EngineProfile
-}
-
-// addEngineProfile records the latest profiled run's diagnosis (the most
-// recent call wins; the swarm sweep profiles its largest point last).
-func addEngineProfile(p *sim.EngineProfile) {
-	engineTally.mu.Lock()
-	engineTally.prof = p
-	engineTally.mu.Unlock()
-}
-
-// TakeEngineProfile returns the latest engine diagnosis and resets the
-// tally (nil when no profiled run happened since the last take).
-func TakeEngineProfile() *sim.EngineProfile {
-	engineTally.mu.Lock()
-	p := engineTally.prof
-	engineTally.prof = nil
-	engineTally.mu.Unlock()
-	return p
 }
 
 // wallNow is this package's single sanctioned wall-clock read. Every
@@ -257,7 +144,7 @@ func wallSince(t0 time.Time) time.Duration {
 
 // meter tracks one campaign's trial progress. A nil meter is inert, so
 // callers create one unconditionally and tick without guards; newMeter
-// returns nil when no instrumentation is installed.
+// returns nil when the Env records nothing.
 type meter struct {
 	total    int
 	done     atomic.Int64
@@ -266,24 +153,21 @@ type meter struct {
 	progress ProgressFunc
 	rec      obs.Recorder
 	// expTrials is the per-experiment labeled trial counter, resolved
-	// once at campaign start (nil when no experiment is active or the
-	// Recorder has no labeled series).
+	// once at campaign start (nil when the Env names no experiment or
+	// its Recorder has no labeled series).
 	expTrials *obs.Counter
 }
 
 // newMeter starts a campaign meter over total trials, or returns nil when
-// instrumentation is disabled.
-func newMeter(total int) *meter {
-	in := instr.Load()
-	if in == nil || (in.Progress == nil && in.Recorder == nil) {
+// env has neither a Recorder nor a Progress sink.
+func newMeter(env *Env, total int) *meter {
+	if env == nil || (env.Progress == nil && env.Recorder == nil) {
 		return nil
 	}
-	m := &meter{total: total, start: wallNow(), progress: in.Progress, rec: in.Recorder}
+	m := &meter{total: total, start: wallNow(), progress: env.Progress, rec: env.Recorder}
 	if m.rec != nil {
-		if vs, ok := m.rec.(obs.VecSource); ok {
-			if name := ActiveExperiment(); name != "" {
-				m.expTrials = vs.CounterVec(MetricTrialsByExperiment, "experiment").With(name)
-			}
+		if vs, ok := m.rec.(obs.VecSource); ok && env.Experiment != "" {
+			m.expTrials = vs.CounterVec(MetricTrialsByExperiment, "experiment").With(env.Experiment)
 		}
 		m.rec.SetGauge(MetricCampaignTotalLive, float64(total))
 		m.rec.SetGauge(MetricCampaignDoneLive, 0)

@@ -9,19 +9,11 @@ import (
 	"github.com/uwb-sim/concurrent-ranging/internal/sim"
 )
 
-// withInstrumentation installs in for the duration of the test and
-// restores the disabled state afterwards. Tests using it must not run in
-// parallel with each other (the instrumentation is package-global).
-func withInstrumentation(t *testing.T, in *Instrumentation) {
-	t.Helper()
-	SetInstrumentation(in)
-	t.Cleanup(func() { SetInstrumentation(nil) })
-}
-
 func TestMeterDisabledIsNil(t *testing.T) {
-	SetInstrumentation(nil)
-	if m := newMeter(10); m != nil {
-		t.Fatal("newMeter must return nil with no instrumentation installed")
+	for _, env := range []*Env{nil, {}, {Experiment: "fig4"}} {
+		if m := newMeter(env, 10); m != nil {
+			t.Fatalf("newMeter(%+v) must return nil without a Recorder or Progress sink", env)
+		}
 	}
 	// A nil meter must be inert, not panic.
 	var m *meter
@@ -35,17 +27,17 @@ func TestMeterRecordsTrialsAndProgress(t *testing.T) {
 	reg := obs.NewRegistry()
 	var mu sync.Mutex
 	var updates []Progress
-	withInstrumentation(t, &Instrumentation{
+	env := &Env{
 		Recorder: reg,
 		Progress: func(p Progress) {
 			mu.Lock()
 			updates = append(updates, p)
 			mu.Unlock()
 		},
-	})
+	}
 
 	const n = 7
-	_, err := parallelMap(n, func(i int) (int, error) { return i, nil })
+	_, err := parallelMap(env, n, func(i int) (int, error) { return i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,31 +135,14 @@ func TestMeterClampAndTerminalUpdate(t *testing.T) {
 	nilMeter.finish()
 }
 
-func TestActiveExperimentRoundTrip(t *testing.T) {
-	SetActiveExperiment("fig4")
-	t.Cleanup(func() { SetActiveExperiment("") })
-	if got := ActiveExperiment(); got != "fig4" {
-		t.Fatalf("ActiveExperiment() = %q, want fig4", got)
-	}
-	SetActiveExperiment("")
-	if got := ActiveExperiment(); got != "" {
-		t.Fatalf("ActiveExperiment() after clear = %q, want empty", got)
-	}
-}
-
 func TestMeterLabelsTrialsByExperiment(t *testing.T) {
 	reg := obs.NewRegistry()
-	withInstrumentation(t, &Instrumentation{Recorder: reg})
-	SetActiveExperiment("sec5")
-	t.Cleanup(func() { SetActiveExperiment("") })
-
-	m := newMeter(3)
+	m := newMeter(&Env{Recorder: reg, Experiment: "sec5"}, 3)
 	for i := 0; i < 3; i++ {
 		m.trialDone(0)
 	}
 	m.finish()
-	SetActiveExperiment("fig4")
-	m2 := newMeter(2)
+	m2 := newMeter(&Env{Recorder: reg, Experiment: "fig4"}, 2)
 	m2.trialDone(0)
 	m2.finish()
 
@@ -184,12 +159,9 @@ func TestMeterLabelsTrialsByExperiment(t *testing.T) {
 	}
 }
 
-func TestMeterWithoutActiveExperimentStaysUnlabeled(t *testing.T) {
+func TestMeterWithoutExperimentStaysUnlabeled(t *testing.T) {
 	reg := obs.NewRegistry()
-	withInstrumentation(t, &Instrumentation{Recorder: reg})
-	SetActiveExperiment("")
-
-	m := newMeter(2)
+	m := newMeter(&Env{Recorder: reg}, 2)
 	m.trialDone(0)
 	m.finish()
 	if series := reg.Snapshot().CounterSeries(MetricTrialsByExperiment); len(series) != 0 {
@@ -199,9 +171,7 @@ func TestMeterWithoutActiveExperimentStaysUnlabeled(t *testing.T) {
 
 func TestMeterCampaignGauges(t *testing.T) {
 	reg := obs.NewRegistry()
-	withInstrumentation(t, &Instrumentation{Recorder: reg})
-
-	m := newMeter(5)
+	m := newMeter(&Env{Recorder: reg}, 5)
 	gauge := func(name string) float64 {
 		v, ok := reg.Snapshot().GaugeValue(name)
 		if !ok {
@@ -235,14 +205,14 @@ func TestMeterCampaignGauges(t *testing.T) {
 
 func TestInstrumentedExperimentsRecord(t *testing.T) {
 	// A tiny Sec5 + Campaign run — the crbench smoke pair — must populate
-	// trial timing and simulator counters through the ambient recorder.
+	// trial timing and simulator counters through the Env's recorder.
 	reg := obs.NewRegistry()
-	withInstrumentation(t, &Instrumentation{Recorder: reg})
+	env := &Env{Recorder: reg}
 
-	if _, err := Sec5(Sec5Config{Trials: 5, Seed: 1}); err != nil {
+	if _, err := Sec5(env, Sec5Config{Trials: 5, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Campaign([]int{3}, 1); err != nil {
+	if _, err := Campaign(env, []int{3}, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -262,17 +232,15 @@ func TestInstrumentedExperimentsRecord(t *testing.T) {
 func TestInstrumentationDoesNotChangeResults(t *testing.T) {
 	// The observation-only contract, end to end: a full experiment with
 	// instrumentation enabled returns bit-identical numbers.
-	run := func() *Fig4Result {
-		r, err := Fig4(Fig4Config{Trials: 3, Seed: 7})
+	run := func(env *Env) *Fig4Result {
+		r, err := Fig4(env, Fig4Config{Trials: 3, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	SetInstrumentation(nil)
-	plain := run()
-	withInstrumentation(t, &Instrumentation{Recorder: obs.NewRegistry(), Progress: func(Progress) {}})
-	instrumented := run()
+	plain := run(nil)
+	instrumented := run(&Env{Recorder: obs.NewRegistry(), Progress: func(Progress) {}, Experiment: "fig4"})
 
 	for i := range plain.MeanDistance {
 		if plain.MeanDistance[i] != instrumented.MeanDistance[i] ||
@@ -285,13 +253,58 @@ func TestInstrumentationDoesNotChangeResults(t *testing.T) {
 }
 
 func TestInstrumentHelpersNilSafe(t *testing.T) {
-	SetInstrumentation(nil)
-	// With instrumentation off the helpers must pass values through
-	// untouched and never panic.
-	if det := instrumentDetector(&core.Detector{}); det == nil {
+	// A nil Env must pass values through untouched and never panic.
+	var env *Env
+	if det := env.instrumentDetector(&core.Detector{}); det == nil {
 		t.Fatal("instrumentDetector returned nil")
 	}
-	if net := instrumentNetwork(&sim.Network{}); net == nil {
+	if net := env.instrumentNetwork(&sim.Network{}); net == nil {
 		t.Fatal("instrumentNetwork returned nil")
+	}
+}
+
+func TestEnvsAreIsolated(t *testing.T) {
+	// Two campaigns share the process, each with its own Env and
+	// registry: every registry must see only its own run's trials.
+	const sec5Trials = 4
+	runs := []struct {
+		name  string
+		run   func(env *Env) error
+		total int64
+	}{
+		{"sec5", func(env *Env) error {
+			_, err := Sec5(env, Sec5Config{Trials: sec5Trials, Seed: 1})
+			return err
+		}, 3 * sec5Trials},
+		{"campaign", func(env *Env) error {
+			_, err := Campaign(env, []int{3, 5}, 1)
+			return err
+		}, 2 * 2},
+	}
+	regs := make([]*obs.Registry, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i, r := range runs {
+		regs[i] = obs.NewRegistry()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = r.run(&Env{Recorder: regs[i], Progress: func(Progress) {}, Experiment: r.name})
+		}()
+	}
+	wg.Wait()
+	for i, r := range runs {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", r.name, errs[i])
+		}
+		snap := regs[i].Snapshot()
+		if got := snap.CounterValue(MetricTrials); got != r.total {
+			t.Errorf("%s registry: %s = %d, want %d", r.name, MetricTrials, got, r.total)
+		}
+		series := snap.CounterSeries(MetricTrialsByExperiment)
+		if len(series) != 1 || series[0].Labels[0].Value != r.name || series[0].Value != r.total {
+			t.Errorf("%s registry: %s series %+v, want only {experiment=%s} = %d",
+				r.name, MetricTrialsByExperiment, series, r.name, r.total)
+		}
 	}
 }

@@ -16,8 +16,8 @@ import (
 // process. Every trial must derive its randomness from its index — never
 // from shared state — so the parallel run is bit-identical to a
 // sequential one.
-func parallelMap[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return parallelMapWith(n,
+func parallelMap[T any](env *Env, n int, fn func(i int) (T, error)) ([]T, error) {
+	return parallelMapWith(env, n,
 		func() (struct{}, error) { return struct{}{}, nil },
 		func(_ struct{}, i int) (T, error) { return fn(i) })
 }
@@ -30,10 +30,10 @@ func parallelMap[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 // goroutines. Worker state must not influence results (trials still
 // derive everything from their index), so scheduling stays invisible.
 //
-// When instrumentation is installed (SetInstrumentation), every trial is
-// timed and ticks the campaign meter, driving per-trial metrics and the
-// ProgressFunc. With instrumentation off the timing branch is never taken.
-func parallelMapWith[S, T any](n int, newWorker func() (S, error), fn func(s S, i int) (T, error)) ([]T, error) {
+// When env records (a Recorder or a Progress sink), every trial is timed
+// and ticks the campaign meter, driving per-trial metrics and the
+// ProgressFunc. With a nil env the timing branch is never taken.
+func parallelMapWith[S, T any](env *Env, n int, newWorker func() (S, error), fn func(s S, i int) (T, error)) ([]T, error) {
 	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers < 1 {
 		workers = 1
@@ -46,7 +46,7 @@ func parallelMapWith[S, T any](n int, newWorker func() (S, error), fn func(s S, 
 		}
 		states[w] = s
 	}
-	m := newMeter(n)
+	m := newMeter(env, n)
 	results := make([]T, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup

@@ -8,7 +8,7 @@ import (
 )
 
 func TestParallelMapOrdered(t *testing.T) {
-	got, err := parallelMap(100, func(i int) (int, error) { return i * i, nil })
+	got, err := parallelMap(nil, 100, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestParallelMapOrdered(t *testing.T) {
 
 func TestParallelMapWrapsErrorWithTrialIndex(t *testing.T) {
 	sentinel := errors.New("boom")
-	_, err := parallelMap(50, func(i int) (int, error) {
+	_, err := parallelMap(nil, 50, func(i int) (int, error) {
 		if i == 17 || i == 31 {
 			return 0, sentinel
 		}
@@ -41,7 +41,7 @@ func TestParallelMapWrapsErrorWithTrialIndex(t *testing.T) {
 
 func TestParallelMapJoinsAllErrors(t *testing.T) {
 	errA, errB := errors.New("first failure"), errors.New("second failure")
-	_, err := parallelMap(40, func(i int) (int, error) {
+	_, err := parallelMap(nil, 40, func(i int) (int, error) {
 		switch i {
 		case 12:
 			return 0, errA
@@ -72,7 +72,7 @@ func TestParallelMapJoinsAllErrors(t *testing.T) {
 }
 
 func TestParallelMapRecoversPanic(t *testing.T) {
-	_, err := parallelMap(20, func(i int) (int, error) {
+	_, err := parallelMap(nil, 20, func(i int) (int, error) {
 		if i == 5 {
 			panic("kaboom")
 		}
@@ -89,7 +89,7 @@ func TestParallelMapRecoversPanic(t *testing.T) {
 func TestParallelMapWithPerWorkerState(t *testing.T) {
 	var built atomic.Int32
 	type state struct{ id int32 }
-	got, err := parallelMapWith(64,
+	got, err := parallelMapWith(nil, 64,
 		func() (*state, error) { return &state{id: built.Add(1)}, nil },
 		func(s *state, i int) (int32, error) {
 			if s == nil || s.id == 0 {
@@ -112,7 +112,7 @@ func TestParallelMapWithPerWorkerState(t *testing.T) {
 
 func TestParallelMapWithWorkerBuildError(t *testing.T) {
 	sentinel := errors.New("no detector")
-	_, err := parallelMapWith(8,
+	_, err := parallelMapWith(nil, 8,
 		func() (int, error) { return 0, sentinel },
 		func(s, i int) (int, error) { return 0, nil })
 	if !errors.Is(err, sentinel) {

@@ -33,7 +33,7 @@ func TestParallelCampaignPerWorkerDetectors(t *testing.T) {
 		return core.NewDetector(bank, core.DetectorConfig{})
 	}
 	const trials = 64
-	results, err := parallelMapWith(trials, newWorker,
+	results, err := parallelMapWith(nil, trials, newWorker,
 		func(det *core.Detector, i int) ([]core.Response, error) {
 			return det.Detect(taps, dw1000.DefaultNoiseRMS)
 		})

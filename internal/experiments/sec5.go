@@ -40,7 +40,7 @@ type Sec5Result struct {
 }
 
 // Sec5 runs the precision comparison.
-func Sec5(cfg Sec5Config) (*Sec5Result, error) {
+func Sec5(env *Env, cfg Sec5Config) (*Sec5Result, error) {
 	if cfg.Trials == 0 {
 		cfg.Trials = 5000
 	}
@@ -49,7 +49,7 @@ func Sec5(cfg Sec5Config) (*Sec5Result, error) {
 	}
 	regs := []byte{pulse.RegisterS1, pulse.RegisterS2, pulse.RegisterS3}
 	res := &Sec5Result{Registers: regs, Trials: cfg.Trials}
-	m := newMeter(len(regs) * cfg.Trials)
+	m := newMeter(env, len(regs)*cfg.Trials)
 	defer m.finish()
 	for i, reg := range regs {
 		net, err := sim.NewNetwork(sim.NetworkConfig{
@@ -59,7 +59,7 @@ func Sec5(cfg Sec5Config) (*Sec5Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		instrumentNetwork(net)
+		env.instrumentNetwork(net)
 		a, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "init", Pos: geom.Point{X: 1, Y: 1}})
 		if err != nil {
 			return nil, err

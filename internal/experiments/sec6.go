@@ -45,7 +45,7 @@ type Sec6Result struct {
 }
 
 // Sec6 runs the overlap experiment.
-func Sec6(cfg Sec6Config) (*Sec6Result, error) {
+func Sec6(env *Env, cfg Sec6Config) (*Sec6Result, error) {
 	if cfg.Trials == 0 {
 		cfg.Trials = 2000
 	}
@@ -78,9 +78,9 @@ func Sec6(cfg Sec6Config) (*Sec6Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return instrumentDetector(det), nil
+		return env.instrumentDetector(det), nil
 	}
-	outcomes, err := parallelMapWith(cfg.Trials, newWorker, func(det *core.Detector, trial int) (trialOutcome, error) {
+	outcomes, err := parallelMapWith(env, cfg.Trials, newWorker, func(det *core.Detector, trial int) (trialOutcome, error) {
 		net, err := sim.NewNetwork(sim.NetworkConfig{
 			Environment:      channel.Hallway(),
 			Seed:             cfg.Seed + uint64(trial)*6151,
@@ -89,7 +89,7 @@ func Sec6(cfg Sec6Config) (*Sec6Result, error) {
 		if err != nil {
 			return trialOutcome{}, err
 		}
-		instrumentNetwork(net)
+		env.instrumentNetwork(net)
 		init, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "initiator", Pos: geom.Point{X: 0.5, Y: 0.9}})
 		if err != nil {
 			return trialOutcome{}, err

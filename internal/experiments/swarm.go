@@ -51,20 +51,24 @@ type SwarmScalePoint struct {
 // the Sect. VIII combined scheme against the responders in range) are
 // simulated on the spatially sharded engine, once with 1 worker and once
 // with the full pool. The two runs must agree bit for bit — the sweep
-// fails otherwise — and the W-worker run's throughput is what the run
-// report carries as events_per_second.
+// fails otherwise — and the W-worker runs' summed throughput is what the
+// run report carries as events_per_second.
 type SwarmScaleResult struct {
 	// Points holds one entry per swept N, ascending.
 	Points []SwarmScalePoint
 	// Workers is the pool size used for the W-worker runs.
 	Workers int
+	// Engine is the engine profiler's scaling diagnosis of the last
+	// (largest) W-worker run, the source of the run report's engine_*
+	// fields; nil when the Env has no Recorder (wall-time-class).
+	Engine *sim.EngineProfile
 }
 
 // swarmSizes is the full sweep ladder.
 var swarmSizes = []int{100, 1000, 10000, 100000}
 
 // SwarmScale runs the sweep.
-func SwarmScale(cfg SwarmScaleConfig) (*SwarmScaleResult, error) {
+func SwarmScale(env *Env, cfg SwarmScaleConfig) (*SwarmScaleResult, error) {
 	sizes := cfg.Sizes
 	if len(sizes) == 0 {
 		sizes = swarmSizes
@@ -87,9 +91,9 @@ func SwarmScale(cfg SwarmScaleConfig) (*SwarmScaleResult, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	res := &SwarmScaleResult{Workers: workers}
-	m := newMeter(len(sizes))
+	m := newMeter(env, len(sizes))
 	defer m.finish()
-	rec := recorder()
+	rec := env.recorder()
 	for _, n := range sizes {
 		t0 := wallNow()
 		sw, err := sim.NewSwarm(sim.SwarmConfig{N: n, Seed: cfg.Seed})
@@ -107,7 +111,7 @@ func SwarmScale(cfg SwarmScaleConfig) (*SwarmScaleResult, error) {
 		// observational — the divergence gate below still compares it
 		// bit-for-bit against the bare 1-worker reference.
 		sw.SetRecorder(rec)
-		sw.SetFlightRecorder(flight())
+		sw.SetFlightRecorder(env.flight())
 		var prof *sim.EngineProfiler
 		if rec != nil {
 			prof = sim.NewEngineProfiler(sim.EngineProfilerConfig{Recorder: rec})
@@ -121,7 +125,7 @@ func SwarmScale(cfg SwarmScaleConfig) (*SwarmScaleResult, error) {
 		sw.SetRecorder(nil)
 		sw.SetFlightRecorder(nil)
 		if prof != nil {
-			addEngineProfile(prof.Profile())
+			res.Engine = prof.Profile()
 		}
 		// The determinism contract is a hard gate, not a statistic: a
 		// W-worker run that differs from the 1-worker run in any bit of
@@ -130,8 +134,7 @@ func SwarmScale(cfg SwarmScaleConfig) (*SwarmScaleResult, error) {
 			return nil, fmt.Errorf("swarm N=%d: %d-worker run diverged from 1-worker run\n  1: %s (%d events)\n  %d: %s (%d events)",
 				n, workers, ref.Stats, ref.Events, workers, run.Stats, run.Events)
 		}
-		sw.Record(recorder(), run)
-		addSwarmThroughput(run.Events, int(run.Stats.RoundsCompleted), wSecs)
+		sw.Record(rec, run)
 		pt := SwarmScalePoint{
 			N:               n,
 			Shards:          run.Shards,

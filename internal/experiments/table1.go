@@ -32,7 +32,7 @@ type Table1Result struct {
 }
 
 // Table1 runs the identification-rate sweep.
-func Table1(cfg Table1Config) (*Table1Result, error) {
+func Table1(env *Env, cfg Table1Config) (*Table1Result, error) {
 	if len(cfg.Distances) == 0 {
 		cfg.Distances = []float64{6, 7, 8, 9, 10}
 	}
@@ -43,10 +43,10 @@ func Table1(cfg Table1Config) (*Table1Result, error) {
 	for _, shape2 := range []int{1, 2} { // s2 and s3
 		for di, d2 := range cfg.Distances {
 			d2, shape2 := d2, shape2
-			outcomes, err := parallelMap(cfg.Trials, func(trial int) (bool, error) {
+			outcomes, err := parallelMap(env, cfg.Trials, func(trial int) (bool, error) {
 				seed := cfg.Seed + uint64(shape2)*1_000_003 +
 					uint64(di)*10_007 + uint64(trial)*97
-				return identifyTrial(d2, shape2, seed)
+				return identifyTrial(env, d2, shape2, seed)
 			})
 			if err != nil {
 				return nil, err
@@ -70,11 +70,11 @@ func Table1(cfg Table1Config) (*Table1Result, error) {
 // and responder 2 at d₂ using bank shape shape2, and reports whether the
 // response detected at responder 2's true CIR position carries the
 // correct template index.
-func identifyTrial(d2 float64, shape2 int, seed uint64) (bool, error) {
+func identifyTrial(env *Env, d2 float64, shape2 int, seed uint64) (bool, error) {
 	// Automatic run-time detection (challenge I): no prior knowledge of
 	// the response count; the expected-position match below tolerates the
 	// extra multipath detections.
-	out, err := twoResponderRound(3, d2, 0, shape2, 3, 0, seed, channel.Hallway())
+	out, err := twoResponderRound(env, 3, d2, 0, shape2, 3, 0, seed, channel.Hallway())
 	if err != nil {
 		return false, err
 	}

@@ -87,9 +87,27 @@ type SwarmConfig struct {
 }
 
 // withDefaults returns the config with zero fields replaced by defaults.
+// Every float must be finite: a NaN density or an infinite horizon would
+// otherwise hang the run, and an infinite density stacks all nodes on one
+// point.
 func (c SwarmConfig) withDefaults() (SwarmConfig, error) {
 	if c.N < 1 {
 		return c, fmt.Errorf("sim: swarm needs at least 1 node, got %d", c.N)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Density", c.Density}, {"Range", c.Range}, {"RoundPeriod", c.RoundPeriod},
+		{"Duration", c.Duration}, {"ResponseDelay", c.ResponseDelay},
+		{"DecisionLead", c.DecisionLead}, {"CellSize", c.CellSize},
+		{"Plan.SlotWidth", c.Plan.SlotWidth},
+		{"Mobility.RoamRadius", c.Mobility.RoamRadius}, {"Mobility.MinSpeed", c.Mobility.MinSpeed},
+		{"Mobility.MaxSpeed", c.Mobility.MaxSpeed}, {"Mobility.Pause", c.Mobility.Pause},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return c, fmt.Errorf("sim: swarm %s %g is not finite", f.name, f.v)
+		}
 	}
 	if c.InitiatorEvery <= 0 {
 		c.InitiatorEvery = 10

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"time"
+
+	"github.com/uwb-sim/concurrent-ranging/internal/core"
 )
 
 // boundarySwarmConfig builds a deployment with many shards relative to
@@ -198,4 +201,50 @@ func benchSwarm(t *testing.T, sw *Swarm, workers int) float64 {
 		}
 	}
 	return best.Seconds()
+}
+
+func TestSwarmConfigRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mod  func(*SwarmConfig)
+	}{
+		{"NaN density", func(c *SwarmConfig) { c.Density = nan }},
+		{"+Inf density", func(c *SwarmConfig) { c.Density = inf }},
+		{"NaN range", func(c *SwarmConfig) { c.Range = nan }},
+		{"NaN round period", func(c *SwarmConfig) { c.RoundPeriod = nan }},
+		{"NaN duration", func(c *SwarmConfig) { c.Duration = nan }},
+		{"+Inf duration", func(c *SwarmConfig) { c.Duration = inf }},
+		{"-Inf response delay", func(c *SwarmConfig) { c.ResponseDelay = -inf }},
+		{"NaN decision lead", func(c *SwarmConfig) { c.DecisionLead = nan }},
+		{"NaN cell size", func(c *SwarmConfig) { c.CellSize = nan }},
+		{"NaN slot width", func(c *SwarmConfig) { c.Plan = core.SlotPlan{NumSlots: 2, NumShapes: 4, SlotWidth: nan} }},
+		{"+Inf roam radius", func(c *SwarmConfig) { c.Mobility = MobilityConfig{RoamRadius: inf, MaxSpeed: 1} }},
+		{"NaN max speed", func(c *SwarmConfig) { c.Mobility = MobilityConfig{RoamRadius: 10, MaxSpeed: nan} }},
+		{"NaN pause", func(c *SwarmConfig) { c.Mobility = MobilityConfig{RoamRadius: 10, MaxSpeed: 1, Pause: nan} }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := SwarmConfig{N: 100, Seed: 1}
+			tc.mod(&cfg)
+			// Such configs once hung the run, so each row gets a deadline
+			// and fails instead of stalling the suite.
+			done := make(chan error, 1)
+			go func() {
+				sw, err := NewSwarm(cfg)
+				if err == nil {
+					_, err = sw.RunSharded(1)
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("non-finite config accepted")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("NewSwarm + RunSharded still running after 5 s")
+			}
+		})
+	}
 }

@@ -28,6 +28,7 @@ package ranging
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/airtime"
 	"github.com/uwb-sim/concurrent-ranging/internal/channel"
@@ -58,7 +59,8 @@ type Config struct {
 	Seed uint64
 	// MaxRange enables response position modulation (Sect. VII): the CIR
 	// is divided into slots sized for this communication range in meters.
-	// Zero disables RPM (single slot).
+	// Zero disables RPM (single slot); a negative or non-finite range is
+	// rejected.
 	MaxRange float64
 	// NumShapes is the number of pulse shapes used for responder
 	// identification (Sect. V). Zero or one selects anonymous ranging
@@ -206,6 +208,9 @@ func (s *Scenario) Build() (*Session, error) {
 				Name:               fmt.Sprintf("obstacle%d", i),
 			})
 		}
+	}
+	if s.cfg.MaxRange < 0 || math.IsNaN(s.cfg.MaxRange) || math.IsInf(s.cfg.MaxRange, 0) {
+		return nil, fmt.Errorf("ranging: max range %g m must be finite and non-negative", s.cfg.MaxRange)
 	}
 	numShapes := max(s.cfg.NumShapes, 1)
 	var plan core.SlotPlan

@@ -1,6 +1,7 @@
 package ranging
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -34,6 +35,22 @@ func TestScenarioValidation(t *testing.T) {
 	over.AddResponder(50, 3, 1) // capacity is 12
 	if _, err := over.Build(); err == nil {
 		t.Error("responder ID beyond capacity accepted")
+	}
+	// A NaN or negative range once silently switched RPM off.
+	for _, r := range []float64{math.NaN(), math.Inf(1), -75} {
+		sc := NewScenario(Config{MaxRange: r, NumShapes: 3})
+		sc.SetInitiator(1, 1)
+		sc.AddResponder(0, 3, 1)
+		if _, err := sc.Build(); err == nil {
+			t.Errorf("MaxRange %g accepted", r)
+		}
+	}
+	// A non-finite threshold factor reaches the detector and fails there.
+	nan := NewScenario(Config{Detector: DetectorOptions{ThresholdFactor: math.NaN()}})
+	nan.SetInitiator(1, 1)
+	nan.AddResponder(0, 3, 1)
+	if _, err := nan.Build(); !errors.Is(err, core.ErrNonFinite) {
+		t.Errorf("NaN threshold factor: err = %v, want core.ErrNonFinite", err)
 	}
 }
 
