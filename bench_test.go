@@ -8,6 +8,11 @@ package concurrentranging
 // full trial counts.
 
 import (
+	"fmt"
+	"math"
+	"math/cmplx"
+	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/channel"
@@ -260,6 +265,58 @@ func BenchmarkDetectorSearchAndSubtract(b *testing.B) {
 	}
 }
 
+// BenchmarkDetectBank108 times one Detect on the full 108-shape bank on
+// each search path, serially and with the template fan-out over
+// GOMAXPROCS goroutines (DetectorConfig.Workers). Every CIR holds three
+// overlapping responses of random shapes plus receiver noise, as in the
+// fullbank workload.
+func BenchmarkDetectBank108(b *testing.B) {
+	bank, err := pulse.DefaultBank(dw1000.SampleInterval, pulse.NumShapes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	noise := dw1000.DefaultNoiseRMS
+	r := rand.New(rand.NewPCG(108, 3))
+	cirs := make([][]complex128, 8)
+	for i := range cirs {
+		taps := make([]complex128, dw1000.CIRLength)
+		base := 80 + r.Float64()*800
+		for k := 0; k < 3; k++ {
+			amp := cmplx.Rect(noise*(30+r.Float64()*300), r.Float64()*2*math.Pi)
+			pos := base + (r.Float64()-0.5)*8
+			bank.Shape(r.IntN(bank.Len())).RenderInto(taps, amp, pos, dw1000.SampleInterval)
+		}
+		sigma := noise / math.Sqrt2
+		for j := range taps {
+			taps[j] += complex(r.NormFloat64()*sigma, r.NormFloat64()*sigma)
+		}
+		cirs[i] = taps
+	}
+	workers := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		workers = append(workers, p)
+	}
+	for _, path := range []struct {
+		name string
+		mode core.DetectorMode
+	}{{"spectral", core.ModeSpectral}, {"reference", core.ModeReference}} {
+		for _, w := range workers {
+			b.Run(fmt.Sprintf("%s/workers=%d", path.name, w), func(b *testing.B) {
+				det, err := core.NewDetector(bank, core.DetectorConfig{Mode: path.mode, Workers: w})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := det.Detect(cirs[i%len(cirs)], noise); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkMatchedFilterBank1016 times one 3-template matched filtering
 // of a 1016-tap CIR: one shared forward FFT of the signal plus a
 // precomputed template spectrum per filter, the shape Detect uses per
@@ -298,7 +355,7 @@ func BenchmarkUpsamplePlan4x(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dst := make([]complex128, plan.OutputLen())
+	dst := make([]complex128, len(taps)*4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		plan.Execute(dst, taps)

@@ -6,7 +6,7 @@ import (
 	"strconv"
 	"sync/atomic"
 
-	"github.com/uwb-sim/concurrent-ranging/internal/dsp"
+	"github.com/uwb-sim/concurrent-ranging/internal/dw1000"
 	"github.com/uwb-sim/concurrent-ranging/internal/obs"
 	"github.com/uwb-sim/concurrent-ranging/internal/obs/trace"
 	"github.com/uwb-sim/concurrent-ranging/internal/pulse"
@@ -49,16 +49,14 @@ type BatchResult struct {
 	Err       error
 }
 
-// batchShared is the per-CIR-length execution state a batch shares across
-// its workers: the banks holding every template's spectrum at that length.
-// Workers clone the banks (sharing the read-only plans and template
-// spectra, owning the mutable signal state), so the O(templates × FFT)
-// setup is paid once per length instead of once per worker.
+// batchShared is the per-CIR-length search bank a batch shares across its
+// workers. Each worker installs a clone (sharing the read-only plans and
+// template spectra, owning the mutable signal state), so the
+// O(templates × FFT) setup is paid once per length instead of once per
+// worker.
 type batchShared struct {
-	n     int
-	fbank *dsp.MatchedFilterBank
-	sbank *dsp.SpectralBank // nil unless the spectral path is active
-	err   error             // length rejected by the dsp layer (e.g. template longer than window)
+	bank searchBank
+	err  error // length rejected by the dsp layer (e.g. template longer than window)
 }
 
 // batchGroup is one same-length run of the current batch inside the order
@@ -72,7 +70,7 @@ type batchGroup struct {
 }
 
 // batchWorker is one worker's execution state: lazily built per-length
-// detectors (sharing each length's banks via Clone) and the response
+// detectors (each on a clone of its length's shared bank) and the response
 // arena its items' results point into.
 type batchWorker struct {
 	idx   int
@@ -93,7 +91,7 @@ type batchWorker struct {
 // A BatchDetector is not safe for concurrent use: one DetectBatch at a
 // time, from one goroutine (the call itself fans out internally).
 type BatchDetector struct {
-	proto   *Detector
+	proto   *Detector // configuration and templates only; never detects
 	workers []*batchWorker
 	done    chan struct{}
 	closed  bool
@@ -128,10 +126,11 @@ func NewBatchDetector(bank *pulse.Bank, cfg DetectorConfig, workers int) (*Batch
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	proto, err := NewDetector(bank, cfg)
+	proto, err := newDetector(bank, cfg)
 	if err != nil {
 		return nil, err
 	}
+	proto.cfg.Workers = 1 // worker detectors are copies of the prototype
 	b := &BatchDetector{
 		proto:    proto,
 		workers:  make([]*batchWorker, workers),
@@ -139,11 +138,11 @@ func NewBatchDetector(bank *pulse.Bank, cfg DetectorConfig, workers int) (*Batch
 		lenState: make(map[int]int),
 		lenGroup: make(map[int]int),
 	}
-	// NewDetector precomputed the dw1000 accumulator window's banks; seed
-	// the shared-state cache with them (the prototype never detects, so
-	// they stay pristine for cloning).
-	b.states = append(b.states, &batchShared{n: proto.cirLen, fbank: proto.fbank, sbank: proto.sbank})
-	b.lenState[proto.cirLen] = 0
+	// Build the DW1000 accumulator window's bank up front, as NewDetector
+	// does.
+	if s := b.states[b.stateFor(dw1000.CIRLength)]; s.err != nil {
+		return nil, s.err
+	}
 	for i := range b.workers {
 		b.workers[i] = &batchWorker{idx: i, start: make(chan struct{})}
 	}
@@ -157,9 +156,6 @@ func NewBatchDetector(bank *pulse.Bank, cfg DetectorConfig, workers int) (*Batch
 
 // Workers returns the resolved worker-pool size.
 func (b *BatchDetector) Workers() int { return len(b.workers) }
-
-// Config returns the effective per-item detector configuration.
-func (b *BatchDetector) Config() DetectorConfig { return b.proto.Config() }
 
 // SetRecorder attaches an instrumentation sink to the engine and every
 // worker detector; nil (the default) disables recording. Like
@@ -300,23 +296,9 @@ func (b *BatchDetector) stateFor(n int) int {
 	if si, ok := b.lenState[n]; ok {
 		return si
 	}
-	s := &batchShared{n: n}
-	sigLen := n * b.proto.cfg.Upsample
-	if fbank, err := dsp.NewMatchedFilterBank(b.proto.templates, sigLen); err != nil {
-		s.err = err
-	} else {
-		s.fbank = fbank
-		if b.proto.useSpectral() {
-			if sbank, err := dsp.NewSpectralBank(b.proto.templates, sigLen); err != nil {
-				s.err = err
-				s.fbank = nil
-			} else {
-				s.sbank = sbank
-			}
-		}
-	}
+	bank, err := b.proto.newSearchBank(n)
 	si := len(b.states)
-	b.states = append(b.states, s)
+	b.states = append(b.states, &batchShared{bank: bank, err: err})
 	b.lenState[n] = si
 	return si
 }
@@ -403,8 +385,9 @@ func (b *BatchDetector) itemDone() {
 }
 
 // workerDetector returns (lazily building) this worker's detector for the
-// given shared state, cloning the state's banks so plan setup and
-// template spectra stay shared while all mutable scratch is worker-owned.
+// given shared state: a copy of the prototype installed on a clone of the
+// state's bank, so plan setup and template spectra stay shared while all
+// mutable scratch is worker-owned.
 func (b *BatchDetector) workerDetector(w *batchWorker, si int) (*Detector, error) {
 	for len(w.dets) <= si {
 		w.dets = append(w.dets, nil)
@@ -412,8 +395,8 @@ func (b *BatchDetector) workerDetector(w *batchWorker, si int) (*Detector, error
 	if d := w.dets[si]; d != nil {
 		return d, nil
 	}
-	d, err := newSharedDetector(b.proto, b.states[si])
-	if err != nil {
+	d := *b.proto
+	if err := d.install(b.states[si].bank.clone()); err != nil {
 		return nil, err
 	}
 	if b.rec != nil {
@@ -422,45 +405,8 @@ func (b *BatchDetector) workerDetector(w *batchWorker, si int) (*Detector, error
 	if b.flight != nil {
 		d.SetFlightRecorder(b.flight)
 	}
-	w.dets[si] = d
-	return d, nil
-}
-
-// newSharedDetector builds a worker detector over the shared per-length
-// state: configuration, bank, and templates come from the prototype, the
-// dsp banks are clones sharing s's read-only plans and spectra, and every
-// mutable buffer is freshly owned. Workers is forced to 1 — the batch
-// engine's pool is the parallelism.
-func newSharedDetector(proto *Detector, s *batchShared) (*Detector, error) {
-	cfg := proto.cfg
-	cfg.Workers = 1
-	up, err := dsp.NewUpsamplePlan(s.n, cfg.Upsample)
-	if err != nil {
-		return nil, err
-	}
-	d := &Detector{
-		cfg:       cfg,
-		bank:      proto.bank,
-		ts:        proto.ts,
-		tsUp:      proto.tsUp,
-		templates: proto.templates,
-		centers:   proto.centers,
-		cirLen:    s.n,
-		upsample:  up,
-		fbank:     s.fbank.Clone(),
-		residual:  make([]complex128, s.n),
-		up:        make([]complex128, s.n*cfg.Upsample),
-		yCur:      make([]complex128, s.n*cfg.Upsample),
-	}
-	if s.sbank != nil {
-		d.sbank = s.sbank.Clone()
-	}
-	d.workers = make([]detectWorker, 1)
-	d.workers[0].fscratch = d.fbank.NewScratch()
-	if d.sbank != nil {
-		d.workers[0].sscratch = d.sbank.NewScratch()
-	}
-	return d, nil
+	w.dets[si] = &d
+	return &d, nil
 }
 
 // beginBatchSpan opens the batch's root span on the flight recorder, or

@@ -127,6 +127,54 @@ func TestDetectBatchMatchesDetectAtAnyWorkerCount(t *testing.T) {
 	}
 }
 
+// TestDetectorsHoldOneBank: every detector holds only the bank its search
+// path reads, batch worker detectors included, and the batch engine's
+// prototype holds no search state at all.
+func TestDetectorsHoldOneBank(t *testing.T) {
+	bank := newTestBank(t, 8)
+	inputs := batchStreamInputs(t, bank, dw1000.CIRLength, 4, 1e-4)
+	for _, tc := range []struct {
+		name     string
+		cfg      DetectorConfig
+		spectral bool
+	}{
+		{"auto", DetectorConfig{}, true},
+		{"spectral", DetectorConfig{Mode: ModeSpectral}, true},
+		{"reference", DetectorConfig{Mode: ModeReference}, false},
+		{"grid", DetectorConfig{DisableRefinement: true}, false},
+	} {
+		check := func(label string, d *Detector) {
+			t.Helper()
+			if (d.sbank != nil) != tc.spectral || (d.fbank != nil) == tc.spectral {
+				t.Errorf("%s %s: holds MatchedFilterBank %v, SpectralBank %v; want only the spectral bank: %v",
+					tc.name, label, d.fbank != nil, d.sbank != nil, tc.spectral)
+			}
+		}
+		det, err := NewDetector(bank, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("detector", det)
+		eng, err := NewBatchDetector(bank, tc.cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := eng.proto; p.fbank != nil || p.sbank != nil || p.upsample != nil || p.up != nil || p.workers != nil {
+			t.Errorf("%s: the batch prototype holds search state", tc.name)
+		}
+		eng.DetectBatch(inputs)
+		workers := 0
+		eng.eachWorkerDetector(func(d *Detector) {
+			workers++
+			check("batch worker", d)
+		})
+		if workers != 2 {
+			t.Errorf("%s: %d batch worker detectors, want 2", tc.name, workers)
+		}
+		eng.Close()
+	}
+}
+
 func TestDetectBatchDegenerateInputs(t *testing.T) {
 	const noise = 1e-4
 	bank := newTestBank(t, 8)

@@ -176,13 +176,10 @@ type Detector struct {
 	// Cached frequency-domain execution state for one CIR length
 	// (precomputed for dw1000.CIRLength, rebuilt if a caller detects on a
 	// different window) plus scratch reused across iterations.
-	cirLen    int
+	searchBank
 	upsample  *dsp.UpsamplePlan
-	fbank     *dsp.MatchedFilterBank
-	sbank     *dsp.SpectralBank // nil unless the spectral path is active
 	residual  []complex128
 	up        []complex128
-	yCur      []complex128
 	skipQ     []dsp.SkipInterval // per-round suppressed intervals, q-space
 	extracted []float64          // per-call already-subtracted peak positions, T_s samples
 	workers   []detectWorker     // per-worker scratch for the template fan-out
@@ -191,8 +188,8 @@ type Detector struct {
 	// default). bankCalls is the pre-resolved per-bank-size labeled
 	// counter child (nil unless rec supports labeled series): the hot
 	// path touches only the resolved handle, never a vec lookup. The
-	// last* fields remember the dsp plan counters at the end of the
-	// previous recorded call so each Detect reports deltas.
+	// last* fields remember the upsample and search-bank counters at the
+	// end of the previous recorded call so each Detect reports deltas.
 	rec       obs.Recorder
 	bankCalls *obs.Counter
 	// flight and traceParent feed the decision-level flight recorder:
@@ -207,20 +204,46 @@ type Detector struct {
 	scoreStorage []float64
 
 	lastUpsampleExecs int64
-	lastBankXforms    int64
-	lastBankFilters   int64
-	lastIngests       int64
-	lastScans         int64
+	lastTransforms    int64
+	lastFilters       int64
 	lastShifts        int64
 }
 
-// detectWorker is one goroutine's worth of search scratch: matched-filter
-// output buffers (reference and spectral) plus the per-template skip
-// intervals shifted into output-index space.
+// searchBank is the template bank the search reads for CIRs of cirLen
+// taps: the MatchedFilterBank on the reference path or the SpectralBank on
+// the spectral path, never both.
+type searchBank struct {
+	cirLen int
+	fbank  *dsp.MatchedFilterBank // reference path only
+	sbank  *dsp.SpectralBank      // spectral path only
+}
+
+// clone returns a bank sharing s's read-only plans and template spectra
+// while owning fresh signal state (see the dsp banks' Clone).
+func (s searchBank) clone() searchBank {
+	if s.sbank != nil {
+		return searchBank{cirLen: s.cirLen, sbank: s.sbank.Clone()}
+	}
+	return searchBank{cirLen: s.cirLen, fbank: s.fbank.Clone()}
+}
+
+// counters returns the bank's execution counters in the dsp.bank_*
+// metrics' terms. A spectral Ingest is the one transform a Detect pays
+// and a ScanBest is one template filter; only the spectral path
+// shift-subtracts.
+func (s searchBank) counters() (transforms, filters, shifts int64) {
+	if s.sbank != nil {
+		return s.sbank.Ingests(), s.sbank.Scans(), s.sbank.ShiftSubtracts()
+	}
+	return s.fbank.Transforms(), s.fbank.Filters(), 0
+}
+
+// detectWorker is one goroutine's worth of search scratch: the search
+// bank's output buffer plus the per-template skip intervals shifted into
+// output-index space.
 type detectWorker struct {
-	fscratch []complex128
-	sscratch []complex128
-	skip     []dsp.SkipInterval
+	scratch []complex128
+	skip    []dsp.SkipInterval
 }
 
 // candidate is one template's best peak, merged deterministically across
@@ -273,6 +296,24 @@ func (d *Detector) SetTraceParent(sp *trace.Span) { d.traceParent = sp }
 
 // NewDetector builds a detector for CIRs sampled at the bank's interval.
 func NewDetector(bank *pulse.Bank, cfg DetectorConfig) (*Detector, error) {
+	d, err := newDetector(bank, cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Precompute the plans and template spectra for the DW1000 accumulator
+	// window, the CIR length every simulated reception produces. Detecting
+	// on a different window transparently rebuilds this state (ensureState),
+	// so NewDetector stays cheap to call in tests with short CIRs while the
+	// campaign hot path never plans twice.
+	if err := d.ensureState(dw1000.CIRLength); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// newDetector validates the configuration and renders the templates; the
+// detector holds no search state until ensureState or install.
+func newDetector(bank *pulse.Bank, cfg DetectorConfig) (*Detector, error) {
 	if bank == nil {
 		return nil, fmt.Errorf("core: nil template bank")
 	}
@@ -322,55 +363,56 @@ func NewDetector(bank *pulse.Bank, cfg DetectorConfig) (*Detector, error) {
 		d.templates[i] = tmpl
 		d.centers[i] = (len(tmpl) - 1) / 2
 	}
-	// Precompute the plans and template spectra for the DW1000 accumulator
-	// window, the CIR length every simulated reception produces. Detecting
-	// on a different window transparently rebuilds this state (ensureState),
-	// so NewDetector stays cheap to call in tests with short CIRs while the
-	// campaign hot path never plans twice.
-	if err := d.ensureState(dw1000.CIRLength); err != nil {
-		return nil, err
-	}
 	return d, nil
 }
 
 // ensureState (re)builds the cached frequency-domain execution state for
-// CIRs of n taps: the upsampling plan, the matched-filter bank holding
-// each template's spectrum at the convolution length implied by the
-// window, the spectral search state when the fast path is active, and the
-// per-worker scratch Detect reuses across iterations.
+// CIRs of n taps.
 func (d *Detector) ensureState(n int) error {
 	if n == d.cirLen {
 		return nil
 	}
-	up, err := dsp.NewUpsamplePlan(n, d.cfg.Upsample)
+	s, err := d.newSearchBank(n)
 	if err != nil {
 		return err
 	}
-	fbank, err := dsp.NewMatchedFilterBank(d.templates, n*d.cfg.Upsample)
-	if err != nil {
-		return err
-	}
-	var sbank *dsp.SpectralBank
+	return d.install(s)
+}
+
+// newSearchBank builds the bank the detector's search path reads for CIRs
+// of n taps, holding each template's spectrum at the up-sampled window.
+// ensureState and the batch engine's stateFor both build through it.
+func (d *Detector) newSearchBank(n int) (searchBank, error) {
+	s := searchBank{cirLen: n}
+	var err error
 	if d.useSpectral() {
-		if sbank, err = dsp.NewSpectralBank(d.templates, n*d.cfg.Upsample); err != nil {
-			return err
-		}
+		s.sbank, err = dsp.NewSpectralBank(d.templates, n*d.cfg.Upsample)
+	} else {
+		s.fbank, err = dsp.NewMatchedFilterBank(d.templates, n*d.cfg.Upsample)
 	}
-	d.cirLen = n
+	return s, err
+}
+
+// install makes s the detector's search bank and builds what Detect needs
+// around it: the upsampling plan for s.cirLen, the residual and up-sampled
+// buffers, and the per-worker scratch. The counter baselines restart with
+// the new bank.
+func (d *Detector) install(s searchBank) error {
+	up, err := dsp.NewUpsamplePlan(s.cirLen, d.cfg.Upsample)
+	if err != nil {
+		return err
+	}
+	d.searchBank = s
 	d.upsample = up
-	d.fbank = fbank
-	d.sbank = sbank
-	d.lastUpsampleExecs, d.lastBankXforms, d.lastBankFilters = 0, 0, 0
-	d.lastIngests, d.lastScans, d.lastShifts = 0, 0, 0
-	d.residual = make([]complex128, n)
-	d.up = make([]complex128, n*d.cfg.Upsample)
-	d.yCur = make([]complex128, n*d.cfg.Upsample)
+	d.lastUpsampleExecs, d.lastTransforms, d.lastFilters, d.lastShifts = 0, 0, 0, 0
+	d.residual = make([]complex128, s.cirLen)
+	d.up = make([]complex128, s.cirLen*d.cfg.Upsample)
 	d.workers = make([]detectWorker, d.workerCount())
 	for i := range d.workers {
-		w := &d.workers[i]
-		w.fscratch = fbank.NewScratch()
-		if sbank != nil {
-			w.sscratch = sbank.NewScratch()
+		if s.sbank != nil {
+			d.workers[i].scratch = s.sbank.NewScratch()
+		} else {
+			d.workers[i].scratch = s.fbank.NewScratch()
 		}
 	}
 	return nil
@@ -406,12 +448,6 @@ func (d *Detector) workerCount() int {
 	}
 	return max(1, min(w, len(d.templates)))
 }
-
-// Bank returns the detector's template bank.
-func (d *Detector) Bank() *pulse.Bank { return d.bank }
-
-// Config returns the effective detector configuration.
-func (d *Detector) Config() DetectorConfig { return d.cfg }
 
 // Detect runs search and subtract on the CIR taps (sampled at the bank's
 // interval) and returns the detected responses sorted by ascending delay
@@ -701,36 +737,23 @@ func (d *Detector) recordDetect(responses []Response, rounds, refineSteps int,
 		rec.Observe(MetricDetectResidualFrac, dsp.Energy(d.residual)/inputEnergy)
 	}
 	// Surface the dsp plan execution counters as deltas since the last
-	// recorded call (ensureState resets the baselines when it rebuilds
-	// the plans).
+	// recorded call (install resets the baselines with a new bank).
 	if e := d.upsample.Execs(); e != d.lastUpsampleExecs {
 		rec.Count(MetricUpsampleExecs, e-d.lastUpsampleExecs)
 		d.lastUpsampleExecs = e
 	}
-	if x := d.fbank.Transforms(); x != d.lastBankXforms {
-		rec.Count(MetricBankTransforms, x-d.lastBankXforms)
-		d.lastBankXforms = x
+	transforms, filters, shifts := d.counters()
+	if transforms != d.lastTransforms {
+		rec.Count(MetricBankTransforms, transforms-d.lastTransforms)
+		d.lastTransforms = transforms
 	}
-	if f := d.fbank.Filters(); f != d.lastBankFilters {
-		rec.Count(MetricBankFilters, f-d.lastBankFilters)
-		d.lastBankFilters = f
+	if filters != d.lastFilters {
+		rec.Count(MetricBankFilters, filters-d.lastFilters)
+		d.lastFilters = filters
 	}
-	if d.sbank == nil {
-		return
-	}
-	// Spectral-path counters map onto the same bank metrics: an Ingest is
-	// the one transform a Detect pays, a ScanBest is one template filter.
-	if x := d.sbank.Ingests(); x != d.lastIngests {
-		rec.Count(MetricBankTransforms, x-d.lastIngests)
-		d.lastIngests = x
-	}
-	if f := d.sbank.Scans(); f != d.lastScans {
-		rec.Count(MetricBankFilters, f-d.lastScans)
-		d.lastScans = f
-	}
-	if s := d.sbank.ShiftSubtracts(); s != d.lastShifts {
-		rec.Count(MetricBankShiftSubtracts, s-d.lastShifts)
-		d.lastShifts = s
+	if shifts != d.lastShifts {
+		rec.Count(MetricBankShiftSubtracts, shifts-d.lastShifts)
+		d.lastShifts = shifts
 	}
 }
 
@@ -794,9 +817,9 @@ func (d *Detector) scanRange(w *detectWorker, lo, hi int, spectral bool) (candid
 			err error
 		)
 		if spectral {
-			idx, sq, y3, err = d.sbank.ScanBest(w.sscratch, t, w.skip)
+			idx, sq, y3, err = d.sbank.ScanBest(w.scratch, t, w.skip)
 		} else {
-			idx, sq, y3, err = d.fbank.FilterPeak(w.fscratch, t, w.skip)
+			idx, sq, y3, err = d.fbank.FilterPeak(w.scratch, t, w.skip)
 		}
 		if err != nil {
 			return best, err
@@ -1029,7 +1052,8 @@ func (d *Detector) refinePeak(residual []complex128, tmplIdx int, coarse float64
 // CIR taps, in the up-sampled domain — the curves of the paper's Fig. 4b
 // and Fig. 6b. The second return value is the up-sampled tap spacing.
 // Like Detect it uses (and may rebuild) the cached plans, so it is not
-// safe to call concurrently with other methods.
+// safe to call concurrently with other methods. A spectral-path detector
+// holds no MatchedFilterBank, so it builds one for the call.
 func (d *Detector) MatchedFilterOutputs(taps []complex128) ([][]float64, float64, error) {
 	if len(taps) == 0 {
 		return nil, 0, fmt.Errorf("core: empty CIR")
@@ -1037,14 +1061,21 @@ func (d *Detector) MatchedFilterOutputs(taps []complex128) ([][]float64, float64
 	if err := d.ensureState(len(taps)); err != nil {
 		return nil, 0, err
 	}
+	fbank := d.fbank
+	if fbank == nil {
+		var err error
+		if fbank, err = dsp.NewMatchedFilterBank(d.templates, len(d.up)); err != nil {
+			return nil, 0, err
+		}
+	}
 	up := d.upsample.Execute(d.up, taps)
-	if err := d.fbank.Transform(up); err != nil {
+	if err := fbank.Transform(up); err != nil {
 		return nil, 0, err
 	}
 	out := make([][]float64, len(d.templates))
+	y := make([]complex128, len(up))
 	for t := range d.templates {
-		y, err := d.fbank.FilterInto(d.yCur, t)
-		if err != nil {
+		if _, err := fbank.FilterInto(y, t); err != nil {
 			return nil, 0, err
 		}
 		out[t] = dsp.Abs(y)

@@ -88,7 +88,7 @@ func TestNewDetectorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := d.Config()
+	cfg := d.cfg
 	if cfg.Upsample != DefaultUpsample || cfg.ThresholdFactor != DefaultThresholdFactor ||
 		cfg.MaxIterations != DefaultMaxIterations {
 		t.Fatalf("defaults not applied: %+v", cfg)

@@ -255,8 +255,9 @@ func TestFilterPeakMatchesScan(t *testing.T) {
 	skipQ := appendSuppressedIntervals(nil, extracted, det.cfg.Upsample)
 	n := len(up)
 	scratch := det.fbank.NewScratch()
+	out := make([]complex128, n)
 	for tmpl := range det.templates {
-		y, err := det.fbank.FilterInto(det.yCur, tmpl)
+		y, err := det.fbank.FilterInto(out, tmpl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,6 +281,47 @@ func TestFilterPeakMatchesScan(t *testing.T) {
 		}
 		if gotIdx < n-1 && y3[2] != y[gotIdx+1] {
 			t.Errorf("template %d: y3 right %v != output %v", tmpl, y3[2], y[gotIdx+1])
+		}
+	}
+}
+
+// TestMatchedFilterOutputsSpectralMatchesReference: a spectral-path
+// detector holds no MatchedFilterBank, so MatchedFilterOutputs builds one
+// for the call; its curves must be bit-identical to a reference-path
+// detector's on the same bank and CIR.
+func TestMatchedFilterOutputsSpectralMatchesReference(t *testing.T) {
+	bank := newTestBank(t, 12)
+	taps := equivTrain(bank, 3, 3, 1.4e-5)
+	spectral, err := NewDetector(bank, DetectorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spectral.sbank == nil {
+		t.Fatal("a 12-template bank should select the spectral path")
+	}
+	reference, err := NewDetector(bank, DetectorConfig{Mode: ModeReference})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotTs, err := spectral.MatchedFilterOutputs(taps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantTs, err := reference.MatchedFilterOutputs(taps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotTs != wantTs || len(got) != len(want) {
+		t.Fatalf("spectral: %d curves at %g s, reference: %d at %g s", len(got), gotTs, len(want), wantTs)
+	}
+	for tmpl := range want {
+		if len(got[tmpl]) != len(want[tmpl]) {
+			t.Fatalf("template %d: %d samples, want %d", tmpl, len(got[tmpl]), len(want[tmpl]))
+		}
+		for i := range want[tmpl] {
+			if got[tmpl][i] != want[tmpl][i] {
+				t.Fatalf("template %d sample %d: spectral %v != reference %v", tmpl, i, got[tmpl][i], want[tmpl][i])
+			}
 		}
 	}
 }

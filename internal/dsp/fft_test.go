@@ -46,7 +46,7 @@ func planUpsample(tb testing.TB, v []complex128, factor int) []complex128 {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return p.Execute(make([]complex128, p.OutputLen()), v)
+	return p.Execute(make([]complex128, len(v)*factor), v)
 }
 
 // dftNaive is the O(n^2) oracle the transforms are tested against.

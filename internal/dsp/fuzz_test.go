@@ -77,7 +77,7 @@ func FuzzUpsamplePlan(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		up := p.Execute(make([]complex128, p.OutputLen()), v)
+		up := p.Execute(make([]complex128, len(v)*factor), v)
 		if len(up) != len(v)*factor {
 			t.Fatalf("length %d, want %d", len(up), len(v)*factor)
 		}

@@ -451,10 +451,6 @@ func NewUpsamplePlan(n, factor int) (*UpsamplePlan, error) {
 	return p, nil
 }
 
-// InputLen and OutputLen return the planned signal lengths.
-func (p *UpsamplePlan) InputLen() int  { return p.n }
-func (p *UpsamplePlan) OutputLen() int { return p.n * p.factor }
-
 // Execs returns the number of Execute calls since the plan was built —
 // plan-level observability for the instrumentation layer. Like the plan
 // itself the counter is single-goroutine.

@@ -141,9 +141,6 @@ func TestUpsamplePlanMatchesUpsampleFFT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.InputLen() != c.n || p.OutputLen() != c.n*c.factor {
-			t.Fatalf("plan lengths %d → %d", p.InputLen(), p.OutputLen())
-		}
 		v := randComplex(c.n, uint64(c.n*c.factor))
 		want := refUpsample(v, c.factor)
 		dst := make([]complex128, c.n*c.factor)

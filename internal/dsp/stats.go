@@ -69,9 +69,6 @@ func (c *Counter) Record(success bool) {
 // Trials returns the number of recorded trials.
 func (c *Counter) Trials() int { return c.trials }
 
-// Successes returns the number of successful trials.
-func (c *Counter) Successes() int { return c.successes }
-
 // Rate returns the success fraction in [0,1] (0 with no trials).
 func (c *Counter) Rate() float64 {
 	if c.trials == 0 {

@@ -103,8 +103,8 @@ func TestCounter(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.Record(i%4 != 0) // 75% success
 	}
-	if c.Trials() != 1000 || c.Successes() != 750 {
-		t.Fatalf("trials=%d successes=%d", c.Trials(), c.Successes())
+	if c.Trials() != 1000 || !closeTo(c.Rate(), 0.75, 1e-12) {
+		t.Fatalf("trials=%d rate=%g", c.Trials(), c.Rate())
 	}
 	if !closeTo(c.Percent(), 75, 1e-12) {
 		t.Fatalf("Percent = %g, want 75", c.Percent())

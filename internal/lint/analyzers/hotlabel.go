@@ -9,7 +9,7 @@ import (
 
 // Hotlabel enforces the VecSource pre-resolution idiom (DESIGN.md §17).
 // Labeled-metric lookups — (*obs.CounterVec).With and friends, and the
-// VecSource/Registry family getters CounterVec/GaugeVec/HistogramVec —
+// VecSource/Registry family getters CounterVec/GaugeVec —
 // take a map lookup under a lock; per-event code paths run millions of
 // times per run and must record through plain *Counter/*Gauge handles
 // resolved once at wiring time instead. The analyzer flags any such
@@ -35,7 +35,7 @@ func hotlabelSetupFunc(name string) bool {
 
 // hotlabelLookups are the obs methods that resolve a labeled child.
 var hotlabelLookups = map[string]bool{
-	"With": true, "CounterVec": true, "GaugeVec": true, "HistogramVec": true,
+	"With": true, "CounterVec": true, "GaugeVec": true,
 }
 
 func runHotlabel(p *lint.Pass) []lint.Diagnostic {

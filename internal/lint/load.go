@@ -57,12 +57,6 @@ func NewLoader(moduleDir string) (*Loader, error) {
 	}, nil
 }
 
-// ModulePath returns the module's import path.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
-// ModuleDir returns the module's root directory.
-func (l *Loader) ModuleDir() string { return l.moduleDir }
-
 // dirFor maps an import path to the directory holding its sources.
 func (l *Loader) dirFor(path string) (string, error) {
 	if path == l.modulePath {

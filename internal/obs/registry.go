@@ -29,28 +29,26 @@ type Recorder interface {
 // Registry names and owns a set of metrics. The zero value is not usable;
 // call NewRegistry. All methods are safe for concurrent use.
 type Registry struct {
-	mu            sync.RWMutex
-	counters      map[string]*Counter
-	gauges        map[string]*Gauge
-	histograms    map[string]*Histogram
-	buckets       map[string][]float64 // declared layouts for lazily created histograms
-	counterVecs   map[string]*CounterVec
-	gaugeVecs     map[string]*GaugeVec
-	histogramVecs map[string]*HistogramVec
-	windows       map[string]*Window // per-name time-series rings (Watch)
+	mu          sync.RWMutex
+	counters    map[string]*Counter
+	gauges      map[string]*Gauge
+	histograms  map[string]*Histogram
+	buckets     map[string][]float64 // declared layouts for lazily created histograms
+	counterVecs map[string]*CounterVec
+	gaugeVecs   map[string]*GaugeVec
+	windows     map[string]*Window // per-name time-series rings (Watch)
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:      make(map[string]*Counter),
-		gauges:        make(map[string]*Gauge),
-		histograms:    make(map[string]*Histogram),
-		buckets:       make(map[string][]float64),
-		counterVecs:   make(map[string]*CounterVec),
-		gaugeVecs:     make(map[string]*GaugeVec),
-		histogramVecs: make(map[string]*HistogramVec),
-		windows:       make(map[string]*Window),
+		counters:    make(map[string]*Counter),
+		gauges:      make(map[string]*Gauge),
+		histograms:  make(map[string]*Histogram),
+		buckets:     make(map[string][]float64),
+		counterVecs: make(map[string]*CounterVec),
+		gaugeVecs:   make(map[string]*GaugeVec),
+		windows:     make(map[string]*Window),
 	}
 }
 
@@ -176,15 +174,6 @@ func (r *Registry) Snapshot() Snapshot {
 			snap.Gauges = append(snap.Gauges, GaugeSnapshot{
 				Name: name, Labels: v.labels[key], Value: g.Value(),
 			})
-		}
-		v.mu.RUnlock()
-	}
-	for name, v := range r.histogramVecs {
-		v.mu.RLock()
-		for key, h := range v.children {
-			hs := h.snapshot(name)
-			hs.Labels = v.labels[key]
-			snap.Histograms = append(snap.Histograms, hs)
 		}
 		v.mu.RUnlock()
 	}

@@ -180,45 +180,6 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return g
 }
 
-// HistogramVec is a family of histograms sharing one metric name and one
-// bucket layout; see CounterVec.
-type HistogramVec struct {
-	keys   vecKeys
-	bounds []float64
-
-	mu       sync.RWMutex
-	children map[string]*Histogram
-	labels   map[string][]Label
-}
-
-// With returns the histogram for the given label values, creating it on
-// first use with the vec's bucket layout (overflow semantics as
-// CounterVec.With).
-func (v *HistogramVec) With(values ...string) *Histogram {
-	key, labels := v.keys.seriesKey(values)
-	v.mu.RLock()
-	h := v.children[key]
-	v.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h = v.children[key]; h != nil {
-		return h
-	}
-	if len(v.children) >= MaxSeriesPerVec {
-		key, labels = v.keys.overflowSeries()
-		if h = v.children[key]; h != nil {
-			return h
-		}
-	}
-	h = NewHistogram(v.bounds)
-	v.children[key] = h
-	v.labels[key] = labels
-	return h
-}
-
 // VecSource is the optional labeled-metrics extension of a Recorder sink.
 // *Registry implements it; instrumented components that want labeled
 // series type-assert their Recorder once at setup time, resolve the
@@ -231,10 +192,6 @@ type VecSource interface {
 	CounterVec(name string, keys ...string) *CounterVec
 	// GaugeVec returns the named gauge family over the given label keys.
 	GaugeVec(name string, keys ...string) *GaugeVec
-	// HistogramVec returns the named histogram family over the given
-	// label keys, using the bucket layout declared for name (or
-	// DefaultBuckets).
-	HistogramVec(name string, keys ...string) *HistogramVec
 }
 
 // CounterVec returns the named counter family, creating it on first use.
@@ -280,36 +237,6 @@ func (r *Registry) GaugeVec(name string, keys ...string) *GaugeVec {
 			labels:   make(map[string][]Label),
 		}
 		r.gaugeVecs[name] = v
-	}
-	checkVecKeys(v.keys, keys)
-	return v
-}
-
-// HistogramVec returns the named histogram family, creating it on first
-// use with the bucket layout declared for name (DeclareHistogram), or
-// DefaultBuckets.
-func (r *Registry) HistogramVec(name string, keys ...string) *HistogramVec {
-	r.mu.RLock()
-	v := r.histogramVecs[name]
-	r.mu.RUnlock()
-	if v != nil {
-		checkVecKeys(v.keys, keys)
-		return v
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v = r.histogramVecs[name]; v == nil {
-		bounds := r.buckets[name]
-		if len(bounds) == 0 {
-			bounds = DefaultBuckets()
-		}
-		v = &HistogramVec{
-			keys:     newVecKeys(name, keys),
-			bounds:   bounds,
-			children: make(map[string]*Histogram),
-			labels:   make(map[string][]Label),
-		}
-		r.histogramVecs[name] = v
 	}
 	checkVecKeys(v.keys, keys)
 	return v

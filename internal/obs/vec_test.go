@@ -90,13 +90,9 @@ func TestVecOverflowCollapses(t *testing.T) {
 	}
 }
 
-func TestGaugeAndHistogramVecs(t *testing.T) {
+func TestGaugeVec(t *testing.T) {
 	reg := NewRegistry()
-	reg.DeclareHistogram("latency", []float64{1, 10})
 	reg.GaugeVec("depth", "queue").With("q1").Set(7)
-	hv := reg.HistogramVec("latency", "op")
-	hv.With("read").Observe(5)
-	hv.With("read").Observe(100)
 
 	snap := reg.Snapshot()
 	var gauge *GaugeSnapshot
@@ -107,19 +103,6 @@ func TestGaugeAndHistogramVecs(t *testing.T) {
 	}
 	if gauge == nil || gauge.Value != 7 || len(gauge.Labels) != 1 {
 		t.Fatalf("labeled gauge = %+v", gauge)
-	}
-	var hist *HistogramSnapshot
-	for i := range snap.Histograms {
-		if snap.Histograms[i].Name == "latency" {
-			hist = &snap.Histograms[i]
-		}
-	}
-	if hist == nil || hist.Count != 2 || hist.Sum != 105 {
-		t.Fatalf("labeled histogram = %+v", hist)
-	}
-	// The declared two-bound layout applies: one in (1,10], one overflow.
-	if len(hist.Buckets) != 2 || !hist.Buckets[1].Overflow {
-		t.Fatalf("declared buckets not applied: %+v", hist.Buckets)
 	}
 }
 

@@ -11,7 +11,6 @@ type Bank struct {
 	ts        float64
 	shapes    []Shape
 	templates [][]complex128
-	center    int
 }
 
 // NewBank builds a template bank at sampling interval ts for the given
@@ -45,7 +44,7 @@ func NewBank(ts float64, regs ...byte) (*Bank, error) {
 		copy(padded[offset:], raw)
 		templates[i] = padded
 	}
-	return &Bank{ts: ts, shapes: shapes, templates: templates, center: center}, nil
+	return &Bank{ts: ts, shapes: shapes, templates: templates}, nil
 }
 
 // DefaultRegisters returns n well-separated TC_PGDELAY values. For n ≤ 4 it
@@ -83,23 +82,9 @@ func (b *Bank) Len() int { return len(b.shapes) }
 // SampleInterval returns the sampling interval the templates use.
 func (b *Bank) SampleInterval() float64 { return b.ts }
 
-// Center returns the common center (peak) index of every template.
-func (b *Bank) Center() int { return b.center }
-
 // Shape returns the i-th shape.
 func (b *Bank) Shape(i int) Shape { return b.shapes[i] }
 
 // Template returns the i-th unit-energy template. The caller must not
 // modify the returned slice.
 func (b *Bank) Template(i int) []complex128 { return b.templates[i] }
-
-// IndexOfRegister returns the bank index using the given register value, or
-// -1 when the register is not in the bank.
-func (b *Bank) IndexOfRegister(reg byte) int {
-	for i, s := range b.shapes {
-		if s.Register == reg {
-			return i
-		}
-	}
-	return -1
-}

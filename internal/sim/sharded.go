@@ -387,8 +387,8 @@ func (s shardScheduler) Fail(err error) { s.sh.eng.fail(err) }
 
 // SequentialRunner runs a sharded Handler workload on the single-goroutine
 // Engine: one global (time, seq) heap, shards existing only as labels on
-// the Scheduler contexts. It is the reference the ShardedEngine must match
-// bit for bit, and the engine used when parallelism is not wanted.
+// the Scheduler contexts. It is the test reference the ShardedEngine is
+// checked against bit for bit; no production code runs it.
 type SequentialRunner struct {
 	eng    Engine
 	ctx    []seqScheduler
@@ -404,7 +404,7 @@ type seqScheduler struct {
 }
 
 // NewSequentialRunner builds a sequential runner with the given number of
-// shard labels.
+// shard labels, the reference the sharded engine's tests compare against.
 func NewSequentialRunner(shards int) (*SequentialRunner, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("sim: sequential runner needs at least 1 shard, got %d", shards)

@@ -199,6 +199,10 @@ func (s *Scenario) Build() (*Session, error) {
 			env.Plan = &geom.FloorPlan{}
 		}
 		for i, o := range s.cfg.Obstacles {
+			if !finite(o.X1, o.Y1, o.X2, o.Y2, o.LossDB) {
+				return nil, fmt.Errorf("%w: obstacle %d from (%g, %g) to (%g, %g) with loss %g dB",
+					ErrNonFinitePosition, i, o.X1, o.Y1, o.X2, o.Y2, o.LossDB)
+			}
 			if o.LossDB < 0 {
 				return nil, fmt.Errorf("ranging: obstacle %d has negative loss %g dB", i, o.LossDB)
 			}
@@ -277,7 +281,7 @@ func (s *Scenario) Build() (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{
+	sess := &Session{
 		net:       net,
 		initiator: initNode,
 		resps:     resps,
@@ -294,7 +298,11 @@ func (s *Scenario) Build() (*Session, error) {
 			DriftCompensation:     s.cfg.DriftCompensation,
 			Capture:               captureModel(s.cfg.ModelDecodeFailures),
 		},
-	}, nil
+	}
+	if err := sess.checkPositions(); err != nil {
+		return nil, err
+	}
+	return sess, nil
 }
 
 func captureModel(enabled bool) *sim.CaptureModel {

@@ -52,6 +52,53 @@ func TestScenarioValidation(t *testing.T) {
 	if _, err := nan.Build(); !errors.Is(err, core.ErrNonFinite) {
 		t.Errorf("NaN threshold factor: err = %v, want core.ErrNonFinite", err)
 	}
+	// A non-finite coordinate once gave a NaN true distance, silently
+	// dropped the responder, or failed with "no responses detected".
+	place := func(cfg Config, initX, respX float64) *Scenario {
+		sc := NewScenario(cfg)
+		sc.SetInitiator(initX, 1)
+		sc.AddResponder(0, respX, 1)
+		return sc
+	}
+	obstacle := func(o Obstacle) *Scenario {
+		return place(Config{Obstacles: []Obstacle{o}}, 1, 3)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		second := place(Config{}, 1, 3)
+		second.AddResponder(1, 6, v)
+		for _, c := range []struct {
+			name string
+			sc   *Scenario
+		}{
+			{"initiator x", place(Config{}, v, 3)},
+			{"responder x", place(Config{}, 1, v)},
+			{"second responder y", second},
+			{"obstacle endpoint", obstacle(Obstacle{X1: 2, Y1: 0, X2: 2, Y2: v, LossDB: 3})},
+			{"obstacle loss", obstacle(Obstacle{X1: 2, Y1: 0, X2: 2, Y2: 2, LossDB: v})},
+		} {
+			if _, err := c.sc.Build(); !errors.Is(err, ErrNonFinitePosition) {
+				t.Errorf("%s %g: err = %v, want ErrNonFinitePosition", c.name, v, err)
+			}
+		}
+	}
+	// Run checks again: a move after Build can set a bad position.
+	sess, err := place(Config{}, 1, 3).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.MoveResponder(0, math.NaN(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(); !errors.Is(err, ErrNonFinitePosition) {
+		t.Errorf("Run after a NaN responder move: err = %v, want ErrNonFinitePosition", err)
+	}
+	if err := sess.MoveResponder(0, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	sess.MoveInitiator(math.Inf(-1), 1)
+	if _, err := sess.Run(); !errors.Is(err, ErrNonFinitePosition) {
+		t.Errorf("Run after a -Inf initiator move: err = %v, want ErrNonFinitePosition", err)
+	}
 }
 
 func TestQuickstartHallwayRound(t *testing.T) {

@@ -3,6 +3,7 @@ package ranging
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/cmplx"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/core"
@@ -92,6 +93,11 @@ type Result struct {
 // timestamps there is no d_TWR anchor and the round yields no distances.
 var ErrDecodeFailed = errors.New("ranging: concurrent payload decode failed")
 
+// ErrNonFinitePosition reports a NaN or infinite coordinate of the
+// initiator, a responder or an obstacle endpoint, or a non-finite obstacle
+// loss. Scenario.Build and Session.Run wrap it; match it with errors.Is.
+var ErrNonFinitePosition = errors.New("ranging: non-finite position")
+
 // Run executes one concurrent-ranging round: the initiator broadcasts
 // INIT, all responders answer simultaneously after Δ_RESP (+ their RPM
 // slot offsets), and the initiator extracts every responder's distance
@@ -100,6 +106,9 @@ func (s *Session) Run() (result *Result, err error) {
 	seq := s.rounds
 	s.rounds++
 	defer func() { s.recordRun(result, err) }()
+	if err := s.checkPositions(); err != nil {
+		return nil, err
+	}
 	if s.flight != nil {
 		sp := s.flight.Begin(trace.SpanSessionRound, s.runBeginAttrs(seq))
 		s.net.SetTraceParent(sp)
@@ -266,6 +275,31 @@ func (s *Session) responderNode(id int) (*sim.Node, error) {
 		}
 	}
 	return nil, fmt.Errorf("ranging: unknown responder ID %d", id)
+}
+
+// checkPositions rejects a non-finite initiator or responder coordinate.
+// Build checks the scenario's placement; Run checks again because
+// MoveInitiator and MoveResponder can move a node after Build.
+func (s *Session) checkPositions() error {
+	if p := s.initiator.Pos; !finite(p.X, p.Y) {
+		return fmt.Errorf("%w: initiator at (%g, %g)", ErrNonFinitePosition, p.X, p.Y)
+	}
+	for _, n := range s.resps {
+		if p := n.Pos; !finite(p.X, p.Y) {
+			return fmt.Errorf("%w: responder %d at (%g, %g)", ErrNonFinitePosition, n.ID, p.X, p.Y)
+		}
+	}
+	return nil
+}
+
+// finite reports whether every value is neither NaN nor infinite.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // MoveInitiator repositions the initiator for subsequent rounds, so a
