@@ -81,9 +81,7 @@ func BenchmarkFig4ResponseDetection(b *testing.B) {
 	var worst float64
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4(nil, experiments.Fig4Config{
-			Trials: 10, Seed: uint64(i + 1), IdealTransceiver: true,
-		})
+		r, err := experiments.Fig4(nil, 10, uint64(i+1), true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -116,7 +114,7 @@ func BenchmarkFig5PulseShapes(b *testing.B) {
 func BenchmarkSec5RangingPrecision(b *testing.B) {
 	var s1, s2, s3 float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Sec5(nil, experiments.Sec5Config{Trials: 300, Seed: uint64(i + 1)})
+		r, err := experiments.Sec5(nil, 300, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +142,7 @@ func BenchmarkFig6PulseShapeID(b *testing.B) {
 func BenchmarkTable1IdentificationRate(b *testing.B) {
 	var minRate float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table1(nil, experiments.Table1Config{Trials: 20, Seed: uint64(i + 1)})
+		r, err := experiments.Table1(nil, 20, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,7 +157,7 @@ func BenchmarkTable1IdentificationRate(b *testing.B) {
 func BenchmarkSec6OverlapDetection(b *testing.B) {
 	var ss, th float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Sec6(nil, experiments.Sec6Config{Trials: 100, Seed: uint64(i + 1)})
+		r, err := experiments.Sec6(nil, 100, uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,9 +182,7 @@ func BenchmarkSec7ResponseModulation(b *testing.B) {
 func BenchmarkFig8CombinedScheme(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8(nil, experiments.Fig8Config{
-			Trials: 5, Seed: uint64(i + 1), IdealTransceiver: true,
-		})
+		r, err := experiments.Fig8(nil, 5, uint64(i+1), true)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -51,12 +51,15 @@ import (
 	"github.com/uwb-sim/concurrent-ranging/internal/obs/trace"
 )
 
-// experiment is one crbench entry. run renders the experiment's result
-// and copies any throughput it measured into er.
+// experiment is one crbench entry.
 type experiment struct {
 	name string
-	run  func(env *experiments.Env, trials int, seed uint64, er *obs.ExperimentReport) (string, error)
+	run  runFunc
 }
+
+// runFunc runs an experiment, renders its result and copies any
+// throughput it measured into er.
+type runFunc func(env *experiments.Env, trials int, seed uint64, er *obs.ExperimentReport) (string, error)
 
 // registry lists the experiments in paper order, the run-everything order.
 var registry = []experiment{
@@ -78,13 +81,11 @@ var registry = []experiment{
 		return d + m, nil
 	}},
 	{"fig4", func(env *experiments.Env, trials int, seed uint64, _ *obs.ExperimentReport) (string, error) {
-		real, err := render(experiments.Fig4(env, experiments.Fig4Config{Trials: trials, Seed: seed}))
+		real, err := render(experiments.Fig4(env, trials, seed, false))
 		if err != nil {
 			return "", err
 		}
-		ideal, err := render(experiments.Fig4(env, experiments.Fig4Config{
-			Trials: trials, Seed: seed, IdealTransceiver: true,
-		}))
+		ideal, err := render(experiments.Fig4(env, trials, seed, true))
 		if err != nil {
 			return "", err
 		}
@@ -94,23 +95,17 @@ var registry = []experiment{
 	{"fig5", func(*experiments.Env, int, uint64, *obs.ExperimentReport) (string, error) {
 		return render(experiments.Fig5())
 	}},
-	{"sec5", func(env *experiments.Env, trials int, seed uint64, _ *obs.ExperimentReport) (string, error) {
-		return render(experiments.Sec5(env, experiments.Sec5Config{Trials: trials, Seed: seed}))
-	}},
+	{"sec5", monteCarlo(experiments.Sec5)},
 	{"fig6", func(env *experiments.Env, _ int, seed uint64, _ *obs.ExperimentReport) (string, error) {
 		return render(experiments.Fig6(env, seed))
 	}},
-	{"table1", func(env *experiments.Env, trials int, seed uint64, _ *obs.ExperimentReport) (string, error) {
-		return render(experiments.Table1(env, experiments.Table1Config{Trials: trials, Seed: seed}))
-	}},
-	{"sec6", func(env *experiments.Env, trials int, seed uint64, _ *obs.ExperimentReport) (string, error) {
-		return render(experiments.Sec6(env, experiments.Sec6Config{Trials: trials, Seed: seed}))
-	}},
+	{"table1", monteCarlo(experiments.Table1)},
+	{"sec6", monteCarlo(experiments.Sec6)},
 	{"sec7", func(*experiments.Env, int, uint64, *obs.ExperimentReport) (string, error) {
 		return render(experiments.Sec7(nil))
 	}},
 	{"fig8", func(env *experiments.Env, trials int, seed uint64, _ *obs.ExperimentReport) (string, error) {
-		return render(experiments.Fig8(env, experiments.Fig8Config{Trials: trials, Seed: seed}))
+		return render(experiments.Fig8(env, trials, seed, false))
 	}},
 	{"sec8", func(*experiments.Env, int, uint64, *obs.ExperimentReport) (string, error) {
 		return render(experiments.Sec8())
@@ -118,11 +113,9 @@ var registry = []experiment{
 	{"campaign", func(env *experiments.Env, _ int, seed uint64, _ *obs.ExperimentReport) (string, error) {
 		return render(experiments.Campaign(env, nil, seed))
 	}},
-	{"capture", func(env *experiments.Env, trials int, seed uint64, _ *obs.ExperimentReport) (string, error) {
-		return render(experiments.Capture(env, trials, seed))
-	}},
+	{"capture", monteCarlo(experiments.Capture)},
 	{"fullbank", func(env *experiments.Env, trials int, seed uint64, er *obs.ExperimentReport) (string, error) {
-		r, err := experiments.FullBank(env, experiments.FullBankConfig{Trials: trials, Seed: seed})
+		r, err := experiments.FullBank(env, trials, seed)
 		if err != nil {
 			return "", err
 		}
@@ -130,7 +123,7 @@ var registry = []experiment{
 		return r.Render(), nil
 	}},
 	{"swarm", func(env *experiments.Env, trials int, seed uint64, er *obs.ExperimentReport) (string, error) {
-		r, err := experiments.SwarmScale(env, experiments.SwarmScaleConfig{Trials: trials, Seed: seed})
+		r, err := experiments.SwarmScale(env, trials, seed)
 		if err != nil {
 			return "", err
 		}
@@ -154,16 +147,16 @@ var registry = []experiment{
 		}
 		return r.Render(), nil
 	}},
-	{"ablation", func(env *experiments.Env, trials int, seed uint64, _ *obs.ExperimentReport) (string, error) {
+	{"ablation", func(env *experiments.Env, trials int, seed uint64, er *obs.ExperimentReport) (string, error) {
 		var out strings.Builder
-		for _, ablate := range []func() (string, error){
-			func() (string, error) { return render(experiments.AblationUpsample(env, trials, seed)) },
-			func() (string, error) { return render(experiments.AblationQuantization(env, trials, seed)) },
-			func() (string, error) { return render(experiments.AblationThreshold(env, trials, seed)) },
-			func() (string, error) { return render(experiments.AblationRefinement(env, trials, seed)) },
-			func() (string, error) { return render(experiments.AblationSlotPlan(env, trials, seed)) },
+		for _, ablate := range []runFunc{
+			monteCarlo(experiments.AblationUpsample),
+			monteCarlo(experiments.AblationQuantization),
+			monteCarlo(experiments.AblationThreshold),
+			monteCarlo(experiments.AblationRefinement),
+			monteCarlo(experiments.AblationSlotPlan),
 		} {
-			s, err := ablate()
+			s, err := ablate(env, trials, seed, er)
 			if err != nil {
 				return "", err
 			}
@@ -179,6 +172,14 @@ func render[R interface{ Render() string }](r R, err error) (string, error) {
 		return "", err
 	}
 	return r.Render(), nil
+}
+
+// monteCarlo runs a Monte-Carlo experiment of the shared (env, trials,
+// seed) call shape and renders its result.
+func monteCarlo[R interface{ Render() string }](f func(*experiments.Env, int, uint64) (R, error)) runFunc {
+	return func(env *experiments.Env, trials int, seed uint64, _ *obs.ExperimentReport) (string, error) {
+		return render(f(env, trials, seed))
+	}
 }
 
 // lookup finds the named experiment, case-insensitively.

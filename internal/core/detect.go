@@ -736,8 +736,18 @@ func (d *Detector) recordDetect(responses []Response, rounds, refineSteps int,
 	if inputEnergy > 0 {
 		rec.Observe(MetricDetectResidualFrac, dsp.Energy(d.residual)/inputEnergy)
 	}
-	// Surface the dsp plan execution counters as deltas since the last
-	// recorded call (install resets the baselines with a new bank).
+	d.recordPlanExecs()
+}
+
+// recordPlanExecs surfaces the dsp plan execution counters as deltas since
+// the last recorded call (install resets the baselines with a new bank).
+// Detect and MatchedFilterOutputs both record them as they finish, so a
+// detector's totals never wait on a later call.
+func (d *Detector) recordPlanExecs() {
+	rec := d.rec
+	if rec == nil {
+		return
+	}
 	if e := d.upsample.Execs(); e != d.lastUpsampleExecs {
 		rec.Count(MetricUpsampleExecs, e-d.lastUpsampleExecs)
 		d.lastUpsampleExecs = e
@@ -1053,7 +1063,10 @@ func (d *Detector) refinePeak(residual []complex128, tmplIdx int, coarse float64
 // and Fig. 6b. The second return value is the up-sampled tap spacing.
 // Like Detect it uses (and may rebuild) the cached plans, so it is not
 // safe to call concurrently with other methods. A spectral-path detector
-// holds no MatchedFilterBank, so it builds one for the call.
+// holds no MatchedFilterBank, so it builds one for the call. With a
+// recorder attached, the call records its executions of the detector's own
+// plans (the up-sampler, and the reference path's bank) before returning;
+// a spectral-path call's throwaway bank is not counted.
 func (d *Detector) MatchedFilterOutputs(taps []complex128) ([][]float64, float64, error) {
 	if len(taps) == 0 {
 		return nil, 0, fmt.Errorf("core: empty CIR")
@@ -1080,6 +1093,7 @@ func (d *Detector) MatchedFilterOutputs(taps []complex128) ([][]float64, float64
 		}
 		out[t] = dsp.Abs(y)
 	}
+	d.recordPlanExecs()
 	return out, d.tsUp, nil
 }
 

@@ -172,7 +172,7 @@ func TestDetectSuppressedUnderInertParent(t *testing.T) {
 	if inert.Recording() {
 		t.Fatal("second root should be sampled out")
 	}
-	live.End()
+	live.EndWith(nil)
 	base := tr.Stats().Events
 
 	// Under the sampled-out parent the detector must not open a root span

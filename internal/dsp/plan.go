@@ -598,9 +598,6 @@ func (b *MatchedFilterBank) planFor(m int) (*fftPlan, error) {
 	return p, nil
 }
 
-// SignalLen returns the signal length the bank was built for.
-func (b *MatchedFilterBank) SignalLen() int { return b.sigLen }
-
 // NumTemplates returns the number of templates in the bank.
 func (b *MatchedFilterBank) NumTemplates() int { return len(b.tmpls) }
 
@@ -631,7 +628,7 @@ func (b *MatchedFilterBank) Transform(sig []complex128) error {
 
 // FilterInto writes the matched-filter output of template t against the
 // last Transform-ed signal into dst (length ≥ the bank's signal length)
-// and returns dst[:SignalLen()].
+// and returns dst truncated to that length.
 func (b *MatchedFilterBank) FilterInto(dst []complex128, t int) ([]complex128, error) {
 	if !b.ready {
 		return nil, fmt.Errorf("dsp: FilterInto before Transform")

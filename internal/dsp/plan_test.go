@@ -174,8 +174,8 @@ func TestMatchedFilterBankMatchesMatchedFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bank.SignalLen() != sigLen || bank.NumTemplates() != len(templates) {
-		t.Fatalf("bank geometry %d/%d", bank.SignalLen(), bank.NumTemplates())
+	if bank.NumTemplates() != len(templates) {
+		t.Fatalf("bank holds %d templates", bank.NumTemplates())
 	}
 	dst := make([]complex128, sigLen)
 	for round := 0; round < 2; round++ { // exercise buffer reuse across signals

@@ -116,9 +116,6 @@ func NewSpectralBank(templates [][]complex128, sigLen int) (*SpectralBank, error
 	return b, nil
 }
 
-// SignalLen returns the signal length the bank was built for.
-func (b *SpectralBank) SignalLen() int { return b.sigLen }
-
 // NumTemplates returns the number of templates in the bank.
 func (b *SpectralBank) NumTemplates() int { return len(b.tmpls) }
 

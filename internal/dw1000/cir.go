@@ -72,22 +72,6 @@ func (c *CIR) EstimateNoiseRMS() float64 {
 	return math.Sqrt(acc / float64(n))
 }
 
-// FirstPathIndex runs a leading-edge search: the first tap whose magnitude
-// exceeds factor times the estimated noise RMS. It returns -1 when no tap
-// crosses the threshold.
-func (c *CIR) FirstPathIndex(factor float64) int {
-	th := factor * c.EstimateNoiseRMS()
-	if th <= 0 {
-		return -1
-	}
-	for i, t := range c.Taps {
-		if real(t)*real(t)+imag(t)*imag(t) >= th*th {
-			return i
-		}
-	}
-	return -1
-}
-
 // validateCIRGeometry keeps the package constants consistent with the
 // datasheet values quoted in the paper; it is exercised by tests.
 func validateCIRGeometry() error {

@@ -71,7 +71,9 @@ type Radio struct {
 	rng   *rand.Rand
 }
 
-// New builds a radio. The RNG drives noise and jitter and must not be
+// New builds a radio. It rejects a non-finite clock offset, clock phase
+// or noise RMS, and a clock offset of −1e6 ppm or below (a clock that
+// stops or runs backwards). The RNG drives noise and jitter and must not be
 // shared across goroutines.
 func New(id string, cfg Config, rng *rand.Rand) (*Radio, error) {
 	if id == "" {
@@ -82,6 +84,15 @@ func New(id string, cfg Config, rng *rand.Rand) (*Radio, error) {
 	}
 	if err := cfg.PHY.Validate(); err != nil {
 		return nil, fmt.Errorf("radio %s: %w", id, err)
+	}
+	for _, v := range []float64{cfg.Clock.OffsetPPM, cfg.Clock.Phase, cfg.NoiseRMS} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("radio %s: non-finite clock offset %g ppm, phase %g s or noise RMS %g",
+				id, cfg.Clock.OffsetPPM, cfg.Clock.Phase, cfg.NoiseRMS)
+		}
+	}
+	if cfg.Clock.OffsetPPM <= -1e6 {
+		return nil, fmt.Errorf("radio %s: clock offset %g ppm stops or reverses the clock", id, cfg.Clock.OffsetPPM)
 	}
 	if cfg.PGDelay == 0 {
 		cfg.PGDelay = pulse.DefaultRegister

@@ -21,6 +21,39 @@ func testRadio(t *testing.T, id string, seed uint64) *Radio {
 	return r
 }
 
+func TestNewRejectsBadClockAndNoise(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name   string
+		clock  Clock
+		noise  float64
+		reject bool
+	}{
+		{"NaN offset", Clock{OffsetPPM: nan}, 0, true},
+		{"+Inf offset", Clock{OffsetPPM: inf}, 0, true},
+		{"-Inf offset", Clock{OffsetPPM: -inf}, 0, true},
+		{"offset stops the clock", Clock{OffsetPPM: -1e6}, 0, true},
+		{"offset reverses the clock", Clock{OffsetPPM: -2e6}, 0, true},
+		{"NaN phase", Clock{Phase: nan}, 0, true},
+		{"-Inf phase", Clock{Phase: -inf}, 0, true},
+		{"NaN noise", Clock{}, nan, true},
+		{"+Inf noise", Clock{}, inf, true},
+		{"typical crystal", Clock{OffsetPPM: -20, Phase: 0.5}, 0, false},
+		{"fast clock", Clock{OffsetPPM: 1e6}, 0, false},
+		{"negative noise clamps to silence", Clock{}, -1, false},
+	}
+	for _, tc := range cases {
+		cfg := Config{PHY: airtime.PaperConfig(), Clock: tc.clock, NoiseRMS: tc.noise}
+		_, err := New("a", cfg, rand.New(rand.NewPCG(1, 1)))
+		if tc.reject && err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if !tc.reject && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	if _, err := New("", Config{PHY: airtime.PaperConfig()}, rng); err == nil {
@@ -226,6 +259,18 @@ func TestReceiveErrors(t *testing.T) {
 	}
 }
 
+// firstPathIndex runs a leading-edge search: the first tap whose magnitude
+// reaches factor times the estimated noise RMS, or -1.
+func firstPathIndex(c *CIR, factor float64) int {
+	th := factor * c.EstimateNoiseRMS()
+	for i, t := range c.Taps {
+		if th > 0 && real(t)*real(t)+imag(t)*imag(t) >= th*th {
+			return i
+		}
+	}
+	return -1
+}
+
 func TestReceiveNoiseFloor(t *testing.T) {
 	r := testRadio(t, "rx", 10)
 	shape, _ := pulse.ForRegister(pulse.RegisterS1)
@@ -241,7 +286,7 @@ func TestReceiveNoiseFloor(t *testing.T) {
 	}
 	// The leading edge crosses the threshold on the pulse's rising flank,
 	// at or shortly before the reference (peak) index.
-	if got := rec.CIR.FirstPathIndex(6); got < ReferenceIndex-4 || got > ReferenceIndex {
+	if got := firstPathIndex(rec.CIR, 6); got < ReferenceIndex-4 || got > ReferenceIndex {
 		t.Fatalf("first path at %d, want near reference %d", got, ReferenceIndex)
 	}
 }
@@ -268,7 +313,7 @@ func TestReceiveDisabledNoise(t *testing.T) {
 	// Noise disabled: the estimate comes from the leading window, which
 	// holds only the faint pulse tail, so the leading-edge search lands on
 	// the rising edge at or just before the reference index.
-	if got := rec.CIR.FirstPathIndex(6); got < ReferenceIndex-4 || got > ReferenceIndex {
+	if got := firstPathIndex(rec.CIR, 6); got < ReferenceIndex-4 || got > ReferenceIndex {
 		t.Fatalf("first path at %d, want near reference %d", got, ReferenceIndex)
 	}
 }

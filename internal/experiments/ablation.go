@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/uwb-sim/concurrent-ranging/internal/channel"
 	"github.com/uwb-sim/concurrent-ranging/internal/core"
 	"github.com/uwb-sim/concurrent-ranging/internal/dsp"
 	"github.com/uwb-sim/concurrent-ranging/internal/dw1000"
-	"github.com/uwb-sim/concurrent-ranging/internal/geom"
 	"github.com/uwb-sim/concurrent-ranging/internal/pulse"
-	"github.com/uwb-sim/concurrent-ranging/internal/sim"
 )
 
 // AblationUpsampleResult measures the effect of the FFT up-sampling
@@ -25,7 +22,7 @@ type AblationUpsampleResult struct {
 }
 
 // AblationUpsample reruns the Sect. VI overlap scenario at several
-// up-sampling factors.
+// up-sampling factors, trials rounds each (0 selects 300).
 func AblationUpsample(env *Env, trials int, seed uint64) (*AblationUpsampleResult, error) {
 	if trials == 0 {
 		trials = 300
@@ -37,71 +34,42 @@ func AblationUpsample(env *Env, trials int, seed uint64) (*AblationUpsampleResul
 		return nil, err
 	}
 	shape := bank.Shape(0)
-	m := newMeter(env, len(factors)*trials)
-	defer m.finish()
-	for _, factor := range factors {
-		det, err := core.NewDetector(bank, core.DetectorConfig{Upsample: factor})
-		if err != nil {
-			return nil, err
-		}
-		env.instrumentDetector(det)
-		var counter dsp.Counter
-		for trial := 0; trial < trials; trial++ {
-			err := m.timeTrial(func() error {
-				round, err := overlapRound(env, 4, seed+uint64(trial)*6151)
-				if err != nil {
-					return err
-				}
-				offset := math.Abs(round.TXQuantizationError[0] - round.TXQuantizationError[1])
-				if offset > shape.Duration() {
-					return nil
-				}
-				cir := round.Reception.CIR
-				refDelay := float64(dw1000.ReferenceIndex) * dw1000.SampleInterval
-				responses, err := det.Detect(cir.Taps, cir.NoiseRMS)
-				if err != nil {
-					return err
-				}
-				counter.Record(bothDetected(responses, []float64{refDelay, refDelay + offset}))
-				return nil
-			})
+	cfgs := make([]core.DetectorConfig, len(factors))
+	for i, f := range factors {
+		cfgs[i].Upsample = f
+	}
+	type trialOutcome struct{ overlapping, both bool }
+	outcomes, err := parallelMapWith(env, len(factors)*trials, detectors(env, bank, cfgs...),
+		func(dets []*core.Detector, k int) (trialOutcome, error) {
+			factor, trial := k/trials, k%trials
+			round, err := overlapRound(env, bank, seed, trial)
 			if err != nil {
-				return nil, err
+				return trialOutcome{}, err
+			}
+			expected, _, ok := overlapExpected(round, shape.Duration())
+			if !ok {
+				return trialOutcome{}, nil
+			}
+			cir := round.Reception.CIR
+			responses, err := dets[factor].Detect(cir.Taps, cir.NoiseRMS)
+			if err != nil {
+				return trialOutcome{}, err
+			}
+			return trialOutcome{overlapping: true, both: bothDetected(responses, expected)}, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	for factor := range factors {
+		var counter dsp.Counter
+		for _, o := range outcomes[factor*trials : (factor+1)*trials] {
+			if o.overlapping {
+				counter.Record(o.both)
 			}
 		}
 		res.SuccessRate = append(res.SuccessRate, counter.Rate())
 	}
 	return res, nil
-}
-
-// overlapRound builds the two-equal-distance-responders round of Sect. VI.
-func overlapRound(env *Env, distance float64, seed uint64) (*sim.RoundResult, error) {
-	net, err := sim.NewNetwork(sim.NetworkConfig{
-		Environment:      channel.Hallway(),
-		Seed:             seed,
-		RandomClockPhase: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	env.instrumentNetwork(net)
-	init, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "initiator", Pos: geom.Point{X: 0.5, Y: 0.9}})
-	if err != nil {
-		return nil, err
-	}
-	r1, err := net.AddNode(sim.NodeConfig{ID: 0, Pos: geom.Point{X: 0.5 + distance, Y: 0.9}})
-	if err != nil {
-		return nil, err
-	}
-	r2, err := net.AddNode(sim.NodeConfig{ID: 1, Pos: geom.Point{X: 0.5, Y: 0.9 - distance}})
-	if err != nil {
-		return nil, err
-	}
-	bank, err := pulse.NewBank(dw1000.SampleInterval, pulse.RegisterS1)
-	if err != nil {
-		return nil, err
-	}
-	return net.RunConcurrentRound(init, []*sim.Node{r1, r2}, sim.RoundConfig{Bank: bank})
 }
 
 // Render formats the ablation.
@@ -129,14 +97,14 @@ type AblationQuantizationResult struct {
 }
 
 // AblationQuantization compares the two transceiver models on the Fig. 4
-// scenario.
+// scenario, trials rounds each (0 selects 100).
 func AblationQuantization(env *Env, trials int, seed uint64) (*AblationQuantizationResult, error) {
 	if trials == 0 {
 		trials = 100
 	}
 	res := &AblationQuantizationResult{Trials: trials}
 	for _, ideal := range []bool{false, true} {
-		f4, err := Fig4(env, Fig4Config{Trials: trials, Seed: seed, IdealTransceiver: ideal})
+		f4, err := Fig4(env, trials, seed, ideal)
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +153,8 @@ type AblationThresholdResult struct {
 	Trials int
 }
 
-// AblationThreshold runs the sweep.
+// AblationThreshold runs the sweep on Fig. 4's ideal-transceiver round,
+// trials rounds per factor (0 selects 60).
 func AblationThreshold(env *Env, trials int, seed uint64) (*AblationThresholdResult, error) {
 	if trials == 0 {
 		trials = 60
@@ -196,60 +165,44 @@ func AblationThreshold(env *Env, trials int, seed uint64) (*AblationThresholdRes
 	if err != nil {
 		return nil, err
 	}
-	distances := []float64{3, 6, 10}
-	for _, factor := range factors {
-		det, err := core.NewDetector(bank, core.DetectorConfig{ThresholdFactor: factor})
-		if err != nil {
-			return nil, err
-		}
-		env.instrumentDetector(det)
-		var miss dsp.Counter
-		var extra dsp.Running
-		for trial := 0; trial < trials; trial++ {
-			net, err := sim.NewNetwork(sim.NetworkConfig{
-				Environment:      channel.Hallway(),
-				Seed:             seed + uint64(trial)*7919,
-				RandomClockPhase: true,
-			})
+	cfgs := make([]core.DetectorConfig, len(factors))
+	for i, f := range factors {
+		cfgs[i].ThresholdFactor = f
+	}
+	n := len(fig4Distances)
+	type trialOutcome struct {
+		missed bool
+		extra  float64
+	}
+	outcomes, err := parallelMapWith(env, len(factors)*trials, detectors(env, bank, cfgs...),
+		func(dets []*core.Detector, k int) (trialOutcome, error) {
+			factor, trial := k/trials, k%trials
+			round, err := fig4Round(env, bank, seed, trial, true)
 			if err != nil {
-				return nil, err
-			}
-			env.instrumentNetwork(net)
-			init, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "initiator", Pos: geom.Point{X: 2, Y: 0.9}})
-			if err != nil {
-				return nil, err
-			}
-			var resps []*sim.Node
-			for i, d := range distances {
-				node, err := net.AddNode(sim.NodeConfig{ID: i, Pos: geom.Point{X: 2 + d, Y: 0.9}})
-				if err != nil {
-					return nil, err
-				}
-				resps = append(resps, node)
-			}
-			round, err := net.RunConcurrentRound(init, resps, sim.RoundConfig{
-				Bank: bank, DisableTXQuantization: true,
-			})
-			if err != nil {
-				return nil, err
+				return trialOutcome{}, err
 			}
 			cir := round.Reception.CIR
-			responses, err := det.Detect(cir.Taps, cir.NoiseRMS)
+			responses, err := dets[factor].Detect(cir.Taps, cir.NoiseRMS)
 			if err != nil {
-				return nil, err
+				return trialOutcome{}, err
 			}
-			refDelay := float64(dw1000.ReferenceIndex) * dw1000.SampleInterval
 			matched := 0
-			for i, d := range distances {
-				expected := refDelay + 2*(d-distances[0])/channel.SpeedOfLight
-				if _, ok := nearestResponse(responses, expected); ok {
+			for i := 0; i < n; i++ {
+				if nearestResponse(responses, expectedDelay(round, 0, i), 5e-9) >= 0 {
 					matched++
-				} else {
-					_ = i
 				}
 			}
-			miss.Record(matched < len(distances))
-			extra.Add(float64(max(len(responses)-len(distances), 0)))
+			return trialOutcome{missed: matched < n, extra: float64(max(len(responses)-n, 0))}, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	for factor := range factors {
+		var miss dsp.Counter
+		var extra dsp.Running
+		for _, o := range outcomes[factor*trials : (factor+1)*trials] {
+			miss.Record(o.missed)
+			extra.Add(o.extra)
 		}
 		res.MissRate = append(res.MissRate, miss.Rate())
 		res.MeanExtra = append(res.MeanExtra, extra.Mean())

@@ -40,69 +40,56 @@ func AblationRefinement(env *Env, trials int, seed uint64) (*AblationRefinementR
 		return nil, err
 	}
 	res := &AblationRefinementResult{Trials: trials}
-	for _, grid := range []bool{true, false} {
-		det, err := core.NewDetector(bank, core.DetectorConfig{DisableRefinement: grid})
-		if err != nil {
-			return nil, err
-		}
-		env.instrumentDetector(det)
-		var phantoms dsp.Running
-		var delayErr dsp.Running
-		for trial := 0; trial < trials; trial++ {
-			net, err := sim.NewNetwork(sim.NetworkConfig{
-				Environment:      channel.FreeSpace(), // isolate the estimator
-				Seed:             seed + uint64(trial)*947,
-				RandomClockPhase: true,
-			})
+	type trialOutcome struct {
+		phantoms float64
+		sqErr    float64 // NaN when the second response was missed
+	}
+	init := geom.Point{}
+	responders := inLine(init, 3, 7)
+	// Variant 0 is the grid-limited estimator, variant 1 the refined one.
+	outcomes, err := parallelMapWith(env, 2*trials,
+		detectors(env, bank, core.DetectorConfig{DisableRefinement: true}, core.DetectorConfig{}),
+		func(dets []*core.Detector, k int) (trialOutcome, error) {
+			variant, trial := k/trials, k%trials
+			round, err := concurrentRound(env,
+				sim.NetworkConfig{
+					Environment:      channel.FreeSpace(), // isolate the estimator
+					Seed:             seed + uint64(trial)*947,
+					RandomClockPhase: true,
+				},
+				init, responders, sim.RoundConfig{Bank: bank})
 			if err != nil {
-				return nil, err
-			}
-			env.instrumentNetwork(net)
-			init, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "init", Pos: geom.Point{X: 0, Y: 0}})
-			if err != nil {
-				return nil, err
-			}
-			r1, err := net.AddNode(sim.NodeConfig{ID: 0, Pos: geom.Point{X: 3, Y: 0}})
-			if err != nil {
-				return nil, err
-			}
-			r2, err := net.AddNode(sim.NodeConfig{ID: 1, Pos: geom.Point{X: 7, Y: 0}})
-			if err != nil {
-				return nil, err
-			}
-			round, err := net.RunConcurrentRound(init, []*sim.Node{r1, r2},
-				sim.RoundConfig{Bank: bank})
-			if err != nil {
-				return nil, err
+				return trialOutcome{}, err
 			}
 			cir := round.Reception.CIR
-			responses, err := det.Detect(cir.Taps, cir.NoiseRMS)
+			responses, err := dets[variant].Detect(cir.Taps, cir.NoiseRMS)
 			if err != nil {
-				return nil, err
+				return trialOutcome{}, err
 			}
-			phantoms.Add(float64(max(len(responses)-2, 0)))
-			// Ground-truth position of the second response: the doubled
-			// distance difference plus the realized quantization offsets.
-			quantDiff := round.TXQuantizationError[1] - round.TXQuantizationError[0]
-			expected := float64(dw1000.ReferenceIndex)*dw1000.SampleInterval +
-				2*(7.0-3.0)/channel.SpeedOfLight - quantDiff
-			best := math.Inf(1)
-			for _, r := range responses {
-				if d := math.Abs(r.Delay - expected); d < best {
-					best = d
-				}
+			out := trialOutcome{phantoms: float64(max(len(responses)-2, 0)), sqErr: math.NaN()}
+			expected := expectedDelay(round, 0, 1)
+			if j := nearestResponse(responses, expected, 2e-9); j >= 0 {
+				d := math.Abs(responses[j].Delay - expected)
+				out.sqErr = d * d
 			}
-			if best < 2e-9 {
-				delayErr.Add(best * best)
+			return out, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	for variant := 0; variant < 2; variant++ {
+		var phantoms, delayErr dsp.Running
+		for _, o := range outcomes[variant*trials : (variant+1)*trials] {
+			phantoms.Add(o.phantoms)
+			if !math.IsNaN(o.sqErr) {
+				delayErr.Add(o.sqErr)
 			}
 		}
 		rmse := math.Sqrt(delayErr.Mean()) * 1e12
-		if grid {
-			res.GridPhantoms = phantoms.Mean()
-			res.GridDelayRMSE = rmse
+		if variant == 0 {
+			res.GridPhantoms, res.GridDelayRMSE = phantoms.Mean(), rmse
 		} else {
-			res.RefinedPhantoms = phantoms.Mean()
-			res.RefinedDelayRMSE = rmse
+			res.RefinedPhantoms, res.RefinedDelayRMSE = phantoms.Mean(), rmse
 		}
 	}
 	return res, nil
@@ -133,17 +120,18 @@ type AblationSlotPlanResult struct {
 	Trials int
 }
 
-// AblationSlotPlan sweeps the responder spread for both plans. Six
-// responders are placed from 2 m out to 2 m + spread; with the paper plan
-// (δ·c/2 ≈ 38 m of tolerated spread at r_max = 75 m) wide deployments
-// start leaking across slot boundaries earlier than with the safe plan.
+// AblationSlotPlan sweeps the responder spread for both plans, trials
+// rounds per cell (0 selects 30). Six responders are placed from 2 m out
+// to 2 m + spread; with the paper plan (δ·c/2 ≈ 38 m of tolerated spread
+// at r_max = 75 m) wide deployments start leaking across slot boundaries
+// earlier than with the safe plan.
 func AblationSlotPlan(env *Env, trials int, seed uint64) (*AblationSlotPlanResult, error) {
 	if trials == 0 {
 		trials = 30
 	}
 	spreads := []float64{5, 15, 25}
 	res := &AblationSlotPlanResult{Spreads: spreads, Trials: trials}
-	const maxRange = 75.0
+	const maxRange, responders = 75.0, 6
 	paperPlan, err := core.NewSlotPlan(maxRange, 3)
 	if err != nil {
 		return nil, err
@@ -152,86 +140,56 @@ func AblationSlotPlan(env *Env, trials int, seed uint64) (*AblationSlotPlanResul
 	if err != nil {
 		return nil, err
 	}
-	for _, spread := range spreads {
-		pr, err := slotPlanTrial(env, paperPlan, spread, trials, seed)
-		if err != nil {
-			return nil, err
+	plans := []core.SlotPlan{paperPlan, safePlan}
+	bank, err := pulse.DefaultBank(dw1000.SampleInterval, 3)
+	if err != nil {
+		return nil, err
+	}
+	init := geom.Point{X: 0.5, Y: 0.9}
+	cells := len(spreads) * len(plans)
+	outcomes, err := parallelMapWith(env, cells*trials, detectors(env, bank, core.DetectorConfig{}),
+		func(dets []*core.Detector, k int) ([]float64, error) {
+			cell, trial := k/trials, k%trials
+			spread, p := spreads[cell/len(plans)], cell%len(plans)
+			distances := make([]float64, responders)
+			for id := range distances {
+				distances[id] = 2 + spread*float64(id)/float64(responders-1)
+			}
+			round, err := concurrentRound(env,
+				sim.NetworkConfig{
+					Environment:      channel.Hallway(),
+					Seed:             seed + uint64(p) + uint64(trial)*3571,
+					RandomClockPhase: true,
+				},
+				init, inLine(init, distances...),
+				sim.RoundConfig{Plan: plans[p], Bank: bank, DisableTXQuantization: true})
+			if err != nil {
+				return nil, err
+			}
+			cir := round.Reception.CIR
+			responses, err := dets[0].Detect(cir.Taps, cir.NoiseRMS)
+			if err != nil {
+				return nil, err
+			}
+			return rangeErrors(plans[p], responses, round, distances), nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	for cell := 0; cell < cells; cell++ {
+		var counter dsp.Counter
+		for _, errs := range outcomes[cell*trials : (cell+1)*trials] {
+			for _, e := range errs {
+				counter.Record(e < 1)
+			}
 		}
-		sr, err := slotPlanTrial(env, safePlan, spread, trials, seed+1)
-		if err != nil {
-			return nil, err
+		if cell%len(plans) == 0 {
+			res.PaperRate = append(res.PaperRate, counter.Rate())
+		} else {
+			res.SafeRate = append(res.SafeRate, counter.Rate())
 		}
-		res.PaperRate = append(res.PaperRate, pr)
-		res.SafeRate = append(res.SafeRate, sr)
 	}
 	return res, nil
-}
-
-func slotPlanTrial(env *Env, plan core.SlotPlan, spread float64, trials int, seed uint64) (float64, error) {
-	bank, err := pulse.DefaultBank(dw1000.SampleInterval, plan.NumShapes)
-	if err != nil {
-		return 0, err
-	}
-	det, err := core.NewDetector(bank, core.DetectorConfig{})
-	if err != nil {
-		return 0, err
-	}
-	env.instrumentDetector(det)
-	resolver := &core.Resolver{Plan: plan}
-	const responders = 6
-	var counter dsp.Counter
-	for trial := 0; trial < trials; trial++ {
-		net, err := sim.NewNetwork(sim.NetworkConfig{
-			Environment:      channel.Hallway(),
-			Seed:             seed + uint64(trial)*3571,
-			RandomClockPhase: true,
-		})
-		if err != nil {
-			return 0, err
-		}
-		env.instrumentNetwork(net)
-		init, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "init", Pos: geom.Point{X: 0.5, Y: 0.9}})
-		if err != nil {
-			return 0, err
-		}
-		var resps []*sim.Node
-		truth := make(map[int]float64, responders)
-		for id := 0; id < responders; id++ {
-			d := 2 + spread*float64(id)/float64(responders-1)
-			node, err := net.AddNode(sim.NodeConfig{ID: id, Pos: geom.Point{X: 0.5 + d, Y: 0.9}})
-			if err != nil {
-				return 0, err
-			}
-			resps = append(resps, node)
-			truth[id] = d
-		}
-		round, err := net.RunConcurrentRound(init, resps, sim.RoundConfig{
-			Plan: plan, Bank: bank, DisableTXQuantization: true,
-		})
-		if err != nil {
-			return 0, err
-		}
-		responses, err := det.Detect(round.Reception.CIR.Taps, round.Reception.CIR.NoiseRMS)
-		if err != nil {
-			return 0, err
-		}
-		ms, err := resolver.Resolve(responses, round.DecodedID, round.TWRDistance())
-		if err != nil {
-			for id := 0; id < responders; id++ {
-				counter.Record(false)
-			}
-			continue
-		}
-		byID := make(map[int]core.Measurement, len(ms))
-		for _, m := range ms {
-			byID[m.ID] = m
-		}
-		for id := 0; id < responders; id++ {
-			m, ok := byID[id]
-			counter.Record(ok && math.Abs(m.Distance-truth[id]) < 1)
-		}
-	}
-	return counter.Rate(), nil
 }
 
 // Render formats the sweep.

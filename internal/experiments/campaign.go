@@ -40,30 +40,13 @@ func Campaign(env *Env, sizes []int, seed uint64) (*CampaignResult, error) {
 	m := newMeter(env, 2*len(sizes))
 	defer m.finish()
 	for _, n := range sizes {
-		build := func(s uint64) (*sim.Network, []*sim.Node, error) {
-			net, err := sim.NewNetwork(sim.NetworkConfig{
-				Environment: channel.Hallway(),
-				Seed:        s,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			env.instrumentNetwork(net)
-			var nodes []*sim.Node
-			for i := 0; i < n; i++ {
-				id := i - 1 // node 0 is the initiator (ID -1)
-				node, err := net.AddNode(sim.NodeConfig{
-					ID:  id,
-					Pos: geom.Point{X: 1 + 2*float64(i), Y: 0.9},
-				})
-				if err != nil {
-					return nil, nil, err
-				}
-				nodes = append(nodes, node)
-			}
-			return net, nodes, nil
+		nodes := make([]sim.NodeConfig, n)
+		for i := range nodes {
+			// Node 0 is the initiator (ID -1).
+			nodes[i] = sim.NodeConfig{ID: i - 1, Pos: geom.Point{X: 1 + 2*float64(i), Y: 0.9}}
 		}
-		netA, nodesA, err := build(seed + uint64(n))
+		nc := sim.NetworkConfig{Environment: channel.Hallway(), Seed: seed + uint64(n)}
+		netA, nodesA, err := network(env, nc, nodes...)
 		if err != nil {
 			return nil, err
 		}
@@ -74,7 +57,7 @@ func Campaign(env *Env, sizes []int, seed uint64) (*CampaignResult, error) {
 		}); err != nil {
 			return nil, err
 		}
-		netB, nodesB, err := build(seed + uint64(n))
+		netB, nodesB, err := network(env, nc, nodes...)
 		if err != nil {
 			return nil, err
 		}

@@ -35,85 +35,73 @@ type CaptureResult struct {
 	Trials int
 }
 
-// Capture sweeps the responder count for both geometries.
+// Capture sweeps the responder count for both geometries with trials
+// rounds per cell (0 selects 40).
 func Capture(env *Env, trials int, seed uint64) (*CaptureResult, error) {
 	if trials == 0 {
 		trials = 40
 	}
 	counts := []int{1, 2, 3, 5, 9}
+	geometries := []bool{false, true} // graded, equal
 	res := &CaptureResult{Responders: counts, Trials: trials}
 	model := sim.DefaultCaptureModel()
-	m := newMeter(env, len(counts)*2*trials)
-	defer m.finish()
-	for _, n := range counts {
-		for _, equal := range []bool{false, true} {
-			var ok dsp.Counter
-			var sir dsp.Running
-			for trial := 0; trial < trials; trial++ {
-				err := m.timeTrial(func() error {
-					round, err := captureRound(env, n, equal, model, seed+uint64(trial)*193+uint64(n))
-					if err != nil {
-						return err
-					}
-					ok.Record(round.DecodeOK)
-					if !math.IsInf(round.LockSIRdB, 0) {
-						sir.Add(round.LockSIRdB)
-					}
-					return nil
-				})
-				if err != nil {
-					return nil, err
-				}
+	bank, err := pulse.NewBank(dw1000.SampleInterval, pulse.RegisterS1)
+	if err != nil {
+		return nil, err
+	}
+	type trialOutcome struct {
+		decoded bool
+		sirDB   float64
+	}
+	cells := len(counts) * len(geometries)
+	outcomes, err := parallelMap(env, cells*trials, func(k int) (trialOutcome, error) {
+		cell, trial := k/trials, k%trials
+		n, equal := counts[cell/len(geometries)], geometries[cell%len(geometries)]
+		round, err := captureRound(env, bank, model, n, equal, seed+uint64(trial)*193+uint64(n))
+		if err != nil {
+			return trialOutcome{}, err
+		}
+		return trialOutcome{round.DecodeOK, round.LockSIRdB}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for cell := 0; cell < cells; cell++ {
+		var ok dsp.Counter
+		var sir dsp.Running
+		for _, o := range outcomes[cell*trials : (cell+1)*trials] {
+			ok.Record(o.decoded)
+			if !math.IsInf(o.sirDB, 0) {
+				sir.Add(o.sirDB)
 			}
-			if equal {
-				res.EqualRate = append(res.EqualRate, ok.Rate())
-				res.EqualSIR = append(res.EqualSIR, sir.Mean())
-			} else {
-				res.GradedRate = append(res.GradedRate, ok.Rate())
-				res.GradedSIR = append(res.GradedSIR, sir.Mean())
-			}
+		}
+		if geometries[cell%len(geometries)] {
+			res.EqualRate = append(res.EqualRate, ok.Rate())
+			res.EqualSIR = append(res.EqualSIR, sir.Mean())
+		} else {
+			res.GradedRate = append(res.GradedRate, ok.Rate())
+			res.GradedSIR = append(res.GradedSIR, sir.Mean())
 		}
 	}
 	return res, nil
 }
 
-func captureRound(env *Env, n int, equal bool, model *sim.CaptureModel, seed uint64) (*sim.RoundResult, error) {
-	net, err := sim.NewNetwork(sim.NetworkConfig{
-		Environment:      channel.FreeSpace(),
-		Seed:             seed,
-		RandomClockPhase: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	env.instrumentNetwork(net)
-	init, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "init", Pos: geom.Point{X: 0, Y: 0}})
-	if err != nil {
-		return nil, err
-	}
-	var resps []*sim.Node
-	for i := 0; i < n; i++ {
-		var pos geom.Point
+// captureRound runs one free-space round with n responders, either graded
+// in distance (each ~1.6 m farther than the previous) or on a 5 m circle.
+func captureRound(env *Env, bank *pulse.Bank, model *sim.CaptureModel, n int, equal bool, seed uint64) (*sim.RoundResult, error) {
+	responders := make([]sim.NodeConfig, n)
+	for i := range responders {
+		pos := geom.Point{X: 3 + 1.6*float64(i), Y: 0}
 		if equal {
 			angle := float64(i) * 2 * math.Pi / float64(n)
 			pos = geom.Point{X: 5 * math.Cos(angle), Y: 5 * math.Sin(angle)}
-		} else {
-			pos = geom.Point{X: 3 + 1.6*float64(i), Y: 0}
 		}
-		node, err := net.AddNode(sim.NodeConfig{ID: i, Pos: pos})
-		if err != nil {
-			return nil, err
-		}
-		resps = append(resps, node)
+		responders[i] = sim.NodeConfig{ID: i, Pos: pos}
 	}
-	plan := core.SingleSlot(1)
-	bank, err := pulse.NewBank(dw1000.SampleInterval, pulse.RegisterS1)
-	if err != nil {
-		return nil, err
-	}
-	return net.RunConcurrentRound(init, resps, sim.RoundConfig{
-		Plan: plan, Bank: bank, Capture: model,
-	})
+	return concurrentRound(env,
+		sim.NetworkConfig{Environment: channel.FreeSpace(), Seed: seed, RandomClockPhase: true},
+		geom.Point{}, responders,
+		sim.RoundConfig{Plan: core.SingleSlot(1), Bank: bank, Capture: model})
 }
 
 // Render formats the sweep.

@@ -6,6 +6,14 @@
 // progress take an *Env as their first argument; it observes the run and
 // never changes its results. EXPERIMENTS.md records paper-vs-measured for
 // each.
+//
+// The Monte-Carlo experiments share one call shape, (env, trials, seed),
+// with trials 0 selecting the paper's count (Fig4 and Fig8 add an
+// ideal-transceiver switch). Their independently seeded trials run
+// through one loop, parallelMapWith, with one instrumented detector per
+// worker, and every concurrent round is built by one fixture,
+// concurrentRound. Sec5, Campaign, SwarmScale and FullBank run units
+// that are not independent trials, in sequence under meter.timeTrial.
 package experiments
 
 import (

@@ -115,7 +115,7 @@ func TestFig4RecoversDistances(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo experiment skipped in -short mode")
 	}
-	r, err := Fig4(nil, Fig4Config{Trials: 12, Seed: 3, IdealTransceiver: true})
+	r, err := Fig4(nil, 12, 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSec5PrecisionBallpark(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo experiment skipped in -short mode")
 	}
-	r, err := Sec5(nil, Sec5Config{Trials: 600, Seed: 6})
+	r, err := Sec5(nil, 600, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestTable1HighIdentificationRates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo experiment skipped in -short mode")
 	}
-	r, err := Table1(nil, Table1Config{Trials: 40, Seed: 5})
+	r, err := Table1(nil, 40, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestSec6OverlapComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo experiment skipped in -short mode")
 	}
-	r, err := Sec6(nil, Sec6Config{Trials: 150, Seed: 9})
+	r, err := Sec6(nil, 150, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestFig8CombinedScheme(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo experiment skipped in -short mode")
 	}
-	r, err := Fig8(nil, Fig8Config{Trials: 8, Seed: 10, IdealTransceiver: true})
+	r, err := Fig8(nil, 8, 10, true)
 	if err != nil {
 		t.Fatal(err)
 	}

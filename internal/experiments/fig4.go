@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/channel"
 	"github.com/uwb-sim/concurrent-ranging/internal/core"
@@ -11,20 +13,6 @@ import (
 	"github.com/uwb-sim/concurrent-ranging/internal/pulse"
 	"github.com/uwb-sim/concurrent-ranging/internal/sim"
 )
-
-// Fig4Config parameterizes the response-detection experiment.
-type Fig4Config struct {
-	// Distances places the responders (meters from the initiator).
-	// Empty selects the paper's {3, 6, 10}.
-	Distances []float64
-	// Trials is the number of Monte-Carlo rounds for the distance
-	// statistics (default 100).
-	Trials int
-	// Seed drives the simulation.
-	Seed uint64
-	// IdealTransceiver disables the 8 ns TX quantization.
-	IdealTransceiver bool
-}
 
 // Fig4Result reproduces Fig. 4: the CIR acquired from three concurrent
 // responders in a hallway, the matched-filter output, and the detected
@@ -50,140 +38,108 @@ type Fig4Result struct {
 	Trials int
 }
 
-// Fig4 runs the hallway response-detection experiment.
-func Fig4(env *Env, cfg Fig4Config) (*Fig4Result, error) {
-	if len(cfg.Distances) == 0 {
-		cfg.Distances = []float64{3, 6, 10}
-	}
-	if cfg.Trials == 0 {
-		cfg.Trials = 100
+// fig4Distances places Fig. 4's three hallway responders, meters from
+// the initiator.
+var fig4Distances = []float64{3, 6, 10}
+
+// fig4Round is trial's Fig. 4 hallway round: the responders in line at
+// fig4Distances, all transmitting the bank's pulse. Unsynchronized clocks
+// give realistic TX-quantization residuals; ideal switches the 8 ns
+// truncation off.
+func fig4Round(env *Env, bank *pulse.Bank, seed uint64, trial int, ideal bool) (*sim.RoundResult, error) {
+	init := geom.Point{X: 2, Y: 0.9}
+	return concurrentRound(env,
+		sim.NetworkConfig{Environment: channel.Hallway(), Seed: seed + uint64(trial)*7919, RandomClockPhase: true},
+		init, inLine(init, fig4Distances...),
+		sim.RoundConfig{Bank: bank, DisableTXQuantization: ideal})
+}
+
+// Fig4 runs the hallway response-detection experiment over trials rounds
+// (0 selects 100); idealTransceiver disables the 8 ns TX quantization.
+func Fig4(env *Env, trials int, seed uint64, idealTransceiver bool) (*Fig4Result, error) {
+	if trials == 0 {
+		trials = 100
 	}
 	bank, err := pulse.NewBank(dw1000.SampleInterval, pulse.RegisterS1)
 	if err != nil {
 		return nil, err
 	}
+	n := len(fig4Distances)
+	type trialOutcome struct {
+		// dist holds each responder's recovered distance, NaN if missed;
+		// cir, mf and delays are the first round's figure data.
+		dist, cir, mf, delays []float64
+	}
 	// Automatic run-time detection (challenge I): extraction stops at the
 	// noise floor, not at a preconfigured response count.
-	det, err := core.NewDetector(bank, core.DetectorConfig{})
+	outcomes, err := parallelMapWith(env, trials, detectors(env, bank, core.DetectorConfig{}),
+		func(dets []*core.Detector, trial int) (trialOutcome, error) {
+			det := dets[0]
+			round, err := fig4Round(env, bank, seed, trial, idealTransceiver)
+			if err != nil {
+				return trialOutcome{}, err
+			}
+			cir := round.Reception.CIR
+			responses, err := det.Detect(cir.Taps, cir.NoiseRMS)
+			if err != nil {
+				return trialOutcome{}, err
+			}
+			// Match each responder's true CIR position (ground truth, with
+			// the realized TX-quantization offsets) against the detections,
+			// then apply Eq. 4 anchored at responder 0. The quantization
+			// error itself stays inside the reported distance statistics —
+			// only the matching uses ground truth.
+			out := trialOutcome{dist: make([]float64, n)}
+			anchor := nearestResponse(responses, refDelay, 5e-9)
+			dTWR := round.TWRDistance()
+			for i := range out.dist {
+				out.dist[i] = math.NaN()
+				if j := nearestResponse(responses, expectedDelay(round, 0, i), 5e-9); anchor >= 0 && j >= 0 {
+					out.dist[i] = core.ConcurrentDistance(dTWR, responses[j].Delay, responses[anchor].Delay)
+				}
+			}
+			if trial == 0 {
+				out.cir = cir.Magnitude()
+				dsp.ScaleReal(out.cir, 1/out.cir[dsp.ArgMax(out.cir)])
+				outs, _, err := det.MatchedFilterOutputs(cir.Taps)
+				if err != nil {
+					return trialOutcome{}, err
+				}
+				out.mf = outs[0]
+				dsp.ScaleReal(out.mf, 1/out.mf[dsp.ArgMax(out.mf)])
+				for _, r := range responses {
+					out.delays = append(out.delays, r.Delay*1e9)
+				}
+			}
+			return out, nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	env.instrumentDetector(det)
 	res := &Fig4Result{
-		TrueDistances:    cfg.Distances,
-		MeanDistance:     make([]float64, len(cfg.Distances)),
-		StdDistance:      make([]float64, len(cfg.Distances)),
-		PerResponderRate: make([]float64, len(cfg.Distances)),
-		Trials:           cfg.Trials,
+		CIR:              outcomes[0].cir,
+		MatchedFilter:    outcomes[0].mf,
+		DetectedDelays:   outcomes[0].delays,
+		TrueDistances:    slices.Clone(fig4Distances),
+		MeanDistance:     make([]float64, n),
+		StdDistance:      make([]float64, n),
+		PerResponderRate: make([]float64, n),
+		Trials:           trials,
 	}
-	stats := make([]dsp.Running, len(cfg.Distances))
-	found := make([]dsp.Counter, len(cfg.Distances))
-
-	m := newMeter(env, cfg.Trials)
-	defer m.finish()
-	for trial := 0; trial < cfg.Trials; trial++ {
-		t0 := wallNow()
-		net, err := sim.NewNetwork(sim.NetworkConfig{
-			Environment:      channel.Hallway(),
-			Seed:             cfg.Seed + uint64(trial)*7919,
-			RandomClockPhase: true, // realistic TX-quantization residuals
-		})
-		if err != nil {
-			return nil, err
-		}
-		env.instrumentNetwork(net)
-		init, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "initiator", Pos: geom.Point{X: 2, Y: 0.9}})
-		if err != nil {
-			return nil, err
-		}
-		var resps []*sim.Node
-		for i, d := range cfg.Distances {
-			node, err := net.AddNode(sim.NodeConfig{ID: i, Pos: geom.Point{X: 2 + d, Y: 0.9}})
-			if err != nil {
-				return nil, err
-			}
-			resps = append(resps, node)
-		}
-		round, err := net.RunConcurrentRound(init, resps, sim.RoundConfig{
-			Bank:                  bank,
-			DisableTXQuantization: cfg.IdealTransceiver,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cir := round.Reception.CIR
-		responses, err := det.Detect(cir.Taps, cir.NoiseRMS)
-		if err != nil {
-			return nil, err
-		}
-		// Match each responder's true CIR position (ground truth, with
-		// the realized TX-quantization offsets) against the detections,
-		// then apply Eq. 4 anchored at responder 0. The quantization
-		// error itself stays inside the reported distance statistics —
-		// only the matching uses ground truth.
-		refDelay := float64(dw1000.ReferenceIndex) * dw1000.SampleInterval
-		anchorDelay, anchorFound := nearestResponse(responses, refDelay)
-		dTWR := round.TWRDistance()
-		for i, d := range cfg.Distances {
-			if i == 0 {
-				found[0].Record(anchorFound)
-				if anchorFound {
-					stats[0].Add(dTWR)
-				}
-				continue
-			}
-			quantDiff := round.TXQuantizationError[i] - round.TXQuantizationError[0]
-			expected := refDelay + 2*(d-cfg.Distances[0])/channel.SpeedOfLight - quantDiff
-			delay, ok := nearestResponse(responses, expected)
-			found[i].Record(anchorFound && ok)
-			if anchorFound && ok {
-				stats[i].Add(core.ConcurrentDistance(dTWR, delay, anchorDelay))
+	for i := range fig4Distances {
+		var stats dsp.Running
+		var found dsp.Counter
+		for _, o := range outcomes {
+			found.Record(!math.IsNaN(o.dist[i]))
+			if !math.IsNaN(o.dist[i]) {
+				stats.Add(o.dist[i])
 			}
 		}
-		if trial == 0 {
-			mag := cir.Magnitude()
-			dsp.ScaleReal(mag, 1/mag[dsp.ArgMax(mag)])
-			res.CIR = mag
-			outs, _, err := det.MatchedFilterOutputs(cir.Taps)
-			if err != nil {
-				return nil, err
-			}
-			mf := outs[0]
-			dsp.ScaleReal(mf, 1/mf[dsp.ArgMax(mf)])
-			res.MatchedFilter = mf
-			for _, r := range responses {
-				res.DetectedDelays = append(res.DetectedDelays, r.Delay*1e9)
-			}
-		}
-		m.trialDone(wallSince(t0))
-	}
-	for i := range stats {
-		res.MeanDistance[i] = stats[i].Mean()
-		res.StdDistance[i] = stats[i].StdDev()
-		res.PerResponderRate[i] = found[i].Rate()
+		res.MeanDistance[i] = stats.Mean()
+		res.StdDistance[i] = stats.StdDev()
+		res.PerResponderRate[i] = found.Rate()
 	}
 	return res, nil
-}
-
-// nearestResponse returns the delay of the detected response closest to
-// expected, and whether one lies within ±5 ns.
-func nearestResponse(responses []core.Response, expected float64) (float64, bool) {
-	const tol = 5e-9
-	best, bestDist := 0.0, tol
-	ok := false
-	for _, r := range responses {
-		if d := absf(r.Delay - expected); d < bestDist {
-			best, bestDist, ok = r.Delay, d, true
-		}
-	}
-	return best, ok
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Render formats the experiment.

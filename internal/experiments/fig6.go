@@ -13,55 +13,17 @@ import (
 	"github.com/uwb-sim/concurrent-ranging/internal/sim"
 )
 
-// twoResponderRound runs one concurrent round with two responders at the
-// given distances, transmitting with the given bank shape indexes. The
-// detector bank holds nps default shapes.
-type twoResponderOutcome struct {
-	round     *sim.RoundResult
-	det       *core.Detector
-	responses []core.Response
-}
-
-func twoResponderRound(env *Env, d1, d2 float64, shape1, shape2, nps, maxResponses int, seed uint64, environment *channel.Environment) (*twoResponderOutcome, error) {
-	net, err := sim.NewNetwork(sim.NetworkConfig{Environment: environment, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	env.instrumentNetwork(net)
-	init, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "initiator", Pos: geom.Point{X: 0.5, Y: 0.9}})
-	if err != nil {
-		return nil, err
-	}
-	bank, err := pulse.DefaultBank(dw1000.SampleInterval, nps)
-	if err != nil {
-		return nil, err
-	}
-	// IDs encode the shape directly in the single-slot plan: ID = shape.
-	r1, err := net.AddNode(sim.NodeConfig{ID: shape1, Name: "resp1", Pos: geom.Point{X: 0.5 + d1, Y: 0.9}})
-	if err != nil {
-		return nil, err
-	}
-	r2, err := net.AddNode(sim.NodeConfig{ID: shape2, Name: "resp2", Pos: geom.Point{X: 0.5 + d2, Y: 0.9}})
-	if err != nil {
-		return nil, err
-	}
-	round, err := net.RunConcurrentRound(init, []*sim.Node{r1, r2}, sim.RoundConfig{
-		Plan: core.SingleSlot(nps),
-		Bank: bank,
-	})
-	if err != nil {
-		return nil, err
-	}
-	det, err := core.NewDetector(bank, core.DetectorConfig{MaxResponses: maxResponses})
-	if err != nil {
-		return nil, err
-	}
-	env.instrumentDetector(det)
-	responses, err := det.Detect(round.Reception.CIR.Taps, round.Reception.CIR.NoiseRMS)
-	if err != nil {
-		return nil, err
-	}
-	return &twoResponderOutcome{round: round, det: det, responses: responses}, nil
+// twoResponderRound is the hallway round of Fig. 6 and Table I:
+// responder 1 at d1 transmitting s₁, responder 2 at d2 with bank shape
+// shape2. In the single-slot plan a responder's ID is its shape index.
+func twoResponderRound(env *Env, bank *pulse.Bank, d1, d2 float64, shape2 int, seed uint64) (*sim.RoundResult, error) {
+	init := geom.Point{X: 0.5, Y: 0.9}
+	return concurrentRound(env, sim.NetworkConfig{Environment: channel.Hallway(), Seed: seed},
+		init, []sim.NodeConfig{
+			{ID: 0, Pos: geom.Point{X: init.X + d1, Y: init.Y}},
+			{ID: shape2, Pos: geom.Point{X: init.X + d2, Y: init.Y}},
+		},
+		sim.RoundConfig{Plan: core.SingleSlot(bank.Len()), Bank: bank})
 }
 
 // Fig6Result reproduces Fig. 6: two responders at 4 m (shape s₁) and 10 m
@@ -81,15 +43,28 @@ type Fig6Result struct {
 
 // Fig6 runs the pulse-shape identification illustration.
 func Fig6(env *Env, seed uint64) (*Fig6Result, error) {
-	out, err := twoResponderRound(env, 4, 10, 0, 2, 3, 0, seed, channel.Hallway())
+	bank, err := pulse.DefaultBank(dw1000.SampleInterval, 3)
 	if err != nil {
 		return nil, err
 	}
-	cir := out.round.Reception.CIR
+	round, err := twoResponderRound(env, bank, 4, 10, 2, seed)
+	if err != nil {
+		return nil, err
+	}
+	det, err := core.NewDetector(bank, core.DetectorConfig{})
+	if err != nil {
+		return nil, err
+	}
+	env.instrumentDetector(det)
+	cir := round.Reception.CIR
+	responses, err := det.Detect(cir.Taps, cir.NoiseRMS)
+	if err != nil {
+		return nil, err
+	}
 	mag := cir.Magnitude()
 	dsp.ScaleReal(mag, 1/math.Max(mag[dsp.ArgMax(mag)], 1e-30))
 	res := &Fig6Result{CIR: mag}
-	mfs, _, err := out.det.MatchedFilterOutputs(cir.Taps)
+	mfs, _, err := det.MatchedFilterOutputs(cir.Taps)
 	if err != nil {
 		return nil, err
 	}
@@ -104,23 +79,14 @@ func Fig6(env *Env, seed uint64) (*Fig6Result, error) {
 	// Pick the detections at the two responders' true CIR positions (the
 	// automatic run also reports multipath peaks, which the combined
 	// scheme of Sect. VIII — not this illustration — disambiguates).
-	refDelay := float64(dw1000.ReferenceIndex) * dw1000.SampleInterval
-	quantDiff := out.round.TXQuantizationError[2] - out.round.TXQuantizationError[0]
-	for _, expected := range []float64{
-		refDelay,
-		refDelay + 2*(10.0-4.0)/channel.SpeedOfLight - quantDiff,
-	} {
-		best, bestDist := -1, math.Inf(1)
-		for i, r := range out.responses {
-			if d := math.Abs(r.Delay - expected); d < bestDist {
-				best, bestDist = i, d
-			}
-		}
-		if best < 0 || bestDist > 5e-9 {
+	for _, id := range []int{0, 2} {
+		expected := expectedDelay(round, 0, id)
+		j := nearestResponse(responses, expected, 5e-9)
+		if j < 0 {
 			return nil, fmt.Errorf("experiments: no response at expected position %.1f ns", expected*1e9)
 		}
-		res.Identified = append(res.Identified, out.responses[best].TemplateIndex)
-		res.Delays = append(res.Delays, out.responses[best].Delay*1e9)
+		res.Identified = append(res.Identified, responses[j].TemplateIndex)
+		res.Delays = append(res.Delays, responses[j].Delay*1e9)
 	}
 	return res, nil
 }

@@ -10,18 +10,6 @@ import (
 	"github.com/uwb-sim/concurrent-ranging/internal/pulse"
 )
 
-// FullBankConfig parameterizes the full-bank detector comparison.
-type FullBankConfig struct {
-	// Trials is the number of CIRs each detector path processes
-	// (default 40).
-	Trials int
-	// Responders is the number of overlapping responses rendered into
-	// each CIR (default 3).
-	Responders int
-	// Seed drives the CIR generation.
-	Seed uint64
-}
-
 // FullBankResult compares the reference detector against the spectral
 // fast path on the largest supported template bank — all
 // pulse.NumShapes (108) DW1000 test-register shapes, the regime Sect. VII
@@ -111,13 +99,15 @@ func fullBankBatch(eng *core.BatchDetector, label string, inputs []core.BatchInp
 	return res, secs, nil
 }
 
-// FullBank runs the comparison.
-func FullBank(env *Env, cfg FullBankConfig) (*FullBankResult, error) {
-	if cfg.Trials == 0 {
-		cfg.Trials = 40
-	}
-	if cfg.Responders == 0 {
-		cfg.Responders = 3
+// fullBankResponders is the number of overlapping responses rendered
+// into each comparison CIR.
+const fullBankResponders = 3
+
+// FullBank runs the comparison with trials CIRs per detector path (0
+// selects 40).
+func FullBank(env *Env, trials int, seed uint64) (*FullBankResult, error) {
+	if trials == 0 {
+		trials = 40
 	}
 	bank, err := pulse.DefaultBank(dw1000.SampleInterval, pulse.NumShapes)
 	if err != nil {
@@ -126,11 +116,11 @@ func FullBank(env *Env, cfg FullBankConfig) (*FullBankResult, error) {
 	// Identification-stream sizing: twice the comparison trials for a
 	// stable rate, and a small sample of the (much slower) call-at-a-time
 	// loop — its per-call cost has no per-item variance worth averaging.
-	idCIRs := 2 * cfg.Trials
-	callCIRs := min(idCIRs, max(3, cfg.Trials/5))
+	idCIRs := 2 * trials
+	callCIRs := min(idCIRs, max(3, trials/5))
 	const warmup = 2
 
-	dcfg := core.DetectorConfig{MaxResponses: cfg.Responders}
+	dcfg := core.DetectorConfig{MaxResponses: fullBankResponders}
 	dcfg.Mode = core.ModeReference
 	refEng, err := core.NewBatchDetector(bank, dcfg, 0)
 	if err != nil {
@@ -150,24 +140,24 @@ func FullBank(env *Env, cfg FullBankConfig) (*FullBankResult, error) {
 	}
 	defer idEng.Close()
 
-	m := newMeter(env, 2*cfg.Trials+callCIRs+2*idCIRs+warmup)
+	m := newMeter(env, 2*trials+callCIRs+2*idCIRs+warmup)
 	defer m.finish()
 	env.instrumentBatch(refEng, m)
 	env.instrumentBatch(fastEng, m)
 	env.instrumentBatch(idEng, m)
 
 	res := &FullBankResult{
-		Trials:    cfg.Trials,
+		Trials:    trials,
 		Templates: bank.Len(),
 		Workers:   idEng.Workers(),
 		IDCIRs:    idCIRs,
 	}
 
 	// Phase 1: reference vs spectral on identical multi-responder CIRs.
-	inputs := make([]core.BatchInput, cfg.Trials)
+	inputs := make([]core.BatchInput, trials)
 	for trial := range inputs {
 		inputs[trial].Taps, inputs[trial].NoiseRMS =
-			fullBankTrain(bank, cfg.Seed+uint64(trial)*9241, cfg.Responders)
+			fullBankTrain(bank, seed+uint64(trial)*9241, fullBankResponders)
 	}
 	refRes, refSecs, err := fullBankBatch(refEng, "reference", inputs)
 	if err != nil {
@@ -208,7 +198,7 @@ func FullBank(env *Env, cfg FullBankConfig) (*FullBankResult, error) {
 	idInputs := make([]core.BatchInput, idCIRs)
 	for i := range idInputs {
 		idInputs[i].Taps, idInputs[i].NoiseRMS =
-			fullBankTrain(bank, cfg.Seed+500009+uint64(i)*9241, 1)
+			fullBankTrain(bank, seed+500009+uint64(i)*9241, 1)
 	}
 
 	// Discipline A: call-at-a-time — a fresh detector per CIR, the cost

@@ -12,7 +12,7 @@ func TestFullBankAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("108-template detector comparison is slow")
 	}
-	r, err := FullBank(nil, FullBankConfig{Trials: 4, Seed: 1})
+	r, err := FullBank(nil, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestFullBankAgreement(t *testing.T) {
 func TestFullBankSingleTrial(t *testing.T) {
 	// One trial gives a 2-CIR identification stream; the call-at-a-time
 	// sample (at least 3) once indexed past its end.
-	r, err := FullBank(nil, FullBankConfig{Trials: 1, Seed: 1})
+	r, err := FullBank(nil, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"github.com/uwb-sim/concurrent-ranging/internal/core"
 	"github.com/uwb-sim/concurrent-ranging/internal/obs"
 	"github.com/uwb-sim/concurrent-ranging/internal/obs/trace"
-	"github.com/uwb-sim/concurrent-ranging/internal/sim"
 )
 
 // Metric names the experiment harness records.
@@ -97,18 +96,6 @@ func (e *Env) instrumentDetector(det *core.Detector) *core.Detector {
 		det.SetFlightRecorder(tr)
 	}
 	return det
-}
-
-// instrumentNetwork attaches the Env's recorder and flight recorder (if
-// any) to a freshly built network and returns it.
-func (e *Env) instrumentNetwork(net *sim.Network) *sim.Network {
-	if rec := e.recorder(); rec != nil {
-		net.SetRecorder(rec)
-	}
-	if tr := e.flight(); tr != nil {
-		net.SetFlightRecorder(tr)
-	}
-	return net
 }
 
 // instrumentBatch attaches the Env's recorder and flight recorder (if

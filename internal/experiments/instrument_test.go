@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -209,7 +213,7 @@ func TestInstrumentedExperimentsRecord(t *testing.T) {
 	reg := obs.NewRegistry()
 	env := &Env{Recorder: reg}
 
-	if _, err := Sec5(env, Sec5Config{Trials: 5, Seed: 1}); err != nil {
+	if _, err := Sec5(env, 5, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Campaign(env, []int{3}, 1); err != nil {
@@ -233,7 +237,7 @@ func TestInstrumentationDoesNotChangeResults(t *testing.T) {
 	// The observation-only contract, end to end: a full experiment with
 	// instrumentation enabled returns bit-identical numbers.
 	run := func(env *Env) *Fig4Result {
-		r, err := Fig4(env, Fig4Config{Trials: 3, Seed: 7})
+		r, err := Fig4(env, 3, 7, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,8 +262,9 @@ func TestInstrumentHelpersNilSafe(t *testing.T) {
 	if det := env.instrumentDetector(&core.Detector{}); det == nil {
 		t.Fatal("instrumentDetector returned nil")
 	}
-	if net := env.instrumentNetwork(&sim.Network{}); net == nil {
-		t.Fatal("instrumentNetwork returned nil")
+	net, nodes, err := network(env, sim.NetworkConfig{}, sim.NodeConfig{ID: 0})
+	if err != nil || net == nil || len(nodes) != 1 {
+		t.Fatalf("network(nil env) = %v, %v, %v", net, nodes, err)
 	}
 }
 
@@ -273,7 +278,7 @@ func TestEnvsAreIsolated(t *testing.T) {
 		total int64
 	}{
 		{"sec5", func(env *Env) error {
-			_, err := Sec5(env, Sec5Config{Trials: sec5Trials, Seed: 1})
+			_, err := Sec5(env, sec5Trials, 1)
 			return err
 		}, 3 * sec5Trials},
 		{"campaign", func(env *Env) error {
@@ -305,6 +310,77 @@ func TestEnvsAreIsolated(t *testing.T) {
 		if len(series) != 1 || series[0].Labels[0].Value != r.name || series[0].Value != r.total {
 			t.Errorf("%s registry: %s series %+v, want only {experiment=%s} = %d",
 				r.name, MetricTrialsByExperiment, series, r.name, r.total)
+		}
+	}
+}
+
+func TestMonteCarloExperimentsMeterEveryTrial(t *testing.T) {
+	// Every independently seeded trial ticks the campaign meter once,
+	// whichever worker runs it.
+	const trials = 2
+	for _, c := range []struct {
+		name  string
+		run   func(env *Env) error
+		total int64
+	}{
+		{"fig4", func(env *Env) error { _, err := Fig4(env, trials, 1, false); return err }, trials},
+		{"sec5", func(env *Env) error { _, err := Sec5(env, trials, 1); return err }, 3 * trials},
+		{"table1", func(env *Env) error { _, err := Table1(env, trials, 1); return err }, 10 * trials},
+		{"sec6", func(env *Env) error { _, err := Sec6(env, trials, 1); return err }, trials},
+		{"fig8", func(env *Env) error { _, err := Fig8(env, trials, 1, false); return err }, trials},
+		{"capture", func(env *Env) error { _, err := Capture(env, trials, 1); return err }, 10 * trials},
+		{"upsample", func(env *Env) error { _, err := AblationUpsample(env, trials, 1); return err }, 5 * trials},
+		{"quantization", func(env *Env) error { _, err := AblationQuantization(env, trials, 1); return err }, 2 * trials},
+		{"threshold", func(env *Env) error { _, err := AblationThreshold(env, trials, 1); return err }, 6 * trials},
+		{"refinement", func(env *Env) error { _, err := AblationRefinement(env, trials, 1); return err }, 2 * trials},
+		{"slotplan", func(env *Env) error { _, err := AblationSlotPlan(env, trials, 1); return err }, 6 * trials},
+	} {
+		reg := obs.NewRegistry()
+		if err := c.run(&Env{Recorder: reg, Experiment: c.name}); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		snap := reg.Snapshot()
+		if got := snap.CounterValue(MetricTrials); got != c.total {
+			t.Errorf("%s: %s = %d, want %d", c.name, MetricTrials, got, c.total)
+		}
+		series := snap.CounterSeries(MetricTrialsByExperiment)
+		if len(series) != 1 || series[0].Labels[0].Value != c.name || series[0].Value != c.total {
+			t.Errorf("%s: %s series %+v, want only {experiment=%s} = %d",
+				c.name, MetricTrialsByExperiment, series, c.name, c.total)
+		}
+	}
+}
+
+func TestTrialMetricsIndependentOfWorkerCount(t *testing.T) {
+	// The trial loop hands trials to whichever worker is free, yet the
+	// stripped metrics — dsp plan counters and histogram sums included —
+	// must not depend on how many workers there are.
+	stripped := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		reg := obs.NewRegistry()
+		env := &Env{Recorder: reg, Experiment: "workers"}
+		// Four trials on four workers leave trial 0's worker, which also
+		// draws the matched-filter figure, with no later Detect.
+		if _, err := Fig4(env, 4, 3, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := AblationUpsample(env, 3, 5); err != nil {
+			t.Fatal(err)
+		}
+		report := &obs.RunReport{Metrics: reg.Snapshot()}
+		data, err := json.Marshal(report.StripWallTime().Metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	one, four := stripped(1), stripped(4)
+	if !bytes.Equal(one, four) {
+		t.Fatalf("stripped metrics differ between 1 and 4 workers:\n%s\n---\n%s", one, four)
+	}
+	for _, name := range []string{"dsp.upsample_execs", "dsp.bank_filters", "detector.margin_db"} {
+		if !strings.Contains(string(one), `"`+name+`"`) {
+			t.Errorf("metric %s missing from the compared snapshot", name)
 		}
 	}
 }

@@ -31,8 +31,8 @@ func parallelMap[T any](env *Env, n int, fn func(i int) (T, error)) ([]T, error)
 // derive everything from their index), so scheduling stays invisible.
 //
 // When env records (a Recorder or a Progress sink), every trial is timed
-// and ticks the campaign meter, driving per-trial metrics and the
-// ProgressFunc. With a nil env the timing branch is never taken.
+// and ticks the campaign meter once, driving per-trial metrics and the
+// ProgressFunc; with a nil env the meter is nil and inert.
 func parallelMapWith[S, T any](env *Env, n int, newWorker func() (S, error), fn func(s S, i int) (T, error)) ([]T, error) {
 	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers < 1 {
@@ -56,13 +56,10 @@ func parallelMapWith[S, T any](env *Env, n int, newWorker func() (S, error), fn 
 		go func(state S) {
 			defer wg.Done()
 			for i := range next {
-				if m == nil {
-					results[i], errs[i] = runTrial(state, i, fn)
-					continue
-				}
-				t0 := wallNow()
-				results[i], errs[i] = runTrial(state, i, fn)
-				m.trialDone(wallSince(t0))
+				errs[i] = m.timeTrial(func() (err error) {
+					results[i], err = runTrial(state, i, fn)
+					return err
+				})
 			}
 		}(states[w])
 	}

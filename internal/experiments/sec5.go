@@ -11,17 +11,6 @@ import (
 	"github.com/uwb-sim/concurrent-ranging/internal/sim"
 )
 
-// Sec5Config parameterizes the ranging-precision experiment.
-type Sec5Config struct {
-	// Trials is the number of SS-TWR operations per shape (the paper
-	// uses 5000).
-	Trials int
-	// Distance separates the two nodes (the paper uses 3 m).
-	Distance float64
-	// Seed drives the simulation.
-	Seed uint64
-}
-
 // Sec5Result reproduces the "no impact on ranging performance" experiment
 // of Sect. V: the standard deviation of the SS-TWR distance error for the
 // pulse shapes s₁, s₂, s₃. The paper reports σ₁ = 0.0228 m, σ₂ = 0.0221 m
@@ -39,33 +28,25 @@ type Sec5Result struct {
 	Trials int
 }
 
-// Sec5 runs the precision comparison.
-func Sec5(env *Env, cfg Sec5Config) (*Sec5Result, error) {
-	if cfg.Trials == 0 {
-		cfg.Trials = 5000
-	}
-	if cfg.Distance == 0 {
-		cfg.Distance = 3
+// sec5Distance separates the two nodes of Sect. V, meters.
+const sec5Distance = 3
+
+// Sec5 runs the precision comparison: trials SS-TWR operations per shape
+// (0 selects the paper's 5000). Each shape's exchanges share one
+// network's RNG stream, so they run in sequence.
+func Sec5(env *Env, trials int, seed uint64) (*Sec5Result, error) {
+	if trials == 0 {
+		trials = 5000
 	}
 	regs := []byte{pulse.RegisterS1, pulse.RegisterS2, pulse.RegisterS3}
-	res := &Sec5Result{Registers: regs, Trials: cfg.Trials}
-	m := newMeter(env, len(regs)*cfg.Trials)
+	res := &Sec5Result{Registers: regs, Trials: trials}
+	m := newMeter(env, len(regs)*trials)
 	defer m.finish()
 	for i, reg := range regs {
-		net, err := sim.NewNetwork(sim.NetworkConfig{
-			Environment: channel.Office(),
-			Seed:        cfg.Seed + uint64(i)*104729,
-		})
-		if err != nil {
-			return nil, err
-		}
-		env.instrumentNetwork(net)
-		a, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "init", Pos: geom.Point{X: 1, Y: 1}})
-		if err != nil {
-			return nil, err
-		}
-		b, err := net.AddNode(sim.NodeConfig{ID: 0, Name: "resp",
-			Pos: geom.Point{X: 1 + cfg.Distance, Y: 1}})
+		net, nodes, err := network(env,
+			sim.NetworkConfig{Environment: channel.Office(), Seed: seed + uint64(i)*104729},
+			sim.NodeConfig{ID: -1, Name: "init", Pos: geom.Point{X: 1, Y: 1}},
+			sim.NodeConfig{ID: 0, Name: "resp", Pos: geom.Point{X: 1 + sec5Distance, Y: 1}})
 		if err != nil {
 			return nil, err
 		}
@@ -74,13 +55,13 @@ func Sec5(env *Env, cfg Sec5Config) (*Sec5Result, error) {
 			return nil, err
 		}
 		var stats dsp.Running
-		for trial := 0; trial < cfg.Trials; trial++ {
+		for trial := 0; trial < trials; trial++ {
 			err := m.timeTrial(func() error {
-				d, err := net.RunTWRExchange(a, b, 290e-6, bank)
+				d, err := net.RunTWRExchange(nodes[0], nodes[1], 290e-6, bank)
 				if err != nil {
 					return err
 				}
-				stats.Add(d - cfg.Distance)
+				stats.Add(d - sec5Distance)
 				return nil
 			})
 			if err != nil {

@@ -13,16 +13,6 @@ import (
 	"github.com/uwb-sim/concurrent-ranging/internal/sim"
 )
 
-// Sec6Config parameterizes the overlapping-response experiment.
-type Sec6Config struct {
-	// Trials is the number of concurrent rounds (the paper uses 2000).
-	Trials int
-	// Distance places both responders (the paper uses 4 m).
-	Distance float64
-	// Seed drives the simulation.
-	Seed uint64
-}
-
 // Sec6Result reproduces the Sect. VI comparison: two responders at the
 // same distance reply concurrently; their responses overlap within a
 // pulse duration because the 8 ns TX quantization leaves only small
@@ -44,13 +34,41 @@ type Sec6Result struct {
 	MeanOffset float64
 }
 
-// Sec6 runs the overlap experiment.
-func Sec6(env *Env, cfg Sec6Config) (*Sec6Result, error) {
-	if cfg.Trials == 0 {
-		cfg.Trials = 2000
+// overlapDistance places both Sect. VI responders, meters from the
+// initiator.
+const overlapDistance = 4
+
+// overlapRound is trial's Sect. VI hallway round: two responders at the
+// same distance, slightly apart laterally, with unsynchronized clocks so
+// the TX quantization leaves small relative offsets.
+func overlapRound(env *Env, bank *pulse.Bank, seed uint64, trial int) (*sim.RoundResult, error) {
+	init := geom.Point{X: 0.5, Y: 0.9}
+	return concurrentRound(env,
+		sim.NetworkConfig{Environment: channel.Hallway(), Seed: seed + uint64(trial)*6151, RandomClockPhase: true},
+		init, []sim.NodeConfig{
+			{ID: 0, Pos: geom.Point{X: init.X + overlapDistance, Y: init.Y}},
+			{ID: 1, Pos: geom.Point{X: init.X, Y: init.Y - overlapDistance}},
+		},
+		sim.RoundConfig{Bank: bank})
+}
+
+// overlapExpected returns an overlap round's two true response delays and
+// their offset, the responders' TX quantization difference (ground
+// truth); ok is false unless they overlap within one pulse duration, the
+// only trials the paper evaluates.
+func overlapExpected(round *sim.RoundResult, pulseDuration float64) (expected []float64, offset float64, ok bool) {
+	offset = math.Abs(round.TXQuantizationError[0] - round.TXQuantizationError[1])
+	if offset > pulseDuration {
+		return nil, offset, false
 	}
-	if cfg.Distance == 0 {
-		cfg.Distance = 4
+	return []float64{refDelay, refDelay + offset}, offset, true
+}
+
+// Sec6 runs the overlap experiment over trials rounds (0 selects the
+// paper's 2000).
+func Sec6(env *Env, trials int, seed uint64) (*Sec6Result, error) {
+	if trials == 0 {
+		trials = 2000
 	}
 	shape, err := pulse.ForRegister(pulse.RegisterS1)
 	if err != nil {
@@ -60,9 +78,7 @@ func Sec6(env *Env, cfg Sec6Config) (*Sec6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The search-and-subtract detector caches FFT plans and scratch
-	// buffers, so each parallel worker gets its own instance; the
-	// threshold baseline is stateless and safely shared.
+	// The threshold baseline is stateless and safely shared.
 	threshold := &core.ThresholdDetector{
 		Shape:          shape,
 		SampleInterval: dw1000.SampleInterval,
@@ -73,70 +89,38 @@ func Sec6(env *Env, cfg Sec6Config) (*Sec6Result, error) {
 		offset      float64
 		ss, th      bool
 	}
-	newWorker := func() (*core.Detector, error) {
-		det, err := core.NewDetector(bank, core.DetectorConfig{Upsample: 8})
-		if err != nil {
-			return nil, err
-		}
-		return env.instrumentDetector(det), nil
-	}
-	outcomes, err := parallelMapWith(env, cfg.Trials, newWorker, func(det *core.Detector, trial int) (trialOutcome, error) {
-		net, err := sim.NewNetwork(sim.NetworkConfig{
-			Environment:      channel.Hallway(),
-			Seed:             cfg.Seed + uint64(trial)*6151,
-			RandomClockPhase: true, // TX quantization offsets need unaligned clocks
+	outcomes, err := parallelMapWith(env, trials, detectors(env, bank, core.DetectorConfig{Upsample: 8}),
+		func(dets []*core.Detector, trial int) (trialOutcome, error) {
+			round, err := overlapRound(env, bank, seed, trial)
+			if err != nil {
+				return trialOutcome{}, err
+			}
+			expected, offset, ok := overlapExpected(round, shape.Duration())
+			if !ok {
+				return trialOutcome{}, nil
+			}
+			cir := round.Reception.CIR
+			ssResp, err := dets[0].Detect(cir.Taps, cir.NoiseRMS)
+			if err != nil {
+				return trialOutcome{}, err
+			}
+			thResp, err := threshold.Detect(cir.Taps, cir.NoiseRMS)
+			if err != nil {
+				return trialOutcome{}, err
+			}
+			return trialOutcome{
+				overlapping: true,
+				offset:      offset,
+				ss:          bothDetected(ssResp, expected),
+				th:          bothDetected(thResp, expected),
+			}, nil
 		})
-		if err != nil {
-			return trialOutcome{}, err
-		}
-		env.instrumentNetwork(net)
-		init, err := net.AddNode(sim.NodeConfig{ID: -1, Name: "initiator", Pos: geom.Point{X: 0.5, Y: 0.9}})
-		if err != nil {
-			return trialOutcome{}, err
-		}
-		// Both responders at the same distance, slightly apart laterally.
-		r1, err := net.AddNode(sim.NodeConfig{ID: 0, Pos: geom.Point{X: 0.5 + cfg.Distance, Y: 0.9}})
-		if err != nil {
-			return trialOutcome{}, err
-		}
-		r2, err := net.AddNode(sim.NodeConfig{ID: 1, Pos: geom.Point{X: 0.5, Y: 0.9 - cfg.Distance}})
-		if err != nil {
-			return trialOutcome{}, err
-		}
-		round, err := net.RunConcurrentRound(init, []*sim.Node{r1, r2}, sim.RoundConfig{Bank: bank})
-		if err != nil {
-			return trialOutcome{}, err
-		}
-		// The realized response offset between the two equal-distance
-		// responders is the TX quantization difference (ground truth).
-		offset := math.Abs(round.TXQuantizationError[0] - round.TXQuantizationError[1])
-		if offset > shape.Duration() {
-			return trialOutcome{}, nil // the paper evaluates only actually-overlapping trials
-		}
-		cir := round.Reception.CIR
-		refDelay := float64(dw1000.ReferenceIndex) * dw1000.SampleInterval
-		expected := []float64{refDelay, refDelay + offset}
-		ssResp, err := det.Detect(cir.Taps, cir.NoiseRMS)
-		if err != nil {
-			return trialOutcome{}, err
-		}
-		thResp, err := threshold.Detect(cir.Taps, cir.NoiseRMS)
-		if err != nil {
-			return trialOutcome{}, err
-		}
-		return trialOutcome{
-			overlapping: true,
-			offset:      offset,
-			ss:          bothDetected(ssResp, expected),
-			th:          bothDetected(thResp, expected),
-		}, nil
-	})
 	if err != nil {
 		return nil, err
 	}
 	var ss, th dsp.Counter
 	var offsets dsp.Running
-	res := &Sec6Result{TotalTrials: cfg.Trials}
+	res := &Sec6Result{TotalTrials: trials}
 	for _, o := range outcomes {
 		if !o.overlapping {
 			continue

@@ -8,20 +8,6 @@ import (
 	"github.com/uwb-sim/concurrent-ranging/internal/sim"
 )
 
-// SwarmScaleConfig parameterizes the city-scale swarm sweep.
-type SwarmScaleConfig struct {
-	// Trials bounds the sweep size like the other Monte-Carlo knobs:
-	// 0 runs the full ladder up to 100 000 nodes, otherwise the largest
-	// N is capped at 4000·Trials (so -trials 3 previews up to 10k nodes).
-	Trials int
-	// Seed drives the deployment and every protocol draw.
-	Seed uint64
-	// Workers is the sharded engine's worker-pool size (0 = GOMAXPROCS).
-	Workers int
-	// Sizes overrides the swept node counts.
-	Sizes []int
-}
-
 // SwarmScalePoint is one swept node count.
 type SwarmScalePoint struct {
 	// N is the node count; Shards and Workers describe the engine.
@@ -67,97 +53,93 @@ type SwarmScaleResult struct {
 // swarmSizes is the full sweep ladder.
 var swarmSizes = []int{100, 1000, 10000, 100000}
 
-// SwarmScale runs the sweep.
-func SwarmScale(env *Env, cfg SwarmScaleConfig) (*SwarmScaleResult, error) {
-	sizes := cfg.Sizes
-	if len(sizes) == 0 {
-		sizes = swarmSizes
-		if cfg.Trials > 0 {
-			maxN := 4000 * cfg.Trials
-			n := 0
-			for _, s := range sizes {
-				if s <= maxN {
-					n++
-				}
-			}
-			if n == 0 {
-				n = 1
-			}
-			sizes = sizes[:n]
+// SwarmScale runs the sweep on a GOMAXPROCS-worker engine. trials bounds
+// the sweep like the other Monte-Carlo knobs: 0 runs the full ladder up to
+// 100 000 nodes, otherwise the largest N is capped at 4000·trials (so
+// trials 3 previews up to 10k nodes). The sizes run in sequence, each
+// timed as one campaign unit.
+func SwarmScale(env *Env, trials int, seed uint64) (*SwarmScaleResult, error) {
+	sizes := swarmSizes
+	if trials > 0 {
+		n := 1
+		for n < len(sizes) && sizes[n] <= 4000*trials {
+			n++
 		}
+		sizes = sizes[:n]
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	res := &SwarmScaleResult{Workers: workers}
 	m := newMeter(env, len(sizes))
 	defer m.finish()
 	rec := env.recorder()
 	for _, n := range sizes {
-		t0 := wallNow()
-		sw, err := sim.NewSwarm(sim.SwarmConfig{N: n, Seed: cfg.Seed})
+		err := m.timeTrial(func() error {
+			sw, err := sim.NewSwarm(sim.SwarmConfig{N: n, Seed: seed})
+			if err != nil {
+				return fmt.Errorf("swarm N=%d: %w", n, err)
+			}
+			w1Start := wallNow()
+			ref, err := sw.RunSharded(1)
+			if err != nil {
+				return fmt.Errorf("swarm N=%d workers=1: %w", n, err)
+			}
+			w1 := wallSince(w1Start).Seconds()
+			// The W-worker run is the instrumented one: live metrics, flight
+			// spans, and the engine profiler all attach here, and all three
+			// are observational — the divergence gate below still compares
+			// it bit-for-bit against the bare 1-worker reference.
+			sw.SetRecorder(rec)
+			sw.SetFlightRecorder(env.flight())
+			var prof *sim.EngineProfiler
+			if rec != nil {
+				prof = sim.NewEngineProfiler(sim.EngineProfilerConfig{Recorder: rec})
+			}
+			wStart := wallNow()
+			run, err := sw.RunShardedProfiled(workers, prof)
+			if err != nil {
+				return fmt.Errorf("swarm N=%d workers=%d: %w", n, workers, err)
+			}
+			wSecs := wallSince(wStart).Seconds()
+			sw.SetRecorder(nil)
+			sw.SetFlightRecorder(nil)
+			if prof != nil {
+				res.Engine = prof.Profile()
+			}
+			// The determinism contract is a hard gate, not a statistic: a
+			// W-worker run that differs from the 1-worker run in any bit of
+			// the merged stats or the event count is a scheduling leak.
+			if run.Stats != ref.Stats || run.Events != ref.Events {
+				return fmt.Errorf("swarm N=%d: %d-worker run diverged from 1-worker run\n  1: %s (%d events)\n  %d: %s (%d events)",
+					n, workers, ref.Stats, ref.Events, workers, run.Stats, run.Events)
+			}
+			sw.Record(rec, run)
+			pt := SwarmScalePoint{
+				N:               n,
+				Shards:          run.Shards,
+				Workers:         run.Workers,
+				LookaheadMicros: sw.Lookahead() * 1e6,
+				Windows:         run.Windows,
+				Events:          run.Events,
+				Stats:           run.Stats,
+				WallSeconds1:    w1,
+				WallSecondsW:    wSecs,
+			}
+			if run.Stats.Receptions > 0 {
+				pt.CrossShardPct = 100 * float64(run.Stats.CrossShardFrames) / float64(run.Stats.Receptions)
+			}
+			if wSecs > 0 {
+				pt.EventsPerSec = float64(run.Events) / wSecs
+				pt.RoundsPerSec = float64(run.Stats.RoundsCompleted) / wSecs
+			}
+			if wSecs > 0 && w1 > 0 {
+				pt.Speedup = w1 / wSecs
+			}
+			res.Points = append(res.Points, pt)
+			return nil
+		})
 		if err != nil {
-			return nil, fmt.Errorf("swarm N=%d: %w", n, err)
+			return nil, err
 		}
-		w1Start := wallNow()
-		ref, err := sw.RunSharded(1)
-		if err != nil {
-			return nil, fmt.Errorf("swarm N=%d workers=1: %w", n, err)
-		}
-		w1 := wallSince(w1Start).Seconds()
-		// The W-worker run is the instrumented one: live metrics, flight
-		// spans, and the engine profiler all attach here, and all three are
-		// observational — the divergence gate below still compares it
-		// bit-for-bit against the bare 1-worker reference.
-		sw.SetRecorder(rec)
-		sw.SetFlightRecorder(env.flight())
-		var prof *sim.EngineProfiler
-		if rec != nil {
-			prof = sim.NewEngineProfiler(sim.EngineProfilerConfig{Recorder: rec})
-		}
-		wStart := wallNow()
-		run, err := sw.RunShardedProfiled(workers, prof)
-		if err != nil {
-			return nil, fmt.Errorf("swarm N=%d workers=%d: %w", n, workers, err)
-		}
-		wSecs := wallSince(wStart).Seconds()
-		sw.SetRecorder(nil)
-		sw.SetFlightRecorder(nil)
-		if prof != nil {
-			res.Engine = prof.Profile()
-		}
-		// The determinism contract is a hard gate, not a statistic: a
-		// W-worker run that differs from the 1-worker run in any bit of
-		// the merged stats or the event count is a scheduling leak.
-		if run.Stats != ref.Stats || run.Events != ref.Events {
-			return nil, fmt.Errorf("swarm N=%d: %d-worker run diverged from 1-worker run\n  1: %s (%d events)\n  %d: %s (%d events)",
-				n, workers, ref.Stats, ref.Events, workers, run.Stats, run.Events)
-		}
-		sw.Record(rec, run)
-		pt := SwarmScalePoint{
-			N:               n,
-			Shards:          run.Shards,
-			Workers:         run.Workers,
-			LookaheadMicros: sw.Lookahead() * 1e6,
-			Windows:         run.Windows,
-			Events:          run.Events,
-			Stats:           run.Stats,
-			WallSeconds1:    w1,
-			WallSecondsW:    wSecs,
-		}
-		if run.Stats.Receptions > 0 {
-			pt.CrossShardPct = 100 * float64(run.Stats.CrossShardFrames) / float64(run.Stats.Receptions)
-		}
-		if wSecs > 0 {
-			pt.EventsPerSec = float64(run.Events) / wSecs
-			pt.RoundsPerSec = float64(run.Stats.RoundsCompleted) / wSecs
-		}
-		if wSecs > 0 && w1 > 0 {
-			pt.Speedup = w1 / wSecs
-		}
-		res.Points = append(res.Points, pt)
-		m.trialDone(wallSince(t0))
 	}
 	return res, nil
 }

@@ -2,22 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
-	"github.com/uwb-sim/concurrent-ranging/internal/channel"
+	"github.com/uwb-sim/concurrent-ranging/internal/core"
 	"github.com/uwb-sim/concurrent-ranging/internal/dsp"
 	"github.com/uwb-sim/concurrent-ranging/internal/dw1000"
+	"github.com/uwb-sim/concurrent-ranging/internal/pulse"
 )
-
-// Table1Config parameterizes the identification-rate experiment.
-type Table1Config struct {
-	// Distances are the d₂ values; empty selects the paper's {6..10} m.
-	Distances []float64
-	// Trials per cell (the paper uses 1000).
-	Trials int
-	// Seed drives the simulation.
-	Seed uint64
-}
 
 // Table1Result reproduces Table I: the percentage of correctly identified
 // pulse shapes for responder 2 at d₂ ∈ {6..10} m using s₂ or s₃, with
@@ -31,78 +21,57 @@ type Table1Result struct {
 	Trials int
 }
 
-// Table1 runs the identification-rate sweep.
-func Table1(env *Env, cfg Table1Config) (*Table1Result, error) {
-	if len(cfg.Distances) == 0 {
-		cfg.Distances = []float64{6, 7, 8, 9, 10}
+// Table1 runs the identification-rate sweep with trials rounds per cell
+// (0 selects the paper's 1000).
+func Table1(env *Env, trials int, seed uint64) (*Table1Result, error) {
+	if trials == 0 {
+		trials = 1000
 	}
-	if cfg.Trials == 0 {
-		cfg.Trials = 1000
+	distances := []float64{6, 7, 8, 9, 10}
+	shapes := []int{1, 2} // s2 and s3
+	bank, err := pulse.DefaultBank(dw1000.SampleInterval, 3)
+	if err != nil {
+		return nil, err
 	}
-	res := &Table1Result{Distances: cfg.Distances, Trials: cfg.Trials}
-	for _, shape2 := range []int{1, 2} { // s2 and s3
-		for di, d2 := range cfg.Distances {
-			d2, shape2 := d2, shape2
-			outcomes, err := parallelMap(env, cfg.Trials, func(trial int) (bool, error) {
-				seed := cfg.Seed + uint64(shape2)*1_000_003 +
-					uint64(di)*10_007 + uint64(trial)*97
-				return identifyTrial(env, d2, shape2, seed)
-			})
+	cells := len(shapes) * len(distances)
+	// Automatic run-time detection (challenge I): no prior knowledge of
+	// the response count; the expected-position match tolerates the
+	// extra multipath detections.
+	outcomes, err := parallelMapWith(env, cells*trials, detectors(env, bank, core.DetectorConfig{}),
+		func(dets []*core.Detector, k int) (bool, error) {
+			cell, trial := k/trials, k%trials
+			shape2, di := shapes[cell/len(distances)], cell%len(distances)
+			round, err := twoResponderRound(env, bank, 3, distances[di], shape2,
+				seed+uint64(shape2)*1_000_003+uint64(di)*10_007+uint64(trial)*97)
 			if err != nil {
-				return nil, err
+				return false, err
 			}
-			var counter dsp.Counter
-			for _, ok := range outcomes {
-				counter.Record(ok)
+			cir := round.Reception.CIR
+			responses, err := dets[0].Detect(cir.Taps, cir.NoiseRMS)
+			if err != nil {
+				return false, err
 			}
-			switch shape2 {
-			case 1:
-				res.RateS2 = append(res.RateS2, counter.Percent())
-			case 2:
-				res.RateS3 = append(res.RateS3, counter.Percent())
-			}
+			// Identified: the detection at responder 2's true CIR position
+			// carries its template.
+			j := nearestResponse(responses, expectedDelay(round, 0, shape2), 5e-9)
+			return j >= 0 && responses[j].TemplateIndex == shape2, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	res := &Table1Result{Distances: distances, Trials: trials}
+	for cell := 0; cell < cells; cell++ {
+		var counter dsp.Counter
+		for _, ok := range outcomes[cell*trials : (cell+1)*trials] {
+			counter.Record(ok)
+		}
+		if cell < len(distances) {
+			res.RateS2 = append(res.RateS2, counter.Percent())
+		} else {
+			res.RateS3 = append(res.RateS3, counter.Percent())
 		}
 	}
 	return res, nil
-}
-
-// identifyTrial runs one concurrent round with responder 1 at 3 m (s₁)
-// and responder 2 at d₂ using bank shape shape2, and reports whether the
-// response detected at responder 2's true CIR position carries the
-// correct template index.
-func identifyTrial(env *Env, d2 float64, shape2 int, seed uint64) (bool, error) {
-	// Automatic run-time detection (challenge I): no prior knowledge of
-	// the response count; the expected-position match below tolerates the
-	// extra multipath detections.
-	out, err := twoResponderRound(env, 3, d2, 0, shape2, 3, 0, seed, channel.Hallway())
-	if err != nil {
-		return false, err
-	}
-	// Responder 2's expected CIR delay: the anchor (responder 1) sits at
-	// the reference index; responder 2 is 2·(d₂−3)/c later, shifted by
-	// the realized TX quantization difference (ground truth).
-	quantDiff := out.round.TXQuantizationError[shape2] - out.round.TXQuantizationError[0]
-	expected := float64(dw1000.ReferenceIndex)*dw1000.SampleInterval +
-		2*(d2-3)/channel.SpeedOfLight - quantDiff
-	shape, found := identifiedShapeAt(out, expected)
-	return found && shape == shape2, nil
-}
-
-// identifiedShapeAt returns the template index of the detected response
-// nearest the expected delay (within half a pulse duration), if any.
-func identifiedShapeAt(out *twoResponderOutcome, expected float64) (int, bool) {
-	const tol = 5e-9
-	best, bestDist := -1, math.Inf(1)
-	for _, r := range out.responses {
-		d := math.Abs(r.Delay - expected)
-		if d < bestDist {
-			best, bestDist = r.TemplateIndex, d
-		}
-	}
-	if best < 0 || bestDist > tol {
-		return 0, false
-	}
-	return best, true
 }
 
 // Render formats the table like the paper's Table I.

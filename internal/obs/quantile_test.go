@@ -119,7 +119,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	})
 	// The pre-optimization search in isolation, for the same value
 	// stream; compare with BenchmarkBucketSearch/binary to see the
-	// Observe win independent of the atomic-update cost both share.
+	// Observe win independent of the update cost both share.
 	b.Run("linear-search-reference", func(b *testing.B) {
 		bounds := DefaultBuckets()
 		b.ReportAllocs()

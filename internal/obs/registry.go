@@ -33,7 +33,6 @@ type Registry struct {
 	counters    map[string]*Counter
 	gauges      map[string]*Gauge
 	histograms  map[string]*Histogram
-	buckets     map[string][]float64 // declared layouts for lazily created histograms
 	counterVecs map[string]*CounterVec
 	gaugeVecs   map[string]*GaugeVec
 	windows     map[string]*Window // per-name time-series rings (Watch)
@@ -45,7 +44,6 @@ func NewRegistry() *Registry {
 		counters:    make(map[string]*Counter),
 		gauges:      make(map[string]*Gauge),
 		histograms:  make(map[string]*Histogram),
-		buckets:     make(map[string][]float64),
 		counterVecs: make(map[string]*CounterVec),
 		gaugeVecs:   make(map[string]*GaugeVec),
 		windows:     make(map[string]*Window),
@@ -86,22 +84,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// DeclareHistogram fixes the bucket layout the named histogram will use
-// when it is (lazily) created. Declaring after the histogram exists is a
-// no-op; nil bounds select DefaultBuckets.
-func (r *Registry) DeclareHistogram(name string, bounds []float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.histograms[name]; ok {
-		return
-	}
-	own := make([]float64, len(bounds))
-	copy(own, bounds)
-	r.buckets[name] = own
-}
-
 // Histogram returns the named histogram, creating it on first use with
-// its declared bucket layout (or DefaultBuckets).
+// DefaultBuckets.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.RLock()
 	h := r.histograms[name]
@@ -112,8 +96,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.histograms[name]; h == nil {
-		h = NewHistogram(r.buckets[name])
-		delete(r.buckets, name)
+		h = NewHistogram(nil)
 		r.histograms[name] = h
 	}
 	return h

@@ -46,23 +46,6 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 	}
 }
 
-func TestDeclareHistogramFixesBuckets(t *testing.T) {
-	reg := NewRegistry()
-	reg.DeclareHistogram("margin", []float64{0, 10, 20})
-	reg.Observe("margin", 15)
-	h, _ := reg.Snapshot().HistogramByName("margin")
-	if len(h.Buckets) != 1 || h.Buckets[0].UpperBound != 20 {
-		t.Fatalf("buckets = %+v, want one at le=20", h.Buckets)
-	}
-	// Declaring after creation must not reset anything.
-	reg.DeclareHistogram("margin", []float64{1000})
-	reg.Observe("margin", 15)
-	h, _ = reg.Snapshot().HistogramByName("margin")
-	if h.Count != 2 {
-		t.Fatalf("count = %d after redeclare, want 2", h.Count)
-	}
-}
-
 func TestRegistryConcurrentCreateAndRecord(t *testing.T) {
 	reg := NewRegistry()
 	var wg sync.WaitGroup

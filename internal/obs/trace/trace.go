@@ -315,9 +315,6 @@ func (s *Span) Event(name string, attrs Attrs) {
 	s.t.emit(Event{Span: s.id, Phase: PhaseInstant, Name: name, Attrs: attrs})
 }
 
-// End closes the span.
-func (s *Span) End() { s.EndWith(nil) }
-
 // EndWith closes the span with result attributes (outcome, error, counts).
 func (s *Span) EndWith(attrs Attrs) {
 	if s == nil || s.t == nil {

@@ -45,9 +45,9 @@ func TestSetMetricsLabelsSpansAndEvents(t *testing.T) {
 	child.Event("peak_accept", nil)
 	child.Event("peak_accept", nil)
 	child.Event("peak_reject", nil)
-	child.End()
-	root.Begin("detect", nil).End()
-	root.End()
+	child.EndWith(nil)
+	root.Begin("detect", nil).EndWith(nil)
+	root.EndWith(nil)
 
 	snap := reg.Snapshot()
 	wantSpans := map[string]int64{"trial": 1, "detect": 2}
@@ -69,7 +69,7 @@ func TestSetMetricsCountsSampledOut(t *testing.T) {
 	tr := New(Config{RingSize: 16, SampleEvery: 3})
 	tr.SetMetrics(reg)
 	for i := 0; i < 9; i++ {
-		tr.Begin("trial", nil).End()
+		tr.Begin("trial", nil).EndWith(nil)
 	}
 	snap := reg.Snapshot()
 	if got := snap.CounterValue(MetricSampledOut); got != 6 {
@@ -90,7 +90,7 @@ func TestSetMetricsPlainRecorderFallback(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s := tr.Begin("trial", nil)
 		s.Event("e", nil)
-		s.End()
+		s.EndWith(nil)
 	}
 	want := map[string]int64{MetricSpans: 2, MetricEvents: 2, MetricSampledOut: 2}
 	if !reflect.DeepEqual(rec.counts, want) {
@@ -102,9 +102,9 @@ func TestSetMetricsNilDetaches(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := New(Config{RingSize: 16})
 	tr.SetMetrics(reg)
-	tr.Begin("trial", nil).End()
+	tr.Begin("trial", nil).EndWith(nil)
 	tr.SetMetrics(nil)
-	tr.Begin("trial", nil).End()
+	tr.Begin("trial", nil).EndWith(nil)
 	if got := reg.Snapshot().CounterValue(MetricSpans); got != 1 {
 		t.Fatalf("detached tracer kept mirroring: spans = %d, want 1", got)
 	}
@@ -121,7 +121,7 @@ func TestSetMetricsIsObservational(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			s := tr.Begin("trial", Attrs{"trial": i})
 			s.Event("peak", Attrs{"toa": 1.5})
-			s.End()
+			s.EndWith(nil)
 		}
 		if err := tr.Flush(); err != nil {
 			t.Fatal(err)

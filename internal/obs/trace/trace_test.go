@@ -28,7 +28,7 @@ func TestNilTracerAndSpanAreInert(t *testing.T) {
 	// All of these must be safe no-ops.
 	child := sp.Begin("child", nil)
 	child.Event("ev", nil)
-	child.End()
+	child.EndWith(nil)
 	sp.EndWith(Attrs{"x": 2})
 	if got := tr.Events(); got != nil {
 		t.Errorf("nil tracer Events = %v, want nil", got)
@@ -50,7 +50,7 @@ func TestSpanTreeAndRing(t *testing.T) {
 	child := root.Begin("detect", Attrs{"templates": 3})
 	child.Event("detect.round", Attrs{"round": 0, "reason": "accepted"})
 	child.EndWith(Attrs{"responses": 1})
-	root.End()
+	root.EndWith(nil)
 
 	evs := tr.Events()
 	if len(evs) != 5 {
@@ -86,7 +86,7 @@ func TestRingKeepsMostRecent(t *testing.T) {
 	tr := New(Config{RingSize: 4, Clock: fixedClock()})
 	for i := 0; i < 10; i++ {
 		sp := tr.Begin("s", Attrs{"i": i})
-		sp.End()
+		sp.EndWith(nil)
 	}
 	evs := tr.Events()
 	if len(evs) != 4 {
@@ -112,8 +112,8 @@ func TestRootSampling(t *testing.T) {
 		// Children and events of unsampled roots must be inert but usable.
 		child := sp.Begin("child", nil)
 		child.Event("ev", nil)
-		child.End()
-		sp.End()
+		child.EndWith(nil)
+		sp.EndWith(nil)
 		if sp.Recording() {
 			recorded++
 			if !child.Recording() {
@@ -187,7 +187,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	det := root.Begin("detect", nil)
 	det.Event("detect.round", Attrs{"round": 0})
 	det.EndWith(Attrs{"responses": 2})
-	root.End()
+	root.EndWith(nil)
 	orphan := tr.Begin("sim.round", nil) // left open: truncated trace
 	_ = orphan
 
@@ -237,7 +237,7 @@ func TestConcurrentRecording(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				sp := tr.Begin("w", Attrs{"g": g})
 				sp.Event("e", nil)
-				sp.End()
+				sp.EndWith(nil)
 			}
 		}(g)
 	}

@@ -28,7 +28,6 @@ package ranging
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/airtime"
 	"github.com/uwb-sim/concurrent-ranging/internal/channel"
@@ -64,17 +63,19 @@ type Config struct {
 	MaxRange float64
 	// NumShapes is the number of pulse shapes used for responder
 	// identification (Sect. V). Zero or one selects anonymous ranging
-	// with the default pulse.
+	// with the default pulse; a negative count is rejected.
 	NumShapes int
 	// ResponseDelay overrides Δ_RESP (seconds). Zero selects the paper's
-	// 290 µs.
+	// 290 µs; a non-finite delay is rejected.
 	ResponseDelay float64
 	// IdealTransceiver disables the DW1000's 8 ns delayed-TX truncation,
 	// modeling the next-generation hardware the paper anticipates
 	// (Sect. III). Keep false for faithful DW1000 behavior.
 	IdealTransceiver bool
 	// ClockOffsetPPM, when non-zero, draws each node's crystal offset
-	// uniformly from ±this many ppm. Zero keeps ideal crystals.
+	// uniformly from ±this many ppm. Zero keeps ideal crystals; a
+	// non-finite or negative bound, or one of 1e6 ppm or more (a clock
+	// that could stop), is rejected.
 	ClockOffsetPPM float64
 	// DriftCompensation corrects the SS-TWR anchor distance with the
 	// initiator's carrier-frequency-offset estimate of the decoded
@@ -213,8 +214,17 @@ func (s *Scenario) Build() (*Session, error) {
 			})
 		}
 	}
-	if s.cfg.MaxRange < 0 || math.IsNaN(s.cfg.MaxRange) || math.IsInf(s.cfg.MaxRange, 0) {
-		return nil, fmt.Errorf("ranging: max range %g m must be finite and non-negative", s.cfg.MaxRange)
+	if s.cfg.MaxRange < 0 || !finite(s.cfg.MaxRange) {
+		return nil, fmt.Errorf("%w: max range %g m must be finite and non-negative", ErrInvalidConfig, s.cfg.MaxRange)
+	}
+	if s.cfg.ClockOffsetPPM < 0 || s.cfg.ClockOffsetPPM >= 1e6 || !finite(s.cfg.ClockOffsetPPM) {
+		return nil, fmt.Errorf("%w: clock offset %g ppm must be finite, non-negative and below 1e6", ErrInvalidConfig, s.cfg.ClockOffsetPPM)
+	}
+	if !finite(s.cfg.ResponseDelay) {
+		return nil, fmt.Errorf("%w: response delay %g s must be finite", ErrInvalidConfig, s.cfg.ResponseDelay)
+	}
+	if s.cfg.NumShapes < 0 {
+		return nil, fmt.Errorf("%w: %d pulse shapes", ErrInvalidConfig, s.cfg.NumShapes)
 	}
 	numShapes := max(s.cfg.NumShapes, 1)
 	var plan core.SlotPlan
@@ -229,12 +239,12 @@ func (s *Scenario) Build() (*Session, error) {
 	seen := make(map[int]bool, len(s.responders))
 	for _, r := range s.responders {
 		if seen[r.id] {
-			return nil, fmt.Errorf("ranging: duplicate responder ID %d", r.id)
+			return nil, fmt.Errorf("%w: duplicate responder ID %d", ErrInvalidConfig, r.id)
 		}
 		seen[r.id] = true
 		if plan.Capacity() > 1 && (r.id < 0 || r.id >= plan.Capacity()) {
-			return nil, fmt.Errorf("ranging: responder ID %d outside scheme capacity %d",
-				r.id, plan.Capacity())
+			return nil, fmt.Errorf("%w: responder ID %d outside scheme capacity %d",
+				ErrInvalidConfig, r.id, plan.Capacity())
 		}
 	}
 	bank, err := pulse.DefaultBank(dw1000.SampleInterval, numShapes)

@@ -21,8 +21,8 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	sc.AddResponder(0, 3, 1)
 	sc.AddResponder(0, 4, 1)
-	if _, err := sc.Build(); err == nil {
-		t.Error("duplicate responder ID accepted")
+	if _, err := sc.Build(); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("duplicate responder ID: err = %v, want ErrInvalidConfig", err)
 	}
 	bad := NewScenario(Config{Environment: "moonbase"})
 	bad.SetInitiator(1, 1)
@@ -33,16 +33,46 @@ func TestScenarioValidation(t *testing.T) {
 	over := NewScenario(Config{MaxRange: 75, NumShapes: 3})
 	over.SetInitiator(1, 1)
 	over.AddResponder(50, 3, 1) // capacity is 12
-	if _, err := over.Build(); err == nil {
-		t.Error("responder ID beyond capacity accepted")
+	if _, err := over.Build(); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("responder ID beyond capacity: err = %v, want ErrInvalidConfig", err)
 	}
-	// A NaN or negative range once silently switched RPM off.
-	for _, r := range []float64{math.NaN(), math.Inf(1), -75} {
-		sc := NewScenario(Config{MaxRange: r, NumShapes: 3})
+	// Each config once built: a NaN or negative range silently switched
+	// RPM off; a +Inf clock offset returned -43 km distances, a NaN one
+	// failed as "no responses detected"; a NaN or +Inf response delay
+	// failed as "delayed TX time … is in the past"; negative shape counts
+	// ran anonymous ranging.
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"MaxRange NaN", Config{MaxRange: math.NaN(), NumShapes: 3}},
+		{"MaxRange +Inf", Config{MaxRange: inf, NumShapes: 3}},
+		{"MaxRange negative", Config{MaxRange: -75, NumShapes: 3}},
+		{"ClockOffsetPPM NaN", Config{ClockOffsetPPM: math.NaN()}},
+		{"ClockOffsetPPM +Inf", Config{ClockOffsetPPM: inf}},
+		{"ClockOffsetPPM -Inf", Config{ClockOffsetPPM: -inf}},
+		{"ClockOffsetPPM negative", Config{ClockOffsetPPM: -2}},
+		{"ClockOffsetPPM 1e6", Config{ClockOffsetPPM: 1e6}},
+		{"ResponseDelay NaN", Config{ResponseDelay: math.NaN()}},
+		{"ResponseDelay +Inf", Config{ResponseDelay: inf}},
+		{"ResponseDelay -Inf", Config{ResponseDelay: -inf}},
+		{"NumShapes negative", Config{NumShapes: -3}},
+	} {
+		sc := NewScenario(c.cfg)
 		sc.SetInitiator(1, 1)
 		sc.AddResponder(0, 3, 1)
-		if _, err := sc.Build(); err == nil {
-			t.Errorf("MaxRange %g accepted", r)
+		if _, err := sc.Build(); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: err = %v, want ErrInvalidConfig", c.name, err)
+		}
+	}
+	// Values inside the domains still build.
+	for _, cfg := range []Config{{ClockOffsetPPM: 20}, {NumShapes: 1}, {ResponseDelay: 400e-6}} {
+		sc := NewScenario(cfg)
+		sc.SetInitiator(1, 1)
+		sc.AddResponder(0, 3, 1)
+		if _, err := sc.Build(); err != nil {
+			t.Errorf("%+v rejected: %v", cfg, err)
 		}
 	}
 	// A non-finite threshold factor reaches the detector and fails there.

@@ -98,6 +98,12 @@ var ErrDecodeFailed = errors.New("ranging: concurrent payload decode failed")
 // loss. Scenario.Build and Session.Run wrap it; match it with errors.Is.
 var ErrNonFinitePosition = errors.New("ranging: non-finite position")
 
+// ErrInvalidConfig reports a scenario Config or responder set that
+// Scenario.Build rejects: a MaxRange, ClockOffsetPPM, ResponseDelay or
+// NumShapes out of its documented domain, or a responder ID that is
+// duplicated or outside the scheme capacity. Match it with errors.Is.
+var ErrInvalidConfig = errors.New("ranging: invalid config")
+
 // Run executes one concurrent-ranging round: the initiator broadcasts
 // INIT, all responders answer simultaneously after Δ_RESP (+ their RPM
 // slot offsets), and the initiator extracts every responder's distance
