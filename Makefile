@@ -92,7 +92,8 @@ smoke:
 fuzz:
 	$(GO) test ./internal/dsp -fuzz FuzzFFTRoundTrip -fuzztime 30s
 	$(GO) test ./internal/dsp -fuzz FuzzUpsamplePlan -fuzztime 30s
-	$(GO) test ./internal/core -fuzz FuzzDetect -fuzztime 30s
+	$(GO) test ./internal/dsp -fuzz FuzzUpsampleAddSegment -fuzztime 60s
+	$(GO) test ./internal/core -fuzz FuzzDetect -fuzztime 60s
 
 clean:
 	$(GO) clean ./...

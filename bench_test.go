@@ -243,26 +243,36 @@ func BenchmarkAblationThreshold(b *testing.B) {
 
 // ---- micro-benchmarks of the core pipeline ----
 
+// BenchmarkDetectorSearchAndSubtract times one automatic-mode Detect of
+// the three-responder hallway CIR on the 3-shape bank, on the default
+// path and on ModeReference.
 func BenchmarkDetectorSearchAndSubtract(b *testing.B) {
 	bank, err := pulse.DefaultBank(dw1000.SampleInterval, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	det, err := core.NewDetector(bank, core.DetectorConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
 	taps := benchCIR(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := det.Detect(taps, dw1000.DefaultNoiseRMS); err != nil {
-			b.Fatal(err)
-		}
+	for _, path := range []struct {
+		name string
+		mode core.DetectorMode
+	}{{"default", core.ModeAuto}, {"reference", core.ModeReference}} {
+		b.Run(path.name, func(b *testing.B) {
+			det, err := core.NewDetector(bank, core.DetectorConfig{Mode: path.mode})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := det.Detect(taps, dw1000.DefaultNoiseRMS); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkDetectBank108 times one Detect on the full 108-shape bank on
-// each search path, serially and with the template fan-out over
+// the default path and on ModeReference, serially and with the template fan-out over
 // GOMAXPROCS goroutines (DetectorConfig.Workers). Every CIR holds three
 // overlapping responses of random shapes plus receiver noise, as in the
 // fullbank workload.
@@ -295,7 +305,7 @@ func BenchmarkDetectBank108(b *testing.B) {
 	for _, path := range []struct {
 		name string
 		mode core.DetectorMode
-	}{{"spectral", core.ModeSpectral}, {"reference", core.ModeReference}} {
+	}{{"default", core.ModeAuto}, {"reference", core.ModeReference}} {
 		for _, w := range workers {
 			b.Run(fmt.Sprintf("%s/workers=%d", path.name, w), func(b *testing.B) {
 				det, err := core.NewDetector(bank, core.DetectorConfig{Mode: path.mode, Workers: w})
@@ -355,6 +365,30 @@ func BenchmarkUpsamplePlan4x(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		plan.Execute(dst, taps)
+	}
+}
+
+// BenchmarkUpsampleAddSegment4x times the detector's per-subtraction
+// update of its up-sampled residual: the image of one 900 MHz pulse
+// rendered at T_s (11 samples) added into the 4× up-sampled 1016-tap CIR.
+func BenchmarkUpsampleAddSegment4x(b *testing.B) {
+	taps := benchCIR(b)
+	plan, err := dsp.NewUpsamplePlan(len(taps), 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shape, err := pulse.ForRegister(pulse.DefaultRegister)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := plan.Execute(make([]complex128, len(taps)*4), taps)
+	seg, lo := shape.RenderSegment(nil, -0.01, 300.3, dw1000.SampleInterval, len(taps))
+	if len(seg) != 11 {
+		b.Fatalf("segment of %d samples, want 11", len(seg))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan.AddSegment(dst, seg, lo)
 	}
 }
 

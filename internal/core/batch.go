@@ -56,7 +56,7 @@ type BatchResult struct {
 // worker.
 type batchShared struct {
 	bank searchBank
-	err  error // length rejected by the dsp layer (e.g. template longer than window)
+	err  error // the bank build failed; every item of this length reports it
 }
 
 // batchGroup is one same-length run of the current batch inside the order
@@ -214,7 +214,7 @@ func (b *BatchDetector) Close() {
 // result per input, in input order. The returned slice and the response
 // slices inside it are engine-owned and valid only until the next
 // DetectBatch or Close. Per-item failures (empty CIR, bad noise RMS, a
-// non-finite tap or noise RMS, a length the dsp layer rejects, a
+// non-finite tap or noise RMS, a length whose bank cannot be built, a
 // panicking item) are reported in that item's Err; the batch itself never
 // fails.
 func (b *BatchDetector) DetectBatch(inputs []BatchInput) []BatchResult {

@@ -51,15 +51,19 @@ const (
 	// matched filtering of one template against one residual).
 	MetricDetectTemplateEvals = "detector.template_evals"
 	// MetricUpsampleExecs and the bank metrics surface the dsp plan-level
-	// execution counters. In spectral mode a bank "transform" is one
-	// SpectralBank.Ingest (once per Detect) and a bank "filter" is one
-	// ScanBest; in reference mode they are MatchedFilterBank.Transform
-	// (once per round) and FilterInto/FilterPeak.
+	// execution counters. On the default path the CIR is up-sampled once
+	// per Detect, a bank "transform" is one SpectralBank.Ingest (once per
+	// round) and a bank "filter" is one ScanBest; on ModeReference the
+	// upsample and the MatchedFilterBank.Transform both run once per
+	// round and a filter is one FilterInto/FilterPeak.
 	MetricUpsampleExecs  = "dsp.upsample_execs"
 	MetricBankTransforms = "dsp.bank_transforms"
 	MetricBankFilters    = "dsp.bank_filters"
-	// MetricBankShiftSubtracts counts analytic DFT-shift spectrum updates —
-	// the subtractions the spectral path performs without any transform.
+	// MetricBankShiftSubtracts names the count of analytic DFT-shift
+	// spectrum updates (dsp.SpectralBank.ShiftSubtract). No detector path
+	// performs them, so a detector never records it; the name stays for
+	// the benchmark tooling that reads it alongside the other bank
+	// counters.
 	MetricBankShiftSubtracts = "dsp.bank_shift_subtracts"
 )
 
@@ -73,26 +77,19 @@ var ErrNonFinite = errors.New("core: non-finite detector input")
 type DetectorMode int
 
 const (
-	// ModeAuto (the default) picks per bank size: the spectral fast path
-	// for banks of at least minParallelTemplates templates — the Sect. V
-	// shape-identification case, where the per-round forward transforms
-	// dominate — and the exact reference path for small banks, whose
-	// results are pinned bit-exactly by the golden tests and where the
-	// spectral win is smaller. DisableRefinement always forces the
-	// reference path (its on-grid amplitudes read the exact
-	// matched-filter output).
+	// ModeAuto (the default) up-samples the CIR once per Detect and keeps
+	// the up-sampled residual exact across extractions: each subtracted
+	// pulse is rendered once at T_s and its up-sampled image added with
+	// dsp.UpsamplePlan.AddSegment. Each round then costs one forward FFT
+	// at the signal's circular length (dsp.SpectralBank) and one inverse
+	// FFT per template, half the reference path's transform size. Up to
+	// rounding it computes what ModeReference computes, at every bank
+	// size and with or without refinement.
 	ModeAuto DetectorMode = iota
-	// ModeSpectral maintains the residual's up-sampled spectrum
-	// analytically across extractions: one upsample + one forward FFT per
-	// Detect, zero forward transforms per round. The coarse peak search
-	// runs on that (slightly approximate) spectrum; refinement, amplitude
-	// estimation, thresholding and subtraction all stay on the exactly
-	// maintained T_s residual, so delays and amplitudes match the
-	// reference path whenever the coarse argmax lands in the same basin.
-	ModeSpectral
-	// ModeReference re-upsamples and re-transforms the residual every
-	// round — the exact implementation the spectral path is validated
-	// against.
+	// ModeReference re-upsamples the residual and re-transforms it at the
+	// linear convolution length every round — the direct implementation
+	// of Sect. IV that the default path is tested against, and fullbank's
+	// comparison baseline.
 	ModeReference
 )
 
@@ -137,8 +134,6 @@ type DetectorConfig struct {
 	// and estimates each response on the up-sampled grid only — the
 	// literal steps 3–5 of the paper. Kept as an ablation: the residual
 	// of a grid-limited subtraction re-triggers detection at high SNR.
-	// Incompatible with ModeSpectral (the grid amplitude is read off the
-	// matched-filter output, which the spectral path only approximates).
 	DisableRefinement bool
 	// Mode selects the search implementation; see DetectorMode.
 	Mode DetectorMode
@@ -179,7 +174,8 @@ type Detector struct {
 	searchBank
 	upsample  *dsp.UpsamplePlan
 	residual  []complex128
-	up        []complex128
+	up        []complex128       // up-sampled residual
+	seg       []complex128       // the round's subtracted pulse, rendered at T_s
 	skipQ     []dsp.SkipInterval // per-round suppressed intervals, q-space
 	extracted []float64          // per-call already-subtracted peak positions, T_s samples
 	workers   []detectWorker     // per-worker scratch for the template fan-out
@@ -206,16 +202,15 @@ type Detector struct {
 	lastUpsampleExecs int64
 	lastTransforms    int64
 	lastFilters       int64
-	lastShifts        int64
 }
 
 // searchBank is the template bank the search reads for CIRs of cirLen
-// taps: the MatchedFilterBank on the reference path or the SpectralBank on
-// the spectral path, never both.
+// taps: the SpectralBank on the default path or the MatchedFilterBank on
+// ModeReference, never both.
 type searchBank struct {
 	cirLen int
-	fbank  *dsp.MatchedFilterBank // reference path only
-	sbank  *dsp.SpectralBank      // spectral path only
+	fbank  *dsp.MatchedFilterBank // ModeReference only
+	sbank  *dsp.SpectralBank      // default path only
 }
 
 // clone returns a bank sharing s's read-only plans and template spectra
@@ -228,14 +223,13 @@ func (s searchBank) clone() searchBank {
 }
 
 // counters returns the bank's execution counters in the dsp.bank_*
-// metrics' terms. A spectral Ingest is the one transform a Detect pays
-// and a ScanBest is one template filter; only the spectral path
-// shift-subtracts.
-func (s searchBank) counters() (transforms, filters, shifts int64) {
+// metrics' terms: a spectral Ingest is one transform and a ScanBest is
+// one template filter.
+func (s searchBank) counters() (transforms, filters int64) {
 	if s.sbank != nil {
-		return s.sbank.Ingests(), s.sbank.Scans(), s.sbank.ShiftSubtracts()
+		return s.sbank.Ingests(), s.sbank.Scans()
 	}
-	return s.fbank.Transforms(), s.fbank.Filters(), 0
+	return s.fbank.Transforms(), s.fbank.Filters()
 }
 
 // detectWorker is one goroutine's worth of search scratch: the search
@@ -344,9 +338,6 @@ func newDetector(bank *pulse.Bank, cfg DetectorConfig) (*Detector, error) {
 	if cfg.Mode < ModeAuto || cfg.Mode > ModeReference {
 		return nil, fmt.Errorf("core: unknown detector mode %d", cfg.Mode)
 	}
-	if cfg.Mode == ModeSpectral && cfg.DisableRefinement {
-		return nil, fmt.Errorf("core: ModeSpectral needs refinement (grid amplitudes read the exact matched-filter output)")
-	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("core: negative Workers %d", cfg.Workers)
 	}
@@ -404,7 +395,7 @@ func (d *Detector) install(s searchBank) error {
 	}
 	d.searchBank = s
 	d.upsample = up
-	d.lastUpsampleExecs, d.lastTransforms, d.lastFilters, d.lastShifts = 0, 0, 0, 0
+	d.lastUpsampleExecs, d.lastTransforms, d.lastFilters = 0, 0, 0
 	d.residual = make([]complex128, s.cirLen)
 	d.up = make([]complex128, s.cirLen*d.cfg.Upsample)
 	d.workers = make([]detectWorker, d.workerCount())
@@ -418,17 +409,9 @@ func (d *Detector) install(s searchBank) error {
 	return nil
 }
 
-// useSpectral reports whether Detect runs the spectral fast path.
-func (d *Detector) useSpectral() bool {
-	switch d.cfg.Mode {
-	case ModeSpectral:
-		return true
-	case ModeReference:
-		return false
-	default:
-		return !d.cfg.DisableRefinement && len(d.templates) >= minParallelTemplates
-	}
-}
+// useSpectral reports whether Detect searches through the SpectralBank
+// (every mode but ModeReference).
+func (d *Detector) useSpectral() bool { return d.cfg.Mode != ModeReference }
 
 // minParallelTemplates is the bank size at which Workers == 0 turns the
 // per-round template fan-out on. Below it the round is dominated by the
@@ -517,16 +500,12 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 	rounds, refineSteps := 0, 0
 	stop := trace.ReasonMaxIterations
 
-	// Spectral fast path: upsample and forward-transform the CIR once,
-	// then keep the spectrum current analytically after each subtraction.
-	// The reference path redoes both every round inside the loop.
+	// The default path up-samples the CIR once and keeps the up-sampled
+	// residual exact after each subtraction (AddSegment below); the
+	// reference path re-upsamples the residual every round.
 	spectral := d.sbank != nil
 	if spectral {
-		up := d.upsample.Execute(d.up, residual)
-		if err := d.sbank.Ingest(up); err != nil {
-			failDetectSpan(span, err)
-			return dst, err
-		}
+		d.upsample.Execute(d.up, residual)
 	}
 
 	responses, base := dst, len(dst)
@@ -538,16 +517,20 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 		}
 		rounds++
 		// Coarse search in the up-sampled domain (Sect. IV steps 1–3).
-		// One forward FFT of the residual feeds every template's cached
-		// matched-filter spectrum; each template then costs one complex
-		// multiply pass plus one inverse FFT with the peak scan fused
-		// into its output pass — fanned across workers for large banks.
-		if !spectral {
-			up := d.upsample.Execute(d.up, residual)
-			if err := d.fbank.Transform(up); err != nil {
-				failDetectSpan(span, err)
-				return responses[:base], err
-			}
+		// One forward FFT of the up-sampled residual feeds every
+		// template's cached matched-filter spectrum; each template then
+		// costs one complex multiply pass plus one inverse FFT with the
+		// peak scan fused into its output pass — fanned across workers
+		// for large banks.
+		var err error
+		if spectral {
+			err = d.sbank.Ingest(d.up)
+		} else {
+			err = d.fbank.Transform(d.upsample.Execute(d.up, residual))
+		}
+		if err != nil {
+			failDetectSpan(span, err)
+			return responses[:base], err
 		}
 		d.skipQ = appendSuppressedIntervals(d.skipQ[:0], d.extracted, d.cfg.Upsample)
 		best, err := d.searchTemplates(spectral)
@@ -570,9 +553,7 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 		// leaves a flank-shaped residual proportional to the delay error
 		// plus the slight aliasing of a 900 MHz pulse at the 1.0016 ns
 		// accumulator rate; a high-SNR run would re-detect that residual
-		// as phantom responses. The spectral path relies on the same
-		// split: its coarse peak only has to land in the right basin,
-		// because the values below come from the exact T_s residual.
+		// as phantom responses.
 		var peakPos float64
 		var alpha complex128
 		if d.cfg.DisableRefinement {
@@ -608,14 +589,17 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 			Amplitude:     alpha,
 			TemplateIndex: best.t,
 		})
-		// Subtract the estimated response (Sect. IV step 5) — and mirror
-		// it analytically into the maintained spectrum on the fast path.
-		d.bank.Shape(best.t).RenderInto(residual, -alpha, peakPos, d.ts)
+		// Subtract the estimated response (Sect. IV step 5): render it
+		// once at T_s (exactly the samples RenderInto would add) into the
+		// residual and, on the default path, its up-sampled image into
+		// the up-sampled residual.
+		var lo int
+		d.seg, lo = d.bank.Shape(best.t).RenderSegment(d.seg, -alpha, peakPos, d.ts, len(residual))
+		for k, v := range d.seg {
+			residual[lo+k] += v
+		}
 		if spectral {
-			if err := d.spectralSubtract(best.t, alpha, peakPos); err != nil {
-				failDetectSpan(span, err)
-				return responses[:base], err
-			}
+			d.upsample.AddSegment(d.up, d.seg, lo)
 		}
 		d.extracted = append(d.extracted, peakPos)
 		if span != nil {
@@ -752,7 +736,7 @@ func (d *Detector) recordPlanExecs() {
 		rec.Count(MetricUpsampleExecs, e-d.lastUpsampleExecs)
 		d.lastUpsampleExecs = e
 	}
-	transforms, filters, shifts := d.counters()
+	transforms, filters := d.counters()
 	if transforms != d.lastTransforms {
 		rec.Count(MetricBankTransforms, transforms-d.lastTransforms)
 		d.lastTransforms = transforms
@@ -760,10 +744,6 @@ func (d *Detector) recordPlanExecs() {
 	if filters != d.lastFilters {
 		rec.Count(MetricBankFilters, filters-d.lastFilters)
 		d.lastFilters = filters
-	}
-	if shifts != d.lastShifts {
-		rec.Count(MetricBankShiftSubtracts, shifts-d.lastShifts)
-		d.lastShifts = shifts
 	}
 }
 
@@ -850,32 +830,6 @@ func (d *Detector) scanRange(w *detectWorker, lo, hi int, spectral bool) (candid
 		}
 	}
 	return best, nil
-}
-
-// spectralSubtract mirrors the T_s-domain subtraction of
-// alpha·s_t(·−peakPos) into the maintained up-sampled spectrum via the
-// DFT shift theorem. The spectral amplitude rescales α̂ from the
-// T_s-domain template-energy convention to the bank's unit-energy
-// up-sampled templates (the inverse of gridAmplitudeScale).
-func (d *Detector) spectralSubtract(t int, alpha complex128, peakPos float64) error {
-	shape := d.bank.Shape(t)
-	normUp := shape.NormConstant(d.tsUp)
-	normTs := shape.NormConstant(d.ts)
-	if normUp == 0 {
-		return fmt.Errorf("core: template %d has zero energy at the up-sampled rate", t)
-	}
-	amp := alpha * complex(normTs/normUp, 0)
-	finePos := peakPos * float64(d.cfg.Upsample)
-	// The bank's tail-correction prefix needs the time-domain subtraction
-	// too, but only when the pulse support reaches the window start.
-	var eval func(int) complex128
-	if finePos-shape.SupportHalfWidth()/d.tsUp < float64(d.sbank.PrefixLen()) {
-		scale := alpha * complex(normTs, 0)
-		eval = func(x int) complex128 {
-			return scale * complex(shape.Eval((float64(x)-finePos)*d.tsUp), 0)
-		}
-	}
-	return d.sbank.ShiftSubtract(t, amp, finePos, eval)
 }
 
 // suppressionRadius is how close (in CIR samples T_s) a new candidate
@@ -1062,11 +1016,11 @@ func (d *Detector) refinePeak(residual []complex128, tmplIdx int, coarse float64
 // CIR taps, in the up-sampled domain — the curves of the paper's Fig. 4b
 // and Fig. 6b. The second return value is the up-sampled tap spacing.
 // Like Detect it uses (and may rebuild) the cached plans, so it is not
-// safe to call concurrently with other methods. A spectral-path detector
+// safe to call concurrently with other methods. A default-path detector
 // holds no MatchedFilterBank, so it builds one for the call. With a
 // recorder attached, the call records its executions of the detector's own
 // plans (the up-sampler, and the reference path's bank) before returning;
-// a spectral-path call's throwaway bank is not counted.
+// a default-path call's throwaway bank is not counted.
 func (d *Detector) MatchedFilterOutputs(taps []complex128) ([][]float64, float64, error) {
 	if len(taps) == 0 {
 		return nil, 0, fmt.Errorf("core: empty CIR")

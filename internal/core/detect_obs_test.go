@@ -55,7 +55,10 @@ func TestDetectRecordsDiagnostics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.NewDetector(bank, core.DetectorConfig{})
+	// The reference path up-samples and transforms once per round, the
+	// plan-counter structure checked below; the default path's counts
+	// are pinned by TestDetectSpectralObsCounters.
+	det, err := core.NewDetector(bank, core.DetectorConfig{Mode: core.ModeReference})
 	if err != nil {
 		t.Fatal(err)
 	}

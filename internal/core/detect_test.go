@@ -319,7 +319,7 @@ func TestDetectRejectsNonFiniteInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []DetectorMode{ModeReference, ModeSpectral} {
+	for _, mode := range []DetectorMode{ModeReference, ModeAuto} {
 		for _, c := range cases {
 			cfg := DetectorConfig{Mode: mode}
 			if c.noThreshold {
@@ -345,12 +345,12 @@ func TestDetectRejectsNonFiniteInput(t *testing.T) {
 		}
 	}
 
-	eng, err := NewBatchDetector(bank, DetectorConfig{Mode: ModeSpectral}, 2)
+	eng, err := NewBatchDetector(bank, DetectorConfig{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	ref, err := NewDetector(bank, DetectorConfig{Mode: ModeSpectral})
+	ref, err := NewDetector(bank, DetectorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

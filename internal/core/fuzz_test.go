@@ -5,79 +5,155 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/pulse"
 )
 
-// FuzzDetect feeds arbitrary CIRs and noise levels through the
-// search-and-subtract detector: it must never panic, always terminate, and
-// either return an error or delay-sorted responses with finite fields.
-// Valid input (finite taps, finite positive noise RMS) must not error, and
-// a NaN or infinite tap or noise RMS must be refused with ErrNonFinite.
+// FuzzDetect feeds arbitrary complex CIRs and noise levels through the
+// search-and-subtract detector on both search paths: it must never panic,
+// always terminate, and either return an error or delay-sorted responses
+// with finite fields and in-range templates. Valid input (finite taps,
+// finite positive noise RMS) must not error, and a NaN or infinite tap or
+// noise RMS must be refused with ErrNonFinite. Each tap is 16 bytes (real
+// and imaginary float64), clamped to ±1e3.
 func FuzzDetect(f *testing.F) {
-	f.Add(make([]byte, 1016*4), 1e-5)
+	f.Add(make([]byte, 1016*16), 1e-5) // all zero
+	saturated := make([]complex128, 1016)
+	for i := range saturated {
+		saturated[i] = complex(1e3, -1e3)
+		if i%3 == 0 {
+			saturated[i] = -saturated[i]
+		}
+	}
+	f.Add(encodeTaps(saturated), 1e-5)
+	impulse := make([]complex128, 1016)
+	impulse[500] = 0.01
+	f.Add(encodeTaps(impulse), 1e-5)
+	r := rand.New(rand.NewPCG(5, 16))
+	for n := 1; n <= 30; n++ {
+		f.Add(encodeTaps(gaussianTaps(r, n, 1e-2)), 1e-3)
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		f.Add(encodeTaps(impulsiveBurstTaps(seed, 1016, 1e-4)), 1e-4)
+	}
 	f.Add([]byte{0xff, 0x10, 0x22}, 1e-5)
-	nanTap := make([]byte, 64*8)
-	binary.LittleEndian.PutUint64(nanTap[8*10:], math.Float64bits(math.NaN()))
+	nanTap := make([]byte, 64*16)
+	binary.LittleEndian.PutUint64(nanTap[16*10+8:], math.Float64bits(math.NaN()))
 	f.Add(nanTap, 1e-5)
-	f.Add(make([]byte, 64*8), math.Inf(1))
+	f.Add(make([]byte, 64*16), math.Inf(1))
+
+	bank, err := pulse.DefaultBank(1.0016e-9, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var dets []*Detector
+	for _, mode := range []DetectorMode{ModeAuto, ModeReference} {
+		det, err := NewDetector(bank, DetectorConfig{MaxIterations: 8, Mode: mode})
+		if err != nil {
+			f.Fatal(err)
+		}
+		dets = append(dets, det)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, noiseRMS float64) {
-		n := min(len(data)/8, 1016)
+		n := min(len(data)/16, 1016)
 		if n == 0 {
 			t.Skip()
 		}
 		taps := make([]complex128, n)
 		tapsNonFinite := false
-		for i := 0; i < n; i++ {
-			re := math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-			if math.IsNaN(re) || math.IsInf(re, 0) {
-				tapsNonFinite = true
-			} else {
-				re = math.Max(-1e3, math.Min(1e3, re))
+		for i := range taps {
+			var part [2]float64
+			for j := range part {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(data[16*i+8*j:]))
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					tapsNonFinite = true
+				} else {
+					v = math.Max(-1e3, math.Min(1e3, v))
+				}
+				part[j] = v
 			}
-			taps[i] = complex(re, 0)
+			taps[i] = complex(part[0], part[1])
 		}
-		bank, err := pulse.DefaultBank(1.0016e-9, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		det, err := NewDetector(bank, DetectorConfig{MaxIterations: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		responses, err := det.Detect(taps, noiseRMS)
 		valid := !tapsNonFinite && noiseRMS > 0 && !math.IsInf(noiseRMS, 1)
 		// A non-positive finite noise RMS is refused before the taps are
 		// looked at, with its own error.
 		wantNonFinite := math.IsNaN(noiseRMS) || math.IsInf(noiseRMS, 0) || tapsNonFinite && noiseRMS > 0
-		if err != nil {
-			if valid {
-				t.Fatal(err)
+		for _, det := range dets {
+			responses, err := det.Detect(taps, noiseRMS)
+			if err != nil {
+				if valid {
+					t.Fatalf("mode %d: %v", det.cfg.Mode, err)
+				}
+				if wantNonFinite && !errors.Is(err, ErrNonFinite) {
+					t.Fatalf("mode %d: non-finite input refused with %v, want ErrNonFinite", det.cfg.Mode, err)
+				}
+				continue
 			}
-			if wantNonFinite && !errors.Is(err, ErrNonFinite) {
-				t.Fatalf("non-finite input refused with %v, want ErrNonFinite", err)
+			if !valid {
+				t.Fatalf("mode %d: invalid input accepted: noise RMS %g, non-finite taps %v", det.cfg.Mode, noiseRMS, tapsNonFinite)
 			}
-			return
-		}
-		if !valid {
-			t.Fatalf("invalid input accepted: noise RMS %g, non-finite taps %v", noiseRMS, tapsNonFinite)
-		}
-		for i, r := range responses {
-			if math.IsNaN(r.Delay) || math.IsInf(r.Delay, 0) {
-				t.Fatalf("non-finite delay %v", r.Delay)
-			}
-			if cmplx.IsNaN(r.Amplitude) || cmplx.IsInf(r.Amplitude) {
-				t.Fatalf("non-finite amplitude %v", r.Amplitude)
-			}
-			if i > 0 && responses[i].Delay < responses[i-1].Delay {
-				t.Fatal("responses not sorted")
-			}
-			if r.TemplateIndex < 0 || r.TemplateIndex >= bank.Len() {
-				t.Fatalf("template index %d out of range", r.TemplateIndex)
+			for i, r := range responses {
+				if math.IsNaN(r.Delay) || math.IsInf(r.Delay, 0) {
+					t.Fatalf("mode %d: non-finite delay %v", det.cfg.Mode, r.Delay)
+				}
+				if cmplx.IsNaN(r.Amplitude) || cmplx.IsInf(r.Amplitude) {
+					t.Fatalf("mode %d: non-finite amplitude %v", det.cfg.Mode, r.Amplitude)
+				}
+				if i > 0 && responses[i].Delay < responses[i-1].Delay {
+					t.Fatalf("mode %d: responses not sorted", det.cfg.Mode)
+				}
+				if r.TemplateIndex < 0 || r.TemplateIndex >= bank.Len() {
+					t.Fatalf("mode %d: template index %d out of range", det.cfg.Mode, r.TemplateIndex)
+				}
 			}
 		}
 	})
+}
+
+// encodeTaps is FuzzDetect's input encoding of a CIR: each tap as its real
+// and imaginary float64, little-endian.
+func encodeTaps(taps []complex128) []byte {
+	out := make([]byte, 16*len(taps))
+	for i, c := range taps {
+		binary.LittleEndian.PutUint64(out[16*i:], math.Float64bits(real(c)))
+		binary.LittleEndian.PutUint64(out[16*i+8:], math.Float64bits(imag(c)))
+	}
+	return out
+}
+
+// gaussianTaps returns n complex Gaussian taps of the given RMS.
+func gaussianTaps(r *rand.Rand, n int, rms float64) []complex128 {
+	taps := make([]complex128, n)
+	for i := range taps {
+		taps[i] = complex(r.NormFloat64(), r.NormFloat64()) * complex(rms/math.Sqrt2, 0)
+	}
+	return taps
+}
+
+// impulsiveBurstTaps returns a fuzz seed CIR of receiver noise hit by
+// impulsive interference after Radunović et al. (PAPERS.md): concurrent
+// UWB transmitters at random distances make the interference at a
+// receiver heavy-tailed. Each tap starts a burst of 1–4 taps with
+// probability 3%, with a Pareto amplitude (shape 1.5, from ten times the
+// noise RMS) and a random phase. It is robustness input only, not a
+// channel model.
+func impulsiveBurstTaps(seed uint64, n int, noiseRMS float64) []complex128 {
+	r := rand.New(rand.NewPCG(seed, 0x1b))
+	taps := gaussianTaps(r, n, noiseRMS)
+	for i := 0; i < n; i++ {
+		if r.Float64() >= 0.03 {
+			continue
+		}
+		amp := 10 * noiseRMS * math.Pow(1-r.Float64(), -1/1.5)
+		burst := cmplx.Rect(amp, 2*math.Pi*r.Float64())
+		end := min(n, i+1+r.IntN(4))
+		for k := i; k < end; k++ {
+			taps[k] += burst
+		}
+	}
+	return taps
 }
 
 // FuzzSlotPlan checks Assign/IDFor/SlotOf consistency on arbitrary plans.

@@ -1,9 +1,9 @@
 package core_test
 
-// Golden equivalence test for the frequency-domain detector path: the
+// Golden equivalence test for the frequency-domain detector paths: the
 // expected responses below were captured from the seed (pre-plan-cache)
-// implementation of Detector.Detect on fixed-seed CIRs. The cached
-// FFT-plan execution path must reproduce every delay, complex amplitude
+// implementation of Detector.Detect on fixed-seed CIRs. Both the default
+// path and ModeReference must reproduce every delay, complex amplitude
 // and template index to within 1e-9 relative, so all reproduced tables
 // and figures are unchanged.
 
@@ -112,29 +112,36 @@ func checkGolden(t *testing.T, got []core.Response, want []goldenResponse) {
 	}
 }
 
-func goldenDetect(t *testing.T, nShapes int, cfg core.DetectorConfig, taps []complex128, noiseRMS float64) []core.Response {
+// checkGoldenDetect runs the detection on the default path and on
+// ModeReference, and checks both against the golden responses.
+func checkGoldenDetect(t *testing.T, nShapes int, cfg core.DetectorConfig, taps []complex128, noiseRMS float64, want []goldenResponse) {
 	t.Helper()
 	bank, err := pulse.DefaultBank(goldenTs, nShapes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.NewDetector(bank, cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range []struct {
+		name string
+		mode core.DetectorMode
+	}{{"default", core.ModeAuto}, {"reference", core.ModeReference}} {
+		cfg.Mode = path.mode
+		det, err := core.NewDetector(bank, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := det.Detect(taps, noiseRMS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(path.name, func(t *testing.T) { checkGolden(t, got, want) })
 	}
-	got, err := det.Detect(taps, noiseRMS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
 }
 
 func TestDetectGoldenSinglePulse(t *testing.T) {
 	taps := goldenCIR(t, []goldenPulse{
 		{pulse.RegisterS1, 200.4 * goldenTs, complex(0.02, 0.01)},
 	}, 1e-4, 1)
-	got := goldenDetect(t, 1, core.DetectorConfig{}, taps, 1e-4)
-	checkGolden(t, got, []goldenResponse{
+	checkGoldenDetect(t, 1, core.DetectorConfig{}, taps, 1e-4, []goldenResponse{
 		{2.0072132152751607e-07, complex(0.020040219260835622, 0.010097389108172292), 0},
 	})
 }
@@ -148,8 +155,7 @@ func TestDetectGoldenThreeResponses(t *testing.T) {
 		{pulse.RegisterS1, d2, 6e-4},
 		{pulse.RegisterS1, d3, 3.5e-4},
 	}, 2e-5, 2)
-	got := goldenDetect(t, 1, core.DetectorConfig{MaxResponses: 3}, taps, 2e-5)
-	checkGolden(t, got, []goldenResponse{
+	checkGoldenDetect(t, 1, core.DetectorConfig{MaxResponses: 3}, taps, 2e-5, []goldenResponse{
 		{1.2019610535847272e-08, complex(0.001215882571204203, -4.1233393526067649e-06), 0},
 		{3.2049331344670783e-08, complex(0.00061844704693786131, 2.449675606206834e-05), 0},
 		{5.8698604183094544e-08, complex(0.00037565867037079871, -5.599672918645878e-06), 0},
@@ -161,8 +167,7 @@ func TestDetectGoldenOverlappingResponses(t *testing.T) {
 		{pulse.RegisterS1, 60 * goldenTs, complex(8e-4, 0)},
 		{pulse.RegisterS1, 60*goldenTs + 2.5*goldenTs, complex(0, 6.5e-4)},
 	}, 1e-5, 6)
-	got := goldenDetect(t, 1, core.DetectorConfig{MaxResponses: 2, Upsample: 8}, taps, 1e-5)
-	checkGolden(t, got, []goldenResponse{
+	checkGoldenDetect(t, 1, core.DetectorConfig{MaxResponses: 2, Upsample: 8}, taps, 1e-5, []goldenResponse{
 		{6.0098422268174743e-08, complex(0.00079868186230093853, 2.857124145983888e-05), 0},
 		{6.2596906161984785e-08, complex(1.0908552504487728e-06, 0.00064758861166934933), 0},
 	})
@@ -173,8 +178,7 @@ func TestDetectGoldenPulseShapes(t *testing.T) {
 		{pulse.RegisterS1, 40 * goldenTs, 10e-4},
 		{pulse.RegisterS3, 80 * goldenTs, 5e-4},
 	}, 1e-5, 7)
-	got := goldenDetect(t, 3, core.DetectorConfig{MaxResponses: 2}, taps, 1e-5)
-	checkGolden(t, got, []goldenResponse{
+	checkGoldenDetect(t, 3, core.DetectorConfig{MaxResponses: 2}, taps, 1e-5, []goldenResponse{
 		{4.0061435255845283e-08, complex(0.00099856987663278019, -6.6137428194777506e-06), 0},
 		{8.0133731586990257e-08, complex(0.00050184506221089009, 2.7384997949738152e-06), 2},
 	})
@@ -187,8 +191,7 @@ func TestDetectGoldenGridMode(t *testing.T) {
 		{pulse.RegisterS1, 40 * goldenTs, 10e-4},
 		{pulse.RegisterS3, 80 * goldenTs, 5e-4},
 	}, 1e-5, 7)
-	got := goldenDetect(t, 3, core.DetectorConfig{MaxResponses: 2, DisableRefinement: true}, taps, 1e-5)
-	checkGolden(t, got, []goldenResponse{
+	checkGoldenDetect(t, 3, core.DetectorConfig{MaxResponses: 2, DisableRefinement: true}, taps, 1e-5, []goldenResponse{
 		{4.0064102564102562e-08, complex(0.00099964417198535505, -6.7312463625603998e-06), 0},
 		{8.0128205128205124e-08, complex(0.0005018347501337477, 2.6972734517561695e-06), 2},
 	})
@@ -198,8 +201,7 @@ func TestDetectGoldenSimulatedReception(t *testing.T) {
 	// Full radio model: three responders in the hallway environment at
 	// seed 5, automatic-mode detection with the 3-shape bank — twelve
 	// responses including multipath.
-	got := goldenDetect(t, 3, core.DetectorConfig{}, goldenSimCIR(t), dw1000.DefaultNoiseRMS)
-	checkGolden(t, got, []goldenResponse{
+	checkGoldenDetect(t, 3, core.DetectorConfig{}, goldenSimCIR(t), dw1000.DefaultNoiseRMS, []goldenResponse{
 		{1.2038150725876326e-08, complex(0.0012021287477320529, 0.00041898577719392041), 0},
 		{1.3573997379875022e-08, complex(-3.3419807534898176e-05, 0.00022710093528354762), 0},
 		{1.51696393706246e-08, complex(4.5342550338300668e-05, -7.502880526935337e-05), 0},

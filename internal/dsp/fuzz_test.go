@@ -85,6 +85,28 @@ func FuzzUpsamplePlan(f *testing.F) {
 	})
 }
 
+// FuzzUpsampleAddSegment checks the sparse update against Execute of the
+// segment placed in an all-zero input, for random even and odd lengths,
+// factors 1–8 and segment positions. Segments run up to 32 samples, the
+// span RenderSegment gives the widest DW1000 pulse shape at T_s.
+func FuzzUpsampleAddSegment(f *testing.F) {
+	f.Add(bytes.Repeat(fuzzSample, 11), uint16(1016), uint8(3), uint16(500))
+	f.Add(bytes.Repeat(fuzzSample, 3), uint16(15), uint8(2), uint16(12))
+	f.Add(fuzzSample, uint16(1), uint8(0), uint16(0))
+	f.Fuzz(func(t *testing.T, data []byte, n uint16, factor uint8, lo uint16) {
+		seg := bytesToSignal(data, 32)
+		size := int(n)%1024 + 1
+		if seg == nil || len(seg) > size {
+			t.Skip()
+		}
+		p, err := NewUpsamplePlan(size, int(factor)%8+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAddSegment(t, p, make([]complex128, size), seg, int(lo)%(size-len(seg)+1))
+	})
+}
+
 // FuzzConvolve checks MatchedFilterBank.FilterInto bit for bit against
 // the reference matched filter on both the direct path and (for signals
 // long enough) the FFT path.

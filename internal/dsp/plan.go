@@ -417,14 +417,20 @@ func (p *dftPlan) transformDFT(v []complex128, inverse bool) {
 // matched filtering. The output has factor times as many samples and
 // preserves the amplitude of the underlying continuous signal. The plan
 // holds the forward plan of the input length, the inverse plan of the
-// output length, and a spectrum scratch buffer. It is not safe for
-// concurrent use.
+// output length, a spectrum scratch buffer, and the plan's unit-impulse
+// response for AddSegment. It is not safe for concurrent use.
 type UpsamplePlan struct {
 	n, factor int
 	spec      *dftPlan
 	up        *dftPlan
 	specBuf   []complex128
-	execs     int64
+	// impulse is the up-sampled image of a unit impulse at input sample 0
+	// (the periodic interpolation kernel). It is real and even: the
+	// impulse's spectrum is all ones, and the zero padding keeps it
+	// Hermitian, so only rounding noise is dropped with the imaginary
+	// part.
+	impulse []float64
+	execs   int64
 }
 
 // NewUpsamplePlan builds an upsampling plan for inputs of length n and the
@@ -436,8 +442,12 @@ func NewUpsamplePlan(n, factor int) (*UpsamplePlan, error) {
 	if factor < 1 {
 		return nil, fmt.Errorf("dsp: upsample factor %d < 1", factor)
 	}
-	p := &UpsamplePlan{n: n, factor: factor}
-	if factor == 1 || n == 0 {
+	p := &UpsamplePlan{n: n, factor: factor, impulse: make([]float64, n*factor)}
+	if n == 0 {
+		return p, nil
+	}
+	if factor == 1 {
+		p.impulse[0] = 1
 		return p, nil
 	}
 	var err error
@@ -448,6 +458,16 @@ func NewUpsamplePlan(n, factor int) (*UpsamplePlan, error) {
 		return nil, err
 	}
 	p.specBuf = make([]complex128, n)
+	// A unit impulse at sample 0 has an all-ones spectrum; interpolating
+	// it directly skips the forward transform and its rounding.
+	for i := range p.specBuf {
+		p.specBuf[i] = 1
+	}
+	imp := make([]complex128, n*factor)
+	p.interpolate(imp, p.specBuf)
+	for i, v := range imp {
+		p.impulse[i] = real(v)
+	}
 	return p, nil
 }
 
@@ -468,10 +488,18 @@ func (p *UpsamplePlan) Execute(dst, v []complex128) []complex128 {
 		copy(dst, v)
 		return dst
 	}
-	n := p.n
 	spec := p.specBuf
 	copy(spec, v)
 	p.spec.Execute(spec)
+	p.interpolate(dst, spec)
+	return dst
+}
+
+// interpolate zero-pads the input-rate spectrum spec into dst, the
+// output-rate spectrum, and inverse-transforms it into the up-sampled
+// signal.
+func (p *UpsamplePlan) interpolate(dst, spec []complex128) {
+	n := p.n
 	clear(dst)
 	if n%2 == 0 {
 		half := n / 2
@@ -489,7 +517,51 @@ func (p *UpsamplePlan) Execute(dst, v []complex128) []complex128 {
 	}
 	p.up.ExecuteInverse(dst)
 	Scale(dst, complex(float64(p.factor), 0))
-	return dst
+}
+
+// AddSegment adds the up-sampled image of a short input-rate segment into
+// dst, a signal of the planned output length. seg[k] sits at input sample
+// lo+k, and with F the factor, N the input length and h the plan's
+// unit-impulse response the update is
+//
+//	dst[i] += Σ_k seg[k]·h[(i − F·(lo+k)) mod F·N]
+//
+// FFT interpolation is linear, and delaying its input by one sample
+// circularly delays its output by F samples, so this adds Execute of the
+// segment placed in an all-zero input, up to rounding. It costs
+// len(seg)·F·N real multiply-adds and no transform: the detector keeps
+// its up-sampled residual exact this way after each subtracted pulse.
+// An empty segment is a no-op; otherwise it panics unless dst has the
+// output length and the segment lies inside the input window.
+func (p *UpsamplePlan) AddSegment(dst, seg []complex128, lo int) {
+	out := p.n * p.factor
+	if len(dst) != out {
+		panic(fmt.Sprintf("dsp: upsample plan (%d → %d) updating %d samples", p.n, out, len(dst)))
+	}
+	if len(seg) == 0 {
+		return
+	}
+	if lo < 0 || lo+len(seg) > p.n {
+		panic(fmt.Sprintf("dsp: segment [%d, %d) outside the %d-sample input", lo, lo+len(seg), p.n))
+	}
+	for k, s := range seg {
+		if s == 0 {
+			continue
+		}
+		// h starts at dst index shift and wraps past the end.
+		shift := p.factor * (lo + k)
+		addScaledReal(dst[shift:], p.impulse[:out-shift], s)
+		addScaledReal(dst[:shift], p.impulse[out-shift:], s)
+	}
+}
+
+// addScaledReal adds s·h[i] to dst[i] for every i < len(h) ≤ len(dst).
+func addScaledReal(dst []complex128, h []float64, s complex128) {
+	re, im := real(s), imag(s)
+	dst = dst[:len(h)]
+	for i, v := range h {
+		dst[i] += complex(re*v, im*v)
+	}
 }
 
 // MatchedFilterBank precomputes the matched-filter spectra of a set of

@@ -153,6 +153,79 @@ func TestUpsamplePlanMatchesUpsampleFFT(t *testing.T) {
 	}
 }
 
+// checkAddSegment requires Execute(base) followed by AddSegment(seg, lo)
+// to match Execute of base with seg added at lo, within 1e-12 of the
+// larger of the output and input magnitudes. The absolute floor keeps
+// subnormal inputs, which the two computations flush to zero in
+// different places, from failing on rounding alone.
+func checkAddSegment(tb testing.TB, p *UpsamplePlan, base, seg []complex128, lo int) {
+	tb.Helper()
+	got := p.Execute(make([]complex128, len(base)*p.factor), base)
+	p.AddSegment(got, seg, lo)
+	sum := Clone(base)
+	for k, v := range seg {
+		sum[lo+k] += v
+	}
+	want := p.Execute(make([]complex128, len(got)), sum)
+	tol := 1e-12*max(maxAbs(want), maxAbs(sum)) + 1e-300
+	for i := range want {
+		if d := cAbs(got[i] - want[i]); d > tol {
+			tb.Fatalf("n %d factor %d, %d-sample segment at %d: sample %d = %v, want %v (|Δ| %g > %g)",
+				len(base), p.factor, len(seg), lo, i, got[i], want[i], d, tol)
+		}
+	}
+}
+
+// TestUpsampleAddSegmentMatchesExecute: the sparse update equals
+// re-upsampling the updated input, for even and odd lengths, factor 1,
+// and segments clipped at either window edge — from zero and on top of
+// an existing signal, as the detector applies it.
+func TestUpsampleAddSegmentMatchesExecute(t *testing.T) {
+	cases := []struct{ n, factor, lo, segLen int }{
+		{1016, 4, 500, 11}, {1016, 4, 0, 6}, {1016, 4, 1010, 6}, {1016, 8, 3, 11},
+		{15, 3, 9, 6}, {15, 3, 0, 15}, {64, 1, 60, 4}, {7, 2, 2, 5}, {1, 4, 0, 1}, {8, 16, 3, 5},
+	}
+	for i, c := range cases {
+		p, err := NewUpsamplePlan(c.n, c.factor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg := randComplex(c.segLen, uint64(i))
+		checkAddSegment(t, p, make([]complex128, c.n), seg, c.lo)
+		checkAddSegment(t, p, randComplex(c.n, uint64(100+i)), seg, c.lo)
+	}
+	if p, _ := NewUpsamplePlan(16, 4); p.Execs() != 0 {
+		t.Errorf("building the impulse response counted %d executions", p.Execs())
+	}
+}
+
+func TestUpsampleAddSegmentBounds(t *testing.T) {
+	p, err := NewUpsamplePlan(16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]complex128, 64)
+	p.AddSegment(dst, nil, 99) // an empty segment is a no-op anywhere
+	for _, c := range []struct {
+		dst []complex128
+		lo  int
+		len int
+	}{
+		{make([]complex128, 63), 0, 1},
+		{dst, -1, 2},
+		{dst, 15, 2},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("dst %d, segment [%d, %d): no panic", len(c.dst), c.lo, c.lo+c.len)
+				}
+			}()
+			p.AddSegment(c.dst, make([]complex128, c.len), c.lo)
+		}()
+	}
+}
+
 func TestNewUpsamplePlanRejectsBadFactor(t *testing.T) {
 	if _, err := NewUpsamplePlan(8, 0); err == nil {
 		t.Error("factor 0 accepted")

@@ -6,38 +6,35 @@ import (
 	"sync/atomic"
 )
 
-// SpectralBank maintains the matched-filter search state of the detector's
-// search-and-subtract loop entirely in the frequency domain, so that each
-// extraction round costs zero forward transforms instead of one upsample
-// FFT plus one residual FFT per distinct convolution size.
+// SpectralBank runs the detector's per-round matched-filter search at the
+// signal's circular transform length: Ingest takes one forward FFT of the
+// up-sampled residual, and ScanBest evaluates every template's
+// matched-filter output against it with a single inverse FFT per template
+// and a fused peak scan.
 //
-// The residual's up-sampled spectrum R(f) is computed once per Detect
-// (Ingest). After each extracted response the detector calls ShiftSubtract,
-// which applies the DFT shift theorem analytically:
+// The circular transform length M = NextPow2(max(sigLen, longest
+// template)) is smaller than the MatchedFilterBank's linear convolution
+// length NextPow2(sigLen+L_t−1) — 4096 instead of 8192 for the
+// 4×-up-sampled 1016-tap CIR — and the wrapped convolution tail is
+// corrected exactly from a maintained prefix of the time-domain signal
+// (see ScanBest, overlap-save identity). Up to rounding, ScanBest
+// therefore returns exactly what MatchedFilterBank.FilterPeak returns for
+// the same signal.
+//
+// ShiftSubtract is an analytic alternative to re-ingesting: it applies
+// the DFT shift theorem to the maintained spectrum,
 //
 //	R'(f) = R(f) − α̂ · e^{−j2πfτ̂/M} · S_t(f)
 //
 // where S_t(f) is the template's spectrum — recovered from the bank's
 // conjugated matched-filter taps spectrum A_t(f) via
 // S_t(f) = conj(A_t(f))·ω^{f(L_t−1)}, ω = e^{−j2π/M} — and τ̂ is the
-// refined (fractional) peak position on the up-sampled grid. ScanBest then
-// evaluates every template's matched-filter output against the maintained
-// spectrum with a single inverse FFT per template and a fused peak scan.
-//
-// The circular transform length M = NextPow2(sigLen) is smaller than the
-// MatchedFilterBank's linear convolution length NextPow2(sigLen+L_t−1);
-// the wrapped convolution tail is corrected exactly from a maintained
-// prefix of the time-domain signal (see scan, overlap-save identity).
-//
-// Because the fractional shift is the spectrum of the *continuous* pulse
-// resampled on the up-sampled grid — not of the T_s-rendered pulse pushed
-// through FFT interpolation — the maintained spectrum is an approximation
-// of the true residual spectrum: a 900 MHz pulse sampled at 1.0016 ns is
-// slightly aliased, and the periodic interpolation bleeds into the FFT
-// padding bins. The detector therefore uses ScanBest only for the coarse
-// peak search (which merely has to land in the right basin) and keeps
-// refinement, amplitude estimation and thresholding on the exactly
-// maintained T_s-domain residual.
+// fractional peak position on the up-sampled grid. It subtracts the
+// up-sampled continuous pulse, not the T_s-rendered pulse pushed through
+// FFT interpolation, so the spectrum it leaves only approximates the
+// residual's: a 900 MHz pulse sampled at 1.0016 ns aliases slightly. The
+// detector does not use it; it keeps its up-sampled residual exact with
+// UpsamplePlan.AddSegment and ingests it every round.
 //
 // Ingest and ShiftSubtract mutate shared state; ScanBest only reads it
 // (plus atomic counters) and takes caller-owned scratch, so between
@@ -52,7 +49,7 @@ type SpectralBank struct {
 	maxTail int
 	tmpls   []spectralTemplate
 
-	ingests, shifts, scans atomic.Int64
+	ingests, scans atomic.Int64
 }
 
 type spectralTemplate struct {
@@ -64,8 +61,8 @@ type spectralTemplate struct {
 }
 
 // NewSpectralBank builds the frequency-domain search state for the given
-// templates and up-sampled signal length. Every template must be non-empty
-// and shorter than the signal.
+// templates and up-sampled signal length. Every template must be non-empty;
+// a template may be longer than the signal.
 func NewSpectralBank(templates [][]complex128, sigLen int) (*SpectralBank, error) {
 	if sigLen < 1 {
 		return nil, fmt.Errorf("dsp: spectral bank needs a positive signal length, got %d", sigLen)
@@ -73,7 +70,18 @@ func NewSpectralBank(templates [][]complex128, sigLen int) (*SpectralBank, error
 	if len(templates) == 0 {
 		return nil, fmt.Errorf("dsp: spectral bank needs at least one template")
 	}
-	m := NextPow2(sigLen)
+	longest := 0
+	for i, t := range templates {
+		if len(t) == 0 {
+			return nil, fmt.Errorf("dsp: empty template %d", i)
+		}
+		longest = max(longest, len(t))
+	}
+	// M ≥ sigLen keeps every unwrapped output clean, and M ≥ L_t keeps
+	// the wrapped tail sigLen+L_t−1−M shorter than both the signal and
+	// the template, so the tail correction reads only maintained prefix
+	// samples and existing taps.
+	m := NextPow2(max(sigLen, longest))
 	plan, err := newFFTPlan(m)
 	if err != nil {
 		return nil, err
@@ -87,12 +95,6 @@ func NewSpectralBank(templates [][]complex128, sigLen int) (*SpectralBank, error
 		tmpls:   make([]spectralTemplate, len(templates)),
 	}
 	for i, t := range templates {
-		if len(t) == 0 {
-			return nil, fmt.Errorf("dsp: empty template %d", i)
-		}
-		if len(t) > sigLen {
-			return nil, fmt.Errorf("dsp: template %d longer (%d) than the signal (%d)", i, len(t), sigLen)
-		}
 		taps := MatchedFilterTaps(t)
 		spec := make([]complex128, m)
 		copy(spec, taps)
@@ -124,12 +126,10 @@ func (b *SpectralBank) NumTemplates() int { return len(b.tmpls) }
 // callback is queried over exactly this range.
 func (b *SpectralBank) PrefixLen() int { return b.maxTail }
 
-// Ingests, ShiftSubtracts and Scans return how many signals were ingested,
-// how many analytic spectrum updates were applied and how many template
-// scans ran since the bank was built — plan-level observability.
-func (b *SpectralBank) Ingests() int64        { return b.ingests.Load() }
-func (b *SpectralBank) ShiftSubtracts() int64 { return b.shifts.Load() }
-func (b *SpectralBank) Scans() int64          { return b.scans.Load() }
+// Ingests and Scans return how many signals were ingested and how many
+// template scans ran since the bank was built — plan-level observability.
+func (b *SpectralBank) Ingests() int64 { return b.ingests.Load() }
+func (b *SpectralBank) Scans() int64   { return b.scans.Load() }
 
 // NewScratch returns a scratch buffer sized for ScanBest. Allocate one per
 // goroutine; ScanBest never touches bank-owned scratch.
@@ -159,7 +159,9 @@ func (b *SpectralBank) Clone() *SpectralBank {
 }
 
 // Ingest replaces the maintained state with a fresh signal: one forward
-// FFT plus a copy of the tail-correction prefix. Called once per Detect.
+// FFT plus a copy of the tail-correction prefix. The detector calls it
+// once per extraction round, on its exactly maintained up-sampled
+// residual.
 func (b *SpectralBank) Ingest(sig []complex128) error {
 	if len(sig) != b.sigLen {
 		return fmt.Errorf("dsp: spectral bank built for %d-sample signals, got %d", b.sigLen, len(sig))
@@ -176,10 +178,11 @@ func (b *SpectralBank) Ingest(sig []complex128) error {
 // ShiftSubtract updates the maintained spectrum for the subtraction of
 // amp·s_t(x − finePos) (template t's continuous pulse centered at the
 // fractional signal index finePos) via the DFT shift theorem, with no
-// transform. eval must return the sample of the subtracted pulse at signal
-// index x — the bank cannot evaluate the continuous pulse itself — and is
-// queried only over [0, PrefixLen()) to keep the tail-correction prefix in
-// step; eval may be nil when the pulse provably vanishes there.
+// transform; see the type comment for why the result is approximate. eval
+// must return the sample of the subtracted pulse at signal index x — the
+// bank cannot evaluate the continuous pulse itself — and is queried only
+// over [0, PrefixLen()) to keep the tail-correction prefix in step; eval
+// may be nil when the pulse provably vanishes there.
 func (b *SpectralBank) ShiftSubtract(t int, amp complex128, finePos float64, eval func(x int) complex128) error {
 	if t < 0 || t >= len(b.tmpls) {
 		return fmt.Errorf("dsp: template index %d outside bank of %d", t, len(b.tmpls))
@@ -220,7 +223,6 @@ func (b *SpectralBank) ShiftSubtract(t int, amp complex128, finePos float64, eva
 			b.prefix[x] -= eval(x)
 		}
 	}
-	b.shifts.Add(1)
 	return nil
 }
 

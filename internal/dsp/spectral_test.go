@@ -43,6 +43,31 @@ func TestSpectralBankScanMatchesMatchedFilter(t *testing.T) {
 	if b.PrefixLen() != 300+255-1-512 {
 		t.Fatalf("PrefixLen = %d, want %d", b.PrefixLen(), 300+255-1-512)
 	}
+	requireScansMatch(t, b, sig, tmpls)
+	if b.Ingests() != 1 || b.Scans() != int64(len(tmpls)) {
+		t.Errorf("counters: ingests %d scans %d, want 1 and %d", b.Ingests(), b.Scans(), len(tmpls))
+	}
+}
+
+// TestSpectralBankTemplatesLongerThanSignal: a signal shorter than its
+// templates (a CIR of a few taps) sizes the transform for the longest
+// template and still scans exactly.
+func TestSpectralBankTemplatesLongerThanSignal(t *testing.T) {
+	tmpls := spectralTestTemplates(9, 37, 113)
+	for _, sigLen := range []int{1, 4, 20, 60} {
+		b, err := NewSpectralBank(tmpls, sigLen)
+		if err != nil {
+			t.Fatalf("signal of %d samples: %v", sigLen, err)
+		}
+		requireScansMatch(t, b, seededSignal(sigLen, uint64(sigLen)), tmpls)
+	}
+}
+
+// requireScansMatch ingests sig and requires every template's ScanBest
+// peak and neighboring outputs to match the plain matched filter to FFT
+// rounding.
+func requireScansMatch(t *testing.T, b *SpectralBank, sig []complex128, tmpls [][]complex128) {
+	t.Helper()
 	if err := b.Ingest(sig); err != nil {
 		t.Fatal(err)
 	}
@@ -61,23 +86,20 @@ func TestSpectralBankScanMatchesMatchedFilter(t *testing.T) {
 			}
 		}
 		if idx != wantIdx {
-			t.Fatalf("template %d: peak index %d, want %d", ti, idx, wantIdx)
+			t.Fatalf("%d-sample signal, template %d: peak index %d, want %d", len(sig), ti, idx, wantIdx)
 		}
 		if rel := math.Abs(sq-wantSq) / wantSq; rel > 1e-9 {
-			t.Errorf("template %d: peak |y|² off by %g relative", ti, rel)
+			t.Errorf("%d-sample signal, template %d: peak |y|² off by %g relative", len(sig), ti, rel)
 		}
 		for k, off := range []int{-1, 0, 1} {
 			i := idx + off
-			if i < 0 || i >= sigLen {
+			if i < 0 || i >= len(sig) {
 				continue
 			}
 			if d := cAbs(y3[k] - want[i]); d > 1e-9*(1+cAbs(want[i])) {
-				t.Errorf("template %d: y3[%d] = %v, want %v", ti, k, y3[k], want[i])
+				t.Errorf("%d-sample signal, template %d: y3[%d] = %v, want %v", len(sig), ti, k, y3[k], want[i])
 			}
 		}
-	}
-	if b.Ingests() != 1 || b.Scans() != int64(len(tmpls)) {
-		t.Errorf("counters: ingests %d scans %d, want 1 and %d", b.Ingests(), b.Scans(), len(tmpls))
 	}
 }
 
@@ -147,9 +169,6 @@ func TestSpectralBankShiftSubtractIntegerShift(t *testing.T) {
 				t.Errorf("template %d: y3[%d] = %v, want %v (Δ=%g)", ti, k, y3[k], refY3[k], d)
 			}
 		}
-	}
-	if b.ShiftSubtracts() != 1 {
-		t.Errorf("ShiftSubtracts = %d, want 1", b.ShiftSubtracts())
 	}
 }
 

@@ -86,5 +86,5 @@ func BenchmarkFullBankDetectReference(b *testing.B) {
 }
 
 func BenchmarkFullBankDetectSpectral(b *testing.B) {
-	benchmarkFullBankDetect(b, core.ModeSpectral)
+	benchmarkFullBankDetect(b, core.ModeAuto)
 }

@@ -157,17 +157,36 @@ func (s Shape) NormConstant(ts float64) float64 {
 // outside dst are discarded. This is how the radio model superposes each
 // multipath component into the CIR accumulator.
 func (s Shape) RenderInto(dst []complex128, alpha complex128, delay, ts float64) {
-	norm := s.NormConstant(ts)
-	if norm == 0 {
-		return
-	}
-	halfSamples := s.SupportHalfWidth() / ts
-	lo := int(math.Floor(delay - halfSamples))
-	hi := int(math.Ceil(delay + halfSamples))
-	lo = max(lo, 0)
-	hi = min(hi, len(dst)-1)
-	a := alpha * complex(norm, 0)
+	lo, hi, a := s.renderSpan(alpha, delay, ts, len(dst))
 	for n := lo; n <= hi; n++ {
 		dst[n] += a * complex(s.Eval((float64(n)-delay)*ts), 0)
 	}
+}
+
+// RenderSegment writes into seg the samples RenderInto would add to a
+// window of n samples and returns them with the window index of the
+// first: RenderInto(dst, …) equals adding the returned segment into
+// dst[lo:], bit for bit. seg's storage is reused when large enough. The
+// segment is empty when the pulse misses the window.
+func (s Shape) RenderSegment(seg []complex128, alpha complex128, delay, ts float64, n int) ([]complex128, int) {
+	lo, hi, a := s.renderSpan(alpha, delay, ts, n)
+	seg = seg[:0]
+	for k := lo; k <= hi; k++ {
+		seg = append(seg, a*complex(s.Eval((float64(k)-delay)*ts), 0))
+	}
+	return seg, lo
+}
+
+// renderSpan returns the inclusive window indices [lo, hi] of an n-sample
+// window that the pulse peaking at delay covers, and alpha scaled to unit
+// discrete energy. hi < lo when nothing is rendered.
+func (s Shape) renderSpan(alpha complex128, delay, ts float64, n int) (lo, hi int, a complex128) {
+	norm := s.NormConstant(ts)
+	if norm == 0 {
+		return 0, -1, 0
+	}
+	halfSamples := s.SupportHalfWidth() / ts
+	lo = max(int(math.Floor(delay-halfSamples)), 0)
+	hi = min(int(math.Ceil(delay+halfSamples)), n-1)
+	return lo, hi, alpha * complex(norm, 0)
 }

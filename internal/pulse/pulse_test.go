@@ -160,6 +160,36 @@ func TestRenderIntoClipsAtBuffer(t *testing.T) {
 	}
 }
 
+// TestRenderSegmentMatchesRenderInto: adding the rendered segment at its
+// window index reproduces RenderInto bit for bit, for pulses inside the
+// window, clipped at either edge, and outside it.
+func TestRenderSegmentMatchesRenderInto(t *testing.T) {
+	r := rand.New(rand.NewPCG(9, 1))
+	var seg []complex128
+	for _, reg := range []byte{RegisterS1, RegisterS3, MaxRegister} {
+		s, _ := ForRegister(reg)
+		for _, delay := range []float64{0, 2.3, 31.7, 62.9, 63, 80, -3, -40} {
+			base := make([]complex128, 64)
+			for i := range base {
+				base[i] = complex(r.NormFloat64(), r.NormFloat64())
+			}
+			alpha := complex(r.NormFloat64(), r.NormFloat64())
+			want := append([]complex128(nil), base...)
+			s.RenderInto(want, alpha, delay, ts)
+			var lo int
+			seg, lo = s.RenderSegment(seg, alpha, delay, ts, len(base))
+			for k, v := range seg {
+				base[lo+k] += v
+			}
+			for i := range want {
+				if base[i] != want[i] {
+					t.Fatalf("register 0x%02X, delay %g: sample %d = %v, RenderInto gives %v", reg, delay, i, base[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestRenderIntoScalesWithAlpha(t *testing.T) {
 	s, _ := ForRegister(DefaultRegister)
 	a := make([]complex128, 128)

@@ -115,9 +115,10 @@ type DetectorOptions struct {
 	// (default 6).
 	ThresholdFactor float64
 	// Mode selects the detector search path: core.ModeAuto (default)
-	// picks the spectral fast path for large template banks and the
-	// exact reference path otherwise; core.ModeSpectral and
-	// core.ModeReference force one.
+	// keeps the up-sampled residual exact across extractions and
+	// searches it at half the reference transform size;
+	// core.ModeReference re-upsamples the residual every round. Both
+	// detect the same responses up to rounding.
 	Mode core.DetectorMode
 	// Workers bounds the parallel template fan-out per detection
 	// (0 = automatic: GOMAXPROCS for large banks, serial otherwise).

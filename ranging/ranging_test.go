@@ -401,16 +401,14 @@ func TestDetectorModePassthrough(t *testing.T) {
 	if len(ref.Measurements) < 2 {
 		t.Fatalf("%d measurements, want ≥ 2", len(ref.Measurements))
 	}
-	for _, mode := range []core.DetectorMode{core.ModeAuto, core.ModeSpectral} {
-		got := build(mode, 2)
-		if len(got.Measurements) != len(ref.Measurements) {
-			t.Fatalf("mode %d: %d measurements, reference %d", mode, len(got.Measurements), len(ref.Measurements))
-		}
-		for i, m := range got.Measurements {
-			if !closeTo(m.Distance, ref.Measurements[i].Distance, 1e-3) {
-				t.Fatalf("mode %d measurement %d: %g, reference %g",
-					mode, i, m.Distance, ref.Measurements[i].Distance)
-			}
+	got := build(core.ModeAuto, 2)
+	if len(got.Measurements) != len(ref.Measurements) {
+		t.Fatalf("default mode: %d measurements, reference %d", len(got.Measurements), len(ref.Measurements))
+	}
+	for i, m := range got.Measurements {
+		if !closeTo(m.Distance, ref.Measurements[i].Distance, 1e-3) {
+			t.Fatalf("default mode measurement %d: %g, reference %g",
+				i, m.Distance, ref.Measurements[i].Distance)
 		}
 	}
 	if _, err := NewScenario(Config{}).Build(); err == nil {
