@@ -89,11 +89,16 @@ smoke:
 	$(GO) run ./cmd/reportcheck -require-metrics detector.,sim.,experiments.,trace. results/smoke-report.json
 	$(GO) run ./cmd/crtrace results/smoke-trace.jsonl
 
+# Every Fuzz* target in the repository, 60 s each.
 fuzz:
-	$(GO) test ./internal/dsp -fuzz FuzzFFTRoundTrip -fuzztime 30s
-	$(GO) test ./internal/dsp -fuzz FuzzUpsamplePlan -fuzztime 30s
+	$(GO) test ./internal/dsp -fuzz FuzzFFTRoundTrip -fuzztime 60s
+	$(GO) test ./internal/dsp -fuzz FuzzUpsamplePlan -fuzztime 60s
 	$(GO) test ./internal/dsp -fuzz FuzzUpsampleAddSegment -fuzztime 60s
+	$(GO) test ./internal/dsp -fuzz FuzzConvolve -fuzztime 60s
 	$(GO) test ./internal/core -fuzz FuzzDetect -fuzztime 60s
+	$(GO) test ./internal/core -fuzz FuzzSlotPlan -fuzztime 60s
+	$(GO) test ./ranging -fuzz FuzzLoadScenario -fuzztime 60s
+	$(GO) test ./internal/sim -fuzz FuzzSwarmConfig -fuzztime 60s
 
 clean:
 	$(GO) clean ./...

@@ -17,18 +17,18 @@
 //   - -json path writes a machine-readable run report: per-experiment wall
 //     time and output size, the full metrics snapshot (detector diagnostics,
 //     simulator frame/collision counters, per-trial timing histograms,
-//     labeled per-experiment/worker series, windowed throughput rings), and
-//     Go runtime stats. The report is deterministic for a fixed seed and
-//     trial count once wall-time fields are stripped. -json - writes the
-//     report to stdout and moves the rendered tables to stderr, so piped
-//     consumers see exactly one JSON document (progress always goes to
-//     stderr).
+//     labeled per-experiment/worker series), and Go runtime stats. The
+//     report is deterministic for a fixed seed and trial count once
+//     wall-time fields are stripped. -json - writes the report to stdout
+//     and moves the rendered tables to stderr, so piped consumers see
+//     exactly one JSON document (progress always goes to stderr).
 //   - -progress streams live trial progress (done/total, ETA) to stderr.
 //   - -pprof addr serves the debug surface on the given address for the
-//     run's duration: net/http/pprof, expvar (/debug/vars exposes the
-//     metrics registry as "crmetrics"), Prometheus text exposition on
-//     /metrics, and the live JSON snapshot on /debug/metrics.json (poll it
-//     with crtop). Use addr "localhost:0" for an ephemeral port.
+//     run's duration: net/http/pprof, expvar's standard variables on
+//     /debug/vars, Prometheus text exposition on /metrics, and the live
+//     JSON snapshot on /debug/metrics.json (poll it with crtop, which
+//     derives rates and interval quantiles from successive polls). Use
+//     addr "localhost:0" for an ephemeral port.
 //   - -tracefile path streams the detection flight recorder to a JSONL
 //     trace: campaign/round spans with ground truth plus one structured
 //     event per detector search-and-subtract iteration. -trace-sample N
@@ -45,7 +45,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/uwb-sim/concurrent-ranging/internal/core"
 	"github.com/uwb-sim/concurrent-ranging/internal/experiments"
 	"github.com/uwb-sim/concurrent-ranging/internal/obs"
 	"github.com/uwb-sim/concurrent-ranging/internal/obs/trace"
@@ -268,17 +267,6 @@ func run(names []string, cfg runConfig) (report *obs.RunReport, err error) {
 	}
 
 	reg := obs.NewRegistry()
-	// Window rings behind the live-rate and moving-quantile views (crtop,
-	// the report's final throughput series): campaign trial rate, batch
-	// CIR throughput, detect-call rate, and the trial-latency quantiles.
-	for _, name := range []string{
-		experiments.MetricTrials,
-		core.MetricBatchCIRs,
-		core.MetricDetectCalls,
-		experiments.MetricTrialSeconds,
-	} {
-		reg.Watch(name, obs.WindowConfig{})
-	}
 	if cfg.PprofAddr != "" {
 		dbg, err := obs.ServeDebug(cfg.PprofAddr, reg)
 		if err != nil {

@@ -12,9 +12,10 @@
 // anonymous (Sect. IV). A JSON scenario file (see ranging.ScenarioFile)
 // replaces the geometry flags entirely.
 //
-// -pprof addr serves net/http/pprof and expvar on the given address
-// (/debug/vars exposes the session's metrics registry as "crmetrics") for
-// profiling long -rounds runs; addr "localhost:0" picks an ephemeral port.
+// -pprof addr serves net/http/pprof and expvar on the given address for
+// profiling long -rounds runs, plus the session's metrics registry as
+// Prometheus text on /metrics and as JSON on /debug/metrics.json (poll it
+// with crtop); addr "localhost:0" picks an ephemeral port.
 //
 // -tracefile path streams the detection flight recorder to a JSONL trace:
 // one span per ranging round carrying the trial's ground truth, nested

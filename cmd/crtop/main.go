@@ -1,8 +1,9 @@
 // Command crtop is a terminal dashboard for long-running crbench/crsim
 // processes: it polls the debug server's live snapshot endpoint
 // (/debug/metrics.json, served by -pprof) and renders campaign progress,
-// windowed throughput and latency quantiles, detector and batch-engine
-// load, simulator and ranging tallies, and flight-recorder span counts.
+// throughput and trial-latency quantiles over the last poll interval,
+// detector and batch-engine load, simulator and ranging tallies, and
+// flight-recorder span counts.
 //
 // Usage:
 //
@@ -10,8 +11,11 @@
 //	crtop -addr 127.0.0.1:6060
 //
 // crtop repaints once per -interval until interrupted (or for -frames
-// repaints); -once renders a single frame without clearing the screen,
-// which is also the mode to use when piping output.
+// repaints). Rates and interval quantiles come from the difference
+// between its last two polls, so they appear from the second frame on.
+// -once polls twice, one -interval apart, and renders a single frame
+// without clearing the screen, which is also the mode to use when piping
+// output.
 //
 // A second mode, -check file-or-URL, validates a Prometheus /metrics
 // scrape against the exposition invariants the repo's writer promises
@@ -42,9 +46,9 @@ import (
 func main() {
 	cfg := config{Stdout: os.Stdout, Stderr: os.Stderr}
 	flag.StringVar(&cfg.Addr, "addr", "127.0.0.1:6060", "debug server `address` of a running crbench/crsim -pprof process")
-	flag.DurationVar(&cfg.Interval, "interval", time.Second, "repaint interval")
+	flag.DurationVar(&cfg.Interval, "interval", time.Second, "repaint interval, and the gap rates and interval quantiles cover")
 	flag.IntVar(&cfg.Frames, "frames", 0, "stop after N repaints (0 = run until interrupted)")
-	flag.BoolVar(&cfg.Once, "once", false, "render one frame without clearing the screen and exit")
+	flag.BoolVar(&cfg.Once, "once", false, "poll twice, one -interval apart, render one frame without clearing the screen and exit")
 	flag.StringVar(&cfg.Check, "check", "", "validate a Prometheus scrape from this `file-or-URL` and exit")
 	flag.Parse()
 	if err := run(cfg); err != nil {
@@ -72,40 +76,51 @@ func run(cfg config) error {
 	client := &http.Client{Timeout: 5 * time.Second}
 	url := "http://" + cfg.Addr + "/debug/metrics.json"
 	frames := cfg.Frames
-	if cfg.Once {
-		frames = 1
-	}
 	var prev obs.Snapshot
+	var prevAt time.Time
 	havePrev := false
-	lastPoll := time.Now()
+	if cfg.Once {
+		// -once renders one frame from a second poll, so its rates cover
+		// one -interval like every repainted frame's.
+		frames = 1
+		snap, err := fetchSnapshot(client, url)
+		if err != nil {
+			return err
+		}
+		prev, prevAt, havePrev = snap, time.Now(), true
+		time.Sleep(cfg.Interval)
+	}
 	for n := 0; frames == 0 || n < frames; n++ {
 		if n > 0 {
 			time.Sleep(cfg.Interval)
 		}
 		cur, err := fetchSnapshot(client, url)
-		if err != nil {
-			// A long campaign's debug server disappears when the run
-			// finishes; treat that as a clean end after at least one frame.
-			if havePrev {
-				fmt.Fprintf(cfg.Stderr, "crtop: %s gone (%v); exiting\n", cfg.Addr, err)
-				return nil
-			}
-			return err
-		}
 		now := time.Now()
-		dt := now.Sub(lastPoll).Seconds()
-		lastPoll = now
+		if err != nil {
+			if !havePrev {
+				return err
+			}
+			// A long campaign's debug server disappears when the run
+			// finishes; treat that as a clean end once a poll succeeded.
+			fmt.Fprintf(cfg.Stderr, "crtop: %s gone (%v); exiting\n", cfg.Addr, err)
+			if cfg.Once {
+				// -once's first poll is all there is: show it without rates.
+				fmt.Fprint(cfg.Stdout, render(nil, prev, 0, cfg.Addr))
+			}
+			return nil
+		}
 		if !cfg.Once {
 			// Home the cursor and clear to end of screen: a repaint, not a
 			// scroll.
 			fmt.Fprint(cfg.Stdout, "\x1b[H\x1b[2J")
 		}
 		var prevp *obs.Snapshot
+		var dt float64
 		if havePrev {
-			prevp = &prev
+			prevp, dt = &prev, now.Sub(prevAt).Seconds()
 		}
 		fmt.Fprint(cfg.Stdout, render(prevp, cur, dt, cfg.Addr))
-		prev, havePrev = cur, true
+		prev, prevAt, havePrev = cur, now, true
 	}
 	return nil
 }
@@ -157,15 +172,16 @@ func checkExposition(src string, out io.Writer) error {
 	return nil
 }
 
-// render draws one dashboard frame from the current snapshot; prev (the
-// previous frame's snapshot, nil on the first frame) and dt feed the
-// instantaneous between-poll rates shown next to the windowed ones. It is
-// a pure function of its inputs, so tests assert on frames directly.
+// render draws one dashboard frame from the current snapshot. prev is the
+// previous poll's snapshot (nil on the first frame) and dt the measured
+// gap between the two polls in seconds; every rate and the interval
+// latency quantiles are computed over that gap. It is a pure function of
+// its inputs, so tests assert on frames directly.
 func render(prev *obs.Snapshot, cur obs.Snapshot, dt float64, addr string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "crtop — %s\n\n", addr)
 
-	// Campaign: live progress gauges plus the trial-rate window.
+	// Campaign: live progress gauges plus the trial rate.
 	done, okD := cur.GaugeValue(experiments.MetricCampaignDoneLive)
 	total, okT := cur.GaugeValue(experiments.MetricCampaignTotalLive)
 	trials := cur.CounterValue(experiments.MetricTrials)
@@ -176,35 +192,30 @@ func render(prev *obs.Snapshot, cur obs.Snapshot, dt float64, addr string) strin
 		fmt.Fprintf(&b, "Campaign   (no live campaign gauges)\n")
 	}
 	line := fmt.Sprintf("  trials %d", trials)
-	if w, ok := cur.WindowByName(experiments.MetricTrials); ok {
-		line += fmt.Sprintf("   %s trials/s (%.0fs window)", fmtRate(w.SumRatePerSecond), windowSpan(w))
-	}
 	if r, ok := deltaRate(prev, cur, experiments.MetricTrials, dt); ok {
 		line += fmt.Sprintf("   %s trials/s (now)", fmtRate(r))
 	}
 	b.WriteString(line + "\n\n")
 
-	// Throughput: batch CIRs and detect calls.
+	// Throughput: batch CIRs and detect calls over the poll interval.
 	b.WriteString("Throughput")
-	any := false
-	if w, ok := cur.WindowByName(core.MetricBatchCIRs); ok {
-		fmt.Fprintf(&b, "   batch %s CIRs/s", fmtRate(w.SumRatePerSecond))
-		any = true
+	if prev == nil {
+		b.WriteString("   (rates from the second poll on)")
 	}
-	if w, ok := cur.WindowByName(core.MetricDetectCalls); ok {
-		fmt.Fprintf(&b, "   detect %s calls/s", fmtRate(w.SumRatePerSecond))
-		any = true
+	if r, ok := deltaRate(prev, cur, core.MetricBatchCIRs, dt); ok {
+		fmt.Fprintf(&b, "   batch %s CIRs/s", fmtRate(r))
 	}
-	if !any {
-		b.WriteString("   (no windowed throughput metrics)")
+	if r, ok := deltaRate(prev, cur, core.MetricDetectCalls, dt); ok {
+		fmt.Fprintf(&b, "   detect %s calls/s", fmtRate(r))
 	}
 	b.WriteString("\n")
 
-	// Latency: moving trial-time quantiles over the window ring, falling
-	// back to the all-time histogram.
-	if w, ok := cur.WindowByName(experiments.MetricTrialSeconds); ok && w.P50 != nil {
-		fmt.Fprintf(&b, "Latency    trial p50 %s  p95 %s  p99 %s (%.0fs window)\n",
-			fmtSeconds(*w.P50), fmtSeconds(deref(w.P95)), fmtSeconds(deref(w.P99)), windowSpan(w))
+	// Latency: trial-time quantiles over the poll interval, falling back
+	// to the all-time histogram when the interval saw no trial.
+	if h, ok := intervalHistogram(prev, cur, experiments.MetricTrialSeconds); ok {
+		fmt.Fprintf(&b, "Latency    trial p50 %s  p95 %s  p99 %s (last %s)\n",
+			fmtSeconds(h.Quantile(0.50)), fmtSeconds(h.Quantile(0.95)), fmtSeconds(h.Quantile(0.99)),
+			time.Duration(dt*float64(time.Second)).Round(time.Millisecond))
 	} else if h, ok := cur.HistogramByName(experiments.MetricTrialSeconds); ok && h.Count > 0 {
 		fmt.Fprintf(&b, "Latency    trial p50 %s  p95 %s  p99 %s (all-time)\n",
 			fmtSeconds(deref(h.P50)), fmtSeconds(deref(h.P95)), fmtSeconds(deref(h.P99)))
@@ -307,6 +318,46 @@ func deltaRate(prev *obs.Snapshot, cur obs.Snapshot, name string, dt float64) (f
 	return float64(d) / dt, true
 }
 
+// intervalHistogram returns the named histogram's observations between two
+// polls: per-bucket count deltas, with Min/Max kept at the current
+// snapshot's lifetime range so Quantile clamps to it (the interval's own
+// extremes are not recoverable from buckets). Buckets the interval left
+// empty keep their place with a zero count, so an occupied bucket
+// interpolates from its real lower edge. ok is false without a previous
+// poll, when the interval saw no observation, or when a bucket count went
+// down (the process restarted between polls).
+func intervalHistogram(prev *obs.Snapshot, cur obs.Snapshot, name string) (obs.HistogramSnapshot, bool) {
+	h, ok := cur.HistogramByName(name)
+	if !ok || prev == nil {
+		return obs.HistogramSnapshot{}, false
+	}
+	p, _ := prev.HistogramByName(name)
+	before := make(map[obs.Bucket]int64, len(p.Buckets))
+	for _, b := range p.Buckets {
+		before[bucketKey(b)] = b.Count
+	}
+	d := obs.HistogramSnapshot{Name: name, Sum: h.Sum - p.Sum, Min: h.Min, Max: h.Max}
+	for _, b := range h.Buckets {
+		k := bucketKey(b)
+		b.Count -= before[k]
+		delete(before, k)
+		if b.Count < 0 {
+			return obs.HistogramSnapshot{}, false
+		}
+		d.Count += b.Count
+		d.Buckets = append(d.Buckets, b)
+	}
+	if len(before) > 0 || d.Count == 0 {
+		return obs.HistogramSnapshot{}, false
+	}
+	return d, true
+}
+
+// bucketKey identifies a histogram bucket by its bound.
+func bucketKey(b obs.Bucket) obs.Bucket {
+	return obs.Bucket{UpperBound: b.UpperBound, Overflow: b.Overflow}
+}
+
 // topSeries returns the n largest series of a family, ties broken by the
 // snapshot's label order.
 func topSeries(series []obs.CounterSnapshot, n int) []obs.CounterSnapshot {
@@ -326,11 +377,6 @@ func labelString(labels []obs.Label) string {
 		parts[i] = l.Key + "=" + l.Value
 	}
 	return strings.Join(parts, ",")
-}
-
-// windowSpan is the ring's covered duration in seconds.
-func windowSpan(w obs.WindowSnapshot) float64 {
-	return w.WidthSeconds * float64(len(w.Points))
 }
 
 // bar renders a fixed-width progress bar for frac in [0, 1].

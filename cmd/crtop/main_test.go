@@ -1,9 +1,14 @@
 package main
 
 import (
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,13 +20,11 @@ import (
 )
 
 // populatedRegistry builds a registry resembling a mid-campaign crbench
-// process: live gauges, plain and labeled counters, a watched window, and
-// a trial-time histogram.
+// process: live gauges, plain and labeled counters, and a trial-time
+// histogram.
 func populatedRegistry(t *testing.T) *obs.Registry {
 	t.Helper()
 	reg := obs.NewRegistry()
-	reg.Watch(experiments.MetricTrials, obs.WindowConfig{})
-	reg.Watch(experiments.MetricTrialSeconds, obs.WindowConfig{})
 	reg.SetGauge(experiments.MetricCampaignDoneLive, 40)
 	reg.SetGauge(experiments.MetricCampaignTotalLive, 100)
 	for i := 0; i < 40; i++ {
@@ -83,6 +86,162 @@ func TestRenderDeltaRate(t *testing.T) {
 	frame := render(&prev, cur, 2.0, "x")
 	if !strings.Contains(frame, "5.0 trials/s (now)") {
 		t.Fatalf("frame missing between-poll rate:\n%s", frame)
+	}
+}
+
+// TestRenderIntervalRatesAndQuantiles records a known load between two
+// snapshots: the frame's rates are the counter deltas over the poll gap,
+// and its latency quantiles describe only the interval's observations.
+func TestRenderIntervalRatesAndQuantiles(t *testing.T) {
+	reg := populatedRegistry(t)
+	prev := reg.Snapshot()
+	reg.Count(experiments.MetricTrials, 10)
+	reg.Count(core.MetricBatchCIRs, 30)
+	reg.Count(core.MetricDetectCalls, 60)
+	// 100 trial times spread evenly over (2 ms, 5 ms): median 3.5 ms. The
+	// 40 all-time observations at 2 ms would pull an all-time p50 to 2.9 ms.
+	const n, lo, hi = 100, 0.002, 0.005
+	for i := 0; i < n; i++ {
+		reg.Observe(experiments.MetricTrialSeconds, lo+(hi-lo)*(float64(i)+0.5)/n)
+	}
+	cur := reg.Snapshot()
+
+	frame := render(&prev, cur, 2.0, "x")
+	for _, want := range []string{
+		"5.0 trials/s (now)", "batch 15.0 CIRs/s", "detect 30.0 calls/s",
+		"Latency    trial p50 3.5ms", "(last 2s)",
+	} {
+		if !strings.Contains(frame, want) {
+			t.Fatalf("frame missing %q:\n%s", want, frame)
+		}
+	}
+	h, ok := intervalHistogram(&prev, cur, experiments.MetricTrialSeconds)
+	if !ok || h.Count != n {
+		t.Fatalf("interval histogram = %+v, ok %v; want %d observations", h, ok, n)
+	}
+	if p50 := h.Quantile(0.5); math.Abs(p50-(lo+hi)/2) > (hi-lo)/n {
+		t.Fatalf("interval p50 = %g, want %g within one sample spacing", p50, (lo+hi)/2)
+	}
+}
+
+// TestRenderRestartedProcessShowsNoRate pairs a snapshot with one from a
+// fresh process whose counters are lower: no negative rate is shown and
+// the latency falls back to the all-time quantiles.
+func TestRenderRestartedProcessShowsNoRate(t *testing.T) {
+	old := populatedRegistry(t)
+	old.Count(experiments.MetricTrials, 100)
+	old.Count(core.MetricBatchCIRs, 100)
+	old.Count(core.MetricDetectCalls, 100)
+	old.Observe(experiments.MetricTrialSeconds, 0.004)
+	prev := old.Snapshot()
+	cur := populatedRegistry(t).Snapshot()
+
+	frame := render(&prev, cur, 1.0, "x")
+	for _, unwanted := range []string{"trials/s", "CIRs/s", "calls/s", "(last "} {
+		if strings.Contains(frame, unwanted) {
+			t.Fatalf("frame shows %q across a restart:\n%s", unwanted, frame)
+		}
+	}
+	if !strings.Contains(frame, "trial p50 2.0ms  p95 2.0ms  p99 2.0ms (all-time)") {
+		t.Fatalf("frame lost the all-time latency fallback:\n%s", frame)
+	}
+}
+
+// TestRenderEmptyIntervalFallsBackToAllTime: an interval without a trial
+// has zero rates and no interval quantiles to show.
+func TestRenderEmptyIntervalFallsBackToAllTime(t *testing.T) {
+	snap := populatedRegistry(t).Snapshot()
+	frame := render(&snap, snap, 1.0, "x")
+	for _, want := range []string{
+		"0.00 trials/s (now)", "batch 0.00 CIRs/s",
+		"trial p50 2.0ms  p95 2.0ms  p99 2.0ms (all-time)",
+	} {
+		if !strings.Contains(frame, want) {
+			t.Fatalf("frame missing %q:\n%s", want, frame)
+		}
+	}
+}
+
+// TestRunOncePrintsRates: -once polls a live server twice, one interval
+// apart, so its single frame carries the rates of the load recorded in
+// between.
+func TestRunOncePrintsRates(t *testing.T) {
+	reg := populatedRegistry(t)
+	srv, err := obs.ServeDebug("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			reg.Count(experiments.MetricTrials, 1)
+			reg.Count(core.MetricDetectCalls, 3)
+			reg.Observe(experiments.MetricTrialSeconds, 0.003)
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	var out, errw strings.Builder
+	cfg := config{Addr: srv.Addr, Interval: 100 * time.Millisecond, Once: true, Stdout: &out, Stderr: &errw}
+	err = run(cfg)
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, errw.String())
+	}
+	frame := out.String()
+	for _, want := range []string{"trials/s (now)", "detect ", "calls/s", "(last "} {
+		if !strings.Contains(frame, want) {
+			t.Fatalf("-once frame missing %q:\n%s", want, frame)
+		}
+	}
+	if strings.Contains(frame, " 0.00 trials/s") {
+		t.Fatalf("-once frame missed the load recorded between its polls:\n%s", frame)
+	}
+	if strings.Count(frame, "crtop — ") != 1 {
+		t.Fatalf("-once rendered more than one frame:\n%s", frame)
+	}
+}
+
+// TestRunOnceSecondPollFails: when the server is gone by -once's second
+// poll, the first snapshot is printed without rates and run succeeds.
+func TestRunOnceSecondPollFails(t *testing.T) {
+	reg := populatedRegistry(t)
+	var polls atomic.Int32
+	snapshot := obs.SnapshotHandler(reg)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if polls.Add(1) == 1 {
+			snapshot.ServeHTTP(w, r)
+			return
+		}
+		http.Error(w, "campaign over", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+
+	var out, errw strings.Builder
+	cfg := config{Addr: strings.TrimPrefix(srv.URL, "http://"), Interval: time.Millisecond,
+		Once: true, Stdout: &out, Stderr: &errw}
+	if err := run(cfg); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	frame := out.String()
+	if !strings.Contains(frame, "Detector   calls 120") || !strings.Contains(frame, "(all-time)") {
+		t.Fatalf("first snapshot not printed:\n%s", frame)
+	}
+	if strings.Contains(frame, "trials/s") {
+		t.Fatalf("rates printed without a second snapshot:\n%s", frame)
+	}
+	if !strings.Contains(errw.String(), "gone") {
+		t.Fatalf("stderr = %q, want a note that the server went away", errw.String())
 	}
 }
 

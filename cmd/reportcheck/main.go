@@ -172,7 +172,7 @@ func check(path string) error {
 
 // requireFamilies fails unless the report's metrics snapshot carries, for
 // every comma-separated entry in spec, at least one metric family
-// (counter, gauge, histogram, or window) whose name starts with that
+// (counter, gauge, or histogram) whose name starts with that
 // entry. CI passes the instrumentation families a campaign smoke run must
 // produce (detector., trace., ...) so a silently unwired recording path —
 // the metric constants exist but nothing ever records them — fails the
@@ -191,9 +191,6 @@ func requireFamilies(path, spec string) error {
 	}
 	for _, h := range r.Metrics.Histograms {
 		names[h.Name] = true
-	}
-	for _, w := range r.Metrics.Windows {
-		names[w.Name] = true
 	}
 	var missing []string
 	for _, want := range strings.Split(spec, ",") {

@@ -304,7 +304,6 @@ func TestRequireDeterministic(t *testing.T) {
 
 func TestRequireFamilies(t *testing.T) {
 	reg := obs.NewRegistry()
-	reg.Watch("experiments.trials", obs.WindowConfig{})
 	reg.Count("sim.frames_on_air", 42)
 	reg.Count("experiments.trials", 15)
 	reg.Observe("experiments.trial_seconds", 0.002)
@@ -315,7 +314,7 @@ func TestRequireFamilies(t *testing.T) {
 	r.Finish(reg.Snapshot(), 120*time.Millisecond)
 	path := writeReport(t, r)
 
-	// Counter, labeled-counter, histogram, and window families all count,
+	// Counter, labeled-counter, and histogram families all count,
 	// by exact name or prefix; empty entries are ignored.
 	if err := requireFamilies(path, "detector.,trace.,experiments.trial_seconds, ,sim."); err != nil {
 		t.Fatalf("present families flagged missing: %v", err)

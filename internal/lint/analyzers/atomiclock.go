@@ -27,9 +27,9 @@ import (
 // after it). Constructors (New*/new*) are exempt — the value is not yet
 // shared — and a function whose doc comment says "Callers hold <mu>."
 // is analyzed with its receiver's mutexes already held, formalizing the
-// annotation convention already used by obs/trace and obs/window
-// helpers. Typed sync/atomic values (atomic.Bool, atomic.Int64, ...) are
-// always safe and never flagged.
+// annotation convention already used by the obs/trace helpers. Typed
+// sync/atomic values (atomic.Bool, atomic.Int64, ...) are always safe and
+// never flagged.
 var Atomiclock = &lint.Analyzer{
 	Name: "atomiclock",
 	Doc:  "mutex-guarded fields are only touched under the guard; legacy atomic fields are never accessed non-atomically",

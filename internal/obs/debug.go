@@ -6,37 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
-
-// expvarOnce guards the process-wide expvar name: expvar.Publish panics on
-// a duplicate, and tests (or a tool serving two registries) may call
-// PublishExpvar more than once.
-var (
-	expvarOnce sync.Once
-	expvarReg  *Registry
-	expvarMu   sync.Mutex
-)
-
-// PublishExpvar exposes the registry's live snapshot as the expvar
-// variable "crmetrics" (alongside the standard memstats/cmdline vars).
-// Later calls rebind the variable to the new registry.
-func PublishExpvar(reg *Registry) {
-	expvarMu.Lock()
-	expvarReg = reg
-	expvarMu.Unlock()
-	expvarOnce.Do(func() {
-		expvar.Publish("crmetrics", expvar.Func(func() any {
-			expvarMu.Lock()
-			r := expvarReg
-			expvarMu.Unlock()
-			if r == nil {
-				return nil
-			}
-			return r.Snapshot()
-		}))
-	})
-}
 
 // DebugServer is a running debug/metrics HTTP server handle. Close shuts
 // it down and releases the listener, so tools and tests can stop it
@@ -69,19 +39,16 @@ func (s *DebugServer) Close() error {
 // debug surface:
 //
 //   - /debug/pprof/ — net/http/pprof
-//   - /debug/vars — expvar, including the registry via PublishExpvar
+//   - /debug/vars — expvar's standard cmdline and memstats variables
 //   - /metrics — Prometheus text exposition of the registry plus the Go
 //     runtime collector (MetricsHandler)
-//   - /debug/metrics.json — the live Snapshot as JSON, including window
-//     rings (SnapshotHandler; the endpoint crtop polls)
+//   - /debug/metrics.json — the live Snapshot as JSON (SnapshotHandler;
+//     the endpoint crtop polls)
 //
 // Pass ":0" to pick a free port; the bound address is in the returned
 // handle's Addr. The server runs on its own mux (nothing leaks into
 // http.DefaultServeMux) until the handle's Close.
 func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
-	if reg != nil {
-		PublishExpvar(reg)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -46,63 +46,53 @@ func TestServeDebugExposesPprofAndExpvar(t *testing.T) {
 		t.Errorf("pprof cmdline: status %d", code)
 	}
 
-	// /debug/vars carries the registry snapshot under "crmetrics".
+	// /debug/vars keeps expvar's standard variables.
 	code, body := fetch(t, addr, "/debug/vars")
 	if code != http.StatusOK {
 		t.Fatalf("expvar: status %d", code)
 	}
-	var vars struct {
-		Crmetrics Snapshot `json:"crmetrics"`
-	}
+	var vars map[string]json.RawMessage
 	if err := json.Unmarshal([]byte(body), &vars); err != nil {
 		t.Fatalf("expvar body is not JSON: %v", err)
 	}
-	if got := vars.Crmetrics.CounterValue("sim.frames_on_air"); got != 7 {
-		t.Errorf("crmetrics counter = %d, want 7", got)
-	}
-	if _, ok := vars.Crmetrics.HistogramByName("detector.iterations"); !ok {
-		t.Errorf("crmetrics missing detector.iterations histogram: %s", body)
+	for _, name := range []string{"cmdline", "memstats"} {
+		if _, ok := vars[name]; !ok {
+			t.Errorf("expvar missing standard variable %q", name)
+		}
 	}
 
-	// The snapshot is live, not a publish-time copy.
+	// /debug/metrics.json carries the registry snapshot.
+	snap := fetchSnapshot(t, addr)
+	if got := snap.CounterValue("sim.frames_on_air"); got != 7 {
+		t.Errorf("snapshot counter = %d, want 7", got)
+	}
+	if _, ok := snap.HistogramByName("detector.iterations"); !ok {
+		t.Errorf("snapshot missing detector.iterations histogram: %+v", snap)
+	}
+
+	// The snapshot is live, not a serve-time copy.
 	reg.Count("sim.frames_on_air", 3)
-	if _, body := fetch(t, addr, "/debug/vars"); !strings.Contains(body, `"value": 10`) &&
-		!strings.Contains(body, `"value":10`) {
-		t.Errorf("expvar snapshot did not follow the registry: %s", body)
+	if got := fetchSnapshot(t, addr).CounterValue("sim.frames_on_air"); got != 10 {
+		t.Errorf("snapshot did not follow the registry: counter = %d, want 10", got)
 	}
 }
 
-func TestPublishExpvarRebindsRegistry(t *testing.T) {
-	first := NewRegistry()
-	first.Count("sim.frames_on_air", 1)
-	// Must not panic on repeated calls (expvar.Publish would).
-	PublishExpvar(first)
-	PublishExpvar(first)
-
-	second := NewRegistry()
-	second.Count("sim.frames_on_air", 99)
-	PublishExpvar(second)
-
-	srv, err := ServeDebug("localhost:0", nil)
-	if err != nil {
-		t.Fatal(err)
+// fetchSnapshot GETs and decodes /debug/metrics.json.
+func fetchSnapshot(t *testing.T, addr string) Snapshot {
+	t.Helper()
+	code, body := fetch(t, addr, "/debug/metrics.json")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/metrics.json: status %d", code)
 	}
-	defer srv.Close()
-	_, body := fetch(t, srv.Addr, "/debug/vars")
-	var vars struct {
-		Crmetrics Snapshot `json:"crmetrics"`
+	var snap Snapshot
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatalf("/debug/metrics.json is not a Snapshot: %v", err)
 	}
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatal(err)
-	}
-	if got := vars.Crmetrics.CounterValue("sim.frames_on_air"); got != 99 {
-		t.Errorf("crmetrics bound to stale registry: counter = %d, want 99", got)
-	}
+	return snap
 }
 
 func TestServeDebugMetricsEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Watch("sim.frames_on_air", WindowConfig{})
 	reg.Count("sim.frames_on_air", 7)
 
 	srv, err := ServeDebug("localhost:0", reg)
@@ -123,20 +113,9 @@ func TestServeDebugMetricsEndpoints(t *testing.T) {
 		t.Errorf("/metrics missing registry counter:\n%s", body)
 	}
 
-	// /debug/metrics.json decodes into a Snapshot, windows included.
-	code, body = fetch(t, srv.Addr, "/debug/metrics.json")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/metrics.json: status %d", code)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/debug/metrics.json is not a Snapshot: %v", err)
-	}
-	if snap.CounterValue("sim.frames_on_air") != 7 {
-		t.Errorf("decoded counter = %d, want 7", snap.CounterValue("sim.frames_on_air"))
-	}
-	if _, ok := snap.WindowByName("sim.frames_on_air"); !ok {
-		t.Errorf("snapshot endpoint dropped the watched window:\n%s", body)
+	// /debug/metrics.json decodes into a Snapshot.
+	if got := fetchSnapshot(t, srv.Addr).CounterValue("sim.frames_on_air"); got != 7 {
+		t.Errorf("decoded counter = %d, want 7", got)
 	}
 }
 

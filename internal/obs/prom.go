@@ -89,8 +89,9 @@ type promFamily struct {
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format: one HELP/TYPE-headed family per metric name, families sorted
 // by name, histogram series expanded into cumulative _bucket/_sum/_count
-// lines. Window rings are not exported — they are a snapshot-JSON /
-// crtop concern; Prometheus derives rates and quantiles server-side.
+// lines. Rates and interval quantiles are left to the reader: Prometheus
+// derives them server-side, crtop from successive /debug/metrics.json
+// polls.
 func WritePrometheus(w io.Writer, snap Snapshot) error {
 	byName := map[string]*promFamily{}
 	family := func(dotted, typ string) (*promFamily, error) {
@@ -201,9 +202,8 @@ func MetricsHandler(reg *Registry) http.Handler {
 	})
 }
 
-// SnapshotHandler serves the registry's live snapshot (including window
-// rings) as JSON — the machine endpoint crtop polls. A nil registry
-// serves an empty snapshot.
+// SnapshotHandler serves the registry's live snapshot as JSON — the
+// machine endpoint crtop polls. A nil registry serves an empty snapshot.
 func SnapshotHandler(reg *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		var snap Snapshot

@@ -35,7 +35,6 @@ type Registry struct {
 	histograms  map[string]*Histogram
 	counterVecs map[string]*CounterVec
 	gaugeVecs   map[string]*GaugeVec
-	windows     map[string]*Window // per-name time-series rings (Watch)
 }
 
 // NewRegistry builds an empty registry.
@@ -46,7 +45,6 @@ func NewRegistry() *Registry {
 		histograms:  make(map[string]*Histogram),
 		counterVecs: make(map[string]*CounterVec),
 		gaugeVecs:   make(map[string]*GaugeVec),
-		windows:     make(map[string]*Window),
 	}
 }
 
@@ -102,33 +100,20 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Count implements Recorder. A watched name's window ring receives the
-// delta as well.
-func (r *Registry) Count(name string, delta int64) {
-	r.Counter(name).Add(delta)
-	if w := r.window(name); w != nil {
-		w.Add(float64(delta))
-	}
-}
+// Count implements Recorder.
+func (r *Registry) Count(name string, delta int64) { r.Counter(name).Add(delta) }
 
-// Observe implements Recorder. A watched name's window ring receives the
-// value as well.
-func (r *Registry) Observe(name string, value float64) {
-	r.Histogram(name).Observe(value)
-	if w := r.window(name); w != nil {
-		w.Add(value)
-	}
-}
+// Observe implements Recorder.
+func (r *Registry) Observe(name string, value float64) { r.Histogram(name).Observe(value) }
 
 // SetGauge implements Recorder.
 func (r *Registry) SetGauge(name string, value float64) { r.Gauge(name).Set(value) }
 
 // Snapshot returns a point-in-time copy of every metric — scalar and
 // labeled series alike — sorted by name, then by label values, so the
-// JSON encoding is deterministic for deterministic workloads. Watched
-// metrics additionally carry their window rings (wall-time-class data
-// that StripWallTime removes). Concurrent recording during the snapshot
-// yields values that are each individually consistent.
+// JSON encoding is deterministic for deterministic workloads. Concurrent
+// recording during the snapshot yields values that are each individually
+// consistent.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -160,9 +145,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		v.mu.RUnlock()
 	}
-	for name, w := range r.windows {
-		snap.Windows = append(snap.Windows, w.Snapshot(name))
-	}
 	sort.Slice(snap.Counters, func(i, j int) bool {
 		return seriesLess(snap.Counters[i].Name, snap.Counters[i].Labels,
 			snap.Counters[j].Name, snap.Counters[j].Labels)
@@ -175,7 +157,6 @@ func (r *Registry) Snapshot() Snapshot {
 		return seriesLess(snap.Histograms[i].Name, snap.Histograms[i].Labels,
 			snap.Histograms[j].Name, snap.Histograms[j].Labels)
 	})
-	sort.Slice(snap.Windows, func(i, j int) bool { return snap.Windows[i].Name < snap.Windows[j].Name })
 	return snap
 }
 

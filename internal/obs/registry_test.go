@@ -86,3 +86,17 @@ func TestSnapshotJSONIsValid(t *testing.T) {
 		t.Fatalf("round-tripped snapshot = %+v", back)
 	}
 }
+
+// BenchmarkRegistryCount measures the Recorder write path as a campaign's
+// workers hit it: parallel Count calls on one existing counter.
+func BenchmarkRegistryCount(b *testing.B) {
+	reg := NewRegistry()
+	const name = "detector.detect_calls"
+	reg.Count(name, 0)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			reg.Count(name, 1)
+		}
+	})
+}

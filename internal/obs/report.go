@@ -145,7 +145,6 @@ func strippedMetric(name string) bool {
 
 // StripWallTime returns a deep copy of the report with every
 // non-deterministic field zeroed: start time, wall times, runtime stats,
-// every window ring (windows are wall-clock-bucketed by construction),
 // and any metric whose name ends in WallTimeMetricSuffix or
 // LiveMetricSuffix. Two runs with the same seed, trials, and experiment
 // list must produce byte-identical JSON for the stripped report — the

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -98,5 +100,37 @@ func TestStripWallTime(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("stripping the same report twice differs")
+	}
+}
+
+// TestReadReportFileIgnoresDroppedWindows reads a report in the layout
+// older runs wrote (BENCH_5.json among them), whose metrics still carry
+// the removed "windows" key: the key is ignored and the rest survives.
+func TestReadReportFileIgnoresDroppedWindows(t *testing.T) {
+	var buf bytes.Buffer
+	if err := sampleReport().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const windows = `"metrics": {
+    "windows": [{"name": "experiments.trials", "width_seconds": 1,
+      "points": [{"age_seconds": 0.5, "count": 3, "sum": 3}],
+      "count_rate_per_second": 3, "sum_rate_per_second": 3}],`
+	old := strings.Replace(buf.String(), `"metrics": {`, windows, 1)
+	if old == buf.String() {
+		t.Fatal("encoded report has no metrics object to extend")
+	}
+	path := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadReportFile(path)
+	if err != nil {
+		t.Fatalf("report with a windows key rejected: %v", err)
+	}
+	if err := back.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if back.Metrics.CounterValue("sim.frames_on_air") != 12 {
+		t.Fatalf("metrics lost next to the windows key: %+v", back.Metrics)
 	}
 }

@@ -15,7 +15,6 @@ import (
 // scrape path (snapshots, exposition rendering) and live recording.
 func TestConcurrentScrapeWhileRecording(t *testing.T) {
 	reg := NewRegistry()
-	reg.Watch("race.watched", WindowConfig{Width: 10 * time.Millisecond, Windows: 4})
 	vec := reg.CounterVec("race.labeled", "worker")
 
 	srv, err := ServeDebug("localhost:0", reg)
@@ -36,8 +35,8 @@ func TestConcurrentScrapeWhileRecording(t *testing.T) {
 			defer wg.Done()
 			child := vec.With(fmt.Sprint(id))
 			for i := 0; i < rounds; i++ {
-				reg.Count("race.watched", 1)
-				reg.Count("race.unwatched", 2)
+				reg.Count("race.counter", 1)
+				reg.Count("race.other", 2)
 				reg.Observe("race.histogram", float64(i)*1e-4)
 				reg.SetGauge("race.gauge", float64(i))
 				child.Inc()
@@ -66,8 +65,8 @@ func TestConcurrentScrapeWhileRecording(t *testing.T) {
 	wg.Wait()
 
 	snap := reg.Snapshot()
-	if got := snap.CounterValue("race.watched"); got != writers*rounds {
-		t.Fatalf("race.watched = %d, want %d", got, writers*rounds)
+	if got := snap.CounterValue("race.counter"); got != writers*rounds {
+		t.Fatalf("race.counter = %d, want %d", got, writers*rounds)
 	}
 	if got := snap.CounterValue("race.labeled"); got != writers*rounds {
 		t.Fatalf("race.labeled family sum = %d, want %d", got, writers*rounds)

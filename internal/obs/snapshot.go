@@ -5,14 +5,11 @@ import "math"
 // Snapshot is a point-in-time copy of a Registry's metrics, sorted by
 // name then labels so its JSON encoding is deterministic for
 // deterministic workloads. Labeled vec series appear as entries sharing
-// one Name, distinguished by Labels; Windows carries the watched
-// metrics' time-series rings (wall-time-class data: StripWallTime drops
-// it).
+// one Name, distinguished by Labels.
 type Snapshot struct {
 	Counters   []CounterSnapshot   `json:"counters,omitempty"`
 	Gauges     []GaugeSnapshot     `json:"gauges,omitempty"`
 	Histograms []HistogramSnapshot `json:"histograms,omitempty"`
-	Windows    []WindowSnapshot    `json:"windows,omitempty"`
 }
 
 // CounterSnapshot is one counter series' value.
@@ -201,14 +198,4 @@ func (s Snapshot) HistogramByName(name string) (HistogramSnapshot, bool) {
 		}
 	}
 	return HistogramSnapshot{}, false
-}
-
-// WindowByName returns the named metric's window snapshot, or false.
-func (s Snapshot) WindowByName(name string) (WindowSnapshot, bool) {
-	for _, w := range s.Windows {
-		if w.Name == name {
-			return w, true
-		}
-	}
-	return WindowSnapshot{}, false
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 
@@ -37,15 +38,22 @@ type Track struct {
 	home geom.Point
 }
 
+// maxTrackLegs bounds one node's trajectory. A walk that needs more legs
+// to cover the horizon (a speed far above the roam radius per second, or a
+// vanishing pause) is refused instead of built; at 1 m/s in a 10 m roam
+// disk the budget covers hours.
+const maxTrackLegs = 4096
+
 // NewTrack builds a waypoint walk covering [0, horizon] seconds. All draws
 // come from rng — the node's split stream — so one node's trajectory does
 // not depend on how many other nodes exist or in which order they are
 // built. A zero RoamRadius (or non-positive speeds/horizon) yields a
-// stationary track.
-func NewTrack(home geom.Point, cfg MobilityConfig, rng *rand.Rand, horizon float64) Track {
+// stationary track. A walk that needs more than 4096 legs to cover the
+// horizon is refused with an error.
+func NewTrack(home geom.Point, cfg MobilityConfig, rng *rand.Rand, horizon float64) (Track, error) {
 	tr := Track{home: home}
 	if cfg.RoamRadius <= 0 || cfg.MaxSpeed <= 0 || horizon <= 0 {
-		return tr
+		return tr, nil
 	}
 	minSpeed := cfg.MinSpeed
 	if minSpeed <= 0 || minSpeed > cfg.MaxSpeed {
@@ -54,6 +62,9 @@ func NewTrack(home geom.Point, cfg MobilityConfig, rng *rand.Rand, horizon float
 	pos := home
 	t := 0.0
 	for t < horizon {
+		if len(tr.legs) >= maxTrackLegs {
+			return Track{}, fmt.Errorf("sim: waypoint walk needs more than %d legs to cover %g s", maxTrackLegs, horizon)
+		}
 		// Waypoint uniform in the roam disk around home.
 		r := cfg.RoamRadius * math.Sqrt(rng.Float64())
 		theta := 2 * math.Pi * rng.Float64()
@@ -76,7 +87,7 @@ func NewTrack(home geom.Point, cfg MobilityConfig, rng *rand.Rand, horizon float
 			break
 		}
 	}
-	return tr
+	return tr, nil
 }
 
 // Home returns the track's home position (the shard anchor).

@@ -10,7 +10,10 @@ import (
 func TestTrackStaysInRoamDisk(t *testing.T) {
 	home := geom.Point{X: 100, Y: 50}
 	cfg := MobilityConfig{RoamRadius: 10, MinSpeed: 0.5, MaxSpeed: 1.5, Pause: 0.2}
-	tr := NewTrack(home, cfg, rand.New(rand.NewPCG(1, 2)), 600)
+	tr, err := NewTrack(home, cfg, rand.New(rand.NewPCG(1, 2)), 600)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i <= 6000; i++ {
 		ts := float64(i) * 0.1
 		p := tr.Pos(ts)
@@ -22,7 +25,10 @@ func TestTrackStaysInRoamDisk(t *testing.T) {
 
 func TestTrackContinuityAndSpeed(t *testing.T) {
 	cfg := MobilityConfig{RoamRadius: 10, MinSpeed: 0.5, MaxSpeed: 1.5}
-	tr := NewTrack(geom.Point{}, cfg, rand.New(rand.NewPCG(3, 4)), 300)
+	tr, err := NewTrack(geom.Point{}, cfg, rand.New(rand.NewPCG(3, 4)), 300)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const dt = 0.01
 	prev := tr.Pos(0)
 	for i := 1; i <= 30000; i++ {
@@ -37,8 +43,14 @@ func TestTrackContinuityAndSpeed(t *testing.T) {
 func TestTrackDeterministicAndClamped(t *testing.T) {
 	home := geom.Point{X: 1, Y: 2}
 	cfg := MobilityConfig{RoamRadius: 5, MaxSpeed: 1}
-	a := NewTrack(home, cfg, rand.New(rand.NewPCG(9, 9)), 100)
-	b := NewTrack(home, cfg, rand.New(rand.NewPCG(9, 9)), 100)
+	a, err := NewTrack(home, cfg, rand.New(rand.NewPCG(9, 9)), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewTrack(home, cfg, rand.New(rand.NewPCG(9, 9)), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, ts := range []float64{-1, 0, 33.3, 99.9, 100, 1e6} {
 		if a.Pos(ts) != b.Pos(ts) {
 			t.Fatalf("t=%g: same-seed tracks differ", ts)
@@ -51,7 +63,10 @@ func TestTrackDeterministicAndClamped(t *testing.T) {
 		t.Error("post-horizon position not clamped to end")
 	}
 	// Static configs pin the node to home.
-	st := NewTrack(home, MobilityConfig{}, rand.New(rand.NewPCG(1, 1)), 100)
+	st, err := NewTrack(home, MobilityConfig{}, rand.New(rand.NewPCG(1, 1)), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Pos(42) != home {
 		t.Error("static track moved")
 	}

@@ -44,9 +44,6 @@ const (
 	// MetricEngineEfficiencyLive is the running parallel efficiency in
 	// [0, 1]: shard busy time over worker-pool capacity (gauge).
 	MetricEngineEfficiencyLive = "sim.engine_parallel_efficiency" + obs.LiveMetricSuffix
-	// MetricEngineWorkerBusySeconds is the per-worker busy time
-	// (gauge vec, labeled by worker slot).
-	MetricEngineWorkerBusySeconds = "sim.engine_worker_busy_seconds"
 	// MetricEngineWorkerOccupancyLive is the per-worker occupancy in
 	// percent of the window-execution wall time (gauge vec, labeled by
 	// worker slot).
@@ -145,9 +142,8 @@ type EngineProfiler struct {
 	// Live metric mirror: unlabeled gauges go through rec directly (one
 	// call per window); per-worker series are pre-resolved child handles
 	// (the VecSource idiom), so recording never does a label-tuple lookup.
-	rec   obs.Recorder
-	gBusy []*obs.Gauge
-	gOcc  []*obs.Gauge
+	rec  obs.Recorder
+	gOcc []*obs.Gauge
 }
 
 // NewEngineProfiler builds a profiler. See EngineProfilerConfig.
@@ -186,16 +182,12 @@ func (p *EngineProfiler) attach(shards, workers int) {
 	p.timeLeft.Store(int64(p.timelineCap))
 	p.totalExec, p.totalWorker, p.totalDrain = 0, 0, 0
 	p.totalBus, p.nWindows = 0, 0
-	p.gBusy, p.gOcc = nil, nil
+	p.gOcc = nil
 	if vs, ok := p.rec.(obs.VecSource); ok {
-		busyVec := vs.GaugeVec(MetricEngineWorkerBusySeconds, "worker")
 		occVec := vs.GaugeVec(MetricEngineWorkerOccupancyLive, "worker")
-		p.gBusy = make([]*obs.Gauge, workers)
 		p.gOcc = make([]*obs.Gauge, workers)
 		for w := 0; w < workers; w++ {
-			lbl := strconv.Itoa(w)
-			p.gBusy[w] = busyVec.With(lbl)
-			p.gOcc[w] = occVec.With(lbl)
+			p.gOcc[w] = occVec.With(strconv.Itoa(w))
 		}
 	}
 }
@@ -284,11 +276,8 @@ func (p *EngineProfiler) endWindow(busMsgs int) {
 		if p.totalWorker > 0 {
 			p.rec.SetGauge(MetricEngineEfficiencyLive, busy/p.totalWorker)
 		}
-		for w := range p.workers {
-			if p.gBusy != nil {
-				p.gBusy[w].Set(p.workers[w].busy)
-			}
-			if p.gOcc != nil && p.totalExec > 0 {
+		if p.gOcc != nil && p.totalExec > 0 {
+			for w := range p.workers {
 				p.gOcc[w].Set(100 * p.workers[w].busy / p.totalExec)
 			}
 		}

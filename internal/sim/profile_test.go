@@ -437,7 +437,8 @@ func asInt64(v any) int64 {
 }
 
 // TestEngineProfilerWorkerLabels pins the VecSource pre-resolution: the
-// per-worker gauge children carry the worker-slot label values 0..W-1.
+// per-worker occupancy gauge children carry the worker-slot label values
+// 0..W-1.
 func TestEngineProfilerWorkerLabels(t *testing.T) {
 	reg := obs.NewRegistry()
 	sw, err := NewSwarm(boundarySwarmConfig(200, 4))
@@ -449,13 +450,13 @@ func TestEngineProfilerWorkerLabels(t *testing.T) {
 	if _, err := sw.RunShardedProfiled(workers, p); err != nil {
 		t.Fatal(err)
 	}
-	busy := reg.Snapshot().GaugeSeries(MetricEngineWorkerBusySeconds)
-	if len(busy) != workers {
-		t.Fatalf("%d busy series, want %d", len(busy), workers)
+	occ := reg.Snapshot().GaugeSeries(MetricEngineWorkerOccupancyLive)
+	if len(occ) != workers {
+		t.Fatalf("%d occupancy series, want %d", len(occ), workers)
 	}
-	for i, g := range busy {
+	for i, g := range occ {
 		if len(g.Labels) != 1 || g.Labels[0].Key != "worker" || g.Labels[0].Value != strconv.Itoa(i) {
-			t.Fatalf("busy series %d labels = %+v", i, g.Labels)
+			t.Fatalf("occupancy series %d labels = %+v", i, g.Labels)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -30,15 +31,22 @@ const (
 	// {outcome="resolved"}, {outcome="slot_collision"}, {outcome="busy"}.
 	// Recorded only when the Recorder supports labeled series.
 	MetricSwarmResponsesByOutcome = "sim.swarm_responses_by_outcome"
-	// MetricSwarmRoundsLive and MetricSwarmResponsesLive are the live
-	// in-run mirrors of the round/response tallies, recorded per event
-	// through handles SetRecorder pre-resolves once (never a label-tuple
-	// lookup on the hot path). They exist so crtop can watch a swarm run
-	// in flight; being wall-time-class (_live), StripWallTime drops them
-	// and the post-run Record tallies stay the determinism-checked truth.
-	MetricSwarmRoundsLive    = "sim.swarm_rounds" + obs.LiveMetricSuffix
-	MetricSwarmResponsesLive = "sim.swarm_responses" + obs.LiveMetricSuffix
+	// MetricSwarmRoundsLive is the live in-run mirror of the completed
+	// round tally, recorded per round through a handle SetRecorder
+	// resolves once. It feeds crtop's Engine panel while a swarm runs;
+	// being wall-time-class (_live), StripWallTime drops it and the
+	// post-run Record tallies stay the determinism-checked truth.
+	MetricSwarmRoundsLive = "sim.swarm_rounds" + obs.LiveMetricSuffix
 )
+
+// ErrInvalidSwarmConfig reports a SwarmConfig that NewSwarm rejects: a
+// field that is not finite or out of its domain (a response delay below
+// the Sect. III minimum, a decision lead below one delayed-TX granule, a
+// negative roam radius or pause), a slot plan that does not validate, a
+// round period shorter than one round, a shard grid with more cells than
+// nodes, or a waypoint walk too fine to build. The cause stays in the
+// error chain. Match it with errors.Is.
+var ErrInvalidSwarmConfig = errors.New("sim: invalid swarm config")
 
 // SwarmConfig describes a city-scale concurrent-ranging swarm: N nodes
 // uniformly deployed at a given density, every InitiatorEvery-th node
@@ -56,17 +64,20 @@ type SwarmConfig struct {
 	// Range is the radio range in meters (default 30).
 	Range float64
 	// RoundPeriod is the per-initiator ranging period in seconds
-	// (default 50 ms).
+	// (default 50 ms). It must cover one round: DecisionLead, then the
+	// response window the initiator keeps open after its INIT.
 	RoundPeriod float64
 	// Duration is the simulated horizon in seconds (default 200 ms).
 	Duration float64
-	// ResponseDelay is Δ_RESP (default airtime.DefaultResponseDelay).
+	// ResponseDelay is Δ_RESP (default airtime.DefaultResponseDelay), at
+	// least the Sect. III minimum airtime.MinResponseDelay.
 	ResponseDelay float64
 	// DecisionLead is how far ahead of its INIT transmission an initiator
-	// commits to the round (default 100 µs). Together with ResponseDelay
-	// it bounds the conservative lookahead: every cross-shard message is
-	// emitted at least min(DecisionLead, ResponseDelay−TX granularity)
-	// before its delivery time.
+	// commits to the round (default 100 µs, at least one delayed-TX
+	// granule). Together with ResponseDelay it bounds the conservative
+	// lookahead: every cross-shard message is emitted at least
+	// min(DecisionLead, ResponseDelay−TX granularity) before its delivery
+	// time.
 	DecisionLead float64
 	// Plan is the slot/shape plan; the zero value selects
 	// core.NewSafeSlotPlan(Range, 4).
@@ -77,7 +88,8 @@ type SwarmConfig struct {
 	// NoMobility pins all nodes to their homes (overrides Mobility).
 	NoMobility bool
 	// CellSize is the shard grid cell in meters; 0 derives a cell that
-	// keeps most traffic shard-local (≥ 2·(Range+2·RoamRadius)).
+	// keeps most traffic shard-local (≥ 2·(Range+2·RoamRadius)). The grid
+	// may have at most N cells.
 	CellSize float64
 	// Seed drives every random draw.
 	Seed uint64
@@ -89,10 +101,10 @@ type SwarmConfig struct {
 // withDefaults returns the config with zero fields replaced by defaults.
 // Every float must be finite: a NaN density or an infinite horizon would
 // otherwise hang the run, and an infinite density stacks all nodes on one
-// point.
+// point. Every rejection wraps ErrInvalidSwarmConfig.
 func (c SwarmConfig) withDefaults() (SwarmConfig, error) {
 	if c.N < 1 {
-		return c, fmt.Errorf("sim: swarm needs at least 1 node, got %d", c.N)
+		return c, fmt.Errorf("%w: needs at least 1 node, got %d", ErrInvalidSwarmConfig, c.N)
 	}
 	for _, f := range []struct {
 		name string
@@ -106,7 +118,7 @@ func (c SwarmConfig) withDefaults() (SwarmConfig, error) {
 		{"Mobility.MaxSpeed", c.Mobility.MaxSpeed}, {"Mobility.Pause", c.Mobility.Pause},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return c, fmt.Errorf("sim: swarm %s %g is not finite", f.name, f.v)
+			return c, fmt.Errorf("%w: %s %g is not finite", ErrInvalidSwarmConfig, f.name, f.v)
 		}
 	}
 	if c.InitiatorEvery <= 0 {
@@ -130,23 +142,42 @@ func (c SwarmConfig) withDefaults() (SwarmConfig, error) {
 	if c.DecisionLead <= 0 {
 		c.DecisionLead = 100e-6
 	}
-	if c.ResponseDelay <= dw1000.DelayedTXGranularity {
-		return c, fmt.Errorf("sim: response delay %g below the TX granularity", c.ResponseDelay)
+	// A responder cannot answer before the INIT frame has ended (Sect. III),
+	// the same floor RunConcurrentRound enforces.
+	minDelay, err := airtime.MinResponseDelay(airtime.PaperConfig(), airtime.InitPayloadBytes)
+	if err != nil {
+		return c, fmt.Errorf("%w: %w", ErrInvalidSwarmConfig, err)
+	}
+	if c.ResponseDelay < minDelay {
+		return c, fmt.Errorf("%w: response delay %g s below the %g s minimum (Sect. III)",
+			ErrInvalidSwarmConfig, c.ResponseDelay, minDelay)
+	}
+	// The decision lead funds the engine's lookahead; below one delayed-TX
+	// granule it would not advance the barrier windows.
+	if c.DecisionLead < dw1000.DelayedTXGranularity {
+		return c, fmt.Errorf("%w: decision lead %g s below the %g s TX granularity",
+			ErrInvalidSwarmConfig, c.DecisionLead, dw1000.DelayedTXGranularity)
 	}
 	if c.Plan == (core.SlotPlan{}) {
 		plan, err := core.NewSafeSlotPlan(c.Range, 4)
 		if err != nil {
-			return c, err
+			return c, fmt.Errorf("%w: %w", ErrInvalidSwarmConfig, err)
 		}
 		c.Plan = plan
 	}
 	if err := c.Plan.Validate(); err != nil {
-		return c, err
+		return c, fmt.Errorf("%w: %w", ErrInvalidSwarmConfig, err)
 	}
 	if c.NoMobility {
 		c.Mobility = MobilityConfig{}
 	} else if c.Mobility == (MobilityConfig{}) {
 		c.Mobility = MobilityConfig{RoamRadius: 10, MinSpeed: 0.5, MaxSpeed: 1.5}
+	}
+	// A negative roam radius would shrink the reach the lookahead and the
+	// candidate lists are derived from below the distance nodes really move.
+	if c.Mobility.RoamRadius < 0 || c.Mobility.Pause < 0 {
+		return c, fmt.Errorf("%w: roam radius %g m and pause %g s must not be negative",
+			ErrInvalidSwarmConfig, c.Mobility.RoamRadius, c.Mobility.Pause)
 	}
 	if c.CellSize <= 0 {
 		c.CellSize = 2 * (c.Range + 2*c.Mobility.RoamRadius)
@@ -306,13 +337,10 @@ type Swarm struct {
 	// worker; the simulation results stay bit-identical regardless.
 	flight *trace.Tracer
 
-	// Live metric handles (SetRecorder): pre-resolved once so the
-	// per-event hot path records through plain pointers, never a
-	// label-tuple map lookup. All nil when no recorder is attached.
-	liveRounds   *obs.Counter
-	liveResolved *obs.Counter
-	liveCollided *obs.Counter
-	liveBusy     *obs.Counter
+	// Live round counter (SetRecorder): resolved once so the per-round
+	// hot path records through a plain pointer, never a map lookup. Nil
+	// when no recorder is attached.
+	liveRounds *obs.Counter
 }
 
 // SwarmResult is the outcome of one swarm run.
@@ -337,7 +365,7 @@ type SwarmResult struct {
 // phases from per-node split RNG streams, the spatial shard partition,
 // per-initiator candidate lists, and the conservative lookahead derived
 // from the protocol's decision lead and the minimum cross-shard
-// separation.
+// separation. Every error wraps ErrInvalidSwarmConfig.
 func NewSwarm(cfg SwarmConfig) (*Swarm, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -349,15 +377,26 @@ func NewSwarm(cfg SwarmConfig) (*Swarm, error) {
 	s.maxExtra = float64(cfg.Plan.NumSlots-1) * cfg.Plan.SlotWidth
 	frame, err := airtime.PaperConfig().FrameDuration(airtime.RespPayloadBytes)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrInvalidSwarmConfig, err)
 	}
 	s.respFrame = frame
 	roam := cfg.Mobility.RoamRadius
 	s.tailSlack = cfg.ResponseDelay + s.maxExtra + 2*(cfg.Range+4*roam)/channel.SpeedOfLight + 1e-6
-
+	// An initiator's next round must not start before its previous one
+	// closed: rounds per initiator stay bounded by Duration/round.
+	if round := cfg.DecisionLead + s.tailSlack; cfg.RoundPeriod < round {
+		return nil, fmt.Errorf("%w: round period %g s is shorter than one round (%g s)",
+			ErrInvalidSwarmConfig, cfg.RoundPeriod, round)
+	}
+	// Count the cells in float64: a tiny cell overflows int and would
+	// otherwise allocate a grid far beyond memory.
+	if perSide := math.Max(1, math.Ceil(s.side/cfg.CellSize)); perSide*perSide > float64(cfg.N) {
+		return nil, fmt.Errorf("%w: cell size %g m gives a %g-cell grid for %d nodes",
+			ErrInvalidSwarmConfig, cfg.CellSize, perSide*perSide, cfg.N)
+	}
 	s.part, err = NewGridPartition(geom.Point{}, geom.Point{X: s.side, Y: s.side}, cfg.CellSize)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrInvalidSwarmConfig, err)
 	}
 
 	// Per-node split streams: node i's home, trajectory and phase depend
@@ -370,14 +409,16 @@ func NewSwarm(cfg SwarmConfig) (*Swarm, error) {
 		n := &s.nodes[i]
 		n.id = int32(i)
 		n.shard = int32(s.part.ShardOf(home))
-		n.track = NewTrack(home, cfg.Mobility, rng, horizon)
+		if n.track, err = NewTrack(home, cfg.Mobility, rng, horizon); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrInvalidSwarmConfig, err)
+		}
 		n.initiator = i%cfg.InitiatorEvery == 0
 		if n.initiator {
 			n.phase = rng.Float64() * cfg.RoundPeriod
 		} else {
 			slot, shape, err := cfg.Plan.Assign(i % capacity)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%w: %w", ErrInvalidSwarmConfig, err)
 			}
 			n.slot, n.shape = uint16(slot), uint16(shape)
 		}
@@ -387,9 +428,18 @@ func NewSwarm(cfg SwarmConfig) (*Swarm, error) {
 	// Conservative lookahead: every cross-shard message is emitted at
 	// least protocolLead before delivery (INIT by the decision lead, RESP
 	// by the response delay minus the worst-case TX truncation), plus the
-	// flight time floor from the minimum cross-shard separation.
+	// flight time floor from the minimum cross-shard separation. Static
+	// nodes meet that floor exactly, and the handlers add the same terms in
+	// another order, so the window keeps a margin of a few ulps of the
+	// latest event time against rounding. A round starts by Duration, or at
+	// its first phase in [0, RoundPeriod).
 	protocolLead := math.Min(cfg.DecisionLead, cfg.ResponseDelay-dw1000.DelayedTXGranularity)
-	s.lookahead = protocolLead + s.minSep/channel.SpeedOfLight
+	latest := math.Max(cfg.Duration, cfg.RoundPeriod) + cfg.DecisionLead + s.tailSlack
+	s.lookahead = protocolLead + s.minSep/channel.SpeedOfLight - latest*0x1p-48
+	if s.lookahead <= 0 {
+		return nil, fmt.Errorf("%w: decision lead %g s is below the time resolution of a %g s run",
+			ErrInvalidSwarmConfig, cfg.DecisionLead, latest)
+	}
 	return s, nil
 }
 
@@ -398,10 +448,14 @@ func NewSwarm(cfg SwarmConfig) (*Swarm, error) {
 // can be heard across) and computes the minimum cross-shard separation.
 func (s *Swarm) buildCandidates(roam float64) {
 	reach := s.cfg.Range + 2*roam
-	cols := int(s.side/reach) + 1
+	// Buckets at least reach wide put every pair within reach in adjacent
+	// buckets; about one node per bucket is fine enough, and keeps a tiny
+	// reach from asking for more buckets than memory holds.
+	width := math.Max(reach, s.side/math.Ceil(math.Sqrt(float64(len(s.nodes)))))
+	cols := int(s.side/width) + 1
 	buckets := make([][]int32, cols*cols)
 	bucketOf := func(p geom.Point) (int, int) {
-		bx, by := int(p.X/reach), int(p.Y/reach)
+		bx, by := int(p.X/width), int(p.Y/width)
 		if bx < 0 {
 			bx = 0
 		}
@@ -475,25 +529,15 @@ func (s *Swarm) buildCandidates(roam float64) {
 // Tracing is observational only — results stay bit-identical.
 func (s *Swarm) SetFlightRecorder(tr *trace.Tracer) { s.flight = tr }
 
-// SetRecorder attaches (nil detaches) a live metric recorder and
-// pre-resolves the per-event counter handles once (the VecSource idiom):
-// round completions and per-response outcomes tick _live counters through
-// plain pointers on the hot path, never a label-tuple map lookup. The
-// handles need the Registry/VecSource capabilities; a plain Recorder
-// leaves the live mirrors off. Post-run tallies still go through Record.
+// SetRecorder attaches (nil detaches) a live metric recorder and resolves
+// the live round counter once: round completions tick it through a plain
+// pointer on the hot path, never a map lookup. The handle needs a
+// *obs.Registry; a plain Recorder leaves the live mirror off. Post-run
+// tallies still go through Record.
 func (s *Swarm) SetRecorder(rec obs.Recorder) {
-	s.liveRounds, s.liveResolved, s.liveCollided, s.liveBusy = nil, nil, nil, nil
-	if rec == nil {
-		return
-	}
+	s.liveRounds = nil
 	if reg, ok := rec.(*obs.Registry); ok {
 		s.liveRounds = reg.Counter(MetricSwarmRoundsLive)
-	}
-	if vs, ok := rec.(obs.VecSource); ok {
-		vec := vs.CounterVec(MetricSwarmResponsesLive, "outcome")
-		s.liveResolved = vec.With("resolved")
-		s.liveCollided = vec.With("slot_collision")
-		s.liveBusy = vec.With("busy")
 	}
 }
 
@@ -664,9 +708,6 @@ func (s *Swarm) rxInit(rd *swarmRound, resp int32, cross bool) Handler {
 		rn := &s.nodes[resp]
 		if rn.busyUntil > now {
 			st.BusySkips++
-			if s.liveBusy != nil {
-				s.liveBusy.Inc()
-			}
 			return
 		}
 		// Requested delay, truncated by the 8 ns delayed-TX granularity
@@ -744,10 +785,6 @@ func (s *Swarm) roundDone(rd *swarmRound) Handler {
 		}
 		if s.liveRounds != nil {
 			s.liveRounds.Inc()
-		}
-		if s.liveResolved != nil {
-			s.liveResolved.Add(resolved)
-			s.liveCollided.Add(collided)
 		}
 		if rd.sp.Recording() {
 			status := "ok"

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"testing"
@@ -203,6 +204,31 @@ func benchSwarm(t *testing.T, sw *Swarm, workers int) float64 {
 	return best.Seconds()
 }
 
+// TestSwarmStaticNodesRespectLookahead runs static deployments, whose
+// closest cross-shard pair sits exactly at the lookahead's flight-time
+// floor: rounding in the handlers' send times must not push a cross-shard
+// message inside the current window, and the sharded run must match the
+// sequential reference.
+func TestSwarmStaticNodesRespectLookahead(t *testing.T) {
+	for seed := uint64(0); seed < 4; seed++ {
+		for _, n := range []int{100, 174, 200} {
+			cfg := SwarmConfig{N: n, Seed: seed, NoMobility: true}
+			want := runSwarmSequential(t, cfg)
+			sw, err := NewSwarm(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sw.RunSharded(1)
+			if err != nil {
+				t.Fatalf("N %d seed %d: %v", n, seed, err)
+			}
+			if got.Stats.String() != want.Stats.String() {
+				t.Fatalf("N %d seed %d: sharded %s, sequential %s", n, seed, got.Stats, want.Stats)
+			}
+		}
+	}
+}
+
 func TestSwarmConfigRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
@@ -222,6 +248,17 @@ func TestSwarmConfigRejectsNonFinite(t *testing.T) {
 		{"+Inf roam radius", func(c *SwarmConfig) { c.Mobility = MobilityConfig{RoamRadius: inf, MaxSpeed: 1} }},
 		{"NaN max speed", func(c *SwarmConfig) { c.Mobility = MobilityConfig{RoamRadius: 10, MaxSpeed: nan} }},
 		{"NaN pause", func(c *SwarmConfig) { c.Mobility = MobilityConfig{RoamRadius: 10, MaxSpeed: 1, Pause: nan} }},
+		// Finite configs that once ran out of memory, failed mid-run or
+		// hung.
+		{"millimeter cell size", func(c *SwarmConfig) { c.CellSize = 1e-3 }},
+		{"picosecond round period", func(c *SwarmConfig) { c.RoundPeriod = 1e-12 }},
+		{"1e-20 round period", func(c *SwarmConfig) { c.RoundPeriod = 1e-20 }},
+		{"negative roam radius", func(c *SwarmConfig) { c.Mobility = MobilityConfig{RoamRadius: -5, MinSpeed: 1, MaxSpeed: 2} }},
+		{"negative pause", func(c *SwarmConfig) { c.Mobility = MobilityConfig{RoamRadius: 10, MaxSpeed: 1, Pause: -1} }},
+		{"1e300 roam radius", func(c *SwarmConfig) { c.Mobility = MobilityConfig{RoamRadius: 1e300, MinSpeed: 1, MaxSpeed: 2} }},
+		{"1e12 m/s walkers", func(c *SwarmConfig) { c.Mobility = MobilityConfig{RoamRadius: 10, MinSpeed: 1e12, MaxSpeed: 1e12} }},
+		{"sub-minimum response delay", func(c *SwarmConfig) { c.ResponseDelay = 20e-6 }},
+		{"5e-324 decision lead", func(c *SwarmConfig) { c.DecisionLead = 5e-324 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -240,7 +277,10 @@ func TestSwarmConfigRejectsNonFinite(t *testing.T) {
 			select {
 			case err := <-done:
 				if err == nil {
-					t.Fatal("non-finite config accepted")
+					t.Fatal("invalid config accepted")
+				}
+				if !errors.Is(err, ErrInvalidSwarmConfig) {
+					t.Fatalf("err = %v, want one wrapping ErrInvalidSwarmConfig", err)
 				}
 			case <-time.After(5 * time.Second):
 				t.Fatal("NewSwarm + RunSharded still running after 5 s")
