@@ -251,11 +251,14 @@ type runConfig struct {
 
 // run executes the named experiments under full instrumentation and
 // returns the populated run report (also written to cfg.JSONPath when
-// set). Unknown names and a negative trial count fail before any
-// experiment does work.
+// set). Unknown names, a negative trial count and a trace sample below 1
+// fail before any experiment does work.
 func run(names []string, cfg runConfig) (report *obs.RunReport, err error) {
 	if cfg.Trials < 0 {
 		return nil, fmt.Errorf("-trials %d is negative (0 selects the paper-faithful defaults)", cfg.Trials)
+	}
+	if cfg.TraceSample < 1 {
+		return nil, fmt.Errorf("-trace-sample %d must be at least 1 (1 records every root span)", cfg.TraceSample)
 	}
 	selected := make([]experiment, len(names))
 	for i, name := range names {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,7 +14,7 @@ import (
 )
 
 func testConfig(trials int, seed uint64) runConfig {
-	return runConfig{Trials: trials, Seed: seed, Stdout: io.Discard, Stderr: io.Discard}
+	return runConfig{Trials: trials, Seed: seed, TraceSample: 1, Stdout: io.Discard, Stderr: io.Discard}
 }
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
@@ -29,6 +30,19 @@ func TestRunRejectsNegativeTrials(t *testing.T) {
 	_, err := run([]string{"fig4", "fullbank"}, testConfig(-1, 1))
 	if err == nil || !strings.Contains(err.Error(), "-trials -1") {
 		t.Fatalf("got %v", err)
+	}
+}
+
+func TestRunRejectsTraceSampleBelowOne(t *testing.T) {
+	// -trace-sample 0 once sampled every root span without a word; a
+	// sample below 1 must fail before any experiment starts.
+	for _, n := range []int{0, -3} {
+		cfg := testConfig(1, 1)
+		cfg.TraceSample = n
+		_, err := run([]string{"fig4"}, cfg)
+		if want := fmt.Sprintf("-trace-sample %d", n); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-trace-sample %d: got %v, want an error naming %q", n, err, want)
+		}
 	}
 }
 
@@ -116,7 +130,7 @@ func TestJSONStdoutModeKeepsStdoutPure(t *testing.T) {
 	// stderr, and stdout must parse as exactly one JSON report so
 	// `crbench -json - | reportcheck -` works.
 	var stdout, stderr bytes.Buffer
-	cfg := runConfig{Trials: 2, Seed: 1, JSONPath: "-", Progress: true,
+	cfg := runConfig{Trials: 2, Seed: 1, TraceSample: 1, JSONPath: "-", Progress: true,
 		Stdout: &stdout, Stderr: &stderr}
 	if _, err := run([]string{"sec5", "campaign"}, cfg); err != nil {
 		t.Fatal(err)

@@ -24,6 +24,10 @@
 // Analyze the file with crtrace (triage table, span dumps, Chrome trace
 // export).
 //
+// A flag outside its domain fails with exit status 1 before any work
+// starts: a negative -swarm, -swarm-workers or -swarm-duration, -rounds
+// below 1, or -trace-sample below 1.
+//
 // -swarm N switches to the sharded parallel event engine and simulates an
 // N-node city-scale swarm (mobility, round phases and geometry from the
 // seed's split RNG streams), printing engine and ranging summaries.
@@ -46,6 +50,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -104,35 +109,52 @@ func parsePoint(v string) (float64, float64, error) {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "crsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() (err error) {
+// run parses the command line (without the program name) and runs the
+// selected mode. A flag outside its domain fails before any work starts.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("crsim", flag.ContinueOnError)
 	var resps responderFlags
-	env := flag.String("env", ranging.EnvHallway, "environment preset (free-space, hallway, office, industrial)")
-	initPos := flag.String("init", "1,1", "initiator position x,y in meters")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	shapes := flag.Int("shapes", 1, "number of pulse shapes N_PS (1 = anonymous)")
-	maxRange := flag.Float64("maxrange", 0, "max communication range in meters (enables RPM slots)")
-	ideal := flag.Bool("ideal", false, "disable the DW1000 8 ns delayed-TX quantization")
-	rounds := flag.Int("rounds", 1, "number of ranging rounds to run")
-	configPath := flag.String("config", "", "JSON scenario file (replaces the geometry flags)")
-	timeline := flag.Bool("trace", false, "print the protocol event timeline of each round")
-	traceFile := flag.String("tracefile", "", "stream the detection flight recorder to this JSONL `file` (analyze with crtrace)")
-	traceSample := flag.Int("trace-sample", 1, "record every Nth round in the flight recorder")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on this `address`")
-	swarmN := flag.Int("swarm", 0, "simulate an N-node city-scale swarm on the sharded engine instead of a single round")
-	swarmWorkers := flag.Int("swarm-workers", 0, "sharded engine worker count for -swarm (0 = GOMAXPROCS)")
-	swarmDuration := flag.Float64("swarm-duration", 0, "simulated horizon in seconds for -swarm (0 = default 0.2 s)")
-	swarmVerify := flag.Bool("swarm-verify", false, "also run -swarm with 1 worker and fail unless results are bit-identical")
-	engineProfile := flag.Bool("engine-profile", false, "attach the sharded-engine execution profiler to -swarm and print the scaling diagnosis")
-	engineTimeline := flag.String("engine-timeline", "", "export the -swarm barrier/worker timeline as a Chrome trace to this `file` (implies -engine-profile)")
-	swarmReport := flag.String("swarm-report", "", "write a machine-readable -swarm run report to this `path`")
-	flag.Var(&resps, "resp", "responder as ID:x,y (repeatable)")
-	flag.Parse()
+	env := fs.String("env", ranging.EnvHallway, "environment preset (free-space, hallway, office, industrial)")
+	initPos := fs.String("init", "1,1", "initiator position x,y in meters")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	shapes := fs.Int("shapes", 1, "number of pulse shapes N_PS (1 = anonymous)")
+	maxRange := fs.Float64("maxrange", 0, "max communication range in meters (enables RPM slots)")
+	ideal := fs.Bool("ideal", false, "disable the DW1000 8 ns delayed-TX quantization")
+	rounds := fs.Int("rounds", 1, "number of ranging rounds to run")
+	configPath := fs.String("config", "", "JSON scenario file (replaces the geometry flags)")
+	timeline := fs.Bool("trace", false, "print the protocol event timeline of each round")
+	traceFile := fs.String("tracefile", "", "stream the detection flight recorder to this JSONL `file` (analyze with crtrace)")
+	traceSample := fs.Int("trace-sample", 1, "record every Nth round in the flight recorder")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and expvar on this `address`")
+	swarmN := fs.Int("swarm", 0, "simulate an N-node city-scale swarm on the sharded engine instead of a single round")
+	swarmWorkers := fs.Int("swarm-workers", 0, "sharded engine worker count for -swarm (0 = GOMAXPROCS)")
+	swarmDuration := fs.Float64("swarm-duration", 0, "simulated horizon in seconds for -swarm (0 = default 0.2 s)")
+	swarmVerify := fs.Bool("swarm-verify", false, "also run -swarm with 1 worker and fail unless results are bit-identical")
+	engineProfile := fs.Bool("engine-profile", false, "attach the sharded-engine execution profiler to -swarm and print the scaling diagnosis")
+	engineTimeline := fs.String("engine-timeline", "", "export the -swarm barrier/worker timeline as a Chrome trace to this `file` (implies -engine-profile)")
+	swarmReport := fs.String("swarm-report", "", "write a machine-readable -swarm run report to this `path`")
+	fs.Var(&resps, "resp", "responder as ID:x,y (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	switch {
+	case *swarmN < 0:
+		return fmt.Errorf("-swarm %d is negative (0 runs a single round)", *swarmN)
+	case *swarmWorkers < 0:
+		return fmt.Errorf("-swarm-workers %d is negative (0 selects GOMAXPROCS)", *swarmWorkers)
+	case !(*swarmDuration >= 0):
+		return fmt.Errorf("-swarm-duration %g must be a non-negative number of seconds (0 selects 0.2 s)", *swarmDuration)
+	case *rounds < 1:
+		return fmt.Errorf("-rounds %d must be at least 1", *rounds)
+	case *traceSample < 1:
+		return fmt.Errorf("-trace-sample %d must be at least 1 (1 records every round)", *traceSample)
+	}
 
 	if *swarmN > 0 {
 		return runSwarm(swarmOptions{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sort"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/geom"
 )
@@ -33,9 +34,14 @@ type leg struct {
 // simulation horizon. Tracks are built before the run from the node's own
 // RNG stream and are immutable afterwards, so any shard may evaluate any
 // node's position without synchronization.
+//
+// The first leg is stored inline: nearly every default swarm walk covers
+// the run's horizon in one leg, so most position reads touch no memory
+// beyond the track itself. The first leg starts at home, and a static track is one
+// zero-length leg at home.
 type Track struct {
-	legs []leg
-	home geom.Point
+	first leg
+	rest  []leg // the legs after the first, in time order
 }
 
 // maxTrackLegs bounds one node's trajectory. A walk that needs more legs
@@ -51,7 +57,7 @@ const maxTrackLegs = 4096
 // stationary track. A walk that needs more than 4096 legs to cover the
 // horizon is refused with an error.
 func NewTrack(home geom.Point, cfg MobilityConfig, rng *rand.Rand, horizon float64) (Track, error) {
-	tr := Track{home: home}
+	tr := Track{first: leg{from: home, to: home}}
 	if cfg.RoamRadius <= 0 || cfg.MaxSpeed <= 0 || horizon <= 0 {
 		return tr, nil
 	}
@@ -59,10 +65,19 @@ func NewTrack(home geom.Point, cfg MobilityConfig, rng *rand.Rand, horizon float
 	if minSpeed <= 0 || minSpeed > cfg.MaxSpeed {
 		minSpeed = cfg.MaxSpeed
 	}
+	legs := 0
+	add := func(lg leg) {
+		if legs == 0 {
+			tr.first = lg
+		} else {
+			tr.rest = append(tr.rest, lg)
+		}
+		legs++
+	}
 	pos := home
 	t := 0.0
 	for t < horizon {
-		if len(tr.legs) >= maxTrackLegs {
+		if legs >= maxTrackLegs {
 			return Track{}, fmt.Errorf("sim: waypoint walk needs more than %d legs to cover %g s", maxTrackLegs, horizon)
 		}
 		// Waypoint uniform in the roam disk around home.
@@ -72,18 +87,18 @@ func NewTrack(home geom.Point, cfg MobilityConfig, rng *rand.Rand, horizon float
 		speed := minSpeed + (cfg.MaxSpeed-minSpeed)*rng.Float64()
 		dur := pos.Dist(next) / speed
 		if dur > 0 {
-			tr.legs = append(tr.legs, leg{t0: t, t1: t + dur, from: pos, to: next})
+			add(leg{t0: t, t1: t + dur, from: pos, to: next})
 			t += dur
 			pos = next
 		}
 		if cfg.Pause > 0 {
-			tr.legs = append(tr.legs, leg{t0: t, t1: t + cfg.Pause, from: pos, to: pos})
+			add(leg{t0: t, t1: t + cfg.Pause, from: pos, to: pos})
 			t += cfg.Pause
 		}
 		if dur <= 0 && cfg.Pause <= 0 {
 			// Degenerate draw (waypoint == current position, no pause):
 			// spend the leg dwelling so the loop always advances.
-			tr.legs = append(tr.legs, leg{t0: t, t1: horizon, from: pos, to: pos})
+			add(leg{t0: t, t1: horizon, from: pos, to: pos})
 			break
 		}
 	}
@@ -91,31 +106,34 @@ func NewTrack(home geom.Point, cfg MobilityConfig, rng *rand.Rand, horizon float
 }
 
 // Home returns the track's home position (the shard anchor).
-func (tr *Track) Home() geom.Point { return tr.home }
+func (tr *Track) Home() geom.Point { return tr.first.from }
 
 // Pos evaluates the position at time t, clamping outside the built
 // horizon: before the first leg the node is at its start, after the last
-// at its final waypoint.
+// at its final waypoint. The leg holding t is the first whose end is at
+// or after t; leg ends never decrease, so a binary search finds it.
 func (tr *Track) Pos(t float64) geom.Point {
-	if len(tr.legs) == 0 {
-		return tr.home
+	lg := &tr.first
+	if t <= lg.t0 {
+		return lg.from
 	}
-	if t <= tr.legs[0].t0 {
-		return tr.legs[0].from
+	if t > lg.t1 {
+		rest := tr.rest
+		i := sort.Search(len(rest), func(i int) bool { return rest[i].t1 >= t })
+		if i == len(rest) {
+			if i == 0 {
+				return lg.to
+			}
+			return rest[i-1].to
+		}
+		lg = &rest[i]
 	}
-	for i := range tr.legs {
-		lg := &tr.legs[i]
-		if t > lg.t1 {
-			continue
-		}
-		if lg.t1 <= lg.t0 {
-			return lg.to
-		}
-		f := (t - lg.t0) / (lg.t1 - lg.t0)
-		return geom.Point{
-			X: lg.from.X + f*(lg.to.X-lg.from.X),
-			Y: lg.from.Y + f*(lg.to.Y-lg.from.Y),
-		}
+	if lg.t1 <= lg.t0 {
+		return lg.to
 	}
-	return tr.legs[len(tr.legs)-1].to
+	f := (t - lg.t0) / (lg.t1 - lg.t0)
+	return geom.Point{
+		X: lg.from.X + f*(lg.to.X-lg.from.X),
+		Y: lg.from.Y + f*(lg.to.Y-lg.from.Y),
+	}
 }

@@ -98,6 +98,7 @@ type ShardedEngine struct {
 	windowEnd float64 // exclusive upper bound of the window in flight
 	windows   int
 	running   bool
+	active    []*shard // the window's active shards; reused across windows
 
 	mu     sync.Mutex
 	err    error
@@ -258,12 +259,15 @@ func (se *ShardedEngine) Run() (int, error) {
 // run single-threaded in (time, seq) order, and nothing a shard does in
 // this window is visible to another shard before the barrier.
 func (se *ShardedEngine) runWindow(end float64) {
-	active := make([]*shard, 0, len(se.shards))
+	se.active = se.active[:0]
 	for i := range se.shards {
 		if q := &se.shards[i].q; q.Len() > 0 && q.peekAt() < end {
-			active = append(active, &se.shards[i])
+			se.active = append(se.active, &se.shards[i])
 		}
 	}
+	// Never reassigned, so the worker closures capture it by value and it
+	// does not move to the heap every window.
+	active := se.active
 	workers := se.workers
 	if workers > len(active) {
 		workers = len(active)

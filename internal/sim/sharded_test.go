@@ -157,3 +157,40 @@ func TestShardedEngineMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedEngineRunAllocsFlatInWindows checks that a one-worker run
+// allocates nothing per barrier window: a ring of tokens crossing the bus
+// once per window allocates the same at 10 and at 1000 windows. The
+// multi-worker path still starts its workers afresh each window.
+func TestShardedEngineRunAllocsFlatInWindows(t *testing.T) {
+	const shards = 64
+	allocs := func(windows int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			eng, err := NewShardedEngine(ShardedConfig{Shards: shards, Workers: 1, Lookahead: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var hop Handler
+			hop = func(sc Scheduler) {
+				if next := sc.Now() + 1; next < float64(windows) {
+					if err := sc.Send((sc.Shard()+1)%shards, next, hop); err != nil {
+						sc.Fail(err)
+					}
+				}
+			}
+			for sh := 0; sh < shards; sh++ {
+				if err := eng.Schedule(sh, 0, hop); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n, err := eng.Run()
+			if err != nil || n != shards*windows || eng.Windows() != windows {
+				t.Fatalf("run: %d events in %d windows, err %v; want %d in %d",
+					n, eng.Windows(), err, shards*windows, windows)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(1000); many > few {
+		t.Errorf("one-worker run allocates %.0f times at 1000 windows, %.0f at 10", many, few)
+	}
+}

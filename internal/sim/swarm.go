@@ -278,12 +278,14 @@ type SwarmEvent struct {
 }
 
 // swarmNode is the static per-node state plus the one mutable field
-// (busyUntil) that is only ever touched by the node's owning shard.
+// (busyUntil) that is only ever touched by the node's owning shard. The
+// embedded Track gives the node's position; one record holds everything a
+// handler reads about a candidate.
 type swarmNode struct {
-	track     Track
+	Track
 	phase     float64 // initiator round phase in [0, RoundPeriod)
 	busyUntil float64 // responder TX busy horizon; owned by the home shard
-	id        int32
+	id        int32   // node id; the storage index never keys a result
 	shard     int32
 	slot      uint16
 	shape     uint16
@@ -299,13 +301,14 @@ type swarmNode struct {
 type swarmRound struct {
 	arrivals []swarmArrival
 	sp       *trace.Span
-	init     int32
+	init     int32 // initiator node id
+	initAt   int32 // initiator storage index in Swarm.nodes
 	k        uint32
 }
 
 type swarmArrival struct {
 	estErr float64
-	resp   int32
+	resp   int32 // responder node id
 	slot   uint16
 	shape  uint16
 }
@@ -315,10 +318,18 @@ type swarmArrival struct {
 // Swarm can be run multiple times (sequentially or sharded); each Run
 // resets the mutable state.
 type Swarm struct {
-	cfg       SwarmConfig
-	part      GridPartition
-	nodes     []swarmNode
-	cand      [][]int32 // per-initiator candidate responders (home dist ≤ reach)
+	cfg  SwarmConfig
+	part GridPartition
+	// nodes is stored in shard order, by id within a shard, so a shard's
+	// nodes are contiguous. Handlers reach nodes by storage index; results
+	// are keyed by swarmNode.id.
+	nodes []swarmNode
+	// initiators holds the initiators' storage indices in node-id order.
+	initiators []int32
+	// The candidate responders of nodes[i] (home distance ≤ reach) are the
+	// storage indices candIdx[candOff[i]:candOff[i+1]], in node-id order.
+	candOff, candIdx []int32
+
 	lookahead float64
 	minSep    float64 // min cross-shard pair separation lower bound, m
 	side      float64 // deployment square side, m
@@ -402,14 +413,14 @@ func NewSwarm(cfg SwarmConfig) (*Swarm, error) {
 	// Per-node split streams: node i's home, trajectory and phase depend
 	// only on (Seed, i), never on other nodes or build order.
 	capacity := cfg.Plan.Capacity()
-	s.nodes = make([]swarmNode, cfg.N)
-	for i := range s.nodes {
+	byID := make([]swarmNode, cfg.N)
+	for i := range byID {
 		rng := rand.New(rand.NewPCG(cfg.Seed, splitKey(uint64(i))))
 		home := geom.Point{X: rng.Float64() * s.side, Y: rng.Float64() * s.side}
-		n := &s.nodes[i]
+		n := &byID[i]
 		n.id = int32(i)
 		n.shard = int32(s.part.ShardOf(home))
-		if n.track, err = NewTrack(home, cfg.Mobility, rng, horizon); err != nil {
+		if n.Track, err = NewTrack(home, cfg.Mobility, rng, horizon); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrInvalidSwarmConfig, err)
 		}
 		n.initiator = i%cfg.InitiatorEvery == 0
@@ -424,7 +435,8 @@ func NewSwarm(cfg SwarmConfig) (*Swarm, error) {
 		}
 	}
 
-	s.buildCandidates(roam)
+	at := s.storeByShard(byID)
+	s.buildCandidates(roam, at)
 	// Conservative lookahead: every cross-shard message is emitted at
 	// least protocolLead before delivery (INIT by the decision lead, RESP
 	// by the response delay minus the worst-case TX truncation), plus the
@@ -443,17 +455,59 @@ func NewSwarm(cfg SwarmConfig) (*Swarm, error) {
 	return s, nil
 }
 
-// buildCandidates fills the per-initiator candidate lists (every node
-// whose home is within reach = Range + 2·RoamRadius — the farthest a pair
-// can be heard across) and computes the minimum cross-shard separation.
-func (s *Swarm) buildCandidates(roam float64) {
+// countingSort orders the items 0..len(keys)-1 by key in [0, nkeys),
+// keeping equal keys in item order, in time linear in items plus keys. The
+// items with key k are order[off[k]:off[k+1]].
+func countingSort(keys []int32, nkeys int) (off, order []int32) {
+	off = make([]int32, nkeys+1)
+	for _, k := range keys {
+		off[k+1]++
+	}
+	for k := 1; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	next := slices.Clone(off[:nkeys])
+	order = make([]int32, len(keys))
+	for i, k := range keys {
+		order[next[k]] = int32(i)
+		next[k]++
+	}
+	return off, order
+}
+
+// storeByShard stores the nodes in shard order, by id within a shard, so a
+// shard's nodes sit next to each other in memory, and returns each node's
+// storage index by id.
+func (s *Swarm) storeByShard(byID []swarmNode) (at []int32) {
+	shardOf := make([]int32, len(byID))
+	for i := range byID {
+		shardOf[i] = byID[i].shard
+	}
+	_, order := countingSort(shardOf, s.part.Shards())
+	s.nodes = make([]swarmNode, len(byID))
+	at = make([]int32, len(byID))
+	for k, id := range order {
+		s.nodes[k] = byID[id]
+		at[id] = int32(k)
+	}
+	for id := 0; id < len(byID); id += s.cfg.InitiatorEvery {
+		s.initiators = append(s.initiators, at[id])
+	}
+	return at
+}
+
+// buildCandidates fills the flat candidate lists (for every initiator,
+// every node whose home is within reach = Range + 2·RoamRadius — the
+// farthest a pair can be heard across — in node-id order) and computes
+// the minimum cross-shard separation. at maps node ids to storage
+// indices.
+func (s *Swarm) buildCandidates(roam float64, at []int32) {
 	reach := s.cfg.Range + 2*roam
 	// Buckets at least reach wide put every pair within reach in adjacent
 	// buckets; about one node per bucket is fine enough, and keeps a tiny
 	// reach from asking for more buckets than memory holds.
 	width := math.Max(reach, s.side/math.Ceil(math.Sqrt(float64(len(s.nodes)))))
 	cols := int(s.side/width) + 1
-	buckets := make([][]int32, cols*cols)
 	bucketOf := func(p geom.Point) (int, int) {
 		bx, by := int(p.X/width), int(p.Y/width)
 		if bx < 0 {
@@ -470,36 +524,41 @@ func (s *Swarm) buildCandidates(roam float64) {
 		}
 		return bx, by
 	}
+	bucket := make([]int32, len(s.nodes))
 	for i := range s.nodes {
-		bx, by := bucketOf(s.nodes[i].track.Home())
-		buckets[by*cols+bx] = append(buckets[by*cols+bx], int32(i))
+		bx, by := bucketOf(s.nodes[i].Home())
+		bucket[i] = int32(by*cols + bx)
 	}
-	s.cand = make([][]int32, len(s.nodes))
+	bucketOff, inBucket := countingSort(bucket, cols*cols)
+	s.candOff = make([]int32, len(s.nodes)+1)
 	minSep := math.Inf(1)
+	var ids []int32
 	for i := range s.nodes {
+		s.candOff[i] = int32(len(s.candIdx))
 		n := &s.nodes[i]
 		if !n.initiator {
 			continue
 		}
-		home := n.track.Home()
+		home := n.Home()
 		bx, by := bucketOf(home)
-		var list []int32
+		ids = ids[:0]
 		for dy := -1; dy <= 1; dy++ {
 			for dx := -1; dx <= 1; dx++ {
 				x, y := bx+dx, by+dy
 				if x < 0 || x >= cols || y < 0 || y >= cols {
 					continue
 				}
-				for _, j := range buckets[y*cols+x] {
+				b := y*cols + x
+				for _, j := range inBucket[bucketOff[b]:bucketOff[b+1]] {
 					c := &s.nodes[j]
-					if j == int32(i) || c.initiator {
+					if c.initiator {
 						continue
 					}
-					d := home.Dist(c.track.Home())
+					d := home.Dist(c.Home())
 					if d > reach {
 						continue
 					}
-					list = append(list, j)
+					ids = append(ids, c.id)
 					if c.shard != n.shard {
 						if sep := d - 2*roam; sep < minSep {
 							minSep = sep
@@ -508,9 +567,12 @@ func (s *Swarm) buildCandidates(roam float64) {
 				}
 			}
 		}
-		slices.Sort(list)
-		s.cand[i] = list
+		slices.Sort(ids)
+		for _, id := range ids {
+			s.candIdx = append(s.candIdx, at[id])
+		}
 	}
+	s.candOff[len(s.nodes)] = int32(len(s.candIdx))
 	if math.IsInf(minSep, 1) {
 		// No cross-shard pair can ever communicate; the flight floor is
 		// unconstrained, so any non-negative value is safe.
@@ -612,14 +674,12 @@ func (s *Swarm) reset() {
 	}
 }
 
-// seed schedules every initiator's first round on its home shard.
+// seed schedules every initiator's first round on its home shard, in
+// node-id order.
 func (s *Swarm) seed(r Runner) error {
-	for i := range s.nodes {
-		n := &s.nodes[i]
-		if !n.initiator {
-			continue
-		}
-		if err := r.Schedule(int(n.shard), n.phase, s.roundPrep(n.id, 0)); err != nil {
+	for _, ni := range s.initiators {
+		n := &s.nodes[ni]
+		if err := r.Schedule(int(n.shard), n.phase, s.roundPrep(ni, 0)); err != nil {
 			return err
 		}
 	}
@@ -630,21 +690,22 @@ func (s *Swarm) seed(r Runner) error {
 // round, the INIT transmission DecisionLead ahead, the per-candidate INIT
 // receptions (cross-shard through the bus, with future timestamps — this
 // decision lead is what funds the lookahead), and the response-window
-// close.
-func (s *Swarm) roundPrep(init int32, k uint32) Handler {
+// close. ni is the initiator's storage index.
+func (s *Swarm) roundPrep(ni int32, k uint32) Handler {
 	return func(sc Scheduler) {
 		now := sc.Now()
 		st := &s.shardStats[sc.Shard()]
 		if next := now + s.cfg.RoundPeriod; next <= s.cfg.Duration {
-			if err := sc.Schedule(next, s.roundPrep(init, k+1)); err != nil {
+			if err := sc.Schedule(next, s.roundPrep(ni, k+1)); err != nil {
 				sc.Fail(err)
 				return
 			}
 		}
 		st.RoundsStarted++
 		tTX := now + s.cfg.DecisionLead
-		n := &s.nodes[init]
-		pi := n.track.Pos(tTX)
+		n := &s.nodes[ni]
+		init := n.id
+		pi := n.Pos(tTX)
 		if err := sc.Schedule(tTX, func(sc Scheduler) {
 			s.shardStats[sc.Shard()].Frames++
 			s.trace(sc, tTX, init, SwarmTXInit, int32(k))
@@ -652,7 +713,7 @@ func (s *Swarm) roundPrep(init int32, k uint32) Handler {
 			sc.Fail(err)
 			return
 		}
-		rd := &swarmRound{init: init, k: k}
+		rd := &swarmRound{init: init, initAt: ni, k: k}
 		if s.flight != nil {
 			rd.sp = s.flight.Begin(trace.SpanSwarmRound, trace.Attrs{
 				trace.AttrSeed:  s.cfg.Seed,
@@ -661,9 +722,9 @@ func (s *Swarm) roundPrep(init int32, k uint32) Handler {
 			})
 		}
 		inRange := 0
-		for _, ci := range s.cand[init] {
+		for _, ci := range s.candIdx[s.candOff[ni]:s.candOff[ni+1]] {
 			c := &s.nodes[ci]
-			d := pi.Dist(c.track.Pos(tTX))
+			d := pi.Dist(c.Pos(tTX))
 			if d > s.cfg.Range {
 				continue
 			}
@@ -695,8 +756,9 @@ func (s *Swarm) roundPrep(init int32, k uint32) Handler {
 // rxInit is a responder receiving the INIT: if idle, it commits its RESP
 // at Δ_RESP plus its slot delay (truncated to the delayed-TX granularity)
 // and sends the reception back to the initiator's shard — again with a
-// future timestamp at least ResponseDelay−granularity ahead.
-func (s *Swarm) rxInit(rd *swarmRound, resp int32, cross bool) Handler {
+// future timestamp at least ResponseDelay−granularity ahead. ri is the
+// responder's storage index.
+func (s *Swarm) rxInit(rd *swarmRound, ri int32, cross bool) Handler {
 	return func(sc Scheduler) {
 		now := sc.Now()
 		st := &s.shardStats[sc.Shard()]
@@ -704,8 +766,9 @@ func (s *Swarm) rxInit(rd *swarmRound, resp int32, cross bool) Handler {
 		if cross {
 			st.CrossShardFrames++
 		}
+		rn := &s.nodes[ri]
+		resp := rn.id
 		s.trace(sc, now, resp, SwarmRXInit, rd.init)
-		rn := &s.nodes[resp]
 		if rn.busyUntil > now {
 			st.BusySkips++
 			return
@@ -723,33 +786,34 @@ func (s *Swarm) rxInit(rd *swarmRound, resp int32, cross bool) Handler {
 			sc.Fail(err)
 			return
 		}
-		in := &s.nodes[rd.init]
-		d := rn.track.Pos(tResp).Dist(in.track.Pos(tResp))
+		in := &s.nodes[rd.initAt]
+		d := rn.Pos(tResp).Dist(in.Pos(tResp))
 		tArr := tResp + d/channel.SpeedOfLight
 		// Analytic SS-TWR error: half the uncompensated TX truncation plus
 		// the two RX timestamp jitters (σ₀ each, Box–Muller pair drawn
 		// from the round's hash stream).
 		sigma := dw1000.DefaultJitter().Sigma0 * math.Sqrt2
 		estErr := channel.SpeedOfLight / 2 * (qerr + s.gauss(resp, rd.k, streamErr^uint64(uint32(rd.init))<<3)*sigma)
-		if err := sc.Send(int(in.shard), tArr, s.rxResp(rd, resp, cross, estErr)); err != nil {
+		if err := sc.Send(int(in.shard), tArr, s.rxResp(rd, ri, cross, estErr)); err != nil {
 			sc.Fail(err)
 		}
 	}
 }
 
 // rxResp is the initiator receiving one RESP; it accumulates the arrival
-// into the round (always on the initiator's own shard).
-func (s *Swarm) rxResp(rd *swarmRound, resp int32, cross bool, estErr float64) Handler {
+// into the round (always on the initiator's own shard). ri is the
+// responder's storage index.
+func (s *Swarm) rxResp(rd *swarmRound, ri int32, cross bool, estErr float64) Handler {
 	return func(sc Scheduler) {
 		st := &s.shardStats[sc.Shard()]
 		st.Receptions++
 		if cross {
 			st.CrossShardFrames++
 		}
-		s.trace(sc, sc.Now(), rd.init, SwarmRXResp, resp)
-		rn := &s.nodes[resp]
+		rn := &s.nodes[ri]
+		s.trace(sc, sc.Now(), rd.init, SwarmRXResp, rn.id)
 		rd.arrivals = append(rd.arrivals, swarmArrival{
-			estErr: estErr, resp: resp, slot: rn.slot, shape: rn.shape,
+			estErr: estErr, resp: rn.id, slot: rn.slot, shape: rn.shape,
 		})
 	}
 }
