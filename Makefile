@@ -95,6 +95,7 @@ fuzz:
 	$(GO) test ./internal/dsp -fuzz FuzzUpsamplePlan -fuzztime 60s
 	$(GO) test ./internal/dsp -fuzz FuzzUpsampleAddSegment -fuzztime 60s
 	$(GO) test ./internal/dsp -fuzz FuzzConvolve -fuzztime 60s
+	$(GO) test ./internal/dsp -fuzz FuzzFFTKernels -fuzztime 60s
 	$(GO) test ./internal/core -fuzz FuzzDetect -fuzztime 60s
 	$(GO) test ./internal/core -fuzz FuzzSlotPlan -fuzztime 60s
 	$(GO) test ./ranging -fuzz FuzzLoadScenario -fuzztime 60s

@@ -382,7 +382,7 @@ func BenchmarkUpsampleAddSegment4x(b *testing.B) {
 		b.Fatal(err)
 	}
 	dst := plan.Execute(make([]complex128, len(taps)*4), taps)
-	seg, lo := shape.RenderSegment(nil, -0.01, 300.3, dw1000.SampleInterval, len(taps))
+	seg, lo := shape.RenderSegment(nil, -0.01, 300.3, dw1000.SampleInterval, shape.NormConstant(dw1000.SampleInterval), len(taps))
 	if len(seg) != 11 {
 		b.Fatalf("segment of %d samples, want 11", len(seg))
 	}

@@ -37,6 +37,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -201,24 +202,47 @@ func experimentNames() []string {
 }
 
 func main() {
-	trials := flag.Int("trials", 0, "Monte-Carlo trials per experiment (0 = paper-faithful defaults)")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	jsonPath := flag.String("json", "", "write a machine-readable run report to this `path`")
-	progress := flag.Bool("progress", false, "stream live trial progress to stderr")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on this `address`")
-	traceFile := flag.String("tracefile", "", "stream the detection flight recorder to this JSONL `file` (analyze with crtrace)")
-	traceSample := flag.Int("trace-sample", 1, "record every Nth root span in the flight recorder")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: crbench [-trials N] [-seed S] [-json path] [-progress] [-pprof addr] [-tracefile path] [experiment ...]\n")
-		fmt.Fprintf(os.Stderr, "experiments: %s (default: all)\n", strings.Join(experimentNames(), " "))
-		flag.PrintDefaults()
+	names, cfg, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-	flag.Parse()
-	names := flag.Args()
+	if err != nil {
+		os.Exit(2) // the flag set already printed the error and the usage
+	}
+	cfg.Stdout, cfg.Stderr = os.Stdout, os.Stderr
+	if _, err := run(names, cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "crbench:", err)
+		os.Exit(1)
+	}
+}
+
+// parseFlags parses the command line into the experiment names (all of
+// them when none is given) and the run configuration, writing parse
+// errors and the usage text to stderr. The returned configuration has no
+// Stdout or Stderr yet.
+func parseFlags(args []string, stderr io.Writer) ([]string, runConfig, error) {
+	fs := flag.NewFlagSet("crbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	trials := fs.Int("trials", 0, "Monte-Carlo trials per experiment (0 = paper-faithful defaults)")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	jsonPath := fs.String("json", "", "write a machine-readable run report to this `path`")
+	progress := fs.Bool("progress", false, "stream live trial progress to stderr")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and expvar on this `address`")
+	traceFile := fs.String("tracefile", "", "stream the detection flight recorder to this JSONL `file` (analyze with crtrace)")
+	traceSample := fs.Int("trace-sample", 1, "record every Nth root span in the flight recorder")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: crbench [-trials N] [-seed S] [-json path] [-progress] [-pprof addr] [-tracefile path] [experiment ...]\n")
+		fmt.Fprintf(stderr, "experiments: %s (default: all)\n", strings.Join(experimentNames(), " "))
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return nil, runConfig{}, err
+	}
+	names := fs.Args()
 	if len(names) == 0 {
 		names = experimentNames()
 	}
-	cfg := runConfig{
+	return names, runConfig{
 		Trials:      *trials,
 		Seed:        *seed,
 		JSONPath:    *jsonPath,
@@ -226,13 +250,7 @@ func main() {
 		PprofAddr:   *pprofAddr,
 		TraceFile:   *traceFile,
 		TraceSample: *traceSample,
-		Stdout:      os.Stdout,
-		Stderr:      os.Stderr,
-	}
-	if _, err := run(names, cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "crbench:", err)
-		os.Exit(1)
-	}
+	}, nil
 }
 
 // runConfig collects the flag-derived settings so tests can drive run

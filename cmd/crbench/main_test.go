@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -188,4 +190,64 @@ func TestReportCarriesThroughput(t *testing.T) {
 	if sw.EngineParallelEfficiency <= 0 {
 		t.Errorf("swarm engine_parallel_efficiency = %g, want > 0", sw.EngineParallelEfficiency)
 	}
+}
+
+// nonFinite matches a NaN or an infinity as fmt prints them.
+var nonFinite = regexp.MustCompile(`NaN|[+-]Inf`)
+
+// TestRunFlagProperty draws 200 seeded flag vectors that mix small
+// in-domain values with negatives, 0, NaN, ±Inf and 1e308, parses each as
+// the command line does and requires the run either to fail or to print
+// only finite numbers and write a report JSON can encode (encoding/json
+// rejects NaN and ±Inf). A Monte-Carlo experiment runs only at -trials 1
+// or 2; any other count goes with an experiment whose cost does not
+// depend on it, so 0's paper-faithful counts stay out of the test's time.
+func TestRunFlagProperty(t *testing.T) {
+	rng := rand.New(rand.NewPCG(18, 6))
+	hostile := []string{"-1", "0", "NaN", "+Inf", "-Inf", "1e308"}
+	// One flag in eight draws a hostile value, so about half the
+	// vectors run end to end and the rest probe the checks.
+	pick := func(inDomain ...string) string {
+		if rng.IntN(8) == 0 {
+			return hostile[rng.IntN(len(hostile))]
+		}
+		return inDomain[rng.IntN(len(inDomain))]
+	}
+	monteCarlo := []string{"fig4", "sec5", "fig6", "table1", "sec6", "fig8", "campaign", "capture", "ablation"}
+	fixedCost := []string{"fig1", "fig2", "sec3", "fig5", "sec7", "sec8"}
+	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
+	accepted := 0
+	for i := 0; i < 200; i++ {
+		trials := pick("1", "2")
+		exp := fixedCost[rng.IntN(len(fixedCost))]
+		if (trials == "1" || trials == "2") && rng.IntN(2) == 0 {
+			exp = monteCarlo[rng.IntN(len(monteCarlo))]
+		}
+		args := []string{"-trials", trials, "-seed", pick("1", "7"), "-trace-sample", pick("1", "2")}
+		if rng.IntN(2) == 0 {
+			args = append(args, "-tracefile", tracePath)
+		}
+		args = append(args, exp)
+		names, cfg, err := parseFlags(args, io.Discard)
+		if err != nil {
+			continue
+		}
+		var out bytes.Buffer
+		cfg.Stdout, cfg.Stderr = &out, io.Discard
+		report, err := run(names, cfg)
+		if err != nil {
+			continue
+		}
+		accepted++
+		if m := nonFinite.FindString(out.String()); m != "" {
+			t.Errorf("crbench %q succeeded but printed %s:\n%s", args, m, out.String())
+		}
+		if _, err := json.Marshal(report); err != nil {
+			t.Errorf("crbench %q: report does not encode: %v", args, err)
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("every flag vector was rejected; the draw exercises no run")
+	}
+	t.Logf("%d of 200 flag vectors ran", accepted)
 }

@@ -53,6 +53,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -109,15 +110,16 @@ func parsePoint(v string) (float64, float64, error) {
 }
 
 func main() {
-	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "crsim:", err)
 		os.Exit(1)
 	}
 }
 
 // run parses the command line (without the program name) and runs the
-// selected mode. A flag outside its domain fails before any work starts.
-func run(args []string) (err error) {
+// selected mode, printing its results to stdout. A flag outside its
+// domain fails before any work starts.
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("crsim", flag.ContinueOnError)
 	var resps responderFlags
 	env := fs.String("env", ranging.EnvHallway, "environment preset (free-space, hallway, office, industrial)")
@@ -169,6 +171,7 @@ func run(args []string) (err error) {
 			traceFile:    *traceFile,
 			traceSample:  *traceSample,
 			pprofAddr:    *pprofAddr,
+			stdout:       stdout,
 		})
 	}
 
@@ -209,7 +212,7 @@ func run(args []string) (err error) {
 		return err
 	}
 	if *timeline {
-		session.SetTracer(func(e ranging.TraceEvent) { fmt.Println("  " + e.String()) })
+		session.SetTracer(func(e ranging.TraceEvent) { fmt.Fprintln(stdout, "  "+e.String()) })
 	}
 	if *traceFile != "" {
 		f, ferr := os.Create(*traceFile)
@@ -241,20 +244,20 @@ func run(args []string) (err error) {
 		defer dbg.Close()
 		fmt.Fprintf(os.Stderr, "crsim: debug server on http://%s/debug/pprof/ (/metrics, /debug/metrics.json)\n", dbg.Addr)
 	}
-	return runRounds(session, nResp, *rounds)
+	return runRounds(stdout, session, nResp, *rounds)
 }
 
-func runRounds(session *ranging.Session, nResp, rounds int) error {
-	fmt.Printf("%d responders, scheme capacity %d, Δ_RESP %.0f µs\n",
+func runRounds(stdout io.Writer, session *ranging.Session, nResp, rounds int) error {
+	fmt.Fprintf(stdout, "%d responders, scheme capacity %d, Δ_RESP %.0f µs\n",
 		nResp, session.Capacity(), session.ResponseDelay()*1e6)
 	for round := 0; round < rounds; round++ {
 		res, err := session.Run()
 		if err != nil {
 			return fmt.Errorf("round %d: %w", round, err)
 		}
-		fmt.Printf("round %d: %d messages on air, anchor d_TWR = %.3f m\n",
+		fmt.Fprintf(stdout, "round %d: %d messages on air, anchor d_TWR = %.3f m\n",
 			round, res.MessagesOnAir, res.AnchorDistance)
-		fmt.Printf("  %-10s %-6s %-6s %-10s %-10s %-8s\n",
+		fmt.Fprintf(stdout, "  %-10s %-6s %-6s %-10s %-10s %-8s\n",
 			"responder", "slot", "shape", "dist [m]", "true [m]", "err [m]")
 		for _, m := range res.Measurements {
 			id := fmt.Sprint(m.ResponderID)
@@ -265,7 +268,7 @@ func runRounds(session *ranging.Session, nResp, rounds int) error {
 			if m.Anchor {
 				anchor = " (anchor)"
 			}
-			fmt.Printf("  %-10s %-6d %-6d %-10.3f %-10.3f %-+8.3f%s\n",
+			fmt.Fprintf(stdout, "  %-10s %-6d %-6d %-10.3f %-10.3f %-+8.3f%s\n",
 				id, m.Slot, m.Shape, m.Distance, m.TrueDistance, m.Error(), anchor)
 		}
 	}
@@ -290,6 +293,7 @@ type swarmOptions struct {
 	traceFile   string
 	traceSample int
 	pprofAddr   string
+	stdout      io.Writer
 }
 
 // runSwarm simulates an N-node swarm on the sharded event engine and
@@ -348,20 +352,20 @@ func runSwarm(opts swarmOptions) (err error) {
 		return err
 	}
 	wall := time.Since(start)
-	fmt.Printf("swarm: %d nodes over %.0f × %.0f m, %d shards, lookahead %.1f µs\n",
+	fmt.Fprintf(opts.stdout, "swarm: %d nodes over %.0f × %.0f m, %d shards, lookahead %.1f µs\n",
 		opts.n, sw.Side(), sw.Side(), sw.Shards(), sw.Lookahead()*1e6)
-	fmt.Printf("engine: %d workers, %d barrier windows, %d events in %.3f s (%.3g events/s)\n",
+	fmt.Fprintf(opts.stdout, "engine: %d workers, %d barrier windows, %d events in %.3f s (%.3g events/s)\n",
 		res.Workers, res.Windows, res.Events, wall.Seconds(), float64(res.Events)/wall.Seconds())
 	st := res.Stats
-	fmt.Printf("rounds: %d started, %d completed (%d empty), %d cross-shard frames (%.2f%% of %d)\n",
+	fmt.Fprintf(opts.stdout, "rounds: %d started, %d completed (%d empty), %d cross-shard frames (%.2f%% of %d)\n",
 		st.RoundsStarted, st.RoundsCompleted, st.EmptyRounds,
 		st.CrossShardFrames, 100*float64(st.CrossShardFrames)/float64(max(st.Frames, 1)), st.Frames)
-	fmt.Printf("ranging: %d responses, %d resolved, %d slot collisions, %d busy skips, mean |err| %.3f m\n",
+	fmt.Fprintf(opts.stdout, "ranging: %d responses, %d resolved, %d slot collisions, %d busy skips, mean |err| %.3f m\n",
 		st.Responses, st.Resolved, st.SlotCollisions, st.BusySkips, st.MeanAbsErr())
 	var profile *sim.EngineProfile
 	if prof != nil {
 		profile = prof.Profile()
-		fmt.Print(profile.String())
+		fmt.Fprint(opts.stdout, profile.String())
 		if opts.timelinePath != "" {
 			f, ferr := os.Create(opts.timelinePath)
 			if ferr != nil {
@@ -393,7 +397,7 @@ func runSwarm(opts swarmOptions) (err error) {
 			return fmt.Errorf("verify: %d-worker run diverged from 1-worker reference:\n  %d workers: %s\n  1 worker:  %s",
 				res.Workers, res.Workers, res.Stats.String(), ref.Stats.String())
 		}
-		fmt.Printf("verify: %d-worker run bit-identical to 1-worker reference\n", res.Workers)
+		fmt.Fprintf(opts.stdout, "verify: %d-worker run bit-identical to 1-worker reference\n", res.Workers)
 	}
 	if opts.reportPath != "" {
 		if rerr := writeSwarmReport(opts, reg, sw, res, profile, wall); rerr != nil {

@@ -1,6 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"io"
+	"math/rand/v2"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -53,7 +58,7 @@ func TestRunRejectsOutOfDomainFlags(t *testing.T) {
 		{[]string{"-swarm", "100", "-trace-sample", "-1"}, "-trace-sample -1"},
 	}
 	for _, tc := range cases {
-		err := run(tc.args)
+		err := run(tc.args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run %q: got %v, want an error naming %q", tc.args, err, tc.want)
 		}
@@ -64,7 +69,60 @@ func TestRunRejectsOutOfDomainFlags(t *testing.T) {
 // at an in-domain value.
 func TestRunAcceptsInDomainFlags(t *testing.T) {
 	if err := run([]string{"-swarm", "100", "-swarm-workers", "1", "-swarm-duration", "0.05",
-		"-rounds", "1", "-trace-sample", "1", "-swarm-verify"}); err != nil {
+		"-rounds", "1", "-trace-sample", "1", "-swarm-verify"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// nonFinite matches a NaN or an infinity as fmt prints them.
+var nonFinite = regexp.MustCompile(`NaN|[+-]Inf`)
+
+// TestRunFlagProperty draws 200 seeded flag vectors that mix small
+// in-domain values with negatives, 0, NaN, ±Inf and 1e308, half the time
+// in swarm mode, and requires every run either to return an error or to
+// print only finite numbers. In-domain values stay small (-rounds ≤ 3,
+// -swarm ≤ 2000, -swarm-duration ≤ 0.05) so the whole draw runs in
+// seconds.
+func TestRunFlagProperty(t *testing.T) {
+	rng := rand.New(rand.NewPCG(18, 5))
+	hostile := []string{"-1", "0", "NaN", "+Inf", "-Inf", "1e308"}
+	// One flag in eight draws a hostile value, so about half the
+	// vectors run end to end and the rest probe the checks.
+	pick := func(inDomain ...string) string {
+		if rng.IntN(8) == 0 {
+			return hostile[rng.IntN(len(hostile))]
+		}
+		return inDomain[rng.IntN(len(inDomain))]
+	}
+	coord := func() string { return pick("0", "2.5", "9", "-4") }
+	accepted := 0
+	for i := 0; i < 200; i++ {
+		var args []string
+		if rng.IntN(2) == 0 {
+			args = []string{"-swarm", pick("300", "2000"), "-swarm-workers", pick("1", "2"),
+				"-swarm-duration", pick("0.02", "0.05")}
+			if rng.IntN(4) == 0 {
+				args = append(args, "-swarm-verify")
+			}
+		} else {
+			args = []string{"-init", coord() + "," + coord(), "-maxrange", pick("30", "75"),
+				"-shapes", pick("1", "3"), "-rounds", pick("1", "3")}
+			for id := 0; id <= rng.IntN(3); id++ {
+				args = append(args, "-resp", fmt.Sprintf("%d:%s,%s", id, coord(), coord()))
+			}
+		}
+		args = append(args, "-seed", pick("1", "7"), "-trace-sample", pick("1", "2"))
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			continue
+		}
+		accepted++
+		if m := nonFinite.FindString(out.String()); m != "" {
+			t.Errorf("run %q succeeded but printed %s:\n%s", args, m, out.String())
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("every flag vector was rejected; the draw exercises no run")
+	}
+	t.Logf("%d of 200 flag vectors ran", accepted)
 }

@@ -167,6 +167,7 @@ type Detector struct {
 	tsUp      float64 // up-sampled interval
 	templates [][]complex128
 	centers   []int
+	norms     []float64 // per template: its shape's NormConstant(ts), computed once
 
 	// Cached frequency-domain execution state for one CIR length
 	// (precomputed for dw1000.CIRLength, rebuilt if a caller detects on a
@@ -348,11 +349,14 @@ func newDetector(bank *pulse.Bank, cfg DetectorConfig) (*Detector, error) {
 		tsUp:      bank.SampleInterval() / float64(cfg.Upsample),
 		templates: make([][]complex128, bank.Len()),
 		centers:   make([]int, bank.Len()),
+		norms:     make([]float64, bank.Len()),
 	}
 	for i := 0; i < bank.Len(); i++ {
-		tmpl := bank.Shape(i).Template(d.tsUp)
+		shape := bank.Shape(i)
+		tmpl := shape.Template(d.tsUp)
 		d.templates[i] = tmpl
 		d.centers[i] = (len(tmpl) - 1) / 2
+		d.norms[i] = shape.NormConstant(d.ts)
 	}
 	return d, nil
 }
@@ -594,7 +598,7 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 		// residual and, on the default path, its up-sampled image into
 		// the up-sampled residual.
 		var lo int
-		d.seg, lo = d.bank.Shape(best.t).RenderSegment(d.seg, -alpha, peakPos, d.ts, len(residual))
+		d.seg, lo = d.bank.Shape(best.t).RenderSegment(d.seg, -alpha, peakPos, d.ts, d.norms[best.t], len(residual))
 		for k, v := range d.seg {
 			residual[lo+k] += v
 		}
@@ -932,9 +936,8 @@ func (d *Detector) maxOutsideSuppression(y []complex128, center int, skipQ []dsp
 // are unit-energy at the up-sampled rate) into the T_s-domain amplitude
 // convention the subtraction and the rest of the pipeline use.
 func (d *Detector) gridAmplitudeScale(tmplIdx int) float64 {
-	shape := d.bank.Shape(tmplIdx)
-	normUp := shape.NormConstant(d.tsUp)
-	normTs := shape.NormConstant(d.ts)
+	normUp := d.bank.Shape(tmplIdx).NormConstant(d.tsUp)
+	normTs := d.norms[tmplIdx]
 	if normTs == 0 {
 		return 0
 	}
@@ -960,7 +963,7 @@ func (d *Detector) interpolateY3(y3 [3]complex128, idx int) float64 {
 // residual energy the subtraction will remove.
 func (d *Detector) projectAmplitude(residual []complex128, tmplIdx int, peakPos float64) (complex128, float64) {
 	shape := d.bank.Shape(tmplIdx)
-	norm := shape.NormConstant(d.ts)
+	norm := d.norms[tmplIdx]
 	if norm == 0 {
 		return 0, 0
 	}

@@ -1,0 +1,15 @@
+//go:build !amd64
+
+package dsp
+
+// Other architectures have no assembly kernel: no plan records AVX2, so
+// every butterfly loop runs in Go and the entry points below are never
+// called.
+const haveAVX2 = false
+
+const noKernel = "dsp: no AVX2 kernel on this architecture"
+
+func firstPassAVX2([]complex128, complex128)                  { panic(noKernel) }
+func productFirstPassAVX2(_, _, _ []complex128, _ complex128) { panic(noKernel) }
+func stagePairAVX2(_, _, _ []complex128)                      { panic(noKernel) }
+func radix2StageAVX2(_, _ []complex128)                       { panic(noKernel) }

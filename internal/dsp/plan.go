@@ -16,7 +16,9 @@ import (
 // scratch buffers across executions. The tables hold exactly the values
 // the textbook on-the-fly recurrences generate and the butterfly order is
 // the textbook one, so every plan is bit-identical to the unplanned
-// transforms kept as the test reference (reference_test.go).
+// transforms kept as the test reference (reference_test.go). On amd64
+// CPUs with AVX2 the butterfly loops run in the assembly of fft_amd64.s,
+// which is bit-identical to the Go loops below (kernel_test.go pins both).
 //
 // Plans hold scratch state and are therefore NOT safe for concurrent use;
 // give each goroutine its own plan.
@@ -30,6 +32,7 @@ type fftPlan struct {
 	rev   []int32      // full bit-reversal index table (rev[i] = reverse of i)
 	fwd   []complex128 // forward twiddles, one block of size/2 per stage
 	inv   []complex128 // inverse twiddles, same layout
+	avx2  bool         // run the butterfly loops on the AVX2 kernels (fft_amd64.s)
 }
 
 // newFFTPlan builds a plan for transforms of length n, which must be a
@@ -38,7 +41,7 @@ func newFFTPlan(n int) (*fftPlan, error) {
 	if n < 1 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("dsp: FFT plan length %d is not a power of two", n)
 	}
-	p := &fftPlan{n: n}
+	p := &fftPlan{n: n, avx2: haveAVX2}
 	if n == 1 {
 		return p, nil
 	}
@@ -187,8 +190,20 @@ func (p *fftPlan) productTransformPermuted(v, ar, br []complex128, tw []complex1
 		v[0], v[1] = x0+x1, x0-x1
 		return
 	}
-	w4 := tw[2]
-	for i := 0; i < n; i += 4 {
+	if p.avx2 {
+		productFirstPassAVX2(v, ar, br, tw[2])
+	} else {
+		productFirstPass(v, ar, br, tw[2])
+	}
+	p.tailPasses(v, tw)
+}
+
+// productFirstPass is the first pass of productTransformPermuted: it forms
+// the products of the bit-reversed operands and runs the size-2 and
+// size-4 butterflies of each 4-sample block on them (see passes), with w4
+// the size-4 stage's k = 1 twiddle.
+func productFirstPass(v, ar, br []complex128, w4 complex128) {
+	for i := 0; i < len(v); i += 4 {
 		x0 := ar[i] * br[i]
 		x1 := ar[i+1] * br[i+1]
 		x2 := ar[i+2] * br[i+2]
@@ -200,7 +215,6 @@ func (p *fftPlan) productTransformPermuted(v, ar, br []complex128, tw []complex1
 		q[0], q[2] = b0+b2, b0-b2
 		q[1], q[3] = b1+t, b1-t
 	}
-	p.tailPasses(v, tw)
 }
 
 // passes runs the butterfly stages over already-permuted data.
@@ -211,15 +225,23 @@ func (p *fftPlan) passes(v []complex128, tw []complex128) {
 		v[0], v[1] = a+b, a-b
 		return
 	}
-	// The size-2 and size-4 stages touch disjoint 4-sample blocks, so
-	// both run fused in a single pass over the data, skipping the
-	// intermediate stores and reloads. Their only non-trivial twiddle
-	// factor is tw[2] (size-4 stage, k = 1); the others are exactly 1+0i
-	// (the twiddle recurrence starts at 1), so those multiplies are
-	// skipped. Each butterfly still sees the same operands in the same
-	// order, so results stay bit-identical to the staged form.
-	w4 := tw[2]
-	for i := 0; i < n; i += 4 {
+	if p.avx2 {
+		firstPassAVX2(v, tw[2])
+	} else {
+		firstPass(v, tw[2])
+	}
+	p.tailPasses(v, tw)
+}
+
+// firstPass runs the size-2 and size-4 stages. They touch disjoint
+// 4-sample blocks, so both run fused in a single pass over the data,
+// skipping the intermediate stores and reloads. Their only non-trivial
+// twiddle factor is w4 = tw[2] (size-4 stage, k = 1); the others are
+// exactly 1+0i (the twiddle recurrence starts at 1), so those multiplies
+// are skipped. Each butterfly still sees the same operands in the same
+// order, so results stay bit-identical to the staged form.
+func firstPass(v []complex128, w4 complex128) {
+	for i := 0; i < len(v); i += 4 {
 		q := v[i : i+4 : i+4]
 		b0, b1 := q[0]+q[1], q[0]-q[1]
 		b2, b3 := q[2]+q[3], q[2]-q[3]
@@ -227,17 +249,13 @@ func (p *fftPlan) passes(v []complex128, tw []complex128) {
 		q[0], q[2] = b0+b2, b0-b2
 		q[1], q[3] = b1+t, b1-t
 	}
-	p.tailPasses(v, tw)
 }
 
 // tailPasses runs the butterfly stages from size 8 upward; the size-2
 // and size-4 stages must already have been applied by one of the fused
-// entry passes above. Stages are consumed two at a time where possible:
-// within one 2s-sample block, the size-s butterflies of both halves and
-// the size-2s butterflies that consume their outputs touch only that
-// block, so each stage pair runs in a single traversal of the data. A
-// butterfly's operands and operation order are unchanged, so results
-// stay bit-identical to running the stages separately.
+// entry passes above. Stages are consumed two at a time where possible
+// (stagePair), and an odd stage count ends on one plain radix-2 stage
+// (radix2Stage).
 func (p *fftPlan) tailPasses(v []complex128, tw []complex128) {
 	n := p.n
 	off := 3 // past the twiddle blocks of the size-2 and size-4 stages
@@ -247,55 +265,82 @@ func (p *fftPlan) tailPasses(v []complex128, tw []complex128) {
 		half := s >> 1
 		twS := tw[off : off+half]        // size-s stage twiddles
 		tw2 := tw[off+half : off+half+s] // size-2s stage twiddles
-		for start := 0; start < n; start += 2 * s {
-			q := v[start : start+2*s : start+2*s]
-			// j = 0: twS[0] and tw2[0] are exactly 1+0i, so two of the
-			// three multiplies vanish.
-			a0, a1, a2, a3 := q[0], q[half], q[s], q[s+half]
-			b0, b1 := a0+a1, a0-a1
-			b2, b3 := a2+a3, a2-a3
-			q[0], q[s] = b0+b2, b0-b2
-			t := b3 * tw2[half]
-			q[half], q[s+half] = b1+t, b1-t
-			for j := 1; j < half; j++ {
-				w1 := twS[j]
-				a0, a1, a2, a3 := q[j], q[j+half], q[j+s], q[j+s+half]
-				t1 := a1 * w1
-				b0, b1 := a0+t1, a0-t1
-				t3 := a3 * w1
-				b2, b3 := a2+t3, a2-t3
-				t := b2 * tw2[j]
-				q[j], q[j+s] = b0+t, b0-t
-				t = b3 * tw2[j+half]
-				q[j+half], q[j+s+half] = b1+t, b1-t
-			}
+		if p.avx2 {
+			stagePairAVX2(v, twS, tw2)
+		} else {
+			stagePair(v, twS, tw2)
 		}
 		off += half + s
 	}
-	// At most one stage remains (odd tail-stage count): the plain
-	// radix-2 body.
+	// At most one stage remains (odd tail-stage count).
 	for ; size <= n; size <<= 1 {
 		half := size >> 1
 		stage := tw[off : off+half]
-		for start := 0; start < n; start += size {
-			// Split the block into its two butterfly halves so the inner
-			// loop indexes each slice from 0 and the compiler drops the
-			// per-access bounds checks; the k = 0 butterfly skips its
-			// multiply because stage[0] is exactly 1+0i in every stage
-			// (the twiddle recurrence starts at 1). The operation order
-			// per butterfly is unchanged, so results stay bit-identical.
-			lo := v[start : start+half : start+half]
-			hi := v[start+half : start+size : start+size]
-			a, b := lo[0], hi[0]
-			lo[0], hi[0] = a+b, a-b
-			for k := 1; k < half && k < len(lo) && k < len(hi); k++ {
-				a := lo[k]
-				b := hi[k] * stage[k]
-				lo[k] = a + b
-				hi[k] = a - b
-			}
+		if p.avx2 {
+			radix2StageAVX2(v, stage)
+		} else {
+			radix2Stage(v, stage)
 		}
 		off += half
+	}
+}
+
+// stagePair runs the size-s and size-2s stages on every 2s-sample block
+// of v, with s = 2·len(twS) and tw2 the size-2s stage twiddles. Within one
+// block, the size-s butterflies of both halves and the size-2s
+// butterflies that consume their outputs touch only that block, so the
+// stage pair runs in a single traversal of the data. A butterfly's
+// operands and operation order are unchanged, so results stay
+// bit-identical to running the stages separately.
+func stagePair(v, twS, tw2 []complex128) {
+	half := len(twS)
+	s := 2 * half
+	for start := 0; start < len(v); start += 2 * s {
+		q := v[start : start+2*s : start+2*s]
+		// j = 0: twS[0] and tw2[0] are exactly 1+0i, so two of the
+		// three multiplies vanish.
+		a0, a1, a2, a3 := q[0], q[half], q[s], q[s+half]
+		b0, b1 := a0+a1, a0-a1
+		b2, b3 := a2+a3, a2-a3
+		q[0], q[s] = b0+b2, b0-b2
+		t := b3 * tw2[half]
+		q[half], q[s+half] = b1+t, b1-t
+		for j := 1; j < half; j++ {
+			w1 := twS[j]
+			a0, a1, a2, a3 := q[j], q[j+half], q[j+s], q[j+s+half]
+			t1 := a1 * w1
+			b0, b1 := a0+t1, a0-t1
+			t3 := a3 * w1
+			b2, b3 := a2+t3, a2-t3
+			t := b2 * tw2[j]
+			q[j], q[j+s] = b0+t, b0-t
+			t = b3 * tw2[j+half]
+			q[j+half], q[j+s+half] = b1+t, b1-t
+		}
+	}
+}
+
+// radix2Stage runs the size-2·len(stage) radix-2 stage on every block of
+// v. Each block is split into its two butterfly halves so the inner loop
+// indexes each slice from 0 and the compiler drops the per-access bounds
+// checks; the k = 0 butterfly skips its multiply because stage[0] is
+// exactly 1+0i in every stage (the twiddle recurrence starts at 1). The
+// operation order per butterfly is unchanged, so results stay
+// bit-identical.
+func radix2Stage(v, stage []complex128) {
+	half := len(stage)
+	size := 2 * half
+	for start := 0; start < len(v); start += size {
+		lo := v[start : start+half : start+half]
+		hi := v[start+half : start+size : start+size]
+		a, b := lo[0], hi[0]
+		lo[0], hi[0] = a+b, a-b
+		for k := 1; k < half && k < len(lo) && k < len(hi); k++ {
+			a := lo[k]
+			b := hi[k] * stage[k]
+			lo[k] = a + b
+			hi[k] = a - b
+		}
 	}
 }
 

@@ -259,12 +259,13 @@ func (r *Radio) Receive(arrivals []Arrival) (*Reception, error) {
 		if amp == 0 {
 			amp = 1
 		}
+		norm := a.Shape.NormConstant(SampleInterval) // one per arrival, not per tap
 		for _, tap := range a.Taps {
 			delay := (a.TXTime + tap.Delay - origin) / SampleInterval
 			if delay < -10 || delay > CIRLength+10 {
 				continue
 			}
-			a.Shape.RenderInto(cir.Taps, tap.Gain*complex(amp, 0), delay, SampleInterval)
+			a.Shape.RenderNormInto(cir.Taps, tap.Gain*complex(amp, 0), delay, SampleInterval, norm)
 		}
 	}
 	if sigma := r.cfg.NoiseRMS / math.Sqrt2; sigma > 0 {

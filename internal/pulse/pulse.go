@@ -157,7 +157,14 @@ func (s Shape) NormConstant(ts float64) float64 {
 // outside dst are discarded. This is how the radio model superposes each
 // multipath component into the CIR accumulator.
 func (s Shape) RenderInto(dst []complex128, alpha complex128, delay, ts float64) {
-	lo, hi, a := s.renderSpan(alpha, delay, ts, len(dst))
+	s.RenderNormInto(dst, alpha, delay, ts, s.NormConstant(ts))
+}
+
+// RenderNormInto is RenderInto with norm = NormConstant(ts) passed in, so
+// a caller rendering many pulses of one shape at one interval computes it
+// once; the rendered samples are bit-identical.
+func (s Shape) RenderNormInto(dst []complex128, alpha complex128, delay, ts, norm float64) {
+	lo, hi, a := s.renderSpan(alpha, delay, ts, norm, len(dst))
 	for n := lo; n <= hi; n++ {
 		dst[n] += a * complex(s.Eval((float64(n)-delay)*ts), 0)
 	}
@@ -166,10 +173,11 @@ func (s Shape) RenderInto(dst []complex128, alpha complex128, delay, ts float64)
 // RenderSegment writes into seg the samples RenderInto would add to a
 // window of n samples and returns them with the window index of the
 // first: RenderInto(dst, …) equals adding the returned segment into
-// dst[lo:], bit for bit. seg's storage is reused when large enough. The
+// dst[lo:], bit for bit. norm must be NormConstant(ts), which the caller
+// computes once per shape. seg's storage is reused when large enough. The
 // segment is empty when the pulse misses the window.
-func (s Shape) RenderSegment(seg []complex128, alpha complex128, delay, ts float64, n int) ([]complex128, int) {
-	lo, hi, a := s.renderSpan(alpha, delay, ts, n)
+func (s Shape) RenderSegment(seg []complex128, alpha complex128, delay, ts, norm float64, n int) ([]complex128, int) {
+	lo, hi, a := s.renderSpan(alpha, delay, ts, norm, n)
 	seg = seg[:0]
 	for k := lo; k <= hi; k++ {
 		seg = append(seg, a*complex(s.Eval((float64(k)-delay)*ts), 0))
@@ -179,9 +187,9 @@ func (s Shape) RenderSegment(seg []complex128, alpha complex128, delay, ts float
 
 // renderSpan returns the inclusive window indices [lo, hi] of an n-sample
 // window that the pulse peaking at delay covers, and alpha scaled to unit
-// discrete energy. hi < lo when nothing is rendered.
-func (s Shape) renderSpan(alpha complex128, delay, ts float64, n int) (lo, hi int, a complex128) {
-	norm := s.NormConstant(ts)
+// discrete energy by norm = NormConstant(ts). hi < lo when nothing is
+// rendered.
+func (s Shape) renderSpan(alpha complex128, delay, ts, norm float64, n int) (lo, hi int, a complex128) {
 	if norm == 0 {
 		return 0, -1, 0
 	}

@@ -177,7 +177,7 @@ func TestRenderSegmentMatchesRenderInto(t *testing.T) {
 			want := append([]complex128(nil), base...)
 			s.RenderInto(want, alpha, delay, ts)
 			var lo int
-			seg, lo = s.RenderSegment(seg, alpha, delay, ts, len(base))
+			seg, lo = s.RenderSegment(seg, alpha, delay, ts, s.NormConstant(ts), len(base))
 			for k, v := range seg {
 				base[lo+k] += v
 			}
