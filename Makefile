@@ -83,9 +83,10 @@ repro:
 
 # Fast end-to-end check of the instrumented pipeline: a tiny run must
 # produce a valid, non-empty report and a triage-able flight-recorder
-# trace.
+# trace. fig4 is the experiment that runs a detector, so it supplies the
+# detector.* families the check requires.
 smoke:
-	$(GO) run ./cmd/crbench -trials 3 -json results/smoke-report.json -tracefile results/smoke-trace.jsonl sec5 campaign
+	$(GO) run ./cmd/crbench -trials 3 -json results/smoke-report.json -tracefile results/smoke-trace.jsonl fig4 sec5 campaign
 	$(GO) run ./cmd/reportcheck -require-metrics detector.,sim.,experiments.,trace. results/smoke-report.json
 	$(GO) run ./cmd/crtrace results/smoke-trace.jsonl
 
@@ -96,6 +97,7 @@ fuzz:
 	$(GO) test ./internal/dsp -fuzz FuzzUpsampleAddSegment -fuzztime 60s
 	$(GO) test ./internal/dsp -fuzz FuzzConvolve -fuzztime 60s
 	$(GO) test ./internal/dsp -fuzz FuzzFFTKernels -fuzztime 60s
+	$(GO) test ./internal/dsp -fuzz FuzzScanBest -fuzztime 60s
 	$(GO) test ./internal/core -fuzz FuzzDetect -fuzztime 60s
 	$(GO) test ./internal/core -fuzz FuzzSlotPlan -fuzztime 60s
 	$(GO) test ./ranging -fuzz FuzzLoadScenario -fuzztime 60s

@@ -368,30 +368,6 @@ func BenchmarkUpsamplePlan4x(b *testing.B) {
 	}
 }
 
-// BenchmarkUpsampleAddSegment4x times the detector's per-subtraction
-// update of its up-sampled residual: the image of one 900 MHz pulse
-// rendered at T_s (11 samples) added into the 4× up-sampled 1016-tap CIR.
-func BenchmarkUpsampleAddSegment4x(b *testing.B) {
-	taps := benchCIR(b)
-	plan, err := dsp.NewUpsamplePlan(len(taps), 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	shape, err := pulse.ForRegister(pulse.DefaultRegister)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := plan.Execute(make([]complex128, len(taps)*4), taps)
-	seg, lo := shape.RenderSegment(nil, -0.01, 300.3, dw1000.SampleInterval, shape.NormConstant(dw1000.SampleInterval), len(taps))
-	if len(seg) != 11 {
-		b.Fatalf("segment of %d samples, want 11", len(seg))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plan.AddSegment(dst, seg, lo)
-	}
-}
-
 func BenchmarkConcurrentRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net, err := sim.NewNetwork(sim.NetworkConfig{

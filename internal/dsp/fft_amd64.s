@@ -1,12 +1,14 @@
 #include "textflag.h"
 
-// AVX2 butterfly kernels of fftPlan: each routine is the Go loop of the
-// same name in plan.go (firstPass, productFirstPass, stagePair,
-// radix2Stage) run two complex128 lanes per YMM register. Every butterfly
-// sees the same operands in the same order as the Go loop, every add,
-// subtract and multiply is one IEEE double operation (no FMA), and the
+// AVX2 kernels of the detector's hot loops. The butterfly routines are the
+// Go loops of the same name in plan.go (firstPass, productFirstPass,
+// stagePair, radix2Stage) run two complex128 lanes per YMM register. Every
+// butterfly sees the same operands in the same order as the Go loop, every
+// add, subtract and multiply is one IEEE double operation (no FMA), and the
 // unit-twiddle butterflies stay multiply-free, so results are bit-identical
-// to the Go kernels. The Go wrappers in fft_amd64.go check every length
+// to the Go kernels. addRunAsm (UpsamplePlan.AddSegment's addRun) and
+// peakScanAsm (SpectralBank.ScanBest's peakScan) follow at the end under
+// the same rules. The Go wrappers in fft_amd64.go check every length
 // before entering; a routine reads and writes only inside its slices.
 //
 // Register layout: a YMM register holds two complex128 values,
@@ -230,6 +232,153 @@ r2Next:
 	LEAQ (R9)(BX*1), DI
 	CMPQ DI, CX
 	JB   r2Block
+	VZEROUPPER
+	RET
+
+// func addRunAsm(dst, run []complex128, h []float64, f int)
+//
+// addRun on 8 outputs per block, len(dst) a positive multiple of 8. The
+// block's real parts sit in Y4 (outputs 0-3) and Y6 (4-7), its imaginary
+// parts in Y5 and Y7: VUNPCKLPD/VUNPCKHPD split the interleaved samples
+// into [0, 2, 1, 3] lane order and VPERMPD $0xD8 sorts them, so one load of
+// h covers four consecutive outputs. Each term broadcasts run[j]'s parts
+// into Y8 and Y9, rounds re·h and im·h on their own and adds them to the
+// accumulators, as addRun does for each output. R9 walks h down by f
+// samples per term; DX is h at the block's first term.
+TEXT ·addRunAsm(SB), NOSPLIT, $0-80
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  dst_len+8(FP), CX
+	MOVQ  run_base+24(FP), SI
+	MOVQ  run_len+32(FP), BX
+	MOVQ  h_base+48(FP), DX
+	MOVQ  f+72(FP), R8
+	SHLQ  $4, CX
+	ADDQ  DI, CX             // end of dst
+	LEAQ  -1(BX), AX         // len(run) − 1
+	SHLQ  $4, BX             // run length in bytes
+	SHLQ  $3, R8             // term stride in bytes
+	IMULQ R8, AX
+	ADDQ  AX, DX             // h[f·(len(run)−1)]: the first term of output 0
+
+runBlock:
+	VMOVUPD   (DI), Y0
+	VMOVUPD   32(DI), Y1
+	VMOVUPD   64(DI), Y2
+	VMOVUPD   96(DI), Y3
+	VUNPCKLPD Y1, Y0, Y4
+	VUNPCKHPD Y1, Y0, Y5
+	VUNPCKLPD Y3, Y2, Y6
+	VUNPCKHPD Y3, Y2, Y7
+	VPERMPD   $0xD8, Y4, Y4
+	VPERMPD   $0xD8, Y5, Y5
+	VPERMPD   $0xD8, Y6, Y6
+	VPERMPD   $0xD8, Y7, Y7
+	MOVQ      DX, R9
+	XORQ      AX, AX
+
+runTerm:
+	VBROADCASTSD (SI)(AX*1), Y8
+	VBROADCASTSD 8(SI)(AX*1), Y9
+	VMOVUPD      (R9), Y10
+	VMOVUPD      32(R9), Y11
+	VMULPD       Y10, Y8, Y12
+	VADDPD       Y12, Y4, Y4
+	VMULPD       Y10, Y9, Y13
+	VADDPD       Y13, Y5, Y5
+	VMULPD       Y11, Y8, Y12
+	VADDPD       Y12, Y6, Y6
+	VMULPD       Y11, Y9, Y13
+	VADDPD       Y13, Y7, Y7
+	SUBQ         R8, R9
+	ADDQ         $16, AX
+	CMPQ         AX, BX
+	JB           runTerm
+
+	VPERMPD   $0xD8, Y4, Y4
+	VPERMPD   $0xD8, Y5, Y5
+	VPERMPD   $0xD8, Y6, Y6
+	VPERMPD   $0xD8, Y7, Y7
+	VUNPCKLPD Y5, Y4, Y0
+	VUNPCKHPD Y5, Y4, Y1
+	VUNPCKLPD Y7, Y6, Y2
+	VUNPCKHPD Y7, Y6, Y3
+	VMOVUPD   Y0, (DI)
+	VMOVUPD   Y1, 32(DI)
+	VMOVUPD   Y2, 64(DI)
+	VMOVUPD   Y3, 96(DI)
+	ADDQ      $128, DI
+	ADDQ      $64, DX
+	CMPQ      DI, CX
+	JB        runBlock
+	VZEROUPPER
+	RET
+
+// Lane indices of peakScanAsm's first block: VHADDPD leaves the squared
+// magnitudes of samples 0-3 in [0, 2, 1, 3] order, and of 4-7 likewise.
+DATA peakLaneIdx<>+0(SB)/8, $0
+DATA peakLaneIdx<>+8(SB)/8, $2
+DATA peakLaneIdx<>+16(SB)/8, $1
+DATA peakLaneIdx<>+24(SB)/8, $3
+DATA peakLaneIdx<>+32(SB)/8, $4
+DATA peakLaneIdx<>+40(SB)/8, $6
+DATA peakLaneIdx<>+48(SB)/8, $5
+DATA peakLaneIdx<>+56(SB)/8, $7
+GLOBL peakLaneIdx<>(SB), RODATA|NOPTR, $64
+
+// func peakScanAsm(v []complex128, s, best float64, lanes *peakLanes)
+//
+// peakScan on 8 samples per block, len(v) a positive multiple of 8. Each
+// sample is scaled by s and squared component-wise (VMULPD) and VHADDPD
+// adds re² and im², the operations of the Go loop. Eight lanes each keep
+// the running maximum (Y12, Y13, starting at best) and its index (Y10,
+// Y11, starting at −1) of the samples congruent to it mod 8: VCMPPD
+// $0x1E is the ordered strict >, false for NaN, so a lane keeps the first
+// index of its maximum. The lanes go to *lanes for the Go wrapper to
+// reduce; Y8 and Y9 hold the indices of the current block's lanes.
+TEXT ·peakScanAsm(SB), NOSPLIT, $0-48
+	MOVQ         v_base+0(FP), SI
+	MOVQ         v_len+8(FP), CX
+	SHLQ         $4, CX
+	ADDQ         SI, CX              // end of v
+	VBROADCASTSD s+24(FP), Y14
+	VBROADCASTSD best+32(FP), Y12
+	VMOVAPD      Y12, Y13
+	VPCMPEQQ     Y10, Y10, Y10       // −1
+	VMOVDQU      Y10, Y11
+	VMOVDQU      peakLaneIdx<>+0(SB), Y8
+	VMOVDQU      peakLaneIdx<>+32(SB), Y9
+	MOVQ         $8, AX
+	MOVQ         AX, X7
+	VPBROADCASTQ X7, Y7
+
+scanBlock:
+	VMULPD    (SI), Y14, Y0
+	VMULPD    32(SI), Y14, Y1
+	VMULPD    64(SI), Y14, Y2
+	VMULPD    96(SI), Y14, Y3
+	VMULPD    Y0, Y0, Y0
+	VMULPD    Y1, Y1, Y1
+	VMULPD    Y2, Y2, Y2
+	VMULPD    Y3, Y3, Y3
+	VHADDPD   Y1, Y0, Y0
+	VHADDPD   Y3, Y2, Y2
+	VCMPPD    $0x1E, Y12, Y0, Y1
+	VCMPPD    $0x1E, Y13, Y2, Y3
+	VBLENDVPD Y1, Y0, Y12, Y12
+	VBLENDVPD Y1, Y8, Y10, Y10
+	VBLENDVPD Y3, Y2, Y13, Y13
+	VBLENDVPD Y3, Y9, Y11, Y11
+	VPADDQ    Y7, Y8, Y8
+	VPADDQ    Y7, Y9, Y9
+	ADDQ      $128, SI
+	CMPQ      SI, CX
+	JB        scanBlock
+
+	MOVQ    lanes+40(FP), DI
+	VMOVUPD Y12, (DI)
+	VMOVUPD Y13, 32(DI)
+	VMOVDQU Y10, 64(DI)
+	VMOVDQU Y11, 96(DI)
 	VZEROUPPER
 	RET
 

@@ -86,9 +86,12 @@ func FuzzUpsamplePlan(f *testing.F) {
 }
 
 // FuzzUpsampleAddSegment checks the sparse update against Execute of the
-// segment placed in an all-zero input, for random even and odd lengths,
-// factors 1–8 and segment positions. Segments run up to 32 samples, the
-// span RenderSegment gives the widest DW1000 pulse shape at T_s.
+// segment placed in an all-zero input, and bit for bit against the
+// term-by-term oracle on the Go loop and the AVX2 kernel
+// (checkAddSegmentKernels) onto a zero and a Gaussian signal, for random
+// even and odd lengths, factors 1–8 and segment positions. Segments run up
+// to 32 samples, the span RenderSegment gives the widest DW1000 pulse
+// shape at T_s.
 func FuzzUpsampleAddSegment(f *testing.F) {
 	f.Add(bytes.Repeat(fuzzSample, 11), uint16(1016), uint8(3), uint16(500))
 	f.Add(bytes.Repeat(fuzzSample, 3), uint16(15), uint8(2), uint16(12))
@@ -103,7 +106,11 @@ func FuzzUpsampleAddSegment(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkAddSegment(t, p, make([]complex128, size), seg, int(lo)%(size-len(seg)+1))
+		at := int(lo) % (size - len(seg) + 1)
+		checkAddSegment(t, p, make([]complex128, size), seg, at)
+		out := size * p.factor
+		checkAddSegmentKernels(t, p, make([]complex128, out), seg, at, "zero signal")
+		checkAddSegmentKernels(t, p, randComplex(out, uint64(out)), seg, at, "Gaussian signal")
 	})
 }
 

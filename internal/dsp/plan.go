@@ -469,12 +469,15 @@ type UpsamplePlan struct {
 	spec      *dftPlan
 	up        *dftPlan
 	specBuf   []complex128
-	// impulse is the up-sampled image of a unit impulse at input sample 0
-	// (the periodic interpolation kernel). It is real and even: the
-	// impulse's spectrum is all ones, and the zero padding keeps it
-	// Hermitian, so only rounding noise is dropped with the imaginary
-	// part.
+	// impulse holds h, the up-sampled image of a unit impulse at input
+	// sample 0 (the periodic interpolation kernel), twice over:
+	// impulse[i] = impulse[i+F·N] = h[i]. Every circular shift of h is
+	// then one contiguous stretch, which AddSegment reads without a
+	// wrap. h is real and even: the impulse's spectrum is all ones, and
+	// the zero padding keeps it Hermitian, so only rounding noise is
+	// dropped with the imaginary part.
 	impulse []float64
+	avx2    bool // run AddSegment on the AVX2 kernel (fft_amd64.s)
 	execs   int64
 }
 
@@ -487,19 +490,20 @@ func NewUpsamplePlan(n, factor int) (*UpsamplePlan, error) {
 	if factor < 1 {
 		return nil, fmt.Errorf("dsp: upsample factor %d < 1", factor)
 	}
-	p := &UpsamplePlan{n: n, factor: factor, impulse: make([]float64, n*factor)}
+	out := n * factor
+	p := &UpsamplePlan{n: n, factor: factor, impulse: make([]float64, 2*out), avx2: haveAVX2}
 	if n == 0 {
 		return p, nil
 	}
 	if factor == 1 {
-		p.impulse[0] = 1
+		p.impulse[0], p.impulse[out] = 1, 1
 		return p, nil
 	}
 	var err error
 	if p.spec, err = newDFTPlan(n); err != nil {
 		return nil, err
 	}
-	if p.up, err = newDFTPlan(n * factor); err != nil {
+	if p.up, err = newDFTPlan(out); err != nil {
 		return nil, err
 	}
 	p.specBuf = make([]complex128, n)
@@ -508,11 +512,12 @@ func NewUpsamplePlan(n, factor int) (*UpsamplePlan, error) {
 	for i := range p.specBuf {
 		p.specBuf[i] = 1
 	}
-	imp := make([]complex128, n*factor)
+	imp := make([]complex128, out)
 	p.interpolate(imp, p.specBuf)
 	for i, v := range imp {
 		p.impulse[i] = real(v)
 	}
+	copy(p.impulse[out:], p.impulse[:out])
 	return p, nil
 }
 
@@ -576,6 +581,16 @@ func (p *UpsamplePlan) interpolate(dst, spec []complex128) {
 // segment placed in an all-zero input, up to rounding. It costs
 // len(seg)·F·N real multiply-adds and no transform: the detector keeps
 // its up-sampled residual exact this way after each subtracted pulse.
+//
+// The sum runs output-major: each output is loaded once, adds its terms
+// in ascending k, each as one multiply per component and one add, and is
+// stored once. Those are the operations, in the order, of adding one
+// term per pass over dst, so the result is bit-identical to that form.
+// Zero samples are skipped: adding 0·h could turn a −0 output into +0.
+// The nonzero samples between zeros form runs, each one pass; a rendered
+// pulse is a single run. On CPUs with AVX2 each run goes through the
+// kernel of fft_amd64.s, bit-identical to the Go loop (addRun).
+//
 // An empty segment is a no-op; otherwise it panics unless dst has the
 // output length and the segment lies inside the input window.
 func (p *UpsamplePlan) AddSegment(dst, seg []complex128, lo int) {
@@ -589,23 +604,63 @@ func (p *UpsamplePlan) AddSegment(dst, seg []complex128, lo int) {
 	if lo < 0 || lo+len(seg) > p.n {
 		panic(fmt.Sprintf("dsp: segment [%d, %d) outside the %d-sample input", lo, lo+len(seg), p.n))
 	}
-	for k, s := range seg {
-		if s == 0 {
+	for k := 0; k < len(seg); {
+		if seg[k] == 0 {
+			k++
 			continue
 		}
-		// h starts at dst index shift and wraps past the end.
-		shift := p.factor * (lo + k)
-		addScaledReal(dst[shift:], p.impulse[:out-shift], s)
-		addScaledReal(dst[:shift], p.impulse[out-shift:], s)
+		end := k + 1
+		for end < len(seg) && seg[end] != 0 {
+			end++
+		}
+		// Term j of the run reads h[(i − F·(lo+k+j)) mod F·N] at output
+		// i; with the run's last term at input sample a, that is
+		// impulse[i + F·(a−lo−k−j)] of the table from F·N − F·a on.
+		a := lo + end - 1
+		h := p.impulse[out-p.factor*a:]
+		if p.avx2 {
+			addRunAVX2(dst, seg[k:end], h, p.factor)
+		} else {
+			addRun(dst, seg[k:end], h, p.factor)
+		}
+		k = end
 	}
 }
 
-// addScaledReal adds s·h[i] to dst[i] for every i < len(h) ≤ len(dst).
-func addScaledReal(dst []complex128, h []float64, s complex128) {
-	re, im := real(s), imag(s)
-	dst = dst[:len(h)]
-	for i, v := range h {
-		dst[i] += complex(re*v, im*v)
+// addRun adds Σ_j run[j]·h[i + f·(len(run)−1−j)] to every output dst[i],
+// j ascending, with h at least len(dst) + f·(len(run)−1) long. Four
+// outputs share each pass over the run, so their eight component sums
+// proceed independently.
+func addRun(dst, run []complex128, h []float64, f int) {
+	last := f * (len(run) - 1)
+	h = h[:len(dst)+last]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		q := dst[i : i+4 : i+4]
+		r0, i0 := real(q[0]), imag(q[0])
+		r1, i1 := real(q[1]), imag(q[1])
+		r2, i2 := real(q[2]), imag(q[2])
+		r3, i3 := real(q[3]), imag(q[3])
+		o := i + last
+		for _, s := range run {
+			hv := h[o : o+4 : o+4]
+			re, im := real(s), imag(s)
+			r0, i0 = r0+re*hv[0], i0+im*hv[0]
+			r1, i1 = r1+re*hv[1], i1+im*hv[1]
+			r2, i2 = r2+re*hv[2], i2+im*hv[2]
+			r3, i3 = r3+re*hv[3], i3+im*hv[3]
+			o -= f
+		}
+		q[0], q[1], q[2], q[3] = complex(r0, i0), complex(r1, i1), complex(r2, i2), complex(r3, i3)
+	}
+	for ; i < len(dst); i++ {
+		r, m := real(dst[i]), imag(dst[i])
+		o := i + last
+		for _, s := range run {
+			r, m = r+real(s)*h[o], m+imag(s)*h[o]
+			o -= f
+		}
+		dst[i] = complex(r, m)
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 // This file holds the unplanned transforms the production plans are
 // pinned against: a textbook iterative radix-2 FFT that recomputes its
 // bit-reversal and twiddles per call, Bluestein's algorithm on top of it
-// for other lengths, FFT up-sampling, and direct/FFT convolution. The
-// plans precompute exactly the tables these recurrences generate and keep
-// the butterfly order, so every equalExact pin compares bit for bit.
+// for other lengths, FFT up-sampling, the term-by-term segment update,
+// the per-sample peak scan, and direct/FFT convolution. The plans
+// precompute exactly the tables these recurrences generate and keep the
+// butterfly order, so every equalExact pin compares bit for bit.
 
 // refFFT returns the DFT of v as a new slice.
 func refFFT(v []complex128) []complex128 {
@@ -140,6 +141,86 @@ func refUpsample(v []complex128, factor int) []complex128 {
 	res := refIFFT(out)
 	Scale(res, complex(float64(factor), 0))
 	return res
+}
+
+// refAddSegment is UpsamplePlan.AddSegment one term per pass: each
+// nonzero segment sample adds its scaled, circularly shifted kernel over
+// all of dst, the wrap split in two. The plan's output-major loops perform
+// the same operations in the same order for every output.
+func refAddSegment(p *UpsamplePlan, dst, seg []complex128, lo int) {
+	out := p.n * p.factor
+	h := p.impulse[:out]
+	for k, s := range seg {
+		if s == 0 {
+			continue
+		}
+		shift := p.factor * (lo + k)
+		refAddScaledReal(dst[shift:], h[:out-shift], s)
+		refAddScaledReal(dst[:shift], h[out-shift:], s)
+	}
+}
+
+// refAddScaledReal adds s·h[i] to dst[i] for every i < len(h) ≤ len(dst).
+func refAddScaledReal(dst []complex128, h []float64, s complex128) {
+	re, im := real(s), imag(s)
+	dst = dst[:len(h)]
+	for i, v := range h {
+		dst[i] += complex(re*v, im*v)
+	}
+}
+
+// refScanBest is SpectralBank.ScanBest with the per-sample scan it had
+// before its unwrapped stretch got a kernel: every output index in
+// ascending order, a per-sample skip test, the unwrapped samples scaled
+// component-wise and the wrapped ones repaired with sampleAt. It forms the
+// circular convolution on the Go butterfly loops.
+func refScanBest(b *SpectralBank, t int, skip []SkipInterval) (int, float64, [3]complex128) {
+	st := b.tmpls[t]
+	prod := make([]complex128, b.m)
+	goKernelPlan(b.plan).productTransformPermuted(prod, st.specRev, b.specRev, b.plan.inv)
+	scale := complex(1/float64(b.m), 0)
+	fp := make([]complex128, st.tail)
+	for j := range fp {
+		var s complex128
+		for k := 0; k <= j && k < len(st.taps); k++ {
+			s += st.taps[k] * b.prefix[j-k]
+		}
+		fp[j] = s
+	}
+	start := len(st.taps) - 1
+	wrapFrom := b.m - start
+	s := real(scale)
+	bestIdx, bestSq := -1, 0.0
+	for i := 0; i < b.sigLen; i++ {
+		skipped := false
+		for _, iv := range skip {
+			skipped = skipped || iv.Lo <= i && i <= iv.Hi
+		}
+		if skipped {
+			continue
+		}
+		var re, im float64
+		if i < wrapFrom {
+			p := prod[start+i]
+			re, im = real(p)*s, imag(p)*s
+		} else {
+			v := b.sampleAt(prod, fp, scale, start, wrapFrom, i)
+			re, im = real(v), imag(v)
+		}
+		if sq := re*re + im*im; sq > bestSq {
+			bestIdx, bestSq = i, sq
+		}
+	}
+	var y3 [3]complex128
+	if bestIdx < 0 {
+		return -1, 0, y3
+	}
+	for k := range y3 {
+		if i := bestIdx + k - 1; i >= 0 && i < b.sigLen {
+			y3[k] = b.sampleAt(prod, fp, scale, start, wrapFrom, i)
+		}
+	}
+	return bestIdx, bestSq, y3
 }
 
 // refConvolve returns the full linear convolution of a and b (length

@@ -269,12 +269,17 @@ func (b *SpectralBank) ScanBest(scratch []complex128, t int, skip []SkipInterval
 	// Visit the gaps between skip intervals in ascending index order —
 	// the same samples, in the same order, as a per-sample skip test —
 	// with each gap split at wrapFrom so the unwrapped stretch runs
-	// without the tail-correction branch. sampleAt stays the per-sample
-	// reference (the y3 reads below use it); the unwrapped loop scales
-	// the components directly (scale is real), which can only flip the
-	// sign of a zero component — squaring erases that, so the compared
-	// sq is bit-identical to sampleAt's.
+	// without the tail-correction branch, through peakScan (or its AVX2
+	// twin). sampleAt stays the per-sample reference (the y3 reads below
+	// use it); the unwrapped scan scales the components directly (scale
+	// is real), which can only flip the sign of a zero component —
+	// squaring erases that, so the compared sq is bit-identical to
+	// sampleAt's.
 	s := real(scale)
+	scan := peakScan
+	if b.plan.avx2 {
+		scan = peakScanAVX2
+	}
 	scanGap := func(from, to int) {
 		if from < 0 {
 			from = 0
@@ -282,12 +287,9 @@ func (b *SpectralBank) ScanBest(scratch []complex128, t int, skip []SkipInterval
 		if to > b.sigLen {
 			to = b.sigLen
 		}
-		for i := from; i < to && i < wrapFrom; i++ {
-			p := prod[start+i]
-			re, im := real(p)*s, imag(p)*s
-			sq := re*re + im*im
-			if sq > bestSq {
-				bestIdx, bestSq = i, sq
+		if hi := min(to, wrapFrom); from < hi {
+			if i, sq := scan(prod[start+from:start+hi], s, bestSq); i >= 0 {
+				bestIdx, bestSq = from+i, sq
 			}
 		}
 		for i := max(from, wrapFrom); i < to; i++ {
@@ -318,6 +320,21 @@ func (b *SpectralBank) ScanBest(scratch []complex128, t int, skip []SkipInterval
 		y3[2] = b.sampleAt(prod, fp, scale, start, wrapFrom, bestIdx+1)
 	}
 	return bestIdx, bestSq, y3, nil
+}
+
+// peakScan returns the first index of the largest (re·s)² + (im·s)² over
+// the samples re + i·im of v, and that value, if it exceeds best;
+// otherwise it returns −1 and best. NaN never wins.
+func peakScan(v []complex128, s, best float64) (int, float64) {
+	idx := -1
+	for i, p := range v {
+		re, im := real(p)*s, imag(p)*s
+		sq := re*re + im*im
+		if sq > best {
+			idx, best = i, sq
+		}
+	}
+	return idx, best
 }
 
 // sampleAt returns matched-filter output i from the raw circular

@@ -1,7 +1,6 @@
 package ranging
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -44,22 +43,29 @@ func FuzzLoadScenario(f *testing.F) {
 		if err != nil {
 			return
 		}
-		res, err := session.Run()
-		if err != nil {
-			return
-		}
-		for _, m := range res.Measurements {
-			if !finite(m.Distance, m.Amplitude) {
-				t.Fatalf("responder %d: distance %g, amplitude %g", m.ResponderID, m.Distance, m.Amplitude)
-			}
-		}
-		if !finite(res.AnchorDistance) {
-			t.Fatalf("anchor distance %g", res.AnchorDistance)
-		}
-		for i, v := range res.CIR {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("CIR tap %d magnitude %g", i, v)
-			}
+		if res, err := session.Run(); err == nil {
+			requireFiniteResult(t, res)
 		}
 	})
+}
+
+// requireFiniteResult fails unless every number a Run returned is finite:
+// measurement distances, true distances and amplitudes, the anchor
+// distance and every CIR magnitude.
+func requireFiniteResult(t *testing.T, res *Result) {
+	t.Helper()
+	for _, m := range res.Measurements {
+		if !finite(m.Distance, m.TrueDistance, m.Amplitude) {
+			t.Fatalf("responder %d: distance %g, true distance %g, amplitude %g",
+				m.ResponderID, m.Distance, m.TrueDistance, m.Amplitude)
+		}
+	}
+	if !finite(res.AnchorDistance) {
+		t.Fatalf("anchor distance %g", res.AnchorDistance)
+	}
+	for i, v := range res.CIR {
+		if !finite(v) {
+			t.Fatalf("CIR tap %d magnitude %g", i, v)
+		}
+	}
 }

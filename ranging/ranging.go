@@ -201,9 +201,9 @@ func (s *Scenario) Build() (*Session, error) {
 			env.Plan = &geom.FloorPlan{}
 		}
 		for i, o := range s.cfg.Obstacles {
-			if !finite(o.X1, o.Y1, o.X2, o.Y2, o.LossDB) {
-				return nil, fmt.Errorf("%w: obstacle %d from (%g, %g) to (%g, %g) with loss %g dB",
-					ErrNonFinitePosition, i, o.X1, o.Y1, o.X2, o.Y2, o.LossDB)
+			if !inBounds(o.X1, o.Y1, o.X2, o.Y2) || !finite(o.LossDB) {
+				return nil, fmt.Errorf("%w: obstacle %d from (%g, %g) to (%g, %g) with loss %g dB, bound ±%g m",
+					ErrNonFinitePosition, i, o.X1, o.Y1, o.X2, o.Y2, o.LossDB, maxCoordinate)
 			}
 			if o.LossDB < 0 {
 				return nil, fmt.Errorf("ranging: obstacle %d has negative loss %g dB", i, o.LossDB)

@@ -3,6 +3,7 @@ package ranging
 import (
 	"errors"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/core"
@@ -128,6 +129,75 @@ func TestScenarioValidation(t *testing.T) {
 	sess.MoveInitiator(math.Inf(-1), 1)
 	if _, err := sess.Run(); !errors.Is(err, ErrNonFinitePosition) {
 		t.Errorf("Run after a -Inf initiator move: err = %v, want ErrNonFinitePosition", err)
+	}
+}
+
+// TestSessionRunProperty drives Build and Run with 64 seeded placements
+// of an initiator and two responders in the museum's slot scheme. Each
+// coordinate lies in the hallway, or one time in sixteen on the
+// ±maxCoordinate bound itself, or one time in eight is hostile: NaN, ±Inf,
+// ±1e308 or just past the bound. A placement with a hostile coordinate
+// must fail Build with ErrNonFinitePosition, and every other must build
+// and then Run to an error or to finite output only. Each built session
+// then moves its initiator or a responder to a hostile coordinate, and
+// Run must fail with ErrNonFinitePosition before simulating anything.
+func TestSessionRunProperty(t *testing.T) {
+	rng := rand.New(rand.NewPCG(20, 5))
+	inf := math.Inf(1)
+	hostile := []float64{math.NaN(), inf, -inf, 1e308, -1e308, math.Nextafter(maxCoordinate, inf), -2 * maxCoordinate}
+	coord := func(lo, hi float64) (v float64, bad bool) {
+		switch {
+		case rng.IntN(8) == 0:
+			return hostile[rng.IntN(len(hostile))], true
+		case rng.IntN(16) == 0:
+			return maxCoordinate * float64(1-2*rng.IntN(2)), false
+		}
+		return lo + (hi-lo)*rng.Float64(), false
+	}
+	built, finished := 0, 0
+	for i := 0; i < 64; i++ {
+		sc := NewScenario(Config{Environment: EnvHallway, Seed: uint64(i + 1), MaxRange: 75, NumShapes: 3})
+		var xy [6]float64
+		anyBad := false
+		for k := range xy {
+			hi := 25.0 // x along the hallway
+			if k%2 == 1 {
+				hi = 1.8 // y across it
+			}
+			var bad bool
+			xy[k], bad = coord(0, hi)
+			anyBad = anyBad || bad
+		}
+		sc.SetInitiator(xy[0], xy[1])
+		sc.AddResponder(0, xy[2], xy[3])
+		sc.AddResponder(1, xy[4], xy[5])
+		sess, err := sc.Build()
+		if anyBad {
+			if !errors.Is(err, ErrNonFinitePosition) {
+				t.Fatalf("placement %d %v: Build err = %v, want ErrNonFinitePosition", i, xy, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("placement %d %v: Build rejected in-domain coordinates: %v", i, xy, err)
+		}
+		built++
+		if res, err := sess.Run(); err == nil {
+			requireFiniteResult(t, res)
+			finished++
+		}
+		h := hostile[rng.IntN(len(hostile))]
+		if rng.IntN(2) == 0 {
+			sess.MoveInitiator(3, h)
+		} else if err := sess.MoveResponder(rng.IntN(2), h, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Run(); !errors.Is(err, ErrNonFinitePosition) {
+			t.Fatalf("placement %d: Run after a move to %g: err = %v, want ErrNonFinitePosition", i, h, err)
+		}
+	}
+	if built == 0 || finished == 0 {
+		t.Fatalf("%d placements built and %d ran to a result; the property needs both", built, finished)
 	}
 }
 

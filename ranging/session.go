@@ -94,9 +94,21 @@ type Result struct {
 var ErrDecodeFailed = errors.New("ranging: concurrent payload decode failed")
 
 // ErrNonFinitePosition reports a NaN or infinite coordinate of the
-// initiator, a responder or an obstacle endpoint, or a non-finite obstacle
-// loss. Scenario.Build and Session.Run wrap it; match it with errors.Is.
-var ErrNonFinitePosition = errors.New("ranging: non-finite position")
+// initiator, a responder or an obstacle endpoint, a coordinate beyond
+// ±1e6 m (see maxCoordinate), or a non-finite obstacle loss.
+// Scenario.Build and Session.Run wrap it; match it with errors.Is.
+var ErrNonFinitePosition = errors.New("ranging: non-finite or out-of-bounds position")
+
+// maxCoordinate bounds every coordinate, in metres. A finite coordinate
+// can still break the physics two layers down: an initiator at x = 1e308
+// m makes the channel yield NaN taps, which Detect then rejects as
+// core.ErrNonFinite. Within ±1e6 m, a thousand kilometres and four orders
+// of magnitude past any UWB link, distances stay below 3e6 m, so their
+// squares are far from overflow, float64 still resolves them to 1e-9 m
+// against the centimetre ranging error, and the ≤ 10 ms flight time stays
+// well inside the DW1000's 17 s timestamp wrap. Such a node is simply out
+// of range: the round fails with "no responses detected".
+const maxCoordinate = 1e6
 
 // ErrInvalidConfig reports a scenario Config or responder set that
 // Scenario.Build rejects: a MaxRange, ClockOffsetPPM, ResponseDelay or
@@ -283,19 +295,31 @@ func (s *Session) responderNode(id int) (*sim.Node, error) {
 	return nil, fmt.Errorf("ranging: unknown responder ID %d", id)
 }
 
-// checkPositions rejects a non-finite initiator or responder coordinate.
-// Build checks the scenario's placement; Run checks again because
-// MoveInitiator and MoveResponder can move a node after Build.
+// checkPositions rejects an initiator or responder coordinate that is
+// not finite or lies beyond ±maxCoordinate. Build checks the scenario's
+// placement; Run checks again because MoveInitiator and MoveResponder can
+// move a node after Build.
 func (s *Session) checkPositions() error {
-	if p := s.initiator.Pos; !finite(p.X, p.Y) {
-		return fmt.Errorf("%w: initiator at (%g, %g)", ErrNonFinitePosition, p.X, p.Y)
+	if p := s.initiator.Pos; !inBounds(p.X, p.Y) {
+		return fmt.Errorf("%w: initiator at (%g, %g), bound ±%g m", ErrNonFinitePosition, p.X, p.Y, maxCoordinate)
 	}
 	for _, n := range s.resps {
-		if p := n.Pos; !finite(p.X, p.Y) {
-			return fmt.Errorf("%w: responder %d at (%g, %g)", ErrNonFinitePosition, n.ID, p.X, p.Y)
+		if p := n.Pos; !inBounds(p.X, p.Y) {
+			return fmt.Errorf("%w: responder %d at (%g, %g), bound ±%g m", ErrNonFinitePosition, n.ID, p.X, p.Y, maxCoordinate)
 		}
 	}
 	return nil
+}
+
+// inBounds reports whether every coordinate lies within ±maxCoordinate,
+// which NaN never does.
+func inBounds(vs ...float64) bool {
+	for _, v := range vs {
+		if !(math.Abs(v) <= maxCoordinate) {
+			return false
+		}
+	}
+	return true
 }
 
 // finite reports whether every value is neither NaN nor infinite.
