@@ -100,6 +100,7 @@ fuzz:
 	$(GO) test ./internal/dsp -fuzz FuzzScanBest -fuzztime 60s
 	$(GO) test ./internal/core -fuzz FuzzDetect -fuzztime 60s
 	$(GO) test ./internal/core -fuzz FuzzSlotPlan -fuzztime 60s
+	$(GO) test ./internal/dw1000 -fuzz FuzzScheduleDelayedTX -fuzztime 60s
 	$(GO) test ./ranging -fuzz FuzzLoadScenario -fuzztime 60s
 	$(GO) test ./internal/sim -fuzz FuzzSwarmConfig -fuzztime 60s
 

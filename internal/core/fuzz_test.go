@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/pulse"
@@ -16,8 +17,11 @@ import (
 // always terminate, and either return an error or delay-sorted responses
 // with finite fields and in-range templates. Valid input (finite taps,
 // finite positive noise RMS) must not error, and a NaN or infinite tap or
-// noise RMS must be refused with ErrNonFinite. Each tap is 16 bytes (real
-// and imaginary float64), clamped to ±1e3.
+// noise RMS must be refused with ErrNonFinite. DetectBatch must agree
+// with Detect item by item — the same failures, ErrNonFinite where Detect
+// reports it, otherwise the same responses bit for bit — and a hostile
+// input must never leak into the clean CIR batched beside it. Each tap is
+// 16 bytes (real and imaginary float64), clamped to ±1e3.
 func FuzzDetect(f *testing.F) {
 	f.Add(make([]byte, 1016*16), 1e-5) // all zero
 	saturated := make([]complex128, 1016)
@@ -48,13 +52,34 @@ func FuzzDetect(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var dets []*Detector
+	// Every input also runs through a two-worker BatchDetector next to a
+	// fixed clean CIR, whose result must never change.
+	cleanTaps := gaussianTaps(rand.New(rand.NewPCG(9, 16)), 1016, 1e-4)
+	cleanTaps[300] += 0.02
+	cleanTaps[640] += 0.01i
+	clean := BatchInput{Taps: cleanTaps, NoiseRMS: 1e-4}
+	type fuzzPath struct {
+		det       *Detector
+		batch     *BatchDetector
+		wantClean []Response
+	}
+	var paths []fuzzPath
 	for _, mode := range []DetectorMode{ModeAuto, ModeReference} {
-		det, err := NewDetector(bank, DetectorConfig{MaxIterations: 8, Mode: mode})
+		cfg := DetectorConfig{MaxIterations: 8, Mode: mode}
+		det, err := NewDetector(bank, cfg)
 		if err != nil {
 			f.Fatal(err)
 		}
-		dets = append(dets, det)
+		batch, err := NewBatchDetector(bank, cfg, 2)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Cleanup(batch.Close)
+		wantClean, err := det.Detect(clean.Taps, clean.NoiseRMS)
+		if err != nil || len(wantClean) == 0 {
+			f.Fatalf("mode %d: clean CIR gave %d responses, error %v", mode, len(wantClean), err)
+		}
+		paths = append(paths, fuzzPath{det, batch, slices.Clone(wantClean)})
 	}
 	f.Fuzz(func(t *testing.T, data []byte, noiseRMS float64) {
 		n := min(len(data)/16, 1016)
@@ -80,8 +105,21 @@ func FuzzDetect(f *testing.F) {
 		// A non-positive finite noise RMS is refused before the taps are
 		// looked at, with its own error.
 		wantNonFinite := math.IsNaN(noiseRMS) || math.IsInf(noiseRMS, 0) || tapsNonFinite && noiseRMS > 0
-		for _, det := range dets {
+		for _, p := range paths {
+			det := p.det
 			responses, err := det.Detect(taps, noiseRMS)
+			items := p.batch.DetectBatch([]BatchInput{{Taps: taps, NoiseRMS: noiseRMS}, clean})
+			switch item := items[0]; {
+			case (item.Err != nil) != (err != nil):
+				t.Fatalf("mode %d: Detect error %v, batch item error %v", det.cfg.Mode, err, item.Err)
+			case errors.Is(err, ErrNonFinite) && !errors.Is(item.Err, ErrNonFinite):
+				t.Fatalf("mode %d: batch item error %v does not wrap ErrNonFinite", det.cfg.Mode, item.Err)
+			case err == nil && !sameResponseBits(item.Responses, responses):
+				t.Fatalf("mode %d: batch item %+v, Detect %+v", det.cfg.Mode, item.Responses, responses)
+			}
+			if items[1].Err != nil || !sameResponseBits(items[1].Responses, p.wantClean) {
+				t.Fatalf("mode %d: the clean neighbour changed: %+v, error %v", det.cfg.Mode, items[1].Responses, items[1].Err)
+			}
 			if err != nil {
 				if valid {
 					t.Fatalf("mode %d: %v", det.cfg.Mode, err)
@@ -110,6 +148,23 @@ func FuzzDetect(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameResponseBits reports whether two response sets are identical bit
+// for bit.
+func sameResponseBits(a, b []Response) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if math.Float64bits(a[k].Delay) != math.Float64bits(b[k].Delay) ||
+			math.Float64bits(real(a[k].Amplitude)) != math.Float64bits(real(b[k].Amplitude)) ||
+			math.Float64bits(imag(a[k].Amplitude)) != math.Float64bits(imag(b[k].Amplitude)) ||
+			a[k].TemplateIndex != b[k].TemplateIndex {
+			return false
+		}
+	}
+	return true
 }
 
 // encodeTaps is FuzzDetect's input encoding of a CIR: each tap as its real

@@ -161,10 +161,19 @@ func (r *Radio) ScheduleDelayedTX(nowSim float64, requested DeviceTime) (DeviceT
 	if actual.Sub(now) <= 0 {
 		return 0, 0, &ErrDelayedTXInPast{Requested: requested, Now: now}
 	}
-	// Simulations run far below the ~17 s counter wrap, so the 40-bit
-	// value maps to a unique device-clock epoch.
-	simTX := r.cfg.Clock.SimSeconds(actual.Seconds()) - r.cfg.AntennaDelay
-	return actual, simTX, nil
+	return actual, r.TXSimTime(nowSim, actual), nil
+}
+
+// TXSimTime returns the absolute simulation time at which a frame sent at
+// device time tx leaves the antenna. The 40-bit counter wraps every
+// ~17.2 s, so tx is read in the counter epoch nearest the radio's own
+// reading at nowSim: a transmission programmed less than half a wrap
+// ahead maps to its true instant at any simulation time. In the first
+// epoch the correction adds exactly zero.
+func (r *Radio) TXSimTime(nowSim float64, tx DeviceTime) float64 {
+	dev := tx.Seconds()
+	epochs := math.Round((r.cfg.Clock.DeviceSeconds(nowSim) - dev) / counterSeconds)
+	return r.cfg.Clock.SimSeconds(dev+epochs*counterSeconds) - r.cfg.AntennaDelay
 }
 
 // RXTimestamp returns the device timestamp for a frame whose first path

@@ -118,6 +118,89 @@ func TestScheduleDelayedTXTruncates(t *testing.T) {
 	}
 }
 
+// TestScheduleDelayedTXAcrossCounterWrap programs transmissions whose
+// device time wraps the 40-bit counter, or that start epochs past it, and
+// requires each to leave the antenna its delay after now; in the first
+// epoch the mapping must match the plain conversion bit for bit.
+func TestScheduleDelayedTXAcrossCounterWrap(t *testing.T) {
+	const delay = 290e-6
+	r, err := New("a", Config{PHY: airtime.PaperConfig(), Clock: Clock{OffsetPPM: 7, Phase: 0.777}},
+		rand.New(rand.NewPCG(1, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapAt := r.Clock().SimSeconds(counterSeconds) // the first wrap, in simulation time
+	for _, now := range []float64{1e-3, wrapAt - delay/2, wrapAt + 1e-3, 16.5, 40, 1e4} {
+		requested := r.Now(now).Add(delay)
+		actual, simTX, err := r.ScheduleDelayedTX(now, requested)
+		if err != nil {
+			t.Fatalf("now %g: %v", now, err)
+		}
+		early := requested.Sub(actual)
+		want := now + (delay-early)/r.Clock().rate()
+		if math.Abs(simTX-want) > 2*DTU {
+			t.Errorf("now %g: TX at %.12f s, want %.12f s", now, simTX, want)
+		}
+		if got := r.Now(simTX); math.Abs(got.Sub(actual)) > DTU {
+			t.Errorf("now %g: the radio reads %d at its TX instant, programmed %d", now, got, actual)
+		}
+		if ideal := r.TXSimTime(now, requested); math.Abs(ideal-(now+delay/r.Clock().rate())) > 2*DTU {
+			t.Errorf("now %g: untruncated TX at %.12f s", now, ideal)
+		}
+	}
+	requested := r.Now(1e-3).Add(delay)
+	_, simTX, err := r.ScheduleDelayedTX(1e-3, requested)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain := r.Clock().SimSeconds(TruncateDelayedTX(requested).Seconds()); simTX != plain {
+		t.Fatalf("first-epoch TX at %v, plain conversion gives %v", simTX, plain)
+	}
+}
+
+// FuzzScheduleDelayedTX programs a delayed TX at an arbitrary time, clock
+// phase, crystal offset and delay: the transmission must be accepted,
+// leave the antenna after now and within the delay at the node's clock
+// rate, and the radio must read the programmed time (to one DTU) at that
+// instant, wherever the 40-bit counter wrapped in between.
+func FuzzScheduleDelayedTX(f *testing.F) {
+	f.Add(1e-3, 0.0, 0.0, 290e-6)
+	f.Add(16.5, 0.777, 3.0, 290e-6)
+	f.Add(17.2074, 0.0, -20.0, 10e-3)
+	f.Add(9999.99, 0.999, 19.99, 1e-6)
+	// fold maps any finite v into [lo, hi), leaving values inside alone.
+	fold := func(v, lo, hi float64) float64 {
+		if v >= lo && v < hi {
+			return v
+		}
+		return lo + math.Mod(math.Abs(v), hi-lo)
+	}
+	f.Fuzz(func(t *testing.T, now, phase, ppm, delay float64) {
+		for _, v := range []float64{now, phase, ppm, delay} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip()
+			}
+		}
+		now, phase = fold(now, 0, 1e4), fold(phase, 0, 1)
+		ppm, delay = fold(ppm, -20, 20), fold(delay, 1e-6, 10e-3)
+		r, err := New("a", Config{PHY: airtime.PaperConfig(), Clock: Clock{OffsetPPM: ppm, Phase: phase}},
+			rand.New(rand.NewPCG(1, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		actual, simTX, err := r.ScheduleDelayedTX(now, r.Now(now).Add(delay))
+		if err != nil {
+			t.Fatalf("delay %g at now %g rejected: %v", delay, now, err)
+		}
+		if !(simTX > now && simTX-now <= delay/r.Clock().rate()+2*DTU) {
+			t.Fatalf("TX %.12f s after now %g, want within (0, %g]", simTX-now, now, delay/r.Clock().rate())
+		}
+		if got := r.Now(simTX); math.Abs(got.Sub(actual)) > DTU {
+			t.Fatalf("the radio reads %d at its TX instant, programmed %d", got, actual)
+		}
+	})
+}
+
 func TestScheduleDelayedTXInPast(t *testing.T) {
 	r := testRadio(t, "a", 4)
 	now := 1e-3

@@ -28,6 +28,9 @@ const counterBits = 40
 // (the counter wraps roughly every 17.2 s).
 const counterWrap = uint64(1) << counterBits
 
+// counterSeconds is the span of one counter epoch in seconds.
+const counterSeconds = float64(counterWrap) * DTU
+
 // delayedTXIgnoredBits is the number of low-order bits of the delayed
 // transmit time register the hardware ignores (DW1000 User Manual p. 26),
 // limiting TX timestamp resolution to 512 DTU ≈ 8.013 ns.

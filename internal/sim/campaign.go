@@ -62,7 +62,7 @@ func (n *Network) RunScheduledCampaign(nodes []*Node, responseDelay float64, ban
 	}
 	pm := airtime.DefaultPowerModel()
 	res := &CampaignResult{Distances: make(map[[2]int]float64, len(nodes)*(len(nodes)-1)/2)}
-	start := n.Engine.Now()
+	start := n.now
 	for i := 0; i < len(nodes); i++ {
 		for j := i + 1; j < len(nodes); j++ {
 			d, err := n.RunTWRExchange(nodes[i], nodes[j], responseDelay, bank)
@@ -77,7 +77,7 @@ func (n *Network) RunScheduledCampaign(nodes []*Node, responseDelay float64, ban
 				pm.TxEnergy(respDur) + pm.RxEnergy(respDur)
 		}
 	}
-	res.Duration = n.Engine.Now() - start
+	res.Duration = n.now - start
 	return res, nil
 }
 
@@ -108,7 +108,7 @@ func (n *Network) RunConcurrentCampaign(initiator *Node, responders []*Node, cfg
 		return nil, nil, err
 	}
 	pm := airtime.DefaultPowerModel()
-	start := n.Engine.Now()
+	start := n.now
 	round, err = n.RunConcurrentRound(initiator, responders, cfg)
 	if err != nil {
 		return nil, nil, err
@@ -116,7 +116,7 @@ func (n *Network) RunConcurrentCampaign(initiator *Node, responders []*Node, cfg
 	res := &CampaignResult{
 		Distances: make(map[[2]int]float64, len(responders)),
 		Messages:  1 + len(responders),
-		Duration:  n.Engine.Now() - start,
+		Duration:  n.now - start,
 		// One INIT on the air plus the overlapping RESP window.
 		AirTime: initDur + respDur,
 	}

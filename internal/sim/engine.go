@@ -1,11 +1,12 @@
-// Package sim provides a discrete-event simulation of a UWB network: an
-// event engine with a virtual clock, nodes that combine a position with a
-// DW1000 radio model, and the ranging protocols of the paper — scheduled
+// Package sim simulates a UWB network: nodes that combine a position with
+// a DW1000 radio model, and the ranging protocols of the paper — scheduled
 // single-sided two-way ranging (Fig. 3 left) and concurrent ranging with
 // response position modulation and pulse shaping (Fig. 3 right,
-// Sects. III–VIII). For city-scale swarms the package also provides a
-// spatially sharded parallel engine (ShardedEngine) that is bit-identical
-// to the sequential Engine at any worker count.
+// Sects. III–VIII). A Network runs each round as straight-line code on a
+// virtual clock. For city-scale swarms the package also provides a
+// spatially sharded parallel discrete-event engine (ShardedEngine) that
+// is bit-identical to the single-heap SequentialRunner at any worker
+// count.
 package sim
 
 import (
@@ -13,7 +14,7 @@ import (
 )
 
 // event is a scheduled simulation action. The payload type is generic so
-// the sequential Engine (plain func()) and the sharded engine's per-shard
+// the sequential engine (plain func()) and the sharded engine's per-shard
 // heaps (handlers taking a scheduler context) share one queue
 // implementation.
 type event[F any] struct {
@@ -87,20 +88,21 @@ func (q *eventQueue[F]) pop() event[F] {
 	return top
 }
 
-// Engine is a deterministic discrete-event executor with a virtual clock.
-// The zero value is ready to use.
-type Engine struct {
+// engine is a deterministic discrete-event executor with a virtual clock:
+// the single global heap SequentialRunner runs on. The zero value is
+// ready to use.
+type engine struct {
 	now float64
 	seq uint64
 	q   eventQueue[func()]
 }
 
 // Now returns the current virtual time in seconds.
-func (e *Engine) Now() float64 { return e.now }
+func (e *engine) Now() float64 { return e.now }
 
 // Schedule runs fn at the given absolute virtual time. Scheduling in the
 // past (before Now) is rejected.
-func (e *Engine) Schedule(at float64, fn func()) error {
+func (e *engine) Schedule(at float64, fn func()) error {
 	if at < e.now {
 		return fmt.Errorf("sim: schedule at %g before now %g", at, e.now)
 	}
@@ -112,27 +114,13 @@ func (e *Engine) Schedule(at float64, fn func()) error {
 	return nil
 }
 
-// Run executes events in time order until the queue drains, advancing the
-// virtual clock. Events may schedule further events. It returns the number
-// of events executed.
-func (e *Engine) Run() int {
-	n := 0
-	for e.q.Len() > 0 {
-		ev := e.q.pop()
-		e.now = ev.at
-		ev.fn()
-		n++
-	}
-	return n
-}
-
 // RunUntil executes events up to and including virtual time deadline and
 // leaves later events queued. Events scheduled exactly at the deadline run
 // (in scheduling order among equal times), including any they themselves
 // schedule at the deadline. The clock ends at the deadline or the last
 // executed event, whichever is later; a later RunUntil call with the same
 // deadline resumes without re-advancing the clock.
-func (e *Engine) RunUntil(deadline float64) int {
+func (e *engine) RunUntil(deadline float64) int {
 	n := 0
 	for e.q.Len() > 0 && e.q.peekAt() <= deadline {
 		ev := e.q.pop()
@@ -147,4 +135,4 @@ func (e *Engine) RunUntil(deadline float64) int {
 }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.q.Len() }
+func (e *engine) Pending() int { return e.q.Len() }

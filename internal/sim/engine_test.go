@@ -5,7 +5,7 @@ import (
 )
 
 func TestEngineRunsInTimeOrder(t *testing.T) {
-	var e Engine
+	var e engine
 	var order []int
 	must := func(err error) {
 		if err != nil {
@@ -15,7 +15,7 @@ func TestEngineRunsInTimeOrder(t *testing.T) {
 	must(e.Schedule(3, func() { order = append(order, 3) }))
 	must(e.Schedule(1, func() { order = append(order, 1) }))
 	must(e.Schedule(2, func() { order = append(order, 2) }))
-	if n := e.Run(); n != 3 {
+	if n := e.RunUntil(3); n != 3 {
 		t.Fatalf("ran %d events", n)
 	}
 	for i, want := range []int{1, 2, 3} {
@@ -29,7 +29,7 @@ func TestEngineRunsInTimeOrder(t *testing.T) {
 }
 
 func TestEngineFIFOAmongEqualTimes(t *testing.T) {
-	var e Engine
+	var e engine
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -37,7 +37,9 @@ func TestEngineFIFOAmongEqualTimes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.Run()
+	if n := e.RunUntil(1); n != 10 {
+		t.Fatalf("ran %d events", n)
+	}
 	for i := range order {
 		if order[i] != i {
 			t.Fatalf("equal-time events not FIFO: %v", order)
@@ -46,7 +48,7 @@ func TestEngineFIFOAmongEqualTimes(t *testing.T) {
 }
 
 func TestEngineEventsScheduleEvents(t *testing.T) {
-	var e Engine
+	var e engine
 	var got []float64
 	if err := e.Schedule(1, func() {
 		got = append(got, e.Now())
@@ -56,18 +58,20 @@ func TestEngineEventsScheduleEvents(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	e.Run()
+	if n := e.RunUntil(1.5); n != 2 {
+		t.Fatalf("ran %d events", n)
+	}
 	if len(got) != 2 || got[0] != 1 || got[1] != 1.5 {
 		t.Fatalf("got %v", got)
 	}
 }
 
 func TestEngineRejectsPastAndNil(t *testing.T) {
-	var e Engine
+	var e engine
 	if err := e.Schedule(1, func() {}); err != nil {
 		t.Fatal(err)
 	}
-	e.Run()
+	e.RunUntil(1)
 	if err := e.Schedule(0.5, func() {}); err == nil {
 		t.Fatal("past event accepted")
 	}
@@ -77,7 +81,7 @@ func TestEngineRejectsPastAndNil(t *testing.T) {
 }
 
 func TestEngineRunUntil(t *testing.T) {
-	var e Engine
+	var e engine
 	var count int
 	for _, at := range []float64{1, 2, 3, 4} {
 		if err := e.Schedule(at, func() { count++ }); err != nil {
@@ -93,7 +97,9 @@ func TestEngineRunUntil(t *testing.T) {
 	if e.Pending() != 2 {
 		t.Fatalf("%d pending", e.Pending())
 	}
-	e.Run()
+	if n := e.RunUntil(4); n != 2 || e.Pending() != 0 {
+		t.Fatalf("ran %d events, %d pending", n, e.Pending())
+	}
 	if count != 4 {
 		t.Fatalf("total %d events", count)
 	}
@@ -105,7 +111,7 @@ func TestEngineRunUntil(t *testing.T) {
 // the deadline — and a later RunUntil resumes without re-advancing the
 // clock past work that is still pending.
 func TestEngineRunUntilDeadlineTies(t *testing.T) {
-	var e Engine
+	var e engine
 	var order []int
 	must := func(err error) {
 		t.Helper()
@@ -163,7 +169,7 @@ func TestEngineRunUntilDeadlineTies(t *testing.T) {
 // schedule/run cycle allocates nothing (the old *event-per-Schedule heap
 // allocated one node per call).
 func TestEngineScheduleSteadyStateAllocs(t *testing.T) {
-	var e Engine
+	var e engine
 	fn := func() {}
 	// Warm the backing slice to the high-water mark.
 	for i := 0; i < 64; i++ {
@@ -171,14 +177,16 @@ func TestEngineScheduleSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.Run()
+	e.RunUntil(e.Now() + 1)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
 			if err := e.Schedule(e.Now()+float64(1+i%7), fn); err != nil {
 				t.Fatal(err)
 			}
 		}
-		e.Run()
+		if n := e.RunUntil(e.Now() + 7); n != 64 {
+			t.Fatalf("ran %d events", n)
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state schedule/run cycle allocates %.1f times, want 0", allocs)
@@ -188,7 +196,7 @@ func TestEngineScheduleSteadyStateAllocs(t *testing.T) {
 // BenchmarkEngineSchedule measures the per-event cost of a steady-state
 // schedule/pop cycle through a warm queue.
 func BenchmarkEngineSchedule(b *testing.B) {
-	var e Engine
+	var e engine
 	fn := func() {}
 	for i := 0; i < 1024; i++ {
 		if err := e.Schedule(e.Now()+float64(1+i%31), fn); err != nil {
@@ -203,6 +211,4 @@ func BenchmarkEngineSchedule(b *testing.B) {
 		}
 		e.RunUntil(e.Now() + 1) // one push, one pop: a warm steady state
 	}
-	b.StopTimer()
-	e.Run()
 }

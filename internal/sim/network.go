@@ -60,10 +60,12 @@ type NetworkConfig struct {
 	RandomClockPhase bool
 }
 
-// Network is a set of nodes sharing an environment, an event engine, and a
-// deterministic RNG.
+// Network is a set of nodes sharing an environment, a virtual clock and a
+// deterministic RNG. Rounds run one after another on the clock; each
+// advances it to its aggregated reception.
 type Network struct {
-	Engine *Engine
+	// now is the virtual clock in seconds.
+	now float64
 
 	env         *channel.Environment
 	phy         airtime.Config
@@ -72,7 +74,6 @@ type Network struct {
 	nodeNames   map[string]bool
 	randomPhase bool
 	trace       func(TraceEvent)
-	stats       Stats
 	rec         obs.Recorder
 	// recSingle/recConcurrent are pre-resolved labeled reception
 	// counters (nil unless rec supports labeled series); see
@@ -101,7 +102,6 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		return nil, err
 	}
 	return &Network{
-		Engine:      &Engine{},
 		env:         env,
 		phy:         phy,
 		rng:         rand.New(rand.NewPCG(cfg.Seed, 0x5eed)),

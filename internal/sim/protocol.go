@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/airtime"
 	"github.com/uwb-sim/concurrent-ranging/internal/core"
@@ -121,9 +123,10 @@ type RoundResult struct {
 }
 
 // RunConcurrentRound executes one INIT broadcast plus the simultaneous
-// RESP replies and returns the initiator's observations. The network's
-// event engine drives the exchange; the virtual clock ends after the
-// aggregated reception.
+// RESP replies and returns the initiator's observations. The exchange runs
+// as straight-line code on the network's virtual clock, which ends at the
+// aggregated reception's lock instant. A failed round returns its first
+// error; the RNG position it leaves behind is unspecified.
 func (n *Network) RunConcurrentRound(initiator *Node, responders []*Node, cfg RoundConfig) (round *RoundResult, err error) {
 	if initiator == nil {
 		return nil, fmt.Errorf("sim: nil initiator")
@@ -151,182 +154,141 @@ func (n *Network) RunConcurrentRound(initiator *Node, responders []*Node, cfg Ro
 		})
 		defer func() { n.endRoundSpan(sp, round, err) }()
 	}
+	tracing := n.trace != nil
 
+	// INIT: one broadcast, received by every responder in slice order.
+	t0 := n.now + 10e-6 // radio wake-up before the broadcast
+	n.countFrame()      // one INIT broadcast on the air
+	if tracing {
+		n.emit(t0, initiator.Name, EventTXInit, "broadcast to %d responders", len(responders))
+	}
+	inits := make([]*dw1000.Reception, len(responders))
+	for i, resp := range responders {
+		taps, err := n.env.Realize(initiator.Pos, resp.Pos, n.rng)
+		if err != nil {
+			return nil, fmt.Errorf("INIT to %s: %w", resp.Name, err)
+		}
+		inits[i], err = resp.Radio.Receive([]dw1000.Arrival{{
+			SourceID: initiator.Name,
+			TXTime:   t0,
+			Shape:    initiator.Radio.Shape(),
+			Taps:     taps,
+		}})
+		if err != nil {
+			return nil, fmt.Errorf("INIT reception at %s: %w", resp.Name, err)
+		}
+		n.countReception(1)
+	}
+
+	// RESP: responders answer in the order they locked onto the INIT, ties
+	// in slice order. Each programs its delayed TX Δ_RESP (+ its RPM slot
+	// offset) after its INIT timestamp, at its own lock instant, with the
+	// DW1000 8 ns truncation and its assigned pulse shape. arrivals[k]
+	// carries payloads[k].
+	order := make([]int, len(responders))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(inits[a].LockedArrivalTime, inits[b].LockedArrivalTime)
+	})
 	result := &RoundResult{
+		InitTXTimestamp:     initiator.Radio.Now(t0),
 		Shapes:              make(map[int]int, len(responders)),
 		Slots:               make(map[int]int, len(responders)),
 		TrueDistance:        make(map[int]float64, len(responders)),
 		TXQuantizationError: make(map[int]float64, len(responders)),
 	}
-	payloads := make(map[string]RespPayload, len(responders))
-	ids := make(map[string]int, len(responders))
-	var arrivals []dw1000.Arrival
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
+	arrivals := make([]dw1000.Arrival, len(order))
+	payloads := make([]RespPayload, len(order))
+	var sent []TraceEvent // tx-resp events, collected only when tracing
+	for k, i := range order {
+		resp, rec := responders[i], inits[i]
+		now := rec.LockedArrivalTime
+		if tracing {
+			n.emit(now, resp.Name, EventRXInit, "timestamp %d", rec.Timestamp)
+		}
+		// Anonymous operation (single slot, single shape — the plain
+		// Sect. IV scheme) does not constrain responder IDs; every
+		// responder uses slot 0 and the only shape.
+		slot, shapeIdx := 0, 0
+		if cfg.Plan.Capacity() > 1 {
+			if slot, shapeIdx, err = cfg.Plan.Assign(resp.ID); err != nil {
+				return nil, fmt.Errorf("responder %s: %w", resp.Name, err)
+			}
+		}
+		if err := resp.Radio.SetPGDelay(cfg.Bank.Shape(shapeIdx).Register); err != nil {
+			return nil, fmt.Errorf("responder %s: %w", resp.Name, err)
+		}
+		requested := rec.Timestamp.Add(cfg.ResponseDelay + cfg.Plan.ExtraDelay(slot))
+		actual := requested
+		var simTX float64
+		if cfg.DisableTXQuantization {
+			simTX = resp.Radio.TXSimTime(now, requested)
+		} else if actual, simTX, err = resp.Radio.ScheduleDelayedTX(now, requested); err != nil {
+			return nil, fmt.Errorf("responder %s: %w", resp.Name, err)
+		}
+		taps, err := n.env.Realize(resp.Pos, initiator.Pos, n.rng)
+		if err != nil {
+			return nil, fmt.Errorf("RESP from %s: %w", resp.Name, err)
+		}
+		n.countFrame() // one RESP frame on the air
+		arrivals[k] = dw1000.Arrival{
+			SourceID: resp.Name,
+			TXTime:   simTX,
+			Shape:    resp.Radio.Shape(),
+			Taps:     taps,
+		}
+		payloads[k] = RespPayload{SourceID: resp.ID, RXInit: rec.Timestamp, TXResp: actual}
+		quant := requested.Sub(actual)
+		result.Shapes[resp.ID] = shapeIdx
+		result.Slots[resp.ID] = slot
+		result.TXQuantizationError[resp.ID] = quant
+		if tracing {
+			sent = append(sent, TraceEvent{Time: simTX, Node: resp.Name, Kind: EventTXResponse,
+				Detail: fmt.Sprintf("slot %d shape s%d, quantization -%.2f ns", slot, shapeIdx+1, quant*1e9)})
 		}
 	}
 
-	t0 := n.Engine.Now() + 10e-6 // radio wake-up before the broadcast
-	if err := n.Engine.Schedule(t0, func() {
-		result.InitTXTimestamp = initiator.Radio.Now(t0)
-		n.countFrame() // one INIT broadcast on the air
-		n.emit(t0, initiator.Name, EventTXInit, "broadcast to %d responders", len(responders))
-		for _, resp := range responders {
-			resp := resp
-			taps, err := n.env.Realize(initiator.Pos, resp.Pos, n.rng)
-			if err != nil {
-				fail(fmt.Errorf("INIT to %s: %w", resp.Name, err))
-				return
-			}
-			rec, err := resp.Radio.Receive([]dw1000.Arrival{{
-				SourceID: initiator.Name,
-				TXTime:   t0,
-				Shape:    initiator.Radio.Shape(),
-				Taps:     taps,
-			}})
-			if err != nil {
-				fail(fmt.Errorf("INIT reception at %s: %w", resp.Name, err))
-				return
-			}
-			n.countReception(1)
-			if err := n.Engine.Schedule(rec.LockedArrivalTime, func() {
-				n.emit(rec.LockedArrivalTime, resp.Name, EventRXInit,
-					"timestamp %d", rec.Timestamp)
-				n.respondConcurrent(initiator, resp, rec, cfg, result, payloads, ids, &arrivals, fail)
-			}); err != nil {
-				fail(err)
-				return
-			}
-		}
-	}); err != nil {
-		return nil, err
-	}
-	n.Engine.Run()
-	if firstErr != nil {
-		return nil, firstErr
-	}
+	// Aggregate: the initiator receives every RESP at once and decodes the
+	// payload of the arrival it locked onto.
 	rec, err := initiator.Radio.Receive(arrivals)
 	if err != nil {
 		return nil, fmt.Errorf("aggregated reception: %w", err)
 	}
 	n.countReception(len(arrivals))
-	// Advance the virtual clock past the reception.
-	if err := n.Engine.Schedule(rec.LockedArrivalTime, func() {}); err == nil {
-		n.Engine.Run()
-	}
+	n.now = rec.LockedArrivalTime
+	lock := slices.IndexFunc(arrivals, func(a dw1000.Arrival) bool { return a.SourceID == rec.LockedSourceID })
 	result.Reception = rec
-	decodedID, ok := ids[rec.LockedSourceID]
-	if !ok {
-		return nil, fmt.Errorf("sim: locked source %q has no payload", rec.LockedSourceID)
-	}
-	// The lock instant may precede already-traced later TX events (the
-	// first path arrives while later responders are still transmitting);
-	// stamp the reception events at the current virtual time to keep the
-	// timeline monotone.
-	emitTime := math.Max(rec.LockedArrivalTime, n.Engine.Now())
-	n.emit(emitTime, initiator.Name, EventRXAggregate,
-		"locked to %s among %d arrivals (first path %.3f µs)",
-		rec.LockedSourceID, len(arrivals), rec.LockedArrivalTime*1e6)
-	result.DecodedID = decodedID
-	result.Decoded = payloads[rec.LockedSourceID]
+	result.DecodedID = payloads[lock].SourceID
+	result.Decoded = payloads[lock]
 	result.DecodeOK = cfg.Capture.Decode(arrivals, rec.LockedSourceID)
 	n.countDecode(result.DecodeOK)
 	result.LockSIRdB = SIRdB(arrivals, rec.LockedSourceID)
-	n.emit(emitTime, initiator.Name, EventDecode,
-		"payload of %s: ok=%v (SIR %.1f dB)", rec.LockedSourceID, result.DecodeOK, result.LockSIRdB)
+	if tracing {
+		// The lock instant may precede later responders' transmissions (the
+		// first path arrives while later slots are still on the air); the
+		// reception events sit at the later of the two to keep the
+		// timeline monotone.
+		slices.SortStableFunc(sent, func(a, b TraceEvent) int { return cmp.Compare(a.Time, b.Time) })
+		for _, e := range sent {
+			n.trace(e)
+		}
+		at := math.Max(rec.LockedArrivalTime, sent[len(sent)-1].Time)
+		n.emit(at, initiator.Name, EventRXAggregate,
+			"locked to %s among %d arrivals (first path %.3f µs)",
+			rec.LockedSourceID, len(arrivals), rec.LockedArrivalTime*1e6)
+		n.emit(at, initiator.Name, EventDecode,
+			"payload of %s: ok=%v (SIR %.1f dB)", rec.LockedSourceID, result.DecodeOK, result.LockSIRdB)
+	}
 	result.ClockRatio = 1
 	if cfg.DriftCompensation {
-		for _, resp := range responders {
-			if resp.Name == rec.LockedSourceID {
-				result.ClockRatio = initiator.Radio.EstimateClockRatio(resp.Radio.Clock())
-				break
-			}
-		}
+		result.ClockRatio = initiator.Radio.EstimateClockRatio(responders[order[lock]].Radio.Clock())
 	}
 	for _, resp := range responders {
 		result.TrueDistance[resp.ID] = Distance(initiator, resp)
 	}
 	return result, nil
-}
-
-// respondConcurrent executes one responder's side of the protocol: delayed
-// transmission Δ_RESP (+ its RPM slot offset) after the INIT RMARKER, with
-// the DW1000 8 ns TX truncation, using its assigned pulse shape.
-func (n *Network) respondConcurrent(
-	initiator, resp *Node,
-	rec *dw1000.Reception,
-	cfg RoundConfig,
-	result *RoundResult,
-	payloads map[string]RespPayload,
-	ids map[string]int,
-	arrivals *[]dw1000.Arrival,
-	fail func(error),
-) {
-	// Anonymous operation (single slot, single shape — the plain Sect. IV
-	// scheme) does not constrain responder IDs; every responder uses slot
-	// 0 and the only shape.
-	slot, shapeIdx := 0, 0
-	if cfg.Plan.Capacity() > 1 {
-		var err error
-		slot, shapeIdx, err = cfg.Plan.Assign(resp.ID)
-		if err != nil {
-			fail(fmt.Errorf("responder %s: %w", resp.Name, err))
-			return
-		}
-	}
-	shape := cfg.Bank.Shape(shapeIdx)
-	if err := resp.Radio.SetPGDelay(shape.Register); err != nil {
-		fail(fmt.Errorf("responder %s: %w", resp.Name, err))
-		return
-	}
-	requested := rec.Timestamp.Add(cfg.ResponseDelay + cfg.Plan.ExtraDelay(slot))
-	var actual dw1000.DeviceTime
-	var simTX float64
-	if cfg.DisableTXQuantization {
-		actual = requested
-		simTX = resp.Radio.Clock().SimSeconds(requested.Seconds())
-	} else {
-		var err error
-		actual, simTX, err = resp.Radio.ScheduleDelayedTX(n.Engine.Now(), requested)
-		if err != nil {
-			fail(fmt.Errorf("responder %s: %w", resp.Name, err))
-			return
-		}
-	}
-	taps, err := n.env.Realize(resp.Pos, initiator.Pos, n.rng)
-	if err != nil {
-		fail(fmt.Errorf("RESP from %s: %w", resp.Name, err))
-		return
-	}
-	// Emit the TX event at its actual virtual time so traces stay ordered.
-	if n.trace != nil {
-		quant := requested.Sub(actual)
-		if err := n.Engine.Schedule(simTX, func() {
-			n.emit(simTX, resp.Name, EventTXResponse,
-				"slot %d shape s%d, quantization -%.2f ns", slot, shapeIdx+1, quant*1e9)
-		}); err != nil {
-			fail(err)
-			return
-		}
-	}
-	n.countFrame() // one RESP frame on the air
-	*arrivals = append(*arrivals, dw1000.Arrival{
-		SourceID: resp.Name,
-		TXTime:   simTX,
-		Shape:    resp.Radio.Shape(),
-		Taps:     taps,
-	})
-	payloads[resp.Name] = RespPayload{
-		SourceID: resp.ID,
-		RXInit:   rec.Timestamp,
-		TXResp:   actual,
-	}
-	ids[resp.Name] = resp.ID
-	result.Shapes[resp.ID] = shapeIdx
-	result.Slots[resp.ID] = slot
-	result.TXQuantizationError[resp.ID] = requested.Sub(actual)
 }
 
 // TWRDistance computes the Eq. 2 SS-TWR distance to the decoded responder

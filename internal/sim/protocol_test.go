@@ -272,3 +272,71 @@ func TestConcurrentRoundDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentRoundAcrossCounterWrap starts the same round late enough
+// that responder clocks have wrapped their 40-bit counters (16.5 s: two of
+// three past the first wrap; 40 s: all in their third epoch). The round
+// must lock within its own exchange, leave the clock at that lock, and
+// give the detector the same CIR shape as at t = 0.
+func TestConcurrentRoundAcrossCounterWrap(t *testing.T) {
+	run := func(start float64) (*Network, *RoundResult) {
+		net, err := NewNetwork(NetworkConfig{Environment: channel.Hallway(), Seed: 42, RandomClockPhase: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		init, err := net.AddNode(NodeConfig{ID: -1, Name: "init", Pos: geom.Point{X: 1, Y: 0.9}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resps []*Node
+		for i, x := range []float64{4, 7, 10} {
+			node, err := net.AddNode(NodeConfig{ID: i, Pos: geom.Point{X: x, Y: 0.9}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resps = append(resps, node)
+		}
+		if phase := resps[0].Radio.Clock().Phase; !closeTo(phase, 0.777, 1e-3) {
+			t.Fatalf("responder 0 clock phase %g, want ≈ 0.777 s", phase)
+		}
+		net.now = start
+		round, err := net.RunConcurrentRound(init, resps, RoundConfig{})
+		if err != nil {
+			t.Fatalf("round at %g s: %v", start, err)
+		}
+		return net, round
+	}
+	bank, err := pulse.DefaultBank(dw1000.SampleInterval, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := core.NewDetector(bank, core.DetectorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	detect := func(round *RoundResult) int {
+		responses, err := det.Detect(round.Reception.CIR.Taps, round.Reception.CIR.NoiseRMS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(responses)
+	}
+	_, ref := run(0)
+	want := detect(ref)
+	for _, start := range []float64{16.5, 40} {
+		net, round := run(start)
+		lock := round.Reception.LockedArrivalTime
+		if d := lock - start; !(d > 290e-6 && d < 1e-3) {
+			t.Errorf("round at %g s locked %.6f s after its start, want within (290 µs, 1 ms)", start, d)
+		}
+		if net.now != lock {
+			t.Errorf("round at %g s left the clock at %.6f s, want the lock at %.6f s", start, net.now, lock)
+		}
+		if got := detect(round); got != want {
+			t.Errorf("round at %g s: detector found %d responses, %d at t = 0", start, got, want)
+		}
+		if d := round.TWRDistance(); !closeTo(d, 3, 0.3) {
+			t.Errorf("round at %g s: d_TWR %g m, want 3 ± 0.3", start, d)
+		}
+	}
+}

@@ -16,7 +16,7 @@ type Handler func(Scheduler)
 // Scheduler is the per-shard view a Handler executes against. On the
 // ShardedEngine each shard has its own Scheduler running on a worker
 // goroutine; the SequentialRunner provides the same interface over the
-// single-goroutine Engine so one workload can run on either and produce
+// single-goroutine engine so one workload can run on either and produce
 // bit-identical results.
 type Scheduler interface {
 	// Now returns the shard's current virtual time in seconds.
@@ -81,7 +81,7 @@ type shard struct {
 }
 
 // ShardedEngine runs a spatially sharded discrete-event simulation in
-// parallel while producing results bit-identical to the sequential Engine
+// parallel while producing results bit-identical to the SequentialRunner
 // at any worker count. Time advances in conservative barrier windows
 // [start, start+Lookahead): within a window every shard executes its own
 // events independently (no shard can affect another inside the window,
@@ -390,17 +390,17 @@ func (s shardScheduler) Send(shardID int, at float64, fn Handler) error {
 func (s shardScheduler) Fail(err error) { s.sh.eng.fail(err) }
 
 // SequentialRunner runs a sharded Handler workload on the single-goroutine
-// Engine: one global (time, seq) heap, shards existing only as labels on
+// engine: one global (time, seq) heap, shards existing only as labels on
 // the Scheduler contexts. It is the test reference the ShardedEngine is
 // checked against bit for bit; no production code runs it.
 type SequentialRunner struct {
-	eng    Engine
+	eng    engine
 	ctx    []seqScheduler
 	shards int
 	err    error
 }
 
-// seqScheduler adapts the sequential Engine to the Scheduler interface for
+// seqScheduler adapts the sequential engine to the Scheduler interface for
 // one shard label.
 type seqScheduler struct {
 	r  *SequentialRunner

@@ -25,29 +25,10 @@ const (
 	MetricReceptionsByKind = "sim.receptions_by_kind"
 )
 
-// Stats is a network's cumulative event tally. The simulator is
-// single-goroutine per network, so plain integers suffice; campaigns
-// running many networks in parallel aggregate through a shared
-// concurrent-safe Recorder instead.
-type Stats struct {
-	// FramesOnAir is the number of frames transmitted.
-	FramesOnAir int64
-	// Receptions is the number of successful receptions.
-	Receptions int64
-	// Collisions is the number of aggregated receptions with ≥ 2
-	// overlapping arrivals.
-	Collisions int64
-	// DecodeFailures is the number of failed payload decodes.
-	DecodeFailures int64
-}
-
-// Stats returns the network's event counts so far.
-func (n *Network) Stats() Stats { return n.stats }
-
-// SetRecorder mirrors every subsequent count into rec (nil disables
-// mirroring; the Stats tally always runs). The same no-op-when-nil,
-// observation-only contract as core.Detector.SetRecorder applies: a
-// recorder never changes simulation results.
+// SetRecorder counts every subsequent frame, reception, collision and
+// decode failure into rec (nil disables counting). The same
+// no-op-when-nil, observation-only contract as core.Detector.SetRecorder
+// applies: a recorder never changes simulation results.
 func (n *Network) SetRecorder(rec obs.Recorder) {
 	n.rec = rec
 	n.recSingle, n.recConcurrent = nil, nil
@@ -59,38 +40,28 @@ func (n *Network) SetRecorder(rec obs.Recorder) {
 }
 
 func (n *Network) countFrame() {
-	n.stats.FramesOnAir++
 	if n.rec != nil {
 		n.rec.Count(MetricFramesOnAir, 1)
 	}
 }
 
 func (n *Network) countReception(arrivals int) {
-	n.stats.Receptions++
-	if n.rec != nil {
-		n.rec.Count(MetricReceptions, 1)
-	}
-	if arrivals >= 2 {
-		n.stats.Collisions++
-		if n.rec != nil {
-			n.rec.Count(MetricCollisions, 1)
-		}
-		if n.recConcurrent != nil {
-			n.recConcurrent.Inc()
-		}
+	if n.rec == nil {
 		return
 	}
-	if n.recSingle != nil {
-		n.recSingle.Inc()
+	n.rec.Count(MetricReceptions, 1)
+	kind := n.recSingle
+	if arrivals >= 2 {
+		n.rec.Count(MetricCollisions, 1)
+		kind = n.recConcurrent
+	}
+	if kind != nil {
+		kind.Inc()
 	}
 }
 
 func (n *Network) countDecode(ok bool) {
-	if ok {
-		return
-	}
-	n.stats.DecodeFailures++
-	if n.rec != nil {
+	if !ok && n.rec != nil {
 		n.rec.Count(MetricDecodeFailures, 1)
 	}
 }

@@ -3,8 +3,8 @@ package sim
 import "fmt"
 
 // TraceEvent is one observable step of a simulated protocol exchange,
-// emitted through Network.OnEvent for debugging and the crsim -trace
-// timeline.
+// delivered to the callback installed with Network.SetTracer for
+// debugging and the crsim -trace timeline.
 type TraceEvent struct {
 	// Time is the virtual time of the event in seconds.
 	Time float64
@@ -33,6 +33,11 @@ func (e TraceEvent) String() string {
 // SetTracer installs a callback that receives every protocol event. A nil
 // tracer disables tracing. The callback runs synchronously on the
 // simulation goroutine and must not call back into the network.
+//
+// Tracing is observational: emitting an event schedules nothing and
+// never touches the clock or the RNG, so rounds return bit-identical
+// results, and leave the clock at the same instant, with or without a
+// tracer.
 func (n *Network) SetTracer(fn func(TraceEvent)) { n.trace = fn }
 
 // emit sends an event to the tracer, if any.

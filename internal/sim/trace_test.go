@@ -1,13 +1,17 @@
 package sim
 
-// Trace-path and stats coverage for one concurrent round: the event
+// Trace-path and recorder coverage for concurrent rounds: the event
 // sequence tx-init → rx-init → tx-resp → rx-aggregate → decode, the
-// nil-tracer contract, and the frame/collision/decode tallies.
+// nil-tracer contract, the timeline's observational contract across
+// rounds, and the frame/collision/decode counts.
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/channel"
+	"github.com/uwb-sim/concurrent-ranging/internal/core"
 	"github.com/uwb-sim/concurrent-ranging/internal/geom"
 	"github.com/uwb-sim/concurrent-ranging/internal/obs"
 )
@@ -97,24 +101,89 @@ func TestNilTracerEmitsNothing(t *testing.T) {
 	}
 }
 
-func TestTracedRoundMatchesUntraced(t *testing.T) {
-	// Tracing (like recording) must be observational: identical seeds
-	// with and without a tracer produce identical round results.
-	run := func(trace bool) *RoundResult {
-		net, init, resps := traceNetwork(t, 2)
-		if trace {
-			net.SetTracer(func(TraceEvent) {})
-		}
-		round, err := net.RunConcurrentRound(init, resps, RoundConfig{})
+// roundText renders every field of a round, its reception and its CIR;
+// fmt prints each float in the shortest form that round-trips, so equal
+// texts mean bit-identical rounds.
+func roundText(r *RoundResult) string {
+	top, rec := *r, *r.Reception
+	cir := *rec.CIR
+	top.Reception, rec.CIR = nil, nil
+	return fmt.Sprintf("%+v\n%+v\n%+v", top, rec, cir)
+}
+
+// combinedNetwork builds the Fig. 8-style deployment: nine responders at
+// x = 3.0 + 1.6·id m down a hallway, ranged with 4 RPM slots × 3 pulse
+// shapes.
+func combinedNetwork(t *testing.T) (*Network, *Node, []*Node, RoundConfig) {
+	t.Helper()
+	net, err := NewNetwork(NetworkConfig{Environment: channel.Hallway(), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	init, err := net.AddNode(NodeConfig{ID: -1, Name: "init", Pos: geom.Point{X: 1, Y: 0.9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resps []*Node
+	for id := 0; id < 9; id++ {
+		node, err := net.AddNode(NodeConfig{ID: id, Pos: geom.Point{X: 3.0 + 1.6*float64(id), Y: 0.9}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return round
+		resps = append(resps, node)
 	}
-	a, b := run(false), run(true)
-	if a.InitTXTimestamp != b.InitTXTimestamp || a.DecodedID != b.DecodedID ||
-		a.Reception.Timestamp != b.Reception.Timestamp {
-		t.Fatalf("tracer changed the round: %+v vs %+v", a, b)
+	plan, err := core.NewSlotPlan(75, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.NumSlots != 4 {
+		t.Fatalf("plan has %d slots, want 4", plan.NumSlots)
+	}
+	return net, init, resps, RoundConfig{Plan: plan}
+}
+
+// TestTracedRoundMatchesUntraced pins the timeline's observational
+// contract across rounds: with and without a tracer, the same seed gives
+// bit-identical rounds and leaves the clock at the same instant after
+// every one of them.
+func TestTracedRoundMatchesUntraced(t *testing.T) {
+	const rounds = 4
+	layouts := map[string]func(t *testing.T) (*Network, *Node, []*Node, RoundConfig){
+		"3 responders": func(t *testing.T) (*Network, *Node, []*Node, RoundConfig) {
+			net, init, resps := traceNetwork(t, 3)
+			return net, init, resps, RoundConfig{}
+		},
+		"4 slots x 3 shapes": combinedNetwork,
+	}
+	for name, build := range layouts {
+		t.Run(name, func(t *testing.T) {
+			run := func(traced bool) (texts []string, clocks []uint64) {
+				net, init, resps, cfg := build(t)
+				if traced {
+					net.SetTracer(func(TraceEvent) {})
+				}
+				for r := 0; r < rounds; r++ {
+					round, err := net.RunConcurrentRound(init, resps, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					texts = append(texts, roundText(round))
+					clocks = append(clocks, math.Float64bits(net.now))
+				}
+				return texts, clocks
+			}
+			plain, plainClock := run(false)
+			traced, tracedClock := run(true)
+			for r := 0; r < rounds; r++ {
+				if plainClock[r] != tracedClock[r] {
+					t.Fatalf("round %d: clock %.4f µs untraced, %.4f µs traced", r,
+						math.Float64frombits(plainClock[r])*1e6, math.Float64frombits(tracedClock[r])*1e6)
+				}
+				if plain[r] != traced[r] {
+					t.Fatalf("round %d: the tracer changed the result", r)
+				}
+			}
+		})
 	}
 }
 
@@ -126,33 +195,23 @@ func TestNetworkStatsAndRecorder(t *testing.T) {
 	if _, err := net.RunConcurrentRound(init, resps, RoundConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	stats := net.Stats()
-	want := Stats{
-		FramesOnAir: 1 + nResp, // one INIT + one RESP each
-		Receptions:  nResp + 1, // INIT at each responder + the aggregate
-		Collisions:  1,         // the aggregate held 3 overlapping arrivals
-	}
-	if stats != want {
-		t.Fatalf("stats = %+v, want %+v", stats, want)
-	}
 	snap := reg.Snapshot()
-	if got := snap.CounterValue(MetricFramesOnAir); got != want.FramesOnAir {
-		t.Errorf("%s = %d, want %d", MetricFramesOnAir, got, want.FramesOnAir)
+	want := map[string]int64{
+		MetricFramesOnAir:    1 + nResp, // one INIT + one RESP each
+		MetricReceptions:     nResp + 1, // INIT at each responder + the aggregate
+		MetricCollisions:     1,         // the aggregate held 3 overlapping arrivals
+		MetricDecodeFailures: 0,         // no capture model
 	}
-	if got := snap.CounterValue(MetricReceptions); got != want.Receptions {
-		t.Errorf("%s = %d, want %d", MetricReceptions, got, want.Receptions)
-	}
-	if got := snap.CounterValue(MetricCollisions); got != 1 {
-		t.Errorf("%s = %d, want 1", MetricCollisions, got)
-	}
-	if got := snap.CounterValue(MetricDecodeFailures); got != 0 {
-		t.Errorf("%s = %d, want 0 (no capture model)", MetricDecodeFailures, got)
+	for name, n := range want {
+		if got := snap.CounterValue(name); got != n {
+			t.Errorf("%s = %d, want %d", name, got, n)
+		}
 	}
 }
 
 func TestNetworkStatsCountDecodeFailures(t *testing.T) {
 	// An equal-power ring of many responders defeats the capture model
-	// in at least some seeds; assert the failure tally moves when
+	// in at least some seeds; assert the failure count moves when
 	// DecodeOK is false.
 	for seed := uint64(1); seed < 30; seed++ {
 		net, err := NewNetwork(NetworkConfig{Environment: channel.FreeSpace(), Seed: seed,
@@ -160,6 +219,8 @@ func TestNetworkStatsCountDecodeFailures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		reg := obs.NewRegistry()
+		net.SetRecorder(reg)
 		init, err := net.AddNode(NodeConfig{ID: -1, Name: "init", Pos: geom.Point{}})
 		if err != nil {
 			t.Fatal(err)
@@ -176,14 +237,15 @@ func TestNetworkStatsCountDecodeFailures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		failures := reg.Snapshot().CounterValue(MetricDecodeFailures)
 		if !round.DecodeOK {
-			if net.Stats().DecodeFailures != 1 {
-				t.Fatalf("DecodeOK=false but DecodeFailures = %d", net.Stats().DecodeFailures)
+			if failures != 1 {
+				t.Fatalf("DecodeOK=false but %s = %d", MetricDecodeFailures, failures)
 			}
 			return
 		}
-		if net.Stats().DecodeFailures != 0 {
-			t.Fatalf("DecodeOK=true but DecodeFailures = %d", net.Stats().DecodeFailures)
+		if failures != 0 {
+			t.Fatalf("DecodeOK=true but %s = %d", MetricDecodeFailures, failures)
 		}
 	}
 	t.Skip("no seed produced a decode failure; capture model too forgiving for this geometry")

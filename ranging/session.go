@@ -448,7 +448,9 @@ func (e TraceEvent) String() string {
 }
 
 // SetTracer installs a callback receiving every protocol event of
-// subsequent Run/RunTWR calls; nil disables tracing.
+// subsequent Run/RunTWR calls; nil disables tracing. Like SetRecorder it
+// is observation-only: every Run returns a bit-identical result with or
+// without a tracer.
 func (s *Session) SetTracer(fn func(TraceEvent)) {
 	if fn == nil {
 		s.net.SetTracer(nil)

@@ -1,6 +1,7 @@
 package ranging
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -64,6 +65,51 @@ func TestSessionTracerOrdering(t *testing.T) {
 	line := events[0].String()
 	if !strings.Contains(line, "µs") || !strings.Contains(line, "tx-init") {
 		t.Fatalf("unexpected trace line %q", line)
+	}
+}
+
+// museumSession builds the Fig. 8-style museum deployment: nine
+// responders at x = 3.0 + 1.6·id m down a hallway, ranged with 4 RPM
+// slots × 3 pulse shapes.
+func museumSession(t *testing.T) *Session {
+	t.Helper()
+	sc := NewScenario(Config{Environment: EnvHallway, Seed: 3, MaxRange: 75, NumShapes: 3})
+	sc.SetInitiator(1, 0.9)
+	for id := 0; id < 9; id++ {
+		sc.AddResponder(id, 3.0+1.6*float64(id), 0.9)
+	}
+	session, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return session
+}
+
+// TestSessionTracerIsObservational pins that a tracer never changes a
+// session: every Run returns the same result, bit for bit (fmt prints
+// each float in its shortest round-trip form), with and without one.
+func TestSessionTracerIsObservational(t *testing.T) {
+	const rounds = 4
+	run := func(traced bool) []string {
+		session := museumSession(t)
+		if traced {
+			session.SetTracer(func(TraceEvent) {})
+		}
+		var out []string
+		for r := 0; r < rounds; r++ {
+			res, err := session.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, fmt.Sprintf("%+v", *res))
+		}
+		return out
+	}
+	plain, traced := run(false), run(true)
+	for r := range plain {
+		if plain[r] != traced[r] {
+			t.Fatalf("Run %d: the tracer changed the result", r)
+		}
 	}
 }
 
