@@ -5,7 +5,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: all build test test-short bench microbench repro smoke fuzz vet fmt lint clean
+.PHONY: all build test test-short microbench repro smoke fuzz vet fmt lint clean
 
 # Staticcheck release `make lint` and CI pin, so a toolchain drift cannot
 # change what the gate enforces.
@@ -58,22 +58,6 @@ test-short:
 # not a timing study).
 microbench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
-
-# Append the next point of the committed BENCH_*.json performance
-# trajectory: the standing experiment set at 25 trials plus the
-# 108-template fullbank detector comparison and the sharded-engine swarm
-# scale sweep (trials 25 reaches the 100k-node point), validated and
-# regression-checked against the previous point.
-bench:
-	@last=$$(ls BENCH_*.json 2>/dev/null | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$$/\1/p' | sort -n | tail -1); \
-	next=$$(( $${last:-0} + 1 )); \
-	echo "writing BENCH_$$next.json"; \
-	$(GO) run ./cmd/crbench -trials 25 -json BENCH_$$next.json fig4 sec5 sec6 campaign fullbank swarm >/dev/null; \
-	if [ -n "$$last" ]; then \
-		$(GO) run ./cmd/reportcheck -compare BENCH_$$last.json BENCH_$$next.json; \
-	else \
-		$(GO) run ./cmd/reportcheck BENCH_$$next.json; \
-	fi
 
 # Regenerate every paper table and figure at full trial counts, plus the
 # machine-readable run report.

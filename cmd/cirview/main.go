@@ -89,7 +89,11 @@ func run() error {
 	fmt.Printf("detected %d responses; anchor d_TWR = %.3f m\n",
 		len(res.Measurements), res.AnchorDistance)
 	for _, m := range res.Measurements {
-		fmt.Printf("  responder %2d: %.3f m (true %.3f)\n", m.ResponderID, m.Distance, m.TrueDistance)
+		truth := "-" // a measurement that matched no responder
+		if m.HasTruth {
+			truth = fmt.Sprintf("%.3f", m.TrueDistance)
+		}
+		fmt.Printf("  responder %2d: %.3f m (true %s)\n", m.ResponderID, m.Distance, truth)
 	}
 	return nil
 }

@@ -57,8 +57,8 @@ type experiment struct {
 	run  runFunc
 }
 
-// runFunc runs an experiment, renders its result and copies any
-// throughput it measured into er.
+// runFunc runs an experiment, renders its result and copies the
+// sharded-engine diagnosis it measured, if any, into er.
 type runFunc func(env *experiments.Env, trials int, seed uint64, er *obs.ExperimentReport) (string, error)
 
 // registry lists the experiments in paper order, the run-everything order.
@@ -114,29 +114,11 @@ var registry = []experiment{
 		return render(experiments.Campaign(env, nil, seed))
 	}},
 	{"capture", monteCarlo(experiments.Capture)},
-	{"fullbank", func(env *experiments.Env, trials int, seed uint64, er *obs.ExperimentReport) (string, error) {
-		r, err := experiments.FullBank(env, trials, seed)
-		if err != nil {
-			return "", err
-		}
-		er.CIRsPerSecond = r.BatchPerSec
-		return r.Render(), nil
-	}},
+	{"fullbank", monteCarlo(experiments.FullBank)},
 	{"swarm", func(env *experiments.Env, trials int, seed uint64, er *obs.ExperimentReport) (string, error) {
 		r, err := experiments.SwarmScale(env, trials, seed)
 		if err != nil {
 			return "", err
-		}
-		var events, rounds int
-		var secs float64
-		for _, p := range r.Points {
-			events += p.Events
-			rounds += int(p.Stats.RoundsCompleted)
-			secs += p.WallSecondsW
-		}
-		if events > 0 && secs > 0 {
-			er.EventsPerSecond = float64(events) / secs
-			er.RoundsPerSecond = float64(rounds) / secs
 		}
 		if prof := r.Engine; prof != nil {
 			er.EngineParallelEfficiency = prof.ParallelEfficiency

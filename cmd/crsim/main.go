@@ -268,8 +268,14 @@ func runRounds(stdout io.Writer, session *ranging.Session, nResp, rounds int) er
 			if m.Anchor {
 				anchor = " (anchor)"
 			}
-			fmt.Fprintf(stdout, "  %-10s %-6d %-6d %-10.3f %-10.3f %-+8.3f%s\n",
-				id, m.Slot, m.Shape, m.Distance, m.TrueDistance, m.Error(), anchor)
+			// A measurement that matched no responder has no ground
+			// truth, so it has no true distance and no error to print.
+			truth, errM := "-", "-"
+			if m.HasTruth {
+				truth, errM = fmt.Sprintf("%.3f", m.TrueDistance), fmt.Sprintf("%+.3f", m.Error())
+			}
+			fmt.Fprintf(stdout, "  %-10s %-6d %-6d %-10.3f %-10s %-8s%s\n",
+				id, m.Slot, m.Shape, m.Distance, truth, errM, anchor)
 		}
 	}
 	return nil
@@ -422,10 +428,6 @@ func writeSwarmReport(opts swarmOptions, reg *obs.Registry, sw *sim.Swarm, res *
 	er := obs.ExperimentReport{
 		Name:        "swarm",
 		WallSeconds: wall.Seconds(),
-	}
-	if secs := wall.Seconds(); secs > 0 {
-		er.EventsPerSecond = float64(res.Events) / secs
-		er.RoundsPerSecond = float64(res.Stats.RoundsCompleted) / secs
 	}
 	if profile != nil {
 		er.EngineParallelEfficiency = profile.ParallelEfficiency

@@ -126,3 +126,41 @@ func TestRunFlagProperty(t *testing.T) {
 	}
 	t.Logf("%d of 200 flag vectors ran", accepted)
 }
+
+// TestRunPrintsNoTruthForUnmatchedMeasurement runs the museum session CI
+// traces (seed 3, nine responders at x = 3.0 + 1.6·id m, 4 RPM slots × 3
+// shapes). Its first round resolves a path to identity 9, which no
+// responder has: that row must print "-" for the true distance and the
+// error, not 0.000 and +0.000, while every matched row prints numbers.
+func TestRunPrintsNoTruthForUnmatchedMeasurement(t *testing.T) {
+	args := []string{"-env", "hallway", "-seed", "3", "-init", "1,0.9", "-shapes", "3", "-maxrange", "75"}
+	for id := 0; id < 9; id++ {
+		args = append(args, "-resp", fmt.Sprintf("%d:%.1f,0.9", id, 3+1.6*float64(id)))
+	}
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	phantom := false
+	for _, line := range strings.Split(out.String(), "\n") {
+		f := strings.Fields(line)
+		if !strings.HasPrefix(line, "  ") || f[0] == "responder" {
+			continue // not a measurement row
+		}
+		rows++
+		if f[0] == "9" {
+			phantom = true
+			if f[4] != "-" || f[5] != "-" {
+				t.Errorf("unmatched measurement prints truth %q and error %q, want - and -:\n%s", f[4], f[5], line)
+			}
+			continue
+		}
+		if f[4] == "-" || f[5] == "-" {
+			t.Errorf("matched responder %s prints no truth:\n%s", f[0], line)
+		}
+	}
+	if !phantom || rows != 10 {
+		t.Fatalf("want 10 rows with an unmatched identity 9 among them, got %d rows:\n%s", rows, out.String())
+	}
+}

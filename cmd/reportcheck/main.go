@@ -7,8 +7,8 @@
 // Usage:
 //
 //	reportcheck [-require-metrics prefixes] report.json [report2.json ...]
-//	reportcheck -compare old.json new.json [-max-regress factor] [-max-quality-drop pp]
 //	reportcheck -require-deterministic a.json b.json [more.json ...]
+//	reportcheck -compare BENCHMARK.json base.jsonl change.jsonl
 //
 // -require-metrics takes comma-separated metric-family name prefixes
 // (e.g. "detector.,trace.") and fails any report that carries no family
@@ -25,20 +25,6 @@
 // absolute efficiency depends on the host's core count — CI containers
 // are often single-CPU, where barrier stall is expected, not a defect.
 //
-// In -compare mode both reports are validated and the per-experiment wall
-// times of the experiments common to both are compared: the run fails if
-// any experiment in new.json took more than factor times (default 4) its
-// old.json wall time, plus a small absolute grace so microsecond-scale
-// experiments don't trip on scheduler noise. CI compares the smoke run
-// against the committed BENCH_* baseline, so a detector-path performance
-// regression fails the build rather than landing silently.
-//
-// -compare also gates detection quality: when both reports carry the
-// ranging session counters (responders found vs expected), the run fails
-// if the detection success rate dropped by more than -max-quality-drop
-// percentage points (default 1). Reports without those counters (runs
-// that never built a ranging session) skip the gate with a notice.
-//
 // In -require-deterministic mode every report is validated, stripped of
 // its wall-time fields (obs.RunReport.StripWallTime), and re-encoded; the
 // run fails unless all encodings are byte-identical to the first. Two
@@ -48,34 +34,39 @@
 // (an unseeded random source, map-ordered output, a wall-clock leak into
 // a report field) fails the build.
 //
+// In -compare mode the inputs are the perfbench result lines that
+// scripts/perfgate.sh records at a base commit and at a change, and the
+// run fails when the change is worse than BENCHMARK.json allows (see
+// compare): the repository's performance gate.
+//
 // Exit status 0 means every report is well-formed (and, with -compare, no
 // regression was found); any defect prints a diagnostic and exits 1.
 package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/obs"
-	"github.com/uwb-sim/concurrent-ranging/ranging"
 )
 
 func main() {
-	comparePath := flag.String("compare", "", "baseline report to compare wall times against")
-	maxRegress := flag.Float64("max-regress", 4, "fail when an experiment exceeds this factor of its baseline wall time")
-	maxQualityDrop := flag.Float64("max-quality-drop", 1, "fail when the detection success rate drops by more than this many percentage points")
+	benchPath := flag.String("compare", "", "compare paired perfbench runs against the bounds of this `BENCHMARK.json`")
 	requireDet := flag.Bool("require-deterministic", false, "fail unless all reports are byte-identical after StripWallTime")
 	requireMetrics := flag.String("require-metrics", "", "comma-separated metric-family name `prefixes` each report must carry")
 	requireEngine := flag.Bool("require-engine-profile", false, "fail unless each report carries an in-range sharded-engine scaling diagnosis")
 	minEfficiency := flag.Float64("min-engine-efficiency", 0, "with -require-engine-profile, fail when parallel efficiency is below this floor (0 = no floor)")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: reportcheck [-require-metrics prefixes] [-require-engine-profile] report.json [report2.json ...]")
-		fmt.Fprintln(os.Stderr, "       reportcheck -compare old.json new.json [-max-regress factor] [-max-quality-drop pp]")
 		fmt.Fprintln(os.Stderr, "       reportcheck -require-deterministic a.json b.json [more.json ...]")
+		fmt.Fprintln(os.Stderr, "       reportcheck -compare BENCHMARK.json base.jsonl change.jsonl")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -95,12 +86,12 @@ func main() {
 		}
 		return
 	}
-	if *comparePath != "" {
-		if len(args) != 1 {
-			fmt.Fprintln(os.Stderr, "reportcheck: -compare takes exactly one new report")
+	if *benchPath != "" {
+		if len(args) != 2 {
+			fmt.Fprintln(os.Stderr, "reportcheck: -compare takes the base runs and the change runs")
 			os.Exit(2)
 		}
-		if err := compare(*comparePath, args[0], *maxRegress, *maxQualityDrop); err != nil {
+		if err := compare(*benchPath, args[0], args[1], os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "reportcheck: %v\n", err)
 			os.Exit(1)
 		}
@@ -311,171 +302,153 @@ func firstDiff(a, b []byte) string {
 		min(len(al), len(bl))+1, len(al), len(bl))
 }
 
-// regressGraceSeconds is added to the scaled baseline before comparing, so
-// experiments whose baseline wall time is within scheduler-noise scale
-// cannot fail on jitter alone.
-const regressGraceSeconds = 0.05
+// metricDecl is one metric of BENCHMARK.json: its better direction and,
+// for an end-to-end metric, the largest relative change in the worse
+// direction the gate accepts.
+type metricDecl struct {
+	Name, Unit, Better string
+	Bound              float64
+}
 
-// compare validates both reports and fails if any experiment present in
-// both regressed beyond maxRegress times its baseline wall time, or if
-// the detection success rate dropped beyond maxQualityDrop percentage
-// points.
-func compare(oldPath, newPath string, maxRegress, maxQualityDrop float64) error {
-	if maxRegress <= 0 {
-		return fmt.Errorf("-max-regress must be positive, got %g", maxRegress)
+// perfRun is one result line as scripts/perfgate.sh records it: the
+// workload and the JSON line perfbench printed.
+type perfRun struct {
+	Workload string
+	Run      struct {
+		Correct           bool
+		Attempted, Failed int64
+		Metrics           map[string]struct{ Value float64 }
 	}
-	if maxQualityDrop < 0 {
-		return fmt.Errorf("-max-quality-drop must be non-negative, got %g", maxQualityDrop)
+}
+
+// compare is the performance gate's verdict on paired perfbench runs: the
+// i-th run of a workload in changePath pairs with the i-th run of it in
+// basePath. It prints each end-to-end metric's median paired change in
+// its worse direction and, for -trace 1 runs, the per-layer metric that
+// moved most that way. Each failure prints a line "FAIL <workload> ...":
+// unpaired runs, a run with correct: false, a failed/attempted share above
+// the base's, or an end-to-end metric worse than its bound.
+func compare(benchPath, basePath, changePath string, w io.Writer) error {
+	var decl struct {
+		EndToEnd []metricDecl `json:"end_to_end"`
+		PerLayer []metricDecl `json:"per_layer"`
 	}
-	for _, path := range []string{oldPath, newPath} {
-		if err := check(path); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	}
-	oldR, err := obs.ReadReportFile(oldPath)
+	data, err := os.ReadFile(benchPath)
 	if err != nil {
 		return err
 	}
-	newR, err := obs.ReadReportFile(newPath)
+	if err := json.Unmarshal(data, &decl); err != nil {
+		return fmt.Errorf("%s: %w", benchPath, err)
+	}
+	if len(decl.EndToEnd) == 0 {
+		return fmt.Errorf("%s declares no end-to-end metrics", benchPath)
+	}
+	base, order, err := readRuns(basePath)
 	if err != nil {
 		return err
 	}
-	baseline := make(map[string]float64, len(oldR.Experiments))
-	for _, e := range oldR.Experiments {
-		baseline[e.Name] = e.WallSeconds
-	}
-	compared, failed := 0, 0
-	for _, e := range newR.Experiments {
-		old, ok := baseline[e.Name]
-		if !ok {
-			continue
-		}
-		compared++
-		// A zero (or garbage-negative) baseline cannot scale into a
-		// meaningful limit — the old factor-of-baseline math degenerated
-		// to gating everything against the bare grace term. Skip with a
-		// notice instead of failing on an undefined ratio.
-		if old <= 0 {
-			fmt.Printf("%-10s baseline wall time %gs; wall gate skipped\n", e.Name, old)
-			continue
-		}
-		limit := old*maxRegress + regressGraceSeconds
-		status := "ok"
-		if e.WallSeconds > limit {
-			status = fmt.Sprintf("REGRESSION (limit %.3fs)", limit)
-			failed++
-		}
-		fmt.Printf("%-10s %8.3fs -> %8.3fs (%.2fx) %s\n",
-			e.Name, old, e.WallSeconds, ratio(e.WallSeconds, old), status)
-	}
-	if compared == 0 {
-		return fmt.Errorf("no common experiments between %s and %s", oldPath, newPath)
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d experiments regressed beyond %gx", failed, compared, maxRegress)
-	}
-	if err := compareQuality(oldR, newR, maxQualityDrop); err != nil {
+	change, changeOrder, err := readRuns(changePath)
+	if err != nil {
 		return err
 	}
-	if err := compareThroughput(oldR, newR, maxRegress); err != nil {
-		return err
+	for _, name := range changeOrder {
+		if base[name] == nil {
+			order = append(order, name)
+		}
 	}
-	fmt.Printf("%s vs %s: %d experiments within %gx\n", newPath, oldPath, compared, maxRegress)
+	var failures []string
+	fail := func(format string, args ...any) {
+		msg := fmt.Sprintf(format, args...)
+		fmt.Fprintln(w, "FAIL", msg)
+		failures = append(failures, msg)
+	}
+	for _, name := range order {
+		b, c := base[name], change[name]
+		if len(b) != len(c) {
+			fail("%s has %d base runs and %d change runs", name, len(b), len(c))
+			continue
+		}
+		var bFailed, bAttempted, cFailed, cAttempted int64
+		for i := range b {
+			if !b[i].Run.Correct || !c[i].Run.Correct {
+				fail("%s pair %d reported correct: false (base %v, change %v)", name, i+1, b[i].Run.Correct, c[i].Run.Correct)
+			}
+			bFailed, bAttempted = bFailed+b[i].Run.Failed, bAttempted+b[i].Run.Attempted
+			cFailed, cAttempted = cFailed+c[i].Run.Failed, cAttempted+c[i].Run.Attempted
+		}
+		// cFailed/cAttempted > bFailed/bAttempted, with no division by 0.
+		if float64(cFailed)*float64(bAttempted) > float64(bFailed)*float64(cAttempted) {
+			fail("%s failed share %d/%d exceeds the base's %d/%d", name, cFailed, cAttempted, bFailed, bAttempted)
+		}
+		for _, m := range decl.EndToEnd {
+			if worse, ok := medianWorse(m, b, c, false); ok {
+				fmt.Fprintf(w, "%-9s %-15s worse by %+6.1f%%, bound %.0f%%\n", name, m.Name, 100*worse, 100*m.Bound)
+				if worse > m.Bound {
+					fail("%s %s: median paired change %.1f%% worse than the base, bound %.0f%%", name, m.Name, 100*worse, 100*m.Bound)
+				}
+			}
+		}
+		// A share (unit "ratio") moves by its difference, in points: a
+		// share near 0 changes by large factors on noise alone.
+		top, topWorse := "", 0.0
+		for _, m := range decl.PerLayer {
+			if worse, ok := medianWorse(m, b, c, m.Unit == "ratio"); ok && worse > topWorse {
+				top, topWorse = m.Name, worse
+			}
+		}
+		if top != "" {
+			fmt.Fprintf(w, "%-9s per-layer metric that moved most in its worse direction: %s (worse by %.0f%%)\n", name, top, 100*topWorse)
+		}
+	}
+	if len(failures) > 0 {
+		return fmt.Errorf("%d failures: %s", len(failures), strings.Join(failures, "; "))
+	}
 	return nil
 }
 
-// compareThroughput gates measured throughputs per experiment — the
-// batch-detection CIR rate and the sharded-engine event rate: when both
-// reports carry a measurement for an experiment, the comparison fails if
-// the new rate fell below baseline/maxRegress. An experiment where only
-// one side measured throughput prints a notice and skips the gate — that
-// is a changed experiment list or a newly added measurement, not a
-// regression signal.
-func compareThroughput(oldR, newR *obs.RunReport, maxRegress float64) error {
-	rates := []struct {
-		unit  string
-		label string
-		get   func(obs.ExperimentReport) float64
-	}{
-		{"CIRs/s", "batch", func(e obs.ExperimentReport) float64 { return e.CIRsPerSecond }},
-		{"events/s", "swarm", func(e obs.ExperimentReport) float64 { return e.EventsPerSecond }},
+// readRuns reads perfgate.sh's result lines and groups them by workload;
+// order lists the workloads as they first appear.
+func readRuns(path string) (runs map[string][]perfRun, order []string, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
 	}
-	var firstErr error
-	for _, r := range rates {
-		baseline := make(map[string]float64, len(oldR.Experiments))
-		for _, e := range oldR.Experiments {
-			baseline[e.Name] = r.get(e)
+	defer f.Close()
+	runs = make(map[string][]perfRun)
+	for dec := json.NewDecoder(f); dec.More(); {
+		var r perfRun
+		if err := dec.Decode(&r); err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", path, err)
 		}
-		failed := 0
-		for _, e := range newR.Experiments {
-			old, ok := baseline[e.Name]
-			if !ok {
-				continue
-			}
-			rate := r.get(e)
-			switch {
-			case old > 0 && rate > 0:
-				floor := old / maxRegress
-				status := "ok"
-				if rate < floor {
-					status = fmt.Sprintf("REGRESSION (floor %.1f %s)", floor, r.unit)
-					failed++
-				}
-				fmt.Printf("throughput %-10s %8.1f -> %8.1f %s (%.2fx) %s\n",
-					e.Name, old, rate, r.unit, ratio(rate, old), status)
-			case old > 0:
-				fmt.Printf("throughput %-10s baseline %.1f %s but new report has no measurement; gate skipped\n",
-					e.Name, old, r.unit)
-			case rate > 0:
-				fmt.Printf("throughput %-10s %.1f %s with no baseline measurement; gate skipped\n",
-					e.Name, rate, r.unit)
-			}
+		if runs[r.Workload] == nil {
+			order = append(order, r.Workload)
 		}
-		if failed > 0 && firstErr == nil {
-			firstErr = fmt.Errorf("%d experiments regressed %s throughput beyond %gx", failed, r.label, maxRegress)
-		}
+		runs[r.Workload] = append(runs[r.Workload], r)
 	}
-	return firstErr
+	if len(order) == 0 {
+		return nil, nil, fmt.Errorf("%s holds no perfbench runs", path)
+	}
+	return runs, order, nil
 }
 
-// successRate returns the detection success rate in percent (responders
-// found / responders expected) carried by a report's ranging session
-// counters, or false when the run never recorded them.
-func successRate(r *obs.RunReport) (float64, bool) {
-	expected := r.Metrics.CounterValue(ranging.MetricRespondersExpected)
-	if expected <= 0 {
+// medianWorse returns the median over the pairs of m's change from the
+// base run to the change run in m's worse direction (positive = worse),
+// relative to the base value or, with diff, as the plain difference; ok is
+// false when the base runs do not report m.
+func medianWorse(m metricDecl, base, change []perfRun, diff bool) (worse float64, ok bool) {
+	if _, ok := base[0].Run.Metrics[m.Name]; !ok {
 		return 0, false
 	}
-	found := r.Metrics.CounterValue(ranging.MetricRespondersFound)
-	return 100 * float64(found) / float64(expected), true
-}
-
-// compareQuality gates the detection success rate: a drop beyond
-// maxQualityDrop percentage points fails the comparison. Reports without
-// the ranging counters skip the gate (sec5/campaign-style runs never
-// build a ranging session), as does a disagreement where only one side
-// has them — a changed experiment list, not a quality signal.
-func compareQuality(oldR, newR *obs.RunReport, maxQualityDrop float64) error {
-	oldRate, oldOK := successRate(oldR)
-	newRate, newOK := successRate(newR)
-	if !oldOK || !newOK {
-		fmt.Printf("quality: ranging counters absent (baseline %v, new %v); gate skipped\n", oldOK, newOK)
-		return nil
+	ws := make([]float64, len(base))
+	for i := range base {
+		bv, cv := base[i].Run.Metrics[m.Name].Value, change[i].Run.Metrics[m.Name].Value
+		if ws[i] = cv - bv; !diff && ws[i] != 0 {
+			ws[i] /= bv // ±Inf when the base reads 0
+		}
+		if m.Better == "higher" {
+			ws[i] = -ws[i]
+		}
 	}
-	drop := oldRate - newRate
-	if drop > maxQualityDrop {
-		return fmt.Errorf("detection success rate dropped %.2f pp (%.2f%% -> %.2f%%), limit %g pp",
-			drop, oldRate, newRate, maxQualityDrop)
-	}
-	fmt.Printf("quality: detection success rate %.2f%% -> %.2f%% (limit -%g pp)\n",
-		oldRate, newRate, maxQualityDrop)
-	return nil
-}
-
-// ratio guards the displayed new/old quotient against a zero baseline.
-func ratio(new, old float64) float64 {
-	if old <= 0 {
-		return 0
-	}
-	return new / old
+	slices.Sort(ws)
+	return (ws[(len(ws)-1)/2] + ws[len(ws)/2]) / 2, true
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,7 +10,6 @@ import (
 	"time"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/obs"
-	"github.com/uwb-sim/concurrent-ranging/ranging"
 )
 
 // liveReport builds a report shaped like a real crbench smoke run.
@@ -70,190 +71,204 @@ func TestCheckRejectsDefects(t *testing.T) {
 	}
 }
 
-func TestCompareWallTimes(t *testing.T) {
-	base := liveReport()
-	base.Experiments = []obs.ExperimentReport{
-		{Name: "sec5", WallSeconds: 0.1, OutputBytes: 100},
-		{Name: "sec6", WallSeconds: 0.2, OutputBytes: 100},
-	}
-	oldPath := writeReport(t, base)
+// benchmarkPath is the repository's benchmark declaration; the compare
+// tests gate against its real bounds.
+var benchmarkPath = filepath.Join("..", "..", "BENCHMARK.json")
 
-	within := liveReport()
-	within.Experiments = []obs.ExperimentReport{
-		{Name: "sec5", WallSeconds: 0.3, OutputBytes: 100},  // 3x < 4x
-		{Name: "fig4", WallSeconds: 99.0, OutputBytes: 100}, // not in baseline: ignored
-	}
-	if err := compare(oldPath, writeReport(t, within), 4, 1); err != nil {
-		t.Fatalf("3x slowdown within 4x limit rejected: %v", err)
-	}
-
-	regressed := liveReport()
-	regressed.Experiments = []obs.ExperimentReport{
-		{Name: "sec6", WallSeconds: 1.5, OutputBytes: 100}, // 7.5x > 4x (plus grace)
-	}
-	err := compare(oldPath, writeReport(t, regressed), 4, 1)
-	if err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Fatalf("7.5x regression accepted: %v", err)
-	}
-
-	disjoint := liveReport()
-	disjoint.Experiments = []obs.ExperimentReport{{Name: "fig8", WallSeconds: 0.1, OutputBytes: 1}}
-	if err := compare(oldPath, writeReport(t, disjoint), 4, 1); err == nil {
-		t.Fatal("reports with no common experiments accepted")
-	}
-
-	if err := compare(oldPath, oldPath, 0, 1); err == nil {
-		t.Fatal("non-positive -max-regress accepted")
-	}
-	// A structurally broken report must fail compare too.
-	broken := liveReport()
-	broken.Experiments = nil
-	if err := compare(oldPath, writeReport(t, broken), 4, 1); err == nil {
-		t.Fatal("invalid new report accepted by compare")
-	}
+// synthRun is one synthetic perfbench result line.
+type synthRun struct {
+	workload          string
+	correct           bool
+	attempted, failed int64
+	metrics           map[string]float64
 }
 
-func TestCompareSkipsZeroWallBaseline(t *testing.T) {
-	// A baseline experiment whose wall time never got recorded (0) cannot
-	// scale into a limit; the wall gate must skip it with a notice instead
-	// of gating the new run against bare grace (the old division-by-zero
-	// shaped failure).
-	base := liveReport()
-	base.Experiments = []obs.ExperimentReport{
-		{Name: "sec5", WallSeconds: 0, OutputBytes: 100},
-		{Name: "sec6", WallSeconds: 0.1, OutputBytes: 100},
-	}
-	next := liveReport()
-	next.Experiments = []obs.ExperimentReport{
-		{Name: "sec5", WallSeconds: 30, OutputBytes: 100}, // would trip any scaled limit
-		{Name: "sec6", WallSeconds: 0.2, OutputBytes: 100},
-	}
-	if err := compare(writeReport(t, base), writeReport(t, next), 4, 1); err != nil {
-		t.Fatalf("zero-wall baseline not skipped: %v", err)
-	}
+// bareRun is a healthy -trace 0 run whose timings are scaled by drift,
+// the host-speed wobble between runs.
+func bareRun(workload string, drift float64) synthRun {
+	return synthRun{workload: workload, correct: true, attempted: 1000, metrics: map[string]float64{
+		"ops_per_s": 100 * drift, "op_ms_p50": 10 / drift, "op_ms_p99": 15 / drift,
+		"found_ratio": 0.99, "err_m": 0.04, "alloc_b_per_op": 3000, "heap_mb": 20, "setup_s": 0.02 / drift,
+	}}
 }
 
-func TestCompareThroughputGate(t *testing.T) {
-	withRate := func(rate float64) *obs.RunReport {
-		r := liveReport()
-		r.Experiments = []obs.ExperimentReport{
-			{Name: "fullbank", WallSeconds: 0.1, OutputBytes: 100, CIRsPerSecond: rate},
+// tracedRun is a healthy -trace 1 fullbank run.
+func tracedRun(drift float64) synthRun {
+	return synthRun{workload: "fullbank", correct: true, attempted: 500, metrics: map[string]float64{
+		"core.detect_ms": 90 / drift, "dsp.spectral_scan_us": 80 / drift, "dsp.upsample_us": 30 / drift,
+		"detector.iterations": 10.6, "dsp.spectral_scan_share": 1.1, "trace_overhead": 0.002,
+		"sim.round_us": 0, "sim.engine_parallel_efficiency": 0,
+	}}
+}
+
+// writeRuns writes runs in the layout scripts/perfgate.sh records.
+func writeRuns(t *testing.T, runs []synthRun) string {
+	t.Helper()
+	var b strings.Builder
+	for _, r := range runs {
+		metrics := map[string]map[string]float64{}
+		for name, v := range r.metrics {
+			metrics[name] = map[string]float64{"value": v}
 		}
-		return r
+		line, err := json.Marshal(map[string]any{"workload": r.workload, "run": map[string]any{
+			"correct": r.correct, "attempted": r.attempted, "failed": r.failed, "metrics": metrics,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(line)
+		b.WriteByte('\n')
 	}
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// drifts is the host-speed wobble of three pairs; a pair shares its
+// drift, as alternating runs and perfbench's host-speed scaling make it.
+var drifts = []float64{1, 1.04, 0.97}
+
+// pairedRuns returns K = 3 runs of session and fullbank, each passed
+// through edit (nil keeps it as it is).
+func pairedRuns(edit func(r *synthRun)) []synthRun {
+	var runs []synthRun
+	for _, w := range []string{"session", "fullbank"} {
+		for _, d := range drifts {
+			r := bareRun(w, d)
+			if edit != nil {
+				edit(&r)
+			}
+			runs = append(runs, r)
+		}
+	}
+	return runs
+}
+
+// scale multiplies metric by f on the fullbank runs.
+func scale(metric string, f float64) func(r *synthRun) {
+	return func(r *synthRun) {
+		if r.workload == "fullbank" {
+			r.metrics[metric] *= f
+		}
+	}
+}
+
+func TestComparePairedRuns(t *testing.T) {
 	cases := []struct {
-		name     string
-		old, new *obs.RunReport
-		wantErr  string // "" = pass
+		name   string
+		change []synthRun
+		want   []string // nil = pass; else every string must appear in the error
 	}{
-		{"within limit", withRate(100), withRate(30), ""}, // 100/4 = 25 floor
-		{"regression fails", withRate(100), withRate(20), "batch throughput"},
-		{"improvement passes", withRate(100), withRate(500), ""},
-		{"skipped without baseline measurement", withRate(0), withRate(100), ""},
-		{"skipped without new measurement", withRate(100), withRate(0), ""},
+		{"identical sides pass", pairedRuns(nil), nil},
+		{"ops_per_s -30% fails", pairedRuns(scale("ops_per_s", 0.70)), []string{"fullbank", "ops_per_s", "bound 25%"}},
+		{"ops_per_s -20% passes within 0.25", pairedRuns(scale("ops_per_s", 0.80)), nil},
+		{"alloc_b_per_op +20% fails beyond 0.15", pairedRuns(scale("alloc_b_per_op", 1.20)), []string{"fullbank", "alloc_b_per_op", "bound 15%"}},
+		{"alloc_b_per_op +10% passes", pairedRuns(scale("alloc_b_per_op", 1.10)), nil},
+		{"found_ratio drop beyond 0.1 fails", pairedRuns(scale("found_ratio", 0.85)), []string{"fullbank", "found_ratio"}},
+		{"higher failed share fails", pairedRuns(func(r *synthRun) {
+			if r.workload == "session" {
+				r.failed = 3
+			}
+		}), []string{"session", "failed share"}},
+		{"correct false fails", pairedRuns(func(r *synthRun) {
+			if r.workload == "session" && r.metrics["ops_per_s"] > 101 {
+				r.correct = false
+			}
+		}), []string{"session pair 2 reported correct: false (base true, change false)"}},
+		{"workload on one side only fails", append(pairedRuns(nil), bareRun("swarm", 1)), []string{"swarm has 0 base runs and 1 change runs"}},
+		{"workload missing from the change fails", pairedRuns(nil)[:3], []string{"fullbank has 3 base runs and 0 change runs"}},
+		{"unpaired runs fail", pairedRuns(nil)[:5], []string{"fullbank has 3 base runs and 2 change runs"}},
 	}
+	basePath := writeRuns(t, pairedRuns(nil))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := compare(writeReport(t, tc.old), writeReport(t, tc.new), 4, 1)
-			if tc.wantErr == "" {
+			var out bytes.Buffer
+			err := compare(benchmarkPath, basePath, writeRuns(t, tc.change), &out)
+			if tc.want == nil {
 				if err != nil {
-					t.Fatalf("compare failed: %v", err)
+					t.Fatalf("compare failed: %v\n%s", err, out.String())
 				}
 				return
 			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("err = %v, want mention of %q", err, tc.wantErr)
+			if err == nil {
+				t.Fatalf("compare passed, want failure naming %q\n%s", tc.want, out.String())
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("err = %v, want mention of %q", err, w)
+				}
+			}
+			// perfgate.sh re-runs the workloads its FAIL lines name.
+			if !strings.Contains(out.String(), "FAIL "+strings.Fields(tc.want[0])[0]) {
+				t.Errorf("output has no FAIL line for %s:\n%s", tc.want[0], out.String())
 			}
 		})
 	}
 }
 
-func TestCompareGraceAbsorbsTinyBaselines(t *testing.T) {
-	base := liveReport()
-	base.Experiments = []obs.ExperimentReport{{Name: "sec5", WallSeconds: 0.001, OutputBytes: 100}}
-	fast := liveReport()
-	fast.Experiments = []obs.ExperimentReport{{Name: "sec5", WallSeconds: 0.03, OutputBytes: 100}}
-	// 30x on a 1 ms baseline is scheduler noise, absorbed by the grace.
-	if err := compare(writeReport(t, base), writeReport(t, fast), 4, 1); err != nil {
-		t.Fatalf("noise-scale wobble rejected: %v", err)
+// TestCompareNamesMovedLayer: on traced runs the compare names the
+// per-layer metric that moved most in its worse direction. A share that
+// grew tenfold from near 0 moves by its difference and does not outrank a
+// timing that tripled; metrics that read 0 (another workload's) and
+// metrics that improved are not named.
+func TestCompareNamesMovedLayer(t *testing.T) {
+	var base, change []synthRun
+	for _, d := range drifts {
+		base = append(base, tracedRun(d))
+		c := tracedRun(d)
+		c.metrics["dsp.spectral_scan_us"] *= 3
+		c.metrics["core.detect_ms"] *= 2.6
+		c.metrics["dsp.upsample_us"] *= 0.5
+		c.metrics["trace_overhead"] = 0.02
+		change = append(change, c)
+	}
+	var out bytes.Buffer
+	if err := compare(benchmarkPath, writeRuns(t, base), writeRuns(t, change), &out); err != nil {
+		t.Fatalf("traced runs carry no end-to-end metric to fail on: %v", err)
+	}
+	want := "fullbank  per-layer metric that moved most in its worse direction: dsp.spectral_scan_us"
+	if !strings.Contains(out.String(), want) {
+		t.Fatalf("output does not name dsp.spectral_scan_us:\n%s", out.String())
+	}
+
+	// Unchanged traced runs name no metric.
+	out.Reset()
+	if err := compare(benchmarkPath, writeRuns(t, base), writeRuns(t, base), &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "moved most") {
+		t.Fatalf("identical runs name a moved metric:\n%s", out.String())
 	}
 }
 
-// qualityReport is a liveReport carrying the ranging session counters the
-// quality gate reads.
-func qualityReport(found, expected int64) *obs.RunReport {
-	reg := obs.NewRegistry()
-	reg.Count("sim.frames_on_air", 42)
-	reg.Count("experiments.trials", 15)
-	reg.Observe("experiments.trial_seconds", 0.002)
-	if expected > 0 {
-		reg.Count(ranging.MetricRespondersExpected, expected)
+func TestCompareRejectsBadInputs(t *testing.T) {
+	good := writeRuns(t, pairedRuns(nil))
+	var out bytes.Buffer
+	if err := compare(filepath.Join(t.TempDir(), "missing.json"), good, good, &out); err == nil {
+		t.Error("missing BENCHMARK.json accepted")
 	}
-	if found > 0 {
-		reg.Count(ranging.MetricRespondersFound, found)
+	noMetrics := filepath.Join(t.TempDir(), "bench.json")
+	if err := os.WriteFile(noMetrics, []byte(`{"per_layer": [{"name": "core.detect_ms", "better": "lower"}]}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	r := obs.NewRunReport("crbench", 1, 3)
-	r.Experiments = []obs.ExperimentReport{{Name: "sec5", WallSeconds: 0.1, OutputBytes: 100}}
-	r.Finish(reg.Snapshot(), 120*time.Millisecond)
-	return r
-}
-
-func TestCompareQualityGate(t *testing.T) {
-	cases := []struct {
-		name     string
-		old, new *obs.RunReport
-		maxDrop  float64
-		wantErr  string // "" = pass
-	}{
-		{
-			name: "within limit",
-			old:  qualityReport(99, 100), new: qualityReport(985, 1000),
-			maxDrop: 1,
-		},
-		{
-			name: "drop beyond limit fails",
-			old:  qualityReport(99, 100), new: qualityReport(95, 100),
-			maxDrop: 1, wantErr: "success rate dropped",
-		},
-		{
-			name: "improvement passes",
-			old:  qualityReport(90, 100), new: qualityReport(99, 100),
-			maxDrop: 1,
-		},
-		{
-			name: "gate skipped when baseline lacks counters",
-			old:  qualityReport(0, 0), new: qualityReport(50, 100),
-			maxDrop: 1,
-		},
-		{
-			name: "gate skipped when new report lacks counters",
-			old:  qualityReport(99, 100), new: qualityReport(0, 0),
-			maxDrop: 1,
-		},
-		{
-			name: "zero tolerance flags any drop",
-			old:  qualityReport(1000, 1000), new: qualityReport(999, 1000),
-			maxDrop: 0, wantErr: "success rate dropped",
-		},
-		{
-			name: "negative tolerance rejected",
-			old:  qualityReport(99, 100), new: qualityReport(99, 100),
-			maxDrop: -1, wantErr: "max-quality-drop",
-		},
+	if err := compare(noMetrics, good, good, &out); err == nil || !strings.Contains(err.Error(), "no end-to-end metrics") {
+		t.Errorf("a declaration without end-to-end metrics accepted: %v", err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := compare(writeReport(t, tc.old), writeReport(t, tc.new), 4, tc.maxDrop)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("compare failed: %v", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("err = %v, want mention of %q", err, tc.wantErr)
-			}
-		})
+	empty := filepath.Join(t.TempDir(), "empty.jsonl")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := compare(benchmarkPath, empty, good, &out); err == nil {
+		t.Error("empty base runs accepted")
+	}
+	garbage := filepath.Join(t.TempDir(), "garbage.jsonl")
+	if err := os.WriteFile(garbage, []byte("{not json\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := compare(benchmarkPath, good, garbage, &out); err == nil {
+		t.Error("garbage change runs accepted")
 	}
 }
 

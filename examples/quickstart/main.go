@@ -47,8 +47,11 @@ func main() {
 		if m.Anchor {
 			role = "  <- decoded payload (Eq. 2)"
 		}
-		fmt.Printf("responder %d: %6.2f m (truth %5.2f m, error %+.3f m)%s\n",
-			m.ResponderID, m.Distance, m.TrueDistance, m.Error(), role)
+		truth := "truth -, error -" // a measurement that matched no responder
+		if m.HasTruth {
+			truth = fmt.Sprintf("truth %5.2f m, error %+.3f m", m.TrueDistance, m.Error())
+		}
+		fmt.Printf("responder %d: %6.2f m (%s)%s\n", m.ResponderID, m.Distance, truth, role)
 	}
 	fmt.Println("\nnote: CIR-derived errors up to ±1.2 m stem from the DW1000's 8 ns")
 	fmt.Println("delayed-TX truncation (paper Sect. III); set Config.IdealTransceiver")

@@ -40,15 +40,6 @@ func Energy(v []complex128) float64 {
 	return e
 }
 
-// EnergyReal returns the sum of squares of a real-valued signal.
-func EnergyReal(v []float64) float64 {
-	var e float64
-	for _, x := range v {
-		e += x * x
-	}
-	return e
-}
-
 // NormalizeEnergy scales v in place so that its total energy is 1 and
 // returns v. A zero vector is returned unchanged.
 func NormalizeEnergy(v []complex128) []complex128 {
@@ -62,7 +53,10 @@ func NormalizeEnergy(v []complex128) []complex128 {
 // NormalizeEnergyReal scales the real vector v in place to unit energy and
 // returns v. A zero vector is returned unchanged.
 func NormalizeEnergyReal(v []float64) []float64 {
-	e := EnergyReal(v)
+	var e float64
+	for _, x := range v {
+		e += x * x
+	}
 	if e == 0 {
 		return v
 	}

@@ -56,8 +56,9 @@ type FullBankResult struct {
 	// throughputs in CIRs/second: the call-at-a-time loop pays
 	// NewDetector (plans + 108 template spectra) on every call, the warm
 	// loop reuses one detector, and the batch engine shares per-length
-	// setup across its worker pool. BatchPerSec is the run report's
-	// cirs_per_second.
+	// setup across its worker pool. They are printed in the table only;
+	// perfbench's fullbank workload is the repository's throughput
+	// measurement.
 	CallPerSec, WarmPerSec, BatchPerSec float64
 	// BatchSpeedup is BatchPerSec / CallPerSec.
 	BatchSpeedup float64

@@ -26,9 +26,9 @@ func TestFullBankAgreement(t *testing.T) {
 		t.Errorf("spectral path slower than reference: speedup %.2f", r.Speedup)
 	}
 	// The identification-throughput phase must have run and produced
-	// positive rates; the ≥5× acceptance gate itself lives in the
-	// reportcheck comparison against BENCH_4.json, not in this (noisy,
-	// 4-trial) unit test.
+	// positive rates. How fast it runs is not asserted in this (noisy,
+	// 4-trial) unit test: perfbench's fullbank workload measures it, and
+	// scripts/perfgate.sh gates it.
 	if r.IDCIRs != 2*r.Trials {
 		t.Errorf("IDCIRs = %d, want %d", r.IDCIRs, 2*r.Trials)
 	}

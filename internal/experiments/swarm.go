@@ -37,8 +37,8 @@ type SwarmScalePoint struct {
 // the Sect. VIII combined scheme against the responders in range) are
 // simulated on the spatially sharded engine, once with 1 worker and once
 // with the full pool. The two runs must agree bit for bit — the sweep
-// fails otherwise — and the W-worker runs' summed throughput is what the
-// run report carries as events_per_second.
+// fails otherwise. The table prints each W-worker run's throughput; the
+// repository's events/s measurement is perfbench's bare swarm workload.
 type SwarmScaleResult struct {
 	// Points holds one entry per swept N, ascending.
 	Points []SwarmScalePoint

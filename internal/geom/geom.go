@@ -46,9 +46,6 @@ type Segment struct {
 // Length returns the segment length.
 func (s Segment) Length() float64 { return s.A.Dist(s.B) }
 
-// Direction returns the (unnormalized) direction vector B-A.
-func (s Segment) Direction() Point { return s.B.Sub(s.A) }
-
 const intersectEps = 1e-12
 
 // Intersect returns the intersection point of the two segments and true
@@ -56,8 +53,8 @@ const intersectEps = 1e-12
 // report false, as a wall grazing along a ray does not produce a specular
 // reflection point.
 func (s Segment) Intersect(o Segment) (Point, bool) {
-	d1 := s.Direction()
-	d2 := o.Direction()
+	d1 := s.B.Sub(s.A)
+	d2 := o.B.Sub(o.A)
 	den := d1.Cross(d2)
 	if math.Abs(den) < intersectEps {
 		return Point{}, false
@@ -75,8 +72,8 @@ func (s Segment) Intersect(o Segment) (Point, bool) {
 // interiors of both (no shared endpoints). Used for blocking tests so a
 // ray ending exactly on a wall is not considered blocked by it.
 func (s Segment) IntersectStrict(o Segment) bool {
-	d1 := s.Direction()
-	d2 := o.Direction()
+	d1 := s.B.Sub(s.A)
+	d2 := o.B.Sub(o.A)
 	den := d1.Cross(d2)
 	if math.Abs(den) < intersectEps {
 		return false
@@ -92,7 +89,7 @@ func (s Segment) IntersectStrict(o Segment) bool {
 // segment. If the segment is degenerate (zero length), p is returned
 // unchanged.
 func (s Segment) MirrorAcross(p Point) Point {
-	d := s.Direction()
+	d := s.B.Sub(s.A)
 	len2 := d.Dot(d)
 	if len2 < intersectEps {
 		return p

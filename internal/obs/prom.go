@@ -161,10 +161,10 @@ func WritePrometheus(w io.Writer, snap Snapshot) error {
 	return nil
 }
 
-// GoRuntimeSnapshot samples the Go runtime into an ordinary metrics
+// goRuntimeSnapshot samples the Go runtime into an ordinary metrics
 // snapshot, so the same exposition path serves process health (heap, GC,
 // goroutines) next to the campaign metrics.
-func GoRuntimeSnapshot() Snapshot {
+func goRuntimeSnapshot() Snapshot {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return Snapshot{
@@ -191,7 +191,7 @@ func MetricsHandler(reg *Registry) http.Handler {
 		if reg != nil {
 			snap = reg.Snapshot()
 		}
-		rt := GoRuntimeSnapshot()
+		rt := goRuntimeSnapshot()
 		snap.Counters = append(snap.Counters, rt.Counters...)
 		snap.Gauges = append(snap.Gauges, rt.Gauges...)
 		w.Header().Set("Content-Type", PromContentType)

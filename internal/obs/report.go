@@ -11,8 +11,8 @@ import (
 )
 
 // ReportSchemaVersion identifies the RunReport JSON layout. Bump it on any
-// incompatible change so downstream consumers (the BENCH_*.json perf
-// trajectory, CI report checks) can detect what they are reading.
+// incompatible change so downstream consumers (CI's report checks,
+// reports kept from earlier runs) can detect what they are reading.
 const ReportSchemaVersion = 1
 
 // RunReport is the machine-readable result of one tool invocation:
@@ -58,18 +58,6 @@ type ExperimentReport struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	// OutputBytes sizes the rendered table/figure text.
 	OutputBytes int `json:"output_bytes"`
-	// CIRsPerSecond is the batch-detection throughput measured by the
-	// experiment, when it ran one (wall-time-class field; 0 = not
-	// measured). reportcheck -compare gates on it like wall time.
-	CIRsPerSecond float64 `json:"cirs_per_second,omitempty"`
-	// EventsPerSecond is the sharded-engine event throughput measured by
-	// the experiment, when it ran a swarm simulation (wall-time-class
-	// field; 0 = not measured). reportcheck -compare gates on it like
-	// CIRsPerSecond.
-	EventsPerSecond float64 `json:"events_per_second,omitempty"`
-	// RoundsPerSecond is the matching ranging-round completion rate
-	// (wall-time-class field; 0 = not measured).
-	RoundsPerSecond float64 `json:"rounds_per_second,omitempty"`
 	// EngineParallelEfficiency through EngineCriticalShardPct are the
 	// sharded-engine scaling diagnosis measured by an attached
 	// sim.EngineProfiler, when the experiment ran one (all
@@ -157,9 +145,6 @@ func (r *RunReport) StripWallTime() *RunReport {
 	out.Experiments = make([]ExperimentReport, len(r.Experiments))
 	for i, e := range r.Experiments {
 		e.WallSeconds = 0
-		e.CIRsPerSecond = 0
-		e.EventsPerSecond = 0
-		e.RoundsPerSecond = 0
 		e.EngineParallelEfficiency = 0
 		e.EngineBarrierStallPct = 0
 		e.EngineDrainPct = 0

@@ -16,7 +16,7 @@ func sampleReport() *RunReport {
 	reg.Observe("experiments.trial_seconds", 0.12) // wall-time metric
 	r := NewRunReport("crbench", 1, 5)
 	r.Experiments = append(r.Experiments, ExperimentReport{
-		Name: "sec5", WallSeconds: 1.5, OutputBytes: 100, CIRsPerSecond: 42.5,
+		Name: "sec5", WallSeconds: 1.5, OutputBytes: 100,
 		EngineParallelEfficiency: 0.8, EngineBarrierStallPct: 20,
 		EngineDrainPct: 3, EngineCriticalShard: 7, EngineCriticalShardPct: 12.5,
 	})
@@ -71,7 +71,7 @@ func TestStripWallTime(t *testing.T) {
 	if s.StartTime != "" || s.WallSeconds != 0 || s.Runtime != (RuntimeStats{}) {
 		t.Fatalf("wall fields survive: %+v", s)
 	}
-	if s.Experiments[0].WallSeconds != 0 || s.Experiments[0].CIRsPerSecond != 0 {
+	if s.Experiments[0].WallSeconds != 0 {
 		t.Fatalf("experiment wall-time fields survive: %+v", s.Experiments[0])
 	}
 	// The engine-profiler diagnosis is wall-clock-derived scheduling noise:
@@ -104,7 +104,8 @@ func TestStripWallTime(t *testing.T) {
 }
 
 // TestReadReportFileIgnoresDroppedWindows reads a report in the layout
-// older runs wrote (BENCH_5.json among them), whose metrics still carry
+// older runs wrote (the retired BENCH_*.json points among them), whose
+// metrics still carry
 // the removed "windows" key: the key is ignored and the rest survives.
 func TestReadReportFileIgnoresDroppedWindows(t *testing.T) {
 	var buf bytes.Buffer
