@@ -57,10 +57,11 @@ const anchorReferenceDelay = dw1000.ReferenceIndex * dw1000.SampleInterval
 
 // Resolve maps responses to responders. anchorID is the responder whose
 // payload was decoded (the receiver's lock source), and dTWR its Eq. 2
-// distance. Responses mapping to the same responder ID keep only the
-// earliest peak (a responder's specular reflections arrive after its
-// direct path), which is how the combined scheme rejects strong multipath
-// (Sect. VII).
+// distance. Of the responses mapping to the same responder ID one is
+// kept (pickDirectPath): the strongest, unless an earlier one is within
+// DirectPathMarginDB of it, which is then kept as the direct path. A
+// responder's specular reflections arrive after its direct path, so this
+// is how the combined scheme rejects strong multipath (Sect. VII).
 func (r *Resolver) Resolve(responses []Response, anchorID int, dTWR float64) ([]Measurement, error) {
 	if err := r.Plan.Validate(); err != nil {
 		return nil, err

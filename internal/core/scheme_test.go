@@ -359,6 +359,36 @@ func TestResolverKeepsDirectPathPerID(t *testing.T) {
 	}
 }
 
+// TestResolverDirectPathMargin: with TestResolverKeepsDirectPathPerID's
+// layout, where ID 0's later response is 0.83 dB stronger than its
+// earlier one, the earlier one is kept while the margin exceeds 0.83 dB
+// (the 2 dB default, 1 dB) and the later, stronger one below it (0.5 dB).
+func TestResolverDirectPathMargin(t *testing.T) {
+	late := refDelay + 30e-9
+	for _, c := range []struct {
+		marginDB float64
+		want     float64
+	}{{0, refDelay}, {1, refDelay}, {0.5, late}} {
+		r := &Resolver{Plan: SingleSlot(2), DirectPathMarginDB: c.marginDB}
+		ms, err := r.Resolve([]Response{
+			mkResponse(refDelay, 0, 1),
+			mkResponse(late, 0, 1.1),
+			mkResponse(refDelay+10e-9, 1, 0.5),
+		}, 0, 3.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) != 2 {
+			t.Fatalf("margin %g dB: %d measurements, want 2", c.marginDB, len(ms))
+		}
+		for _, m := range ms {
+			if m.ID == 0 && !closeTo(m.Delay, c.want, 1e-12) {
+				t.Fatalf("margin %g dB: kept ID 0's response at %g s, want %g s", c.marginDB, m.Delay, c.want)
+			}
+		}
+	}
+}
+
 func TestResolverStrongResponseBeatsWeakArtifact(t *testing.T) {
 	// A faint subtraction artifact earlier in the slot must not shadow
 	// the responder's real (much stronger) response.

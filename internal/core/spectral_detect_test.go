@@ -16,9 +16,41 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"github.com/uwb-sim/concurrent-ranging/internal/dsp"
 	"github.com/uwb-sim/concurrent-ranging/internal/obs"
 	"github.com/uwb-sim/concurrent-ranging/internal/pulse"
 )
+
+// maxOutsideSuppression returns the index and magnitude of the largest
+// |y| (an up-sampled-domain matched-filter output) whose implied peak
+// position is not suppressed, given the round's precomputed q-space
+// intervals. It returns (-1, 0) when everything is suppressed. Detect's
+// hot path fuses this scan into the banks' inverse-FFT output pass
+// (FilterPeak/ScanBest); this standalone form is the readable reference
+// the fused scans are tested against.
+func (d *Detector) maxOutsideSuppression(y []complex128, center int, skipQ []dsp.SkipInterval) (int, float64) {
+	bestIdx, bestSq := -1, 0.0
+	si := 0
+	for i := 0; i < len(y); i++ {
+		q := i + center
+		for si < len(skipQ) && skipQ[si].Hi < q {
+			si++
+		}
+		if si < len(skipQ) && skipQ[si].Lo <= q {
+			i = skipQ[si].Hi - center // loop increment moves past the interval
+			continue
+		}
+		v := y[i]
+		sq := real(v)*real(v) + imag(v)*imag(v)
+		if sq > bestSq {
+			bestIdx, bestSq = i, sq
+		}
+	}
+	if bestIdx < 0 {
+		return -1, 0
+	}
+	return bestIdx, math.Sqrt(bestSq)
+}
 
 // naiveMaxOutsideSuppression is the seed implementation of the suppressed
 // peak search: every sample re-checks every extracted position.

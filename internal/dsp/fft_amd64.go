@@ -44,14 +44,27 @@ func stagePairAsm(v, twS, tw2 []complex128)
 func radix2StageAsm(v, stage []complex128)
 
 //go:noescape
+func gatherFirstPassAsm(v, sig []complex128, rev []int32, w4 complex128)
+
+//go:noescape
+func stagePairRevAsm(v, twS, tw2 []complex128, rev []int32)
+
+//go:noescape
+func stagePairPeaksAsm(v, twS, tw2 []complex128, s float64, peaks []complex128)
+
+//go:noescape
+func tailRepairAsm(fp, taps, prefix []complex128, from int)
+
+//go:noescape
 func addRunAsm(dst, run []complex128, h []float64, f int)
 
 //go:noescape
 func peakScanAsm(v []complex128, s, best float64, lanes *peakLanes)
 
 // The wrappers below are the AVX2 twins of firstPass, productFirstPass,
-// stagePair and radix2Stage. Each checks the lengths its routine relies on
-// before entering assembly, which has no bounds checks of its own.
+// gatherFirstPass, stagePair, stagePairRev, stagePairPeaks, radix2Stage
+// and tailRepair. Each checks the lengths and indices its routine relies
+// on before entering assembly, which has no bounds checks of its own.
 
 func firstPassAVX2(v []complex128, w4 complex128) {
 	if len(v) < 4 || len(v)%4 != 0 {
@@ -65,6 +78,59 @@ func productFirstPassAVX2(v, ar, br []complex128, w4 complex128) {
 		panic(fmt.Sprintf("dsp: AVX2 product pass on %d samples with operands of %d and %d", len(v), len(ar), len(br)))
 	}
 	productFirstPassAsm(v, ar, br, w4)
+}
+
+// gatherFirstPassAVX2: the kernel reads sig only below its length (+0
+// beyond) and masks every rev entry it reads to a block inside v, so it
+// stays inside its slices whatever the table holds.
+func gatherFirstPassAVX2(v, sig []complex128, rev []int32, w4 complex128) {
+	if len(v) < 4 || len(v)%4 != 0 || len(rev) != len(v) {
+		panic(fmt.Sprintf("dsp: AVX2 gathered first pass on %d samples with a %d-entry table", len(v), len(rev)))
+	}
+	gatherFirstPassAsm(v, sig, rev, w4)
+}
+
+// lastPairLen panics unless v is one block of a stage pair with the given
+// twiddles, len(v) = 4·len(twS), as the kernels of a plan's final pass
+// take it.
+func lastPairLen(what string, v, twS, tw2 []complex128) {
+	half := len(twS)
+	if half < 2 || half%2 != 0 || len(tw2) != 2*half || len(v) != 4*half {
+		panic(fmt.Sprintf("dsp: AVX2 %s on %d samples with %d and %d twiddles", what, len(v), half, len(tw2)))
+	}
+}
+
+// stagePairRevAVX2: the kernel masks every rev entry it reads to a group
+// inside v, so it stays inside its slices whatever the table holds.
+func stagePairRevAVX2(v, twS, tw2 []complex128, rev []int32) {
+	lastPairLen("bit-reversed stage pair", v, twS, tw2)
+	if len(twS)%4 != 0 || len(rev) != len(v) {
+		panic(fmt.Sprintf("dsp: AVX2 bit-reversed stage pair on %d samples with a %d-entry table", len(v), len(rev)))
+	}
+	stagePairRevAsm(v, twS, tw2, rev)
+}
+
+// stagePairPeaksAVX2 needs quarters of whole peak blocks.
+func stagePairPeaksAVX2(v, twS, tw2 []complex128, s float64, peaks []complex128) {
+	lastPairLen("peak-recording stage pair", v, twS, tw2)
+	if len(twS)%peakBlock != 0 || len(peaks) != len(v)/peakBlock {
+		panic(fmt.Sprintf("dsp: AVX2 peak-recording stage pair on %d samples into %d records", len(v), len(peaks)))
+	}
+	stagePairPeaksAsm(v, twS, tw2, s, peaks)
+}
+
+// tailRepairAVX2 is the AVX2 twin of tailRepair: tailRepair computes the
+// first len(fp) mod 4 outputs, which have the fewest terms, and the
+// kernel the rest in groups of 4. Outputs do not depend on each other.
+func tailRepairAVX2(fp, taps, prefix []complex128) {
+	if len(fp) > len(taps) || len(fp) > len(prefix) {
+		panic(fmt.Sprintf("dsp: AVX2 tail repair of %d outputs from %d taps and %d prefix samples", len(fp), len(taps), len(prefix)))
+	}
+	r := len(fp) % 4
+	tailRepair(fp[:r], taps, prefix)
+	if r < len(fp) {
+		tailRepairAsm(fp, taps, prefix, r)
+	}
 }
 
 func stagePairAVX2(v, twS, tw2 []complex128) {

@@ -2,14 +2,16 @@
 
 // AVX2 kernels of the detector's hot loops. The butterfly routines are the
 // Go loops of the same name in plan.go (firstPass, productFirstPass,
-// stagePair, radix2Stage) run two complex128 lanes per YMM register. Every
-// butterfly sees the same operands in the same order as the Go loop, every
-// add, subtract and multiply is one IEEE double operation (no FMA), and the
-// unit-twiddle butterflies stay multiply-free, so results are bit-identical
-// to the Go kernels. addRunAsm (UpsamplePlan.AddSegment's addRun) and
-// peakScanAsm (SpectralBank.ScanBest's peakScan) follow at the end under
-// the same rules. The Go wrappers in fft_amd64.go check every length
-// before entering; a routine reads and writes only inside its slices.
+// gatherFirstPass, stagePair, stagePairRev, stagePairPeaks, radix2Stage)
+// run two complex128 lanes per YMM register. Every butterfly sees the same
+// operands in the same order as the Go loop, every add, subtract and
+// multiply is one IEEE double operation (no FMA), and the unit-twiddle
+// butterflies stay multiply-free, so results are bit-identical to the Go
+// kernels. tailRepairAsm (SpectralBank.ScanBest's tailRepair), addRunAsm
+// (UpsamplePlan.AddSegment's addRun) and peakScanAsm (ScanBest's
+// peakScan) follow at the end under the same rules. The Go wrappers in
+// fft_amd64.go check every length before entering; a routine reads and
+// writes only inside its slices, whatever its index table holds.
 //
 // Register layout: a YMM register holds two complex128 values,
 // [re0, im0, re1, im1]; lanes 0-1 are the first value, lanes 2-3 the
@@ -105,6 +107,69 @@ productLoop:
 	VZEROUPPER
 	RET
 
+// A 16-byte zero sample: gatherFirstPassAsm's padding past the signal.
+DATA gatherZero<>+0(SB)/8, $0
+DATA gatherZero<>+8(SB)/8, $0
+GLOBL gatherZero<>(SB), RODATA|NOPTR, $16
+
+// GATHER_ADDR sets reg to the address of the sample at byte offset off
+// of sig (SI; R12 is len(sig) in bytes), or of the zero sample at R13
+// where off is not below the length. The compare is unsigned.
+#define GATHER_ADDR(off, reg) \
+	CMPQ      off, R12           \
+	; LEAQ    (SI)(off*1), reg   \
+	; CMOVQCC R13, reg
+
+// func gatherFirstPassAsm(v, sig []complex128, rev []int32, w4 complex128)
+//
+// gatherFirstPass with the blocks taken in the order of their first
+// sample: for c < n/4 the block at v[rev[c]] (a multiple of 4, as c's
+// top two bits are clear) reads x0..x3 = sig[c], sig[c+n/2], sig[c+n/4],
+// sig[c+3n/4] (GATHER_ADDR), so the loads run along four sequential
+// streams and each block is one 64-byte store. rev[c] is masked to a
+// multiple of 4 below n, which keeps the true table's entries and every
+// store inside v. FIRST2 runs the butterflies as firstPassAsm does.
+TEXT ·gatherFirstPassAsm(SB), NOSPLIT, $0-88
+	MOVQ v_base+0(FP), DI
+	MOVQ v_len+8(FP), R11
+	MOVQ sig_base+24(FP), SI
+	MOVQ sig_len+32(FP), R12
+	MOVQ rev_base+48(FP), R8
+	VBROADCASTSD w4_real+72(FP), Y12
+	VBROADCASTSD w4_imag+80(FP), Y13
+	W4
+	LEAQ -4(R11), CX         // n − 4
+	SHLQ $2, R11             // n/4 samples, in bytes
+	SHLQ $4, R12             // len(sig) in bytes
+	LEAQ gatherZero<>(SB), R13
+	XORQ AX, AX              // c, in bytes
+
+gatherLoop:
+	GATHER_ADDR(AX, BX)
+	LEAQ        (AX)(R11*2), R10
+	GATHER_ADDR(R10, DX)
+	VMOVUPD     (BX), X0
+	VINSERTF128 $1, (DX), Y0, Y0
+	LEAQ        (AX)(R11*1), R10
+	GATHER_ADDR(R10, R9)
+	ADDQ        R11, R10
+	ADDQ        R11, R10
+	GATHER_ADDR(R10, DX)
+	VMOVUPD     (R9), X1
+	VINSERTF128 $1, (DX), Y1, Y1
+	FIRST2(Y0, Y1)
+	MOVLQZX     (R8), R10
+	ANDQ        CX, R10
+	SHLQ        $4, R10
+	VMOVUPD     Y0, (DI)(R10*1)
+	VMOVUPD     Y1, 32(DI)(R10*1)
+	ADDQ        $16, AX
+	ADDQ        $4, R8
+	CMPQ        AX, R11
+	JB          gatherLoop
+	VZEROUPPER
+	RET
+
 // One radix-2² stage pair on the j, j+1 butterflies of the block at DI,
 // with R9, R10 and R11 at its q[half], q[s] and q[s+half] and AX the byte
 // offset of j. PAIR_IN loads a0..a3 into Y0..Y3 and forms t1 = a1·w1 in
@@ -186,6 +251,245 @@ pairNext:
 	VZEROUPPER
 	RET
 
+// REV_BLOCKS regroups PAIR_OUT's four output pairs by butterfly: with
+// q[j], q[j+s] in Y8, Y9 and q[j+half], q[j+s+half] in Y10, Y11 (each for
+// j and j+1), butterfly j's block [q[j], q[j+s], q[j+half], q[j+s+half]]
+// ends in Y12, Y13 and j+1's in Y8, Y10.
+#define REV_BLOCKS \
+	VPERM2F128   $0x20, Y9, Y8, Y12   \
+	; VPERM2F128 $0x31, Y9, Y8, Y8    \
+	; VPERM2F128 $0x20, Y11, Y10, Y13 \
+	; VPERM2F128 $0x31, Y11, Y10, Y10
+
+// PAIR_REV is one stage-pair iteration of stagePairRevAsm on butterflies
+// j, j+1 (AX = 16·j): PAIR_IN and PAIR_MID, then PAIR_OUT's last
+// butterfly (tw2[j+half] at R8) into Y10, Y11 instead of memory, and
+// REV_BLOCKS.
+#define PAIR_REV \
+	PAIR_IN                         \
+	; PAIR_MID                      \
+	; VADDPD      Y6, Y1, Y8        \
+	; VSUBPD      Y6, Y1, Y9        \
+	; VMOVUPD     (R8)(AX*1), Y4    \
+	; VPERMILPD   $5, Y4, Y5        \
+	; CMUL(Y2, Y4, Y5, Y6, Y7, Y6)  \
+	; VADDPD      Y6, Y0, Y10       \
+	; VSUBPD      Y6, Y0, Y11       \
+	; REV_BLOCKS
+
+// STORE_BLOCKS stores butterfly j's block (Y12, Y13) at a and j+1's (Y8,
+// Y10) at b, each a 64-byte destination given by its two halves.
+#define STORE_BLOCKS(a0, a1, b0, b1) \
+	VMOVUPD   Y12, a0 \
+	; VMOVUPD Y13, a1 \
+	; VMOVUPD Y8, b0  \
+	; VMOVUPD Y10, b1
+
+// GROUP_BUF computes the group of butterflies at byte offset off (j =
+// off/16 … j+3) into the stack buffer: the blocks of j, j+2, j+1, j+3 go
+// to quarters 0, 1, 2, 3 of their destination, buffer slots 0-3.
+#define GROUP_BUF(off) \
+	MOVQ   off, AX                                                    \
+	; PAIR_REV                                                        \
+	; STORE_BLOCKS(buf-256(SP), buf-224(SP), buf-128(SP), buf-96(SP)) \
+	; ADDQ $32, AX                                                    \
+	; PAIR_REV                                                        \
+	; STORE_BLOCKS(buf-192(SP), buf-160(SP), buf-64(SP), buf-32(SP))
+
+// BUF_TO_V copies the stack buffer's four blocks to quarters 0-3 of v at
+// byte offset off.
+#define BUF_TO_V(off) \
+	VMOVUPD   buf-256(SP), Y0       \
+	; VMOVUPD buf-224(SP), Y1       \
+	; VMOVUPD buf-192(SP), Y2       \
+	; VMOVUPD buf-160(SP), Y3       \
+	; VMOVUPD buf-128(SP), Y4       \
+	; VMOVUPD buf-96(SP), Y5        \
+	; VMOVUPD buf-64(SP), Y6        \
+	; VMOVUPD buf-32(SP), Y7        \
+	; VMOVUPD Y0, (DI)(off*1)       \
+	; VMOVUPD Y1, 32(DI)(off*1)     \
+	; VMOVUPD Y2, (R9)(off*1)       \
+	; VMOVUPD Y3, 32(R9)(off*1)     \
+	; VMOVUPD Y4, (R10)(off*1)      \
+	; VMOVUPD Y5, 32(R10)(off*1)    \
+	; VMOVUPD Y6, (R11)(off*1)      \
+	; VMOVUPD Y7, 32(R11)(off*1)
+
+// func stagePairRevAsm(v, twS, tw2 []complex128, rev []int32)
+//
+// stagePairRev: stagePairAsm's butterflies on the one block v (len(v) =
+// 4·half), each output stored at its bit-reversed position in v itself.
+// The butterflies go in groups of four, g = j/4: group g's outputs are
+// the blocks at rev[4g] + 0, n/2, n/4 and 3n/4, that is offset g' =
+// rev[4g]/4 of each quarter, exactly where group g' reads its inputs,
+// and g'' = g. So each group is taken with its partner: group g into the
+// stack buffer, then g' straight to g's places, then the buffer to g''s
+// (a group that is its own partner goes through the buffer alone; a
+// group whose partner came first is passed over). CX is 64·g, R13 64·g'
+// (rev[4g] masked to a multiple of 4 below half, which keeps the true
+// table's entries and every access inside v and the twiddles), R12
+// walks rev by 4. Group 0 holds j = 0, whose twiddles are exactly 1+0i.
+TEXT ·stagePairRevAsm(SB), NOSPLIT, $256-96
+	MOVQ v_base+0(FP), DI
+	MOVQ twS_base+24(FP), SI
+	MOVQ twS_len+32(FP), BX
+	MOVQ tw2_base+48(FP), DX
+	MOVQ rev_base+72(FP), R12
+	SHLQ $4, BX              // half, in bytes
+	LEAQ (DX)(BX*1), R8      // tw2[half:]
+	LEAQ (DI)(BX*1), R9      // q[half:]
+	LEAQ (R9)(BX*1), R10     // q[s:]
+	LEAQ (R10)(BX*1), R11    // q[s+half:]
+	XORQ AX, AX
+	PAIR_IN
+	VBLENDPD $3, Y1, Y6, Y6  // j = 0: t1 = a1
+	VBLENDPD $3, Y3, Y8, Y8  // j = 0: t3 = a3
+	PAIR_MID
+	VBLENDPD $3, Y3, Y6, Y6  // j = 0: t = b2
+	VADDPD      Y6, Y1, Y8
+	VSUBPD      Y6, Y1, Y9
+	VMOVUPD     (R8)(AX*1), Y4
+	VPERMILPD   $5, Y4, Y5
+	CMUL(Y2, Y4, Y5, Y6, Y7, Y6)
+	VADDPD      Y6, Y0, Y10
+	VSUBPD      Y6, Y0, Y11
+	REV_BLOCKS
+	STORE_BLOCKS(buf-256(SP), buf-224(SP), buf-128(SP), buf-96(SP))
+	MOVQ $32, AX
+	PAIR_REV
+	STORE_BLOCKS(buf-192(SP), buf-160(SP), buf-64(SP), buf-32(SP))
+	XORQ CX, CX
+	BUF_TO_V(CX)             // group 0 is its own partner
+
+revGroup:
+	ADDQ    $64, CX
+	ADDQ    $16, R12
+	CMPQ    CX, BX
+	JAE     revDone
+	MOVLQZX (R12), R13
+	SHLQ    $4, R13
+	LEAQ    -64(BX), AX
+	ANDQ    AX, R13
+	CMPQ    R13, CX
+	JB      revGroup         // done with its partner
+	GROUP_BUF(CX)
+	CMPQ    R13, CX
+	JEQ     revOwn
+	MOVQ    R13, AX
+	PAIR_REV
+	STORE_BLOCKS((DI)(CX*1), 32(DI)(CX*1), (R10)(CX*1), 32(R10)(CX*1))
+	ADDQ    $32, AX
+	PAIR_REV
+	STORE_BLOCKS((R9)(CX*1), 32(R9)(CX*1), (R11)(CX*1), 32(R11)(CX*1))
+
+revOwn:
+	BUF_TO_V(R13)
+	JMP revGroup
+
+revDone:
+	VZEROUPPER
+	RET
+
+// PAIR_OUT_PEAK is PAIR_OUT with the epilogue of stagePairPeaksAsm. It
+// keeps the outputs q[j], q[j+s] (Y8, Y9) and q[j+half], q[j+s+half]
+// (Y1, Y3) after storing them, scales them by s (Y12) and squares their
+// components and adds re² + im² with VHADDPD, as peakScanAsm does: Y8 =
+// [q[j], q[j+half], q[j+1], q[j+1+half]] and Y9 the same from q[j+s].
+// VMAXPD keeps each lane's running maximum in Y10 and Y11; it returns its
+// second operand, the maximum, when the new value is NaN or not larger,
+// the ordered strict > of peakScan.
+#define PAIR_OUT_PEAK \
+	VADDPD      Y6, Y1, Y8         \
+	; VSUBPD    Y6, Y1, Y9         \
+	; VMOVUPD   Y8, (DI)(AX*1)     \
+	; VMOVUPD   Y9, (R10)(AX*1)    \
+	; VMOVUPD   (R8)(AX*1), Y4     \
+	; VPERMILPD $5, Y4, Y5         \
+	; CMUL(Y2, Y4, Y5, Y6, Y7, Y6) \
+	; VADDPD    Y6, Y0, Y1         \
+	; VSUBPD    Y6, Y0, Y3         \
+	; VMOVUPD   Y1, (R9)(AX*1)     \
+	; VMOVUPD   Y3, (R11)(AX*1)    \
+	; VMULPD    Y12, Y8, Y8        \
+	; VMULPD    Y12, Y1, Y1        \
+	; VMULPD    Y12, Y9, Y9        \
+	; VMULPD    Y12, Y3, Y3        \
+	; VMULPD    Y8, Y8, Y8         \
+	; VMULPD    Y1, Y1, Y1         \
+	; VMULPD    Y9, Y9, Y9         \
+	; VMULPD    Y3, Y3, Y3         \
+	; VHADDPD   Y1, Y8, Y8         \
+	; VHADDPD   Y3, Y9, Y9         \
+	; VMAXPD    Y10, Y8, Y10       \
+	; VMAXPD    Y11, Y9, Y11
+
+// PEAK_EMIT ends a block after 8 iterations (16 outputs per quarter): the
+// maxima of the even-j and odd-j lanes of each quarter merge into
+// [q0, q1, q2, q3] (neither holds NaN, so VMAXPD is their maximum), and
+// the records [max, 0] of quarters 0-3 go to CX + 0, 1, 2 and 3 strides
+// (R12 bytes). CX moves to the next block and the maxima restart at 0.
+#define PEAK_EMIT \
+	VPERM2F128     $0x20, Y11, Y10, Y0 \
+	; VPERM2F128   $0x31, Y11, Y10, Y1 \
+	; VMAXPD       Y1, Y0, Y0          \
+	; VXORPD       Y2, Y2, Y2          \
+	; VUNPCKLPD    Y2, Y0, Y1          \
+	; VUNPCKHPD    Y2, Y0, Y3          \
+	; VMOVUPD      X1, (CX)            \
+	; VMOVUPD      X3, (CX)(R12*1)     \
+	; VEXTRACTF128 $1, Y1, (CX)(R12*2) \
+	; LEAQ         (CX)(R12*2), R13    \
+	; VEXTRACTF128 $1, Y3, (R13)(R12*1) \
+	; ADDQ         $16, CX             \
+	; VXORPD       Y10, Y10, Y10       \
+	; VXORPD       Y11, Y11, Y11
+
+// func stagePairPeaksAsm(v, twS, tw2 []complex128, s float64, peaks []complex128)
+//
+// stagePairPeaks: stagePairAsm's butterflies on the one block v (len(v) =
+// 4·half, half a multiple of 16), with each 16-output block's peak
+// recorded from the outputs in registers (PAIR_OUT_PEAK, PEAK_EMIT).
+// The quarters q[0:half], q[half:s], q[s:s+half], q[s+half:] advance
+// together, so every 8 iterations close one block in each; quarter k's
+// records start at peaks[k·half/16].
+TEXT ·stagePairPeaksAsm(SB), NOSPLIT, $0-104
+	MOVQ         v_base+0(FP), DI
+	MOVQ         twS_base+24(FP), SI
+	MOVQ         twS_len+32(FP), BX
+	MOVQ         tw2_base+48(FP), DX
+	VBROADCASTSD s+72(FP), Y12
+	MOVQ         peaks_base+80(FP), CX
+	MOVQ         BX, R12          // half/16 records of 16 bytes per quarter
+	SHLQ         $4, BX           // half, in bytes
+	LEAQ         (DX)(BX*1), R8   // tw2[half:]
+	LEAQ         (DI)(BX*1), R9   // q[half:]
+	LEAQ         (R9)(BX*1), R10  // q[s:]
+	LEAQ         (R10)(BX*1), R11 // q[s+half:]
+	VXORPD       Y10, Y10, Y10
+	VXORPD       Y11, Y11, Y11
+	XORQ         AX, AX
+	PAIR_IN
+	VBLENDPD     $3, Y1, Y6, Y6   // j = 0: t1 = a1
+	VBLENDPD     $3, Y3, Y8, Y8   // j = 0: t3 = a3
+	PAIR_MID
+	VBLENDPD     $3, Y3, Y6, Y6   // j = 0: t = b2
+	PAIR_OUT_PEAK
+	MOVQ         $32, AX
+
+peakInner:
+	PAIR_IN
+	PAIR_MID
+	PAIR_OUT_PEAK
+	ADDQ  $32, AX
+	TESTQ $255, AX
+	JNZ   peakInner
+	PEAK_EMIT
+	CMPQ  AX, BX
+	JB    peakInner
+	VZEROUPPER
+	RET
+
 // One radix-2 butterfly pair k, k+1 of the block at DI, with R9 at its
 // upper half, SI at the stage twiddles and AX the byte offset of k:
 // R2_MUL loads a into Y0 and b·stage[k] into Y6, R2_OUT stores a ± that.
@@ -232,6 +536,96 @@ r2Next:
 	LEAQ (R9)(BX*1), DI
 	CMPQ DI, CX
 	JB   r2Block
+	VZEROUPPER
+	RET
+
+// TAIL_TERM adds taps[k]·b to acc for both lanes, b = [prefix[i],
+// prefix[i+1]] loaded from off(R10), with taps[k]'s parts broadcast in Y2
+// (re) and Y3 (im): [re·b.re − im·b.im, re·b.im + im·b.re] as CMUL forms
+// Go's complex multiply, then acc + product. t0 and t1 are scratch.
+#define TAIL_TERM(off, acc, t0, t1) \
+	VMOVUPD     off(R10), t0 \
+	; VPERMILPD $5, t0, t1   \
+	; VMULPD    t0, Y2, t0   \
+	; VMULPD    t1, Y3, t1   \
+	; VADDSUBPD t1, t0, t0   \
+	; VADDPD    t0, acc, acc
+
+// TAIL_LAST adds taps[k]·prefix[0] to the complex128 in x, with taps[k]
+// at off(R9): the last term of an accumulator's upper output alone.
+// X8 holds prefix[0] and X9 the same with re and im swapped.
+#define TAIL_LAST(off, x) \
+	VMOVDDUP    off(R9), X2  \
+	; VMOVDDUP  off+8(R9), X3 \
+	; VMULPD    X8, X2, X2   \
+	; VMULPD    X9, X3, X3   \
+	; VADDSUBPD X3, X2, X2   \
+	; VADDPD    X2, x, x
+
+// func tailRepairAsm(fp, taps, prefix []complex128, from int)
+//
+// tailRepair on the outputs fp[from:], len(fp) − from a multiple of 4,
+// four per group j..j+3 in two accumulators: Y0 = [fp[j], fp[j+1]] and
+// Y1 = [fp[j+2], fp[j+3]], each term loading the two prefix samples its
+// lanes need. Both take the terms k ≤ j together; Y1 then takes k = j+1
+// and j+2, and each accumulator's upper output its last term alone
+// (TAIL_LAST). Every output thus adds its terms in ascending k to a zero
+// start, as tailRepair does. R9 walks taps up and R10 prefix[j−k] down.
+TEXT ·tailRepairAsm(SB), NOSPLIT, $0-80
+	MOVQ    fp_base+0(FP), DI
+	MOVQ    fp_len+8(FP), CX
+	MOVQ    taps_base+24(FP), SI
+	MOVQ    prefix_base+48(FP), DX
+	MOVQ    from+72(FP), R8
+	VMOVUPD (DX), X8
+	VPERMILPD $1, X8, X9
+
+tailGroup:
+	CMPQ   R8, CX
+	JAE    tailDone
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ   SI, R9
+	MOVQ   R8, R10
+	SHLQ   $4, R10
+	ADDQ   DX, R10
+	LEAQ   1(R8), R11        // terms k = 0..j
+
+tailTerm:
+	VBROADCASTSD (R9), Y2
+	VBROADCASTSD 8(R9), Y3
+	TAIL_TERM(0, Y0, Y4, Y5)
+	TAIL_TERM(32, Y1, Y6, Y7)
+	ADDQ         $16, R9
+	SUBQ         $16, R10
+	DECQ         R11
+	JNZ          tailTerm
+
+	MOVQ $2, R11             // Y1's terms k = j+1, j+2
+
+tailTermHi:
+	VBROADCASTSD (R9), Y2
+	VBROADCASTSD 8(R9), Y3
+	TAIL_TERM(32, Y1, Y6, Y7)
+	ADDQ         $16, R9
+	SUBQ         $16, R10
+	DECQ         R11
+	JNZ          tailTermHi
+
+	VEXTRACTF128 $1, Y0, X10
+	TAIL_LAST(-32, X10)      // fp[j+1]: k = j+1
+	VEXTRACTF128 $1, Y1, X11
+	TAIL_LAST(0, X11)        // fp[j+3]: k = j+3
+	MOVQ         R8, R10
+	SHLQ         $4, R10
+	VMOVUPD      X0, (DI)(R10*1)
+	VMOVUPD      X10, 16(DI)(R10*1)
+	VMOVUPD      X1, 32(DI)(R10*1)
+	VMOVUPD      X11, 48(DI)(R10*1)
+	ADDQ         $4, R8
+	JMP          tailGroup
+
+tailDone:
 	VZEROUPPER
 	RET
 

@@ -404,11 +404,14 @@ func peakScanInputs(n int, seed uint64) [][]complex128 {
 // starting values 0, 1 and +Inf (peakScanInputs). ScanBest on the AVX2
 // plan, ScanBest on the Go loops and the per-sample oracle refScanBest must
 // then agree on index, value and neighbors, bit for bit, for a Gaussian
-// signal and for an edge-mix signal and a Gaussian one with a 1e308
-// sample, whose transforms overflow to ±Inf and NaN, with skip
-// intervals that end just before, start at and straddle each template's
-// first wrapped output, or leave only the outputs next to it. Without
-// AVX2 it checks the Go loops and then skips.
+// signal, for an edge-mix signal and a Gaussian one with a 1e308 sample,
+// whose transforms overflow to ±Inf and NaN, and for a Gaussian one scaled
+// by 1e200, whose squares overflow to ties at +Inf. The skip intervals end
+// just before, start at and straddle each template's first wrapped
+// output, leave only the outputs next to it, and cut, cover or leave
+// exactly the 16-output blocks the last pass records peaks for. The banks
+// transform at 512 points (a radix-2 last pass, no records), 1024 and
+// 4096 (records). Without AVX2 it checks the Go loops and then skips.
 func TestPeakScanKernelsBitIdentical(t *testing.T) {
 	if haveAVX2 {
 		lens := []int{4064, 4096}
@@ -434,6 +437,7 @@ func TestPeakScanKernelsBitIdentical(t *testing.T) {
 		tmpls  []int
 	}{
 		{300, []int{9, 215, 255}},
+		{1000, []int{9, 100, 301}},
 		{4064, []int{9, 37, 113}},
 	} {
 		tmpls := spectralTestTemplates(c.tmpls...)
@@ -443,12 +447,16 @@ func TestPeakScanKernelsBitIdentical(t *testing.T) {
 		}
 		huge := seededSignal(c.sigLen, 5)
 		huge[c.sigLen/3] = 1e308
-		for si, sig := range [][]complex128{seededSignal(c.sigLen, 3), edgeComplex(c.sigLen, 4), huge} {
+		scaled := seededSignal(c.sigLen, 6)
+		Scale(scaled, 1e200)
+		for si, sig := range [][]complex128{seededSignal(c.sigLen, 3), edgeComplex(c.sigLen, 4), huge, scaled} {
 			if err := b.Ingest(sig); err != nil {
 				t.Fatal(err)
 			}
 			for ti := range tmpls {
 				w := b.m - len(b.tmpls[ti].taps) + 1
+				// e is an output index whose sample opens a 16-output block.
+				e := 5*peakBlock - (len(b.tmpls[ti].taps)-1)%peakBlock
 				for _, skip := range [][]SkipInterval{
 					nil,
 					{{Lo: w - 1, Hi: w - 1}},
@@ -459,6 +467,11 @@ func TestPeakScanKernelsBitIdentical(t *testing.T) {
 					{{Lo: 0, Hi: w - 2}, {Lo: w, Hi: c.sigLen - 1}},
 					{{Lo: 0, Hi: w - 1}, {Lo: w + 1, Hi: c.sigLen - 1}},
 					{{Lo: 0, Hi: w - 3}, {Lo: w + 2, Hi: c.sigLen - 1}},
+					{{Lo: e - 1, Hi: e}, {Lo: e + 15, Hi: e + 16}},
+					{{Lo: e, Hi: e + 15}, {Lo: e + 48, Hi: e + 63}},
+					{{Lo: e + 1, Hi: e + 14}, {Lo: e + 33, Hi: e + 33}},
+					{{Lo: 0, Hi: e - 1}, {Lo: e + 16, Hi: c.sigLen - 1}},
+					{{Lo: 0, Hi: e}, {Lo: e + 15, Hi: w - 17}, {Lo: w - 1, Hi: c.sigLen - 1}},
 				} {
 					checkScanBest(t, b, ti, clipSkip(skip, c.sigLen), fmt.Sprintf("signal %d", si))
 				}
@@ -539,12 +552,14 @@ func rawSamples(data []byte) []complex128 {
 
 // FuzzScanBest pins the peak scan on fuzzed input two ways. peakScanAVX2
 // must match peakScan on the raw decoded samples, any bits, at a fuzzed
-// scale and starting value. Then a one-template bank of 300-sample
-// signals, with the fuzzed template length deciding whether and where the
-// tail wraps, scans the samples repeated to a signal (when finite) with
-// one fuzzed skip interval placed relative to the first wrapped output;
-// ScanBest on the AVX2 plan, on the Go loops and refScanBest must agree
-// bit for bit (checkScanBest).
+// scale and starting value. Then one-template banks of 300-sample signals
+// (a 512-point transform, scanned sample by sample) and of 1000-sample
+// signals (1024 points, scanned through the last pass's peak records),
+// with the fuzzed template length deciding whether and where the tail
+// wraps, scan the samples repeated to a signal (when finite) with one
+// fuzzed skip interval placed relative to the first wrapped output;
+// ScanBest on the AVX2 plan, on the Go loops and the separate-scan oracle
+// refScanBest must agree bit for bit (checkScanBest).
 func FuzzScanBest(f *testing.F) {
 	f.Add(bytes.Repeat(fuzzSample, 20), 1.0/512, 0.0, uint16(254), int16(0), uint8(4))
 	f.Add(bytes.Repeat(fuzzSample, 9), 1.0, 1.0, uint16(8), int16(-20), uint8(0))
@@ -559,21 +574,22 @@ func FuzzScanBest(f *testing.F) {
 		if gi != wi || math.Float64bits(gs) != math.Float64bits(ws) {
 			t.Fatalf("%d samples, s=%g best=%g: AVX2 (%d, %g), Go (%d, %g)", len(v), s, best, gi, gs, wi, ws)
 		}
-		const sigLen = 300
-		sig := fuzzTaps(data, sigLen)
-		if sig == nil {
-			return
+		for _, sigLen := range []int{300, 1000} {
+			sig := fuzzTaps(data, sigLen)
+			if sig == nil {
+				return
+			}
+			b, err := NewSpectralBank(spectralTestTemplates(1+int(tmplLen)%sigLen), sigLen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Ingest(sig); err != nil {
+				t.Fatal(err)
+			}
+			lo := b.m - len(b.tmpls[0].taps) + 1 + int(skipAt)
+			skip := clipSkip([]SkipInterval{{Lo: lo, Hi: lo + int(skipW%16)}}, sigLen)
+			checkScanBest(t, b, 0, skip, fmt.Sprintf("fuzz, %d-sample signal", sigLen))
 		}
-		b, err := NewSpectralBank(spectralTestTemplates(1+int(tmplLen)%sigLen), sigLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Ingest(sig); err != nil {
-			t.Fatal(err)
-		}
-		lo := b.m - len(b.tmpls[0].taps) + 1 + int(skipAt)
-		skip := clipSkip([]SkipInterval{{Lo: lo, Hi: lo + int(skipW%16)}}, sigLen)
-		checkScanBest(t, b, 0, skip, "fuzz")
 	})
 }
 

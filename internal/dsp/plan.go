@@ -33,6 +33,10 @@ type fftPlan struct {
 	fwd   []complex128 // forward twiddles, one block of size/2 per stage
 	inv   []complex128 // inverse twiddles, same layout
 	avx2  bool         // run the butterfly loops on the AVX2 kernels (fft_amd64.s)
+	// lastPair reports that the last two stages run as one stage pair
+	// over the whole array (log2 n even, n ≥ 16): the pass whose stores
+	// spectrumRev and productTransformPeaks change.
+	lastPair bool
 }
 
 // newFFTPlan builds a plan for transforms of length n, which must be a
@@ -41,8 +45,9 @@ func newFFTPlan(n int) (*fftPlan, error) {
 	if n < 1 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("dsp: FFT plan length %d is not a power of two", n)
 	}
-	p := &fftPlan{n: n, avx2: haveAVX2}
+	p := &fftPlan{n: n, avx2: haveAVX2, lastPair: n >= 16 && bits.TrailingZeros(uint(n))%2 == 0}
 	if n == 1 {
+		p.rev = []int32{0}
 		return p, nil
 	}
 	shift := 64 - uint(bits.TrailingZeros(uint(n)))
@@ -101,10 +106,16 @@ func (p *fftPlan) transform(v []complex128, tw []complex128) {
 	if p.n <= 1 {
 		return
 	}
-	for _, s := range p.swaps {
+	reverse(v, p.swaps)
+	p.passes(v, tw)
+}
+
+// reverse permutes v into bit-reversed order in place, v[i] ↔ v[rev[i]],
+// through the plan's swap list.
+func reverse(v []complex128, swaps [][2]int32) {
+	for _, s := range swaps {
 		v[s[0]], v[s[1]] = v[s[1]], v[s[0]]
 	}
-	p.passes(v, tw)
 }
 
 // productTransform fills v with the elementwise product a⊙b and runs the
@@ -152,25 +163,8 @@ func (p *fftPlan) productTransform(v, a, b []complex128, tw []complex128) {
 	p.tailPasses(v, tw)
 }
 
-// permuteInto writes the bit-reversal permutation of src into dst:
-// dst[i] = src[rev[i]]. Both must have the plan's length. Operands
-// stored pre-permuted let productTransformPermuted run with purely
-// sequential loads — the gather through the reversal table disappears
-// from the hot loop.
-func (p *fftPlan) permuteInto(dst, src []complex128) {
-	p.mustLen(dst)
-	p.mustLen(src)
-	if p.n <= 1 {
-		copy(dst, src)
-		return
-	}
-	for i, r := range p.rev {
-		dst[i] = src[r]
-	}
-}
-
 // productTransformPermuted is productTransform for operands that are
-// already stored in bit-reversed order (see permuteInto): the products
+// already stored in bit-reversed order (see reverse): the products
 // stream sequentially through memory with no gathers. Each product pairs
 // the same two values as the natural-order form, so results are
 // bit-identical.
@@ -258,9 +252,27 @@ func firstPass(v []complex128, w4 complex128) {
 // (radix2Stage).
 func (p *fftPlan) tailPasses(v []complex128, tw []complex128) {
 	n := p.n
-	off := 3 // past the twiddle blocks of the size-2 and size-4 stages
-	size := 8
-	for ; 2*size <= n; size <<= 2 {
+	off, size := p.stagePairs(v, tw, n)
+	// At most one stage remains (odd tail-stage count).
+	for ; size <= n; size <<= 1 {
+		half := size >> 1
+		stage := tw[off : off+half]
+		if p.avx2 {
+			radix2StageAVX2(v, stage)
+		} else {
+			radix2Stage(v, stage)
+		}
+		off += half
+	}
+}
+
+// stagePairs runs the stage pairs from size 8 upward whose size-2s stage
+// is at most limit, and returns the twiddle offset and the size of the
+// first stage it left.
+func (p *fftPlan) stagePairs(v []complex128, tw []complex128, limit int) (off, size int) {
+	off = 3 // past the twiddle blocks of the size-2 and size-4 stages
+	size = 8
+	for ; 2*size <= limit; size <<= 2 {
 		s := size
 		half := s >> 1
 		twS := tw[off : off+half]        // size-s stage twiddles
@@ -272,16 +284,113 @@ func (p *fftPlan) tailPasses(v []complex128, tw []complex128) {
 		}
 		off += half + s
 	}
-	// At most one stage remains (odd tail-stage count).
-	for ; size <= n; size <<= 1 {
-		half := size >> 1
-		stage := tw[off : off+half]
-		if p.avx2 {
-			radix2StageAVX2(v, stage)
-		} else {
-			radix2Stage(v, stage)
+	return off, size
+}
+
+// lastTwiddles returns the twiddles of a lastPair plan's final stage
+// pair, the last two blocks of tw: its size-n/2 and size-n stages.
+func (p *fftPlan) lastTwiddles(tw []complex128) (twS, tw2 []complex128) {
+	n := p.n
+	return tw[n-1-n/2-n/4 : n-1-n/2], tw[n-1-n/2:]
+}
+
+// spectrumRev writes the forward transform of sig, zero-padded to the
+// plan's length (len(sig) ≤ n), into v in bit-reversed order: v[i] =
+// X[rev[i]], the layout productTransformPermuted reads. The passes move
+// each sample once: the first pass gathers sig through the reversal
+// table straight into the fused size-2/size-4 butterflies
+// (gatherFirstPass), and on lastPair plans the final stage pair stores
+// every output at its bit-reversed position (stagePairRev). The
+// butterflies see the operands of clear-copy-transform-reverse in the
+// same order, so v is bit-identical to that form (reference_test.go keeps
+// it as the oracle).
+func (p *fftPlan) spectrumRev(v, sig []complex128) {
+	p.mustLen(v)
+	n := p.n
+	if len(sig) > n {
+		panic(fmt.Sprintf("dsp: %d-sample signal in a plan of length %d", len(sig), n))
+	}
+	if n < 4 {
+		clear(v)
+		copy(v, sig)
+		p.transform(v, p.fwd)
+		reverse(v, p.swaps)
+		return
+	}
+	if p.avx2 {
+		gatherFirstPassAVX2(v, sig, p.rev, p.fwd[2])
+	} else {
+		gatherFirstPass(v, sig, p.rev, p.fwd[2])
+	}
+	if !p.lastPair {
+		p.tailPasses(v, p.fwd)
+		reverse(v, p.swaps)
+		return
+	}
+	p.stagePairs(v, p.fwd, n/2)
+	twS, tw2 := p.lastTwiddles(p.fwd)
+	if p.avx2 {
+		stagePairRevAVX2(v, twS, tw2, p.rev)
+	} else {
+		stagePairRev(v, twS, tw2, p.swaps)
+	}
+}
+
+// gatherFirstPass is firstPass on sig zero-padded to len(v) and permuted
+// through rev: it loads x_k = sig[rev[i+k]], or +0 past the end of sig,
+// straight into the size-2 and size-4 butterflies of each 4-sample block.
+// Those are the operands firstPass sees after clear, copy and the swap
+// loop, so the result is bit-identical.
+func gatherFirstPass(v, sig []complex128, rev []int32, w4 complex128) {
+	for i := 0; i < len(v); i += 4 {
+		var x [4]complex128
+		for k, r := range rev[i : i+4 : i+4] {
+			if int(r) < len(sig) {
+				x[k] = sig[r]
+			}
 		}
-		off += half
+		b0, b1 := x[0]+x[1], x[0]-x[1]
+		b2, b3 := x[2]+x[3], x[2]-x[3]
+		t := b3 * w4
+		q := v[i : i+4 : i+4]
+		q[0], q[2] = b0+b2, b0-b2
+		q[1], q[3] = b1+t, b1-t
+	}
+}
+
+// peakBlock is the output block length of productTransformPeaks' records.
+const peakBlock = 16
+
+// peakEpilogue reports whether productTransformPeaks runs on p: a final
+// stage pair whose quarters hold whole peak blocks.
+func (p *fftPlan) peakEpilogue() bool { return p.lastPair && p.n >= 4*peakBlock }
+
+// productTransformPeaks is productTransformPermuted that also records,
+// for every block k of peakBlock outputs, peaks[k] = complex(sq, 0) with
+// sq the largest (re·s)² + (im·s)² of the block's outputs, or 0 when
+// none exceeds 0 — the value peakScan(v[16k:16k+16], s, 0) returns. It
+// needs peakEpilogue and len(peaks) = n/peakBlock. The AVX2 kernel takes
+// the records from the final stage pair's outputs while they are still
+// in registers; the Go loop scans them after the pass. The outputs are
+// bit-identical to productTransformPermuted's either way.
+func (p *fftPlan) productTransformPeaks(v, ar, br []complex128, tw []complex128, s float64, peaks []complex128) {
+	p.mustLen(v)
+	p.mustLen(ar)
+	p.mustLen(br)
+	if !p.peakEpilogue() || len(peaks) != p.n/peakBlock {
+		panic(fmt.Sprintf("dsp: peak records of %d blocks on a plan of length %d", len(peaks), p.n))
+	}
+	if p.avx2 {
+		productFirstPassAVX2(v, ar, br, tw[2])
+	} else {
+		productFirstPass(v, ar, br, tw[2])
+	}
+	p.stagePairs(v, tw, p.n/2)
+	twS, tw2 := p.lastTwiddles(tw)
+	if p.avx2 {
+		stagePairPeaksAVX2(v, twS, tw2, s, peaks)
+	} else {
+		stagePairPeaks(v, twS, tw2, s, peaks)
 	}
 }
 
@@ -317,6 +426,30 @@ func stagePair(v, twS, tw2 []complex128) {
 			t = b3 * tw2[j+half]
 			q[j+half], q[j+s+half] = b1+t, b1-t
 		}
+	}
+}
+
+// stagePairRev is stagePair on the final stage pair of a transform, whose
+// one block is all of v (len(v) = 2s), with every output left at its
+// bit-reversed position: stagePair, then reverse. Its AVX2 twin stores
+// each output there directly. Butterfly j's outputs q[j], q[j+s],
+// q[j+half] and q[j+s+half] belong at rev[j] + 0, 1, 2 and 3: for j < n/4
+// the two top bits of j are clear, so rev[j] is a multiple of 4, and
+// setting bit log2(n)−1 (+s) or log2(n)−2 (+half) adds 1 or 2 to the
+// reversed index.
+func stagePairRev(v, twS, tw2 []complex128, swaps [][2]int32) {
+	stagePair(v, twS, tw2)
+	reverse(v, swaps)
+}
+
+// stagePairPeaks is the Go loop of productTransformPeaks' final pass:
+// stagePair over the one block v, then peakScan of each peakBlock-output
+// block, recorded as complex(sq, 0).
+func stagePairPeaks(v, twS, tw2 []complex128, s float64, peaks []complex128) {
+	stagePair(v, twS, tw2)
+	for k := range peaks {
+		_, sq := peakScan(v[k*peakBlock:(k+1)*peakBlock], s, 0)
+		peaks[k] = complex(sq, 0)
 	}
 }
 

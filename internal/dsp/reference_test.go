@@ -9,9 +9,11 @@ import (
 // pinned against: a textbook iterative radix-2 FFT that recomputes its
 // bit-reversal and twiddles per call, Bluestein's algorithm on top of it
 // for other lengths, FFT up-sampling, the term-by-term segment update,
-// the per-sample peak scan, and direct/FFT convolution. The plans
-// precompute exactly the tables these recurrences generate and keep the
-// butterfly order, so every equalExact pin compares bit for bit.
+// the spectral bank's passes as they ran before their fusion (Ingest's
+// transform, the scan's block peaks and tail repair, the per-sample peak
+// scan), and direct/FFT convolution. The plans precompute exactly the
+// tables these recurrences generate and keep the butterfly order, so
+// every equalExact pin compares bit for bit.
 
 // refFFT returns the DFT of v as a new slice.
 func refFFT(v []complex128) []complex128 {
@@ -169,24 +171,73 @@ func refAddScaledReal(dst []complex128, h []float64, s complex128) {
 	}
 }
 
+// permuteInto writes the bit-reversal permutation of src into dst:
+// dst[i] = src[rev[i]]. Both must have the plan's length.
+func (p *fftPlan) permuteInto(dst, src []complex128) {
+	p.mustLen(dst)
+	p.mustLen(src)
+	for i, r := range p.rev {
+		dst[i] = src[r]
+	}
+}
+
+// refSpectrumRev is SpectralBank.Ingest's transform as it ran before its
+// passes moved each sample once: sig copied into a cleared buffer, the
+// swap loop and every butterfly pass on the Go loops, then permuteInto.
+func refSpectrumRev(p *fftPlan, sig []complex128) []complex128 {
+	g := goKernelPlan(p)
+	v := make([]complex128, p.n)
+	copy(v, sig)
+	g.transform(v, g.fwd)
+	dst := make([]complex128, p.n)
+	g.permuteInto(dst, v)
+	return dst
+}
+
+// refProductPeaks is productTransformPeaks as two passes: the product
+// transform on the Go loops, then peakScan over every peakBlock-output
+// block, each record complex(largest value or 0, 0).
+func refProductPeaks(p *fftPlan, ar, br, tw []complex128, s float64) (v, peaks []complex128) {
+	v = make([]complex128, p.n)
+	goKernelPlan(p).productTransformPermuted(v, ar, br, tw)
+	return v, refPeaks(v, s)
+}
+
+// refPeaks returns the peak record of every peakBlock-sample block of v.
+func refPeaks(v []complex128, s float64) []complex128 {
+	peaks := make([]complex128, len(v)/peakBlock)
+	for k := range peaks {
+		_, sq := peakScan(v[k*peakBlock:(k+1)*peakBlock], s, 0)
+		peaks[k] = complex(sq, 0)
+	}
+	return peaks
+}
+
+// refTailRepair is ScanBest's tail correction as it ran inline: output by
+// output, the terms in ascending k.
+func refTailRepair(fp, taps, prefix []complex128) {
+	for j := range fp {
+		var s complex128
+		for k := 0; k <= j && k < len(taps); k++ {
+			s += taps[k] * prefix[j-k]
+		}
+		fp[j] = s
+	}
+}
+
 // refScanBest is SpectralBank.ScanBest with the per-sample scan it had
-// before its unwrapped stretch got a kernel: every output index in
-// ascending order, a per-sample skip test, the unwrapped samples scaled
-// component-wise and the wrapped ones repaired with sampleAt. It forms the
-// circular convolution on the Go butterfly loops.
+// before its unwrapped stretch got a kernel and its last pass the peak
+// records: every output index in ascending order, a per-sample skip
+// test, the unwrapped samples scaled component-wise and the wrapped ones
+// repaired with sampleAt. It forms the circular convolution on the Go
+// butterfly loops.
 func refScanBest(b *SpectralBank, t int, skip []SkipInterval) (int, float64, [3]complex128) {
 	st := b.tmpls[t]
 	prod := make([]complex128, b.m)
 	goKernelPlan(b.plan).productTransformPermuted(prod, st.specRev, b.specRev, b.plan.inv)
 	scale := complex(1/float64(b.m), 0)
 	fp := make([]complex128, st.tail)
-	for j := range fp {
-		var s complex128
-		for k := 0; k <= j && k < len(st.taps); k++ {
-			s += st.taps[k] * b.prefix[j-k]
-		}
-		fp[j] = s
-	}
+	refTailRepair(fp, st.taps, b.prefix)
 	start := len(st.taps) - 1
 	wrapFrom := b.m - start
 	s := real(scale)

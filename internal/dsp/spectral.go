@@ -22,7 +22,7 @@ import (
 // the same signal.
 //
 // ShiftSubtract is an analytic alternative to re-ingesting: it applies
-// the DFT shift theorem to the maintained spectrum,
+// the DFT shift theorem to the signal's spectrum,
 //
 //	R'(f) = R(f) − α̂ · e^{−j2πfτ̂/M} · S_t(f)
 //
@@ -36,6 +36,10 @@ import (
 // detector does not use it; it keeps its up-sampled residual exact with
 // UpsamplePlan.AddSegment and ingests it every round.
 //
+// The bank keeps every spectrum in bit-reversed order only, the order
+// the scan's product pass reads: Ingest's last butterfly pass stores it
+// that way, and ShiftSubtract updates it in place.
+//
 // Ingest and ShiftSubtract mutate shared state; ScanBest only reads it
 // (plus atomic counters) and takes caller-owned scratch, so between
 // mutations any number of goroutines may scan concurrently.
@@ -43,8 +47,7 @@ type SpectralBank struct {
 	sigLen  int
 	m       int
 	plan    *fftPlan
-	spec    []complex128 // maintained spectrum of the current signal
-	specRev []complex128 // spec in bit-reversed order, kept in step
+	specRev []complex128 // spectrum of the current signal, bit-reversed order
 	prefix  []complex128 // maintained signal[0:maxTail] for tail correction
 	maxTail int
 	tmpls   []spectralTemplate
@@ -54,8 +57,7 @@ type SpectralBank struct {
 
 type spectralTemplate struct {
 	taps    []complex128 // conjugated time-reversed template
-	spec    []complex128 // FFT_M of zero-padded taps
-	specRev []complex128 // spec in bit-reversed order for the scan hot loop
+	specRev []complex128 // FFT_M of zero-padded taps, bit-reversed order
 	tail    int          // wrapped convolution samples: sigLen+len(taps)-1-m, ≥ 0
 	center  int          // (len(template)-1)/2
 }
@@ -90,17 +92,15 @@ func NewSpectralBank(templates [][]complex128, sigLen int) (*SpectralBank, error
 		sigLen:  sigLen,
 		m:       m,
 		plan:    plan,
-		spec:    make([]complex128, m),
 		specRev: make([]complex128, m),
 		tmpls:   make([]spectralTemplate, len(templates)),
 	}
 	for i, t := range templates {
 		taps := MatchedFilterTaps(t)
-		spec := make([]complex128, m)
-		copy(spec, taps)
-		plan.transform(spec, plan.fwd)
 		specRev := make([]complex128, m)
-		plan.permuteInto(specRev, spec)
+		copy(specRev, taps)
+		plan.transform(specRev, plan.fwd)
+		reverse(specRev, plan.swaps)
 		tail := sigLen + len(taps) - 1 - m
 		if tail < 0 {
 			tail = 0
@@ -108,7 +108,6 @@ func NewSpectralBank(templates [][]complex128, sigLen int) (*SpectralBank, error
 		b.maxTail = max(b.maxTail, tail)
 		b.tmpls[i] = spectralTemplate{
 			taps:    taps,
-			spec:    spec,
 			specRev: specRev,
 			tail:    tail,
 			center:  (len(t) - 1) / 2,
@@ -134,15 +133,24 @@ func (b *SpectralBank) Scans() int64   { return b.scans.Load() }
 // NewScratch returns a scratch buffer sized for ScanBest. Allocate one per
 // goroutine; ScanBest never touches bank-owned scratch.
 func (b *SpectralBank) NewScratch() []complex128 {
-	return make([]complex128, b.m+b.maxTail)
+	return make([]complex128, b.scratchLen())
+}
+
+// scratchLen is ScanBest's scratch length: the transform output, the
+// tail correction and, where the plan records them, the peak blocks.
+func (b *SpectralBank) scratchLen() int {
+	n := b.m + b.maxTail
+	if b.plan.peakEpilogue() {
+		n += b.m / peakBlock
+	}
+	return n
 }
 
 // Clone returns a new bank sharing b's immutable state — the template
 // taps and spectra plus the single FFT plan — while owning fresh mutable
-// signal state (the maintained spectrum and tail-correction prefix) and
-// zeroed execution counters. The clone holds no signal: Ingest before
-// scanning. The shared plan is read-only under every bank method (only
-// its swap and twiddle tables are consulted), so clones may run
+// signal state (the spectrum and the tail-correction prefix) and zeroed
+// execution counters. The clone holds no signal: Ingest before scanning. The shared plan is read-only under
+// every bank method (only its tables are consulted), so clones may run
 // concurrently, one goroutine each, while the O(templates) spectrum
 // setup is paid once and shared.
 func (b *SpectralBank) Clone() *SpectralBank {
@@ -150,7 +158,6 @@ func (b *SpectralBank) Clone() *SpectralBank {
 		sigLen:  b.sigLen,
 		m:       b.m,
 		plan:    b.plan,
-		spec:    make([]complex128, b.m),
 		specRev: make([]complex128, b.m),
 		prefix:  make([]complex128, b.maxTail),
 		maxTail: b.maxTail,
@@ -159,17 +166,15 @@ func (b *SpectralBank) Clone() *SpectralBank {
 }
 
 // Ingest replaces the maintained state with a fresh signal: one forward
-// FFT plus a copy of the tail-correction prefix. The detector calls it
-// once per extraction round, on its exactly maintained up-sampled
-// residual.
+// FFT in place of the old spectrum, stored bit-reversed
+// (fftPlan.spectrumRev), plus a copy of the tail-correction prefix. The
+// detector calls it once per extraction round, on its exactly maintained
+// up-sampled residual.
 func (b *SpectralBank) Ingest(sig []complex128) error {
 	if len(sig) != b.sigLen {
 		return fmt.Errorf("dsp: spectral bank built for %d-sample signals, got %d", b.sigLen, len(sig))
 	}
-	clear(b.spec)
-	copy(b.spec, sig)
-	b.plan.transform(b.spec, b.plan.fwd)
-	b.plan.permuteInto(b.specRev, b.spec)
+	b.plan.spectrumRev(b.specRev, sig)
 	copy(b.prefix, sig[:b.maxTail])
 	b.ingests.Add(1)
 	return nil
@@ -204,9 +209,9 @@ func (b *SpectralBank) ShiftSubtract(t int, amp complex128, finePos float64, eva
 	theta := 2 * math.Pi * u
 	corr := complex(math.Cos(theta), math.Sin(theta))
 	half := b.m / 2
-	spec := b.spec
-	for f := range spec {
-		a := st.spec[f]
+	// Bin f of a spectrum sits at rev[f] of its bit-reversed store.
+	for f, r := range b.plan.rev {
+		a := st.specRev[r]
 		df := amp * complex(real(a), -imag(a)) * w
 		switch {
 		case f > half:
@@ -214,10 +219,9 @@ func (b *SpectralBank) ShiftSubtract(t int, amp complex128, finePos float64, eva
 		case f == half:
 			df *= (1 + corr) / 2
 		}
-		spec[f] -= df
+		b.specRev[r] -= df
 		w *= wBase
 	}
-	b.plan.permuteInto(b.specRev, spec)
 	if eval != nil {
 		for x := range b.prefix {
 			b.prefix[x] -= eval(x)
@@ -237,31 +241,39 @@ func (b *SpectralBank) ShiftSubtract(t int, amp complex128, finePos float64, eva
 // samples the wrap-around corrupts (the last tail_t outputs) are repaired
 // with the overlap-save identity full[M+j] = circ[j] − full[j], where the
 // linear-convolution prefix full[j] (j < tail_t ≤ L_t−1) is recomputed
-// directly from the maintained signal prefix. skip must hold inclusive,
-// ascending, disjoint output-index intervals; scratch must be at least
-// NewScratch-sized.
+// directly from the maintained signal prefix (tailRepair). skip must hold
+// inclusive, ascending, disjoint output-index intervals; scratch must be
+// at least NewScratch-sized.
 func (b *SpectralBank) ScanBest(scratch []complex128, t int, skip []SkipInterval) (int, float64, [3]complex128, error) {
 	var y3 [3]complex128
 	if t < 0 || t >= len(b.tmpls) {
 		return -1, 0, y3, fmt.Errorf("dsp: template index %d outside bank of %d", t, len(b.tmpls))
 	}
-	if len(scratch) < b.m+b.maxTail {
-		return -1, 0, y3, fmt.Errorf("dsp: ScanBest scratch needs %d samples, got %d", b.m+b.maxTail, len(scratch))
+	if n := b.scratchLen(); len(scratch) < n {
+		return -1, 0, y3, fmt.Errorf("dsp: ScanBest scratch needs %d samples, got %d", n, len(scratch))
 	}
 	b.scans.Add(1)
 	st := b.tmpls[t]
 	prod := scratch[:b.m]
-	b.plan.productTransformPermuted(prod, st.specRev, b.specRev, b.plan.inv)
 	scale := complex(1/float64(b.m), 0)
+	s := real(scale)
+	// On plans whose last pass is a stage pair, that pass records the
+	// peak of every 16-output block (productTransformPeaks), so the scan
+	// below reads one record per block a gap covers whole (blockScan).
+	var peaks []complex128
+	if b.plan.peakEpilogue() {
+		peaks = scratch[b.m+b.maxTail : b.m+b.maxTail+b.m/peakBlock]
+		b.plan.productTransformPeaks(prod, st.specRev, b.specRev, b.plan.inv, s, peaks)
+	} else {
+		b.plan.productTransformPermuted(prod, st.specRev, b.specRev, b.plan.inv)
+	}
 	// Linear-convolution prefix for the wrapped tail: full[j] for
 	// j < tail only involves taps[0..j] and signal[0..j], both ≤ prefix.
 	fp := scratch[b.m : b.m+st.tail]
-	for j := range fp {
-		var s complex128
-		for k := 0; k <= j && k < len(st.taps); k++ {
-			s += st.taps[k] * b.prefix[j-k]
-		}
-		fp[j] = s
+	if b.plan.avx2 {
+		tailRepairAVX2(fp, st.taps, b.prefix)
+	} else {
+		tailRepair(fp, st.taps, b.prefix)
 	}
 	start := len(st.taps) - 1
 	wrapFrom := b.m - start // first output index whose sample wrapped
@@ -269,13 +281,11 @@ func (b *SpectralBank) ScanBest(scratch []complex128, t int, skip []SkipInterval
 	// Visit the gaps between skip intervals in ascending index order —
 	// the same samples, in the same order, as a per-sample skip test —
 	// with each gap split at wrapFrom so the unwrapped stretch runs
-	// without the tail-correction branch, through peakScan (or its AVX2
-	// twin). sampleAt stays the per-sample reference (the y3 reads below
-	// use it); the unwrapped scan scales the components directly (scale
-	// is real), which can only flip the sign of a zero component —
-	// squaring erases that, so the compared sq is bit-identical to
-	// sampleAt's.
-	s := real(scale)
+	// without the tail-correction branch, through blockScan. sampleAt
+	// stays the per-sample reference (the y3 reads below use it); the
+	// unwrapped scan scales the components directly (scale is real),
+	// which can only flip the sign of a zero component — squaring erases
+	// that, so the compared sq is bit-identical to sampleAt's.
 	scan := peakScan
 	if b.plan.avx2 {
 		scan = peakScanAVX2
@@ -288,8 +298,8 @@ func (b *SpectralBank) ScanBest(scratch []complex128, t int, skip []SkipInterval
 			to = b.sigLen
 		}
 		if hi := min(to, wrapFrom); from < hi {
-			if i, sq := scan(prod[start+from:start+hi], s, bestSq); i >= 0 {
-				bestIdx, bestSq = from+i, sq
+			if i, sq := blockScan(prod, peaks, start+from, start+hi, s, bestSq, scan); i >= 0 {
+				bestIdx, bestSq = i-start, sq
 			}
 		}
 		for i := max(from, wrapFrom); i < to; i++ {
@@ -320,6 +330,63 @@ func (b *SpectralBank) ScanBest(scratch []complex128, t int, skip []SkipInterval
 		y3[2] = b.sampleAt(prod, fp, scale, start, wrapFrom, bestIdx+1)
 	}
 	return bestIdx, bestSq, y3, nil
+}
+
+// tailRepair computes the overlap-save correction of ScanBest's wrapped
+// outputs, fp[j] = Σ_{k≤j} taps[k]·prefix[j−k], each output's terms
+// added in ascending k to a zero start. len(fp) must not exceed
+// len(taps) or len(prefix).
+func tailRepair(fp, taps, prefix []complex128) {
+	for j := range fp {
+		var s complex128
+		for k, t := range taps[:j+1] {
+			s += t * prefix[j-k]
+		}
+		fp[j] = s
+	}
+}
+
+// blockScan returns what scan(v[lo:hi], s, best) returns — the first
+// index of the largest (re·s)² + (im·s)² in the stretch, offset by lo,
+// and that value, if it exceeds best, else −1 and best — reading peaks,
+// productTransformPeaks' records of v (nil: scan the stretch). A block's
+// record bounds all of its samples, so a block whose record does not
+// exceed the best so far is passed over. A block wholly inside the
+// stretch whose record does becomes the best, its index pending; a block
+// the stretch cuts is scanned over its part. Blocks are taken in
+// ascending order under the same strict > as the scan, so the first
+// block holding the largest value wins, and only that block is scanned
+// for the first index of its maximum.
+func blockScan(v, peaks []complex128, lo, hi int, s, best float64, scan func([]complex128, float64, float64) (int, float64)) (int, float64) {
+	if peaks == nil {
+		i, sq := scan(v[lo:hi], s, best)
+		if i >= 0 {
+			i += lo
+		}
+		return i, sq
+	}
+	idx, win := -1, -1
+	for k := lo / peakBlock; k*peakBlock < hi; k++ {
+		if real(peaks[k]) <= best {
+			continue
+		}
+		a, z := k*peakBlock, (k+1)*peakBlock
+		if lo <= a && z <= hi {
+			win, best = k, real(peaks[k])
+			continue
+		}
+		a, z = max(a, lo), min(z, hi)
+		if i, sq := scan(v[a:z], s, best); i >= 0 {
+			idx, best, win = a+i, sq, -1
+		}
+	}
+	if win >= 0 {
+		// The record exceeds the best before it, hence 0, so the scan
+		// from 0 stops at the first sample holding it.
+		i, _ := scan(v[win*peakBlock:(win+1)*peakBlock], s, 0)
+		idx = win*peakBlock + i
+	}
+	return idx, best
 }
 
 // peakScan returns the first index of the largest (re·s)² + (im·s)² over

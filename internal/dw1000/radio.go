@@ -225,7 +225,7 @@ func (a *Arrival) firstPathTime() float64 {
 // Reception is the receiver-side outcome of one (possibly concurrent)
 // frame reception.
 type Reception struct {
-	// CIR is the estimated channel impulse response.
+	// CIR is the estimated channel impulse response (nil from Lock).
 	CIR *CIR
 	// LockedSourceID is the transmitter the receiver synchronized to (the
 	// earliest first path); its payload is the one that gets decoded.
@@ -240,20 +240,9 @@ type Reception struct {
 // onto the earliest first path, and produces the CIR plus the RX
 // timestamp. It returns an error when there is nothing to receive.
 func (r *Radio) Receive(arrivals []Arrival) (*Reception, error) {
-	if len(arrivals) == 0 {
-		return nil, fmt.Errorf("radio %s: no arrivals to receive", r.id)
-	}
-	lockIdx := 0
-	lockTime := math.Inf(1)
-	for i := range arrivals {
-		if len(arrivals[i].Taps) == 0 {
-			return nil, fmt.Errorf("radio %s: arrival from %s has no channel taps",
-				r.id, arrivals[i].SourceID)
-		}
-		if t := arrivals[i].firstPathTime(); t < lockTime {
-			lockTime = t
-			lockIdx = i
-		}
+	lockIdx, lockTime, err := r.lock(arrivals)
+	if err != nil {
+		return nil, err
 	}
 	origin := lockTime - ReferenceIndex*SampleInterval
 	cir := &CIR{
@@ -289,6 +278,50 @@ func (r *Radio) Receive(arrivals []Arrival) (*Reception, error) {
 		LockedArrivalTime: lockTime,
 		Timestamp:         r.RXTimestamp(lockTime, locked.Shape.Bandwidth),
 	}, nil
+}
+
+// Lock is Receive for a caller that reads no CIR: it locks onto the
+// earliest first path and returns the same source, arrival time and RX
+// timestamp, with a nil CIR. Rendering the CIR draws nothing from the RNG,
+// and Lock draws and discards the accumulator noise Receive would add, so
+// the radio's RNG stream, and every later draw, is the one Receive leaves.
+func (r *Radio) Lock(arrivals []Arrival) (Reception, error) {
+	lockIdx, lockTime, err := r.lock(arrivals)
+	if err != nil {
+		return Reception{}, err
+	}
+	if sigma := r.cfg.NoiseRMS / math.Sqrt2; sigma > 0 {
+		for range 2 * CIRLength {
+			r.rng.NormFloat64()
+		}
+	}
+	locked := &arrivals[lockIdx]
+	return Reception{
+		LockedSourceID:    locked.SourceID,
+		LockedArrivalTime: lockTime,
+		Timestamp:         r.RXTimestamp(lockTime, locked.Shape.Bandwidth),
+	}, nil
+}
+
+// lock returns the index and first-path time of the arrival the receiver
+// synchronizes to: the earliest first path, the first of equal ones.
+func (r *Radio) lock(arrivals []Arrival) (int, float64, error) {
+	if len(arrivals) == 0 {
+		return 0, 0, fmt.Errorf("radio %s: no arrivals to receive", r.id)
+	}
+	lockIdx := 0
+	lockTime := math.Inf(1)
+	for i := range arrivals {
+		if len(arrivals[i].Taps) == 0 {
+			return 0, 0, fmt.Errorf("radio %s: arrival from %s has no channel taps",
+				r.id, arrivals[i].SourceID)
+		}
+		if t := arrivals[i].firstPathTime(); t < lockTime {
+			lockTime = t
+			lockIdx = i
+		}
+	}
+	return lockIdx, lockTime, nil
 }
 
 // CFOEstimateSigma is the standard deviation of the clock-rate-ratio

@@ -2,6 +2,7 @@ package dw1000
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -339,6 +340,73 @@ func TestReceiveErrors(t *testing.T) {
 	shape, _ := pulse.ForRegister(pulse.RegisterS1)
 	if _, err := r.Receive([]Arrival{{SourceID: "x", Shape: shape}}); err == nil {
 		t.Error("arrival without taps accepted")
+	}
+}
+
+// TestLockMatchesReceive: for 1 to 12 arrivals (multipath, equal first
+// paths, a weak precursor and shapes of every bandwidth mixed in), with the
+// accumulator noise on and off, Lock returns Receive's locked source,
+// arrival time and timestamp, and leaves the radio's RNG where Receive
+// does: the next draw is equal. Lock's errors are Receive's.
+func TestLockMatchesReceive(t *testing.T) {
+	regs := []byte{pulse.RegisterS1, pulse.RegisterS2, pulse.RegisterS3}
+	for _, noise := range []float64{0, -1} {
+		for n := 1; n <= 12; n++ {
+			seed := uint64(100*n) + uint64(-noise)
+			rng := rand.New(rand.NewPCG(seed, 3))
+			arrivals := make([]Arrival, n)
+			for i := range arrivals {
+				shape, err := pulse.ForRegister(regs[i%len(regs)])
+				if err != nil {
+					t.Fatal(err)
+				}
+				taps := lineTaps(2 + 40*rng.Float64())
+				if i%3 == 1 {
+					taps = append(taps, channel.Tap{Delay: taps[0].Delay + 7e-9, Gain: taps[0].Gain * 0.6, Order: 1})
+				}
+				if i%4 == 2 {
+					taps = append([]channel.Tap{{Delay: taps[0].Delay - 15e-9, Gain: taps[0].Gain * 0.05, Order: 1}}, taps...)
+				}
+				arrivals[i] = Arrival{SourceID: fmt.Sprintf("tx%d", i), TXTime: 1e-3 + 1e-9*float64(rng.IntN(20)),
+					Shape: shape, Taps: taps, Amplitude: float64(i % 2)}
+			}
+			if n > 2 {
+				arrivals[n-1].TXTime, arrivals[n-1].Taps = arrivals[0].TXTime, arrivals[0].Taps // a tie on the first path
+			}
+			radio := func() *Radio {
+				r, err := New("rx", Config{PHY: airtime.PaperConfig(), NoiseRMS: noise}, rand.New(rand.NewPCG(seed, 1)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			full, lean := radio(), radio()
+			rec, err := full.Receive(arrivals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := lean.Lock(arrivals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.CIR != nil || got.LockedSourceID != rec.LockedSourceID ||
+				math.Float64bits(got.LockedArrivalTime) != math.Float64bits(rec.LockedArrivalTime) ||
+				got.Timestamp != rec.Timestamp {
+				t.Fatalf("noise %g, %d arrivals: Lock (%s, %v, %d), Receive (%s, %v, %d)", noise, n,
+					got.LockedSourceID, got.LockedArrivalTime, got.Timestamp, rec.LockedSourceID, rec.LockedArrivalTime, rec.Timestamp)
+			}
+			if a, b := lean.rng.Uint64(), full.rng.Uint64(); a != b {
+				t.Fatalf("noise %g, %d arrivals: next draw after Lock %d, after Receive %d", noise, n, a, b)
+			}
+		}
+	}
+	r := testRadio(t, "rx", 9)
+	if _, err := r.Lock(nil); err == nil {
+		t.Error("Lock accepted no arrivals")
+	}
+	shape, _ := pulse.ForRegister(pulse.RegisterS1)
+	if _, err := r.Lock([]Arrival{{SourceID: "x", Shape: shape}}); err == nil {
+		t.Error("Lock accepted an arrival without taps")
 	}
 }
 

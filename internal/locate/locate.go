@@ -31,13 +31,16 @@ type Result struct {
 	Position geom.Point
 	// Residual is the RMS range residual at the solution, meters.
 	Residual float64
-	// Iterations is the number of Gauss-Newton steps taken.
+	// Iterations is the number of Gauss-Newton steps taken, at most
+	// Config.MaxIterations.
 	Iterations int
 }
 
 // Config tunes the solver.
 type Config struct {
-	// MaxIterations bounds the Gauss-Newton refinement (default 50).
+	// MaxIterations bounds the Gauss-Newton refinement (default 50). A
+	// solve that reaches it without converging returns its last iterate,
+	// with Iterations = MaxIterations and no error.
 	MaxIterations int
 	// Tolerance stops iteration when the position update is smaller than
 	// this (meters; default 1e-6).
@@ -64,13 +67,14 @@ func Solve(obs []RangeObservation, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var iters int
-	for iters = 0; iters < cfg.MaxIterations; iters++ {
+	steps := 0
+	for steps < cfg.MaxIterations {
 		step, ok := gaussNewtonStep(obs, pos)
 		if !ok {
 			return Result{}, fmt.Errorf("locate: singular geometry (collinear anchors?)")
 		}
 		pos = pos.Add(step)
+		steps++
 		if step.Norm() < cfg.Tolerance {
 			break
 		}
@@ -78,7 +82,7 @@ func Solve(obs []RangeObservation, cfg Config) (Result, error) {
 	return Result{
 		Position:   pos,
 		Residual:   rmsResidual(obs, pos),
-		Iterations: iters + 1,
+		Iterations: steps,
 	}, nil
 }
 

@@ -124,6 +124,48 @@ func TestSolveConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestSolveStopsAtIterationCap: a solve whose tolerance it can never
+// meet runs exactly MaxIterations steps, reports that many, and returns
+// its last iterate without an error; one that converges reports the
+// steps it took, the last of them the one below the tolerance.
+func TestSolveStopsAtIterationCap(t *testing.T) {
+	truth := geom.Point{X: 4, Y: 4}
+	obs := obsFor(truth, squareAnchors, 0.05, rand.New(rand.NewPCG(93, 94)))
+	for _, limit := range []int{1, 2, 7, 50} {
+		res, err := Solve(obs, Config{MaxIterations: limit, Tolerance: -1})
+		if err != nil {
+			t.Fatalf("cap %d: %v", limit, err)
+		}
+		if res.Iterations != limit {
+			t.Fatalf("cap %d: %d iterations reported", limit, res.Iterations)
+		}
+		if d := res.Position.Dist(truth); d > 0.2 {
+			t.Fatalf("cap %d: last iterate %v is %g m from the truth", limit, res.Position, d)
+		}
+	}
+	// Stepping by hand: the step that converges counts.
+	pos, err := linearSeed(obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for {
+		step, _ := gaussNewtonStep(obs, pos)
+		pos = pos.Add(step)
+		want++
+		if step.Norm() < 1e-6 {
+			break
+		}
+	}
+	res, err := Solve(obs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations != want || res.Position != pos {
+		t.Fatalf("converged solve: %d iterations at %v, want %d at %v", res.Iterations, res.Position, want, pos)
+	}
+}
+
 func TestSolveRobustRejectsNLOSOutlier(t *testing.T) {
 	truth := geom.Point{X: 4, Y: 3}
 	obs := obsFor(truth, squareAnchors, 0.02, rand.New(rand.NewPCG(95, 96)))

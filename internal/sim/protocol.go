@@ -156,19 +156,21 @@ func (n *Network) RunConcurrentRound(initiator *Node, responders []*Node, cfg Ro
 	}
 	tracing := n.trace != nil
 
-	// INIT: one broadcast, received by every responder in slice order.
+	// INIT: one broadcast, received by every responder in slice order. A
+	// responder reads only its lock and RX timestamp, so no CIR is built
+	// (dw1000.Radio.Lock leaves the RNG where Receive would).
 	t0 := n.now + 10e-6 // radio wake-up before the broadcast
 	n.countFrame()      // one INIT broadcast on the air
 	if tracing {
 		n.emit(t0, initiator.Name, EventTXInit, "broadcast to %d responders", len(responders))
 	}
-	inits := make([]*dw1000.Reception, len(responders))
+	inits := make([]dw1000.Reception, len(responders))
 	for i, resp := range responders {
 		taps, err := n.env.Realize(initiator.Pos, resp.Pos, n.rng)
 		if err != nil {
 			return nil, fmt.Errorf("INIT to %s: %w", resp.Name, err)
 		}
-		inits[i], err = resp.Radio.Receive([]dw1000.Arrival{{
+		inits[i], err = resp.Radio.Lock([]dw1000.Arrival{{
 			SourceID: initiator.Name,
 			TXTime:   t0,
 			Shape:    initiator.Radio.Shape(),
@@ -203,7 +205,7 @@ func (n *Network) RunConcurrentRound(initiator *Node, responders []*Node, cfg Ro
 	payloads := make([]RespPayload, len(order))
 	var sent []TraceEvent // tx-resp events, collected only when tracing
 	for k, i := range order {
-		resp, rec := responders[i], inits[i]
+		resp, rec := responders[i], &inits[i]
 		now := rec.LockedArrivalTime
 		if tracing {
 			n.emit(now, resp.Name, EventRXInit, "timestamp %d", rec.Timestamp)
