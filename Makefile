@@ -83,6 +83,7 @@ fuzz:
 	$(GO) test ./internal/dsp -fuzz FuzzFFTKernels -fuzztime 60s
 	$(GO) test ./internal/dsp -fuzz FuzzScanBest -fuzztime 60s
 	$(GO) test ./internal/dsp -fuzz FuzzIngest -fuzztime 60s
+	$(GO) test ./internal/dsp -fuzz FuzzTrackedOutputs -fuzztime 60s
 	$(GO) test ./internal/core -fuzz FuzzDetect -fuzztime 60s
 	$(GO) test ./internal/core -fuzz FuzzSlotPlan -fuzztime 60s
 	$(GO) test ./internal/dw1000 -fuzz FuzzScheduleDelayedTX -fuzztime 60s

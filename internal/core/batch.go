@@ -50,10 +50,10 @@ type BatchResult struct {
 }
 
 // batchShared is the per-CIR-length search bank a batch shares across its
-// workers. Each worker installs a clone (sharing the read-only plans and
-// template spectra, owning the mutable signal state), so the
-// O(templates × FFT) setup is paid once per length instead of once per
-// worker.
+// workers. Each worker installs a clone (sharing the read-only plans,
+// template spectra and output kernels, owning the mutable signal state),
+// so the O(templates × FFT) setup is paid once per length instead of once
+// per worker.
 type batchShared struct {
 	bank searchBank
 	err  error // the bank build failed; every item of this length reports it
@@ -138,13 +138,13 @@ func NewBatchDetector(bank *pulse.Bank, cfg DetectorConfig, workers int) (*Batch
 		lenState: make(map[int]int),
 		lenGroup: make(map[int]int),
 	}
+	for i := range b.workers {
+		b.workers[i] = &batchWorker{idx: i, start: make(chan struct{})}
+	}
 	// Build the DW1000 accumulator window's bank up front, as NewDetector
 	// does.
 	if s := b.states[b.stateFor(dw1000.CIRLength)]; s.err != nil {
 		return nil, s.err
-	}
-	for i := range b.workers {
-		b.workers[i] = &batchWorker{idx: i, start: make(chan struct{})}
 	}
 	// Worker 0 runs inline in DetectBatch's goroutine; only the rest get
 	// serve loops.
@@ -291,15 +291,26 @@ func (b *BatchDetector) plan(inputs []BatchInput, res []BatchResult) {
 
 // stateFor returns (building and caching on demand) the states index for
 // CIRs of n taps. Build failures are cached too, so every item of a bad
-// length reports the same error without rebuilding.
+// length reports the same error without rebuilding. A bank whose search
+// keeps its outputs gets its output kernels here, from worker 0's
+// detector for the length, before any other worker clones the bank.
 func (b *BatchDetector) stateFor(n int) int {
 	if si, ok := b.lenState[n]; ok {
 		return si
 	}
 	bank, err := b.proto.newSearchBank(n)
 	si := len(b.states)
-	b.states = append(b.states, &batchShared{bank: bank, err: err})
+	st := &batchShared{bank: bank, err: err}
+	b.states = append(b.states, st)
 	b.lenState[n] = si
+	if err == nil && b.proto.tracksOutputs(bank) {
+		d, err := b.workerDetector(b.workers[0], si)
+		if err != nil {
+			st.err = err
+		} else {
+			st.bank.kern = d.kern
+		}
+	}
 	return si
 }
 

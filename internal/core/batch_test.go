@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/uwb-sim/concurrent-ranging/internal/dsp"
 	"github.com/uwb-sim/concurrent-ranging/internal/dw1000"
 	"github.com/uwb-sim/concurrent-ranging/internal/pulse"
 )
@@ -84,6 +85,7 @@ func TestDetectBatchMatchesDetectAtAnyWorkerCount(t *testing.T) {
 		cfg    DetectorConfig
 	}{
 		{"spectral", 8, DetectorConfig{}},
+		{"tracked", 3, DetectorConfig{}},
 		{"reference", 3, DetectorConfig{Mode: ModeReference}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -288,21 +290,76 @@ func TestDetectBatchProgressTicksPerProcessedItem(t *testing.T) {
 	}
 }
 
+// TestDetectBatchZeroAllocSteadyState: once warm, a batch allocates
+// nothing, on the per-round search (8 shapes) and on maintained outputs
+// (3 shapes).
 func TestDetectBatchZeroAllocSteadyState(t *testing.T) {
 	const noise = 1e-4
-	bank := newTestBank(t, 8)
-	eng, err := NewBatchDetector(bank, DetectorConfig{}, 2)
+	for _, shapes := range []int{8, 3} {
+		bank := newTestBank(t, shapes)
+		eng, err := NewBatchDetector(bank, DetectorConfig{}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := batchStreamInputs(t, bank, dw1000.CIRLength, 4, noise)
+		eng.DetectBatch(inputs) // warm every arena, detector, and plan cache
+		allocs := testing.AllocsPerRun(5, func() {
+			eng.DetectBatch(inputs)
+		})
+		eng.Close()
+		if allocs != 0 {
+			t.Fatalf("%d shapes: steady-state DetectBatch allocates %.1f objects per call, want 0", shapes, allocs)
+		}
+	}
+}
+
+// TestDetectorsShareOutputKernels: the default path keeps its outputs on
+// banks below minParallelTemplates only, with one search worker whatever
+// Workers says, and a batch engine's workers share one set of output
+// kernels, built once per CIR length, while each holds its own outputs.
+func TestDetectorsShareOutputKernels(t *testing.T) {
+	for _, c := range []struct {
+		shapes int
+		cfg    DetectorConfig
+		tracks bool
+	}{
+		{3, DetectorConfig{}, true},
+		{3, DetectorConfig{Workers: 4}, true},
+		{7, DetectorConfig{}, true},
+		{8, DetectorConfig{}, false},
+		{3, DetectorConfig{Mode: ModeReference}, false},
+	} {
+		det, err := NewDetector(newTestBank(t, c.shapes), c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (det.tracked != nil) != c.tracks || (det.kern != nil) != c.tracks {
+			t.Errorf("%d shapes, %+v: outputs %v, kernels %v, want %v", c.shapes, c.cfg, det.tracked != nil, det.kern != nil, c.tracks)
+		}
+		if c.tracks && len(det.workers) != 1 {
+			t.Errorf("%d shapes, %+v: %d search workers on maintained outputs, want 1", c.shapes, c.cfg, len(det.workers))
+		}
+	}
+	bank := newTestBank(t, 3)
+	eng, err := NewBatchDetector(bank, DetectorConfig{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	inputs := batchStreamInputs(t, bank, dw1000.CIRLength, 4, noise)
-	eng.DetectBatch(inputs) // warm every arena, detector, and plan cache
-	allocs := testing.AllocsPerRun(5, func() {
-		eng.DetectBatch(inputs)
+	eng.DetectBatch(batchStreamInputs(t, bank, dw1000.CIRLength, 6, 1e-4))
+	kern := eng.states[eng.lenState[dw1000.CIRLength]].bank.kern
+	if kern == nil {
+		t.Fatal("the batch's shared bank holds no output kernels")
+	}
+	outputs := map[*dsp.TrackedOutputs]bool{}
+	eng.eachWorkerDetector(func(d *Detector) {
+		if d.kern != kern {
+			t.Error("a batch worker built its own output kernels")
+		}
+		outputs[d.tracked] = true
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state DetectBatch allocates %.1f objects per call, want 0", allocs)
+	if len(outputs) != 3 || outputs[nil] {
+		t.Errorf("batch workers hold %d distinct output sets, want 3", len(outputs))
 	}
 }
 

@@ -52,8 +52,11 @@ const (
 	MetricDetectTemplateEvals = "detector.template_evals"
 	// MetricUpsampleExecs and the bank metrics surface the dsp plan-level
 	// execution counters. On the default path the CIR is up-sampled once
-	// per Detect, a bank "transform" is one SpectralBank.Ingest (once per
-	// round) and a bank "filter" is one ScanBest; on ModeReference the
+	// per Detect and a bank "transform" is one SpectralBank.Ingest: once
+	// per Detect on banks that keep their outputs (dsp.TrackedOutputs,
+	// fewer than eight templates), once per round otherwise. A
+	// bank "filter" is one template's peak scan, ScanBest on either bank,
+	// so filters are rounds × templates on both. On ModeReference the
 	// upsample and the MatchedFilterBank.Transform both run once per
 	// round and a filter is one FilterInto/FilterPeak.
 	MetricUpsampleExecs  = "dsp.upsample_execs"
@@ -77,14 +80,18 @@ var ErrNonFinite = errors.New("core: non-finite detector input")
 type DetectorMode int
 
 const (
-	// ModeAuto (the default) up-samples the CIR once per Detect and keeps
-	// the up-sampled residual exact across extractions: each subtracted
-	// pulse is rendered once at T_s and its up-sampled image added with
-	// dsp.UpsamplePlan.AddSegment. Each round then costs one forward FFT
-	// at the signal's circular length (dsp.SpectralBank) and one inverse
-	// FFT per template, half the reference path's transform size. Up to
-	// rounding it computes what ModeReference computes, at every bank
-	// size and with or without refinement.
+	// ModeAuto (the default) up-samples the CIR once per Detect and
+	// renders each subtracted pulse once at T_s. Banks of fewer than
+	// eight templates filter the up-sampled CIR once
+	// (dsp.SpectralBank: one forward FFT at the signal's circular length,
+	// one inverse FFT per template) and keep every template's output
+	// across extractions, adding each subtracted pulse's image through
+	// the template's impulse response (dsp.TrackedOutputs); a round is
+	// then a peak scan of the outputs. Larger banks keep the up-sampled
+	// residual exact with dsp.UpsamplePlan.AddSegment and filter it every
+	// round, one forward FFT plus one inverse FFT per template. Up to
+	// rounding either computes what ModeReference computes, at every
+	// bank size and with or without refinement.
 	ModeAuto DetectorMode = iota
 	// ModeReference re-upsamples the residual and re-transforms it at the
 	// linear convolution length every round — the direct implementation
@@ -138,10 +145,12 @@ type DetectorConfig struct {
 	// Mode selects the search implementation; see DetectorMode.
 	Mode DetectorMode
 	// Workers bounds the goroutines fanned across the template bank each
-	// round. 0 means automatic: GOMAXPROCS workers for banks of at least
-	// eight templates (a full Sect. V bank), serial otherwise — small
-	// banks are dominated by per-round FFTs, and the detector is often
-	// already running inside a per-trial worker pool. 1 forces serial.
+	// round on banks of at least eight templates (a full Sect. V bank),
+	// which filter the residual every round. 0 means automatic:
+	// GOMAXPROCS workers. 1 forces serial. Smaller banks always search
+	// serially: their rounds scan maintained outputs (ModeAuto) or are
+	// few templates, and the detector is often already running inside a
+	// per-trial worker pool.
 	Workers int
 }
 
@@ -171,11 +180,14 @@ type Detector struct {
 
 	// Cached frequency-domain execution state for one CIR length
 	// (precomputed for dw1000.CIRLength, rebuilt if a caller detects on a
-	// different window) plus scratch reused across iterations.
+	// different window) plus scratch reused across iterations. tracked
+	// holds every template's maintained output when the search keeps
+	// them (tracksOutputs), else nil.
 	searchBank
+	tracked   *dsp.TrackedOutputs
 	upsample  *dsp.UpsamplePlan
 	residual  []complex128
-	up        []complex128       // up-sampled residual
+	up        []complex128       // up-sampled residual (the up-sampled CIR on maintained outputs)
 	seg       []complex128       // the round's subtracted pulse, rendered at T_s
 	skipQ     []dsp.SkipInterval // per-round suppressed intervals, q-space
 	extracted []float64          // per-call already-subtracted peak positions, T_s samples
@@ -207,30 +219,39 @@ type Detector struct {
 
 // searchBank is the template bank the search reads for CIRs of cirLen
 // taps: the SpectralBank on the default path or the MatchedFilterBank on
-// ModeReference, never both.
+// ModeReference, never both. kern holds the output kernels of a default
+// path that keeps its outputs (tracksOutputs), built by the first
+// install and shared by every clone.
 type searchBank struct {
 	cirLen int
 	fbank  *dsp.MatchedFilterBank // ModeReference only
 	sbank  *dsp.SpectralBank      // default path only
+	kern   *dsp.OutputKernels     // default path on small banks only
 }
 
-// clone returns a bank sharing s's read-only plans and template spectra
-// while owning fresh signal state (see the dsp banks' Clone).
+// clone returns a bank sharing s's read-only plans, template spectra and
+// output kernels while owning fresh signal state (see the dsp banks'
+// Clone).
 func (s searchBank) clone() searchBank {
 	if s.sbank != nil {
-		return searchBank{cirLen: s.cirLen, sbank: s.sbank.Clone()}
+		return searchBank{cirLen: s.cirLen, sbank: s.sbank.Clone(), kern: s.kern}
 	}
 	return searchBank{cirLen: s.cirLen, fbank: s.fbank.Clone()}
 }
 
-// counters returns the bank's execution counters in the dsp.bank_*
-// metrics' terms: a spectral Ingest is one transform and a ScanBest is
-// one template filter.
-func (s searchBank) counters() (transforms, filters int64) {
-	if s.sbank != nil {
-		return s.sbank.Ingests(), s.sbank.Scans()
+// counters returns the search's execution counters in the dsp.bank_*
+// metrics' terms: a spectral Ingest is one transform and a peak scan of
+// one template (ScanBest on the spectral bank or on the maintained
+// outputs) is one template filter.
+func (d *Detector) counters() (transforms, filters int64) {
+	if d.sbank == nil {
+		return d.fbank.Transforms(), d.fbank.Filters()
 	}
-	return s.fbank.Transforms(), s.fbank.Filters()
+	transforms, filters = d.sbank.Ingests(), d.sbank.Scans()
+	if d.tracked != nil {
+		filters += d.tracked.Scans()
+	}
+	return transforms, filters
 }
 
 // detectWorker is one goroutine's worth of search scratch: the search
@@ -390,26 +411,42 @@ func (d *Detector) newSearchBank(n int) (searchBank, error) {
 
 // install makes s the detector's search bank and builds what Detect needs
 // around it: the upsampling plan for s.cirLen, the residual and up-sampled
-// buffers, and the per-worker scratch. The counter baselines restart with
-// the new bank.
+// buffers, the per-worker scratch and, when the search keeps its outputs,
+// the output kernels (unless s shares them already) and the outputs. The
+// kernels are built in the up-sampled buffer and the first worker's
+// scratch. The counter baselines restart with the new bank.
 func (d *Detector) install(s searchBank) error {
 	up, err := dsp.NewUpsamplePlan(s.cirLen, d.cfg.Upsample)
 	if err != nil {
 		return err
 	}
-	d.searchBank = s
-	d.upsample = up
-	d.lastUpsampleExecs, d.lastTransforms, d.lastFilters = 0, 0, 0
-	d.residual = make([]complex128, s.cirLen)
-	d.up = make([]complex128, s.cirLen*d.cfg.Upsample)
-	d.workers = make([]detectWorker, d.workerCount())
-	for i := range d.workers {
+	upBuf := make([]complex128, s.cirLen*d.cfg.Upsample)
+	tracks := d.tracksOutputs(s)
+	nw := 1
+	if !tracks {
+		nw = d.workerCount()
+	}
+	workers := make([]detectWorker, nw)
+	for i := range workers {
 		if s.sbank != nil {
-			d.workers[i].scratch = s.sbank.NewScratch()
+			workers[i].scratch = s.sbank.NewScratch()
 		} else {
-			d.workers[i].scratch = s.fbank.NewScratch()
+			workers[i].scratch = s.fbank.NewScratch()
 		}
 	}
+	var tracked *dsp.TrackedOutputs
+	if tracks {
+		if s.kern == nil {
+			if s.kern, err = dsp.NewOutputKernels(s.sbank, up, upBuf, workers[0].scratch); err != nil {
+				return err
+			}
+		}
+		tracked = s.kern.NewOutputs()
+	}
+	d.searchBank, d.tracked, d.upsample = s, tracked, up
+	d.up, d.workers = upBuf, workers
+	d.residual = make([]complex128, s.cirLen)
+	d.lastUpsampleExecs, d.lastTransforms, d.lastFilters = 0, 0, 0
 	return nil
 }
 
@@ -417,9 +454,21 @@ func (d *Detector) install(s searchBank) error {
 // (every mode but ModeReference).
 func (d *Detector) useSpectral() bool { return d.cfg.Mode != ModeReference }
 
-// minParallelTemplates is the bank size at which Workers == 0 turns the
-// per-round template fan-out on. Below it the round is dominated by the
-// residual FFTs, and detectors usually already run inside per-trial
+// tracksOutputs reports whether a search on s keeps every template's
+// matched-filter output across extractions (dsp.TrackedOutputs): the
+// default path on banks below minParallelTemplates whose templates the
+// output kernels admit. There one update per extraction costs less than
+// re-filtering the residual every round; on larger banks it costs about
+// what a template's inverse transform costs, and the outputs would hold
+// megabytes.
+func (d *Detector) tracksOutputs(s searchBank) bool {
+	return s.sbank != nil && len(d.templates) < minParallelTemplates && s.sbank.Trackable()
+}
+
+// minParallelTemplates is the bank size from which the default path
+// filters the residual every round and Workers == 0 fans that filtering
+// out across the bank. Below it the default path keeps its outputs
+// (tracksOutputs), and detectors usually already run inside per-trial
 // worker pools (experiments.parallelMapWith) where nested fan-out only
 // adds scheduling churn.
 const minParallelTemplates = 8
@@ -504,12 +553,24 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 	rounds, refineSteps := 0, 0
 	stop := trace.ReasonMaxIterations
 
-	// The default path up-samples the CIR once and keeps the up-sampled
-	// residual exact after each subtraction (AddSegment below); the
-	// reference path re-upsamples the residual every round.
+	// The default path up-samples the CIR once. With maintained outputs
+	// it filters the up-sampled CIR once, here, and updates the outputs
+	// after each subtraction; otherwise it keeps the up-sampled residual
+	// exact after each subtraction and filters it every round (AddSegment
+	// below). The reference path re-upsamples the residual every round.
 	spectral := d.sbank != nil
 	if spectral {
 		d.upsample.Execute(d.up, residual)
+	}
+	if d.tracked != nil {
+		err := d.sbank.Ingest(d.up)
+		if err == nil {
+			err = d.tracked.Load(d.sbank, d.workers[0].scratch)
+		}
+		if err != nil {
+			failDetectSpan(span, err)
+			return dst, err
+		}
 	}
 
 	responses, base := dst, len(dst)
@@ -521,15 +582,18 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 		}
 		rounds++
 		// Coarse search in the up-sampled domain (Sect. IV steps 1–3).
-		// One forward FFT of the up-sampled residual feeds every
-		// template's cached matched-filter spectrum; each template then
-		// costs one complex multiply pass plus one inverse FFT with the
-		// peak scan fused into its output pass — fanned across workers
-		// for large banks.
+		// Maintained outputs are scanned as they stand. Otherwise one
+		// forward FFT of the up-sampled residual feeds every template's
+		// cached matched-filter spectrum; each template then costs one
+		// complex multiply pass plus one inverse FFT with the peak scan
+		// fused into its output pass — fanned across workers for large
+		// banks.
 		var err error
-		if spectral {
+		switch {
+		case d.tracked != nil:
+		case spectral:
 			err = d.sbank.Ingest(d.up)
-		} else {
+		default:
 			err = d.fbank.Transform(d.upsample.Execute(d.up, residual))
 		}
 		if err != nil {
@@ -537,7 +601,7 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 			return responses[:base], err
 		}
 		d.skipQ = appendSuppressedIntervals(d.skipQ[:0], d.extracted, d.cfg.Upsample)
-		best, err := d.searchTemplates(spectral)
+		best, err := d.searchTemplates()
 		if err != nil {
 			failDetectSpan(span, err)
 			return responses[:base], err
@@ -596,13 +660,16 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 		// Subtract the estimated response (Sect. IV step 5): render it
 		// once at T_s (exactly the samples RenderInto would add) into the
 		// residual and, on the default path, its up-sampled image into
-		// the up-sampled residual.
+		// the maintained outputs or the up-sampled residual.
 		var lo int
 		d.seg, lo = d.bank.Shape(best.t).RenderSegment(d.seg, -alpha, peakPos, d.ts, d.norms[best.t], len(residual))
 		for k, v := range d.seg {
 			residual[lo+k] += v
 		}
-		if spectral {
+		switch {
+		case d.tracked != nil:
+			d.tracked.AddSegment(d.seg, lo)
+		case spectral:
 			d.upsample.AddSegment(d.up, d.seg, lo)
 		}
 		d.extracted = append(d.extracted, peakPos)
@@ -752,16 +819,16 @@ func (d *Detector) recordPlanExecs() {
 }
 
 // searchTemplates runs one round's coarse search — every template's
-// matched filtering plus suppressed-peak scan — and returns the winning
-// candidate (t == -1 when every sample of every template is suppressed or
-// zero). With more than one worker the bank is split into contiguous
-// chunks, each scanned by its own goroutine with per-worker scratch; the
-// in-order reduce keeps the result identical to the serial ascending scan
-// regardless of scheduling.
-func (d *Detector) searchTemplates(spectral bool) (candidate, error) {
+// matched filtering (or its maintained output) plus suppressed-peak scan —
+// and returns the winning candidate (t == -1 when every sample of every
+// template is suppressed or zero). With more than one worker the bank is
+// split into contiguous chunks, each scanned by its own goroutine with
+// per-worker scratch; the in-order reduce keeps the result identical to
+// the serial ascending scan regardless of scheduling.
+func (d *Detector) searchTemplates() (candidate, error) {
 	nw := min(len(d.workers), len(d.templates))
 	if nw <= 1 {
-		return d.scanRange(&d.workers[0], 0, len(d.templates), spectral)
+		return d.scanRange(&d.workers[0], 0, len(d.templates))
 	}
 	results := make([]candidate, nw)
 	errs := make([]error, nw)
@@ -777,7 +844,7 @@ func (d *Detector) searchTemplates(spectral bool) (candidate, error) {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			results[w], errs[w] = d.scanRange(&d.workers[w], lo, hi, spectral)
+			results[w], errs[w] = d.scanRange(&d.workers[w], lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -796,10 +863,11 @@ func (d *Detector) searchTemplates(spectral bool) (candidate, error) {
 }
 
 // scanRange scans templates [lo, hi) and returns the chunk's best
-// candidate. It only reads detector state shared across workers (skipQ,
-// centers, the banks' read-only plan state) and mutates nothing but the
-// worker's own scratch.
-func (d *Detector) scanRange(w *detectWorker, lo, hi int, spectral bool) (candidate, error) {
+// candidate. On the per-round paths it only reads detector state shared
+// across workers (skipQ, centers, the banks' read-only plan state) and
+// mutates nothing but the worker's own scratch; maintained outputs are
+// scanned by one worker only.
+func (d *Detector) scanRange(w *detectWorker, lo, hi int) (candidate, error) {
 	n := d.cirLen * d.cfg.Upsample
 	best := candidate{t: -1}
 	for t := lo; t < hi; t++ {
@@ -810,9 +878,12 @@ func (d *Detector) scanRange(w *detectWorker, lo, hi int, spectral bool) (candid
 			y3  [3]complex128
 			err error
 		)
-		if spectral {
+		switch {
+		case d.tracked != nil:
+			idx, sq, y3, err = d.tracked.ScanBest(t, w.skip)
+		case d.sbank != nil:
 			idx, sq, y3, err = d.sbank.ScanBest(w.scratch, t, w.skip)
-		} else {
+		default:
 			idx, sq, y3, err = d.fbank.FilterPeak(w.scratch, t, w.skip)
 		}
 		if err != nil {

@@ -58,10 +58,11 @@ const anchorReferenceDelay = dw1000.ReferenceIndex * dw1000.SampleInterval
 // Resolve maps responses to responders. anchorID is the responder whose
 // payload was decoded (the receiver's lock source), and dTWR its Eq. 2
 // distance. Of the responses mapping to the same responder ID one is
-// kept (pickDirectPath): the strongest, unless an earlier one is within
-// DirectPathMarginDB of it, which is then kept as the direct path. A
-// responder's specular reflections arrive after its direct path, so this
-// is how the combined scheme rejects strong multipath (Sect. VII).
+// kept (pickDirectPath): the anchor's response for its ID, else the
+// strongest, unless an earlier one is within DirectPathMarginDB of it,
+// which is then kept as the direct path. A responder's specular
+// reflections arrive after its direct path, so this is how the combined
+// scheme rejects strong multipath (Sect. VII).
 func (r *Resolver) Resolve(responses []Response, anchorID int, dTWR float64) ([]Measurement, error) {
 	if err := r.Plan.Validate(); err != nil {
 		return nil, err
@@ -118,12 +119,20 @@ func (r *Resolver) Resolve(responses []Response, anchorID int, dTWR float64) ([]
 }
 
 // pickDirectPath chooses between two responses mapped to the same
-// responder ID: the strongest wins, unless an earlier response is within
-// the margin (then it is taken as the direct path and the stronger, later
-// one as a specular reflection of it). Subtraction artifacts and diffuse
-// multipath misclassified into this ID sit well below the real response
-// and never shadow it under this rule.
+// responder ID. The anchor's response always wins: it is the response
+// the receiver locked on, and every concurrent distance is measured
+// against it. Otherwise the strongest wins, unless an earlier response
+// is within the margin (then it is taken as the direct path and the
+// stronger, later one as a specular reflection of it). Subtraction
+// artifacts and diffuse multipath misclassified into this ID sit well
+// below the real response and never shadow it under this rule.
 func (r *Resolver) pickDirectPath(a, b Measurement) Measurement {
+	switch {
+	case a.Anchor:
+		return a
+	case b.Anchor:
+		return b
+	}
 	margin := r.DirectPathMarginDB
 	if margin == 0 {
 		margin = DefaultDirectPathMarginDB

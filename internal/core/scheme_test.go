@@ -359,22 +359,22 @@ func TestResolverKeepsDirectPathPerID(t *testing.T) {
 	}
 }
 
-// TestResolverDirectPathMargin: with TestResolverKeepsDirectPathPerID's
-// layout, where ID 0's later response is 0.83 dB stronger than its
-// earlier one, the earlier one is kept while the margin exceeds 0.83 dB
-// (the 2 dB default, 1 dB) and the later, stronger one below it (0.5 dB).
+// TestResolverDirectPathMargin: ID 0, not the anchor, answers with an
+// earlier response and a later one 0.83 dB stronger. The earlier one is
+// kept while the margin exceeds 0.83 dB (the 2 dB default, 1 dB) and the
+// later, stronger one below it (0.5 dB).
 func TestResolverDirectPathMargin(t *testing.T) {
-	late := refDelay + 30e-9
+	early, late := refDelay+10e-9, refDelay+40e-9
 	for _, c := range []struct {
 		marginDB float64
 		want     float64
-	}{{0, refDelay}, {1, refDelay}, {0.5, late}} {
+	}{{0, early}, {1, early}, {0.5, late}} {
 		r := &Resolver{Plan: SingleSlot(2), DirectPathMarginDB: c.marginDB}
 		ms, err := r.Resolve([]Response{
-			mkResponse(refDelay, 0, 1),
+			mkResponse(refDelay, 1, 0.5), // anchor (ID 1)
+			mkResponse(early, 0, 1),
 			mkResponse(late, 0, 1.1),
-			mkResponse(refDelay+10e-9, 1, 0.5),
-		}, 0, 3.0)
+		}, 1, 3.0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,6 +385,37 @@ func TestResolverDirectPathMargin(t *testing.T) {
 			if m.ID == 0 && !closeTo(m.Delay, c.want, 1e-12) {
 				t.Fatalf("margin %g dB: kept ID 0's response at %g s, want %g s", c.marginDB, m.Delay, c.want)
 			}
+		}
+	}
+}
+
+// TestResolverKeepsAnchorResponse: a later same-ID response 3.5 dB
+// stronger than the anchor's, at margins it exceeds (0.5 and 2 dB), must
+// not replace the anchor's response: the anchor's ID keeps the response
+// the receiver locked on, marked Anchor, at its d_TWR.
+func TestResolverKeepsAnchorResponse(t *testing.T) {
+	for _, marginDB := range []float64{0.5, 2} {
+		r := &Resolver{Plan: SingleSlot(2), DirectPathMarginDB: marginDB}
+		ms, err := r.Resolve([]Response{
+			mkResponse(refDelay, 0, 1), // anchor (ID 0)
+			mkResponse(refDelay+30e-9, 0, 1.5),
+			mkResponse(refDelay+10e-9, 1, 0.5),
+		}, 0, 3.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		anchors := 0
+		for _, m := range ms {
+			if m.ID != 0 {
+				continue
+			}
+			if !m.Anchor || !closeTo(m.Delay, refDelay, 1e-12) || !closeTo(m.Distance, 3.0, 1e-9) {
+				t.Fatalf("margin %g dB: ID 0 kept %+v, want the anchor's response at %g s, 3 m", marginDB, m, refDelay)
+			}
+			anchors++
+		}
+		if anchors != 1 {
+			t.Fatalf("margin %g dB: %d measurements for the anchor's ID, want 1", marginDB, anchors)
 		}
 	}
 }

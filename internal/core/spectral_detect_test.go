@@ -198,6 +198,13 @@ func TestDetectSpectralMatchesReference(t *testing.T) {
 // response is compared; past it, an automatic-mode run mines the
 // clipped pulse's remainder, where such differences change the order of
 // extraction.
+//
+// A second pair of detectors runs three extractions with the threshold
+// off on the 3-shape bank, four CIRs per length, and must agree on every
+// response within the same 1e-6. From 24 taps on, the up-sampled window
+// holds every template's wrap (L_t − 1 ≤ N), so the default path keeps
+// its outputs and updates them after each subtraction, whose wrapped
+// terms reach the window's last outputs.
 func TestDetectShortCIRsMatchReference(t *testing.T) {
 	const noise = 1e-4
 	for _, shapes := range []int{3, pulse.NumShapes} {
@@ -230,6 +237,40 @@ func TestDetectShortCIRsMatchReference(t *testing.T) {
 		if detected < 20 {
 			t.Errorf("%d shapes: %d of 40 short CIRs detected their pulse", shapes, detected)
 		}
+	}
+
+	bank, err := pulse.DefaultBank(ts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DetectorConfig{MaxResponses: 3, DisableThreshold: true}
+	fast, err := NewDetector(bank, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Mode = ModeReference
+	ref, err := NewDetector(bank, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracked := 0
+	for seed := uint64(1); seed <= 4; seed++ {
+		r := rand.New(rand.NewPCG(seed, 43))
+		for n := 1; n <= 40; n++ {
+			taps := make([]complex128, n)
+			bank.Shape(r.IntN(bank.Len())).RenderInto(taps,
+				cmplx.Rect(0.01*(1+r.Float64()), r.Float64()*2*math.Pi), r.Float64()*float64(n), ts)
+			for i := range taps {
+				taps[i] += complex(r.NormFloat64(), r.NormFloat64()) * complex(noise/math.Sqrt2, 0)
+			}
+			requireDetectionsAgree(t, fmt.Sprintf("%d taps, seed %d", n, seed), fast, ref, taps, noise, 1e-6)
+			if fast.tracked != nil {
+				tracked++
+			}
+		}
+	}
+	if tracked != 4*17 {
+		t.Errorf("%d of the 160 CIRs ran on maintained outputs, want the 68 of 24–40 taps", tracked)
 	}
 }
 
@@ -414,53 +455,68 @@ func TestDetectWorkersMatchSerial(t *testing.T) {
 	}
 }
 
-// TestDetectSpectralObsCounters: the default path up-samples once per
-// Detect (dsp.upsample_execs), ingests its exact up-sampled residual once
-// per round (dsp.bank_transforms), scans every template each round, and
-// never shift-subtracts.
+// TestDetectSpectralObsCounters pins the default path's plan counters on
+// both of its searches. It up-samples once per Detect
+// (dsp.upsample_execs) and scans every template each round
+// (dsp.bank_filters = rounds × templates) on both, and never
+// shift-subtracts. The 3-shape bank keeps its outputs and ingests once
+// per Detect; the 12-shape bank ingests its exact up-sampled residual
+// once per round (dsp.bank_transforms).
 func TestDetectSpectralObsCounters(t *testing.T) {
-	bank, err := pulse.DefaultBank(ts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := NewDetector(bank, DetectorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	det.SetRecorder(reg)
-	const calls = 3
-	var responses int64
-	for i := 0; i < calls; i++ {
-		taps := equivTrain(bank, uint64(i+1), 3, 1.4e-5)
-		rs, err := det.Detect(taps, 1.4e-5)
+	for _, c := range []struct {
+		shapes   int
+		perRound bool
+	}{{3, false}, {12, true}} {
+		bank, err := pulse.DefaultBank(ts, c.shapes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		responses += int64(len(rs))
-	}
-	if responses == 0 {
-		t.Fatal("expected detections")
-	}
-	snap := reg.Snapshot()
-	iters, ok := snap.HistogramByName(MetricDetectIterations)
-	if !ok {
-		t.Fatal("missing iterations histogram")
-	}
-	rounds := int64(iters.Sum)
-	if rounds <= calls {
-		t.Fatalf("%d rounds over %d calls: the counts below would not tell per-round from per-call", rounds, calls)
-	}
-	if got := snap.CounterValue(MetricUpsampleExecs); got != calls {
-		t.Errorf("%s = %d, want %d (one per Detect)", MetricUpsampleExecs, got, calls)
-	}
-	if got := snap.CounterValue(MetricBankTransforms); got != rounds {
-		t.Errorf("%s = %d, want %d (one per round)", MetricBankTransforms, got, rounds)
-	}
-	if got := snap.CounterValue(MetricBankFilters); got != rounds*int64(bank.Len()) {
-		t.Errorf("%s = %d, want %d (rounds × templates)", MetricBankFilters, got, rounds*int64(bank.Len()))
-	}
-	if got := snap.CounterValue(MetricBankShiftSubtracts); got != 0 {
-		t.Errorf("%s = %d, want 0", MetricBankShiftSubtracts, got)
+		det, err := NewDetector(bank, DetectorConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (det.tracked == nil) != c.perRound {
+			t.Fatalf("%d shapes: keeps its outputs %v, want %v", c.shapes, det.tracked != nil, !c.perRound)
+		}
+		reg := obs.NewRegistry()
+		det.SetRecorder(reg)
+		const calls = 3
+		var responses int64
+		for i := 0; i < calls; i++ {
+			taps := equivTrain(bank, uint64(i+1), 3, 1.4e-5)
+			rs, err := det.Detect(taps, 1.4e-5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			responses += int64(len(rs))
+		}
+		if responses == 0 {
+			t.Fatalf("%d shapes: expected detections", c.shapes)
+		}
+		snap := reg.Snapshot()
+		iters, ok := snap.HistogramByName(MetricDetectIterations)
+		if !ok {
+			t.Fatal("missing iterations histogram")
+		}
+		rounds := int64(iters.Sum)
+		if rounds <= calls {
+			t.Fatalf("%d shapes: %d rounds over %d calls: the counts below would not tell per-round from per-call", c.shapes, rounds, calls)
+		}
+		if got := snap.CounterValue(MetricUpsampleExecs); got != calls {
+			t.Errorf("%d shapes: %s = %d, want %d (one per Detect)", c.shapes, MetricUpsampleExecs, got, calls)
+		}
+		wantTransforms, per := int64(calls), "Detect"
+		if c.perRound {
+			wantTransforms, per = rounds, "round"
+		}
+		if got := snap.CounterValue(MetricBankTransforms); got != wantTransforms {
+			t.Errorf("%d shapes: %s = %d, want %d (one per %s)", c.shapes, MetricBankTransforms, got, wantTransforms, per)
+		}
+		if got := snap.CounterValue(MetricBankFilters); got != rounds*int64(bank.Len()) {
+			t.Errorf("%d shapes: %s = %d, want %d (rounds × templates)", c.shapes, MetricBankFilters, got, rounds*int64(bank.Len()))
+		}
+		if got := snap.CounterValue(MetricBankShiftSubtracts); got != 0 {
+			t.Errorf("%d shapes: %s = %d, want 0", c.shapes, MetricBankShiftSubtracts, got)
+		}
 	}
 }

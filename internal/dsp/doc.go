@@ -1,8 +1,9 @@
 // Package dsp provides the signal-processing primitives used throughout the
 // concurrent-ranging simulator: complex vector arithmetic, one plan-cached
 // transform engine (a radix-2 FFT, Bluestein's algorithm for other
-// lengths, FFT up-sampling, the matched-filter bank and its spectral
-// search variant), peak picking, and the statistics helpers used by the
+// lengths, FFT up-sampling, the matched-filter bank, its spectral search
+// variant and the matched-filter outputs that variant keeps across
+// subtractions), peak picking, and the statistics helpers used by the
 // Monte-Carlo experiment harness.
 //
 // All routines operate on plain []complex128 or []float64 slices and never

@@ -737,6 +737,15 @@ func (p *UpsamplePlan) AddSegment(dst, seg []complex128, lo int) {
 	if lo < 0 || lo+len(seg) > p.n {
 		panic(fmt.Sprintf("dsp: segment [%d, %d) outside the %d-sample input", lo, lo+len(seg), p.n))
 	}
+	addSegment(dst, seg, lo, p.impulse, p.factor, p.avx2)
+}
+
+// addSegment adds Σ_k seg[k]·kern[(i − f·(lo+k)) mod P] to every output
+// dst[i], i < len(dst) ≤ P, with kern a period-P table stored twice over
+// (len(kern) = 2P) and f·(lo+len(seg)−1) < P: AddSegment's update, one
+// pass per run of nonzero samples, on the AVX2 kernel when avx2 is set.
+func addSegment(dst, seg []complex128, lo int, kern []float64, f int, avx2 bool) {
+	period := len(kern) / 2
 	for k := 0; k < len(seg); {
 		if seg[k] == 0 {
 			k++
@@ -746,15 +755,15 @@ func (p *UpsamplePlan) AddSegment(dst, seg []complex128, lo int) {
 		for end < len(seg) && seg[end] != 0 {
 			end++
 		}
-		// Term j of the run reads h[(i − F·(lo+k+j)) mod F·N] at output
+		// Term j of the run reads kern[(i − f·(lo+k+j)) mod P] at output
 		// i; with the run's last term at input sample a, that is
-		// impulse[i + F·(a−lo−k−j)] of the table from F·N − F·a on.
+		// kern[i + f·(a−lo−k−j)] of the table from P − f·a on.
 		a := lo + end - 1
-		h := p.impulse[out-p.factor*a:]
-		if p.avx2 {
-			addRunAVX2(dst, seg[k:end], h, p.factor)
+		h := kern[period-f*a:]
+		if avx2 {
+			addRunAVX2(dst, seg[k:end], h, f)
 		} else {
-			addRun(dst, seg[k:end], h, p.factor)
+			addRun(dst, seg[k:end], h, f)
 		}
 		k = end
 	}

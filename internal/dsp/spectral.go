@@ -33,8 +33,10 @@ import (
 // up-sampled continuous pulse, not the T_s-rendered pulse pushed through
 // FFT interpolation, so the spectrum it leaves only approximates the
 // residual's: a 900 MHz pulse sampled at 1.0016 ns aliases slightly. The
-// detector does not use it; it keeps its up-sampled residual exact with
-// UpsamplePlan.AddSegment and ingests it every round.
+// detector does not use it. On banks of eight templates or more it keeps
+// its up-sampled residual exact with UpsamplePlan.AddSegment and ingests
+// it every round; on smaller banks it ingests the up-sampled CIR once and
+// keeps every template's output with TrackedOutputs (tracked.go).
 //
 // The bank keeps every spectrum in bit-reversed order only, the order
 // the scan's product pass reads: Ingest's last butterfly pass stores it
@@ -270,11 +272,7 @@ func (b *SpectralBank) ScanBest(scratch []complex128, t int, skip []SkipInterval
 	// Linear-convolution prefix for the wrapped tail: full[j] for
 	// j < tail only involves taps[0..j] and signal[0..j], both ≤ prefix.
 	fp := scratch[b.m : b.m+st.tail]
-	if b.plan.avx2 {
-		tailRepairAVX2(fp, st.taps, b.prefix)
-	} else {
-		tailRepair(fp, st.taps, b.prefix)
-	}
+	repairTail(fp, st.taps, b.prefix, b.plan.avx2)
 	start := len(st.taps) - 1
 	wrapFrom := b.m - start // first output index whose sample wrapped
 	bestIdx, bestSq := -1, 0.0
@@ -290,13 +288,7 @@ func (b *SpectralBank) ScanBest(scratch []complex128, t int, skip []SkipInterval
 	if b.plan.avx2 {
 		scan = peakScanAVX2
 	}
-	scanGap := func(from, to int) {
-		if from < 0 {
-			from = 0
-		}
-		if to > b.sigLen {
-			to = b.sigLen
-		}
+	eachGap(skip, b.sigLen, func(from, to int) {
 		if hi := min(to, wrapFrom); from < hi {
 			if i, sq := blockScan(prod, peaks, start+from, start+hi, s, bestSq, scan); i >= 0 {
 				bestIdx, bestSq = i-start, sq
@@ -310,15 +302,7 @@ func (b *SpectralBank) ScanBest(scratch []complex128, t int, skip []SkipInterval
 				bestIdx, bestSq = i, sq
 			}
 		}
-	}
-	next := 0
-	for _, iv := range skip {
-		scanGap(next, iv.Lo)
-		if iv.Hi+1 > next {
-			next = iv.Hi + 1
-		}
-	}
-	scanGap(next, b.sigLen)
+	})
 	if bestIdx < 0 {
 		return -1, 0, y3, nil
 	}
@@ -330,6 +314,58 @@ func (b *SpectralBank) ScanBest(scratch []complex128, t int, skip []SkipInterval
 		y3[2] = b.sampleAt(prod, fp, scale, start, wrapFrom, bestIdx+1)
 	}
 	return bestIdx, bestSq, y3, nil
+}
+
+// eachGap calls fn(from, to) for every non-empty stretch [from, to) of
+// outputs 0 … n−1 between the skip intervals, in ascending order — the
+// outputs, in the order, of a per-output skip test. skip must hold
+// inclusive, ascending, disjoint intervals.
+func eachGap(skip []SkipInterval, n int, fn func(from, to int)) {
+	gap := func(from, to int) {
+		if from, to = max(from, 0), min(to, n); from < to {
+			fn(from, to)
+		}
+	}
+	next := 0
+	for _, iv := range skip {
+		gap(next, iv.Lo)
+		if iv.Hi+1 > next {
+			next = iv.Hi + 1
+		}
+	}
+	gap(next, n)
+}
+
+// filterInto writes template t's matched-filter outputs 0 … len(dst)−1
+// (at most the signal length) against the ingested signal into dst:
+// ScanBest's inverse transform and overlap-save repair, with every output
+// kept. Each output is scaled component by component, as ScanBest's scan
+// scales the outputs it compares.
+func (b *SpectralBank) filterInto(dst, scratch []complex128, t int) {
+	st := b.tmpls[t]
+	prod := scratch[:b.m]
+	b.plan.productTransformPermuted(prod, st.specRev, b.specRev, b.plan.inv)
+	fp := scratch[b.m : b.m+st.tail]
+	repairTail(fp, st.taps, b.prefix, b.plan.avx2)
+	s := 1 / float64(b.m)
+	start := len(st.taps) - 1
+	wrapFrom := min(b.m-start, len(dst))
+	for i, p := range prod[start : start+wrapFrom] {
+		dst[i] = complex(real(p)*s, imag(p)*s)
+	}
+	for i := wrapFrom; i < len(dst); i++ {
+		p, f := prod[start+i-b.m], fp[start+i-b.m]
+		dst[i] = complex(real(p)*s-real(f), imag(p)*s-imag(f))
+	}
+}
+
+// repairTail runs tailRepair, on its AVX2 twin when avx2 is set.
+func repairTail(fp, taps, prefix []complex128, avx2 bool) {
+	if avx2 {
+		tailRepairAVX2(fp, taps, prefix)
+	} else {
+		tailRepair(fp, taps, prefix)
+	}
 }
 
 // tailRepair computes the overlap-save correction of ScanBest's wrapped

@@ -115,13 +115,16 @@ type DetectorOptions struct {
 	// (default 6).
 	ThresholdFactor float64
 	// Mode selects the detector search path: core.ModeAuto (default)
-	// keeps the up-sampled residual exact across extractions and
-	// searches it at half the reference transform size;
-	// core.ModeReference re-upsamples the residual every round. Both
+	// filters the up-sampled CIR once and updates every template's
+	// output after each extraction on banks of fewer than eight shapes,
+	// and keeps the up-sampled residual exact and filters it every round
+	// at half the reference transform size on larger banks;
+	// core.ModeReference re-upsamples the residual every round. All
 	// detect the same responses up to rounding.
 	Mode core.DetectorMode
-	// Workers bounds the parallel template fan-out per detection
-	// (0 = automatic: GOMAXPROCS for large banks, serial otherwise).
+	// Workers bounds the parallel template fan-out per extraction round
+	// on banks of at least eight shapes (0 = automatic: GOMAXPROCS).
+	// Smaller banks always search serially.
 	Workers int
 }
 
