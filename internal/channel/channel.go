@@ -110,29 +110,36 @@ func (e *Environment) Realize(tx, rx geom.Point, rng *rand.Rand) ([]Tap, error) 
 	if d <= 0 {
 		return nil, fmt.Errorf("channel: tx and rx are co-located at %v", tx)
 	}
-	var taps []Tap
+	paths := []geom.Path{{
+		Points: []geom.Point{tx, rx},
+		Length: d,
+		Gain:   1,
+		Order:  0,
+	}}
 	if e.Plan != nil {
-		paths, err := e.Plan.Paths(tx, rx, e.MaxReflectionOrder)
-		if err != nil {
+		var err error
+		if paths, err = e.Plan.Paths(tx, rx, e.MaxReflectionOrder); err != nil {
 			return nil, fmt.Errorf("environment %q: %w", e.Name, err)
 		}
-		taps = make([]Tap, 0, len(paths))
-		for _, p := range paths {
-			taps = append(taps, e.tapForPath(p))
-		}
-	} else {
-		taps = []Tap{e.tapForPath(geom.Path{
-			Points: []geom.Point{tx, rx},
-			Length: d,
-			Gain:   1,
-			Order:  0,
-		})}
 	}
-	if e.Diffuse.PowerRatio > 0 {
-		if rng == nil {
-			return nil, fmt.Errorf("channel: environment %q needs an RNG for its diffuse tail", e.Name)
-		}
-		taps = append(taps, e.diffuseTaps(d, rng)...)
+	diffuse := e.Diffuse.PowerRatio > 0
+	if diffuse && rng == nil {
+		return nil, fmt.Errorf("channel: environment %q needs an RNG for its diffuse tail", e.Name)
+	}
+	// One slice holds every tap: the paths' and the diffuse tail's, whose
+	// Poisson count of mean μ = λ·MaxExcessDelay exceeds μ + 3√μ + 8 in
+	// about one draw in a thousand (append then grows the slice once).
+	n := len(paths)
+	if diffuse {
+		mean := e.Diffuse.ArrivalRate * e.Diffuse.MaxExcessDelay
+		n += int(mean+3*math.Sqrt(mean)) + 8
+	}
+	taps := make([]Tap, 0, n)
+	for _, p := range paths {
+		taps = append(taps, e.tapForPath(p))
+	}
+	if diffuse {
+		taps = e.appendDiffuseTaps(taps, d, rng)
 	}
 	sortTapsByDelay(taps)
 	return taps, nil
@@ -151,18 +158,18 @@ func (e *Environment) tapForPath(p geom.Path) Tap {
 	}
 }
 
-// diffuseTaps samples the dense tail: Poisson arrivals after the direct
-// path with exponentially decaying complex-Gaussian amplitudes, scaled so
-// the expected total tail power equals PowerRatio times the unobstructed
-// direct-path power at distance d.
-func (e *Environment) diffuseTaps(d float64, rng *rand.Rand) []Tap {
+// appendDiffuseTaps appends the dense tail to taps and returns the
+// result: Poisson arrivals after the direct path with exponentially
+// decaying complex-Gaussian amplitudes, scaled so the expected total tail
+// power equals PowerRatio times the unobstructed direct-path power at
+// distance d.
+func (e *Environment) appendDiffuseTaps(taps []Tap, d float64, rng *rand.Rand) []Tap {
 	cfg := e.Diffuse
 	losDelay := d / SpeedOfLight
 	directPower := e.PathLoss.AmplitudeGain(d)
 	directPower *= directPower
 	// Expected tail power = λ · ∫₀^∞ P0·exp(-τ/Γ) dτ = λ·P0·Γ.
 	p0 := cfg.PowerRatio * directPower / (cfg.ArrivalRate * cfg.Decay)
-	var taps []Tap
 	excess := 0.0
 	for {
 		// Exponential inter-arrival times.

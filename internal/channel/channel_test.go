@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	mrand "math/rand"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -151,7 +152,7 @@ func TestDiffuseTailPowerBudgetProperty(t *testing.T) {
 	var acc float64
 	const trials = 400
 	for i := 0; i < trials; i++ {
-		taps := env.diffuseTaps(d, rng)
+		taps := env.appendDiffuseTaps(nil, d, rng)
 		for _, tap := range taps {
 			acc += real(tap.Gain)*real(tap.Gain) + imag(tap.Gain)*imag(tap.Gain)
 		}
@@ -167,7 +168,7 @@ func TestDiffuseTapsRespectMaxExcessDelay(t *testing.T) {
 	rng := rand.New(rand.NewPCG(76, 77))
 	losDelay := 10 / SpeedOfLight
 	for i := 0; i < 50; i++ {
-		for _, tap := range env.diffuseTaps(10, rng) {
+		for _, tap := range env.appendDiffuseTaps(nil, 10, rng) {
 			if tap.Order != DiffuseOrder {
 				t.Fatal("diffuse tap with wrong order marker")
 			}
@@ -234,5 +235,96 @@ func TestRealizeDeterministicWithSeedProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 20, Rand: mrand.New(mrand.NewSource(53))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// twoSliceRealize is Realize as it was built before its taps shared one
+// slice, kept as the oracle: the deterministic taps in a slice of their
+// own, the diffuse tail drawn into another and appended, then sorted.
+func twoSliceRealize(e *Environment, tx, rx geom.Point, rng *rand.Rand) []Tap {
+	var taps []Tap
+	if e.Plan != nil {
+		paths, err := e.Plan.Paths(tx, rx, e.MaxReflectionOrder)
+		if err != nil {
+			return nil
+		}
+		for _, p := range paths {
+			taps = append(taps, e.tapForPath(p))
+		}
+	} else {
+		taps = []Tap{e.tapForPath(geom.Path{Points: []geom.Point{tx, rx}, Length: tx.Dist(rx), Gain: 1})}
+	}
+	if e.Diffuse.PowerRatio > 0 {
+		taps = append(taps, e.appendDiffuseTaps(nil, tx.Dist(rx), rng)...)
+	}
+	sortTapsByDelay(taps)
+	return taps
+}
+
+// TestRealizeMatchesTwoSliceOracle: Realize returns the oracle's taps bit
+// for bit, and leaves the RNG where the oracle does, on every preset and
+// free space over random node pairs.
+func TestRealizeMatchesTwoSliceOracle(t *testing.T) {
+	free := Office()
+	free.Plan = nil
+	envs := []*Environment{free}
+	presets := Presets()
+	var names []string
+	for name := range presets {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		envs = append(envs, presets[name])
+	}
+	pick := rand.New(rand.NewPCG(91, 92))
+	for _, e := range envs {
+		for i := 0; i < 40; i++ {
+			tx := geom.Point{X: 0.5 + 20*pick.Float64(), Y: 0.3 + 2*pick.Float64()}
+			rx := geom.Point{X: 0.5 + 20*pick.Float64(), Y: 0.3 + 2*pick.Float64()}
+			r1, r2 := rand.New(rand.NewPCG(uint64(i), 3)), rand.New(rand.NewPCG(uint64(i), 3))
+			got, err := e.Realize(tx, rx, r1)
+			if err != nil {
+				continue
+			}
+			want := twoSliceRealize(e, tx, rx, r2)
+			if len(got) != len(want) {
+				t.Fatalf("%s, %v → %v: %d taps, oracle %d", e.Name, tx, rx, len(got), len(want))
+			}
+			for k := range got {
+				if math.Float64bits(got[k].Delay) != math.Float64bits(want[k].Delay) ||
+					math.Float64bits(real(got[k].Gain)) != math.Float64bits(real(want[k].Gain)) ||
+					math.Float64bits(imag(got[k].Gain)) != math.Float64bits(imag(want[k].Gain)) ||
+					got[k].Order != want[k].Order {
+					t.Fatalf("%s, %v → %v: tap %d = %+v, oracle %+v", e.Name, tx, rx, k, got[k], want[k])
+				}
+			}
+			if r1.Uint64() != r2.Uint64() {
+				t.Fatalf("%s, %v → %v: Realize and the oracle leave the RNG apart", e.Name, tx, rx)
+			}
+		}
+	}
+}
+
+// TestRealizeAllocatesOneSlice: on the hallway preset Realize allocates
+// the tap slice and nothing else beyond what Plan.Paths allocates.
+func TestRealizeAllocatesOneSlice(t *testing.T) {
+	env := Hallway()
+	tx, rx := geom.Point{X: 2, Y: 1.2}, geom.Point{X: 12, Y: 0.9}
+	src := rand.NewPCG(1, 2)
+	rng := rand.New(src)
+	paths := testing.AllocsPerRun(50, func() {
+		if _, err := env.Plan.Paths(tx, rx, env.MaxReflectionOrder); err != nil {
+			t.Fatal(err)
+		}
+	})
+	realize := testing.AllocsPerRun(50, func() {
+		src.Seed(1, 2)
+		if _, err := env.Realize(tx, rx, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if realize > paths+1 {
+		t.Fatalf("Realize allocates %v times, Plan.Paths %v", realize, paths)
 	}
 }

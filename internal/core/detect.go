@@ -72,8 +72,9 @@ const (
 
 // ErrNonFinite reports a NaN or infinite detector input: a CIR tap, the
 // noise RMS of a thresholded detection, or the configured threshold
-// factor. NewDetector, Detect and DetectBatch wrap it; match it with
-// errors.Is.
+// factor; or a threshold that, relative to the CIR's largest tap, over- or
+// underflows (detectAppend's scaling). NewDetector, Detect and DetectBatch
+// wrap it; match it with errors.Is.
 var ErrNonFinite = errors.New("core: non-finite detector input")
 
 // DetectorMode selects the detector's search implementation.
@@ -87,7 +88,9 @@ const (
 	// one inverse FFT per template) and keep every template's output
 	// across extractions, adding each subtracted pulse's image through
 	// the template's impulse response (dsp.TrackedOutputs); a round is
-	// then a peak scan of the outputs. Larger banks keep the up-sampled
+	// then a peak scan of the outputs, which takes the subtractions only
+	// into the blocks of outputs that can still hold the best, bit for
+	// bit as if every output took them. Larger banks keep the up-sampled
 	// residual exact with dsp.UpsamplePlan.AddSegment and filter it every
 	// round, one forward FFT plus one inverse FFT per template. Up to
 	// rounding either computes what ModeReference computes, at every
@@ -186,7 +189,8 @@ type Detector struct {
 	searchBank
 	tracked   *dsp.TrackedOutputs
 	upsample  *dsp.UpsamplePlan
-	residual  []complex128
+	residual  []complex128       // the residual, scaled by 2^−scaleExp
+	scaleExp  int                // this Detect's input scale exponent (scaleExponent)
 	up        []complex128       // up-sampled residual (the up-sampled CIR on maintained outputs)
 	seg       []complex128       // the round's subtracted pulse, rendered at T_s
 	skipQ     []dsp.SkipInterval // per-round suppressed intervals, q-space
@@ -490,7 +494,11 @@ func (d *Detector) workerCount() int {
 // (Sect. IV step 7). noiseRMS is the per-tap complex noise RMS used for
 // the detection threshold; it must be positive and finite unless the
 // threshold is disabled. A NaN or infinite tap, or such a noiseRMS when
-// thresholded, returns an error wrapping ErrNonFinite.
+// thresholded, returns an error wrapping ErrNonFinite. The search runs on
+// the taps scaled by the power of two that puts their largest component
+// in [0.5, 1), so scaling the taps and noiseRMS by 2^k scales every
+// amplitude by 2^k, bit for bit, at any scale; a threshold that over- or
+// underflows under that scaling also returns ErrNonFinite.
 //
 // Each round matched-filters the residual with every template, picks the
 // globally strongest peak (its template identifies the responder's pulse
@@ -531,8 +539,20 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 	if err := d.ensureState(len(taps)); err != nil {
 		return dst, err
 	}
+	// The search runs on the taps scaled by 2^−e, e the binary exponent of
+	// their largest component, which puts that component in [0.5, 1):
+	// clear of overflow in the squared magnitudes and projection scores,
+	// and of underflow, at any input scale. Every step is homogeneous in
+	// the taps and a power-of-two scale is exact away from the subnormals,
+	// so the responses are those of the unscaled search bit for bit,
+	// their amplitudes scaled back by 2^e.
 	residual := d.residual
-	copy(residual, taps)
+	d.scaleExp = scaleExponent(taps)
+	scaleInto(residual, taps, -d.scaleExp)
+	searchThreshold := d.cfg.ThresholdFactor * math.Ldexp(noiseRMS, -d.scaleExp)
+	if useThreshold && (searchThreshold == 0 || math.IsInf(searchThreshold, 0)) {
+		return dst, fmt.Errorf("%w: threshold %g against taps up to 2^%d", ErrNonFinite, threshold, d.scaleExp)
+	}
 
 	// Instrumentation is observational only: the counters and trace
 	// events below never influence the search, and the energy tallies
@@ -548,7 +568,7 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 	}
 	var inputEnergy float64
 	if d.rec != nil || span != nil {
-		inputEnergy = dsp.Energy(taps)
+		inputEnergy = dsp.Energy(residual)
 	}
 	rounds, refineSteps := 0, 0
 	stop := trace.ReasonMaxIterations
@@ -645,7 +665,7 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 			}
 			break
 		}
-		if useThreshold && cmplx.Abs(alpha) < threshold {
+		if useThreshold && cmplx.Abs(alpha) < searchThreshold {
 			stop = trace.ReasonBelowThreshold
 			if span != nil {
 				d.emitRound(span, rounds-1, best, peakPos, alpha, threshold, useThreshold, stop, inputEnergy)
@@ -654,7 +674,7 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 		}
 		responses = append(responses, Response{
 			Delay:         peakPos * d.ts,
-			Amplitude:     alpha,
+			Amplitude:     scaleComplex(alpha, d.scaleExp),
 			TemplateIndex: best.t,
 		})
 		// Subtract the estimated response (Sect. IV step 5): render it
@@ -738,23 +758,28 @@ func failDetectSpan(span *trace.Span, err error) {
 // candidate peak, the per-template matched-filter scores scanRange
 // captured, the peak-to-threshold margin, the accept/reject reason, and
 // the residual-to-input energy fraction at the end of the round (after
-// the subtraction for accepted rounds). Only reached while tracing.
+// the subtraction for accepted rounds). Scores and amplitude are scaled
+// back to the input's scale. Only reached while tracing.
 func (d *Detector) emitRound(span *trace.Span, round int, best candidate,
 	peakPos float64, alpha complex128, threshold float64, useThreshold bool,
 	reason string, inputEnergy float64) {
 	if span == nil {
 		return
 	}
+	scores := make([]float64, len(d.roundScores))
+	for i, v := range d.roundScores {
+		scores[i] = math.Ldexp(v, d.scaleExp)
+	}
 	attrs := trace.Attrs{
 		trace.AttrRound:  round,
 		trace.AttrReason: reason,
-		trace.AttrScores: append([]float64(nil), d.roundScores...),
+		trace.AttrScores: scores,
 	}
 	if best.t >= 0 {
 		attrs[trace.AttrTemplate] = best.t
 		attrs[trace.AttrPeakIndex] = best.idx
 		attrs[trace.AttrDelayS] = peakPos * d.ts
-		amp := cmplx.Abs(alpha)
+		amp := math.Ldexp(cmplx.Abs(alpha), d.scaleExp)
 		attrs[trace.AttrAmplitude] = amp
 		if useThreshold && threshold > 0 && amp > 0 {
 			attrs[trace.AttrMarginDB] = 20 * math.Log10(amp/threshold)
@@ -1078,7 +1103,10 @@ func (d *Detector) MatchedFilterOutputs(taps []complex128) ([][]float64, float64
 			return nil, 0, err
 		}
 	}
-	up := d.upsample.Execute(d.up, taps)
+	// Filter the taps scaled as Detect scales them and scale |y| back.
+	e := scaleExponent(taps)
+	scaleInto(d.residual, taps, -e)
+	up := d.upsample.Execute(d.up, d.residual)
 	if err := fbank.Transform(up); err != nil {
 		return nil, 0, err
 	}
@@ -1089,9 +1117,50 @@ func (d *Detector) MatchedFilterOutputs(taps []complex128) ([][]float64, float64
 			return nil, 0, err
 		}
 		out[t] = dsp.Abs(y)
+		for i, v := range out[t] {
+			out[t][i] = math.Ldexp(v, e)
+		}
 	}
 	d.recordPlanExecs()
 	return out, d.tsUp, nil
+}
+
+// scaleExponent returns the binary exponent e of v's largest component,
+// which 2^−e scales into [0.5, 1), or 0 when every component is zero.
+func scaleExponent(v []complex128) int {
+	m := 0.0
+	for _, c := range v {
+		m = max(m, math.Abs(real(c)), math.Abs(imag(c)))
+	}
+	if m == 0 {
+		return 0
+	}
+	_, e := math.Frexp(m)
+	return e
+}
+
+// scaleInto writes src scaled by 2^k into dst, component by component:
+// exactly, unless a component leaves the normal range.
+func scaleInto(dst, src []complex128, k int) {
+	if k == 0 {
+		copy(dst, src)
+		return
+	}
+	if k >= -1000 && k <= 1000 {
+		s := math.Ldexp(1, k)
+		for i, c := range src {
+			dst[i] = complex(real(c)*s, imag(c)*s)
+		}
+		return
+	}
+	for i, c := range src {
+		dst[i] = scaleComplex(c, k)
+	}
+}
+
+// scaleComplex returns c scaled by 2^k, component by component.
+func scaleComplex(c complex128, k int) complex128 {
+	return complex(math.Ldexp(real(c), k), math.Ldexp(imag(c), k))
 }
 
 func sortResponsesByDelay(rs []Response) {

@@ -17,11 +17,15 @@ import (
 // always terminate, and either return an error or delay-sorted responses
 // with finite fields and in-range templates. Valid input (finite taps,
 // finite positive noise RMS) must not error, and a NaN or infinite tap or
-// noise RMS must be refused with ErrNonFinite. DetectBatch must agree
-// with Detect item by item — the same failures, ErrNonFinite where Detect
-// reports it, otherwise the same responses bit for bit — and a hostile
-// input must never leak into the clean CIR batched beside it. Each tap is
-// 16 bytes (real and imaginary float64), clamped to ±1e3.
+// noise RMS must be refused with ErrNonFinite, as must a threshold that
+// over- or underflows once the CIR is scaled to a largest component in
+// [0.5, 1). DetectBatch must agree with Detect item by item — the same
+// failures, ErrNonFinite where Detect reports it, otherwise the same
+// responses bit for bit — and a hostile input must never leak into the
+// clean CIR batched beside it. A copy of the input scaled by 2^k, k from
+// the last byte, must return the responses scaled by 2^k bit for bit
+// wherever both scalings are exact. Each tap is 16 bytes (real and
+// imaginary float64), clamped to ±1e3.
 func FuzzDetect(f *testing.F) {
 	f.Add(make([]byte, 1016*16), 1e-5) // all zero
 	saturated := make([]complex128, 1016)
@@ -105,6 +109,16 @@ func FuzzDetect(f *testing.F) {
 		// A non-positive finite noise RMS is refused before the taps are
 		// looked at, with its own error.
 		wantNonFinite := math.IsNaN(noiseRMS) || math.IsInf(noiseRMS, 0) || tapsNonFinite && noiseRMS > 0
+		if valid {
+			m := 0.0
+			for _, c := range taps {
+				m = max(m, math.Abs(real(c)), math.Abs(imag(c)))
+			}
+			_, e := math.Frexp(m)
+			if thr := DefaultThresholdFactor * math.Ldexp(noiseRMS, -e); thr == 0 || math.IsInf(thr, 0) {
+				valid, wantNonFinite = false, true
+			}
+		}
 		for _, p := range paths {
 			det := p.det
 			responses, err := det.Detect(taps, noiseRMS)
@@ -146,8 +160,48 @@ func FuzzDetect(f *testing.F) {
 					t.Fatalf("mode %d: template index %d out of range", det.cfg.Mode, r.TemplateIndex)
 				}
 			}
+			k := 7 * int(int8(data[len(data)-1]))
+			scaled := make([]complex128, len(taps))
+			for i, c := range taps {
+				scaled[i] = complex(math.Ldexp(real(c), k), math.Ldexp(imag(c), k))
+			}
+			want := slices.Clone(responses)
+			for i, r := range want {
+				want[i].Amplitude = complex(math.Ldexp(real(r.Amplitude), k), math.Ldexp(imag(r.Amplitude), k))
+			}
+			if !exactScale(taps, k) || !exactScale([]complex128{complex(noiseRMS, 0)}, k) || !exactScale(responseAmplitudes(responses), k) {
+				continue
+			}
+			got, err := det.Detect(scaled, math.Ldexp(noiseRMS, k))
+			if err != nil || !sameResponseBits(got, want) {
+				t.Fatalf("mode %d: scaled by 2^%d: %+v, error %v; want %+v", det.cfg.Mode, k, got, err, want)
+			}
 		}
 	})
+}
+
+// exactScale reports whether scaling every component of v by 2^k and back
+// returns it bit for bit, with no component subnormal before or after: the
+// scaled copy then carries v's values exactly.
+func exactScale(v []complex128, k int) bool {
+	for _, c := range v {
+		for _, x := range []float64{real(c), imag(c)} {
+			y := math.Ldexp(x, k)
+			if math.Ldexp(y, -k) != x || x != 0 && (math.Abs(x) < 0x1p-1022 || math.Abs(y) < 0x1p-1022) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// responseAmplitudes returns the responses' amplitudes.
+func responseAmplitudes(rs []Response) []complex128 {
+	out := make([]complex128, len(rs))
+	for i, r := range rs {
+		out[i] = r.Amplitude
+	}
+	return out
 }
 
 // sameResponseBits reports whether two response sets are identical bit

@@ -8,6 +8,7 @@ package core_test
 // and figures are unchanged.
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand/v2"
@@ -250,6 +251,131 @@ func TestDetectRepeatedCallsAreDeterministic(t *testing.T) {
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatalf("response %d: %+v then %+v", i, first[i], second[i])
+		}
+	}
+}
+
+// scaleEquivarianceCases are the golden CIRs with their detector set-ups.
+func scaleEquivarianceCases(t *testing.T) []struct {
+	name     string
+	shapes   int
+	cfg      core.DetectorConfig
+	taps     []complex128
+	noiseRMS float64
+} {
+	shapes := goldenCIR(t, []goldenPulse{
+		{pulse.RegisterS1, 40 * goldenTs, 10e-4},
+		{pulse.RegisterS3, 80 * goldenTs, 5e-4},
+	}, 1e-5, 7)
+	return []struct {
+		name     string
+		shapes   int
+		cfg      core.DetectorConfig
+		taps     []complex128
+		noiseRMS float64
+	}{
+		{"single", 1, core.DetectorConfig{}, goldenCIR(t, []goldenPulse{{pulse.RegisterS1, 200.4 * goldenTs, complex(0.02, 0.01)}}, 1e-4, 1), 1e-4},
+		{"three", 3, core.DetectorConfig{}, goldenCIR(t, []goldenPulse{
+			{pulse.RegisterS1, 100 * goldenTs, 150},
+			{pulse.RegisterS2, 160.4 * goldenTs, complex(0, 120)},
+			{pulse.RegisterS3, 300.7 * goldenTs, complex(-100, 130)},
+		}, 1, 3), 1},
+		{"shapes", 3, core.DetectorConfig{MaxResponses: 2}, shapes, 1e-5},
+		{"grid", 3, core.DetectorConfig{MaxResponses: 2, DisableRefinement: true}, shapes, 1e-5},
+		{"simulated", 3, core.DetectorConfig{}, goldenSimCIR(t), dw1000.DefaultNoiseRMS},
+	}
+}
+
+// scaled returns taps scaled by s, component by component.
+func scaled(taps []complex128, s float64) []complex128 {
+	out := make([]complex128, len(taps))
+	for i, c := range taps {
+		out[i] = complex(real(c)*s, imag(c)*s)
+	}
+	return out
+}
+
+// TestDetectScaleEquivariance: Detect(2^k·x, 2^k·σ) returns 2^k·Detect(x, σ)
+// bit for bit for k in [−900, 900] on the golden CIRs, on the default path
+// and ModeReference and through DetectBatch, since the detector searches
+// every CIR scaled to a largest component in [0.5, 1). At decimal scales
+// 1e±150 to 1e±300, where the scaled input rounds, it returns the unscaled
+// responses within rounding; before the scaling it returned phantoms from
+// 1e152 up and nothing from 1e154 or below 1e-170.
+func TestDetectScaleEquivariance(t *testing.T) {
+	ks := []int{-900, -600, -513, -301, -64, -1, 1, 17, 300, 511, 777, 900}
+	for _, c := range scaleEquivarianceCases(t) {
+		bank, err := pulse.DefaultBank(goldenTs, c.shapes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []core.DetectorMode{core.ModeAuto, core.ModeReference} {
+			cfg := c.cfg
+			cfg.Mode = mode
+			det, err := core.NewDetector(bank, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := core.NewBatchDetector(bank, cfg, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := det.Detect(c.taps, c.noiseRMS)
+			if err != nil || len(want) == 0 {
+				t.Fatalf("%s, mode %d: %d responses, error %v", c.name, mode, len(want), err)
+			}
+			var inputs []core.BatchInput
+			for _, k := range ks {
+				s := math.Ldexp(1, k)
+				in := core.BatchInput{Taps: scaled(c.taps, s), NoiseRMS: c.noiseRMS * s}
+				got, err := det.Detect(in.Taps, in.NoiseRMS)
+				if err != nil {
+					t.Fatalf("%s, mode %d, 2^%d: %v", c.name, mode, k, err)
+				}
+				requireScaledResponses(t, fmt.Sprintf("%s, mode %d, 2^%d", c.name, mode, k), got, want, k)
+				inputs = append(inputs, in)
+			}
+			for i, r := range batch.DetectBatch(inputs) {
+				if r.Err != nil {
+					t.Fatalf("%s, mode %d, batch 2^%d: %v", c.name, mode, ks[i], r.Err)
+				}
+				requireScaledResponses(t, fmt.Sprintf("%s, mode %d, batch 2^%d", c.name, mode, ks[i]), r.Responses, want, ks[i])
+			}
+			batch.Close()
+			for _, s := range []float64{1e-300, 1e-200, 1e-150, 1e150, 1e200, 1e300} {
+				got, err := det.Detect(scaled(c.taps, s), c.noiseRMS*s)
+				if err != nil {
+					t.Fatalf("%s, mode %d, %g: %v", c.name, mode, s, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s, mode %d, %g: %d responses, want %d", c.name, mode, s, len(got), len(want))
+				}
+				for i, w := range want {
+					g := got[i]
+					if g.TemplateIndex != w.TemplateIndex || !relClose(g.Delay, w.Delay, 1e-9) ||
+						cmplx.Abs(g.Amplitude/complex(s, 0)-w.Amplitude) > 1e-9*cmplx.Abs(w.Amplitude) {
+						t.Fatalf("%s, mode %d, %g: response %d = %+v, want %+v scaled", c.name, mode, s, i, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// requireScaledResponses fails unless got is want with every amplitude
+// scaled by 2^k, bit for bit.
+func requireScaledResponses(t *testing.T, what string, got, want []core.Response, k int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d responses, want %d", what, len(got), len(want))
+	}
+	for i, w := range want {
+		w.Amplitude = complex(math.Ldexp(real(w.Amplitude), k), math.Ldexp(imag(w.Amplitude), k))
+		g := got[i]
+		if g.TemplateIndex != w.TemplateIndex || math.Float64bits(g.Delay) != math.Float64bits(w.Delay) ||
+			math.Float64bits(real(g.Amplitude)) != math.Float64bits(real(w.Amplitude)) ||
+			math.Float64bits(imag(g.Amplitude)) != math.Float64bits(imag(w.Amplitude)) {
+			t.Fatalf("%s: response %d = %+v, want %+v", what, i, g, w)
 		}
 	}
 }

@@ -742,7 +742,7 @@ TEXT ·peakScanAsm(SB), NOSPLIT, $0-48
 	VMOVDQU      peakLaneIdx<>+0(SB), Y8
 	VMOVDQU      peakLaneIdx<>+32(SB), Y9
 	MOVQ         $8, AX
-	MOVQ         AX, X7
+	VMOVQ        AX, X7              // VEX-encoded: a legacy MOVQ stalls on the dirty upper halves
 	VPBROADCASTQ X7, Y7
 
 scanBlock:
