@@ -74,21 +74,26 @@ smoke:
 	$(GO) run ./cmd/reportcheck -require-metrics detector.,sim.,experiments.,trace. results/smoke-report.json
 	$(GO) run ./cmd/crtrace results/smoke-trace.jsonl
 
-# Every Fuzz* target in the repository, 60 s each.
+# Every Fuzz* target in the repository, 60 s each. Minimizing an input that
+# finds new coverage may take at most 10 s (the default is 60 s), so a
+# target with slow bodies keeps most of its time for fuzzing.
+FUZZ = -fuzztime 60s -fuzzminimizetime 10s
+
 fuzz:
-	$(GO) test ./internal/dsp -fuzz FuzzFFTRoundTrip -fuzztime 60s
-	$(GO) test ./internal/dsp -fuzz FuzzUpsamplePlan -fuzztime 60s
-	$(GO) test ./internal/dsp -fuzz FuzzUpsampleAddSegment -fuzztime 60s
-	$(GO) test ./internal/dsp -fuzz FuzzConvolve -fuzztime 60s
-	$(GO) test ./internal/dsp -fuzz FuzzFFTKernels -fuzztime 60s
-	$(GO) test ./internal/dsp -fuzz FuzzScanBest -fuzztime 60s
-	$(GO) test ./internal/dsp -fuzz FuzzIngest -fuzztime 60s
-	$(GO) test ./internal/dsp -fuzz FuzzTrackedOutputs -fuzztime 60s
-	$(GO) test ./internal/core -fuzz FuzzDetect -fuzztime 60s
-	$(GO) test ./internal/core -fuzz FuzzSlotPlan -fuzztime 60s
-	$(GO) test ./internal/dw1000 -fuzz FuzzScheduleDelayedTX -fuzztime 60s
-	$(GO) test ./ranging -fuzz FuzzLoadScenario -fuzztime 60s
-	$(GO) test ./internal/sim -fuzz FuzzSwarmConfig -fuzztime 60s
+	$(GO) test ./internal/dsp -fuzz FuzzFFTRoundTrip $(FUZZ)
+	$(GO) test ./internal/dsp -fuzz FuzzUpsamplePlan $(FUZZ)
+	$(GO) test ./internal/dsp -fuzz FuzzUpsampleAddSegment $(FUZZ)
+	$(GO) test ./internal/dsp -fuzz FuzzConvolve $(FUZZ)
+	$(GO) test ./internal/dsp -fuzz FuzzFFTKernels $(FUZZ)
+	$(GO) test ./internal/dsp -fuzz FuzzScanBest $(FUZZ)
+	$(GO) test ./internal/dsp -fuzz FuzzIngest $(FUZZ)
+	$(GO) test ./internal/dsp -fuzz FuzzTrackedOutputs $(FUZZ)
+	$(GO) test ./internal/dsp -fuzz FuzzPulseKernel $(FUZZ)
+	$(GO) test ./internal/core -fuzz FuzzDetect $(FUZZ)
+	$(GO) test ./internal/core -fuzz FuzzSlotPlan $(FUZZ)
+	$(GO) test ./internal/dw1000 -fuzz FuzzScheduleDelayedTX $(FUZZ)
+	$(GO) test ./ranging -fuzz FuzzLoadScenario $(FUZZ)
+	$(GO) test ./internal/sim -fuzz FuzzSwarmConfig $(FUZZ)
 
 clean:
 	$(GO) clean ./...

@@ -306,6 +306,23 @@ func TestRealizeMatchesTwoSliceOracle(t *testing.T) {
 	}
 }
 
+// TestPathsAllocations pins Plan.Paths' allocations on the hallway preset:
+// the path slice, sized once; the LOS polyline; the one wall-sequence
+// buffer; and for each of the four one-bounce paths its images, its
+// polyline and its wall names.
+func TestPathsAllocations(t *testing.T) {
+	env := Hallway()
+	tx, rx := geom.Point{X: 2, Y: 1.2}, geom.Point{X: 12, Y: 0.9}
+	n := testing.AllocsPerRun(50, func() {
+		if _, err := env.Plan.Paths(tx, rx, env.MaxReflectionOrder); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 15 {
+		t.Fatalf("Plan.Paths allocates %v times, want 15", n)
+	}
+}
+
 // TestRealizeAllocatesOneSlice: on the hallway preset Realize allocates
 // the tap slice and nothing else beyond what Plan.Paths allocates.
 func TestRealizeAllocatesOneSlice(t *testing.T) {

@@ -1037,10 +1037,15 @@ func (d *Detector) projectAmplitude(residual []complex128, tmplIdx int, peakPos 
 	hi := min(int(peakPos+halfSamples)+1, len(residual)-1)
 	var num complex128
 	var den float64
-	for n := lo; n <= hi; n++ {
-		v := norm * shape.Eval((float64(n)-peakPos)*d.ts)
-		num += residual[n] * complex(v, 0)
-		den += v * v
+	var buf [128]float64
+	for n := lo; n <= hi; n += len(buf) {
+		vals := buf[:min(hi-n+1, len(buf))]
+		shape.EvalRun(vals, n, peakPos, d.ts)
+		for k, e := range vals {
+			v := norm * e
+			num += residual[n+k] * complex(v, 0)
+			den += v * v
+		}
 	}
 	if den == 0 {
 		return 0, 0

@@ -1,6 +1,10 @@
 package dsp
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // haveAVX2 reports whether this CPU executes AVX2 and the operating system
 // saves the YMM registers across context switches (CPUID plus XGETBV,
@@ -60,6 +64,9 @@ func addRunAsm(dst, run []complex128, h []float64, f int)
 
 //go:noescape
 func peakScanAsm(v []complex128, s, best float64, lanes *peakLanes)
+
+//go:noescape
+func raisedCosineAsm(dst []float64, first, delay, ts, b, twoBeta, piBeta float64) (flagged uint64)
 
 // The wrappers below are the AVX2 twins of firstPass, productFirstPass,
 // gatherFirstPass, stagePair, stagePairRev, stagePairPeaks, radix2Stage
@@ -203,6 +210,44 @@ func peakScanAVX2(v []complex128, s, best float64) (int, float64) {
 		idx, best = n+i, sq
 	}
 	return idx, best
+}
+
+// pulseRunMax is the most samples one raisedCosineAsm call fills: its
+// flagged lanes come back as the bits of one uint64.
+const pulseRunMax = 64
+
+// raisedCosineAVX2 is the AVX2 twin of raisedCosineRun. The kernel fills
+// runs of up to pulseRunMax samples, four at a time, and a ragged last
+// group through a local array; the lanes it flags (a zero x,
+// RaisedCosine's nudge, a NaN or ±Inf, an argument of sin or cos at or
+// above Go's reduceThreshold) are recomputed by RaisedCosine. The kernel
+// steps the sample index in float64, exact while |first| and
+// |first+len(dst)| stay within 2^52; runs beyond that take the Go loop.
+func raisedCosineAVX2(dst []float64, b, beta float64, first int, delay, ts float64) {
+	if first < -1<<52 || first > 1<<52-len(dst) {
+		raisedCosineRun(dst, b, beta, first, delay, ts)
+		return
+	}
+	twoBeta, piBeta := 2*beta, math.Pi*beta
+	for len(dst) > 0 {
+		run := dst[:min(len(dst), pulseRunMax)]
+		var flagged uint64
+		n := len(run) &^ 3
+		if n > 0 {
+			flagged = raisedCosineAsm(run[:n], float64(first), delay, ts, b, twoBeta, piBeta)
+		}
+		if n < len(run) {
+			var tail [4]float64
+			f := raisedCosineAsm(tail[:], float64(first+n), delay, ts, b, twoBeta, piBeta)
+			flagged |= (f << n) & (1<<len(run) - 1) // the tail's lanes inside run
+			copy(run[n:], tail[:])
+		}
+		for ; flagged != 0; flagged &= flagged - 1 {
+			k := bits.TrailingZeros64(flagged)
+			run[k] = RaisedCosine(b, beta, (float64(first+k)-delay)*ts)
+		}
+		dst, first = dst[len(run):], first+len(run)
+	}
 }
 
 func kernelLenError(what string, n, block int) string {

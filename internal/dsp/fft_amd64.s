@@ -776,6 +776,201 @@ scanBlock:
 	VZEROUPPER
 	RET
 
+// PULSE_CONST defines name<> as four copies of the float64 with the given
+// bits: one 32-byte vector, so raisedCosineAsm reads every constant as a
+// memory operand.
+#define PULSE_CONST(name, bits) \
+	DATA   name<>+0(SB)/8, bits  \
+	; DATA name<>+8(SB)/8, bits  \
+	; DATA name<>+16(SB)/8, bits \
+	; DATA name<>+24(SB)/8, bits \
+	; GLOBL name<>(SB), RODATA|NOPTR, $32
+
+DATA pulseLanes<>+0(SB)/8, $0x0000000000000000 // 0, 1, 2, 3
+DATA pulseLanes<>+8(SB)/8, $0x3ff0000000000000
+DATA pulseLanes<>+16(SB)/8, $0x4000000000000000
+DATA pulseLanes<>+24(SB)/8, $0x4008000000000000
+GLOBL pulseLanes<>(SB), RODATA|NOPTR, $32
+
+PULSE_CONST(pulseFour, $0x4010000000000000)       // 4
+PULSE_CONST(pulseOne, $0x3ff0000000000000)        // 1
+PULSE_CONST(pulseHalf, $0x3fe0000000000000)       // 0.5
+PULSE_CONST(pulseQuarter, $0x3fd0000000000000)    // 0.25
+PULSE_CONST(pulseEighth, $0x3fc0000000000000)     // 0.125
+PULSE_CONST(pulseAbs, $0x7fffffffffffffff)        // all bits but the sign
+PULSE_CONST(pulseSign, $0x8000000000000000)       // the sign bit
+PULSE_CONST(pulseTiny, $0x3e112e0be826d695)       // 1e-9, Eval's nudge bound
+PULSE_CONST(pulseLimit, $0x41c0000000000000)      // 2^29, math's reduceThreshold
+PULSE_CONST(pulsePi, $0x400921fb54442d18)         // math.Pi
+PULSE_CONST(pulseFourOverPi, $0x3ff45f306dc9c883) // 4/math.Pi
+PULSE_CONST(pulsePi4A, $0x3fe921fb40000000)       // math's PI4A, PI4B, PI4C
+PULSE_CONST(pulsePi4B, $0x3e64442d00000000)
+PULSE_CONST(pulsePi4C, $0x3ce8469898cc5170)
+PULSE_CONST(pulseSin0, $0x3de5d8fd1fd19ccd)       // math's _sin
+PULSE_CONST(pulseSin1, $0xbe5ae5e5a9291f5d)
+PULSE_CONST(pulseSin2, $0x3ec71de3567d48a1)
+PULSE_CONST(pulseSin3, $0xbf2a01a019bfdf03)
+PULSE_CONST(pulseSin4, $0x3f8111111110f7d0)
+PULSE_CONST(pulseSin5, $0xbfc5555555555548)
+PULSE_CONST(pulseCos0, $0xbda8fa49a0861a9b)       // math's _cos
+PULSE_CONST(pulseCos1, $0x3e21ee9d7b4e3f05)
+PULSE_CONST(pulseCos2, $0xbe927e4f7eac4bc6)
+PULSE_CONST(pulseCos3, $0x3efa01a019c844f5)
+PULSE_CONST(pulseCos4, $0xbf56c16c16c14f91)
+PULSE_CONST(pulseCos5, $0x3fa555555555554b)
+
+// REDUCE is the argument reduction of Go's math.sin and math.cos below
+// reduceThreshold on the four lanes of a = |u|: j = trunc(a·4/π)
+// (VROUNDPD $3), an odd j raised by one to y, and the Cody–Waite
+// z = ((a − y·PI4A) − y·PI4B) − y·PI4C, left in a. y is even, so its
+// octant y mod 8 is 0, 2, 4 or 6: swap gets the lanes of octant 2 or 6
+// (y/4 not whole), where math takes the other polynomial, and hi those
+// of octant 4 or 6 (frac(y/8) ≥ 1/2), where math flips the sign. Every
+// step is exact on these integers below 2^31. t and r are scratch; hi
+// may be y.
+#define REDUCE(a, y, t, r, swap, hi) \
+	VMULPD     pulseFourOverPi<>(SB), a, y \
+	; VROUNDPD $3, y, y                    \
+	; VMULPD   pulseHalf<>(SB), y, t       \
+	; VROUNDPD $1, t, r                    \
+	; VCMPPD   $0x04, r, t, t              \
+	; VANDPD   pulseOne<>(SB), t, t        \
+	; VADDPD   t, y, y                     \
+	; VMULPD   pulsePi4A<>(SB), y, t       \
+	; VSUBPD   t, a, a                     \
+	; VMULPD   pulsePi4B<>(SB), y, t       \
+	; VSUBPD   t, a, a                     \
+	; VMULPD   pulsePi4C<>(SB), y, t       \
+	; VSUBPD   t, a, a                     \
+	; VMULPD   pulseQuarter<>(SB), y, t    \
+	; VROUNDPD $1, t, r                    \
+	; VCMPPD   $0x04, r, t, swap           \
+	; VMULPD   pulseEighth<>(SB), y, t     \
+	; VROUNDPD $1, t, r                    \
+	; VSUBPD   r, t, t                     \
+	; VCMPPD   $0x1D, pulseHalf<>(SB), t, hi
+
+// POLYS evaluates both of math's polynomials on the reduced z, in Go's
+// association and with every product rounded on its own:
+// s = z + (z·zz)·P_sin(zz) and c = (1 − 0.5·zz) + (zz·zz)·P_cos(zz), each
+// P a Horner chain ((((k0·zz + k1)·zz + k2)·zz + k3)·zz + k4)·zz + k5.
+// zz and t are scratch; z is clobbered.
+#define POLYS(z, zz, s, c, t) \
+	VMULPD   z, z, zz               \
+	; VMULPD pulseSin0<>(SB), zz, s \
+	; VADDPD pulseSin1<>(SB), s, s  \
+	; VMULPD zz, s, s               \
+	; VADDPD pulseSin2<>(SB), s, s  \
+	; VMULPD zz, s, s               \
+	; VADDPD pulseSin3<>(SB), s, s  \
+	; VMULPD zz, s, s               \
+	; VADDPD pulseSin4<>(SB), s, s  \
+	; VMULPD zz, s, s               \
+	; VADDPD pulseSin5<>(SB), s, s  \
+	; VMULPD pulseCos0<>(SB), zz, c \
+	; VADDPD pulseCos1<>(SB), c, c  \
+	; VMULPD zz, c, c               \
+	; VADDPD pulseCos2<>(SB), c, c  \
+	; VMULPD zz, c, c               \
+	; VADDPD pulseCos3<>(SB), c, c  \
+	; VMULPD zz, c, c               \
+	; VADDPD pulseCos4<>(SB), c, c  \
+	; VMULPD zz, c, c               \
+	; VADDPD pulseCos5<>(SB), c, c  \
+	; VMULPD zz, z, t               \
+	; VMULPD s, t, t                \
+	; VADDPD t, z, s                \
+	; VMULPD zz, zz, t              \
+	; VMULPD c, t, t                \
+	; VMULPD pulseHalf<>(SB), zz, zz \
+	; VMOVUPD pulseOne<>(SB), z     \
+	; VSUBPD zz, z, z               \
+	; VADDPD t, z, c
+
+// func raisedCosineAsm(dst []float64, first, delay, ts, b, twoBeta, piBeta float64) (flagged uint64)
+//
+// raisedCosineRun on four samples per group, len(dst) a positive multiple
+// of 4 and at most 64. Y14 holds the group's sample indices
+// (float64(first) + 0..3, exact below 2^53). Each lane runs RaisedCosine's
+// operations in Go's order: t = (i − delay)·ts, x = b·t, den = 1 − q·q
+// with q = 2β·x, sinc = sin(πx)/(πx), c = cos(πβ·x) and (sinc·c)/den, with
+// math.sin and math.cos as REDUCE and POLYS compute them, the polynomial
+// and sign chosen per lane by blend and XOR. The lanes left to the Go
+// wrapper (x = 0, |den| < 1e-9, |πx| or |πβx| not below 2^29, which
+// takes in NaN and ±Inf) set their bits of flagged, bit k for dst[k];
+// their values are not defined.
+TEXT ·raisedCosineAsm(SB), NOSPLIT, $0-80
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), SI
+	LEAQ         (DI)(SI*8), SI              // end of dst
+	VBROADCASTSD first+24(FP), Y14
+	VADDPD       pulseLanes<>(SB), Y14, Y14
+	XORQ         R10, R10                    // flagged
+	XORQ         CX, CX                      // index of the group's first lane
+
+pulseGroup:
+	VBROADCASTSD delay+32(FP), Y5
+	VSUBPD       Y5, Y14, Y0
+	VBROADCASTSD ts+40(FP), Y5
+	VMULPD       Y5, Y0, Y0                  // t
+	VBROADCASTSD b+48(FP), Y5
+	VMULPD       Y0, Y5, Y0                  // x
+	VBROADCASTSD twoBeta+56(FP), Y5
+	VMULPD       Y0, Y5, Y1                  // q
+	VMULPD       Y1, Y1, Y1
+	VMOVUPD      pulseOne<>(SB), Y5
+	VSUBPD       Y1, Y5, Y1                  // den
+	VMULPD       pulsePi<>(SB), Y0, Y2       // πx
+	VBROADCASTSD piBeta+64(FP), Y5
+	VMULPD       Y0, Y5, Y3                  // πβ·x
+	VXORPD       Y5, Y5, Y5
+	VCMPPD       $0x00, Y5, Y0, Y4           // x == 0
+	VANDPD       pulseAbs<>(SB), Y1, Y5
+	VCMPPD       $0x11, pulseTiny<>(SB), Y5, Y5  // |den| < 1e-9
+	VORPD        Y5, Y4, Y4
+	VANDPD       pulseAbs<>(SB), Y2, Y5
+	VCMPPD       $0x15, pulseLimit<>(SB), Y5, Y5 // !(|πx| < 2^29)
+	VORPD        Y5, Y4, Y4
+	VANDPD       pulseAbs<>(SB), Y3, Y5
+	VCMPPD       $0x15, pulseLimit<>(SB), Y5, Y5 // !(|πβx| < 2^29)
+	VORPD        Y5, Y4, Y4
+	VMOVMSKPD    Y4, AX
+	SHLQ         CX, AX
+	ORQ          AX, R10
+
+	// c = cos(πβx): octants 2 and 6 take the sine polynomial, and the
+	// sign flips in octants 2 and 4.
+	VANDPD    pulseAbs<>(SB), Y3, Y3
+	REDUCE(Y3, Y6, Y7, Y8, Y9, Y6)
+	VXORPD    Y9, Y6, Y6
+	VANDPD    pulseSign<>(SB), Y6, Y6
+	POLYS(Y3, Y7, Y8, Y10, Y11)
+	VBLENDVPD Y9, Y8, Y10, Y3
+	VXORPD    Y6, Y3, Y3
+
+	// sin(πx): octants 2 and 6 take the cosine polynomial, and the sign
+	// is πx's, flipped in octants 4 and 6.
+	VANDPD    pulseAbs<>(SB), Y2, Y0
+	REDUCE(Y0, Y6, Y7, Y8, Y9, Y6)
+	VXORPD    Y2, Y6, Y6
+	VANDPD    pulseSign<>(SB), Y6, Y6
+	POLYS(Y0, Y7, Y8, Y10, Y11)
+	VBLENDVPD Y9, Y10, Y8, Y0
+	VXORPD    Y6, Y0, Y0
+
+	VDIVPD  Y2, Y0, Y0                       // sinc
+	VMULPD  Y3, Y0, Y0
+	VDIVPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)
+	VADDPD  pulseFour<>(SB), Y14, Y14
+	ADDQ    $32, DI
+	ADDQ    $4, CX
+	CMPQ    DI, SI
+	JB      pulseGroup
+	MOVQ    R10, flagged+72(FP)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

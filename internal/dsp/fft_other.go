@@ -18,3 +18,4 @@ func radix2StageAVX2(_, _ []complex128)                                  { panic
 func tailRepairAVX2(_, _, _ []complex128)                                { panic(noKernel) }
 func addRunAVX2(_, _ []complex128, _ []float64, _ int)                   { panic(noKernel) }
 func peakScanAVX2(_ []complex128, _, _ float64) (int, float64)           { panic(noKernel) }
+func raisedCosineAVX2(_ []float64, _, _ float64, _ int, _, _ float64)    { panic(noKernel) }

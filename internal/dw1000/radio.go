@@ -251,21 +251,7 @@ func (r *Radio) Receive(arrivals []Arrival) (*Reception, error) {
 		Origin:         origin,
 		NoiseRMS:       r.cfg.NoiseRMS,
 	}
-	for i := range arrivals {
-		a := &arrivals[i]
-		amp := a.Amplitude
-		if amp == 0 {
-			amp = 1
-		}
-		norm := a.Shape.NormConstant(SampleInterval) // one per arrival, not per tap
-		for _, tap := range a.Taps {
-			delay := (a.TXTime + tap.Delay - origin) / SampleInterval
-			if delay < -10 || delay > CIRLength+10 {
-				continue
-			}
-			a.Shape.RenderNormInto(cir.Taps, tap.Gain*complex(amp, 0), delay, SampleInterval, norm)
-		}
-	}
+	renderArrivals(cir.Taps, arrivals, origin)
 	if sigma := r.cfg.NoiseRMS / math.Sqrt2; sigma > 0 {
 		for i := range cir.Taps {
 			cir.Taps[i] += complex(r.rng.NormFloat64()*sigma, r.rng.NormFloat64()*sigma)
@@ -278,6 +264,25 @@ func (r *Radio) Receive(arrivals []Arrival) (*Reception, error) {
 		LockedArrivalTime: lockTime,
 		Timestamp:         r.RXTimestamp(lockTime, locked.Shape.Bandwidth),
 	}, nil
+}
+
+// renderArrivals adds every tap of every arrival into taps, the
+// accumulator window whose sample 0 is at time origin, as its shape's
+// unit-energy pulse. RenderNormInto clips each pulse to the window, so a
+// tap outside it still contributes the part of its pulse that reaches in.
+func renderArrivals(taps []complex128, arrivals []Arrival, origin float64) {
+	for i := range arrivals {
+		a := &arrivals[i]
+		amp := a.Amplitude
+		if amp == 0 {
+			amp = 1
+		}
+		norm := a.Shape.NormConstant(SampleInterval) // one per arrival, not per tap
+		for _, tap := range a.Taps {
+			delay := (a.TXTime + tap.Delay - origin) / SampleInterval
+			a.Shape.RenderNormInto(taps, tap.Gain*complex(amp, 0), delay, SampleInterval, norm)
+		}
+	}
 }
 
 // Lock is Receive for a caller that reads no CIR: it locks onto the

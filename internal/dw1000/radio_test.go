@@ -10,6 +10,7 @@ import (
 	"github.com/uwb-sim/concurrent-ranging/internal/airtime"
 	"github.com/uwb-sim/concurrent-ranging/internal/channel"
 	"github.com/uwb-sim/concurrent-ranging/internal/dsp"
+	"github.com/uwb-sim/concurrent-ranging/internal/geom"
 	"github.com/uwb-sim/concurrent-ranging/internal/pulse"
 )
 
@@ -329,6 +330,63 @@ func TestReceiveLDEIgnoresWeakPrecursor(t *testing.T) {
 	want := 1e-3 + strong.Delay
 	if math.Abs(rec.LockedArrivalTime-want) > 1e-15 {
 		t.Fatal("lock captured by sub-threshold precursor")
+	}
+}
+
+// TestReceiveRendersWideTailsIntoWindow: a pulse wider than 10 samples
+// reaches the window from a tap more than 10 samples before it. A weak
+// precursor 24 samples before the locked first path sits at sample −12,
+// and 0xFE's half-width of 13.9 samples carries its pulse onto samples
+// 0–2: the noise-free CIR must equal both taps rendered by RenderNormInto.
+func TestReceiveRendersWideTailsIntoWindow(t *testing.T) {
+	r, err := New("rx", Config{PHY: airtime.PaperConfig(), NoiseRMS: -1}, rand.New(rand.NewPCG(12, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape, _ := pulse.ForRegister(pulse.MaxRegister)
+	a := Arrival{
+		SourceID: "tx",
+		TXTime:   1e-6,
+		Shape:    shape,
+		Taps:     []channel.Tap{{Delay: 0, Gain: 0.1}, {Delay: 24 * SampleInterval, Gain: 1}},
+	}
+	rec, err := r.Receive([]Arrival{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := rec.LockedArrivalTime - ReferenceIndex*SampleInterval
+	want := make([]complex128, CIRLength)
+	norm := shape.NormConstant(SampleInterval)
+	for _, tap := range a.Taps {
+		shape.RenderNormInto(want, tap.Gain, (a.TXTime+tap.Delay-origin)/SampleInterval, SampleInterval, norm)
+	}
+	if seg, _ := shape.RenderSegment(nil, 1, (a.TXTime-origin)/SampleInterval, SampleInterval, norm, CIRLength); len(seg) == 0 {
+		t.Fatal("the precursor's pulse misses the window; the case tests nothing")
+	}
+	for i := range want {
+		if rec.CIR.Taps[i] != want[i] {
+			t.Fatalf("tap %d is %v, want %v", i, rec.CIR.Taps[i], want[i])
+		}
+	}
+}
+
+// TestRenderArrivalsAllocatesNothing: Receive's render loop renders every
+// tap through a stack buffer.
+func TestRenderArrivalsAllocatesNothing(t *testing.T) {
+	env := channel.Hallway()
+	rng := rand.New(rand.NewPCG(3, 4))
+	var arrivals []Arrival
+	for i, reg := range []byte{pulse.RegisterS1, pulse.RegisterS3, pulse.MaxRegister} {
+		s, _ := pulse.ForRegister(reg)
+		taps, err := env.Realize(geom.Point{X: 1, Y: 1}, geom.Point{X: 4 + 3*float64(i), Y: 1.2}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrivals = append(arrivals, Arrival{SourceID: fmt.Sprint(i), TXTime: 1e-6, Shape: s, Taps: taps})
+	}
+	buf := make([]complex128, CIRLength)
+	if n := testing.AllocsPerRun(20, func() { renderArrivals(buf, arrivals, 1e-6) }); n != 0 {
+		t.Fatalf("renderArrivals allocates %v times per call", n)
 	}
 }
 

@@ -3,7 +3,7 @@ package geom
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Wall is a reflecting surface in the floor plan.
@@ -87,7 +87,7 @@ func (fp *FloorPlan) Paths(tx, rx Point, maxOrder int) ([]Path, error) {
 	if maxOrder < 0 {
 		return nil, fmt.Errorf("geom: negative reflection order %d", maxOrder)
 	}
-	var out []Path
+	out := make([]Path, 0, pathBound(len(fp.Walls), maxOrder))
 	// Order 0: direct path.
 	los := Path{
 		Points: []Point{tx, rx},
@@ -98,12 +98,36 @@ func (fp *FloorPlan) Paths(tx, rx Point, maxOrder int) ([]Path, error) {
 	out = append(out, los)
 	seq := make([]int, 0, maxOrder)
 	fp.enumerate(tx, rx, maxOrder, seq, &out)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Length < out[j].Length })
+	slices.SortStableFunc(out, func(a, b Path) int {
+		switch {
+		case a.Length < b.Length:
+			return -1
+		case b.Length < a.Length:
+			return 1
+		}
+		return 0
+	})
 	return out, nil
 }
 
+// pathBound returns the number of wall sequences of 0 to maxOrder bounces
+// with no wall twice in a row, 1 + w + w(w−1) + w(w−1)² + …: the most
+// paths Paths can find among w walls. Past 4096 it returns 4096, and the
+// path slice grows as it fills.
+func pathBound(w, maxOrder int) int {
+	const most = 4096
+	n, level := 1, w
+	for order := 1; order <= maxOrder && n < most && level > 0; order++ {
+		n += level
+		level = min(level*max(w-1, 0), most)
+	}
+	return min(n, most)
+}
+
 // enumerate recursively extends the wall-index sequence seq and emits every
-// valid specular path of length 1..maxOrder.
+// valid specular path of length 1..maxOrder. Every level appends into
+// seq's one backing array (capacity maxOrder): a sequence is traced and
+// its extensions enumerated before its last wall is overwritten.
 func (fp *FloorPlan) enumerate(tx, rx Point, maxOrder int, seq []int, out *[]Path) {
 	if len(seq) >= maxOrder {
 		return
@@ -112,9 +136,7 @@ func (fp *FloorPlan) enumerate(tx, rx Point, maxOrder int, seq []int, out *[]Pat
 		if len(seq) > 0 && seq[len(seq)-1] == w {
 			continue // consecutive bounces off the same wall are impossible
 		}
-		next := make([]int, len(seq)+1)
-		copy(next, seq)
-		next[len(seq)] = w
+		next := append(seq, w)
 		if p, ok := fp.tracePath(tx, rx, next); ok {
 			*out = append(*out, p)
 		}

@@ -4,6 +4,8 @@ import (
 	"math"
 	mrand "math/rand"
 	"math/rand/v2"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -311,5 +313,65 @@ func TestObstacleDoesNotBlockNonCrossingPath(t *testing.T) {
 	paths, _ := fp.Paths(Point{2, 1}, Point{8, 1}, 0)
 	if paths[0].Gain != 1 {
 		t.Fatalf("unobstructed LOS gain %g, want 1", paths[0].Gain)
+	}
+}
+
+// pathsOracle is Paths as it was before the path slice was sized once and
+// the wall sequence kept in one buffer: every candidate sequence is a fresh
+// copy, and the paths are sorted with sort.SliceStable.
+func pathsOracle(fp *FloorPlan, tx, rx Point, maxOrder int) []Path {
+	out := []Path{{Points: []Point{tx, rx}, Length: tx.Dist(rx), Gain: fp.obstacleGain(Segment{tx, rx})}}
+	var walk func(seq []int)
+	walk = func(seq []int) {
+		if len(seq) >= maxOrder {
+			return
+		}
+		for w := range fp.Walls {
+			if len(seq) > 0 && seq[len(seq)-1] == w {
+				continue
+			}
+			next := make([]int, len(seq)+1)
+			copy(next, seq)
+			next[len(seq)] = w
+			if p, ok := fp.tracePath(tx, rx, next); ok {
+				out = append(out, p)
+			}
+			walk(next)
+		}
+	}
+	walk(nil)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Length < out[j].Length })
+	return out
+}
+
+// TestPathsMatchCopyingEnumeration: enumerating into one reused sequence
+// buffer finds the same paths in the same order as copying every
+// sequence, up to order 4, where siblings overwrite each other's last
+// wall at every depth.
+func TestPathsMatchCopyingEnumeration(t *testing.T) {
+	fp, _ := Rectangle(10, 6, 0.5)
+	fp.Obstacles = []Obstacle{{Seg: Segment{Point{5, 1}, Point{5, 4}}, TransmissionLossDB: 3}}
+	for order := 0; order <= 4; order++ {
+		got, err := fp.Paths(Point{2, 3}, Point{8, 3.5}, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := pathsOracle(fp, Point{2, 3}, Point{8, 3.5}, order)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("order %d: %d paths differ from the copying enumeration's %d", order, len(got), len(want))
+		}
+		if c := cap(got); c != pathBound(len(fp.Walls), order) {
+			t.Fatalf("order %d: capacity %d, want the bound %d", order, c, pathBound(len(fp.Walls), order))
+		}
+	}
+}
+
+func TestPathBound(t *testing.T) {
+	for _, c := range []struct{ walls, order, want int }{
+		{4, 0, 1}, {4, 1, 5}, {4, 2, 17}, {4, 3, 53}, {1, 9, 2}, {0, 3, 1}, {100, 3, 4096}, {2, 1 << 40, 4096},
+	} {
+		if got := pathBound(c.walls, c.order); got != c.want {
+			t.Errorf("pathBound(%d, %d) = %d, want %d", c.walls, c.order, got, c.want)
+		}
 	}
 }

@@ -84,27 +84,26 @@ func ForRegister(reg byte) (Shape, error) {
 
 // Eval returns the pulse amplitude at time t (seconds relative to the pulse
 // peak). The peak amplitude is 1; the shape is the impulse response of a
-// raised-cosine filter with the shape's bandwidth and roll-off.
+// raised-cosine filter with the shape's bandwidth and roll-off
+// (dsp.RaisedCosine).
 func (s Shape) Eval(t float64) float64 {
-	b := s.Bandwidth
-	x := b * t
-	den := 1 - (2*s.Beta*x)*(2*s.Beta*x)
-	if math.Abs(den) < 1e-9 {
-		// Nudge off the removable singularity at |t| = 1/(2·beta·B).
-		x += 1e-6
-		den = 1 - (2*s.Beta*x)*(2*s.Beta*x)
-	}
-	return sinc(x) * math.Cos(math.Pi*s.Beta*x) / den
+	return dsp.RaisedCosine(s.Bandwidth, s.Beta, t)
 }
 
-// sinc is the normalized sinc function sin(pi x)/(pi x).
-func sinc(x float64) float64 {
-	if x == 0 {
-		return 1
-	}
-	px := math.Pi * x
-	return math.Sin(px) / px
+// EvalRun sets dst[k] = s.Eval((float64(first+k)-delay)*ts) for every k,
+// bit for bit: the pulse peaking at the fractional sample position delay,
+// sampled at interval ts over the sample indices first … first+len(dst)−1.
+// It runs dsp.RaisedCosineRun, four samples at a time where the CPU has
+// AVX2. Every support sweep of this package and of the detector's
+// refinement goes through it.
+func (s Shape) EvalRun(dst []float64, first int, delay, ts float64) {
+	dsp.RaisedCosineRun(dst, s.Bandwidth, s.Beta, first, delay, ts)
 }
+
+// evalChunk is the length of the stack buffers the support sweeps fill
+// with EvalRun: one chunk covers the widest shape's support at T_s/4 (at
+// most 113 samples), and longer runs take several.
+const evalChunk = 128
 
 // SupportHalfWidth returns the half-width of the truncated pulse support in
 // seconds. The template spans ±SupportHalfWidth around the peak.
@@ -130,8 +129,13 @@ func (s Shape) Template(ts float64) []complex128 {
 	n := s.TemplateLen(ts)
 	c := (n - 1) / 2
 	out := make([]complex128, n)
-	for i := range out {
-		out[i] = complex(s.Eval(float64(i-c)*ts), 0)
+	var buf [evalChunk]float64
+	for i := 0; i < n; i += evalChunk {
+		v := buf[:min(n-i, evalChunk)]
+		s.EvalRun(v, i-c, 0, ts)
+		for k, x := range v {
+			out[i+k] = complex(x, 0)
+		}
 	}
 	return dsp.NormalizeEnergy(out)
 }
@@ -142,9 +146,13 @@ func (s Shape) NormConstant(ts float64) float64 {
 	n := s.TemplateLen(ts)
 	c := (n - 1) / 2
 	var e float64
-	for i := 0; i < n; i++ {
-		v := s.Eval(float64(i-c) * ts)
-		e += v * v
+	var buf [evalChunk]float64
+	for i := 0; i < n; i += evalChunk {
+		v := buf[:min(n-i, evalChunk)]
+		s.EvalRun(v, i-c, 0, ts)
+		for _, x := range v {
+			e += x * x
+		}
 	}
 	if e == 0 {
 		return 0
@@ -165,8 +173,13 @@ func (s Shape) RenderInto(dst []complex128, alpha complex128, delay, ts float64)
 // once; the rendered samples are bit-identical.
 func (s Shape) RenderNormInto(dst []complex128, alpha complex128, delay, ts, norm float64) {
 	lo, hi, a := s.renderSpan(alpha, delay, ts, norm, len(dst))
-	for n := lo; n <= hi; n++ {
-		dst[n] += a * complex(s.Eval((float64(n)-delay)*ts), 0)
+	var buf [evalChunk]float64
+	for n := lo; n <= hi; n += evalChunk {
+		v := buf[:min(hi-n+1, evalChunk)]
+		s.EvalRun(v, n, delay, ts)
+		for k, x := range v {
+			dst[n+k] += a * complex(x, 0)
+		}
 	}
 }
 
@@ -179,8 +192,13 @@ func (s Shape) RenderNormInto(dst []complex128, alpha complex128, delay, ts, nor
 func (s Shape) RenderSegment(seg []complex128, alpha complex128, delay, ts, norm float64, n int) ([]complex128, int) {
 	lo, hi, a := s.renderSpan(alpha, delay, ts, norm, n)
 	seg = seg[:0]
-	for k := lo; k <= hi; k++ {
-		seg = append(seg, a*complex(s.Eval((float64(k)-delay)*ts), 0))
+	var buf [evalChunk]float64
+	for k := lo; k <= hi; k += evalChunk {
+		v := buf[:min(hi-k+1, evalChunk)]
+		s.EvalRun(v, k, delay, ts)
+		for _, x := range v {
+			seg = append(seg, a*complex(x, 0))
+		}
 	}
 	return seg, lo
 }
