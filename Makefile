@@ -76,8 +76,12 @@ smoke:
 
 # Every Fuzz* target in the repository, 60 s each. Minimizing an input that
 # finds new coverage may take at most 10 s (the default is 60 s), so a
-# target with slow bodies keeps most of its time for fuzzing.
+# target with slow bodies keeps most of its time for fuzzing. The
+# detector's targets, FuzzDetect and FuzzFrameSearch, run bodies slow
+# enough that 10 s of minimizing still ate most of their minute, so their
+# minimizing stops after 100 executions instead (FUZZ_DETECT).
 FUZZ = -fuzztime 60s -fuzzminimizetime 10s
+FUZZ_DETECT = -fuzztime 60s -fuzzminimizetime 100x
 
 fuzz:
 	$(GO) test ./internal/dsp -fuzz FuzzFFTRoundTrip $(FUZZ)
@@ -89,7 +93,8 @@ fuzz:
 	$(GO) test ./internal/dsp -fuzz FuzzIngest $(FUZZ)
 	$(GO) test ./internal/dsp -fuzz FuzzTrackedOutputs $(FUZZ)
 	$(GO) test ./internal/dsp -fuzz FuzzPulseKernel $(FUZZ)
-	$(GO) test ./internal/core -fuzz FuzzDetect $(FUZZ)
+	$(GO) test ./internal/core -fuzz FuzzDetect $(FUZZ_DETECT)
+	$(GO) test ./internal/core -fuzz FuzzFrameSearch $(FUZZ_DETECT)
 	$(GO) test ./internal/core -fuzz FuzzSlotPlan $(FUZZ)
 	$(GO) test ./internal/dw1000 -fuzz FuzzScheduleDelayedTX $(FUZZ)
 	$(GO) test ./ranging -fuzz FuzzLoadScenario $(FUZZ)

@@ -130,8 +130,9 @@ func TestDetectBatchMatchesDetectAtAnyWorkerCount(t *testing.T) {
 }
 
 // TestDetectorsHoldOneBank: every detector holds only the bank its search
-// path reads, batch worker detectors included, and the batch engine's
-// prototype holds no search state at all.
+// path reads (on an 8-shape bank the frame bank by default), batch worker
+// detectors included, and the batch engine's prototype holds no search
+// state at all.
 func TestDetectorsHoldOneBank(t *testing.T) {
 	bank := newTestBank(t, 8)
 	inputs := batchStreamInputs(t, bank, dw1000.CIRLength, 4, 1e-4)
@@ -146,9 +147,9 @@ func TestDetectorsHoldOneBank(t *testing.T) {
 	} {
 		check := func(label string, d *Detector) {
 			t.Helper()
-			if (d.sbank != nil) != tc.spectral || (d.fbank != nil) == tc.spectral {
-				t.Errorf("%s %s: holds MatchedFilterBank %v, SpectralBank %v; want only the spectral bank: %v",
-					tc.name, label, d.fbank != nil, d.sbank != nil, tc.spectral)
+			if (d.frames != nil) != tc.spectral || (d.fbank != nil) == tc.spectral || d.sbank != nil {
+				t.Errorf("%s %s: holds MatchedFilterBank %v, SpectralBank %v, FrameBank %v; want only the frame bank: %v",
+					tc.name, label, d.fbank != nil, d.sbank != nil, d.frames != nil, tc.spectral)
 			}
 		}
 		det, err := NewDetector(bank, tc.cfg)
@@ -160,7 +161,7 @@ func TestDetectorsHoldOneBank(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p := eng.proto; p.fbank != nil || p.sbank != nil || p.upsample != nil || p.up != nil || p.workers != nil {
+		if p := eng.proto; p.fbank != nil || p.sbank != nil || p.frames != nil || p.upsample != nil || p.up != nil || p.workers != nil {
 			t.Errorf("%s: the batch prototype holds search state", tc.name)
 		}
 		eng.DetectBatch(inputs)

@@ -52,13 +52,16 @@ const (
 	MetricDetectTemplateEvals = "detector.template_evals"
 	// MetricUpsampleExecs and the bank metrics surface the dsp plan-level
 	// execution counters. On the default path the CIR is up-sampled once
-	// per Detect and a bank "transform" is one SpectralBank.Ingest: once
-	// per Detect on banks that keep their outputs (dsp.TrackedOutputs,
-	// fewer than eight templates), once per round otherwise. A
-	// bank "filter" is one template's peak scan, ScanBest on either bank,
-	// so filters are rounds × templates on both. On ModeReference the
-	// upsample and the MatchedFilterBank.Transform both run once per
-	// round and a filter is one FilterInto/FilterPeak.
+	// per Detect. On banks that keep their outputs (dsp.TrackedOutputs,
+	// fewer than eight templates) a bank "transform" is one
+	// SpectralBank.Ingest, once per Detect, and a "filter" one template's
+	// peak scan of its outputs, rounds × templates in all. Every other
+	// default-path bank searches in frames (dsp.FrameBank): a transform is
+	// one frame's Ingest and a filter one template filtered on one frame,
+	// so filters over rounds × templates × frames is the share of the
+	// frames the bound let a search visit. On ModeReference the upsample
+	// and the MatchedFilterBank.Transform both run once per round and a
+	// filter is one FilterInto/FilterPeak.
 	MetricUpsampleExecs  = "dsp.upsample_execs"
 	MetricBankTransforms = "dsp.bank_transforms"
 	MetricBankFilters    = "dsp.bank_filters"
@@ -90,9 +93,12 @@ const (
 	// the template's impulse response (dsp.TrackedOutputs); a round is
 	// then a peak scan of the outputs, which takes the subtractions only
 	// into the blocks of outputs that can still hold the best, bit for
-	// bit as if every output took them. Larger banks keep the up-sampled
-	// residual exact with dsp.UpsamplePlan.AddSegment and filter it every
-	// round, one forward FFT plus one inverse FFT per template. Up to
+	// bit as if every output took them. Larger banks, and small ones the
+	// outputs cannot track, keep the up-sampled residual exact with
+	// dsp.UpsamplePlan.AddSegment and filter it every round in short
+	// overlap-save frames (dsp.FrameBank), visiting only the frames whose
+	// energy bound can reach the round's best peak; the pruned search
+	// returns what visiting every frame returns, bit for bit. Up to
 	// rounding either computes what ModeReference computes, at every
 	// bank size and with or without refinement.
 	ModeAuto DetectorMode = iota
@@ -147,13 +153,15 @@ type DetectorConfig struct {
 	DisableRefinement bool
 	// Mode selects the search implementation; see DetectorMode.
 	Mode DetectorMode
-	// Workers bounds the goroutines fanned across the template bank each
-	// round on banks of at least eight templates (a full Sect. V bank),
-	// which filter the residual every round. 0 means automatic:
+	// Workers bounds the goroutines fanned across the template bank on
+	// banks of at least eight templates (a full Sect. V bank), which
+	// filter the residual every round: over the templates of each frame
+	// a round visits (ModeAuto) or over the templates (ModeReference).
+	// Results are bit-identical at every count. 0 means automatic:
 	// GOMAXPROCS workers. 1 forces serial. Smaller banks always search
-	// serially: their rounds scan maintained outputs (ModeAuto) or are
-	// few templates, and the detector is often already running inside a
-	// per-trial worker pool.
+	// serially by default: their rounds scan maintained outputs
+	// (ModeAuto) or are few templates, and the detector is often already
+	// running inside a per-trial worker pool.
 	Workers int
 }
 
@@ -180,19 +188,26 @@ type Detector struct {
 	templates [][]complex128
 	centers   []int
 	norms     []float64 // per template: its shape's NormConstant(ts), computed once
+	// gridScales holds, on a DisableRefinement detector, each template's
+	// gridAmplitudeScale, computed once; nil otherwise.
+	gridScales []float64
 
 	// Cached frequency-domain execution state for one CIR length
 	// (precomputed for dw1000.CIRLength, rebuilt if a caller detects on a
 	// different window) plus scratch reused across iterations. tracked
 	// holds every template's maintained output when the search keeps
-	// them (tracksOutputs), else nil.
+	// them (tracksOutputs), else nil. allFrames makes every round of a
+	// frame search visit every frame, as a traced round does: the
+	// exhaustive search the tests hold the pruned one to.
 	searchBank
+	allFrames bool
 	tracked   *dsp.TrackedOutputs
 	upsample  *dsp.UpsamplePlan
 	residual  []complex128       // the residual, scaled by 2^−scaleExp
 	scaleExp  int                // this Detect's input scale exponent (scaleExponent)
 	up        []complex128       // up-sampled residual (the up-sampled CIR on maintained outputs)
 	seg       []complex128       // the round's subtracted pulse, rendered at T_s
+	evalBuf   []float64          // projectAmplitude's pulse samples: the widest support at T_s
 	skipQ     []dsp.SkipInterval // per-round suppressed intervals, q-space
 	extracted []float64          // per-call already-subtracted peak positions, T_s samples
 	workers   []detectWorker     // per-worker scratch for the template fan-out
@@ -222,40 +237,42 @@ type Detector struct {
 }
 
 // searchBank is the template bank the search reads for CIRs of cirLen
-// taps: the SpectralBank on the default path or the MatchedFilterBank on
-// ModeReference, never both. kern holds the output kernels of a default
-// path that keeps its outputs (tracksOutputs), built by the first
-// install and shared by every clone.
+// taps, exactly one of: the MatchedFilterBank on ModeReference; on the
+// default path, the SpectralBank of a bank that keeps its outputs
+// (tracksOutputs) or the FrameBank of any other. kern holds the output
+// kernels beside the SpectralBank, built by the first install and shared
+// by every clone.
 type searchBank struct {
 	cirLen int
 	fbank  *dsp.MatchedFilterBank // ModeReference only
-	sbank  *dsp.SpectralBank      // default path only
-	kern   *dsp.OutputKernels     // default path on small banks only
+	sbank  *dsp.SpectralBank      // default path on banks that keep their outputs
+	kern   *dsp.OutputKernels     // with sbank
+	frames *dsp.FrameBank         // default path on every other bank
 }
 
 // clone returns a bank sharing s's read-only plans, template spectra and
 // output kernels while owning fresh signal state (see the dsp banks'
 // Clone).
 func (s searchBank) clone() searchBank {
-	if s.sbank != nil {
+	switch {
+	case s.sbank != nil:
 		return searchBank{cirLen: s.cirLen, sbank: s.sbank.Clone(), kern: s.kern}
+	case s.frames != nil:
+		return searchBank{cirLen: s.cirLen, frames: s.frames.Clone()}
 	}
 	return searchBank{cirLen: s.cirLen, fbank: s.fbank.Clone()}
 }
 
 // counters returns the search's execution counters in the dsp.bank_*
-// metrics' terms: a spectral Ingest is one transform and a peak scan of
-// one template (ScanBest on the spectral bank or on the maintained
-// outputs) is one template filter.
+// metrics' terms (see MetricBankTransforms).
 func (d *Detector) counters() (transforms, filters int64) {
-	if d.sbank == nil {
+	switch {
+	case d.fbank != nil:
 		return d.fbank.Transforms(), d.fbank.Filters()
+	case d.frames != nil:
+		return d.frames.Ingests(), d.frames.Scans()
 	}
-	transforms, filters = d.sbank.Ingests(), d.sbank.Scans()
-	if d.tracked != nil {
-		filters += d.tracked.Scans()
-	}
-	return transforms, filters
+	return d.sbank.Ingests(), d.tracked.Scans()
 }
 
 // detectWorker is one goroutine's worth of search scratch: the search
@@ -267,8 +284,10 @@ type detectWorker struct {
 }
 
 // candidate is one template's best peak, merged deterministically across
-// workers: higher squared magnitude wins, ties go to the lower template
-// index — exactly what the serial ascending scan with a strict > produces.
+// workers and frames: higher squared magnitude wins, ties go to the lower
+// template index and then to the lower output index — exactly what the
+// serial ascending scan of every template's every output with a strict >
+// produces, in whatever order the candidates arrive.
 type candidate struct {
 	sq  float64
 	t   int
@@ -277,10 +296,15 @@ type candidate struct {
 }
 
 func (c candidate) better(o candidate) bool {
-	if c.sq != o.sq {
+	switch {
+	case c.sq != o.sq:
 		return c.sq > o.sq
+	case o.t < 0 || c.t < 0:
+		return o.t < 0
+	case c.t != o.t:
+		return c.t < o.t
 	}
-	return o.t < 0 || (c.t >= 0 && c.t < o.t)
+	return c.idx < o.idx
 }
 
 // SetRecorder attaches an instrumentation sink; nil (the default)
@@ -376,12 +400,18 @@ func newDetector(bank *pulse.Bank, cfg DetectorConfig) (*Detector, error) {
 		centers:   make([]int, bank.Len()),
 		norms:     make([]float64, bank.Len()),
 	}
+	if cfg.DisableRefinement {
+		d.gridScales = make([]float64, bank.Len())
+	}
 	for i := 0; i < bank.Len(); i++ {
 		shape := bank.Shape(i)
 		tmpl := shape.Template(d.tsUp)
 		d.templates[i] = tmpl
 		d.centers[i] = (len(tmpl) - 1) / 2
 		d.norms[i] = shape.NormConstant(d.ts)
+		if d.gridScales != nil && d.norms[i] != 0 {
+			d.gridScales[i] = shape.NormConstant(d.tsUp) / d.norms[i]
+		}
 	}
 	return d, nil
 }
@@ -400,25 +430,40 @@ func (d *Detector) ensureState(n int) error {
 }
 
 // newSearchBank builds the bank the detector's search path reads for CIRs
-// of n taps, holding each template's spectrum at the up-sampled window.
+// of n taps, holding each template's spectrum for the up-sampled window:
+// the MatchedFilterBank on ModeReference; on the default path the
+// SpectralBank of a bank below minParallelTemplates that the output
+// kernels admit (SpectralBank.Trackable), else the FrameBank.
 // ensureState and the batch engine's stateFor both build through it.
 func (d *Detector) newSearchBank(n int) (searchBank, error) {
 	s := searchBank{cirLen: n}
+	sigLen := n * d.cfg.Upsample
 	var err error
-	if d.useSpectral() {
-		s.sbank, err = dsp.NewSpectralBank(d.templates, n*d.cfg.Upsample)
-	} else {
-		s.fbank, err = dsp.NewMatchedFilterBank(d.templates, n*d.cfg.Upsample)
+	if d.cfg.Mode == ModeReference {
+		s.fbank, err = dsp.NewMatchedFilterBank(d.templates, sigLen)
+		return s, err
 	}
+	if len(d.templates) < minParallelTemplates {
+		sbank, err := dsp.NewSpectralBank(d.templates, sigLen)
+		if err != nil {
+			return s, err
+		}
+		if sbank.Trackable() {
+			s.sbank = sbank
+			return s, nil
+		}
+	}
+	s.frames, err = dsp.NewFrameBank(d.templates, sigLen)
 	return s, err
 }
 
 // install makes s the detector's search bank and builds what Detect needs
 // around it: the upsampling plan for s.cirLen, the residual and up-sampled
-// buffers, the per-worker scratch and, when the search keeps its outputs,
-// the output kernels (unless s shares them already) and the outputs. The
-// kernels are built in the up-sampled buffer and the first worker's
-// scratch. The counter baselines restart with the new bank.
+// buffers, the refinement's sweep buffer, the per-worker scratch and,
+// when the search keeps its outputs, the output kernels (unless s shares
+// them already) and the outputs. The kernels are built in the up-sampled
+// buffer and the first worker's scratch. The counter baselines restart
+// with the new bank.
 func (d *Detector) install(s searchBank) error {
 	up, err := dsp.NewUpsamplePlan(s.cirLen, d.cfg.Upsample)
 	if err != nil {
@@ -432,9 +477,12 @@ func (d *Detector) install(s searchBank) error {
 	}
 	workers := make([]detectWorker, nw)
 	for i := range workers {
-		if s.sbank != nil {
+		switch {
+		case s.sbank != nil:
 			workers[i].scratch = s.sbank.NewScratch()
-		} else {
+		case s.frames != nil:
+			workers[i].scratch = s.frames.NewScratch()
+		default:
 			workers[i].scratch = s.fbank.NewScratch()
 		}
 	}
@@ -447,34 +495,36 @@ func (d *Detector) install(s searchBank) error {
 		}
 		tracked = s.kern.NewOutputs()
 	}
+	// projectAmplitude sweeps at most ⌊p + w⌋ − ⌊p − w⌋ + 2 samples for
+	// a half-width of w samples.
+	support := 1
+	for i := range d.templates {
+		support = max(support, int(2*d.bank.Shape(i).SupportHalfWidth()/d.ts)+3)
+	}
 	d.searchBank, d.tracked, d.upsample = s, tracked, up
 	d.up, d.workers = upBuf, workers
 	d.residual = make([]complex128, s.cirLen)
+	d.evalBuf = make([]float64, support)
 	d.lastUpsampleExecs, d.lastTransforms, d.lastFilters = 0, 0, 0
 	return nil
 }
 
-// useSpectral reports whether Detect searches through the SpectralBank
-// (every mode but ModeReference).
-func (d *Detector) useSpectral() bool { return d.cfg.Mode != ModeReference }
-
 // tracksOutputs reports whether a search on s keeps every template's
 // matched-filter output across extractions (dsp.TrackedOutputs): the
 // default path on banks below minParallelTemplates whose templates the
-// output kernels admit. There one update per extraction costs less than
-// re-filtering the residual every round; on larger banks it costs about
-// what a template's inverse transform costs, and the outputs would hold
-// megabytes.
-func (d *Detector) tracksOutputs(s searchBank) bool {
-	return s.sbank != nil && len(d.templates) < minParallelTemplates && s.sbank.Trackable()
-}
+// output kernels admit (newSearchBank). There one update per extraction
+// costs less than re-filtering the residual every round; on larger banks
+// it costs about what a template's inverse transform costs, and the
+// outputs would hold megabytes.
+func (d *Detector) tracksOutputs(s searchBank) bool { return s.sbank != nil }
 
 // minParallelTemplates is the bank size from which the default path
-// filters the residual every round and Workers == 0 fans that filtering
-// out across the bank. Below it the default path keeps its outputs
-// (tracksOutputs), and detectors usually already run inside per-trial
-// worker pools (experiments.parallelMapWith) where nested fan-out only
-// adds scheduling churn.
+// searches the residual in frames every round (dsp.FrameBank) and
+// Workers == 0 fans each visited frame's filtering out across the bank.
+// Below it the default path keeps its outputs (tracksOutputs), and
+// detectors usually already run inside per-trial worker pools
+// (experiments.parallelMapWith) where nested fan-out only adds
+// scheduling churn.
 const minParallelTemplates = 8
 
 // workerCount resolves DetectorConfig.Workers against the bank size.
@@ -576,9 +626,10 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 	// The default path up-samples the CIR once. With maintained outputs
 	// it filters the up-sampled CIR once, here, and updates the outputs
 	// after each subtraction; otherwise it keeps the up-sampled residual
-	// exact after each subtraction and filters it every round (AddSegment
-	// below). The reference path re-upsamples the residual every round.
-	spectral := d.sbank != nil
+	// exact after each subtraction and searches it in frames every round
+	// (AddSegment below). The reference path re-upsamples the residual
+	// every round.
+	spectral := d.fbank == nil
 	if spectral {
 		d.upsample.Execute(d.up, residual)
 	}
@@ -602,23 +653,17 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 		}
 		rounds++
 		// Coarse search in the up-sampled domain (Sect. IV steps 1–3).
-		// Maintained outputs are scanned as they stand. Otherwise one
-		// forward FFT of the up-sampled residual feeds every template's
-		// cached matched-filter spectrum; each template then costs one
-		// complex multiply pass plus one inverse FFT with the peak scan
-		// fused into its output pass — fanned across workers for large
-		// banks.
-		var err error
-		switch {
-		case d.tracked != nil:
-		case spectral:
-			err = d.sbank.Ingest(d.up)
-		default:
-			err = d.fbank.Transform(d.upsample.Execute(d.up, residual))
-		}
-		if err != nil {
-			failDetectSpan(span, err)
-			return responses[:base], err
+		// Maintained outputs are scanned as they stand, and the frame
+		// search reads the up-sampled residual as it stands. The
+		// reference path's one forward FFT of the re-upsampled residual
+		// feeds every template's cached matched-filter spectrum; each
+		// template then costs one complex multiply pass plus one inverse
+		// FFT with the peak scan fused into its output pass.
+		if !spectral {
+			if err := d.fbank.Transform(d.upsample.Execute(d.up, residual)); err != nil {
+				failDetectSpan(span, err)
+				return responses[:base], err
+			}
 		}
 		d.skipQ = appendSuppressedIntervals(d.skipQ[:0], d.extracted, d.cfg.Upsample)
 		best, err := d.searchTemplates()
@@ -730,7 +775,7 @@ func (d *Detector) beginDetectSpan(cirLen int, noiseRMS, threshold float64, useT
 		"templates": len(d.templates),
 		"cir_len":   cirLen,
 		"noise_rms": noiseRMS,
-		"spectral":  d.sbank != nil,
+		"spectral":  d.fbank == nil,
 	}
 	if useThreshold {
 		attrs["threshold"] = threshold
@@ -846,11 +891,63 @@ func (d *Detector) recordPlanExecs() {
 // searchTemplates runs one round's coarse search — every template's
 // matched filtering (or its maintained output) plus suppressed-peak scan —
 // and returns the winning candidate (t == -1 when every sample of every
-// template is suppressed or zero). With more than one worker the bank is
-// split into contiguous chunks, each scanned by its own goroutine with
-// per-worker scratch; the in-order reduce keeps the result identical to
-// the serial ascending scan regardless of scheduling.
+// template is suppressed or zero). A traced round records each
+// template's best score.
 func (d *Detector) searchTemplates() (candidate, error) {
+	clear(d.roundScores)
+	if d.frames != nil {
+		return d.searchFrames()
+	}
+	return d.scanTemplates()
+}
+
+// searchFrames is searchTemplates on the frame bank. It bounds every
+// frame of the up-sampled residual and visits the frames in descending
+// order of their bounds, filtering every template on each, until the
+// next frame's bound cannot reach the best candidate so far; a traced
+// round, or an allFrames detector, visits every frame. The candidates
+// merge under candidate.better, whose order does not depend on the order
+// they arrive in, and a skipped frame holds no output that reaches the
+// best, so the result is the exhaustive search's, bit for bit. The
+// winner's neighbours that another frame owns come from that frame.
+func (d *Detector) searchFrames() (candidate, error) {
+	fb := d.frames
+	best := candidate{t: -1}
+	if err := fb.Load(d.up); err != nil {
+		return best, err
+	}
+	all := d.allFrames || d.roundScores != nil
+	for _, f := range fb.Order() {
+		if !all && !fb.Reaches(int(f), best.sq) {
+			break
+		}
+		if err := fb.Ingest(int(f)); err != nil {
+			return candidate{t: -1}, err
+		}
+		c, err := d.scanTemplates()
+		if err != nil {
+			return candidate{t: -1}, err
+		}
+		if c.better(best) {
+			best = c
+		}
+	}
+	if best.t >= 0 {
+		if err := fb.EdgeNeighbours(d.workers[0].scratch, best.t, best.idx, &best.y3); err != nil {
+			return candidate{t: -1}, err
+		}
+	}
+	return best, nil
+}
+
+// scanTemplates scans every template against what the search bank holds
+// — its maintained output, the frame it ingested or the transformed
+// residual — and returns the best candidate. With more than one worker
+// the bank is split into contiguous chunks, each scanned by its own
+// goroutine with per-worker scratch; the in-order reduce keeps the
+// result identical to the serial ascending scan regardless of
+// scheduling.
+func (d *Detector) scanTemplates() (candidate, error) {
 	nw := min(len(d.workers), len(d.templates))
 	if nw <= 1 {
 		return d.scanRange(&d.workers[0], 0, len(d.templates))
@@ -890,8 +987,8 @@ func (d *Detector) searchTemplates() (candidate, error) {
 // scanRange scans templates [lo, hi) and returns the chunk's best
 // candidate. On the per-round paths it only reads detector state shared
 // across workers (skipQ, centers, the banks' read-only plan state) and
-// mutates nothing but the worker's own scratch; maintained outputs are
-// scanned by one worker only.
+// mutates nothing but the worker's own scratch and the chunk's round
+// scores; maintained outputs are scanned by one worker only.
 func (d *Detector) scanRange(w *detectWorker, lo, hi int) (candidate, error) {
 	n := d.cirLen * d.cfg.Upsample
 	best := candidate{t: -1}
@@ -906,8 +1003,8 @@ func (d *Detector) scanRange(w *detectWorker, lo, hi int) (candidate, error) {
 		switch {
 		case d.tracked != nil:
 			idx, sq, y3, err = d.tracked.ScanBest(t, w.skip)
-		case d.sbank != nil:
-			idx, sq, y3, err = d.sbank.ScanBest(w.scratch, t, w.skip)
+		case d.frames != nil:
+			idx, sq, y3, err = d.frames.ScanFrame(w.scratch, t, w.skip)
 		default:
 			idx, sq, y3, err = d.fbank.FilterPeak(w.scratch, t, w.skip)
 		}
@@ -915,15 +1012,13 @@ func (d *Detector) scanRange(w *detectWorker, lo, hi int) (candidate, error) {
 			return best, err
 		}
 		if idx < 0 {
-			if d.roundScores != nil {
-				d.roundScores[t] = 0
-			}
 			continue
 		}
 		if d.roundScores != nil {
 			// Each worker owns its chunk's indices, so concurrent scans
-			// never write the same slot.
-			d.roundScores[t] = math.Sqrt(sq)
+			// never write the same slot. A frame search keeps the
+			// largest over the frames.
+			d.roundScores[t] = max(d.roundScores[t], math.Sqrt(sq))
 		}
 		if c := (candidate{sq: sq, t: t, idx: idx, y3: y3}); c.better(best) {
 			best = c
@@ -999,14 +1094,12 @@ func appendShifted(dst, skipQ []dsp.SkipInterval, center, n int) []dsp.SkipInter
 
 // gridAmplitudeScale converts a matched-filter output sample (templates
 // are unit-energy at the up-sampled rate) into the T_s-domain amplitude
-// convention the subtraction and the rest of the pipeline use.
+// convention the subtraction and the rest of the pipeline use:
+// NormConstant(T_s/U) / NormConstant(T_s), or 0 when the latter is 0,
+// computed once per template in newDetector. Only DisableRefinement
+// detectors hold it.
 func (d *Detector) gridAmplitudeScale(tmplIdx int) float64 {
-	normUp := d.bank.Shape(tmplIdx).NormConstant(d.tsUp)
-	normTs := d.norms[tmplIdx]
-	if normTs == 0 {
-		return 0
-	}
-	return normUp / normTs
+	return d.gridScales[tmplIdx]
 }
 
 // interpolateY3 returns the fractional offset of the magnitude peak from
@@ -1037,7 +1130,7 @@ func (d *Detector) projectAmplitude(residual []complex128, tmplIdx int, peakPos 
 	hi := min(int(peakPos+halfSamples)+1, len(residual)-1)
 	var num complex128
 	var den float64
-	var buf [128]float64
+	buf := d.evalBuf
 	for n := lo; n <= hi; n += len(buf) {
 		vals := buf[:min(hi-n+1, len(buf))]
 		shape.EvalRun(vals, n, peakPos, d.ts)

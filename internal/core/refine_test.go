@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"github.com/uwb-sim/concurrent-ranging/internal/pulse"
 )
 
 // projectAmplitudeOracle is projectAmplitude with one Eval call per
@@ -53,6 +55,27 @@ func TestProjectAmplitudeMatchesEvalLoop(t *testing.T) {
 				math.Float64bits(gs) != math.Float64bits(ws) {
 				t.Fatalf("template %d at %g: (%v, %v), oracle (%v, %v)", ti, pos, ga, gs, wa, ws)
 			}
+		}
+	}
+}
+
+// TestGridAmplitudeScaleCached: the grid amplitude scale a DisableRefinement
+// detector computes once per template equals the per-call formula it
+// replaced, NormConstant(T_s/U) / NormConstant(T_s), bit for bit, on all
+// 108 templates.
+func TestGridAmplitudeScaleCached(t *testing.T) {
+	bank := newTestBank(t, pulse.NumShapes)
+	d, err := NewDetector(bank, DetectorConfig{DisableRefinement: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range bank.Len() {
+		want := 0.0
+		if normTs := bank.Shape(i).NormConstant(d.ts); normTs != 0 {
+			want = bank.Shape(i).NormConstant(d.tsUp) / normTs
+		}
+		if got := d.gridAmplitudeScale(i); math.Float64bits(got) != math.Float64bits(want) || want == 0 {
+			t.Fatalf("template %d: cached scale %v, per-call formula %v", i, got, want)
 		}
 	}
 }

@@ -382,8 +382,8 @@ func TestMatchedFilterOutputsSpectralMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spectral.sbank == nil {
-		t.Fatal("the default detector should search through the spectral bank")
+	if spectral.fbank != nil || spectral.frames == nil {
+		t.Fatal("the default detector should search through the frame bank")
 	}
 	reference, err := NewDetector(bank, DetectorConfig{Mode: ModeReference})
 	if err != nil {
@@ -457,11 +457,13 @@ func TestDetectWorkersMatchSerial(t *testing.T) {
 
 // TestDetectSpectralObsCounters pins the default path's plan counters on
 // both of its searches. It up-samples once per Detect
-// (dsp.upsample_execs) and scans every template each round
-// (dsp.bank_filters = rounds × templates) on both, and never
-// shift-subtracts. The 3-shape bank keeps its outputs and ingests once
-// per Detect; the 12-shape bank ingests its exact up-sampled residual
-// once per round (dsp.bank_transforms).
+// (dsp.upsample_execs) on both, and never shift-subtracts. The 3-shape
+// bank keeps its outputs, ingests once per Detect and scans every
+// template each round (dsp.bank_filters = rounds × templates). The
+// 12-shape bank searches in frames: a transform is one frame's ingest
+// and a filter one template on one frame. A round filters every template
+// on each frame it visits, at least one and fewer than all, and its
+// winner's edge neighbours add at most two ingests and two filters.
 func TestDetectSpectralObsCounters(t *testing.T) {
 	for _, c := range []struct {
 		shapes   int
@@ -505,15 +507,28 @@ func TestDetectSpectralObsCounters(t *testing.T) {
 		if got := snap.CounterValue(MetricUpsampleExecs); got != calls {
 			t.Errorf("%d shapes: %s = %d, want %d (one per Detect)", c.shapes, MetricUpsampleExecs, got, calls)
 		}
-		wantTransforms, per := int64(calls), "Detect"
-		if c.perRound {
-			wantTransforms, per = rounds, "round"
+		transforms, filters := snap.CounterValue(MetricBankTransforms), snap.CounterValue(MetricBankFilters)
+		if got := snap.CounterValue(MetricDetectTemplateEvals); got != rounds*int64(bank.Len()) {
+			t.Errorf("%d shapes: %s = %d, want %d (rounds × templates)", c.shapes, MetricDetectTemplateEvals, got, rounds*int64(bank.Len()))
 		}
-		if got := snap.CounterValue(MetricBankTransforms); got != wantTransforms {
-			t.Errorf("%d shapes: %s = %d, want %d (one per %s)", c.shapes, MetricBankTransforms, got, wantTransforms, per)
+		if !c.perRound {
+			if transforms != calls {
+				t.Errorf("%d shapes: %s = %d, want %d (one per Detect)", c.shapes, MetricBankTransforms, transforms, calls)
+			}
+			if filters != rounds*int64(bank.Len()) {
+				t.Errorf("%d shapes: %s = %d, want %d (rounds × templates)", c.shapes, MetricBankFilters, filters, rounds*int64(bank.Len()))
+			}
+			continue
 		}
-		if got := snap.CounterValue(MetricBankFilters); got != rounds*int64(bank.Len()) {
-			t.Errorf("%d shapes: %s = %d, want %d (rounds × templates)", c.shapes, MetricBankFilters, got, rounds*int64(bank.Len()))
+		frames, nt := int64(det.frames.Frames()), int64(bank.Len())
+		if transforms < rounds || transforms >= rounds*frames {
+			t.Errorf("%d shapes: %s = %d over %d rounds of %d frames, want at least one frame a round and fewer than all",
+				c.shapes, MetricBankTransforms, transforms, rounds, frames)
+		}
+		// visited = transforms − edge ingests and filters = nt·visited +
+		// edge filters, with edge ingests ≤ edge filters ≤ 2·rounds.
+		if filters > nt*transforms+2*rounds || filters < nt*(transforms-2*rounds) {
+			t.Errorf("%d shapes: %s = %d against %d frame ingests of %d templates", c.shapes, MetricBankFilters, filters, transforms, nt)
 		}
 		if got := snap.CounterValue(MetricBankShiftSubtracts); got != 0 {
 			t.Errorf("%d shapes: %s = %d, want 0", c.shapes, MetricBankShiftSubtracts, got)

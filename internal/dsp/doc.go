@@ -2,8 +2,9 @@
 // concurrent-ranging simulator: complex vector arithmetic, one plan-cached
 // transform engine (a radix-2 FFT, Bluestein's algorithm for other
 // lengths, FFT up-sampling, the matched-filter bank, its spectral search
-// variant and the matched-filter outputs that variant keeps across
-// subtractions), the raised-cosine pulse formula with a kernel that samples
+// variant, the matched-filter outputs that variant keeps across
+// subtractions and the bounded search in short overlap-save frames), the
+// raised-cosine pulse formula with a kernel that samples
 // it over a run of indices, peak picking, and the statistics helpers used
 // by the Monte-Carlo experiment harness.
 //

@@ -6,11 +6,13 @@ import (
 	"sync/atomic"
 )
 
-// SpectralBank runs the detector's per-round matched-filter search at the
-// signal's circular transform length: Ingest takes one forward FFT of the
-// up-sampled residual, and ScanBest evaluates every template's
-// matched-filter output against it with a single inverse FFT per template
-// and a fused peak scan.
+// SpectralBank filters a signal with every template at the signal's
+// circular transform length: Ingest takes one forward FFT of the
+// up-sampled signal, and ScanBest evaluates a template's matched-filter
+// output against it with a single inverse FFT and a fused peak scan. The
+// detector ingests the up-sampled CIR once per Detect on banks that keep
+// every template's output (TrackedOutputs.Load filters it); every other
+// bank searches in short frames instead (FrameBank, frames.go).
 //
 // The circular transform length M = NextPow2(max(sigLen, longest
 // template)) is smaller than the MatchedFilterBank's linear convolution
@@ -33,18 +35,15 @@ import (
 // up-sampled continuous pulse, not the T_s-rendered pulse pushed through
 // FFT interpolation, so the spectrum it leaves only approximates the
 // residual's: a 900 MHz pulse sampled at 1.0016 ns aliases slightly. The
-// detector does not use it. On banks of eight templates or more it keeps
-// its up-sampled residual exact with UpsamplePlan.AddSegment and ingests
-// it every round; on smaller banks it ingests the up-sampled CIR once and
-// keeps every template's output with TrackedOutputs (tracked.go).
+// detector does not use it.
 //
 // The bank keeps every spectrum in bit-reversed order only, the order
 // the scan's product pass reads: Ingest's last butterfly pass stores it
 // that way, and ShiftSubtract updates it in place.
 //
 // Ingest and ShiftSubtract mutate shared state; ScanBest only reads it
-// (plus atomic counters) and takes caller-owned scratch, so between
-// mutations any number of goroutines may scan concurrently.
+// and takes caller-owned scratch, so between mutations any number of
+// goroutines may scan concurrently.
 type SpectralBank struct {
 	sigLen  int
 	m       int
@@ -54,7 +53,7 @@ type SpectralBank struct {
 	maxTail int
 	tmpls   []spectralTemplate
 
-	ingests, scans atomic.Int64
+	ingests atomic.Int64
 }
 
 type spectralTemplate struct {
@@ -127,10 +126,9 @@ func (b *SpectralBank) NumTemplates() int { return len(b.tmpls) }
 // callback is queried over exactly this range.
 func (b *SpectralBank) PrefixLen() int { return b.maxTail }
 
-// Ingests and Scans return how many signals were ingested and how many
-// template scans ran since the bank was built — plan-level observability.
+// Ingests returns how many signals were ingested since the bank was built
+// — plan-level observability.
 func (b *SpectralBank) Ingests() int64 { return b.ingests.Load() }
-func (b *SpectralBank) Scans() int64   { return b.scans.Load() }
 
 // NewScratch returns a scratch buffer sized for ScanBest. Allocate one per
 // goroutine; ScanBest never touches bank-owned scratch.
@@ -150,8 +148,8 @@ func (b *SpectralBank) scratchLen() int {
 
 // Clone returns a new bank sharing b's immutable state — the template
 // taps and spectra plus the single FFT plan — while owning fresh mutable
-// signal state (the spectrum and the tail-correction prefix) and zeroed
-// execution counters. The clone holds no signal: Ingest before scanning. The shared plan is read-only under
+// signal state (the spectrum and the tail-correction prefix) and a
+// zeroed ingest counter. The clone holds no signal: Ingest before scanning. The shared plan is read-only under
 // every bank method (only its tables are consulted), so clones may run
 // concurrently, one goroutine each, while the O(templates) spectrum
 // setup is paid once and shared.
@@ -170,8 +168,8 @@ func (b *SpectralBank) Clone() *SpectralBank {
 // Ingest replaces the maintained state with a fresh signal: one forward
 // FFT in place of the old spectrum, stored bit-reversed
 // (fftPlan.spectrumRev), plus a copy of the tail-correction prefix. The
-// detector calls it once per extraction round, on its exactly maintained
-// up-sampled residual.
+// detector calls it once per Detect, on the up-sampled CIR, on banks that
+// keep their outputs.
 func (b *SpectralBank) Ingest(sig []complex128) error {
 	if len(sig) != b.sigLen {
 		return fmt.Errorf("dsp: spectral bank built for %d-sample signals, got %d", b.sigLen, len(sig))
@@ -233,7 +231,10 @@ func (b *SpectralBank) ShiftSubtract(t int, amp complex128, finePos float64, eva
 }
 
 // ScanBest matched-filters template t against the maintained spectrum and
-// returns the strongest output sample outside the skip intervals: its
+// returns the strongest output sample outside the skip intervals. No
+// detector path calls it: its callers are perfbench's fullbank replay and
+// the tests, and it goes with the benchmark's next change (ROADMAP item
+// 1). It returns its
 // output index (-1 when every sample is skipped or zero), its squared
 // magnitude, and the three output samples centered on it (zero where the
 // signal window ends). Output indexing matches MatchedFilterBank: index i
@@ -254,7 +255,6 @@ func (b *SpectralBank) ScanBest(scratch []complex128, t int, skip []SkipInterval
 	if n := b.scratchLen(); len(scratch) < n {
 		return -1, 0, y3, fmt.Errorf("dsp: ScanBest scratch needs %d samples, got %d", n, len(scratch))
 	}
-	b.scans.Add(1)
 	st := b.tmpls[t]
 	prod := scratch[:b.m]
 	scale := complex(1/float64(b.m), 0)

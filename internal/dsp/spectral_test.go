@@ -44,8 +44,8 @@ func TestSpectralBankScanMatchesMatchedFilter(t *testing.T) {
 		t.Fatalf("PrefixLen = %d, want %d", b.PrefixLen(), 300+255-1-512)
 	}
 	requireScansMatch(t, b, sig, tmpls)
-	if b.Ingests() != 1 || b.Scans() != int64(len(tmpls)) {
-		t.Errorf("counters: ingests %d scans %d, want 1 and %d", b.Ingests(), b.Scans(), len(tmpls))
+	if b.Ingests() != 1 {
+		t.Errorf("counters: ingests %d, want 1", b.Ingests())
 	}
 }
 

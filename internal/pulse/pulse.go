@@ -101,9 +101,10 @@ func (s Shape) EvalRun(dst []float64, first int, delay, ts float64) {
 }
 
 // evalChunk is the length of the stack buffers the support sweeps fill
-// with EvalRun: one chunk covers the widest shape's support at T_s/4 (at
-// most 113 samples), and longer runs take several.
-const evalChunk = 128
+// with EvalRun, which every sweep zeroes: one chunk covers any shape's
+// support at T_s (at most 30 samples), the hot sweeps, and the supports
+// at T_s/4 (at most 113) take several.
+const evalChunk = 32
 
 // SupportHalfWidth returns the half-width of the truncated pulse support in
 // seconds. The template spans ±SupportHalfWidth around the peak.

@@ -117,14 +117,14 @@ type DetectorOptions struct {
 	// Mode selects the detector search path: core.ModeAuto (default)
 	// filters the up-sampled CIR once and updates every template's
 	// output after each extraction on banks of fewer than eight shapes,
-	// and keeps the up-sampled residual exact and filters it every round
-	// at half the reference transform size on larger banks;
-	// core.ModeReference re-upsamples the residual every round. All
-	// detect the same responses up to rounding.
+	// and keeps the up-sampled residual exact and searches it every round
+	// in short frames, filtering only those that can hold the round's
+	// best peak, on larger banks; core.ModeReference re-upsamples the
+	// residual every round. All detect the same responses up to rounding.
 	Mode core.DetectorMode
 	// Workers bounds the parallel template fan-out per extraction round
 	// on banks of at least eight shapes (0 = automatic: GOMAXPROCS).
-	// Smaller banks always search serially.
+	// Smaller banks search serially by default.
 	Workers int
 }
 
