@@ -34,10 +34,6 @@ type Measurement struct {
 type Resolver struct {
 	// Plan is the RPM × pulse-shaping layout in force.
 	Plan SlotPlan
-	// AnchorTolerance is how far (seconds) the anchor's response peak may
-	// sit from the receiver's reference index. Zero selects one slot
-	// width or 40 ns, whichever is smaller.
-	AnchorTolerance float64
 	// DirectPathMarginDB controls the per-responder selection when
 	// several responses map to the same ID: the strongest wins unless an
 	// earlier response is within this margin of it (then the earlier one
@@ -149,14 +145,15 @@ func (r *Resolver) pickDirectPath(a, b Measurement) Measurement {
 	return second
 }
 
+// maxAnchorOffset caps findAnchor's window, seconds.
+const maxAnchorOffset = 40e-9
+
 // findAnchor locates the response belonging to the decoded responder: the
-// peak nearest the receiver's reference position, preferring (but not
-// requiring) the anchor's assigned pulse shape.
+// peak nearest the receiver's reference position, within one slot width
+// or maxAnchorOffset, whichever is smaller, preferring (but not requiring)
+// the anchor's assigned pulse shape.
 func (r *Resolver) findAnchor(responses []Response, anchorShape int) (int, error) {
-	tol := r.AnchorTolerance
-	if tol == 0 {
-		tol = math.Min(r.Plan.SlotWidth, 40e-9)
-	}
+	tol := math.Min(r.Plan.SlotWidth, maxAnchorOffset)
 	best, bestShaped := -1, -1
 	var bestDist, bestShapedDist float64
 	for i, resp := range responses {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/channel"
@@ -456,6 +457,49 @@ func TestResolverAnchorShapePreference(t *testing.T) {
 	for _, m := range ms {
 		if m.Anchor && m.Shape != 1 {
 			t.Fatalf("anchor resolved to wrong shape: %+v", m)
+		}
+	}
+}
+
+// TestResolverAnchorWindow pins the window around the reference position
+// in which the anchor's response must sit: 40 ns on either side in a
+// single-slot plan, and one slot width when a slot is narrower
+// (NewSlotPlan(10, 1): 30 slots of 33.9 ns).
+func TestResolverAnchorWindow(t *testing.T) {
+	narrow, err := NewSlotPlan(10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if narrow.SlotWidth > 34e-9 || narrow.SlotWidth < 33e-9 {
+		t.Fatalf("NewSlotPlan(10, 1) slot width %g s, want 33.9 ns", narrow.SlotWidth)
+	}
+	for _, c := range []struct {
+		name   string
+		plan   SlotPlan
+		offset float64
+		found  bool
+	}{
+		{"single slot, 39 ns late", SingleSlot(1), 39e-9, true},
+		{"single slot, 39 ns early", SingleSlot(1), -39e-9, true},
+		{"single slot, 41 ns late", SingleSlot(1), 41e-9, false},
+		{"single slot, 41 ns early", SingleSlot(1), -41e-9, false},
+		{"33.9 ns slots, 33 ns late", narrow, 33e-9, true},
+		{"33.9 ns slots, 35 ns late", narrow, 35e-9, false},
+	} {
+		r := &Resolver{Plan: c.plan}
+		delay := refDelay + c.offset
+		ms, err := r.Resolve([]Response{mkResponse(delay, 0, 1)}, 0, 3.0)
+		if !c.found {
+			if err == nil || !strings.Contains(err.Error(), "no response within") {
+				t.Errorf("%s: got %+v, %v; want a no-response-within error", c.name, ms, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(ms) != 1 || !ms[0].Anchor || ms[0].Delay != delay || !closeTo(ms[0].Distance, 3.0, 1e-9) {
+			t.Fatalf("%s: got %+v, want the response at %g s as the anchor at 3 m", c.name, ms, delay)
 		}
 	}
 }

@@ -9,8 +9,10 @@ import (
 
 // ThresholdDetector is the baseline the paper compares against in
 // Sect. VI (Falsi et al.): scan the CIR magnitude, and whenever it crosses
-// a threshold take the maximum of the following N_p samples (one pulse
-// duration) as a detected peak, then continue after that window.
+// a threshold take the maximum of the following N_p samples as a detected
+// peak, then continue after that window. N_p spans half the truncated
+// pulse support, which brackets the main lobe the way Falsi et al. size
+// their window.
 type ThresholdDetector struct {
 	// Shape is the pulse whose duration defines the N_p window.
 	Shape pulse.Shape
@@ -22,10 +24,6 @@ type ThresholdDetector struct {
 	// MaxResponses bounds the number of reported peaks (N−1); zero means
 	// scan the whole CIR.
 	MaxResponses int
-	// WindowDuration is the N_p peak-search window in seconds. Zero
-	// selects half the truncated pulse support, which brackets the main
-	// lobe the way Falsi et al. size their window.
-	WindowDuration float64
 }
 
 // Detect scans the CIR and returns the detected peaks in ascending delay
@@ -49,11 +47,7 @@ func (t *ThresholdDetector) Detect(taps []complex128, noiseRMS float64) ([]Respo
 	if factor < 0 {
 		return nil, fmt.Errorf("core: negative threshold factor %g", factor)
 	}
-	window := t.WindowDuration
-	if window == 0 {
-		window = t.Shape.Duration() / 2
-	}
-	np := int(window/t.SampleInterval + 0.5)
+	np := int(t.Shape.Duration()/2/t.SampleInterval + 0.5)
 	if np < 1 {
 		np = 1
 	}

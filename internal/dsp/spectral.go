@@ -121,11 +121,6 @@ func NewSpectralBank(templates [][]complex128, sigLen int) (*SpectralBank, error
 // NumTemplates returns the number of templates in the bank.
 func (b *SpectralBank) NumTemplates() int { return len(b.tmpls) }
 
-// PrefixLen returns how many leading time-domain signal samples the bank
-// maintains for overlap-save tail correction; ShiftSubtract's eval
-// callback is queried over exactly this range.
-func (b *SpectralBank) PrefixLen() int { return b.maxTail }
-
 // Ingests returns how many signals were ingested since the bank was built
 // — plan-level observability.
 func (b *SpectralBank) Ingests() int64 { return b.ingests.Load() }
@@ -186,8 +181,10 @@ func (b *SpectralBank) Ingest(sig []complex128) error {
 // transform; see the type comment for why the result is approximate. eval
 // must return the sample of the subtracted pulse at signal index x — the
 // bank cannot evaluate the continuous pulse itself — and is queried only
-// over [0, PrefixLen()) to keep the tail-correction prefix in step; eval
-// may be nil when the pulse provably vanishes there.
+// over the signal's first sigLen + L − 1 − M samples, L the longest
+// template's length (none when that is not positive): the prefix the bank
+// keeps for the tail correction, which it keeps in step. eval may be nil
+// when the pulse provably vanishes there.
 func (b *SpectralBank) ShiftSubtract(t int, amp complex128, finePos float64, eval func(x int) complex128) error {
 	if t < 0 || t >= len(b.tmpls) {
 		return fmt.Errorf("dsp: template index %d outside bank of %d", t, len(b.tmpls))

@@ -40,8 +40,8 @@ func TestSpectralBankScanMatchesMatchedFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.PrefixLen() != 300+255-1-512 {
-		t.Fatalf("PrefixLen = %d, want %d", b.PrefixLen(), 300+255-1-512)
+	if b.maxTail != 300+255-1-512 {
+		t.Fatalf("maxTail = %d, want %d", b.maxTail, 300+255-1-512)
 	}
 	requireScansMatch(t, b, sig, tmpls)
 	if b.Ingests() != 1 {

@@ -23,9 +23,10 @@ type JitterModel struct {
 	Exponent float64
 }
 
-// DefaultJitter is calibrated so SS-TWR at the nominal 900 MHz bandwidth
-// reproduces the paper's σ ≈ 2.3 cm (Sect. V) and the mild degradation the
-// wider shapes show (σ₃ ≈ 2.8 cm).
+// DefaultJitter is every radio's timestamp error model, calibrated so
+// SS-TWR at the nominal 900 MHz bandwidth reproduces the paper's
+// σ ≈ 2.3 cm (Sect. V) and the mild degradation the wider shapes show
+// (σ₃ ≈ 2.8 cm).
 func DefaultJitter() JitterModel {
 	return JitterModel{Sigma0: 107e-12, RefBandwidth: pulse.NominalBandwidth, Exponent: 0.22}
 }
@@ -50,15 +51,9 @@ type Config struct {
 	PHY airtime.Config
 	// PGDelay is the TC_PGDELAY pulse-shaping register value.
 	PGDelay byte
-	// AntennaDelay is the calibration constant added to RX and subtracted
-	// from TX timestamps, seconds. Zero means perfectly calibrated.
-	AntennaDelay float64
 	// NoiseRMS is the per-tap complex accumulator noise RMS.
 	// Zero selects DefaultNoiseRMS; negative disables noise.
 	NoiseRMS float64
-	// Jitter is the RX timestamp error model. The zero value selects
-	// DefaultJitter.
-	Jitter JitterModel
 	// Clock is the node's crystal model.
 	Clock Clock
 }
@@ -106,9 +101,6 @@ func New(id string, cfg Config, rng *rand.Rand) (*Radio, error) {
 	}
 	if cfg.NoiseRMS < 0 {
 		cfg.NoiseRMS = 0
-	}
-	if cfg.Jitter == (JitterModel{}) {
-		cfg.Jitter = DefaultJitter()
 	}
 	return &Radio{id: id, cfg: cfg, shape: shape, rng: rng}, nil
 }
@@ -173,16 +165,17 @@ func (r *Radio) ScheduleDelayedTX(nowSim float64, requested DeviceTime) (DeviceT
 func (r *Radio) TXSimTime(nowSim float64, tx DeviceTime) float64 {
 	dev := tx.Seconds()
 	epochs := math.Round((r.cfg.Clock.DeviceSeconds(nowSim) - dev) / counterSeconds)
-	return r.cfg.Clock.SimSeconds(dev+epochs*counterSeconds) - r.cfg.AntennaDelay
+	return r.cfg.Clock.SimSeconds(dev + epochs*counterSeconds)
 }
 
 // RXTimestamp returns the device timestamp for a frame whose first path
 // arrived at the given simulation time, carried by a pulse of the given
-// bandwidth: truth + antenna delay + leading-edge jitter, quantized to
-// 15.65 ps device units.
+// bandwidth: truth + leading-edge jitter (DefaultJitter), quantized to
+// 15.65 ps device units. Antennas are taken as calibrated: no antenna
+// delay enters a TX or RX timestamp.
 func (r *Radio) RXTimestamp(simArrival, bandwidth float64) DeviceTime {
-	jitter := r.rng.NormFloat64() * r.cfg.Jitter.Sigma(bandwidth)
-	return r.cfg.Clock.Timestamp(simArrival + r.cfg.AntennaDelay + jitter)
+	jitter := r.rng.NormFloat64() * DefaultJitter().Sigma(bandwidth)
+	return r.cfg.Clock.Timestamp(simArrival + jitter)
 }
 
 // Arrival is one concurrent transmission reaching this receiver: the
@@ -197,8 +190,6 @@ type Arrival struct {
 	Shape pulse.Shape
 	// Taps is the channel realization toward this receiver.
 	Taps []channel.Tap
-	// Amplitude scales the whole arrival (1 for a standard frame).
-	Amplitude float64
 }
 
 // firstPathTime returns the arrival time of the first plausible path: the
@@ -273,14 +264,10 @@ func (r *Radio) Receive(arrivals []Arrival) (*Reception, error) {
 func renderArrivals(taps []complex128, arrivals []Arrival, origin float64) {
 	for i := range arrivals {
 		a := &arrivals[i]
-		amp := a.Amplitude
-		if amp == 0 {
-			amp = 1
-		}
 		norm := a.Shape.NormConstant(SampleInterval) // one per arrival, not per tap
 		for _, tap := range a.Taps {
 			delay := (a.TXTime + tap.Delay - origin) / SampleInterval
-			a.Shape.RenderNormInto(taps, tap.Gain*complex(amp, 0), delay, SampleInterval, norm)
+			a.Shape.RenderNormInto(taps, tap.Gain, delay, SampleInterval, norm)
 		}
 	}
 }

@@ -80,9 +80,6 @@ func TestNewValidation(t *testing.T) {
 	if r.Config().NoiseRMS != DefaultNoiseRMS {
 		t.Error("noise default not applied")
 	}
-	if r.Config().Jitter != DefaultJitter() {
-		t.Error("jitter default not applied")
-	}
 }
 
 func TestSetPGDelay(t *testing.T) {
@@ -222,7 +219,7 @@ func TestRXTimestampJitterStatistics(t *testing.T) {
 		ts := r.RXTimestamp(arrival, pulse.NominalBandwidth)
 		stats.Add(ts.Seconds() - arrival)
 	}
-	sigma := r.Config().Jitter.Sigma(pulse.NominalBandwidth)
+	sigma := DefaultJitter().Sigma(pulse.NominalBandwidth)
 	if got := stats.StdDev(); got < 0.9*sigma || got > 1.1*sigma {
 		t.Fatalf("timestamp jitter std %g, want ~%g", got, sigma)
 	}
@@ -426,7 +423,7 @@ func TestLockMatchesReceive(t *testing.T) {
 					taps = append([]channel.Tap{{Delay: taps[0].Delay - 15e-9, Gain: taps[0].Gain * 0.05, Order: 1}}, taps...)
 				}
 				arrivals[i] = Arrival{SourceID: fmt.Sprintf("tx%d", i), TXTime: 1e-3 + 1e-9*float64(rng.IntN(20)),
-					Shape: shape, Taps: taps, Amplitude: float64(i % 2)}
+					Shape: shape, Taps: taps}
 			}
 			if n > 2 {
 				arrivals[n-1].TXTime, arrivals[n-1].Taps = arrivals[0].TXTime, arrivals[0].Taps // a tie on the first path

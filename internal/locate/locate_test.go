@@ -179,7 +179,7 @@ func TestSolveRobustRejectsNLOSOutlier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	robust, err := SolveRobust(obs, RobustConfig{})
+	robust, err := SolveRobust(obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestSolveRobustRejectsNLOSOutlier(t *testing.T) {
 func TestSolveRobustCleanDataMatchesPlain(t *testing.T) {
 	truth := geom.Point{X: 6, Y: 5}
 	obs := obsFor(truth, squareAnchors, 0, nil)
-	robust, err := SolveRobust(obs, RobustConfig{})
+	robust, err := SolveRobust(obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestSolveRobustCleanDataMatchesPlain(t *testing.T) {
 func TestSolveRobustRequiresRedundancy(t *testing.T) {
 	truth := geom.Point{X: 2, Y: 2}
 	obs := obsFor(truth, squareAnchors[:3], 0, nil)
-	if _, err := SolveRobust(obs, RobustConfig{}); err == nil {
+	if _, err := SolveRobust(obs); err == nil {
 		t.Fatal("three ranges accepted for robust solve")
 	}
 }

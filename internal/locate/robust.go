@@ -7,49 +7,38 @@ import (
 	"github.com/uwb-sim/concurrent-ranging/internal/geom"
 )
 
-// RobustConfig tunes SolveRobust.
-type RobustConfig struct {
-	// Config is the inner Gauss-Newton configuration.
-	Config
-	// Scale is the residual scale in meters: observations are
-	// down-weighted with a Tukey biweight of cutoff 4·Scale, i.e. fully
-	// rejected once their residual exceeds four times this value. Zero
-	// selects 0.25 m — several times the LOS ranging σ, far below
-	// typical NLOS biases.
-	Scale float64
-	// Reweights is the number of IRLS passes (default 5).
-	Reweights int
-}
-
-func (c *RobustConfig) applyDefaults() {
-	c.Config.applyDefaults()
-	if c.Scale == 0 {
-		c.Scale = 0.25
-	}
-	if c.Reweights == 0 {
-		c.Reweights = 5
-	}
-}
+// Tukey biweight IRLS settings of SolveRobust.
+const (
+	// robustScale is the residual scale in meters: observations are
+	// down-weighted with a Tukey biweight of cutoff 4·robustScale, i.e.
+	// fully rejected once their residual exceeds 1 m — several times the
+	// LOS ranging σ, far below typical NLOS biases.
+	robustScale = 0.25
+	// robustReweights bounds the IRLS passes.
+	robustReweights = 5
+)
 
 // SolveRobust estimates the position with iteratively reweighted least
 // squares using Tukey biweights, so ranges inflated by non-line-of-sight
 // propagation (always positively biased) do not drag the fix the way they
 // do under plain least squares. At least four observations are required —
-// with only three there is no redundancy to identify an outlier.
-func SolveRobust(obs []RangeObservation, cfg RobustConfig) (Result, error) {
+// with only three there is no redundancy to identify an outlier. Each
+// pass is a Solve with the default Config.
+func SolveRobust(obs []RangeObservation) (Result, error) {
 	if len(obs) < 4 {
 		return Result{}, fmt.Errorf("locate: robust solve needs at least 4 ranges, got %d", len(obs))
 	}
+	var cfg Config
 	cfg.applyDefaults()
 	work := make([]RangeObservation, len(obs))
 	copy(work, obs)
-	res, err := Solve(work, cfg.Config)
+	res, err := Solve(work, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	for pass := 0; pass < cfg.Reweights; pass++ {
-		changed := reweight(work, obs, res.Position, cfg.Scale)
-		next, err := Solve(work, cfg.Config)
+	for pass := 0; pass < robustReweights; pass++ {
+		changed := reweight(work, obs, res.Position, robustScale)
+		next, err := Solve(work, cfg)
 		if err != nil {
 			return Result{}, err
 		}

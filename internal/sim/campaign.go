@@ -52,11 +52,11 @@ func (n *Network) RunScheduledCampaign(nodes []*Node, responseDelay float64, ban
 	if responseDelay == 0 {
 		responseDelay = airtime.DefaultResponseDelay
 	}
-	initDur, err := n.phy.FrameDuration(airtime.InitPayloadBytes)
+	initDur, err := n.PHY().FrameDuration(airtime.InitPayloadBytes)
 	if err != nil {
 		return nil, err
 	}
-	respDur, err := n.phy.FrameDuration(airtime.RespPayloadBytes)
+	respDur, err := n.PHY().FrameDuration(airtime.RespPayloadBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -99,11 +99,11 @@ func (n *Network) RunConcurrentCampaign(initiator *Node, responders []*Node, cfg
 			n.endCampaignSpan(sp, result, err)
 		}()
 	}
-	initDur, err := n.phy.FrameDuration(airtime.InitPayloadBytes)
+	initDur, err := n.PHY().FrameDuration(airtime.InitPayloadBytes)
 	if err != nil {
 		return nil, nil, err
 	}
-	respDur, err := n.phy.FrameDuration(airtime.RespPayloadBytes)
+	respDur, err := n.PHY().FrameDuration(airtime.RespPayloadBytes)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -15,7 +15,7 @@ import (
 // practice the one whose preamble the receiver locked to — can still be
 // decoded. With few responders or a dominant first arrival that holds;
 // with many responders at comparable power the overlapping payloads act
-// as interference and the decode can fail. RoundConfig.CaptureModel makes
+// as interference and the decode can fail. RoundConfig.Capture makes
 // this failure mode explicit; the default (nil) keeps the paper's working
 // assumption that the locked payload always decodes.
 
@@ -27,15 +27,12 @@ type CaptureModel struct {
 	// successful decode, in dB. UWB preamble processing gain makes
 	// negative thresholds realistic.
 	ThresholdDB float64
-	// ProcessingGainDB is added to the locked arrival's power to model
-	// the despreading gain of the preamble-locked correlator.
-	ProcessingGainDB float64
 }
 
 // DefaultCaptureModel reflects a DW1000-like receiver: the locked frame
 // survives up to roughly 9 dB of aggregate interference.
 func DefaultCaptureModel() *CaptureModel {
-	return &CaptureModel{ThresholdDB: -9, ProcessingGainDB: 0}
+	return &CaptureModel{ThresholdDB: -9}
 }
 
 // Decode reports whether the locked arrival's payload decodes against the
@@ -59,22 +56,17 @@ func (m *CaptureModel) Decode(arrivals []dw1000.Arrival, lockedSource string) bo
 	if interference == 0 {
 		return true
 	}
-	sir := dsp.DB(locked/interference) + m.ProcessingGainDB
-	return sir >= m.ThresholdDB
+	return dsp.DB(locked/interference) >= m.ThresholdDB
 }
 
 // arrivalPower sums the tap powers of one arrival.
 func arrivalPower(a *dw1000.Arrival) float64 {
-	amp := a.Amplitude
-	if amp == 0 {
-		amp = 1
-	}
 	var p float64
 	for _, t := range a.Taps {
 		v := cmplx.Abs(t.Gain)
 		p += v * v
 	}
-	return p * amp * amp
+	return p
 }
 
 // SIRdB returns the locked arrival's signal-to-interference ratio in dB,

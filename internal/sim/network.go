@@ -36,27 +36,18 @@ type NodeConfig struct {
 	Pos geom.Point
 	// ClockOffsetPPM is the crystal frequency error.
 	ClockOffsetPPM float64
-	// ClockPhase is the device clock reading at simulation time 0.
-	// RandomPhase in NetworkConfig overrides this with a random draw.
-	ClockPhase float64
-	// Radio optionally overrides parts of the radio configuration;
-	// zero values inherit the network defaults.
-	NoiseRMS float64
-	// Jitter optionally overrides the RX timestamp error model.
-	Jitter dw1000.JitterModel
 }
 
-// NetworkConfig describes the simulated deployment.
+// NetworkConfig describes the simulated deployment. Every radio runs
+// the paper's PHY, 6.8 Mbps / PRF 64 / PSR 128 (airtime.PaperConfig).
 type NetworkConfig struct {
 	// Environment is the propagation model; nil selects channel.Office().
 	Environment *channel.Environment
-	// PHY is the radio configuration; the zero value selects the paper's
-	// 6.8 Mbps / PRF 64 / PSR 128.
-	PHY airtime.Config
 	// Seed makes the whole simulation deterministic.
 	Seed uint64
-	// RandomClockPhase draws each node's clock phase uniformly from
-	// [0, 1) s, as unsynchronized devices would have.
+	// RandomClockPhase draws each node's clock phase (its device clock
+	// reading at simulation time 0) uniformly from [0, 1) s, as
+	// unsynchronized devices would have. Without it every phase is 0.
 	RandomClockPhase bool
 }
 
@@ -68,7 +59,6 @@ type Network struct {
 	now float64
 
 	env         *channel.Environment
-	phy         airtime.Config
 	rng         *rand.Rand
 	seed        uint64
 	nodeNames   map[string]bool
@@ -94,16 +84,8 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	if env == nil {
 		env = channel.Office()
 	}
-	phy := cfg.PHY
-	if phy == (airtime.Config{}) {
-		phy = airtime.PaperConfig()
-	}
-	if err := phy.Validate(); err != nil {
-		return nil, err
-	}
 	return &Network{
 		env:         env,
-		phy:         phy,
 		rng:         rand.New(rand.NewPCG(cfg.Seed, 0x5eed)),
 		seed:        cfg.Seed,
 		nodeNames:   make(map[string]bool),
@@ -114,8 +96,9 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 // Environment returns the propagation environment.
 func (n *Network) Environment() *channel.Environment { return n.env }
 
-// PHY returns the radio configuration shared by all nodes.
-func (n *Network) PHY() airtime.Config { return n.phy }
+// PHY returns the radio configuration shared by all nodes, the paper's
+// (airtime.PaperConfig).
+func (n *Network) PHY() airtime.Config { return airtime.PaperConfig() }
 
 // RNG returns the network's deterministic random source.
 func (n *Network) RNG() *rand.Rand { return n.rng }
@@ -137,15 +120,13 @@ func (n *Network) AddNode(cfg NodeConfig) (*Node, error) {
 	// Draw unconditionally so the RNG stream (and hence every downstream
 	// noise sample) is identical whether or not random phases are enabled.
 	draw := n.rng.Float64()
-	phase := cfg.ClockPhase
-	if n.randomPhase && phase == 0 {
+	var phase float64
+	if n.randomPhase {
 		phase = draw
 	}
 	radioCfg := dw1000.Config{
-		PHY:      n.phy,
-		NoiseRMS: cfg.NoiseRMS,
-		Jitter:   cfg.Jitter,
-		Clock:    dw1000.Clock{OffsetPPM: cfg.ClockOffsetPPM, Phase: phase},
+		PHY:   n.PHY(),
+		Clock: dw1000.Clock{OffsetPPM: cfg.ClockOffsetPPM, Phase: phase},
 	}
 	radio, err := dw1000.New(name, radioCfg, rand.New(rand.NewPCG(n.rng.Uint64(), 0xbeef)))
 	if err != nil {

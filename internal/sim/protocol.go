@@ -30,9 +30,6 @@ type RoundConfig struct {
 	// the 8 ns delayed-TX truncation (Sect. III notes the limitation is
 	// hardware-dependent). The default keeps the DW1000 behavior.
 	DisableTXQuantization bool
-	// InitPayloadBytes and RespPayloadBytes size the frames for timing
-	// validation and energy accounting; zero selects the airtime defaults.
-	InitPayloadBytes, RespPayloadBytes int
 	// Capture optionally models payload-decode failures under concurrent
 	// interference. Nil keeps the paper's working assumption that the
 	// locked responder's payload always decodes.
@@ -64,12 +61,6 @@ func (c *RoundConfig) applyDefaults() error {
 	}
 	if c.Bank.Len() < c.Plan.NumShapes {
 		return fmt.Errorf("sim: bank has %d shapes, plan needs %d", c.Bank.Len(), c.Plan.NumShapes)
-	}
-	if c.InitPayloadBytes == 0 {
-		c.InitPayloadBytes = airtime.InitPayloadBytes
-	}
-	if c.RespPayloadBytes == 0 {
-		c.RespPayloadBytes = airtime.RespPayloadBytes
 	}
 	return nil
 }
@@ -137,7 +128,7 @@ func (n *Network) RunConcurrentRound(initiator *Node, responders []*Node, cfg Ro
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	minDelay, err := airtime.MinResponseDelay(n.phy, cfg.InitPayloadBytes)
+	minDelay, err := airtime.MinResponseDelay(n.PHY(), airtime.InitPayloadBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/uwb-sim/concurrent-ranging/internal/airtime"
 	"github.com/uwb-sim/concurrent-ranging/internal/channel"
 	"github.com/uwb-sim/concurrent-ranging/internal/core"
 	"github.com/uwb-sim/concurrent-ranging/internal/dsp"
@@ -45,8 +46,17 @@ func TestNewNetworkDefaults(t *testing.T) {
 	if net.Environment().Name != "office" {
 		t.Fatalf("default environment %q", net.Environment().Name)
 	}
-	if net.PHY() != (NetworkConfig{}.PHY) && net.PHY().PreambleSymbols != 128 {
-		t.Fatalf("default PHY %+v", net.PHY())
+	if net.PHY() != airtime.PaperConfig() {
+		t.Fatalf("PHY %+v, want the paper's %+v", net.PHY(), airtime.PaperConfig())
+	}
+	node, err := net.AddNode(NodeConfig{ID: 0, ClockOffsetPPM: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := node.Radio.Config()
+	if cfg.PHY != airtime.PaperConfig() || cfg.NoiseRMS != dw1000.DefaultNoiseRMS ||
+		cfg.Clock != (dw1000.Clock{OffsetPPM: 3}) {
+		t.Fatalf("node radio %+v, want the paper's PHY, DefaultNoiseRMS and a 3 ppm clock at phase 0", cfg)
 	}
 }
 

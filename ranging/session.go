@@ -381,7 +381,7 @@ func LocateFrom(measurements []Measurement, anchors map[int]Position) (Position,
 // the fix instead of dragging it. Requires at least four matched anchors.
 func LocateRobust(measurements []Measurement, anchors map[int]Position) (Position, error) {
 	obs := rangeObservations(measurements, anchors)
-	res, err := locate.SolveRobust(obs, locate.RobustConfig{})
+	res, err := locate.SolveRobust(obs)
 	if err != nil {
 		return Position{}, err
 	}
