@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"slices"
 
 	"github.com/uwb-sim/concurrent-ranging/ranging"
 )
@@ -81,8 +82,15 @@ func robustLocalization() error {
 		Obstacles: []ranging.Obstacle{{X1: 4.2, Y1: 1.5, X2: 4.8, Y2: 1.5, LossDB: 18}},
 	})
 	sc.SetInitiator(truth.X, truth.Y)
-	for id, a := range anchors {
-		sc.AddResponder(id, a.X, a.Y)
+	// Add the responders in ascending ID order: each takes the next seed
+	// off the network's RNG, so map order would change the run.
+	ids := make([]int, 0, len(anchors))
+	for id := range anchors {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		sc.AddResponder(id, anchors[id].X, anchors[id].Y)
 	}
 	session, err := sc.Build()
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"slices"
 
 	"github.com/uwb-sim/concurrent-ranging/ranging"
 )
@@ -37,8 +38,15 @@ func main() {
 		IdealTransceiver: true,
 	})
 	sc.SetInitiator(waypoints[0].X, waypoints[0].Y)
-	for id, p := range anchors {
-		sc.AddResponder(id, p.X, p.Y)
+	// Add the responders in ascending ID order: each takes the next seed
+	// off the network's RNG, so map order would change the run.
+	ids := make([]int, 0, len(anchors))
+	for id := range anchors {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		sc.AddResponder(id, anchors[id].X, anchors[id].Y)
 	}
 	session, err := sc.Build()
 	if err != nil {

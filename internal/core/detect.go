@@ -58,10 +58,12 @@ const (
 	// peak scan of its outputs, rounds × templates in all. Every other
 	// default-path bank searches in frames (dsp.FrameBank): a transform is
 	// one frame's Ingest and a filter one template filtered on one frame,
-	// so filters over rounds × templates × frames is the share of the
-	// frames the bound let a search visit. On ModeReference the upsample
-	// and the MatchedFilterBank.Transform both run once per round and a
-	// filter is one FilterInto/FilterPeak.
+	// every group's representative on each visited frame plus the members
+	// whose family bound reaches the best, so filters over rounds ×
+	// templates × frames is the share of the (template, frame) pairs the
+	// bounds let a search filter. On ModeReference the upsample and the
+	// MatchedFilterBank.Transform both run once per round and a filter is
+	// one FilterInto/FilterPeak.
 	MetricUpsampleExecs  = "dsp.upsample_execs"
 	MetricBankTransforms = "dsp.bank_transforms"
 	MetricBankFilters    = "dsp.bank_filters"
@@ -97,10 +99,12 @@ const (
 	// outputs cannot track, keep the up-sampled residual exact with
 	// dsp.UpsamplePlan.AddSegment and filter it every round in short
 	// overlap-save frames (dsp.FrameBank), visiting only the frames whose
-	// energy bound can reach the round's best peak; the pruned search
-	// returns what visiting every frame returns, bit for bit. Up to
-	// rounding either computes what ModeReference computes, at every
-	// bank size and with or without refinement.
+	// energy bound can reach the round's best peak and, on each, filtering
+	// a representative per group of neighbouring templates and only the
+	// members whose bound from it can reach the best; the pruned search
+	// returns what filtering every template on every frame returns, bit
+	// for bit. Up to rounding either computes what ModeReference
+	// computes, at every bank size and with or without refinement.
 	ModeAuto DetectorMode = iota
 	// ModeReference re-upsamples the residual and re-transforms it at the
 	// linear convolution length every round — the direct implementation
@@ -155,8 +159,9 @@ type DetectorConfig struct {
 	Mode DetectorMode
 	// Workers bounds the goroutines fanned across the template bank on
 	// banks of at least eight templates (a full Sect. V bank), which
-	// filter the residual every round: over the templates of each frame
-	// a round visits (ModeAuto) or over the templates (ModeReference).
+	// filter the residual every round: on each frame a round visits, over
+	// the groups' representatives and then over the members the bound
+	// lets through (ModeAuto), or over the templates (ModeReference).
 	// Results are bit-identical at every count. 0 means automatic:
 	// GOMAXPROCS workers. 1 forces serial. Smaller banks always search
 	// serially by default: their rounds scan maintained outputs
@@ -211,6 +216,10 @@ type Detector struct {
 	skipQ     []dsp.SkipInterval // per-round suppressed intervals, q-space
 	extracted []float64          // per-call already-subtracted peak positions, T_s samples
 	workers   []detectWorker     // per-worker scratch for the template fan-out
+	// On a frame search: per group, its representative's largest output
+	// on the visited frame, and the members that frame filters.
+	repPeaks []float64
+	members  []int32
 
 	// rec is the optional instrumentation sink (nil = disabled, the
 	// default). bankCalls is the pre-resolved per-bank-size labeled
@@ -277,10 +286,12 @@ func (d *Detector) counters() (transforms, filters int64) {
 
 // detectWorker is one goroutine's worth of search scratch: the search
 // bank's output buffer plus the per-template skip intervals shifted into
-// output-index space.
+// output-index space, and the chunk's result in a fan-out.
 type detectWorker struct {
 	scratch []complex128
 	skip    []dsp.SkipInterval
+	best    candidate
+	err     error
 }
 
 // candidate is one template's best peak, merged deterministically across
@@ -501,6 +512,11 @@ func (d *Detector) install(s searchBank) error {
 	for i := range d.templates {
 		support = max(support, int(2*d.bank.Shape(i).SupportHalfWidth()/d.ts)+3)
 	}
+	d.repPeaks, d.members = nil, nil
+	if s.frames != nil {
+		d.repPeaks = make([]float64, len(s.frames.Representatives()))
+		d.members = make([]int32, 0, len(d.templates))
+	}
 	d.searchBank, d.tracked, d.upsample = s, tracked, up
 	d.up, d.workers = upBuf, workers
 	d.residual = make([]complex128, s.cirLen)
@@ -520,7 +536,7 @@ func (d *Detector) tracksOutputs(s searchBank) bool { return s.sbank != nil }
 
 // minParallelTemplates is the bank size from which the default path
 // searches the residual in frames every round (dsp.FrameBank) and
-// Workers == 0 fans each visited frame's filtering out across the bank.
+// Workers == 0 fans each visited frame's filterings out across workers.
 // Below it the default path keeps its outputs (tracksOutputs), and
 // detectors usually already run inside per-trial worker pools
 // (experiments.parallelMapWith) where nested fan-out only adds
@@ -898,17 +914,19 @@ func (d *Detector) searchTemplates() (candidate, error) {
 	if d.frames != nil {
 		return d.searchFrames()
 	}
-	return d.scanTemplates()
+	return d.scanTemplates(nil, nil)
 }
 
 // searchFrames is searchTemplates on the frame bank. It bounds every
 // frame of the up-sampled residual and visits the frames in descending
-// order of their bounds, filtering every template on each, until the
-// next frame's bound cannot reach the best candidate so far; a traced
-// round, or an allFrames detector, visits every frame. The candidates
-// merge under candidate.better, whose order does not depend on the order
-// they arrive in, and a skipped frame holds no output that reaches the
-// best, so the result is the exhaustive search's, bit for bit. The
+// order of their bounds until the next frame's bound cannot reach the
+// best candidate so far. On each visited frame it filters every group's
+// representative, then the members whose family bound reaches the best
+// after that (dsp.FrameBank.Members). A traced round, or an allFrames
+// detector, filters every template on every frame. The candidates merge
+// under candidate.better, whose order does not depend on the order they
+// arrive in, and a skipped frame or member holds no output that reaches
+// the best, so the result is the exhaustive search's, bit for bit. The
 // winner's neighbours that another frame owns come from that frame.
 func (d *Detector) searchFrames() (candidate, error) {
 	fb := d.frames
@@ -924,12 +942,15 @@ func (d *Detector) searchFrames() (candidate, error) {
 		if err := fb.Ingest(int(f)); err != nil {
 			return candidate{t: -1}, err
 		}
-		c, err := d.scanTemplates()
+		var err error
+		if all {
+			best, err = d.scanMerge(best, nil, nil)
+		} else if best, err = d.scanMerge(best, fb.Representatives(), d.repPeaks); err == nil {
+			d.members = fb.Members(d.members[:0], d.repPeaks, best.sq)
+			best, err = d.scanMerge(best, d.members, nil)
+		}
 		if err != nil {
 			return candidate{t: -1}, err
-		}
-		if c.better(best) {
-			best = c
 		}
 	}
 	if best.t >= 0 {
@@ -940,59 +961,77 @@ func (d *Detector) searchFrames() (candidate, error) {
 	return best, nil
 }
 
-// scanTemplates scans every template against what the search bank holds
-// — its maintained output, the frame it ingested or the transformed
-// residual — and returns the best candidate. With more than one worker
-// the bank is split into contiguous chunks, each scanned by its own
-// goroutine with per-worker scratch; the in-order reduce keeps the
-// result identical to the serial ascending scan regardless of
-// scheduling.
-func (d *Detector) scanTemplates() (candidate, error) {
-	nw := min(len(d.workers), len(d.templates))
-	if nw <= 1 {
-		return d.scanRange(&d.workers[0], 0, len(d.templates))
+// scanMerge scans the templates ts (every template when nil) on the
+// ingested frame and returns the better of best and their best candidate,
+// recording the k-th template's largest unwrapped output in peaks[k]
+// when peaks is not nil (dsp.FrameBank.ScanFrame).
+func (d *Detector) scanMerge(best candidate, ts []int32, peaks []float64) (candidate, error) {
+	c, err := d.scanTemplates(ts, peaks)
+	if err == nil && c.better(best) {
+		best = c
 	}
-	results := make([]candidate, nw)
-	errs := make([]error, nw)
+	return best, err
+}
+
+// scanTemplates scans the templates ts, every template when ts is nil,
+// against what the search bank holds — its maintained output, the frame
+// it ingested or the transformed residual — and returns the best
+// candidate. A frame scan with peaks records the k-th template's largest
+// unwrapped output in peaks[k]. With more than one worker the list is
+// split into contiguous chunks, each scanned by its own goroutine with
+// per-worker scratch; the in-order reduce keeps the result identical to
+// the serial ascending scan regardless of scheduling.
+func (d *Detector) scanTemplates(ts []int32, peaks []float64) (candidate, error) {
+	n := len(d.templates)
+	if ts != nil {
+		n = len(ts)
+	}
+	nw := min(len(d.workers), n)
+	if nw <= 1 {
+		return d.scanRange(&d.workers[0], ts, peaks, 0, n)
+	}
 	var wg sync.WaitGroup
-	chunk := (len(d.templates) + nw - 1) / nw
-	for w := 0; w < nw; w++ {
+	chunk := (n + nw - 1) / nw
+	for w := range d.workers[:nw] {
 		lo := w * chunk
-		hi := min(lo+chunk, len(d.templates))
+		hi := min(lo+chunk, n)
 		if lo >= hi {
-			results[w] = candidate{t: -1}
+			d.workers[w].best, d.workers[w].err = candidate{t: -1}, nil
 			continue
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w *detectWorker, lo, hi int) {
 			defer wg.Done()
-			results[w], errs[w] = d.scanRange(&d.workers[w], lo, hi)
-		}(w, lo, hi)
+			w.best, w.err = d.scanRange(w, ts, peaks, lo, hi)
+		}(&d.workers[w], lo, hi)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return candidate{t: -1}, err
-		}
-	}
 	best := candidate{t: -1}
-	for _, c := range results {
-		if c.better(best) {
-			best = c
+	for _, w := range d.workers[:nw] {
+		if w.err != nil {
+			return candidate{t: -1}, w.err
+		}
+		if w.best.better(best) {
+			best = w.best
 		}
 	}
 	return best, nil
 }
 
-// scanRange scans templates [lo, hi) and returns the chunk's best
-// candidate. On the per-round paths it only reads detector state shared
-// across workers (skipQ, centers, the banks' read-only plan state) and
-// mutates nothing but the worker's own scratch and the chunk's round
-// scores; maintained outputs are scanned by one worker only.
-func (d *Detector) scanRange(w *detectWorker, lo, hi int) (candidate, error) {
+// scanRange scans the templates ts[lo:hi] (templates [lo, hi) when ts is
+// nil) and returns the chunk's best candidate. On the per-round paths it
+// only reads detector state shared across workers (skipQ, centers, the
+// banks' read-only plan state) and mutates nothing but the worker's own
+// scratch, the chunk's peaks and the chunk's round scores; maintained
+// outputs are scanned by one worker only.
+func (d *Detector) scanRange(w *detectWorker, ts []int32, peaks []float64, lo, hi int) (candidate, error) {
 	n := d.cirLen * d.cfg.Upsample
 	best := candidate{t: -1}
-	for t := lo; t < hi; t++ {
+	for k := lo; k < hi; k++ {
+		t := k
+		if ts != nil {
+			t = int(ts[k])
+		}
 		w.skip = appendShifted(w.skip[:0], d.skipQ, d.centers[t], n)
 		var (
 			idx int
@@ -1004,7 +1043,11 @@ func (d *Detector) scanRange(w *detectWorker, lo, hi int) (candidate, error) {
 		case d.tracked != nil:
 			idx, sq, y3, err = d.tracked.ScanBest(t, w.skip)
 		case d.frames != nil:
-			idx, sq, y3, err = d.frames.ScanFrame(w.scratch, t, w.skip)
+			var peak *float64
+			if peaks != nil {
+				peak = &peaks[k]
+			}
+			idx, sq, y3, err = d.frames.ScanFrame(w.scratch, t, w.skip, peak)
 		default:
 			idx, sq, y3, err = d.fbank.FilterPeak(w.scratch, t, w.skip)
 		}

@@ -1,10 +1,11 @@
 package core
 
 // Tests of the default path's frame search (dsp.FrameBank): the pruned
-// search returns, round by round and Detect by Detect, what visiting
-// every frame returns, bit for bit, and both return what one ascending
-// scan of every template's every output finds; and no frame a round
-// passes over holds an output that reaches the round's best.
+// search returns, round by round and Detect by Detect, what filtering
+// every template on every frame returns, bit for bit, and both return
+// what one ascending scan of every template's every output finds; and no
+// frame, and no template on a visited frame, that a round passes over
+// holds an output that reaches the round's best.
 
 import (
 	"encoding/binary"
@@ -12,6 +13,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/dsp"
@@ -79,30 +81,32 @@ func symmetricTaps(r *rand.Rand, bank *pulse.Bank, d *Detector, s, k int) []comp
 // frame in ascending order, each frame's best taken from ScanFrame under
 // a strict >, so the first template and then the first index of the
 // largest squared magnitude wins, with y3 from the winning frame and
-// EdgeNeighbours. It also returns every frame's largest squared
-// magnitude over the templates, outside the skip intervals.
-func oracleRound(t *testing.T, d *Detector) (candidate, []float64) {
+// EdgeNeighbours. It also returns, per template and frame, the largest
+// squared magnitude outside the skip intervals and ScanFrame's peak over
+// every unwrapped output.
+func oracleRound(t *testing.T, d *Detector) (best candidate, outMax, peaks [][]float64) {
 	t.Helper()
 	fb, w, n := d.frames, &d.workers[0], len(d.up)
 	if err := fb.Load(d.up); err != nil {
 		t.Fatal(err)
 	}
-	best := candidate{t: -1}
-	frameMax := make([]float64, fb.Frames())
+	best = candidate{t: -1}
+	outMax, peaks = make([][]float64, len(d.templates)), make([][]float64, len(d.templates))
 	for tm := range d.templates {
 		w.skip = appendShifted(w.skip[:0], d.skipQ, d.centers[tm], n)
-		for f := range frameMax {
+		outMax[tm], peaks[tm] = make([]float64, fb.Frames()), make([]float64, fb.Frames())
+		for f := range fb.Frames() {
 			if err := fb.Ingest(f); err != nil {
 				t.Fatal(err)
 			}
-			idx, sq, y3, err := fb.ScanFrame(w.scratch, tm, w.skip)
+			idx, sq, y3, err := fb.ScanFrame(w.scratch, tm, w.skip, &peaks[tm][f])
 			if err != nil {
 				t.Fatal(err)
 			}
 			if idx >= 0 && sq > best.sq {
 				best = candidate{sq: sq, t: tm, idx: idx, y3: y3}
 			}
-			frameMax[f] = max(frameMax[f], sq)
+			outMax[tm][f] = sq
 		}
 	}
 	if best.t >= 0 {
@@ -110,7 +114,7 @@ func oracleRound(t *testing.T, d *Detector) (candidate, []float64) {
 			t.Fatal(err)
 		}
 	}
-	return best, frameMax
+	return best, outMax, peaks
 }
 
 // sameCandidate reports whether two candidates agree bit for bit.
@@ -128,11 +132,16 @@ func sameCandidate(a, b candidate) bool {
 }
 
 // requireRound checks the round d holds: the pruned and the exhaustive
-// search both return oracleRound's candidate, and every frame the pruned
-// search may pass over (its key below the best) holds no output that
-// reaches the best. It returns the candidate and the frames the bound
-// lets the round pass over.
-func requireRound(t *testing.T, label string, d *Detector) (candidate, int) {
+// search both return oracleRound's candidate, and no (template, frame)
+// pair the pruned search may pass over holds an output that reaches the
+// best: neither a frame whose key is below the best nor, on every other
+// frame, a member that the family bound passes over at the best
+// (dsp.FrameBank.Members). The search passes members over against the
+// best after the frame's representatives, which is at most the round's,
+// and a higher best lists no more members, so these pairs include every
+// pair the round passed over. It returns the candidate and the frames and
+// the (member, frame) pairs the bounds let the round pass over.
+func requireRound(t *testing.T, label string, d *Detector) (candidate, int, int) {
 	t.Helper()
 	d.allFrames = false
 	pruned, err := d.searchTemplates()
@@ -145,21 +154,42 @@ func requireRound(t *testing.T, label string, d *Detector) (candidate, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, frameMax := oracleRound(t, d)
+	want, outMax, peaks := oracleRound(t, d)
 	if !sameCandidate(pruned, want) || !sameCandidate(exhaustive, want) {
 		t.Fatalf("%s: pruned %+v, exhaustive %+v, ascending scan %+v", label, pruned, exhaustive, want)
 	}
-	skipped := 0
-	for f, m := range frameMax {
-		if d.frames.Reaches(f, want.sq) {
+	fb := d.frames
+	reps := fb.Representatives()
+	repPeaks := make([]float64, len(reps))
+	frames, members := 0, 0
+	for f := range fb.Frames() {
+		if !fb.Reaches(f, want.sq) {
+			frames++
+			for tm := range outMax {
+				if outMax[tm][f] >= want.sq {
+					t.Fatalf("%s: frame %d passed over below the best %v holds %v (template %d)", label, f, want.sq, outMax[tm][f], tm)
+				}
+			}
 			continue
 		}
-		skipped++
-		if m >= want.sq {
-			t.Fatalf("%s: frame %d passed over below the best %v holds %v", label, f, want.sq, m)
+		if err := fb.Ingest(f); err != nil {
+			t.Fatal(err)
+		}
+		for g, r := range reps {
+			repPeaks[g] = peaks[r][f]
+		}
+		listed := fb.Members(nil, repPeaks, want.sq)
+		for tm := range outMax {
+			if slices.Contains(reps, int32(tm)) || slices.Contains(listed, int32(tm)) {
+				continue
+			}
+			members++
+			if outMax[tm][f] >= want.sq {
+				t.Fatalf("%s: template %d passed over on frame %d below the best %v holds %v", label, tm, f, want.sq, outMax[tm][f])
+			}
 		}
 	}
-	return want, skipped
+	return want, frames, members
 }
 
 // eachRoundState calls check once per round of d's Detect of taps, with
@@ -227,7 +257,8 @@ func requirePrunedMatchesExhaustive(t *testing.T, label string, d *Detector, tap
 // and exhaustive search return the ascending scan's candidate bit for
 // bit, no frame a round passes over holds an output reaching its best,
 // and whole Detects agree bit for bit. Some rounds must pass frames
-// over, or the test would show nothing.
+// over, and some members on visited frames, or the test would show
+// nothing.
 func TestFrameSearchBitIdentical(t *testing.T) {
 	const noise = 1.4e-5
 	full := newTestBank(t, pulse.NumShapes)
@@ -245,11 +276,12 @@ func TestFrameSearchBitIdentical(t *testing.T) {
 		taps  []complex128
 		noise float64
 	}
-	skipped, rounds, edges := 0, 0, 0
+	skipped, passed, rounds, edges := 0, 0, 0, 0
 	check := func(label string, d *Detector) func(int) {
 		return func(round int) {
-			best, n := requireRound(t, fmt.Sprintf("%s, round %d", label, round), d)
-			skipped += n
+			best, frames, members := requireRound(t, fmt.Sprintf("%s, round %d", label, round), d)
+			skipped += frames
+			passed += members
 			rounds++
 			// A winner whose neighbour another frame owns.
 			if h := frameHop(d); best.t >= 0 && (best.idx%h == 0 && best.idx > 0 || best.idx%h == h-1 && best.idx+1 < len(d.up)) {
@@ -330,10 +362,10 @@ func TestFrameSearchBitIdentical(t *testing.T) {
 			eachRoundState(t, d, taps, 1e-4, check(label, d))
 		}
 	}
-	if skipped == 0 || edges == 0 {
-		t.Fatalf("%d rounds passed %d frames over, %d won on a frame edge: the checks show nothing", rounds, skipped, edges)
+	if skipped == 0 || passed == 0 || edges == 0 {
+		t.Fatalf("%d rounds passed %d frames and %d members over, %d won on a frame edge: the checks show nothing", rounds, skipped, passed, edges)
 	}
-	t.Logf("%d rounds passed %d frames over, %d won on a frame edge", rounds, skipped, edges)
+	t.Logf("%d rounds passed %d frames and %d members over, %d won on a frame edge", rounds, skipped, passed, edges)
 }
 
 // TestFrameSearchTiesBitIdentical plants exact ties in the up-sampled
@@ -394,7 +426,7 @@ func TestFrameSearchTiesBitIdentical(t *testing.T) {
 			continue // the block alignment favours frame f's key
 		}
 		trials++
-		want, _ := requireRound(t, label, d)
+		want, _, _ := requireRound(t, label, d)
 		wantT := tm
 		if tm == 8 {
 			wantT = 3 // the same shape as template 8, lower
@@ -424,7 +456,7 @@ func TestFrameSearchTiesBitIdentical(t *testing.T) {
 		}
 		d.skipQ = d.skipQ[:0]
 		label := fmt.Sprintf("overflow trial %d, frames %d and %d", trial, f, g)
-		want, _ := requireRound(t, label, d)
+		want, _, _ := requireRound(t, label, d)
 		if want.t != 2 || want.idx/hop != g || !math.IsInf(want.sq, 1) {
 			t.Fatalf("%s: the ascending scan picks template %d at %d with %v, want template 2 on frame %d at +Inf", label, want.t, want.idx, want.sq, g)
 		}
@@ -441,7 +473,8 @@ func indexOf(order []int32, f int) int {
 }
 
 // TestFrameSearchWorkersBitIdentical: the per-frame template fan-out
-// gives the serial search's responses bit for bit at 2 and 8 workers, and
+// gives the serial search's responses bit for bit at 2, 3 and 8 workers
+// (3 cut the 108-shape bank's 10 groups into uneven chunks), and
 // so does DetectBatch, whose workers search serially; a traced Detect,
 // which visits every frame, returns the untraced responses and one score
 // per template each round, the winner's the largest. CI runs it under the
@@ -462,7 +495,7 @@ func TestFrameSearchWorkersBitIdentical(t *testing.T) {
 	for i, in := range inputs {
 		want[i] = requirePrunedMatchesExhaustive(t, fmt.Sprintf("CIR %d", i), serial, in.Taps, in.NoiseRMS)
 	}
-	for _, w := range []int{2, 8} {
+	for _, w := range []int{2, 3, 8} {
 		d, err := NewDetector(bank, DetectorConfig{Workers: w})
 		if err != nil {
 			t.Fatal(err)

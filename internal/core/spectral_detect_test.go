@@ -461,9 +461,10 @@ func TestDetectWorkersMatchSerial(t *testing.T) {
 // bank keeps its outputs, ingests once per Detect and scans every
 // template each round (dsp.bank_filters = rounds × templates). The
 // 12-shape bank searches in frames: a transform is one frame's ingest
-// and a filter one template on one frame. A round filters every template
-// on each frame it visits, at least one and fewer than all, and its
-// winner's edge neighbours add at most two ingests and two filters.
+// and a filter one template on one frame. A round visits at least one
+// frame and fewer than all, and filters every group's representative and
+// at most every template on each; its winner's edge neighbours add at
+// most two ingests and two filters.
 func TestDetectSpectralObsCounters(t *testing.T) {
 	for _, c := range []struct {
 		shapes   int
@@ -521,14 +522,17 @@ func TestDetectSpectralObsCounters(t *testing.T) {
 			continue
 		}
 		frames, nt := int64(det.frames.Frames()), int64(bank.Len())
+		groups := int64(len(det.frames.Representatives()))
 		if transforms < rounds || transforms >= rounds*frames {
 			t.Errorf("%d shapes: %s = %d over %d rounds of %d frames, want at least one frame a round and fewer than all",
 				c.shapes, MetricBankTransforms, transforms, rounds, frames)
 		}
-		// visited = transforms − edge ingests and filters = nt·visited +
-		// edge filters, with edge ingests ≤ edge filters ≤ 2·rounds.
-		if filters > nt*transforms+2*rounds || filters < nt*(transforms-2*rounds) {
-			t.Errorf("%d shapes: %s = %d against %d frame ingests of %d templates", c.shapes, MetricBankFilters, filters, transforms, nt)
+		// visited ≥ transforms − edge ingests, and filters is between
+		// groups·visited and nt·visited plus the edge filters, with edge
+		// ingests ≤ edge filters ≤ 2·rounds.
+		if filters > nt*transforms+2*rounds || filters < groups*(transforms-2*rounds) {
+			t.Errorf("%d shapes: %s = %d against %d frame ingests of %d templates in %d groups",
+				c.shapes, MetricBankFilters, filters, transforms, nt, groups)
 		}
 		if got := snap.CounterValue(MetricBankShiftSubtracts); got != 0 {
 			t.Errorf("%d shapes: %s = %d, want 0", c.shapes, MetricBankShiftSubtracts, got)

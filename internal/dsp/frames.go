@@ -34,6 +34,17 @@ import (
 // A round visits the frames in descending order of that bound (Order)
 // and stops at the first frame that cannot reach the best peak so far.
 //
+// Within a frame the templates form groups of ⌈√n⌉ consecutive ones,
+// whose first shortest template is the group's representative r
+// (Representatives). A member t pairs its output i with r's output
+// i + Δ_t, Δ_t = (L_t−1)/2 − (L_r−1)/2, and d_t = ‖s_t[k] − s_r[k−Δ_t]‖₂
+// bounds the difference by Cauchy–Schwarz: |y_t[i] − y_r[i+Δ_t]| ≤
+// d_t·‖sig[i, i+L_t)‖₂. So the largest output of r over the frame
+// (ScanFrame with a peak), the frame's largest reach energy and the
+// transforms' rounding bound every member's outputs on it (Members;
+// DESIGN.md §10), and a round filters a member only where that bound
+// reaches its best.
+//
 // Load, Ingest and EdgeNeighbours mutate the bank's signal state;
 // ScanFrame only reads it (plus an atomic counter) and takes caller-owned
 // scratch, so between mutations any number of goroutines may scan the
@@ -44,6 +55,7 @@ type FrameBank struct {
 	hop    int // outputs per frame H
 	plan   *fftPlan
 	tmpls  []frameTemplate
+	reps   []int32 // per group: its representative, in ascending order
 	energy float64 // E_s, the largest template energy
 	span   int     // the blocks past its own an output's window can reach
 	slack  float64 // the transforms' rounding, per unit of frame input energy and E_s
@@ -53,6 +65,8 @@ type FrameBank struct {
 	cur    int          // the ingested frame, −1 for none
 	blockE []float64    // per 16-sample block: the signal's energy
 	reachE []float64    // per block: the energy its outputs' windows can reach
+	reach  []float64    // per frame: W_f, the largest reach energy of its outputs' blocks
+	inE    []float64    // per frame: E_in, the energy of the blocks holding its input
 	keys   []float64    // per frame: its bound with the margin
 	order  []int32      // the frames by descending key
 
@@ -62,6 +76,8 @@ type FrameBank struct {
 type frameTemplate struct {
 	specRev []complex128 // F-point spectrum of the matched-filter taps, bit-reversed
 	start   int          // L_t − 1: where a frame's first output sits in the product
+	group   int32        // the template's group, an index into reps
+	dist    float64      // d_t rounded up; 0 on a representative
 }
 
 // NewFrameBank builds the frame search for the given templates and signal
@@ -103,9 +119,56 @@ func NewFrameBank(templates [][]complex128, sigLen int) (*FrameBank, error) {
 		b.tmpls[i] = frameTemplate{specRev: spec, start: len(taps) - 1}
 		b.energy = max(b.energy, Energy(taps))
 	}
+	b.groupTemplates(templates)
 	b.initSignalState()
 	return b, nil
 }
+
+// groupTemplates splits the templates into groups of ⌈√n⌉ consecutive
+// ones, picks each group's first shortest template as its representative
+// and gives every member its distance to it, rounded up: d_t =
+// ‖s_t[k] − s_r[k − Δ_t]‖₂ over k ∈ [0, L_t), s_r zero outside [0, L_r),
+// with Δ_t = c_t − c_r and c = (L−1)/2. Since L_r ≤ L_t,
+// 0 ≤ Δ_t ≤ L_t − L_r, so the shifted representative lies inside the
+// member's taps.
+func (b *FrameBank) groupTemplates(templates [][]complex128) {
+	size := 1
+	for size*size < len(templates) {
+		size++
+	}
+	for lo := 0; lo < len(templates); lo += size {
+		hi := min(lo+size, len(templates))
+		r := lo
+		for t := lo + 1; t < hi; t++ {
+			if len(templates[t]) < len(templates[r]) {
+				r = t
+			}
+		}
+		g := int32(len(b.reps))
+		b.reps = append(b.reps, int32(r))
+		sr := templates[r]
+		for t := lo; t < hi; t++ {
+			b.tmpls[t].group = g
+			if t == r {
+				continue
+			}
+			st := templates[t]
+			shift := (len(st)-1)/2 - (len(sr)-1)/2
+			e := 0.0
+			for k, c := range st {
+				if j := k - shift; j >= 0 && j < len(sr) {
+					c -= sr[j]
+				}
+				e += real(c)*real(c) + imag(c)*imag(c)
+			}
+			b.tmpls[t].dist = sqrtUp(e)
+		}
+	}
+}
+
+// sqrtUp returns √x rounded up: the next float64 above the correctly
+// rounded root.
+func sqrtUp(x float64) float64 { return math.Nextafter(math.Sqrt(x), math.Inf(1)) }
 
 // initSignalState allocates the bank's signal state.
 func (b *FrameBank) initSignalState() {
@@ -114,13 +177,16 @@ func (b *FrameBank) initSignalState() {
 	b.cur = -1
 	b.blockE = make([]float64, nb)
 	b.reachE = make([]float64, nb)
+	b.reach = make([]float64, b.Frames())
+	b.inE = make([]float64, b.Frames())
 	b.keys = make([]float64, b.Frames())
 	b.order = make([]int32, b.Frames())
 }
 
-// Clone returns a new bank sharing b's immutable state — the plan and the
-// template spectra — while owning fresh signal state and zeroed execution
-// counters. The clone holds no signal: Load before searching.
+// Clone returns a new bank sharing b's immutable state — the plan, the
+// template spectra and the groups — while owning fresh signal state and
+// zeroed execution counters. The clone holds no signal: Load before
+// searching.
 func (b *FrameBank) Clone() *FrameBank {
 	c := &FrameBank{
 		sigLen: b.sigLen,
@@ -128,6 +194,7 @@ func (b *FrameBank) Clone() *FrameBank {
 		hop:    b.hop,
 		plan:   b.plan,
 		tmpls:  b.tmpls,
+		reps:   b.reps,
 		energy: b.energy,
 		span:   b.span,
 		slack:  b.slack,
@@ -194,6 +261,7 @@ func (b *FrameBank) Load(sig []complex128) error {
 		for _, e := range b.blockE[lo/peakBlock : (min(lo+b.n, b.sigLen)-1)/peakBlock+1] {
 			in += e
 		}
+		b.reach[f], b.inE[f] = w, in
 		b.keys[f] = w*b.energy*lazyMargin + in*b.energy*b.slack
 		b.order[f] = int32(f)
 	}
@@ -261,7 +329,13 @@ func (b *FrameBank) Ingest(f int) error {
 // index of the frame's largest squared magnitude wins. skip must hold
 // inclusive, ascending, disjoint output-index intervals; scratch must be
 // at least NewScratch-sized.
-func (b *FrameBank) ScanFrame(scratch []complex128, t int, skip []SkipInterval) (int, float64, [3]complex128, error) {
+//
+// A non-nil peak receives the largest squared magnitude over every
+// unwrapped output the frame's product holds, skip intervals ignored:
+// outputs [fH, min(fH + F − L_t + 1, N)), the frame's own and the next
+// F − L_max past them (0 when none exceeds 0). On a representative that
+// is the M_r Members takes.
+func (b *FrameBank) ScanFrame(scratch []complex128, t int, skip []SkipInterval, peak *float64) (int, float64, [3]complex128, error) {
 	var y3 [3]complex128
 	if t < 0 || t >= len(b.tmpls) {
 		return -1, 0, y3, fmt.Errorf("dsp: template index %d outside bank of %d", t, len(b.tmpls))
@@ -290,6 +364,9 @@ func (b *FrameBank) ScanFrame(scratch []complex128, t int, skip []SkipInterval) 
 	lo := b.cur * b.hop
 	hi := min(lo+b.hop, b.sigLen)
 	off := st.start - lo // output i sits at prod[i+off]
+	if peak != nil {
+		_, *peak = blockScan(prod, peaks, st.start, min(b.n, st.start+b.sigLen-lo), s, 0, scan)
+	}
 	bestIdx, bestSq := -1, 0.0
 	eachGap(skip, hi, func(from, to int) {
 		if from = max(from, lo); from < to {
@@ -307,6 +384,40 @@ func (b *FrameBank) ScanFrame(scratch []complex128, t int, skip []SkipInterval) 
 		}
 	}
 	return bestIdx, bestSq, y3, nil
+}
+
+// Representatives returns each group's representative, in ascending
+// group order: the templates a visited frame always filters. The slice is
+// the bank's own and must not be modified.
+func (b *FrameBank) Representatives() []int32 { return b.reps }
+
+// Members appends to dst, in ascending order, every template other than
+// a representative whose outputs on the ingested frame may reach best,
+// given peaks[g], the largest squared magnitude ScanFrame found over
+// group g's representative's unwrapped outputs of the frame. It passes
+// member t over only when best is at least minSkipSq and
+//
+//	(√M_r + 2ε_f + d_t·√W_f)²·(1 + 2^−20) < best,
+//
+// square roots rounded up, with W_f the frame's largest reach energy and
+// ε_f = √(F⁴·2^−64·E_s·E_in), the key's absolute term under a root: then
+// no output of t on the frame reaches best (DESIGN.md §10). A NaN
+// anywhere in the bound never passes over.
+func (b *FrameBank) Members(dst []int32, peaks []float64, best float64) []int32 {
+	f := b.cur
+	sqW := sqrtUp(b.reach[f])
+	eps2 := 2 * sqrtUp(b.slack*b.energy*b.inE[f])
+	g, rep := int32(-1), 0.0
+	for t, st := range b.tmpls {
+		if st.group != g {
+			g = st.group
+			rep = sqrtUp(peaks[g]) + eps2
+		}
+		if b.reps[g] != int32(t) && !passOver(rep+st.dist*sqW, best) {
+			dst = append(dst, int32(t))
+		}
+	}
+	return dst
 }
 
 // scaled returns v with both components multiplied by s.

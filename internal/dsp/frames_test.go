@@ -6,6 +6,7 @@ import (
 	"math/cmplx"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -13,20 +14,29 @@ import (
 // computes it: a fresh F-point product transform of the frame's input and
 // the template's spectrum per frame, each output scaled by 1/F component
 // by component. It is FrameBank's definition, read off the transform
-// directly.
-func frameOracle(b *FrameBank, sig []complex128, t int) []complex128 {
+// directly. It also returns, per frame, the largest squared magnitude over
+// every unwrapped output of the frame's product, [fH, min(fH+F−L_t+1, N)),
+// NaN never winning: ScanFrame's peak.
+func frameOracle(b *FrameBank, sig []complex128, t int) ([]complex128, []float64) {
 	out := make([]complex128, len(sig))
+	peaks := make([]float64, b.Frames())
 	spec := make([]complex128, b.n)
 	prod := make([]complex128, b.n)
 	s := 1 / float64(b.n)
+	start := b.tmpls[t].start
 	for lo := 0; lo < len(sig); lo += b.hop {
 		b.plan.spectrumRev(spec, sig[lo:min(lo+b.n, len(sig))])
 		b.plan.productTransformPermuted(prod, b.tmpls[t].specRev, spec, b.plan.inv)
 		for i := lo; i < min(lo+b.hop, len(sig)); i++ {
-			out[i] = scaled(prod[i-lo+b.tmpls[t].start], s)
+			out[i] = scaled(prod[i-lo+start], s)
+		}
+		for _, v := range prod[start:min(b.n, start+len(sig)-lo)] {
+			if sq := sqOf(scaled(v, s)); sq > peaks[lo/b.hop] {
+				peaks[lo/b.hop] = sq
+			}
 		}
 	}
-	return out
+	return out, peaks
 }
 
 // directOutputs returns y[i] = Σ_k sig[i+k]·conj(tmpl[k]), sig zero past
@@ -166,9 +176,10 @@ func frameCases(seed uint64) []frameCase {
 // TestFrameBankScanBitIdentical pins every frame scan to the frame
 // definition (frameOracle) bit for bit, NaN bits included: the index and
 // squared magnitude ScanFrame returns are refFrameScan's over the frame's
-// outputs under random skip intervals, its y3 holds the frame's own
-// neighbours and EdgeNeighbours the others, each from the frame that
-// owns it. No output's squared magnitude exceeds its frame's key, the
+// outputs under random skip intervals, its peak the largest over the
+// frame's unwrapped outputs, its y3 holds the frame's own neighbours and
+// EdgeNeighbours the others, each from the frame that owns it. No
+// output's squared magnitude exceeds its frame's key, the
 // order is by descending key, and on finite signals the frame outputs
 // equal the direct sums up to rounding, so each frame's geometry (hop,
 // offsets, zero padding) holds. It runs on the kernels' leg and, on an
@@ -193,8 +204,9 @@ func TestFrameBankScanBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			ys := make([][]complex128, len(c.templates))
+			peaks := make([][]float64, len(c.templates))
 			for tm, tmpl := range c.templates {
-				ys[tm] = frameOracle(b, c.sig, tm)
+				ys[tm], peaks[tm] = frameOracle(b, c.sig, tm)
 				if !c.finite {
 					continue
 				}
@@ -214,13 +226,17 @@ func TestFrameBankScanBitIdentical(t *testing.T) {
 					if err := b.Ingest(f); err != nil {
 						t.Fatal(err)
 					}
-					idx, sq, y3, err := b.ScanFrame(scratch, tm, skip)
+					peak := math.NaN()
+					idx, sq, y3, err := b.ScanFrame(scratch, tm, skip, &peak)
 					if err != nil {
 						t.Fatal(err)
 					}
 					wantIdx, wantSq := refFrameScan(y, lo, hi, skip)
 					if idx != wantIdx || math.Float64bits(sq) != math.Float64bits(wantSq) {
 						t.Fatalf("%s, frame %d, template %d, skip %v: scan (%d, %v), want (%d, %v)", label, f, tm, skip, idx, sq, wantIdx, wantSq)
+					}
+					if math.Float64bits(peak) != math.Float64bits(peaks[tm][f]) {
+						t.Fatalf("%s, frame %d, template %d: peak %v, want %v", label, f, tm, peak, peaks[tm][f])
 					}
 					if idx < 0 {
 						continue
@@ -302,6 +318,209 @@ func requireFrameKeys(t *testing.T, label string, b *FrameBank, ys [][]complex12
 	}
 }
 
+// shiftFamily returns templates of the given lengths that each hold the
+// two-tap pulse p at their center c = (L−1)/2, zero elsewhere: every
+// template is any shorter one shifted by the difference of their centers,
+// so each member's distance to its representative is 0.
+func shiftFamily(p [2]complex128, lens []int) [][]complex128 {
+	tmpls := make([][]complex128, len(lens))
+	for i, l := range lens {
+		tmpls[i] = make([]complex128, l)
+		c := (l - 1) / 2
+		tmpls[i][c] = p[0]
+		if c+1 < l {
+			tmpls[i][c+1] = p[1]
+		}
+	}
+	return tmpls
+}
+
+// familyCases builds banks on which the family bound is tight, each
+// template a neighbour of the next, and signals that probe each of its
+// terms:
+//   - a shift family (shiftFamily, members at distance 0, a shape held
+//     twice) on e^{iθn}, which its pulse annihilates, so every exact
+//     output is 0 and the computed outputs are the transforms' rounding,
+//     which only the 2ε_f term covers;
+//   - the shift family on copies of its pulse at and just after frame
+//     starts, over weak noise: a member's output at the end of a frame
+//     pairs with the representative's peak past the frame's own outputs;
+//   - centered unit-energy Gaussian pulses whose width grows with the
+//     length (members at small nonzero distances, the last shape held
+//     twice) on Gaussian noise and on trains of copies.
+func familyCases(seed uint64) []frameCase {
+	r := rand.New(rand.NewPCG(seed, 75))
+	theta := 2 * math.Pi * r.Float64()
+	p := [2]complex128{complex(math.Sqrt(0.5), 0), -cmplx.Rect(math.Sqrt(0.5), theta)}
+	shift := shiftFamily(p, []int{5, 2, 2, 3, 40, 2, 6, 3, 33, 2})
+	var near [][]complex128
+	for _, l := range []int{20, 23, 26, 28, 31, 35, 38, 40, 43, 47, 50, 52, 55, 59, 62, 62} {
+		tm := make([]complex128, l)
+		c, w := float64(l-1)/2, float64(l)/6
+		for k := range tm {
+			tm[k] = cmplx.Rect(math.Exp(-(float64(k)-c)*(float64(k)-c)/(w*w)), 0.3*float64(k))
+		}
+		near = append(near, NormalizeEnergy(tm))
+	}
+	var cases []frameCase
+	for _, n := range []int{300, 1016, 4064} {
+		name := fmt.Sprintf("n=%d", n)
+		rot := make([]complex128, n)
+		for i := range rot {
+			rot[i] = cmplx.Rect(1, theta*float64(i))
+		}
+		cases = append(cases, frameCase{name + " shift family, annihilated", shift, rot, true})
+		b, _ := NewFrameBank(shift, n)
+		edges := randTaps(r, n)
+		for i := range edges {
+			edges[i] *= 1e-3
+		}
+		for k := 1; k < b.Frames(); k += 2 {
+			at := k*b.hop + r.IntN(20)
+			a := complex(r.NormFloat64(), r.NormFloat64())
+			for j, v := range p {
+				if at+j < n {
+					edges[at+j] += a * v
+				}
+			}
+		}
+		cases = append(cases, frameCase{name + " shift family, frame starts", shift, edges, true})
+		gauss := randTaps(r, n)
+		cases = append(cases, frameCase{name + " gaussian pulses, noise", near, gauss, true})
+		train := make([]complex128, n)
+		for i := range train {
+			train[i] = 1e-4 * gauss[i]
+		}
+		for range 1 + n/200 {
+			tm := near[r.IntN(len(near))]
+			at := r.IntN(n)
+			a := complex(r.NormFloat64(), r.NormFloat64())
+			for k, c := range tm {
+				if at+k < n {
+					train[at+k] += a * c
+				}
+			}
+		}
+		cases = append(cases, frameCase{name + " gaussian pulses, train", near, train, true})
+	}
+	return cases
+}
+
+// requireGroups checks the bank's groups: ⌈√n⌉ consecutive templates
+// each, the representative the first shortest of its group, and every
+// member's distance the norm of its difference from the representative
+// centered on it, d_t = ‖s_t[k] − s_r[k − Δ_t]‖₂ with Δ_t = (L_t−1)/2 −
+// (L_r−1)/2, rounded up by at most a few units in the last place.
+func requireGroups(t *testing.T, label string, b *FrameBank, templates [][]complex128) {
+	t.Helper()
+	size := int(math.Ceil(math.Sqrt(float64(len(templates)))))
+	if want := (len(templates) + size - 1) / size; len(b.Representatives()) != want {
+		t.Fatalf("%s: %d groups of %d templates, want %d", label, len(b.Representatives()), len(templates), want)
+	}
+	for g, r := range b.Representatives() {
+		lo, hi := g*size, min((g+1)*size, len(templates))
+		want := lo
+		for tm := lo; tm < hi; tm++ {
+			if len(templates[tm]) < len(templates[want]) {
+				want = tm
+			}
+		}
+		if int(r) != want {
+			t.Fatalf("%s: group %d represented by template %d, want %d", label, g, r, want)
+		}
+		sr := templates[r]
+		for tm := lo; tm < hi; tm++ {
+			if b.tmpls[tm].group != int32(g) {
+				t.Fatalf("%s: template %d in group %d, want %d", label, tm, b.tmpls[tm].group, g)
+			}
+			if tm == int(r) {
+				continue
+			}
+			st := templates[tm]
+			shifted := make([]complex128, len(st))
+			copy(shifted[(len(st)-1)/2-(len(sr)-1)/2:], sr)
+			e := 0.0
+			for k := range st {
+				e += sqOf(st[k] - shifted[k])
+			}
+			if d := b.tmpls[tm].dist; !(d >= math.Sqrt(e) && d <= math.Sqrt(e)*(1+0x1p-40)+0x1p-1000) {
+				t.Fatalf("%s: template %d at distance %v from template %d, want %v rounded up", label, tm, d, r, math.Sqrt(e))
+			}
+		}
+	}
+}
+
+// TestFrameFamilyBound: on every bank and signal of the frame tests
+// (frameCases: 1–114 taps in non-monotone order, a shape held twice,
+// ±Inf, NaN and squares that overflow) and on the tight banks of
+// familyCases, Members never passes over a member whose outputs on the
+// frame reach the best: for every frame and member, with the best set to
+// the largest squared magnitude of the member's own outputs on the frame,
+// the member is listed, and a member whose outputs hold a NaN is listed at
+// any best. The groups are as built (requireGroups), the shift family's
+// members are at distance 0 from their representatives (rounded up to the
+// smallest subnormal), and at the
+// largest output of the whole signal the tight banks pass members over.
+func TestFrameFamilyBound(t *testing.T) {
+	passed := 0
+	for _, c := range append(frameCases(1), familyCases(2)...) {
+		b, err := NewFrameBank(c.templates, len(c.sig))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireGroups(t, c.name, b, c.templates)
+		if err := b.Load(c.sig); err != nil {
+			t.Fatal(err)
+		}
+		ys := make([][]complex128, len(c.templates))
+		top := 0.0
+		for tm := range c.templates {
+			ys[tm], _ = frameOracle(b, c.sig, tm)
+			_, m := refFrameScan(ys[tm], 0, len(c.sig), nil)
+			top = max(top, m)
+		}
+		reps := b.Representatives()
+		repPeaks := make([]float64, len(reps))
+		scratch := b.NewScratch()
+		for f := range b.Frames() {
+			if err := b.Ingest(f); err != nil {
+				t.Fatal(err)
+			}
+			for g, r := range reps {
+				if _, _, _, err := b.ScanFrame(scratch, int(r), nil, &repPeaks[g]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lo, hi := f*b.hop, min((f+1)*b.hop, len(c.sig))
+			for tm, y := range ys {
+				if slices.Contains(reps, int32(tm)) {
+					continue
+				}
+				if strings.Contains(c.name, "shift family") && b.tmpls[tm].dist > math.SmallestNonzeroFloat64 {
+					t.Fatalf("%s: template %d, a shifted copy of its representative, at distance %v", c.name, tm, b.tmpls[tm].dist)
+				}
+				_, m := refFrameScan(y, lo, hi, nil)
+				bests := []float64{m}
+				if slices.ContainsFunc(y[lo:hi], cmplx.IsNaN) {
+					bests = append(bests, math.MaxFloat64, math.Inf(1))
+				}
+				for _, best := range bests {
+					if !slices.Contains(b.Members(nil, repPeaks, best), int32(tm)) {
+						t.Fatalf("%s, frame %d: template %d passed over below %v, its outputs reach %v (representative peaks %v)", c.name, f, tm, best, m, repPeaks)
+					}
+				}
+			}
+			if strings.Contains(c.name, "family") || strings.Contains(c.name, "pulses") {
+				passed += len(c.templates) - len(reps) - len(b.Members(nil, repPeaks, top))
+			}
+		}
+	}
+	if passed == 0 {
+		t.Fatal("the tight banks passed no member over at the signal's largest output: the checks show nothing")
+	}
+	t.Logf("%d (member, frame) pairs of the tight banks passed over", passed)
+}
+
 // TestFrameBoundTight puts a scaled copy of one template in an otherwise
 // empty signal, so that the template's output at the copy equals the
 // Cauchy–Schwarz bound in exact arithmetic, at every offset within a
@@ -328,7 +547,8 @@ func TestFrameBoundTight(t *testing.T) {
 			if err := b.Load(sig); err != nil {
 				t.Fatal(err)
 			}
-			requireFrameKeys(t, fmt.Sprintf("L=%d copy at %d", l, at), b, [][]complex128{frameOracle(b, sig, 0)})
+			y, _ := frameOracle(b, sig, 0)
+			requireFrameKeys(t, fmt.Sprintf("L=%d copy at %d", l, at), b, [][]complex128{y})
 		}
 	}
 }
@@ -394,7 +614,7 @@ func BenchmarkFrameSearch(b *testing.B) {
 	})
 	b.Run("scan", func(b *testing.B) {
 		for i := range b.N {
-			if _, _, _, err := fb.ScanFrame(scratch, i%len(tmpls), nil); err != nil {
+			if _, _, _, err := fb.ScanFrame(scratch, i%len(tmpls), nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

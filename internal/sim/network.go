@@ -103,9 +103,11 @@ func (n *Network) PHY() airtime.Config { return airtime.PaperConfig() }
 // RNG returns the network's deterministic random source.
 func (n *Network) RNG() *rand.Rand { return n.rng }
 
-// AddNode creates a node with its own radio and clock. Each node gets an
-// independent RNG stream split off the network seed, so adding nodes in a
-// different order changes nothing else.
+// AddNode creates a node with its own radio and clock. Each node takes
+// its clock phase draw and its radio's RNG seed off the network RNG in
+// turn, so the order nodes are added in decides which noise and jitter
+// streams each radio gets: add them in a fixed order (ascending ID, say)
+// for runs that repeat.
 func (n *Network) AddNode(cfg NodeConfig) (*Node, error) {
 	name := cfg.Name
 	if name == "" {
